@@ -17,7 +17,6 @@ from .finspace import (
     is_local_homeomorphism,
     is_quotient_map,
     space_properties,
-    check_local_local_compactness,
     quotient_space,
     hausdorff_cover_resolution,
     closed_hausdorff_core,

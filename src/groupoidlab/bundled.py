@@ -14,7 +14,6 @@ import json
 from importlib import resources
 
 from .finspace import SpaceMap, discrete
-from .graphfell import PeriodicGraph, two_thread_ladder
 from .groupoid import build_relation_groupoid
 from .twist import CechData, TwoCocycle
 
@@ -25,10 +24,6 @@ _FILES = {
     "trivial-cocycle": "trivial_cocycle.json",
     "tetrahedron-z3": "tetrahedron_z3.json",
 }
-
-
-def ladder_presentation() -> PeriodicGraph:
-    return two_thread_ladder()
 
 
 def trivial_cocycle_model():

@@ -17,6 +17,12 @@ diagonal at the unglued boundary level) and the Cech-twisted cover model
 with its boundary character and kernel identification, plus the
 equivariant-slice equivalence for the central extension Z_n x G.
 
+Each model declares its map on a basis of point masses and hands it to
+``check_star_hom``, which compares products and stars on every basis
+pair against the library's own convolution and involution.  A map whose
+basis images are nonzero multiples of distinct target basis elements,
+with matching dimensions, is bijective; no separate round trip is run.
+
 Scalars are double precision; structural identities are asserted to
 1e-12 and accumulated ones to 1e-9.
 """
@@ -76,12 +82,11 @@ class AlgebraElement:
     def __init__(self, groupoid: FinGroupoid, sigma: TwoCocycle, coeffs: Mapping[Hashable, complex]):
         if sigma.groupoid is not groupoid:
             raise CocycleError("cocycle belongs to a different groupoid")
-        mset = set(groupoid.morphisms)
         self.groupoid = groupoid
         self.sigma = sigma
         self.coeffs = {}
         for m, v in coeffs.items():
-            if m not in mset:
+            if m not in groupoid.topology:
                 raise ValueError(f"coefficient on unknown morphism {m!r}")
             v = complex(v)
             if v != 0:
@@ -116,8 +121,7 @@ class AlgebraElement:
 
 
 def max_deviation(f: AlgebraElement, g: AlgebraElement) -> float:
-    keys = set(f.coeffs) | set(g.coeffs)
-    return max((abs(f(m) - g(m)) for m in keys), default=0.0)
+    return _dict_dev(f.coeffs, g.coeffs)
 
 
 def identity_element(groupoid: FinGroupoid, sigma: TwoCocycle) -> AlgebraElement:
@@ -204,6 +208,92 @@ def reduced_norm(f: AlgebraElement) -> float:
     return best
 
 
+# -- *-homomorphisms on a basis ---------------------------------------------------
+
+
+def _dict_dev(a: Mapping, b: Mapping) -> float:
+    keys = set(a) | set(b)
+    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in keys), default=0.0)
+
+
+def _linear(image: Mapping, f: Mapping) -> dict:
+    """Apply the linear map given by ``image`` on basis keys to ``f``."""
+    out: dict = {}
+    for c, v in f.items():
+        for k, w in image[c].items():
+            out[k] = out.get(k, 0j) + v * w
+    return out
+
+
+@dataclass(frozen=True)
+class StarHomCheck:
+    multiplicative_dev: float
+    witness: tuple | None  # basis pair with the largest product deviation
+    star_dev: float
+    bijective: bool
+
+
+def check_star_hom(
+    basis, product: Callable, star: Callable, image: Mapping,
+    target_product: Callable, target_star: Callable,
+) -> StarHomCheck:
+    """Check that the linear map e_a -> ``image[a]`` is a *-homomorphism.
+
+    ``product(a, b)`` and ``star(a)`` give e_a e_b and e_a* as sparse
+    dicts over the basis; each image is a sparse dict over the target's
+    basis keys, multiplied and starred by ``target_product`` and
+    ``target_star``.  By bilinearity every pair of basis elements decides
+    multiplicativity.  ``bijective`` says the images are nonzero multiples
+    of distinct target basis elements, which makes the map bijective
+    whenever the caller's target has the same dimension.
+    """
+    mult_dev, witness = 0.0, None
+    for a in basis:
+        for b in basis:
+            dev = _dict_dev(_linear(image, product(a, b)), target_product(image[a], image[b]))
+            if dev > mult_dev:
+                mult_dev, witness = dev, (a, b)
+    star_dev = max(
+        (_dict_dev(_linear(image, star(a)), target_star(image[a])) for a in basis), default=0.0
+    )
+    supports = [tuple(k for k, v in image[a].items() if v != 0) for a in basis]
+    bijective = all(len(s) == 1 for s in supports) and len(set(supports)) == len(supports)
+    return StarHomCheck(mult_dev, witness, star_dev, bijective)
+
+
+def _point_mass_algebra(groupoid: FinGroupoid, sigma: TwoCocycle) -> tuple:
+    """Product and star of point masses by convolve and involute, as
+    ``check_star_hom`` takes them."""
+    points = {m: AlgebraElement.char(groupoid, sigma, m) for m in groupoid.morphisms}
+    return (
+        lambda a, b: convolve(points[a], points[b]).coeffs,
+        lambda a: involute(points[a]).coeffs,
+    )
+
+
+def _matrix_unit_product(f: Mapping, g: Mapping, n: int, lam: Callable[[int, int, int], int]) -> dict:
+    """Product of block matrices stored sparsely by (row, col, block):
+    e_{ij,s} e_{jl,s} = zeta^{-lam(i,j,l)} e_{il,s}."""
+    by_left: dict = {}
+    for (j, l, s), v in g.items():
+        by_left.setdefault((j, s), []).append((l, v))
+    out: dict = {}
+    for (i, j, s), fv in f.items():
+        for l, gv in by_left.get((j, s), ()):
+            key = (i, l, s)
+            out[key] = out.get(key, 0j) + zeta(n, -lam(i, j, l)) * fv * gv
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _matrix_unit_star(f: Mapping) -> dict:
+    return {(j, i, s): v.conjugate() for (i, j, s), v in f.items()}
+
+
+def _matrix_product(f: Mapping, g: Mapping) -> dict:
+    """Untwisted product of sparse block matrices."""
+    return _matrix_unit_product(f, g, 1, lambda i, j, l: 0)
+
+
 # -- block decomposition --------------------------------------------------------
 
 
@@ -223,8 +313,7 @@ class BlockDecomposition:
 
     The cocycle is untwisted by a cohomology witness when one exists
     (for these principal groupoids one always does, but the code checks
-    rather than assumes); otherwise blocks are labelled twisted and the
-    matrix-unit verification is skipped.
+    rather than assumes); otherwise blocks are labelled twisted.
     """
 
     def __init__(self, relation: RelationGroupoid, sigma: TwoCocycle):
@@ -240,26 +329,25 @@ class BlockDecomposition:
         self.dims = tuple(len(o) for o in self.orbits)
         self.witness = are_cohomologous(sigma, TwoCocycle.trivial(relation, sigma.n))
         self.untwisted = self.witness is not None
+        # sigma = d(witness), so rescaling by zeta^{+witness} carries the
+        # twisted product to the matrix product
+        self.image = {
+            (y, z): {(y, z, k): zeta(sigma.n, self.witness((y, z))) if self.untwisted else 1.0}
+            for k, orbit in enumerate(self.orbits)
+            for y in orbit
+            for z in orbit
+        }
+        self._pos = {y: i for orbit in self.orbits for i, y in enumerate(orbit)}
 
     def blocks(self, f: AlgebraElement) -> list[np.ndarray]:
         """Per-orbit matrix images; after untwisting the image of a point
         mass at (y, z) is a scaled matrix unit e_{y z}."""
         if f.groupoid is not self.relation:
             raise ValueError("element lives on a different groupoid")
-        n = self.sigma.n
-        out = []
-        for orbit in self.orbits:
-            pos = {y: i for i, y in enumerate(orbit)}
-            mat = np.zeros((len(orbit), len(orbit)), dtype=complex)
-            for y in orbit:
-                for z in orbit:
-                    v = f((y, z))
-                    if v:
-                        # sigma = d(witness), so rescaling by zeta^{+witness}
-                        # carries the twisted product to the matrix product
-                        phase = zeta(n, self.witness((y, z))) if self.untwisted else 1.0
-                        mat[pos[y], pos[z]] = v * phase
-            out.append(mat)
+        out = [np.zeros((d, d), dtype=complex) for d in self.dims]
+        for m, v in f.coeffs.items():
+            for (y, z, k), w in self.image[m].items():
+                out[k][self._pos[y], self._pos[z]] = v * w
         return out
 
     def block_norm(self, f: AlgebraElement) -> float:
@@ -268,39 +356,18 @@ class BlockDecomposition:
     def verify(self, rng: random.Random | None = None) -> BlockCheck:
         rng = rng or random.Random(0)
         rel, sigma = self.relation, self.sigma
-        spanning = [AlgebraElement.char(rel, sigma, m) for m in rel.morphisms]
-        mult_dev = 0.0
-        for e1 in spanning:
-            b1 = self.blocks(e1)
-            for e2 in spanning:
-                b2 = self.blocks(e2)
-                lhs = self.blocks(convolve(e1, e2))
-                for l, x, y in zip(lhs, b1, b2):
-                    mult_dev = max(mult_dev, float(np.max(np.abs(l - x @ y))))
-        inv_dev = 0.0
-        for e in spanning:
-            lhs = self.blocks(involute(e))
-            for l, x in zip(lhs, self.blocks(e)):
-                inv_dev = max(inv_dev, float(np.max(np.abs(l - x.conj().T))))
-        positions = set()
-        bijective = True
-        for m, e in zip(rel.morphisms, spanning):
-            nz = [
-                (k, int(i), int(j))
-                for k, b in enumerate(self.blocks(e))
-                for i, j in zip(*np.nonzero(b))
-            ]
-            if len(nz) != 1:
-                bijective = False  # pragma: no cover - would be a bug
-            else:
-                positions.add(nz[0])
+        check = check_star_hom(
+            rel.morphisms, *_point_mass_algebra(rel, sigma), self.image, _matrix_product, _matrix_unit_star
+        )
         dim_ok = sum(d * d for d in self.dims) == len(rel.morphisms)
-        bijective = bijective and len(positions) == len(rel.morphisms) and dim_ok
         norm_dev = 0.0
         for _ in range(5):
             f = random_element(rng, rel, sigma)
             norm_dev = max(norm_dev, abs(reduced_norm(f) - self.block_norm(f)))
-        return BlockCheck(mult_dev, inv_dev, bijective, dim_ok, norm_dev, self.untwisted)
+        return BlockCheck(
+            check.multiplicative_dev, check.star_dev, check.bijective and dim_ok, dim_ok,
+            norm_dev, self.untwisted,
+        )
 
 
 def block_decompose(relation: RelationGroupoid, sigma: TwoCocycle) -> BlockDecomposition:
@@ -379,8 +446,7 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
     if levels * sheets > 64:
         raise SizeCapError("levels * sheets capped at 64")
     rng = rng or random.Random(1)
-    points = [(t, i) for t in range(levels) for i in range(1, sheets + 1)]
-    base = discrete(points)
+    base = discrete([(t, i) for t in range(levels) for i in range(1, sheets + 1)])
     partition = [
         frozenset((t, i) for i in range(1, sheets + 1)) for t in range(levels - 1)
     ] + [frozenset({(levels - 1, i)}) for i in range(1, sheets + 1)]
@@ -390,39 +456,19 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
     decomposition = block_decompose(relation, sigma)
     shape = tuple(sorted(decomposition.dims, reverse=True))
 
-    spanning = [AlgebraElement.char(relation, sigma, m) for m in relation.morphisms]
-    rho = lambda f: _rho_doubled(levels, sheets, f)
-
-    mult_dev = 0.0
-    for e1 in spanning:
-        r1 = rho(e1)
-        for e2 in spanning:
-            r2 = rho(e2)
-            lhs = rho(convolve(e1, e2))
-            for l, x, y in zip(lhs, r1, r2):
-                mult_dev = max(mult_dev, float(np.max(np.abs(l - x @ y))))
-    inv_dev = 0.0
-    for e in spanning:
-        lhs = rho(involute(e))
-        for l, x in zip(lhs, rho(e)):
-            inv_dev = max(inv_dev, float(np.max(np.abs(l - x.conj().T))))
-
-    # bijectivity onto the diagonal-at-the-boundary matrix functions:
-    # images of the spanning set are distinct scaled basis matrices and
-    # the dimensions match exactly
-    positions = set()
-    for e in spanning:
-        nz = [
-            (t, int(i), int(j))
-            for t, m in enumerate(rho(e))
-            for i, j in zip(*np.nonzero(m))
-        ]
-        positions.update(nz)
+    image = {((t, i), (_, j)): {(i, j, t): 1.0} for ((t, i), (_, j)) in relation.morphisms}
+    check = check_star_hom(
+        relation.morphisms, *_point_mass_algebra(relation, sigma), image, _matrix_product,
+        _matrix_unit_star,
+    )
+    # onto the matrix functions that are diagonal at the unglued level
     target_dim = (levels - 1) * sheets * sheets + sheets
     bijective = (
-        len(positions) == len(spanning) == target_dim
-        and all(i == j for (t, i, j) in positions if t == levels - 1)
+        check.bijective
+        and len(image) == target_dim
+        and all(i == j for ((t, i), (_, j)) in relation.morphisms if t == levels - 1)
     )
+    rho = lambda f: _rho_doubled(levels, sheets, f)
 
     norm_dev = 0.0
     for _ in range(5):
@@ -431,10 +477,12 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
         norm_dev = max(norm_dev, abs(reduced_norm(f) - a_norm))
 
     # evaluation at level t is unitarily equivalent to inducing at any
-    # unit (t, i): the unitary relabels the fiber basis ((t,j),(t,i)) -> j
-    uni_dev = 0.0
-    elements = spanning + [random_element(rng, relation, sigma) for _ in range(3)]
-    for f in elements:
+    # unit (t, i): the unitary relabels the fiber basis ((t,j),(t,i)) -> j.
+    # On point masses the induced matrices hold the products compared
+    # above, so only dense elements add to the multiplicative deviation.
+    uni_dev = check.multiplicative_dev
+    for _ in range(3):
+        f = random_element(rng, relation, sigma)
         mats = rho(f)
         for t in range(levels):
             for i in range(1, sheets + 1):
@@ -450,7 +498,7 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
                     )
     return DoubledModelReport(
         levels, sheets, relation, decomposition, shape,
-        mult_dev, inv_dev, bijective, norm_dev, uni_dev,
+        check.multiplicative_dev, check.star_dev, bijective, norm_dev, uni_dev,
     )
 
 
@@ -492,18 +540,10 @@ class CoverAlgebra:
         return {key: 1.0 + 0j}
 
     def multiply(self, f: Mapping, g: Mapping) -> dict:
-        by_left: dict = {}
-        for (j, l, s), v in g.items():
-            by_left.setdefault((j, s), []).append((l, v))
-        out: dict = {}
-        for (i, j, s), fv in f.items():
-            for l, gv in by_left.get((j, s), ()):
-                key = (i, l, s)
-                out[key] = out.get(key, 0j) + zeta(self.n, -self.lam(i, j, l)) * fv * gv
-        return {k: v for k, v in out.items() if v != 0}
+        return _matrix_unit_product(f, g, self.n, self.lam)
 
     def star(self, f: Mapping) -> dict:
-        return {(j, i, s): v.conjugate() for (i, j, s), v in f.items()}
+        return _matrix_unit_star(f)
 
     def pi(self, i: int, s, f: Mapping) -> np.ndarray:
         idx = self.incidence[s]
@@ -587,11 +627,6 @@ class CoverAlgebra:
                 abs(self.norm(self.multiply(self.star(f), f)) - self.norm(f) ** 2),
             )
         return CoverAlgebraCheck(assoc_dev, star_dev, rep_dev, cstar_dev)
-
-
-def _dict_dev(a: Mapping, b: Mapping) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in keys), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -737,20 +772,21 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
     def character(f: AlgebraElement) -> complex:
         return f(star_unit)
 
-    spanning = [AlgebraElement.char(relation, sigma, m) for m in relation.morphisms]
-    char_dev = 0.0
-    for e1 in spanning:
-        for e2 in spanning:
-            char_dev = max(
-                char_dev,
-                abs(character(convolve(e1, e2)) - character(e1) * character(e2)),
-            )
+    products = _point_mass_algebra(relation, sigma)
+    # the character is a *-homomorphism onto C, the 1 x 1 matrices
+    char_check = check_star_hom(
+        relation.morphisms, *products,
+        {m: {(0, 0, 0): 1.0} if m == star_unit else {} for m in relation.morphisms},
+        _matrix_product, _matrix_unit_star,
+    )
+    char_dev = max(char_check.multiplicative_dev, char_check.star_dev)
     for _ in range(4):
         f, g = random_element(rng, relation, sigma), random_element(rng, relation, sigma)
         char_dev = max(char_dev, abs(character(convolve(f, g)) - character(f) * character(g)))
         char_dev = max(char_dev, abs(character(involute(f)) - character(f).conjugate()))
     char_ind_dev = 0.0
-    for f in spanning[:8] + [random_element(rng, relation, sigma)]:
+    samples = [AlgebraElement.char(relation, sigma, m) for m in relation.morphisms[:8]]
+    for f in samples + [random_element(rng, relation, sigma)]:
         ind = induced_rep(star_unit, f)
         assert len(ind.basis) == 1
         char_ind_dev = max(char_ind_dev, abs(complex(ind.matrix[0, 0]) - character(f)))
@@ -763,38 +799,23 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
     kernel_algebra = CoverAlgebra(doubled.base, v_cover, data.n, doubled.extended_value)
     kernel_check = kernel_algebra.verify(rng)
 
-    def phi(f: AlgebraElement) -> dict:
-        out = {}
-        for ((s, i), (s2, j)), v in f.coeffs.items():
-            out[(i, j, s)] = v
-        return out
-
-    kernel_spanning = [m for m in relation.morphisms if m != star_unit]
-    phi_keys = [(i, j, s) for ((s, i), (_, j)) in kernel_spanning]
-    iso_bijective = (
-        len(set(phi_keys)) == len(phi_keys)
-        and set(phi_keys) == set(kernel_algebra.spanning_keys())
+    # (s, i) ~ (s, j) -> e_{ij,s}; the kernel is an ideal, so products of
+    # kernel basis elements stay in the kernel
+    phi = {
+        ((s, i), (s2, j)): {(i, j, s): 1.0}
+        for ((s, i), (s2, j)) in relation.morphisms
+        if ((s, i), (s2, j)) != star_unit
+    }
+    iso = check_star_hom(list(phi), *products, phi, kernel_algebra.multiply, kernel_algebra.star)
+    iso_bijective = iso.bijective and {k for img in phi.values() for k in img} == set(
+        kernel_algebra.spanning_keys()
     )
-    mult_dev = 0.0
-    star_dev = 0.0
-    for m1 in kernel_spanning:
-        e1 = AlgebraElement.char(relation, sigma, m1)
-        star_dev = max(star_dev, _dict_dev(phi(involute(e1)), kernel_algebra.star(phi(e1))))
-        for m2 in kernel_spanning:
-            e2 = AlgebraElement.char(relation, sigma, m2)
-            prod = convolve(e1, e2)
-            if character(prod) != 0:  # pragma: no cover - kernel is an ideal
-                raise AssertionError("product of kernel elements left the kernel")
-            mult_dev = max(
-                mult_dev,
-                _dict_dev(phi(prod), kernel_algebra.multiply(phi(e1), phi(e2))),
-            )
     norm_dev = 0.0
     for _ in range(4):
         f = random_element(rng, relation, sigma)
         f = f + AlgebraElement.char(relation, sigma, star_unit, -character(f))
         assert abs(character(f)) < STRUCTURAL_TOL
-        norm_dev = max(norm_dev, abs(reduced_norm(f) - kernel_algebra.norm(phi(f))))
+        norm_dev = max(norm_dev, abs(reduced_norm(f) - kernel_algebra.norm(_linear(phi, f.coeffs))))
 
     certified = not cech_is_coboundary(data).is_coboundary
     return CoverModelReport(
@@ -807,8 +828,8 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
         kernel_check=kernel_check,
         character_dev=char_dev,
         character_is_induced_dev=char_ind_dev,
-        kernel_iso_mult_dev=mult_dev,
-        kernel_iso_star_dev=star_dev,
+        kernel_iso_mult_dev=iso.multiplicative_dev,
+        kernel_iso_star_dev=iso.star_dev,
         kernel_iso_bijective=iso_bijective,
         kernel_norm_dev=norm_dev,
         twist_nontrivial_certified=certified,
@@ -816,23 +837,6 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
 
 
 # -- equivariant slice equivalence for the central extension ----------------------
-
-
-class EquivariantElement:
-    """A function on Z_n x G with f(z + w, m) = zeta^w f(z, m), stored by
-    its z = 0 slice."""
-
-    def __init__(self, extension: FinGroupoid, n: int, slice_coeffs: Mapping[Hashable, complex]):
-        self.extension = extension
-        self.n = n
-        self.slice = {m: complex(v) for m, v in slice_coeffs.items() if v != 0}
-
-    def full(self, trivial_sigma: TwoCocycle) -> AlgebraElement:
-        coeffs = {}
-        for m, v in self.slice.items():
-            for z in range(self.n):
-                coeffs[(z, m)] = zeta(self.n, z) * v
-        return AlgebraElement(self.extension, trivial_sigma, coeffs)
 
 
 @dataclass
@@ -904,102 +908,74 @@ def equivariant_suite(
     triv_ext = TwoCocycle.trivial(ext, 1)
     target = sigma.conjugate() if conjugate else sigma
 
-    def conv_ext(a: EquivariantElement, b: EquivariantElement) -> AlgebraElement:
+    def lift(f: Mapping) -> AlgebraElement:
+        """The equivariant function with slice f: (z, m) -> zeta^z f(m)."""
+        return AlgebraElement(
+            ext, triv_ext, {(z, m): zeta(n, z) * v for m, v in f.items() for z in range(n)}
+        )
+
+    def conv_ext(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         # counting-measure convolution scaled by the normalized Z_n average
-        return convolve(a.full(triv_ext), b.full(triv_ext)).scale(1.0 / n)
-
-    def rho(a: EquivariantElement) -> AlgebraElement:
-        return AlgebraElement(groupoid, target, dict(a.slice))
-
-    def lift(f: AlgebraElement) -> EquivariantElement:
-        return EquivariantElement(ext, n, dict(f.coeffs))
+        return convolve(a, b).scale(1.0 / n)
 
     equiv_dev = 0.0
 
-    def slice_of(full: AlgebraElement) -> EquivariantElement:
+    def slice_of(full: AlgebraElement) -> dict:
         nonlocal equiv_dev
         for (z, m), v in full.coeffs.items():
             expected = zeta(n, z) * full.coeffs.get((0, m), 0j)
             equiv_dev = max(equiv_dev, abs(v - expected))
-        return EquivariantElement(
-            ext, n, {m: full.coeffs.get((0, m), 0j) for (z, m) in full.coeffs}
-        )
+        return {m: v for (z, m), v in full.coeffs.items() if z == 0}
 
-    # bijectivity of the slice map: slicing is inverse to lifting
-    rho_bijective = True
+    def in_target(f: Mapping) -> AlgebraElement:
+        return AlgebraElement(groupoid, target, f)
+
+    spanning = {m: lift({m: 1.0}) for m in groupoid.morphisms}
+    check = check_star_hom(
+        groupoid.morphisms,
+        lambda a, b: slice_of(conv_ext(spanning[a], spanning[b])),
+        lambda a: slice_of(involute(spanning[a])),
+        {m: {m: 1.0} for m in groupoid.morphisms},
+        lambda f, g: convolve(in_target(f), in_target(g)).coeffs,
+        lambda f: involute(in_target(f)).coeffs,
+    )
+
+    # dense elements exercise the rounding that point masses do not
     for _ in range(3):
-        f = random_element(rng, groupoid, target)
-        back = rho(lift(f))
-        if max_deviation(back, f) > STRUCTURAL_TOL:
-            rho_bijective = False  # pragma: no cover
-        a = lift(f)
-        full = a.full(triv_ext)
-        again = slice_of(full)
-        if _dict_dev(again.slice, a.slice) > STRUCTURAL_TOL:
-            rho_bijective = False  # pragma: no cover
-
-    spanning = [
-        EquivariantElement(ext, n, {m: 1.0}) for m in groupoid.morphisms
-    ]
-    mult_dev = 0.0
-    witness = None
-    for a in spanning:
-        for b in spanning:
-            prod = conv_ext(a, b)
-            lhs = slice_of(prod)
-            rhs = convolve(rho(a), rho(b))
-            dev = _dict_dev(lhs.slice, rhs.coeffs)
-            if dev > mult_dev:
-                mult_dev = dev
-                if dev > STRUCTURAL_TOL and witness is None:
-                    (ma,), (mb,) = a.slice.keys(), b.slice.keys()
-                    witness = (ma, mb)
+        slice_of(lift(random_element(rng, groupoid, target).coeffs))
+    mult_dev = check.multiplicative_dev
     for _ in range(3):
-        a = lift(random_element(rng, groupoid, target))
-        b = lift(random_element(rng, groupoid, target))
-        mult_dev = max(
-            mult_dev, _dict_dev(slice_of(conv_ext(a, b)).slice, convolve(rho(a), rho(b)).coeffs)
-        )
+        f, g = random_element(rng, groupoid, target), random_element(rng, groupoid, target)
+        prod = slice_of(conv_ext(lift(f.coeffs), lift(g.coeffs)))
+        mult_dev = max(mult_dev, _dict_dev(prod, convolve(f, g).coeffs))
+    f = random_element(rng, groupoid, target)
+    star_dev = max(check.star_dev, _dict_dev(slice_of(involute(lift(f.coeffs))), involute(f).coeffs))
 
-    star_dev = 0.0
-    for a in spanning + [lift(random_element(rng, groupoid, target))]:
-        lhs = slice_of(involute(a.full(triv_ext)))
-        rhs = involute(rho(a))
-        star_dev = max(star_dev, _dict_dev(lhs.slice, rhs.coeffs))
-
-    # left convolution on the equivariant fiber vs induced representation
-    rep_dev = 0.0
-    test_elements = spanning + [lift(random_element(rng, groupoid, target))]
+    # left convolution on the equivariant fiber vs induced representation:
+    # on point masses its matrix entries are the products compared above,
+    # so only a dense element adds to the multiplicative deviation
+    rep_dev = check.multiplicative_dev
+    f = random_element(rng, groupoid, target)
+    a = lift(f.coeffs)
     for u in sorted(groupoid.units, key=str):
         fiber = groupoid.s_fiber(u)
-        fiber_basis = [EquivariantElement(ext, n, {m: 1.0}) for m in fiber]
-        # orthonormality of the point-mass slices for the fiber inner product
-        for x, gx in zip(fiber, fiber_basis):
-            for y, gy in zip(fiber, fiber_basis):
-                ip = sum(
-                    gx.slice.get(m, 0j) * gy.slice.get(m, 0j).conjugate() for m in fiber
-                )
-                rep_dev = max(rep_dev, abs(ip - (1.0 if x == y else 0.0)))
-        for a in test_elements:
-            ind = induced_rep(u, rho(a))
-            col_index = {m: i for i, m in enumerate(ind.basis)}
-            lmat = np.zeros((len(fiber), len(fiber)), dtype=complex)
-            for col, gb in enumerate(fiber_basis):
-                prod = conv_ext(a, gb)
-                for row, m in enumerate(fiber):
-                    lmat[row, col] = prod.coeffs.get((0, m), 0j)
-            perm = [col_index[m] for m in fiber]
-            rep_dev = max(
-                rep_dev, float(np.max(np.abs(lmat - ind.matrix[np.ix_(perm, perm)])))
-            )
+        ind = induced_rep(u, f)
+        col_index = {m: i for i, m in enumerate(ind.basis)}
+        lmat = np.zeros((len(fiber), len(fiber)), dtype=complex)
+        for col, mb in enumerate(fiber):
+            prod = conv_ext(a, spanning[mb])
+            for row, m in enumerate(fiber):
+                lmat[row, col] = prod.coeffs.get((0, m), 0j)
+        perm = [col_index[m] for m in fiber]
+        rep_dev = max(rep_dev, float(np.max(np.abs(lmat - ind.matrix[np.ix_(perm, perm)]))))
 
     return EquivariantSuiteReport(
         order=n,
         conjugated=conjugate,
-        rho_bijective=rho_bijective,
+        rho_bijective=check.bijective,
         equivariance_dev=equiv_dev,
         rho_multiplicative_dev=mult_dev,
         rho_star_dev=star_dev,
         rep_equivalence_dev=rep_dev,
-        mismatch_witness=witness,
+        mismatch_witness=check.witness if check.multiplicative_dev > STRUCTURAL_TOL else None,
     )

@@ -110,16 +110,6 @@ def random_space(seed: int, max_points: int) -> FinSpace:
     return FinSpace(pts, mo)
 
 
-def random_surjection(rng: random.Random, dom: FinSpace, cod_size: int) -> SpaceMap:
-    """A random surjection from dom onto a random-topology codomain."""
-    n = len(dom.points)
-    cod_size = min(cod_size, n)
-    cod = rng.choice(all_topologies(cod_size))
-    targets = list(range(cod_size)) + [rng.randrange(cod_size) for _ in range(n - cod_size)]
-    rng.shuffle(targets)
-    return SpaceMap(dom, cod, {p: targets[i] for i, p in enumerate(dom.points)})
-
-
 def random_partition(rng: random.Random, points) -> list[set]:
     pts = list(points)
     k = rng.randint(1, len(pts))

@@ -437,77 +437,6 @@ def space_properties(space: FinSpace) -> SpaceProperties:
     return SpaceProperties(hausdorff, locally_hausdorff, t1, space.is_discrete())
 
 
-@dataclass(frozen=True)
-class CompactWitness:
-    point: Point
-    compact_neighbourhood: frozenset
-    canonical_cover_size: int
-    subcover_size: int
-
-
-@dataclass(frozen=True)
-class OpenSubsetEntry:
-    subset: frozenset
-    locally_compact: bool
-    witnesses: tuple[CompactWitness, ...]
-
-
-@dataclass(frozen=True)
-class LocalCompactnessTrace:
-    result: bool
-    open_subsets: tuple[OpenSubsetEntry, ...]
-    basis_result: bool
-    equivalence_holds: bool
-
-
-def _compact_witness(space: FinSpace, sub: int, i: int) -> CompactWitness:
-    # Every subset of a finite space is compact; the witness extracts a
-    # finite subcover from the canonical cover by relative minimal opens.
-    k = space.min_open_bits(i) & sub
-    cover = [space.min_open_bits(j) & sub for j in _iter_bits(k)]
-    chosen = []
-    remaining = k
-    for m in cover:
-        if remaining & m:
-            chosen.append(m)
-            remaining &= ~m
-    return CompactWitness(space.points[i], space.unbits(k), len(cover), len(chosen))
-
-
-def check_local_local_compactness(space: FinSpace) -> LocalCompactnessTrace:
-    """Check that every point has a neighbourhood basis of compact sets.
-
-    The check runs both sides of the equivalence "neighbourhood bases of
-    compact sets exist iff every open subset is locally compact": it
-    enumerates the nonempty open subsets and verifies each is locally
-    compact, then verifies the basis condition directly, and records that
-    the two verdicts agree.  On finite spaces both are always true; the
-    trace documents why.
-    """
-    entries = []
-    for mask in space.open_set_bits():
-        if mask == 0:
-            continue
-        witnesses = tuple(_compact_witness(space, mask, i) for i in _iter_bits(mask))
-        entries.append(
-            OpenSubsetEntry(space.unbits(mask), all(w is not None for w in witnesses), witnesses)
-        )
-    opens_ok = all(e.locally_compact for e in entries)
-    # direct side: for every x and open V containing x, U_x is a compact
-    # neighbourhood of x inside V
-    basis_ok = True
-    for i in range(len(space.points)):
-        for mask in space.open_set_bits():
-            if (mask >> i) & 1 and space.min_open_bits(i) & ~mask:
-                basis_ok = False
-    return LocalCompactnessTrace(
-        result=opens_ok and basis_ok,
-        open_subsets=tuple(entries),
-        basis_result=basis_ok,
-        equivalence_holds=opens_ok == basis_ok,
-    )
-
-
 def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
     """Quotient of a finite space by a partition, with the final topology.
 

@@ -64,7 +64,6 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class GraphValidation:
-    row_finite: bool
     no_sources: bool
     acyclic: bool
     cycle_witness: tuple | None
@@ -72,7 +71,6 @@ class GraphValidation:
 
     def as_dict(self) -> dict:
         return {
-            "row_finite": self.row_finite,
             "no_sources": self.no_sources,
             "acyclic": self.acyclic,
             "cycle_witness": None if self.cycle_witness is None else [canonical_label(e) for e in self.cycle_witness],
@@ -81,13 +79,12 @@ class GraphValidation:
 
 
 def validate_graph(graph: DirectedGraph) -> GraphValidation:
-    """Row-finiteness, the no-sources condition (every vertex receives an
-    edge), and acyclicity with an extracted cycle when one exists.
+    """The no-sources condition (every vertex receives an edge), and
+    acyclicity with an extracted cycle when one exists.
 
-    Finite graphs are trivially row-finite and always have a source
-    somewhere when acyclic; the flags matter for unrolled presentations.
+    Finite graphs are row-finite, and always have a source somewhere
+    when acyclic; the flags matter for unrolled presentations.
     """
-    row_finite = all(len(graph.in_edges[v]) < float("inf") for v in graph.vertices)
     source_witness = next((v for v in graph.vertices if not graph.in_edges[v]), None)
     # walk in path direction: from v along incoming edges to their sources
     color = {v: 0 for v in graph.vertices}
@@ -135,7 +132,6 @@ def validate_graph(graph: DirectedGraph) -> GraphValidation:
             if cycle is not None:
                 break
     return GraphValidation(
-        row_finite=row_finite,
         no_sources=source_witness is None,
         acyclic=cycle is None,
         cycle_witness=cycle,
@@ -221,6 +217,7 @@ def two_parallel_paths(graph: DirectedGraph, v: Vertex):
 @dataclass(frozen=True)
 class FellVerdict:
     verdict: str  # FELL | NOT_FELL | NOT_PRINCIPAL | UNDECIDED
+    validation: GraphValidation  # of the graph the verdict was read from; left out of as_dict
     vacuous: bool = False
     undecided_depth: int | None = None
     witness_vertex: Vertex | None = None
@@ -261,6 +258,7 @@ def fell_verdict(graph: DirectedGraph, depth_bound: int | None = None) -> FellVe
             "NOT_PRINCIPAL",
             cycle=validation.cycle_witness,
             note="cycle makes the path groupoid non-principal",
+            validation=validation,
         )
     st = single_threaded_vertices(graph)
     return FellVerdict(
@@ -268,6 +266,7 @@ def fell_verdict(graph: DirectedGraph, depth_bound: int | None = None) -> FellVe
         vacuous=True,
         single_threaded=st,
         note="finite acyclic graph has no infinite paths; criterion holds vacuously",
+        validation=validation,
     )
 
 
@@ -339,6 +338,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             "NOT_PRINCIPAL",
             cycle=validation.cycle_witness,
             note="cycle makes the path groupoid non-principal",
+            validation=validation,
         )
     st = single_threaded_vertices(unrolled)
     labels = [
@@ -358,6 +358,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             "UNDECIDED",
             undecided_depth=unroll_bound,
             note="single-threaded labels did not stabilize within the unroll bound",
+            validation=validation,
         )
     stable_from = 0
     stable = labels[stable_from]
@@ -378,6 +379,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             vacuous=False,
             single_threaded=stable,
             note="every infinite path eventually passes through a single-threaded vertex",
+            validation=validation,
         )
     probe = ("b", stable_from, cycle_vertex)
     parallel = two_parallel_paths(unrolled, probe)
@@ -390,6 +392,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
         witness_paths=(path1, path2),
         single_threaded=stable,
         note="infinite path avoids single-threaded vertices forever",
+        validation=validation,
     )
 
 

@@ -89,14 +89,8 @@ class FinGroupoid:
     def s_fiber(self, u: Morphism) -> tuple:
         return tuple(m for m in self.morphisms if self.source_map[m] == u)
 
-    def r_fiber(self, u: Morphism) -> tuple:
-        return tuple(m for m in self.morphisms if self.range_map[m] == u)
-
     def unit_space(self) -> FinSpace:
         return self.topology.subspace([m for m in self.morphisms if m in self.units])
-
-    def unit_at(self, u: Morphism) -> Morphism:
-        return u
 
     def orbits(self) -> list[tuple]:
         """Orbits of the unit space: u ~ v when some morphism joins them."""
@@ -287,29 +281,28 @@ class RelationGroupoid(FinGroupoid):
         )
 
 
+def _pair_topology(space: FinSpace, classes: Iterable[Iterable[Morphism]]) -> FinSpace:
+    """The pairs (y, z) of points in a common class with the product
+    topology of ``space`` restricted to them: the minimal open at (y, z)
+    is (U_y x U_z) intersected with the pairs."""
+    pairs = [(y, z) for cls in classes for y in cls for z in cls]
+    pair_set = set(pairs)
+    min_open = {p: tuple(space.min_open(p)) for p in space.points}
+    return FinSpace(pairs, {
+        (y, z): {(a, b) for a in min_open[y] for b in min_open[z] if (a, b) in pair_set}
+        for (y, z) in pairs
+    })
+
+
 def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
     """Build the relation groupoid of a surjection with the product-subspace
-    topology: the minimal open at (y, z) is (U_y x U_z) intersected with
-    the relation.  Axioms are re-verified on the result."""
+    topology.  Axioms are re-verified on the result."""
     if not psi.is_surjective():
         raise ValueError("psi must be surjective")
-    base = psi.dom
     fibers: dict = {}
-    for y in base.points:
+    for y in psi.dom.points:
         fibers.setdefault(psi(y), []).append(y)
-    pairs = [(y, z) for fib in fibers.values() for y in fib for z in fib]
-    pair_set = set(pairs)
-    min_open_list = {p: tuple(base.min_open(p)) for p in base.points}
-    mo = {}
-    for (y, z) in pairs:
-        mo[(y, z)] = {
-            (a, b)
-            for a in min_open_list[y]
-            for b in min_open_list[z]
-            if (a, b) in pair_set
-        }
-    topology = FinSpace(pairs, mo)
-    return RelationGroupoid(base, psi, topology)
+    return RelationGroupoid(psi.dom, psi, _pair_topology(psi.dom, fibers.values()))
 
 
 def _orbit_base(groupoid: FinGroupoid):
@@ -340,63 +333,33 @@ def orbit_space(groupoid: FinGroupoid):
 
 
 @dataclass(frozen=True)
-class WanderingWitness:
-    unit: Morphism
-    neighbourhood: frozenset
-    saturation: frozenset
-    closure: frozenset
-    compact: bool
-
-
-@dataclass(frozen=True)
 class GroupoidProperties:
     principal: bool
     etale: bool
-    cartan_literal: bool
-    cartan_trace: tuple[WanderingWitness, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "principal": self.principal,
-            "etale": self.etale,
-            "cartan_literal": self.cartan_literal,
-        }
+        return {"principal": self.principal, "etale": self.etale}
 
 
 def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
-    """Principality, the etale property, and the literal Cartan condition.
+    """Principality and the etale property.
 
     etale means the range map is a local homeomorphism onto the unit
     space; the check delegates to the finite-space map classifier.  The
-    literal Cartan condition (every unit has a wandering neighbourhood
-    with relatively compact saturation) always holds at finite scale; it
-    is computed anyway, with one witness per unit, because the meaningful
-    finite surrogate is the separate r x s openness test.
+    literal Cartan condition holds for every finite groupoid, because
+    every subset of a finite space is compact; its meaningful finite
+    surrogate is the r x s openness test of ``fell_check``.
     """
     if groupoid._props_cache is not None:
         return groupoid._props_cache
     pairs = {(groupoid.range_map[m], groupoid.source_map[m]) for m in groupoid.morphisms}
     principal = len(pairs) == len(groupoid.morphisms)
 
-    units_ordered = [m for m in groupoid.morphisms if m in groupoid.units]
-    unit_space = groupoid.topology.subspace(units_ordered)
+    unit_space = groupoid.unit_space()
     r_map = SpaceMap(
         groupoid.topology, unit_space, {m: groupoid.range_map[m] for m in groupoid.morphisms}
     )
-    etale = is_local_homeomorphism(r_map)
-
-    trace = []
-    for u in units_ordered:
-        nb = unit_space.min_open(u)
-        sat = frozenset(
-            m
-            for m in groupoid.morphisms
-            if groupoid.source_map[m] in nb and groupoid.range_map[m] in nb
-        )
-        closure = groupoid.topology.closure(sat)
-        trace.append(WanderingWitness(u, nb, sat, closure, compact=True))
-    cartan = all(w.compact for w in trace)
-    props = GroupoidProperties(principal, etale, cartan, tuple(trace))
+    props = GroupoidProperties(principal, is_local_homeomorphism(r_map))
     groupoid._props_cache = props
     return props
 
@@ -439,25 +402,14 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
     classes: dict = {}
     for y in base.points:
         classes.setdefault(orbit_of[y], []).append(y)
-    rq_pairs = [(y, z) for cls in classes.values() for y in cls for z in cls]
-    rq_set = set(rq_pairs)
-    min_open_list = {p: tuple(base.min_open(p)) for p in base.points}
-    mo = {}
-    for (y, z) in rq_pairs:
-        mo[(y, z)] = {
-            (a, b)
-            for a in min_open_list[y]
-            for b in min_open_list[z]
-            if (a, b) in rq_set
-        }
-    rq_topology = FinSpace(rq_pairs, mo)
+    rq_topology = _pair_topology(base, classes.values())
     assignment = {
         m: (label[groupoid.range_map[m]], label[groupoid.source_map[m]])
         for m in groupoid.morphisms
     }
     bijective = len(set(assignment.values())) == len(groupoid.morphisms) and len(
         groupoid.morphisms
-    ) == len(rq_pairs)
+    ) == len(rq_topology.points)
     rxs = SpaceMap(groupoid.topology, rq_topology, assignment)
     continuous = True
     open_map = True

@@ -74,7 +74,7 @@ class TwoCocycle:
         return self.groupoid is other.groupoid and self.n == other.n
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, TwoCocycle)
             and self.same_footing(other)
             and self.table == other.table

@@ -230,6 +230,61 @@ def test_cstar_identity():
         assert abs(lhs - ca.reduced_norm(f) ** 2) < 1e-9
 
 
+# -- *-homomorphism checker ----------------------------------------------------------
+
+
+def matrix_unit_product(f, g):
+    out = {}
+    for (i, j), a in f.items():
+        for (k, l), b in g.items():
+            if j == k:
+                out[(i, l)] = out.get((i, l), 0j) + a * b
+    return out
+
+
+def matrix_unit_star(f):
+    return {(j, i): v.conjugate() for (i, j), v in f.items()}
+
+
+def check_pair_groupoid_map(image):
+    """Check a map from the untwisted pair groupoid on {1, 2, 3} into
+    3 x 3 matrices keyed (row, col)."""
+    g = pair_groupoid((1, 2, 3))
+    sigma = tw.TwoCocycle.trivial(g, 1)
+    point = {m: ca.AlgebraElement.char(g, sigma, m) for m in g.morphisms}
+    return ca.check_star_hom(
+        g.morphisms,
+        lambda a, b: ca.convolve(point[a], point[b]).coeffs,
+        lambda a: ca.involute(point[a]).coeffs,
+        image,
+        matrix_unit_product,
+        matrix_unit_star,
+    )
+
+
+def test_check_star_hom_exact_map():
+    chk = check_pair_groupoid_map({m: {m: 1.0} for m in pair_groupoid((1, 2, 3)).morphisms})
+    assert chk.multiplicative_dev == 0 and chk.star_dev == 0
+    assert chk.witness is None
+    assert chk.bijective
+
+
+def test_check_star_hom_wrong_phase_has_witness():
+    image = {m: {m: 1.0} for m in pair_groupoid((1, 2, 3)).morphisms}
+    image[(1, 2)] = {(1, 2): 1j}
+    chk = check_pair_groupoid_map(image)
+    assert chk.multiplicative_dev > ca.STRUCTURAL_TOL
+    assert chk.star_dev > ca.STRUCTURAL_TOL
+    assert (1, 2) in chk.witness
+    assert chk.bijective  # still nonzero multiples of distinct matrix units
+
+
+def test_check_star_hom_shared_target_key_not_bijective():
+    image = {m: {m: 1.0} for m in pair_groupoid((1, 2, 3)).morphisms}
+    image[(2, 1)] = {(1, 2): 1.0}
+    assert not check_pair_groupoid_map(image).bijective
+
+
 # -- block decomposition -----------------------------------------------------------------
 
 

@@ -26,6 +26,9 @@ def test_graph_fell_bundled(capsys):
     assert report["result"]["verdict"]["verdict"] == "NOT_FELL"
     paths = report["result"]["verdict"]["witness_paths"]
     assert len(paths) == 2 and paths[0] != paths[1]
+    # the validation the verdict read from the unrolled graph
+    assert report["result"]["validation"]["acyclic"]
+    assert "validation" not in report["result"]["verdict"]
 
 
 def test_cocycle_verify_bundled(capsys):
@@ -48,8 +51,18 @@ def test_space_check(capsys, tmp_path):
     assert code == 0
     props = report["result"]["properties"]
     assert not props["hausdorff"] and not props["locally_hausdorff"]
-    assert report["result"]["locally_locally_compact"]
+    assert report["result"]["locally_locally_compact"] is True
+    assert report["result"]["compactness_equivalence_holds"] is True
+    assert report["result"]["open_subsets_checked"] == 2  # {a} and {a, b}
     assert report["result"]["closed_hausdorff_core"]["core"] == []
+
+    # an open of a disjoint union is one open per piece: 3 ** 3 of them, one empty
+    doc = sz.space_to_json(fs.disjoint_union([fs.sierpinski()] * 3))
+    code, report = run_cli(capsys, "space-check", write(tmp_path, "u.json", doc))
+    assert code == 0
+    assert report["result"]["open_subsets_checked"] == 26
+    assert report["result"]["locally_locally_compact"] is True
+    assert report["result"]["compactness_equivalence_holds"] is True
 
 
 def test_map_classify(capsys, tmp_path):

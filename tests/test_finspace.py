@@ -179,22 +179,6 @@ def test_finite_hausdorff_is_discrete_as_theorem():
             assert p.discrete
 
 
-# -- local local compactness -------------------------------------------------
-
-
-def test_llc_sierpinski_and_point():
-    assert fs.check_local_local_compactness(fs.sierpinski()).result
-    assert fs.check_local_local_compactness(fs.discrete(("p",))).result
-
-
-def test_llc_chain_trace_lists_open_subsets():
-    trace = fs.check_local_local_compactness(fs.chain_space())
-    assert trace.result and trace.equivalence_holds
-    listed = sorted(sorted(map(str, e.subset)) for e in trace.open_subsets)
-    assert listed == [["c", "o"], ["o"]]
-    assert all(e.locally_compact for e in trace.open_subsets)
-
-
 # -- quotient_space -----------------------------------------------------------
 
 

@@ -37,7 +37,7 @@ def test_loop_detected():
 def test_parallel_edges_acyclic_but_sourced():
     g = gf.DirectedGraph(("v", "w"), [("e1", "v", "w"), ("e2", "v", "w")])
     val = gf.validate_graph(g)
-    assert val.acyclic and val.row_finite
+    assert val.acyclic
     assert not val.no_sources  # w receives nothing
     assert val.source_witness == "w"
 
@@ -68,7 +68,7 @@ def test_dangling_edge_rejected():
 def test_unrolled_ladder_valid():
     unrolled = gf.two_thread_ladder().unroll(3)
     val = gf.validate_graph(unrolled)
-    assert val.acyclic and val.row_finite
+    assert val.acyclic
 
 
 # -- single-threaded vertices ----------------------------------------------------

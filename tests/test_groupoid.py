@@ -1,10 +1,8 @@
-import random
-
 import pytest
 
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
-from groupoidlab.corpus import all_partitions, all_topologies, random_discrete_surjection
+from groupoidlab.corpus import all_partitions, all_topologies
 
 
 def discrete_3_to_2():
@@ -120,13 +118,13 @@ def test_orbit_map_check_over_corpus():
 def test_properties_discrete_surjection():
     r = gp.build_relation_groupoid(discrete_3_to_2())
     props = gp.groupoid_properties(r)
-    assert props.principal and props.etale and props.cartan_literal
+    assert props.principal and props.etale
 
 
 def test_properties_unit_groupoid():
     r = gp.build_relation_groupoid(fs.identity_map(fs.discrete((1, 2))))
     props = gp.groupoid_properties(r)
-    assert props.principal and props.etale and props.cartan_literal
+    assert props.principal and props.etale
 
 
 def test_properties_chain_not_etale():
@@ -134,7 +132,6 @@ def test_properties_chain_not_etale():
     props = gp.groupoid_properties(r)
     assert props.principal
     assert not props.etale
-    assert props.cartan_literal
 
 
 def test_etale_iff_local_homeo_small_corpus():
@@ -194,13 +191,3 @@ def test_fell_requires_principal():
     )
     with pytest.raises(gp.NonPrincipalError):
         gp.fell_check(grp)
-
-
-def test_fell_implies_cartan_literal():
-    rng = random.Random(3)
-    for _ in range(25):
-        psi = random_discrete_surjection(rng, rng.randint(1, 6))
-        r = gp.build_relation_groupoid(psi)
-        res = gp.fell_check(r)
-        if res.is_fell_model:
-            assert gp.groupoid_properties(r).cartan_literal

@@ -77,7 +77,7 @@ def test_cech_round_trip():
 
 
 def test_graph_round_trips():
-    ladder = bundled.ladder_presentation()
+    ladder = gf.two_thread_ladder()
     doc = sz.periodic_to_json(ladder)
     back = sz.periodic_from_json(doc)
     assert canon(sz.periodic_to_json(back)) == canon(doc)
@@ -90,7 +90,7 @@ def test_graph_round_trips():
 
 def test_bundled_files_match_builders():
     assert canon(bundled.bundled_document("two-thread-ladder")) == canon(
-        sz.periodic_to_json(bundled.ladder_presentation())
+        sz.periodic_to_json(gf.two_thread_ladder())
     )
     assert canon(bundled.bundled_document("trivial-cocycle")) == canon(
         sz.twisted_groupoid_to_json(*bundled.trivial_cocycle_model())
