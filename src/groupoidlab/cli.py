@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-
-import numpy as np
 import random
 import sys
 import time
@@ -27,28 +25,14 @@ from .corpus import (
     random_discrete_surjection,
     random_space,
 )
+from .errors import InternalCheckFailure
 
 STRUCTURAL_TOL = calgebra.STRUCTURAL_TOL
 ACCUMULATED_TOL = calgebra.ACCUMULATED_TOL
 
-INPUT_ERROR_TYPES = (
-    serialize.SchemaError,
-    finspace.InvalidSpace,
-    finspace.InvalidMap,
-    twist.CocycleError,
-    twist.CechError,
-    graphfell.GraphError,
-    groupoid.NonPrincipalError,
-    calgebra.SizeCapError,
-    json.JSONDecodeError,
-    FileNotFoundError,
-    KeyError,
-    ValueError,
-)
-
-
-class InternalCheckFailure(Exception):
-    pass
+# every input error the library raises (SchemaError, InvalidSpace,
+# CocycleError, GraphError, SizeCapError, JSONDecodeError, ...) is a ValueError
+INPUT_ERROR_TYPES = (ValueError, KeyError, FileNotFoundError)
 
 
 def _load(path_or_bundle: str) -> dict:
@@ -148,53 +132,6 @@ def _cmd_cech_cert(args) -> dict:
     return out
 
 
-def _algebra_battery(relation, sigma, rng) -> dict:
-    assoc = invol = rep = cstar = 0.0
-    for _ in range(3):
-        f, g, h = (calgebra.random_element(rng, relation, sigma) for _ in range(3))
-        lhs = calgebra.convolve(calgebra.convolve(f, g), h)
-        rhs = calgebra.convolve(f, calgebra.convolve(g, h))
-        assoc = max(assoc, calgebra.max_deviation(lhs, rhs))
-        invol = max(invol, calgebra.max_deviation(calgebra.involute(calgebra.involute(f)), f))
-        invol = max(
-            invol,
-            calgebra.max_deviation(
-                calgebra.involute(calgebra.convolve(f, g)),
-                calgebra.convolve(calgebra.involute(g), calgebra.involute(f)),
-            ),
-        )
-        for orbit in relation.orbits():
-            u = orbit[0]
-            mf = calgebra.induced_rep(u, f).matrix
-            mg = calgebra.induced_rep(u, g).matrix
-            mfg = calgebra.induced_rep(u, calgebra.convolve(f, g)).matrix
-            rep = max(rep, float(np.max(np.abs(mfg - mf @ mg))))
-            mstar = calgebra.induced_rep(u, calgebra.involute(f)).matrix
-            rep = max(rep, float(np.max(np.abs(mstar - mf.conj().T))))
-        cstar = max(
-            cstar,
-            abs(
-                calgebra.reduced_norm(calgebra.convolve(calgebra.involute(f), f))
-                - calgebra.reduced_norm(f) ** 2
-            ),
-        )
-    decomposition = calgebra.block_decompose(relation, sigma)
-    dims_ok = sum(d * d for d in decomposition.dims) == len(relation.morphisms)
-    return {
-        "associativity_dev": assoc,
-        "involution_dev": invol,
-        "representation_dev": rep,
-        "cstar_identity_dev": cstar,
-        "block_dims": sorted(decomposition.dims, reverse=True),
-        "block_dimension_identity": dims_ok,
-        "ok": assoc < ACCUMULATED_TOL
-        and invol < STRUCTURAL_TOL
-        and rep < STRUCTURAL_TOL
-        and cstar < ACCUMULATED_TOL
-        and dims_ok,
-    }
-
-
 def _cmd_algebra_verify(args) -> dict:
     rng = random.Random(env_seed())
     instances = []
@@ -214,7 +151,22 @@ def _cmd_algebra_verify(args) -> dict:
         instances.append((relation, sigma))
     if not instances:
         raise serialize.SchemaError("provide an input file or --random N")
-    results = [_algebra_battery(g, s, rng) for (g, s) in instances]
+    results = []
+    for g, sigma in instances:
+        check = calgebra.axiom_battery(sigma, rng)
+        dims = calgebra.block_decompose(g, sigma).dims
+        dims_ok = sum(d * d for d in dims) == len(g.morphisms)
+        results.append({
+            "associativity_dev": check.associativity_dev,
+            "involution_dev": check.star_dev,
+            "representation_dev": check.representation_dev,
+            "cstar_identity_dev": check.cstar_dev,
+            "block_dims": sorted(dims, reverse=True),
+            "block_dimension_identity": dims_ok,
+            "ok": check.cocycle_valid and dims_ok
+            and max(check.star_dev, check.representation_dev) < STRUCTURAL_TOL
+            and max(check.associativity_dev, check.cstar_dev) < ACCUMULATED_TOL,
+        })
     if not all(r["ok"] for r in results):
         raise InternalCheckFailure("algebra axiom battery failed")
     return {"instances": len(results), "seed": env_seed(), "batteries": results}
@@ -454,13 +406,7 @@ def run_paper_suite(inject_cocycle_fault: bool = False) -> dict:
             {1: "*", 2: "*", 3: "*"},
         )
         relation = groupoid.build_relation_groupoid(psi)
-        sigma = _faultable_sigma(relation, 4)
-        dev = 0.0
-        for _ in range(4):
-            f, g, h = (calgebra.random_element(rng, relation, sigma) for _ in range(3))
-            lhs = calgebra.convolve(calgebra.convolve(f, g), h)
-            rhs = calgebra.convolve(f, calgebra.convolve(g, h))
-            dev = max(dev, calgebra.max_deviation(lhs, rhs))
+        dev = calgebra.axiom_battery(_faultable_sigma(relation, 4), rng).associativity_dev
         return {"deviation": dev, "_ok": dev < ACCUMULATED_TOL}
 
     def extension_associativity():
@@ -536,7 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the discrete topology on the morphisms before testing",
     )
     p = add("graph-fell", _cmd_graph_fell, "graph-level criterion, finite or periodic")
-    p.add_argument("--unroll-bound", type=int, default=3)
+    p.add_argument(
+        "--unroll-bound", type=int, default=3,
+        help=f"block copies to unroll past the first, 0 to {graphfell.MAX_UNROLL_BOUND}",
+    )
     add("cocycle-verify", _cmd_cocycle_verify, "check the 2-cocycle identity and normalization")
     add("cech-cert", _cmd_cech_cert, "verify cech data and decide the coboundary question")
     p = add("algebra-verify", _cmd_algebra_verify, "axiom battery for twisted relation algebras", needs_input=False)

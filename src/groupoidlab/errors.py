@@ -1,0 +1,8 @@
+"""The exception for failed internal checks."""
+
+
+class InternalCheckFailure(Exception):
+    """A self-check failed: a bug, never bad input.  Raised explicitly
+    rather than by ``assert``, so the checks also run under ``python -O``;
+    the command line exits 2 on it, reporting the optional second
+    argument as the partial result."""

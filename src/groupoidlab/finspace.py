@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from .errors import InternalCheckFailure
+
 Point = Hashable
 
 
@@ -120,9 +122,6 @@ class FinSpace:
     def min_open(self, p: Point) -> frozenset:
         return self.unbits(self._mo[self._index[p]])
 
-    def min_open_map(self) -> dict:
-        return {p: self.min_open(p) for p in self.points}
-
     # -- topology -------------------------------------------------------
 
     def is_open_bits(self, mask: int) -> bool:
@@ -139,12 +138,6 @@ class FinSpace:
 
     def closure_bits(self, mask: int) -> int:
         return sum(1 << i for i in range(len(self.points)) if self._mo[i] & mask)
-
-    def closure(self, subset: Iterable[Point]) -> frozenset:
-        return self.unbits(self.closure_bits(self.bits(subset)))
-
-    def interior_bits(self, mask: int) -> int:
-        return sum(1 << i for i in _iter_bits(mask) if not (self._mo[i] & ~mask))
 
     def open_set_bits(self) -> list[int]:
         """All open sets, as bitmasks, ordered by (popcount, value).
@@ -185,9 +178,6 @@ class FinSpace:
             if self._mo[a] & self._mo[b] & sub:
                 return False
         return True
-
-    def is_hausdorff(self) -> bool:
-        return self._subspace_hausdorff((1 << len(self.points)) - 1)
 
     def is_discrete(self) -> bool:
         return all(self._mo[i] == 1 << i for i in range(len(self.points)))
@@ -283,12 +273,6 @@ class SpaceMap:
 
     def is_surjective(self) -> bool:
         return self.image_bits((1 << len(self.dom)) - 1) == (1 << len(self.cod)) - 1
-
-
-def compose_maps(outer: SpaceMap, inner: SpaceMap) -> SpaceMap:
-    if inner.cod != outer.dom:
-        raise InvalidMap("maps are not composable")
-    return SpaceMap(inner.dom, outer.cod, {p: outer(inner(p)) for p in inner.dom.points})
 
 
 def identity_map(space: FinSpace) -> SpaceMap:
@@ -483,7 +467,7 @@ def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
     quotient = FinSpace(blocks, mo)
     psi = SpaceMap(space, quotient, block_of)
     if not is_quotient_map(psi):
-        raise AssertionError("internal error: canonical projection not a quotient map")
+        raise InternalCheckFailure("canonical projection not a quotient map")
     return quotient, psi
 
 
@@ -523,7 +507,7 @@ def hausdorff_cover_resolution(space: FinSpace, cover: Sequence[Iterable[Point]]
     psi = SpaceMap(resolution, space, assignment)
     props = classify_map(psi)
     if not (props.local_homeomorphism and props.surjective):
-        raise AssertionError("internal error: resolution map is not a surjective local homeomorphism")
+        raise InternalCheckFailure("resolution map is not a surjective local homeomorphism")
     return resolution, psi
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from .errors import InternalCheckFailure
 from .labels import canonical_label
 
 Vertex = Hashable
@@ -187,28 +188,27 @@ def single_threaded_vertices(graph: DirectedGraph) -> frozenset:
 
 
 def two_parallel_paths(graph: DirectedGraph, v: Vertex):
-    """Two distinct edge-paths with range v and a common source, if any."""
+    """Two distinct edge-paths with range v and a common source, if any.
+    The depth-first walk keeps its own stack, so no recursion limit applies."""
     counts = path_counts(graph)
     target = next((w for w, c in counts[v].items() if c >= 2), None)
     if target is None:
         return None
-    found = []
-
-    def dfs(current, edges_so_far):
-        if len(found) >= 2:
-            return
-        if current == target:
-            found.append(tuple(edges_so_far))
-        for eid in graph.in_edges[current]:
-            w = graph.source_of[eid]
-            if counts.get(w, {}).get(target, 0) >= 1 or w == target:
-                edges_so_far.append(eid)
-                dfs(w, edges_so_far)
-                edges_so_far.pop()
-                if len(found) >= 2:
-                    return
-
-    dfs(v, [])
+    found, path = [], []
+    stack = [iter(graph.in_edges[v])]
+    while stack and len(found) < 2:
+        eid = next(stack[-1], None)
+        if eid is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        w = graph.source_of[eid]
+        if w == target:
+            found.append(tuple(path) + (eid,))
+        elif counts[w].get(target, 0) >= 1:
+            path.append(eid)
+            stack.append(iter(graph.in_edges[w]))
     if len(found) < 2:  # pragma: no cover - count >= 2 guarantees two paths
         return None
     return target, found[0], found[1]
@@ -318,10 +318,14 @@ class PeriodicGraph:
         return DirectedGraph(vertices, edges)
 
 
+MAX_UNROLL_BOUND = 1000
+
+
 def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) -> FellVerdict:
     """Verdict for the infinite graph of a periodic presentation.
 
-    Unrolls unroll_bound + 1 copies and computes single-threaded labels
+    Unrolls unroll_bound + 1 copies, for a bound from 0 to
+    MAX_UNROLL_BOUND, and computes single-threaded labels
     per copy.  If consecutive copies never agree the answer is
     UNDECIDED(unroll_bound); otherwise the labels are shift-stable (this
     is re-asserted up to the bound) and an infinite path avoiding
@@ -330,6 +334,8 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
     carries a violating vertex and two parallel paths with that range and
     a common source.
     """
+    if not 0 <= unroll_bound <= MAX_UNROLL_BOUND:
+        raise GraphError(f"unroll bound {unroll_bound} is outside 0..{MAX_UNROLL_BOUND}")
     copies = unroll_bound + 1
     unrolled = presentation.unroll(copies)
     validation = validate_graph(unrolled)
@@ -384,7 +390,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
     probe = ("b", stable_from, cycle_vertex)
     parallel = two_parallel_paths(unrolled, probe)
     if parallel is None:  # pragma: no cover - non-ST vertices have two paths
-        raise AssertionError("internal error: non-single-threaded vertex lacks parallel paths")
+        raise InternalCheckFailure("non-single-threaded vertex lacks parallel paths")
     _, path1, path2 = parallel
     return FellVerdict(
         "NOT_FELL",

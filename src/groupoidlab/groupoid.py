@@ -5,7 +5,8 @@ composition, inverse, and a finite-space topology on the morphisms; the
 unit space always carries the subspace topology.  Construction re-runs
 the axioms (associativity over all composable triples, unit and inverse
 laws), so a bad composition table or a cocycle fault in an extension
-surfaces immediately with a witness.
+surfaces immediately with a witness, and keeps the integer pair index
+the check compiles for every later all-pairs computation.
 
 The central construction is the relation groupoid of a surjection
 psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
@@ -27,6 +28,7 @@ from .finspace import (
     is_local_homeomorphism,
     quotient_space,
 )
+from .errors import InternalCheckFailure
 from .labels import canonical_label
 
 Morphism = Hashable
@@ -45,7 +47,16 @@ class NonPrincipalError(ValueError):
 
 
 class FinGroupoid:
-    """A finite topological groupoid."""
+    """A finite topological groupoid.
+
+    Construction verifies the axioms and keeps the integer index that the
+    check compiles: ``index`` numbers the morphisms in order, the arrays
+    ``range_idx``, ``source_idx`` and ``inverse_idx`` hold the structure
+    maps on those numbers, ``pair_id[a, b]`` numbers the composable pairs
+    in row-major order (-1 elsewhere), and ``pairs`` holds the factors
+    and the composite of each numbered pair.  Every all-pairs computation
+    reads this one index.
+    """
 
     def __init__(
         self,
@@ -55,8 +66,6 @@ class FinGroupoid:
         source_map: Mapping[Morphism, Morphism],
         compose: Mapping[tuple, Morphism],
         inverse: Mapping[Morphism, Morphism],
-        *,
-        verify: bool = True,
     ):
         self.topology = topology
         self.morphisms = topology.points
@@ -66,8 +75,7 @@ class FinGroupoid:
         self.compose = dict(compose)
         self.inverse = dict(inverse)
         self._props_cache = None
-        if verify:
-            self.verify_axioms()
+        self.verify_axioms()
 
     # -- accessors -------------------------------------------------------
 
@@ -83,52 +91,48 @@ class FinGroupoid:
     def mul(self, a: Morphism, b: Morphism) -> Morphism:
         return self.compose[(a, b)]
 
-    def composable(self, a: Morphism, b: Morphism) -> bool:
-        return self.source_map[a] == self.range_map[b]
-
     def s_fiber(self, u: Morphism) -> tuple:
-        return tuple(m for m in self.morphisms if self.source_map[m] == u)
+        return tuple(self.morphisms[i] for i in np.flatnonzero(self.source_idx == self.index[u]))
 
     def unit_space(self) -> FinSpace:
         return self.topology.subspace([m for m in self.morphisms if m in self.units])
 
     def orbits(self) -> list[tuple]:
-        """Orbits of the unit space: u ~ v when some morphism joins them."""
-        units = [m for m in self.morphisms if m in self.units]
-        idx = {u: i for i, u in enumerate(units)}
-        parent = list(range(len(units)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for m in self.morphisms:
-            a, b = find(idx[self.range_map[m]]), find(idx[self.source_map[m]])
-            if a != b:
-                parent[a] = b
+        """Orbits of the unit space: u ~ v when some morphism joins them.
+        The orbit of u is {r(m) : s(m) = u}; its first unit labels it."""
+        first = np.full(len(self.morphisms), len(self.morphisms))
+        np.minimum.at(first, self.source_idx, self.range_idx)
         groups: dict = {}
-        for u in units:
-            groups.setdefault(find(idx[u]), []).append(u)
-        return [tuple(g) for g in sorted(groups.values(), key=lambda g: idx[g[0]])]
+        for u in self.morphisms:
+            if u in self.units:
+                groups.setdefault(first[self.index[u]], []).append(u)
+        return [tuple(g) for g in groups.values()]
 
     def composable_pairs(self) -> list[tuple]:
-        return [
-            (a, b)
-            for a in self.morphisms
-            for b in self.morphisms
-            if self.source_map[a] == self.range_map[b]
-        ]
+        pa, pb, _ = self.pairs
+        m = self.morphisms
+        return [(m[a], m[b]) for a, b in zip(pa.tolist(), pb.tolist())]
 
-    def composable_triples(self):
-        by_range: dict = {}
-        for b in self.morphisms:
-            by_range.setdefault(self.range_map[b], []).append(b)
-        for a in self.morphisms:
-            for b in by_range.get(self.source_map[a], ()):
-                for c in by_range.get(self.source_map[b], ()):
-                    yield a, b, c
+    def triple_join(self) -> tuple[np.ndarray, np.ndarray]:
+        """The composable triples (a, b, c) in lexicographic index order,
+        as pair numbers: the k-th triple has (a, b) = pair ab[k] and
+        (b, c) = pair bc[k].  Computed on demand and not stored."""
+        pa, pb, _ = self.pairs
+        # pairs are sorted by first factor, so the pairs (b, c) form a run
+        start = np.searchsorted(pa, np.arange(len(self.morphisms) + 1))
+        counts = (start[1:] - start[:-1])[pb]
+        ab = np.repeat(np.arange(len(pa)), counts)
+        offset = np.arange(len(ab)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return ab, start[pb[ab]] + offset
+
+    def composable_triples(self) -> list[tuple]:
+        pa, pb, _ = self.pairs
+        ab, bc = self.triple_join()
+        m = self.morphisms
+        return [
+            (m[a], m[b], m[c])
+            for a, b, c in zip(pa[ab].tolist(), pb[ab].tolist(), pb[bc].tolist())
+        ]
 
     # -- validation --------------------------------------------------------
 
@@ -158,8 +162,8 @@ class FinGroupoid:
             if a not in mset or b not in mset or c not in mset:
                 raise GroupoidAxiomError(f"composition entry ({a!r},{b!r})->{c!r} off the morphism set")
             comp[index[a], index[b]] = index[c]
-        src = np.array([index[self.source_map[m]] for m in morphs])
-        rng = np.array([index[self.range_map[m]] for m in morphs])
+        src = np.array([index[self.source_map[m]] for m in morphs], dtype=np.int64)
+        rng = np.array([index[self.range_map[m]] for m in morphs], dtype=np.int64)
         defined = comp >= 0
         should = src[:, None] == rng[None, :]
         if (defined != should).any():
@@ -177,41 +181,32 @@ class FinGroupoid:
                 (morphs[int(pa[bad])], morphs[int(pb[bad])]),
             )
 
-        # unit laws
-        unit_idx = np.array(sorted(index[u] for u in self.units))
-        for ui in unit_idx:
-            row = comp[ui]
-            cols = np.nonzero(row >= 0)[0]
-            if (row[cols] != cols).any():
-                b = int(cols[int(np.argwhere(row[cols] != cols)[0, 0])])
-                raise GroupoidAxiomError(f"left unit law fails at ({morphs[ui]!r},{morphs[b]!r})")
-            col = comp[:, ui]
-            rows = np.nonzero(col >= 0)[0]
-            if (col[rows] != rows).any():
-                a = int(rows[int(np.argwhere(col[rows] != rows)[0, 0])])
-                raise GroupoidAxiomError(f"right unit law fails at ({morphs[a]!r},{morphs[ui]!r})")
+        # unit laws: u b = b and a u = a on every composable pair
+        is_unit = np.zeros(n, dtype=bool)
+        is_unit[[index[u] for u in self.units]] = True
+        bad = (is_unit[pa] & (pc != pb)) | (is_unit[pb] & (pc != pa))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GroupoidAxiomError(f"unit law fails at ({morphs[pa[k]]!r},{morphs[pb[k]]!r})")
 
-        # associativity over all composable triples, via a join on the
-        # middle morphism
-        succ = [np.nonzero(defined[b])[0] for b in range(n)]
-        counts = np.array([len(succ[int(b)]) for b in pb])
-        if counts.sum():
-            a_rep = np.repeat(pa, counts)
-            ab_rep = np.repeat(pc, counts)
-            c_all = np.concatenate([succ[int(b)] for b in pb])
-            b_rep = np.repeat(pb, counts)
-            bc = comp[b_rep, c_all]
-            lhs = comp[ab_rep, c_all]
-            rhs = comp[a_rep, bc]
-            if (lhs != rhs).any() or (lhs < 0).any():
-                bad = int(np.argwhere((lhs != rhs) | (lhs < 0))[0, 0])
-                triple = (morphs[int(a_rep[bad])], morphs[int(b_rep[bad])], morphs[int(c_all[bad])])
-                raise GroupoidAxiomError(
-                    f"associativity fails at triple {triple!r}", triple
-                )
+        self.index = index
+        self.range_idx, self.source_idx = rng, src
+        self.pairs = (pa, pb, pc)
+        self.pair_id = np.full((n, n), -1, dtype=np.int64)
+        self.pair_id[pa, pb] = np.arange(len(pa))
+
+        # associativity over all composable triples; both sides are
+        # composable once ranges and sources of composites are right
+        ab, bc = self.triple_join()
+        lhs = pc[self.pair_id[pc[ab], pb[bc]]]
+        rhs = pc[self.pair_id[pa[ab], pc[bc]]]
+        if (lhs != rhs).any():
+            k = int(np.argmax(lhs != rhs))
+            triple = (morphs[pa[ab[k]]], morphs[pb[ab[k]]], morphs[pb[bc[k]]])
+            raise GroupoidAxiomError(f"associativity fails at triple {triple!r}", triple)
 
         # inverse laws
-        inv = np.array([index[self.inverse[m]] for m in morphs])
+        inv = np.array([index[self.inverse[m]] for m in morphs], dtype=np.int64)
         if (inv[inv] != np.arange(n)).any():
             m = int(np.argwhere(inv[inv] != np.arange(n))[0, 0])
             raise GroupoidAxiomError(f"inverse is not involutive at {morphs[m]!r}", morphs[m])
@@ -226,7 +221,7 @@ class FinGroupoid:
         if (right != src).any():
             m = int(np.argwhere(right != src)[0, 0])
             raise GroupoidAxiomError(f"inv(m) * m is not the unit at source({morphs[m]!r})", morphs[m])
-
+        self.inverse_idx = inv
 
     # -- representation -----------------------------------------------------
 
@@ -248,7 +243,7 @@ class RelationGroupoid(FinGroupoid):
     detects).
     """
 
-    def __init__(self, base: FinSpace, psi: SpaceMap, topology: FinSpace, *, verify: bool = True):
+    def __init__(self, base: FinSpace, psi: SpaceMap, topology: FinSpace):
         self.base = base
         self.psi = psi
         pairs = topology.points
@@ -256,7 +251,6 @@ class RelationGroupoid(FinGroupoid):
         range_map = {(y, z): (y, y) for (y, z) in pairs}
         source_map = {(y, z): (z, z) for (y, z) in pairs}
         inverse = {(y, z): (z, y) for (y, z) in pairs}
-        pair_set = set(pairs)
         by_first: dict = {}
         for (y, z) in pairs:
             by_first.setdefault(y, []).append((y, z))
@@ -264,10 +258,7 @@ class RelationGroupoid(FinGroupoid):
         for (x, y) in pairs:
             for b in by_first.get(y, ()):
                 compose[((x, y), b)] = (x, b[1])
-        for key, val in compose.items():
-            if val not in pair_set:
-                raise GroupoidAxiomError("composite pair escapes the relation", key)
-        super().__init__(topology, units, range_map, source_map, compose, inverse, verify=verify)
+        super().__init__(topology, units, range_map, source_map, compose, inverse)
 
     def with_topology(self, topology: FinSpace) -> "RelationGroupoid":
         """Same algebraic groupoid with a different morphism topology."""
@@ -328,7 +319,7 @@ def orbit_space(groupoid: FinGroupoid):
     partition = [frozenset(label[u] for u in orbit) for orbit in groupoid.orbits()]
     space, q = quotient_space(base, partition)
     if groupoid_properties(groupoid).etale and not classify_map(q).open_map:
-        raise AssertionError("internal error: etale groupoid with non-open orbit map")
+        raise InternalCheckFailure("etale groupoid with non-open orbit map")
     return space, q
 
 

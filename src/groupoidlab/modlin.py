@@ -15,6 +15,8 @@ from math import gcd
 
 import numpy as np
 
+from .errors import InternalCheckFailure
+
 
 @dataclass(frozen=True)
 class ModSolveResult:
@@ -136,13 +138,14 @@ def solve_mod(a, b, n: int) -> ModSolveResult:
         g = gcd(di, n)  # = n when the row of D vanished
         if int(c[i]) % g != 0:
             cert = (u[i] * (n // g)) % n
-            assert np.all((cert @ a) % n == 0)
-            assert int(cert @ b) % n != 0
+            if np.any((cert @ a) % n) or not int(cert @ b) % n:
+                raise InternalCheckFailure(f"unsolvability certificate fails to verify mod {n}")
             return ModSolveResult(n, None, tuple(int(x) for x in cert))
         if i < k and di % n != 0:
             red = n // g
             inv = pow(di // g, -1, red)
             y[i] = ((int(c[i]) // g) * inv) % red
     x = (v @ y) % n
-    assert np.all((a @ x) % n == b)
+    if np.any((a @ x) % n != b):
+        raise InternalCheckFailure(f"solution fails to verify mod {n}")
     return ModSolveResult(n, tuple(int(t) for t in x), None)

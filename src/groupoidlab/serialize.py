@@ -271,16 +271,21 @@ def digraph_to_json(graph: DirectedGraph) -> dict:
     }
 
 
-def _digraph_body(doc: Mapping, path: str) -> DirectedGraph:
-    vertices = _expect(doc.get("vertices"), list, path + "/vertices")
-    edges_doc = _expect(doc.get("edges"), list, path + "/edges")
+def _edge_rows(rows: Any, path: str) -> list[tuple]:
+    """Edge rows {"id", "range", "source"}: digraph edges and seam edges."""
     edges = []
-    for k, e in enumerate(edges_doc):
-        _expect(e, dict, f"{path}/edges/{k}")
+    for k, e in enumerate(_expect(rows, list, path)):
+        _expect(e, dict, f"{path}/{k}")
         for fieldname in ("id", "range", "source"):
             if fieldname not in e:
-                raise SchemaError(f"edge missing {fieldname!r}", f"{path}/edges/{k}")
+                raise SchemaError(f"edge missing {fieldname!r}", f"{path}/{k}")
         edges.append((e["id"], e["range"], e["source"]))
+    return edges
+
+
+def _digraph_body(doc: Mapping, path: str) -> DirectedGraph:
+    vertices = _expect(doc.get("vertices"), list, path + "/vertices")
+    edges = _edge_rows(doc.get("edges"), path + "/edges")
     try:
         return DirectedGraph(vertices, edges)
     except ValueError as err:
@@ -310,21 +315,10 @@ def periodic_from_json(doc: Mapping, path: str = "/") -> PeriodicGraph:
     _expect_schema(doc, ("periodic_graph/1",), path)
     block = digraph_from_json(_expect(doc.get("block"), dict, path + "/block"), path + "/block")
     prefix = digraph_from_json(_expect(doc.get("prefix"), dict, path + "/prefix"), path + "/prefix")
-
-    def seam(rows, sub):
-        out = []
-        for k, e in enumerate(_expect(rows, list, path + sub)):
-            _expect(e, dict, f"{path}{sub}/{k}")
-            out.append((e["id"], e["range"], e["source"]))
-        return out
-
+    seam_prefix = _edge_rows(doc.get("seam_prefix", []), path + "/seam_prefix")
+    seam_block = _edge_rows(doc.get("seam_block", []), path + "/seam_block")
     try:
-        return PeriodicGraph(
-            block,
-            prefix=prefix,
-            seam_prefix=seam(doc.get("seam_prefix", []), "/seam_prefix"),
-            seam_block=seam(doc.get("seam_block", []), "/seam_block"),
-        )
+        return PeriodicGraph(block, prefix=prefix, seam_prefix=seam_prefix, seam_block=seam_block)
     except ValueError as err:
         raise SchemaError(str(err), path)
 

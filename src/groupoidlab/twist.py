@@ -18,8 +18,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
+import numpy as np
+
+from .errors import InternalCheckFailure
 from .finspace import FinSpace
-from .groupoid import FinGroupoid, GroupoidAxiomError, groupoid_properties
+from .groupoid import FinGroupoid, groupoid_properties
 from .modlin import solve_mod
 
 
@@ -35,9 +38,15 @@ class CechError(ValueError):
         self.code = code
 
 
+def _missing_entry(a, b) -> CocycleError:
+    return CocycleError(f"cocycle table missing composable pair ({a!r},{b!r})", code="MISSING_ENTRY")
+
+
 class TwoCocycle:
     """A normalized Z/n-valued 2-cocycle on the composable pairs of a
-    finite groupoid, stored additively."""
+    finite groupoid, stored additively: ``table`` maps pairs to values
+    and ``values`` holds them on the groupoid's numbered pairs, with -1
+    where the table has no entry."""
 
     def __init__(self, groupoid: FinGroupoid, n: int, table: Mapping[tuple, int]):
         if n < 1:
@@ -45,9 +54,13 @@ class TwoCocycle:
         self.groupoid = groupoid
         self.n = n
         self.table = {pair: value % n for pair, value in table.items()}
-        for (a, b) in self.table:
-            if not groupoid.composable(a, b):
-                raise CocycleError(f"table entry on non-composable pair ({a!r},{b!r})")
+        index = groupoid.index
+        pid = np.array([groupoid.pair_id[index[a], index[b]] for a, b in self.table], dtype=np.int64)
+        if (pid < 0).any():
+            a, b = list(self.table)[int(np.argmax(pid < 0))]
+            raise CocycleError(f"table entry on non-composable pair ({a!r},{b!r})")
+        self.values = np.full(len(groupoid.pairs[0]), -1, dtype=np.int64)
+        self.values[pid] = list(self.table.values())
 
     @classmethod
     def trivial(cls, groupoid: FinGroupoid, n: int = 1) -> "TwoCocycle":
@@ -57,9 +70,16 @@ class TwoCocycle:
         try:
             return self.table[(a, b)]
         except KeyError:
-            raise CocycleError(
-                f"cocycle table missing composable pair ({a!r},{b!r})", code="MISSING_ENTRY"
-            )
+            raise _missing_entry(a, b)
+
+    def on_pairs(self, ks: np.ndarray) -> np.ndarray:
+        """Values at the numbered pairs ``ks``; the first missing one raises."""
+        out = self.values[ks]
+        if (out < 0).any():
+            pa, pb, _ = self.groupoid.pairs
+            k = ks[np.argmax(out < 0)]
+            raise _missing_entry(self.groupoid.morphisms[pa[k]], self.groupoid.morphisms[pb[k]])
+        return out
 
     def conjugate(self) -> "TwoCocycle":
         return TwoCocycle(self.groupoid, self.n, {p: -v for p, v in self.table.items()})
@@ -122,21 +142,22 @@ def verify_two_cocycle(sigma: TwoCocycle) -> CocycleReport:
     on every composable triple.  Missing table entries raise with code
     MISSING_ENTRY; violations are collected into the report.
     """
-    g = sigma.groupoid
-    n = sigma.n
-    norm_bad = []
-    for m in g.morphisms:
-        if sigma.value(g.r(m), m) % n:
-            norm_bad.append((g.r(m), m))
-        if sigma.value(m, g.s(m)) % n:
-            norm_bad.append((m, g.s(m)))
-    ident_bad = []
-    for a, b, c in g.composable_triples():
-        lhs = sigma.value(a, b) + sigma.value(g.mul(a, b), c)
-        rhs = sigma.value(b, c) + sigma.value(a, g.mul(b, c))
-        if (lhs - rhs) % n:
-            ident_bad.append((a, b, c))
-    return CocycleReport(not norm_bad and not ident_bad, tuple(norm_bad), tuple(ident_bad))
+    g, n, m = sigma.groupoid, sigma.n, sigma.groupoid.morphisms
+    pa, pb, pc = g.pairs
+    every = np.arange(len(m))
+    # the pairs (r(m), m) and (m, s(m)), in that order for each m
+    norm = np.stack([g.pair_id[g.range_idx, every], g.pair_id[every, g.source_idx]], axis=1).ravel()
+    norm = norm[sigma.on_pairs(norm) != 0]
+    # (a,b), (ab,c), (b,c), (a,bc) on every composable triple (a, b, c)
+    ab, bc = g.triple_join()
+    terms = (ab, g.pair_id[pc[ab], pb[bc]], bc, g.pair_id[pa[ab], pc[bc]])
+    if (sigma.values < 0).any():  # every pair is read: raise at the first missing one
+        sigma.on_pairs(np.stack(terms, axis=1).ravel())
+    v = sigma.values
+    bad = (v[terms[0]] + v[terms[1]] - v[terms[2]] - v[terms[3]]) % n != 0
+    norm_bad = tuple((m[a], m[b]) for a, b in zip(pa[norm], pb[norm]))
+    ident_bad = tuple((m[a], m[b], m[c]) for a, b, c in zip(pa[ab[bad]], pb[ab[bad]], pb[bc[bad]]))
+    return CocycleReport(not norm_bad and not ident_bad, norm_bad, ident_bad)
 
 
 def coboundary_twist(b: OneCochain) -> TwoCocycle:
@@ -192,25 +213,20 @@ def are_cohomologous(sigma1: TwoCocycle, sigma2: TwoCocycle) -> OneCochain | Non
         witness = _principal_witness(diff)
         if witness is not None:
             return witness
-    unknowns = [m for m in g.morphisms if m not in g.units]
-    col = {m: i for i, m in enumerate(unknowns)}
-    rows, rhs = [], []
-    for (x, y) in g.composable_pairs():
-        row = [0] * len(unknowns)
-        for m, c in ((x, 1), (y, 1), (g.mul(x, y), -1)):
-            if m in col:
-                row[col[m]] += c
-        rows.append(row)
-        rhs.append(diff.value(x, y))
-    if not unknowns:
-        if any(v % n for v in rhs):
-            return None
-        return OneCochain(g, n, {})
-    res = solve_mod(rows, rhs, n)
+    # one row b(x) + b(y) - b(xy) per numbered pair, in the non-unit values
+    pa, pb, pc = g.pairs
+    rows = np.zeros((len(pa), len(g.morphisms)), dtype=np.int64)
+    for ends, c in ((pa, 1), (pb, 1), (pc, -1)):
+        np.add.at(rows, (np.arange(len(pa)), ends), c)
+    free = [i for i, m in enumerate(g.morphisms) if m not in g.units]
+    if not free:
+        return None if diff.values.any() else OneCochain(g, n, {})
+    res = solve_mod(rows[:, free], diff.values, n)
     if not res.solvable:
         return None
-    b = OneCochain(g, n, {m: res.solution[i] for m, i in col.items()})
-    assert coboundary_twist(b) == diff
+    b = OneCochain(g, n, {g.morphisms[i]: res.solution[k] for k, i in enumerate(free)})
+    if coboundary_twist(b) != diff:
+        raise InternalCheckFailure("solver witness is not an untwisting cochain")
     return b
 
 
@@ -227,7 +243,6 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
     """
     if sigma.groupoid is not groupoid:
         raise CocycleError("cocycle is not defined on this groupoid")
-    report = verify_two_cocycle(sigma)
     n = sigma.n
     morphs = [(z, m) for z in range(n) for m in groupoid.morphisms]
     mo = {
@@ -247,10 +262,7 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
         for w in range(n):
             for z in range(n):
                 compose[((w, a), (z, b))] = ((w + z + sigma.value(a, b)) % n, groupoid.mul(a, b))
-    ext = FinGroupoid(topology, units, range_map, source_map, compose, inverse)
-    if not report.valid:  # pragma: no cover - verify_axioms raises first
-        raise GroupoidAxiomError("invalid cocycle produced an associative extension")
-    return ext
+    return FinGroupoid(topology, units, range_map, source_map, compose, inverse)
 
 
 # -- Cech data on finite covers ------------------------------------------------
@@ -307,10 +319,6 @@ class CechData:
                 self.conflicts.append((key, self.table[key], canon))
             else:
                 self.table[key] = canon
-
-    @property
-    def index_count(self) -> int:
-        return len(self.indices)
 
     def overlap(self, *indices) -> frozenset:
         out = None

@@ -233,32 +233,16 @@ def test_cstar_identity():
 # -- *-homomorphism checker ----------------------------------------------------------
 
 
-def matrix_unit_product(f, g):
-    out = {}
-    for (i, j), a in f.items():
-        for (k, l), b in g.items():
-            if j == k:
-                out[(i, l)] = out.get((i, l), 0j) + a * b
-    return out
-
-
-def matrix_unit_star(f):
-    return {(j, i): v.conjugate() for (i, j), v in f.items()}
-
-
 def check_pair_groupoid_map(image):
     """Check a map from the untwisted pair groupoid on {1, 2, 3} into
-    3 x 3 matrices keyed (row, col)."""
+    3 x 3 matrices keyed (row, col); each image is a one-entry dict."""
     g = pair_groupoid((1, 2, 3))
-    sigma = tw.TwoCocycle.trivial(g, 1)
-    point = {m: ca.AlgebraElement.char(g, sigma, m) for m in g.morphisms}
+    matrices = ca.matrix_unit_groupoid({0: (1, 2, 3)})
+    declared = {m: ((row, col, 0), v) for m, img in image.items() for (row, col), v in img.items()}
     return ca.check_star_hom(
-        g.morphisms,
-        lambda a, b: ca.convolve(point[a], point[b]).coeffs,
-        lambda a: ca.involute(point[a]).coeffs,
-        image,
-        matrix_unit_product,
-        matrix_unit_star,
+        ca.structure_constants(tw.TwoCocycle.trivial(g, 1)),
+        ca.structure_constants(matrices),
+        declared,
     )
 
 
@@ -283,6 +267,54 @@ def test_check_star_hom_shared_target_key_not_bijective():
     image = {m: {m: 1.0} for m in pair_groupoid((1, 2, 3)).morphisms}
     image[(2, 1)] = {(1, 2): 1.0}
     assert not check_pair_groupoid_map(image).bijective
+
+
+def test_check_star_hom_matches_pairwise_reference():
+    # the pairwise loop the checker replaced: convolve and involute point
+    # masses on both sides, apply the map, compare key by key
+    rng = random.Random(11)
+    g = pair_groupoid((1, 2, 3))
+    sigma = tw.coboundary_twist(
+        tw.OneCochain(g, 4, {m: rng.randrange(4) for m in g.morphisms if m[0] != m[1]})
+    )
+    target = ca.matrix_unit_groupoid({0: (1, 2, 3)})
+    image = {
+        m: ((m[0], m[1], 0), complex(rng.uniform(0.5, 1.5), rng.uniform(-1, 1)))
+        for m in g.morphisms
+        if m != (2, 3)  # maps to zero
+    }
+    chk = ca.check_star_hom(ca.structure_constants(sigma), ca.structure_constants(target), image)
+
+    def mapped(f):
+        out = {}
+        for m, v in f.items():
+            if m in image:
+                key, c = image[m]
+                out[key] = out.get(key, 0) + v * c
+        return out
+
+    def dev(x, y):
+        return max((abs(x.get(k, 0) - y.get(k, 0)) for k in set(x) | set(y)), default=0.0)
+
+    point = {m: ca.AlgebraElement.char(g, sigma, m) for m in g.morphisms}
+    image_of = {m: ca.AlgebraElement(target.groupoid, target, mapped({m: 1})) for m in g.morphisms}
+    devs = {
+        (a, b): dev(
+            mapped(ca.convolve(point[a], point[b]).coeffs),
+            ca.convolve(image_of[a], image_of[b]).coeffs,
+        )
+        for a in g.morphisms
+        for b in g.morphisms
+    }
+    star = max(
+        dev(mapped(ca.involute(point[a]).coeffs), ca.involute(image_of[a]).coeffs)
+        for a in g.morphisms
+    )
+    worst = max(devs.values())
+    assert abs(chk.multiplicative_dev - worst) < 1e-15
+    assert chk.witness == next(p for p, d in devs.items() if d > worst - 1e-15)
+    assert abs(chk.star_dev - star) < 1e-15
+    assert not chk.bijective
 
 
 # -- block decomposition -----------------------------------------------------------------
@@ -393,6 +425,55 @@ def test_cover_algebra_untwisted_blocks():
     assert all(len(alg.incidence[s]) == 3 for s in alg.base_points)
     assert len(alg.spanning_keys()) == 4 * 9
     assert alg.verify().ok
+
+
+def test_cover_algebra_matches_its_formulas():
+    data = tetrahedron_cover(n=3, value=1)
+    alg = ca.CoverAlgebra(data.base_points, data.cover, data.n, data.value)
+    lam, rng = data.value, random.Random(5)
+
+    def element():
+        return {
+            key: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for key in alg.spanning_keys()
+            if rng.random() < 0.7
+        }
+
+    for _ in range(5):
+        f, g = element(), element()
+        # (fg)_il = sum_j zeta^{-lambda(i,j,l)} f_ij g_jl at every base point
+        product = {}
+        for s in alg.base_points:
+            for i in alg.incidence[s]:
+                for l in alg.incidence[s]:
+                    product[(i, l, s)] = sum(
+                        ca.zeta(3, -lam(i, j, l)) * f.get((i, j, s), 0) * g.get((j, l, s), 0)
+                        for j in alg.incidence[s]
+                    )
+        fg = alg.multiply(f, g)
+        assert max(abs(fg.get(k, 0) - v) for k, v in product.items()) < 1e-15
+        assert set(fg) <= set(product)
+        # (f*)_ij = conj(f_ji)
+        assert alg.star(f) == {(j, i, s): v.conjugate() for (i, j, s), v in f.items()}
+        # pi_{i,s}[j, k] = zeta^{-lambda(i,j,k)} f_jk(s)
+        for s in alg.base_points:
+            idx = alg.incidence[s]
+            for i in idx:
+                pi = [[ca.zeta(3, -lam(i, j, k)) * f.get((j, k, s), 0) for k in idx] for j in idx]
+                assert np.array_equal(alg.pi(i, s, f), np.array(pi, dtype=complex))
+
+
+def test_cover_algebra_flags_non_cocycle_data():
+    # d(lambda) != 0 on the quadruple overlap of four equal sets
+    entries = [(1, 2, 3, 1)] + [
+        (i, j, k, 0)
+        for (i, j, k) in itertools.combinations((1, 2, 3, 4), 3)
+        if (i, j, k) != (1, 2, 3)
+    ]
+    data = tw.CechData(3, ["s"], {i: {"s"} for i in (1, 2, 3, 4)}, entries)
+    check = ca.CoverAlgebra(data.base_points, data.cover, data.n, data.value).verify()
+    assert not check.cocycle_valid
+    assert not check.ok
 
 
 def test_cover_algebra_norm_of_matrix_unit():

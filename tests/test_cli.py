@@ -4,6 +4,7 @@ import sys
 
 from groupoidlab import bundled
 from groupoidlab import finspace as fs
+from groupoidlab import graphfell
 from groupoidlab import serialize as sz
 from groupoidlab.cli import main
 
@@ -29,6 +30,15 @@ def test_graph_fell_bundled(capsys):
     # the validation the verdict read from the unrolled graph
     assert report["result"]["validation"]["acyclic"]
     assert "validation" not in report["result"]["verdict"]
+
+
+def test_graph_fell_unroll_bound_out_of_range(capsys):
+    for bound in (-1, graphfell.MAX_UNROLL_BOUND + 1):
+        code, report = run_cli(
+            capsys, "graph-fell", "bundled:two-thread-ladder", "--unroll-bound", str(bound)
+        )
+        assert code == 1 and report["schema"] == "report/1" and report["exit_code"] == 1
+        assert report["result"]["error"].startswith("GraphError")
 
 
 def test_cocycle_verify_bundled(capsys):

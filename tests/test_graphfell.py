@@ -137,6 +137,28 @@ def test_two_parallel_paths_witness():
     assert {p1, p2} == {("e1",), ("e2",)}
 
 
+def test_two_parallel_paths_deeper_than_recursion_limit():
+    # block chain v <- x1 <- ... <- x1500, two parallel edges from y into
+    # x1500, and a seam edge v -> v: the witness paths run down the chain
+    chain = [f"x{k}" for k in range(1, 1501)]
+    edges = [("c1", "v", "x1")] + [(f"c{k + 1}", f"x{k}", f"x{k + 1}") for k in range(1, 1500)]
+    edges += [("p", "x1500", "y"), ("q", "x1500", "y")]
+    presentation = gf.PeriodicGraph(
+        gf.DirectedGraph(["v", *chain, "y"], edges), seam_block=[("seam", "v", "v")]
+    )
+    verdict = gf.periodic_fell_verdict(presentation, unroll_bound=1)
+    assert verdict.verdict == "NOT_FELL"
+    p1, p2 = verdict.witness_paths
+    assert p1 != p2 and len(p1) > 1500
+    unrolled = presentation.unroll(2)
+    for path in (p1, p2):
+        assert all(
+            unrolled.range_of[nxt] == unrolled.source_of[prev] for prev, nxt in zip(path, path[1:])
+        )
+    ends = {(unrolled.range_of[p[0]], unrolled.source_of[p[-1]]) for p in (p1, p2)}
+    assert len(ends) == 1 and ends.pop()[0] == verdict.witness_vertex
+
+
 # -- finite verdicts ------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
+from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies
 
 
@@ -40,6 +41,35 @@ def test_relation_groupoid_chain_topology():
     assert r.topology.min_open((0, 0)) == frozenset(r.morphisms)
     assert r.topology.min_open((2, 2)) == frozenset({(2, 2)})
     assert r.topology.min_open((1, 2)) == frozenset({(1, 2), (2, 2)})
+
+
+def cyclic_group(k):
+    """Z/k as a one-unit groupoid."""
+    elems = tuple(range(k))
+    return gp.FinGroupoid(
+        fs.discrete(elems),
+        [0],
+        {a: 0 for a in elems},
+        {a: 0 for a in elems},
+        {(a, b): (a + b) % k for a in elems for b in elems},
+        {a: -a % k for a in elems},
+    )
+
+
+def test_pairs_and_triples_match_brute_force():
+    relation = gp.build_relation_groupoid(chain3_to_sierpinski())  # non-discrete base
+    y = fs.discrete((1, 2))
+    pair = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("*",)), {1: "*", 2: "*"}))
+    sigma = tw.TwoCocycle.trivial(pair, 3).shift(((1, 2), (2, 1)), 1).shift(((2, 1), (1, 2)), 1)
+    extension = tw.extension_groupoid(pair, sigma)
+    for g in (relation, cyclic_group(6), extension):
+        m, s, r = g.morphisms, g.source_map, g.range_map
+        assert g.composable_pairs() == [(a, b) for a in m for b in m if s[a] == r[b]]
+        assert g.composable_triples() == [
+            (a, b, c) for a in m for b in m for c in m if s[a] == r[b] and s[b] == r[c]
+        ]
+        pa, pb, pc = g.pairs
+        assert [m[c] for c in pc] == [g.mul(m[a], m[b]) for a, b in zip(pa, pb)]
 
 
 def test_rejects_non_surjective():

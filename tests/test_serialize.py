@@ -118,6 +118,14 @@ def test_schema_errors_carry_paths():
         sz.cech_from_json({"schema": "cech/1", "n": 3, "base_points": [], "cover": {"one": []}, "lambda": []})
 
 
+def test_seam_row_missing_field_carries_path():
+    doc = sz.periodic_to_json(gf.two_thread_ladder())
+    del doc["seam_block"][0]["id"]
+    with pytest.raises(sz.SchemaError) as err:
+        sz.periodic_from_json(doc)
+    assert "edge missing 'id'" in str(err.value) and "/seam_block/0" in str(err.value)
+
+
 def test_unknown_bundled_name():
     with pytest.raises(KeyError):
         bundled.bundled_document("nope")

@@ -69,6 +69,39 @@ def test_missing_entry_error():
     assert err.value.code == "MISSING_ENTRY"
 
 
+def loop_verify(sigma):
+    """The cocycle check as the plain loop it used to be: the reference
+    for the vectorized verify_two_cocycle, reading entries in its order."""
+    g, n, m = sigma.groupoid, sigma.n, sigma.groupoid.morphisms
+    norm = [p for a in m for p in ((g.r(a), a), (a, g.s(a))) if sigma.value(*p) % n]
+    ident = [
+        (a, b, c)
+        for a in m for b in m if g.s(a) == g.r(b) for c in m if g.s(b) == g.r(c)
+        if (sigma.value(a, b) + sigma.value(g.mul(a, b), c)
+            - sigma.value(b, c) - sigma.value(a, g.mul(b, c))) % n
+    ]
+    return tw.CocycleReport(not norm and not ident, tuple(norm), tuple(ident))
+
+
+def test_verify_matches_loop_reference():
+    rng = random.Random(3)
+    for g in (pair_groupoid((1, 2, 3)), pair_groupoid((1, 2))):
+        pairs = g.composable_pairs()
+        for _ in range(20):
+            sigma = tw.coboundary_twist(random_cochain(rng, g, 6))
+            for pair in rng.sample(pairs, rng.randint(0, 3)):
+                sigma = sigma.shift(pair, rng.randint(1, 5))
+            assert tw.verify_two_cocycle(sigma) == loop_verify(sigma)
+            table = dict(sigma.table)
+            del table[rng.choice(pairs)]
+            missing = tw.TwoCocycle(g, 6, table)
+            with pytest.raises(tw.CocycleError) as got:
+                tw.verify_two_cocycle(missing)
+            with pytest.raises(tw.CocycleError) as want:
+                loop_verify(missing)
+            assert str(got.value) == str(want.value) and got.value.code == "MISSING_ENTRY"
+
+
 # -- cohomologousness -------------------------------------------------------------
 
 
