@@ -76,6 +76,8 @@ class SizeCapError(ValueError):
 
 @lru_cache(maxsize=None)
 def _roots(n: int) -> tuple:
+    if n > 2**16:  # the table of n-th roots is built in full
+        raise SizeCapError("twisted algebras capped at order 2**16")
     return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
 
 

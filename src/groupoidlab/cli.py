@@ -12,6 +12,7 @@ GROUPOIDLAB_SEED.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -31,8 +32,10 @@ STRUCTURAL_TOL = calgebra.STRUCTURAL_TOL
 ACCUMULATED_TOL = calgebra.ACCUMULATED_TOL
 
 # every input error the library raises (SchemaError, InvalidSpace,
-# CocycleError, GraphError, SizeCapError, JSONDecodeError, ...) is a ValueError
-INPUT_ERROR_TYPES = (ValueError, KeyError, FileNotFoundError)
+# CocycleError, GraphError, SizeCapError, JSONDecodeError, ...) is a
+# ValueError; a JSON value of the wrong type read as a number, a label or
+# a container raises TypeError
+INPUT_ERROR_TYPES = (ValueError, TypeError, KeyError, FileNotFoundError)
 
 
 def _load(path_or_bundle: str) -> dict:
@@ -456,7 +459,9 @@ def _cmd_suite(args) -> dict:
 # -- argument parsing and dispatch --------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="groupoidlab",
         description="Exact finite models of relation groupoids, twisted "
@@ -510,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     exit_code = 0
     try:

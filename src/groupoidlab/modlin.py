@@ -1,17 +1,32 @@
 """Linear algebra over Z/nZ for composite n.
 
 Solves A x = b (mod n) by a Smith-normal-form style diagonalization that
-only uses gcd row/column combinations, so no field structure is assumed.
-When a system is unsolvable the solver produces a checkable certificate:
-a row vector u with u.A = 0 and u.b != 0 (mod n).  Such a u exists for
-every unsolvable system because Z/nZ is self-injective, and conversely
-its existence obviously rules out solutions.
+uses only remainder steps, so no field structure is assumed.  At each
+position r the pivot is the smallest nonzero entry of the trailing
+block.  One array step subtracts (entry // pivot) times the pivot row
+from every row with a nonzero in the pivot column, and one column step
+clears the pivot row the same way.  What is left in the pivot row and
+column is smaller than the pivot, so repeating the two steps with a
+fresh pivot ends once both are clear.
+
+The row transform U is never formed: c = U b is carried beside D, and
+the row swaps and row steps go into a log.  When a system is
+unsolvable, the solver rebuilds the one row u of U it needs by replaying
+the log backwards and returns the checkable certificate u' = (n/g) u,
+with u'.A = 0 and u'.b != 0 (mod n).  Such a row exists for every
+unsolvable system because Z/nZ is self-injective, and conversely its
+existence obviously rules out solutions.
+
+Arithmetic is exact at every modulus.  Every entry is kept in [0, n), so
+a product is at most (n-1)^2 and a dot product over max(m, k) terms at
+most max(m, k) (n-1)^2.  The solver uses int64 when that bound is below
+2**63 and Python ints (``dtype=object``) otherwise; both run the same
+code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -29,91 +44,68 @@ class ModSolveResult:
         return self.solution is not None
 
 
-def _egcd(a: int, b: int):
-    """Return (g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+def _diagonalize(d: np.ndarray, c: np.ndarray, n: int):
+    """Diagonalize ``d`` in place, applying its row operations to ``c``.
 
-
-def _diagonalize(mat: np.ndarray, n: int):
-    """Return (D, U, V) with U @ mat @ V = D (mod n), D diagonal.
-
-    U and V are invertible over Z/n (products of swaps and unimodular
-    gcd-combinations).  Entries are representatives in [0, n).
+    Returns (V, log) with U A V = D (mod n), where A is the input and D
+    the diagonal matrix left in ``d``, for the row transform U that the
+    log records: ``(r, i)`` swaps rows r and i, and ``(r, rows, q)``
+    subtracts q[t] times row r from row rows[t].  V is a product of
+    swaps and unimodular column steps.
     """
-    m, k = mat.shape
-    d = mat.astype(np.int64) % n
-    u = np.eye(m, dtype=np.int64)
-    v = np.eye(k, dtype=np.int64)
+    m, k = d.shape
+    v = np.eye(k, dtype=d.dtype)
+    log = []
     r = 0
     while r < min(m, k):
         sub = d[r:, r:]
-        nz = np.argwhere(sub != 0)
-        if nz.size == 0:
+        nonzero = sub != 0
+        if not nonzero.any():
             break
-        # smallest nonzero entry as pivot keeps gcd steps short
-        vals = sub[nz[:, 0], nz[:, 1]]
-        pick = nz[int(np.argmin(vals))]
-        i0, j0 = int(pick[0]) + r, int(pick[1]) + r
+        i0, j0 = np.unravel_index(np.argmin(np.where(nonzero, sub, n)), sub.shape)
+        i0, j0 = int(i0) + r, int(j0) + r
         if i0 != r:
             d[[r, i0]] = d[[i0, r]]
-            u[[r, i0]] = u[[i0, r]]
+            c[[r, i0]] = c[[i0, r]]
+            log.append((r, i0))
         if j0 != r:
             d[:, [r, j0]] = d[:, [j0, r]]
             v[:, [r, j0]] = v[:, [j0, r]]
-        while True:
-            # Clear the pivot column.  When the pivot divides an entry a
-            # plain reduction suffices and leaves the pivot row alone;
-            # otherwise a gcd combination strictly shrinks the pivot, so
-            # the alternation with column clearing terminates.
-            for i in range(r + 1, m):
-                val = int(d[i, r])
-                if not val % n:
-                    continue
-                piv = int(d[r, r])
-                if val % piv == 0:
-                    q = val // piv
-                    d[i] = (d[i] - q * d[r]) % n
-                    u[i] = (u[i] - q * u[r]) % n
-                else:
-                    g, s, t = _egcd(piv, val)
-                    p, q = piv // g, val // g
-                    row_r, row_i = d[r].copy(), d[i].copy()
-                    d[r] = (s * row_r + t * row_i) % n
-                    d[i] = (p * row_i - q * row_r) % n
-                    ur, ui = u[r].copy(), u[i].copy()
-                    u[r] = (s * ur + t * ui) % n
-                    u[i] = (p * ui - q * ur) % n
-            # clear the pivot row with column combinations
-            for j in range(r + 1, k):
-                val = int(d[r, j])
-                if not val % n:
-                    continue
-                piv = int(d[r, r])
-                if val % piv == 0:
-                    q = val // piv
-                    d[:, j] = (d[:, j] - q * d[:, r]) % n
-                    v[:, j] = (v[:, j] - q * v[:, r]) % n
-                else:
-                    g, s, t = _egcd(piv, val)
-                    p, q = piv // g, val // g
-                    col_r, col_j = d[:, r].copy(), d[:, j].copy()
-                    d[:, r] = (s * col_r + t * col_j) % n
-                    d[:, j] = (p * col_j - q * col_r) % n
-                    vr, vj = v[:, r].copy(), v[:, j].copy()
-                    v[:, r] = (s * vr + t * vj) % n
-                    v[:, j] = (p * vj - q * vr) % n
-            if not (np.any(d[r + 1:, r] % n) or np.any(d[r, r + 1:] % n)):
-                break
-        r += 1
-    return d % n, u % n, v % n
+        piv = d[r, r]
+        rows = r + 1 + np.flatnonzero(d[r + 1:, r])
+        if rows.size:
+            q = d[rows, r] // piv
+            d[rows, r:] = (d[rows, r:] - q[:, None] * d[r, r:]) % n
+            c[rows] = (c[rows] - q * c[r]) % n
+            log.append((r, rows, q))
+        cols = r + 1 + np.flatnonzero(d[r, r + 1:])
+        if cols.size:
+            q = d[r, cols] // piv
+            d[r:, cols] = (d[r:, cols] - d[r:, r, None] * q) % n
+            v[:, cols] = (v[:, cols] - v[:, r, None] * q) % n
+        if not (d[r + 1:, r].any() or d[r, r + 1:].any()):
+            r += 1
+    return v, log
+
+
+def _transform_row(i: int, m: int, log: list, n: int, dtype) -> np.ndarray:
+    """Row i of the row transform U, replayed from the log backwards."""
+    u = np.zeros(m, dtype=dtype)
+    u[i] = 1
+    for op in reversed(log):
+        if len(op) == 2:
+            u[list(op)] = u[[op[1], op[0]]]
+        else:
+            r, rows, q = op
+            u[r] = (u[r] - u[rows] @ q) % n
+    return u
+
+
+def _residues(x, n: int, dtype) -> np.ndarray:
+    x = np.asarray(x)
+    if x.dtype.kind != "i" or n >= 2**63:
+        x = x.astype(object)
+    return (x % n).astype(dtype)
 
 
 def solve_mod(a, b, n: int) -> ModSolveResult:
@@ -125,27 +117,31 @@ def solve_mod(a, b, n: int) -> ModSolveResult:
     """
     if n < 1:
         raise ValueError("modulus must be positive")
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % n
+    a = np.atleast_2d(np.asarray(a))
     m, k = a.shape
-    b = np.asarray(b, dtype=np.int64).reshape(m) % n
+    dtype = np.int64 if max(m, k) * (n - 1) ** 2 < 2**63 else object
+    a = _residues(a, n, dtype)
+    b = _residues(b, n, dtype).reshape(m)
     if n == 1:
         return ModSolveResult(1, tuple([0] * k), None)
-    d, u, v = _diagonalize(a, n)
-    c = (u @ b) % n
-    y = np.zeros(k, dtype=np.int64)
-    for i in range(m):
-        di = int(d[i, i]) if i < min(m, k) else 0
-        g = gcd(di, n)  # = n when the row of D vanished
-        if int(c[i]) % g != 0:
-            cert = (u[i] * (n // g)) % n
-            if np.any((cert @ a) % n) or not int(cert @ b) % n:
-                raise InternalCheckFailure(f"unsolvability certificate fails to verify mod {n}")
-            return ModSolveResult(n, None, tuple(int(x) for x in cert))
-        if i < k and di % n != 0:
-            red = n // g
-            inv = pow(di // g, -1, red)
-            y[i] = ((int(c[i]) // g) * inv) % red
+    d, c = a.copy(), b.copy()
+    v, log = _diagonalize(d, c, n)
+    diag = np.zeros(m, dtype=dtype)
+    diag[:min(m, k)] = d.diagonal()
+    g = np.gcd(diag, n)  # = n where the row of D vanished
+    bad = np.flatnonzero(c % g)
+    if bad.size:
+        i = int(bad[0])
+        cert = (_transform_row(i, m, log, n, dtype) * (n // int(g[i]))) % n
+        if (cert @ a % n).any() or not int(cert @ b) % n:
+            raise InternalCheckFailure(f"unsolvability certificate fails to verify mod {n}")
+        return ModSolveResult(n, None, tuple(int(x) for x in cert))
+    y = np.zeros(k, dtype=dtype)
+    for i in np.flatnonzero(diag[:k]):
+        gi = int(g[i])
+        red = n // gi
+        y[i] = (int(c[i]) // gi * pow(int(diag[i]) // gi, -1, red)) % red
     x = (v @ y) % n
-    if np.any((a @ x) % n != b):
+    if (a @ x % n != b).any():
         raise InternalCheckFailure(f"solution fails to verify mod {n}")
     return ModSolveResult(n, tuple(int(t) for t in x), None)

@@ -59,7 +59,9 @@ class TwoCocycle:
         if (pid < 0).any():
             a, b = list(self.table)[int(np.argmax(pid < 0))]
             raise CocycleError(f"table entry on non-composable pair ({a!r},{b!r})")
-        self.values = np.full(len(groupoid.pairs[0]), -1, dtype=np.int64)
+        # int64 while the four-term sums of verify_two_cocycle fit in it
+        dtype = np.int64 if n < 2**61 else object
+        self.values = np.full(len(groupoid.pairs[0]), -1, dtype=dtype)
         self.values[pid] = list(self.table.values())
 
     @classmethod
@@ -272,13 +274,8 @@ def _sort_with_sign(triple):
     """Sort a triple of indices, returning (sorted_triple, permutation_sign);
     sign 0 if any index repeats."""
     i, j, k = triple
-    if i == j or j == k or i == k:
-        return tuple(sorted(triple)), 0
-    perm = sorted(range(3), key=lambda t: triple[t])
-    inversions = sum(
-        1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-    )
-    return tuple(sorted(triple)), (-1) ** inversions
+    product = (j - i) * (k - i) * (k - j)
+    return tuple(sorted(triple)), (product > 0) - (product < 0)
 
 
 class CechData:
@@ -304,6 +301,7 @@ class CechData:
                 raise CechError(f"cover set {idx} is not a subset of the base")
             self.cover[int(idx)] = part
         self.indices = tuple(sorted(self.cover))
+        self._nerves: dict = {}
         self.raw_entries = tuple((int(i), int(j), int(k), int(v) % n) for (i, j, k, v) in entries)
         self.table = {}
         self.conflicts = []
@@ -326,6 +324,20 @@ class CechData:
             part = self.cover[i]
             out = part if out is None else out & part
         return out if out is not None else frozenset(self.base_points)
+
+    def nerve(self, size: int) -> tuple:
+        """The sorted index tuples of length ``size`` whose overlap is
+        nonempty, in lexicographic order; built once per size from the
+        cover sets through each base point."""
+        if size not in self._nerves:
+            through = {p: [] for p in self.base_points}
+            for i in self.indices:
+                for p in self.cover[i]:
+                    through[p].append(i)
+            self._nerves[size] = tuple(sorted(
+                {t for idx in through.values() for t in itertools.combinations(idx, size)}
+            ))
+        return self._nerves[size]
 
     def value(self, i: int, j: int, k: int) -> int:
         key, sign = _sort_with_sign((i, j, k))
@@ -368,15 +380,10 @@ def verify_cech(data: CechData) -> CechReport:
     on every nonempty quadruple overlap.  Triples with nonempty overlap
     but no table entry are reported as missing.
     """
-    missing = []
-    for key in itertools.combinations(data.indices, 3):
-        if data.overlap(*key) and key not in data.table:
-            missing.append(key)
+    missing = [key for key in data.nerve(3) if key not in data.table]
     quad_bad = []
     if not missing and not data.conflicts:
-        for (i, j, k, l) in itertools.combinations(data.indices, 4):
-            if not data.overlap(i, j, k, l):
-                continue
+        for (i, j, k, l) in data.nerve(4):
             total = (
                 data.value(j, k, l)
                 - data.value(i, k, l)
@@ -427,14 +434,7 @@ def cech_is_coboundary(data: CechData) -> CechCoboundaryResult:
     report = verify_cech(data)
     if not report.valid:
         raise CechError("cech data does not verify; run verify_cech for details")
-    triples = [
-        key for key in itertools.combinations(data.indices, 3) if data.overlap(*key)
-    ]
-    pairs = [
-        key
-        for key in itertools.combinations(data.indices, 2)
-        if data.overlap(*key)
-    ]
+    triples, pairs = data.nerve(3), data.nerve(2)
     col = {p: i for i, p in enumerate(pairs)}
     rows, rhs = [], []
     for (i, j, k) in triples:
@@ -466,15 +466,10 @@ def cech_is_coboundary(data: CechData) -> CechCoboundaryResult:
 
 def cech_coboundary(data: CechData, mu: Mapping[tuple, int]) -> dict:
     """The Cech coboundary d(mu) on the nonempty triple overlaps."""
-    out = {}
-    for key in itertools.combinations(data.indices, 3):
-        if not data.overlap(*key):
-            continue
-        i, j, k = key
-        out[key] = (
-            mu.get((j, k), 0) - mu.get((i, k), 0) + mu.get((i, j), 0)
-        ) % data.n
-    return out
+    return {
+        (i, j, k): (mu.get((j, k), 0) - mu.get((i, k), 0) + mu.get((i, j), 0)) % data.n
+        for (i, j, k) in data.nerve(3)
+    }
 
 
 def cech_to_groupoid_cocycle(data: CechData, doubled) -> TwoCocycle:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
 
@@ -221,3 +223,116 @@ def test_console_entry_point_via_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["verdict"]["verdict"] == "NOT_FELL"
+
+
+def test_parser_state_does_not_leak_between_calls(capsys, tmp_path):
+    # the parser is built once per process; each call still starts from
+    # the defaults.  On the seam graph bound 0 answers FELL, while the
+    # default bound 3 leaves the verdict undecided; the relation groupoid
+    # is Fell unless --discrete-morphisms is given.
+    seam = {
+        "schema": "periodic_graph/1",
+        "block": {"schema": "digraph/1", "vertices": ["v", "w"], "edges": []},
+        "prefix": {"schema": "digraph/1", "vertices": [], "edges": []},
+        "seam_prefix": [],
+        "seam_block": [
+            {"id": "a", "range": "v", "source": "w"},
+            {"id": "b", "range": "v", "source": "w"},
+            {"id": "c", "range": "w", "source": "v"},
+        ],
+    }
+    graph = write(tmp_path, "seam.json", seam)
+    y = fs.FinSpace(("0", "1", "2"), {"0": {"0", "1", "2"}, "1": {"1", "2"}, "2": {"2"}})
+    psi = fs.SpaceMap(y, fs.sierpinski(), {"0": "b", "1": "a", "2": "a"})
+    relation = write(tmp_path, "rel.json", {"schema": "relation_groupoid/1", "psi": sz.map_to_json(psi)})
+    verdict = lambda report: report["result"]["verdict"]["verdict"]
+    fell = lambda report: report["result"]["fell"]["is_fell_model"]
+
+    code, report = run_cli(capsys, "graph-fell", graph, "--unroll-bound", "0")
+    assert code == 0 and verdict(report) == "FELL"
+    code, report = run_cli(capsys, "fell-check", "--discrete-morphisms", relation)
+    assert code == 0 and not fell(report)
+    code, default = run_cli(capsys, "graph-fell", graph)
+    assert code == 0 and verdict(default).startswith("UNDECIDED")
+    code, report = run_cli(capsys, "fell-check", relation)
+    assert code == 0 and fell(report)
+    code, again = run_cli(capsys, "graph-fell", graph, "--unroll-bound", "3")
+    assert again["result"] == default["result"]
+    assert main(["--output", str(tmp_path / "r.json"), "cocycle-verify", "bundled:trivial-cocycle"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["ok"]
+    code, report = run_cli(capsys, "cocycle-verify", "bundled:trivial-cocycle")
+    assert code == 0 and report["command"] == "cocycle-verify"
+
+
+BIG_MODULI = (2**40 + 15, 2**63 - 25, 2**100 + 277)
+
+
+def group_document(n, rng):
+    """Z/2 x Z/3 as a one-unit groupoid with a random coboundary mod n."""
+    elems = [(x, y) for x in range(2) for y in range(3)]
+    lab = lambda e: f"g{e[0]}_{e[1]}"
+    mul = lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 3)
+    b = {lab(e): rng.randrange(n) if e != (0, 0) else 0 for e in elems}
+    table = [[lab(p), lab(q), (b[lab(p)] + b[lab(q)] - b[lab(mul(p, q))]) % n] for p in elems for q in elems]
+    labels = [lab(e) for e in elems]
+    unit = lab((0, 0))
+    return {"schema": "twisted_groupoid/1", "groupoid": {
+        "schema": "fingroupoid/1",
+        "topology": {"schema": "finspace/1", "points": labels, "min_open": {m: [m] for m in labels}},
+        "units": [unit],
+        "range": {m: unit for m in labels},
+        "source": {m: unit for m in labels},
+        "inverse": {lab(e): lab(((-e[0]) % 2, (-e[1]) % 3)) for e in elems},
+        "compose": [[lab(p), lab(q), lab(mul(p, q))] for p in elems for q in elems],
+    }, "cocycle": {"schema": "two_cocycle/1", "n": n, "table": table}}
+
+
+def test_cocycle_verify_at_big_moduli(capsys, tmp_path):
+    rng = random.Random(31)
+    for n in BIG_MODULI:
+        doc = group_document(n, rng)
+        code, report = run_cli(capsys, "cocycle-verify", write(tmp_path, "g.json", doc))
+        assert code == 0 and report["result"]["report"]["valid"]
+        b = report["result"]["coboundary"]
+        assert b is not None and report["result"]["order"] == n
+        for x, y, v in doc["cocycle"]["table"]:
+            xy = next(c for p, q, c in doc["groupoid"]["compose"] if (p, q) == (x, y))
+            assert (b.get(x, 0) + b.get(y, 0) - b.get(xy, 0) - v) % n == 0
+
+
+def octahedron_document(n, rng, shift):
+    """Vertex-star cover of the octahedron (facets as points) carrying
+    d(mu) for a random mu, plus ``shift`` on one facet."""
+    triples = sorted(tuple(sorted((i, i % 4 + 1, apex))) for i in range(1, 5) for apex in (5, 6))
+    pairs = sorted({p for t in triples for p in itertools.combinations(t, 2)})
+    mu = {p: rng.randrange(n) for p in pairs}
+    lam = {(i, j, k): (mu[(j, k)] - mu[(i, k)] + mu[(i, j)]) % n for (i, j, k) in triples}
+    lam[triples[0]] = (lam[triples[0]] + shift) % n
+    facets = ["f" + "".join(map(str, t)) for t in triples]
+    cover = {str(v): sorted(f for f, t in zip(facets, triples) if v in t) for v in range(1, 7)}
+    doc = {"schema": "cech/1", "n": n, "base_points": facets, "cover": cover,
+           "lambda": [[*t, lam[t]] for t in triples]}
+    return doc, lam, pairs
+
+
+def test_cech_cert_at_big_moduli(capsys, tmp_path):
+    rng = random.Random(32)
+    for n in BIG_MODULI:
+        for shift in (0, rng.randrange(1, n)):
+            doc, lam, pairs = octahedron_document(n, rng, shift)
+            code, report = run_cli(capsys, "cech-cert", write(tmp_path, "c.json", doc))
+            assert code == 0 and report["result"]["report"]["valid"]
+            decision = report["result"]["coboundary"]
+            assert decision["is_coboundary"] is (shift == 0)
+            if shift == 0:
+                mu = {tuple(map(int, k.split(","))): v for k, v in decision["witness"].items()}
+                for (i, j, k), v in lam.items():
+                    assert (mu[(j, k)] - mu[(i, k)] + mu[(i, j)] - v) % n == 0
+                continue
+            u = {tuple(map(int, k.split(","))): c for k, c in decision["certificate"].items()}
+            for p in pairs:
+                total = 0
+                for (i, j, k), c in u.items():
+                    total += c * {(j, k): 1, (i, k): -1, (i, j): 1}.get(p, 0)
+                assert total % n == 0
+            assert sum(c * lam[t] for t, c in u.items()) % n != 0

@@ -1,0 +1,87 @@
+"""Hostile inputs keep the command-line contract: every run exits 0, 1 or 2
+and prints a ``report/1``, whatever the bundled documents are mutated
+into and whatever the flags say."""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from groupoidlab import bundled
+from groupoidlab.cli import main
+
+ODD_VALUES = (None, True, False, 0, -1, 1.5, 2**63, 2**100 + 277, "", "x", [], [1, "a"], {}, {"k": [0]})
+ODD_ORDERS = (0, -1, -7, 1, 2, 2**40 + 15, 2**63 - 25, 2**63, 2**100 + 277)
+ODD_FLAGS = (-5, -1, 0, 1, 3, 1000, 1001, 2**40) + ODD_ORDERS
+
+# each command on the bundled document it reads
+TARGETS = (
+    ("graph-fell", "two-thread-ladder"),
+    ("cocycle-verify", "trivial-cocycle"),
+    ("algebra-verify", "trivial-cocycle"),
+    ("equivariant-check", "trivial-cocycle"),
+    ("cech-cert", "tetrahedron-z3"),
+    ("model-cover", "tetrahedron-z3"),
+)
+FLAGS = {"graph-fell": "--unroll-bound", "model-cover": "--order"}
+
+
+def slots(node, out):
+    """Every (container, key) in a JSON tree."""
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        out.append((node, key))
+        slots(node[key], out)
+    return out
+
+
+@st.composite
+def mutated(draw, name):
+    doc = copy.deepcopy(bundled.bundled_document(name))
+    for _ in range(draw(st.integers(1, 3))):
+        places = slots(doc, [])
+        action = draw(st.sampled_from(["drop", "swap", "order"]))
+        if action == "order":
+            orders = [(node, key) for node, key in places if key == "n"]
+            for node, key in orders:
+                node[key] = draw(st.sampled_from(ODD_ORDERS))
+            continue
+        node, key = draw(st.sampled_from(places))
+        if action == "drop":
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    return doc
+
+
+def run(argv) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_documents_keep_the_exit_code_contract(data):
+    command, name = data.draw(st.sampled_from(TARGETS))
+    doc = data.draw(mutated(name))
+    argv = [command]
+    if command in FLAGS and data.draw(st.booleans()):
+        argv += [FLAGS[command], str(data.draw(st.sampled_from(ODD_FLAGS)))]
+    elif command == "equivariant-check" and data.draw(st.booleans()):
+        argv.append("--drop-conjugation")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, report = run([*argv[:1], path, *argv[1:]])
+    assert code in (0, 1, 2)
+    assert report["schema"] == "report/1" and report["exit_code"] == code
+    assert report["command"] == command

@@ -45,13 +45,12 @@ else:
 
 
 def test_solver_self_check_survives_python_O():
-    # The system is solvable by construction.  At this modulus the int64
-    # arithmetic of the solver overflows today, and its self-check must
-    # raise even under -O rather than return a false unsolvability
-    # certificate; exact arithmetic would solve it instead.
+    # The system is solvable by construction.  At this modulus int64
+    # products would overflow, so the solver must switch to exact
+    # arithmetic and return a solution that verifies, also under -O.
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", SOLVE], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() in ("raised", "solved")
+    assert proc.stdout.strip() == "solved"

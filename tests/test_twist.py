@@ -6,6 +6,7 @@ import pytest
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
+from groupoidlab.modlin import solve_mod
 
 
 def pair_groupoid(points):
@@ -333,6 +334,86 @@ def test_decision_matches_brute_force_on_random_covers():
                 brute = True
                 break
         assert tw.cech_is_coboundary(data).is_coboundary == brute
+
+
+def overlap_scan(data, size):
+    """The nerve by brute force: every index tuple with a nonempty overlap."""
+    return [t for t in itertools.combinations(data.indices, size) if data.overlap(*t)]
+
+
+OCTAHEDRON = [tuple(sorted((i, 11 + (i - 10) % 4, apex))) for i in range(11, 15) for apex in (15, 16)]
+
+
+def dense_cover(rng, n, near_coboundary=False):
+    """A random cover in which many points lie in four or more sets, beside
+    the vertex-star cover of an octahedron, a 2-sphere.  Its data is
+    random, with triples left out at times, or else d(mu) for a random mu,
+    shifted on one octahedron facet half the time."""
+    pts = list(range(rng.randint(3, 8))) + OCTAHEDRON
+    density = rng.choice([0.4, 0.7])
+    cover = {i: {p for p in pts[:-8] if rng.random() < density} for i in range(1, rng.randint(4, 7) + 1)}
+    cover.update({v: {t for t in OCTAHEDRON if v in t} for v in range(11, 17)})
+    triples = overlap_scan(tw.CechData(n, pts, cover, []), 3)
+    if near_coboundary:
+        mu = {p: rng.randrange(n) for p in itertools.combinations(sorted(cover), 2)}
+        lam = {(i, j, k): mu[(j, k)] - mu[(i, k)] + mu[(i, j)] for (i, j, k) in triples}
+        if rng.random() < 0.5:  # a nontrivial class on the sphere
+            lam[rng.choice(OCTAHEDRON)] += rng.randrange(1, n)
+        return tw.CechData(n, pts, cover, [(*t, v) for t, v in lam.items()])
+    entries = [(i, j, k, rng.randrange(n)) for (i, j, k) in triples if rng.random() < 0.95]
+    return tw.CechData(n, pts, cover, entries)
+
+
+def test_nerve_matches_overlap_scan_on_dense_covers():
+    rng = random.Random(21)
+    quads = 0
+    for _ in range(60):
+        data = dense_cover(rng, rng.choice([2, 3, 4, 6]))
+        for size in (2, 3, 4):
+            assert list(data.nerve(size)) == overlap_scan(data, size)
+        quads += len(data.nerve(4))
+        # the report the old scans gave, in the same order
+        missing = [t for t in overlap_scan(data, 3) if t not in data.table]
+        quad_bad = []
+        if not missing:
+            for (i, j, k, l) in overlap_scan(data, 4):
+                total = data.value(j, k, l) - data.value(i, k, l) + data.value(i, j, l) - data.value(i, j, k)
+                if total % data.n:
+                    quad_bad.append((i, j, k, l))
+        report = tw.verify_cech(data)
+        assert list(report.missing_triples) == missing
+        assert list(report.cocycle_violations) == quad_bad
+    assert quads > 100
+
+
+def test_coboundary_system_matches_overlap_scan():
+    # cech_is_coboundary solves the system the old scans built, row for row
+    rng = random.Random(22)
+    decided = []
+    for _ in range(80):
+        n = rng.choice([2, 3, 4, 6])
+        data = dense_cover(rng, n, near_coboundary=True)
+        if not tw.verify_cech(data).valid:
+            continue
+        triples, pairs = overlap_scan(data, 3), overlap_scan(data, 2)
+        if not triples:
+            continue
+        col = {p: i for i, p in enumerate(pairs)}
+        rows = []
+        for (i, j, k) in triples:
+            row = [0] * len(pairs)
+            for pair, c in (((j, k), 1), ((i, k), -1), ((i, j), 1)):
+                row[col[pair]] += c
+            rows.append(row)
+        ref = solve_mod(rows, [data.value(*t) for t in triples], n)
+        res = tw.cech_is_coboundary(data)
+        assert res.is_coboundary == ref.solvable
+        if ref.solvable:
+            assert res.witness == dict(zip(pairs, ref.solution))
+        else:
+            assert res.certificate == {t: c for t, c in zip(triples, ref.certificate) if c % n}
+        decided.append(res.is_coboundary)
+    assert decided.count(True) > 20 and decided.count(False) > 20
 
 
 def test_tetrahedron_class_count():
