@@ -9,6 +9,11 @@ with zeta = exp(2 pi i / n), and the involution is
 
     f*(a) = conj( f(a^{-1}) zeta^{sigma(a, a^{-1})} ).
 
+An element is a complex vector over the morphisms.  Each law reads one
+table per cocycle, ``structure_constants``, on the groupoid's compiled
+pair index: convolution is one scatter-add over the pairs, and an induced
+representation fills one matrix entry per pair.
+
 Induced representations act on functions over source fibers; the reduced
 norm is the largest induced operator norm, taken once per orbit.  On top
 of the plain algebra the module builds the two matrix-algebra models
@@ -28,7 +33,9 @@ Each model declares its map on a basis of point masses and hands it to
 target, read off the groupoids' compiled pair index and the cocycle
 phases, on every basis pair in one vectorized pass.  A map whose basis
 images are nonzero multiples of distinct target basis elements, with
-matching dimensions, is bijective; no separate round trip is run.
+matching dimensions, is bijective; no separate round trip is run.  The
+models compare norms and representations by pushing elements through the
+same map (``linear_map``) and reading them in the target algebra.
 
 Scalars are double precision; structural identities are asserted to
 1e-12 and accumulated ones to 1e-9.
@@ -39,7 +46,7 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Mapping
 
 import numpy as np
@@ -86,40 +93,38 @@ def zeta(n: int, k: int) -> complex:
 
 
 class AlgebraElement:
-    """A finitely supported complex function on the morphisms of a
-    groupoid, tied to a cocycle (possibly trivial)."""
+    """A complex function on the morphisms of a groupoid, tied to a
+    cocycle (possibly trivial); ``vec`` holds its values in morphism order."""
 
-    __slots__ = ("groupoid", "sigma", "coeffs")
+    __slots__ = ("groupoid", "sigma", "vec")
 
     def __init__(self, groupoid: FinGroupoid, sigma: TwoCocycle, coeffs: Mapping[Hashable, complex]):
         if sigma.groupoid is not groupoid:
             raise CocycleError("cocycle belongs to a different groupoid")
-        self.groupoid = groupoid
-        self.sigma = sigma
-        self.coeffs = {}
+        vec = np.zeros(len(groupoid.morphisms), dtype=complex)
         for m, v in coeffs.items():
-            if m not in groupoid.topology:
+            if m not in groupoid.index:
                 raise ValueError(f"coefficient on unknown morphism {m!r}")
-            v = complex(v)
-            if v != 0:
-                self.coeffs[m] = v
+            vec[groupoid.index[m]] = complex(v)
+        self.groupoid, self.sigma, self.vec = groupoid, sigma, vec
 
     @classmethod
     def char(cls, groupoid, sigma, morphism, value: complex = 1.0) -> "AlgebraElement":
         return cls(groupoid, sigma, {morphism: value})
 
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero values, keyed by morphism."""
+        nonzero = np.flatnonzero(self.vec)
+        morphisms = self.groupoid.morphisms
+        return dict(zip([morphisms[i] for i in nonzero.tolist()], self.vec[nonzero].tolist()))
+
     def __call__(self, m) -> complex:
-        return self.coeffs.get(m, 0j)
+        return complex(self.vec[self.groupoid.index[m]])
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            out[m] = out.get(m, 0j) + v
-        return AlgebraElement(self.groupoid, self.sigma, out)
-
-    def scale(self, c: complex) -> "AlgebraElement":
-        return AlgebraElement(self.groupoid, self.sigma, {m: c * v for m, v in self.coeffs.items()})
+        return _element(self.sigma, self.vec + other.vec)
 
     def _check_compatible(self, other: "AlgebraElement"):
         if self.groupoid is not other.groupoid or self.sigma != other.sigma:
@@ -129,8 +134,42 @@ class AlgebraElement:
         return f"AlgebraElement({self.coeffs!r})"
 
 
+def _element(sigma: TwoCocycle, vec: np.ndarray) -> AlgebraElement:
+    """The element with value vector ``vec`` in the algebra twisted by sigma."""
+    f = object.__new__(AlgebraElement)
+    f.groupoid, f.sigma, f.vec = sigma.groupoid, sigma, vec
+    return f
+
+
+def _mul(x, y) -> np.ndarray:
+    """The entrywise complex product, formed from the float parts so that
+    it rounds as Python's complex multiply does; numpy's complex multiply
+    may fuse a product into the sum and land one ulp away."""
+    real = x.real * y.real - x.imag * y.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def structure_constants(sigma: TwoCocycle) -> tuple:
+    """The point masses of the algebra twisted by ``sigma``: (groupoid,
+    the phase zeta^sigma(a, b) of e_a e_b = phase e_ab on each numbered
+    pair, the coefficient conj(zeta^sigma(a^-1, a)) of e_a* on each
+    morphism).  Every product, star and representation reads this table;
+    it is computed once per cocycle and kept on it."""
+    cached = getattr(sigma, "_structure_constants", None)
+    if cached is None:
+        g = sigma.groupoid
+        roots = np.array(_roots(sigma.n))
+        phases = roots[sigma.on_pairs(np.arange(len(g.pairs[0])))]
+        stars = roots[sigma.on_pairs(g.pair_id[g.inverse_idx, np.arange(len(g.morphisms))])].conj()
+        cached = sigma._structure_constants = (g, phases, stars)
+    return cached
+
+
 def max_deviation(f: AlgebraElement, g: AlgebraElement) -> float:
-    return _dict_dev(f.coeffs, g.coeffs)
+    return float(np.abs(f.vec - g.vec).max(initial=0.0))
 
 
 def identity_element(groupoid: FinGroupoid, sigma: TwoCocycle) -> AlgebraElement:
@@ -138,19 +177,14 @@ def identity_element(groupoid: FinGroupoid, sigma: TwoCocycle) -> AlgebraElement
 
 
 def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """Twisted convolution, as the exact sum over factorizations a = b c."""
+    """Twisted convolution: each numbered pair (b, c) adds
+    f(b) g(c) zeta^{sigma(b, c)} to the composite bc, in pair order."""
     f._check_compatible(g)
-    gp = f.groupoid
-    n = f.sigma.n
-    out: dict = {}
-    by_range: dict = {}
-    for c, gc in g.coeffs.items():
-        by_range.setdefault(gp.r(c), []).append((c, gc))
-    for b, fb in f.coeffs.items():
-        for c, gc in by_range.get(gp.s(b), ()):
-            a = gp.mul(b, c)
-            out[a] = out.get(a, 0j) + fb * gc * zeta(n, f.sigma.value(b, c))
-    return AlgebraElement(gp, f.sigma, out)
+    _, phases, _ = structure_constants(f.sigma)
+    pa, pb, pc = f.groupoid.pairs
+    out = np.zeros(len(f.vec), dtype=complex)
+    np.add.at(out, pc, _mul(_mul(f.vec[pa], g.vec[pb]), phases))
+    return _element(f.sigma, out)
 
 
 def involute(f: AlgebraElement) -> AlgebraElement:
@@ -160,13 +194,10 @@ def involute(f: AlgebraElement) -> AlgebraElement:
     under which induced representations are *-representations and
     coboundary untwisting is a *-isomorphism.
     """
-    gp = f.groupoid
-    n = f.sigma.n
-    out = {}
-    for b, v in f.coeffs.items():
-        a = gp.inv(b)
-        out[a] = (v * zeta(n, f.sigma.value(a, b))).conjugate()
-    return AlgebraElement(gp, f.sigma, out)
+    _, _, stars = structure_constants(f.sigma)
+    out = np.empty_like(f.vec)
+    out[f.groupoid.inverse_idx] = _mul(f.vec.conj(), stars)
+    return _element(f.sigma, out)
 
 
 @dataclass(frozen=True)
@@ -181,21 +212,17 @@ def induced_rep(u: Hashable, f: AlgebraElement) -> InducedRep:
 
         (Ind_u(f) xi)(a) = sum_{r(b) = r(a)} f(b) xi(b^{-1} a) zeta^{sigma(b, b^{-1}a)}
 
-    to the point masses over the source fiber s^{-1}(u)."""
+    to the point masses over the source fiber s^{-1}(u): each numbered
+    pair (b, c) with s(c) = u puts f(b) zeta^{sigma(b, c)} at row bc,
+    column c."""
     gp = f.groupoid
     if u not in gp.units:
         raise ValueError(f"{u!r} is not a unit")
-    n = f.sigma.n
-    basis = gp.s_fiber(u)
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    # the (a, acol) entry comes from the one b = a acol^-1
-    for col, acol in enumerate(basis):
-        back = gp.inv(acol)
-        for row, a in enumerate(basis):
-            b = gp.mul(a, back)
-            if b in f.coeffs:
-                mat[row, col] = f.coeffs[b] * zeta(n, f.sigma.value(b, acol))
-    return InducedRep(u, basis, mat)
+    _, phases, _ = structure_constants(f.sigma)
+    fiber, k, rows, cols = gp.fiber_pairs(u)
+    mat = np.zeros((len(fiber), len(fiber)), dtype=complex)
+    mat[rows, cols] = _mul(f.vec[gp.pairs[0][k]], phases[k])
+    return InducedRep(u, tuple(gp.morphisms[i] for i in fiber.tolist()), mat)
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -217,21 +244,29 @@ def reduced_norm(f: AlgebraElement) -> float:
 # -- *-homomorphisms on a basis ---------------------------------------------------
 
 
-def _dict_dev(a: Mapping, b: Mapping) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in keys), default=0.0)
+def _image_arrays(source: FinGroupoid, target: FinGroupoid, image: Mapping) -> tuple:
+    """The target number and coefficient of each source morphism under
+    e_a -> c e_t, ``image[a] = (t, c)``; a last slot holds the zero image."""
+    t_of = np.full(len(source.morphisms) + 1, -1, dtype=np.int64)
+    c_of = np.zeros(len(source.morphisms) + 1, dtype=complex)
+    for a, (t, c) in image.items():
+        t_of[source.index[a]], c_of[source.index[a]] = target.index[t], c
+    return t_of, c_of
 
 
-def structure_constants(sigma: TwoCocycle) -> tuple:
-    """The point masses of the algebra twisted by ``sigma``, as
-    ``check_star_hom`` reads them: (groupoid, the phase zeta^sigma(a, b)
-    of e_a e_b = phase e_ab on each numbered pair, the coefficient
-    conj(zeta^sigma(a^-1, a)) of e_a* on each morphism)."""
-    g = sigma.groupoid
-    roots = np.array(_roots(sigma.n))
-    phases = roots[sigma.on_pairs(np.arange(len(g.pairs[0])))]
-    stars = roots[sigma.on_pairs(g.pair_id[g.inverse_idx, np.arange(len(g.morphisms))])].conj()
-    return g, phases, stars
+def linear_map(source: FinGroupoid, target: TwoCocycle, image: Mapping) -> Callable:
+    """The linear map e_a -> c e_t, for ``image[a] = (t, c)``, from the
+    functions on ``source`` to the algebra twisted by ``target``, as a
+    function of elements; morphisms missing from ``image`` map to 0."""
+    t_of, c_of = _image_arrays(source, target.groupoid, image)
+    mapped = np.flatnonzero(t_of[:-1] >= 0)
+
+    def apply(f: AlgebraElement) -> AlgebraElement:
+        vec = np.zeros(len(target.groupoid.morphisms), dtype=complex)
+        np.add.at(vec, t_of[mapped], _mul(f.vec[mapped], c_of[mapped]))
+        return _element(target, vec)
+
+    return apply
 
 
 def _deviation(key1, val1, key2, val2) -> np.ndarray:
@@ -262,11 +297,8 @@ def check_star_hom(source: tuple, target: tuple, image: Mapping, basis=None) -> 
     """
     sg, s_phase, s_star = source
     tg, t_phase, t_star = target
-    # one slot past the end stands for the zero image: index -1 reads it
-    t_of = np.full(len(sg.morphisms) + 1, -1, dtype=np.int64)
-    c_of = np.zeros(len(sg.morphisms) + 1, dtype=complex)
-    for a, (t, c) in image.items():
-        t_of[sg.index[a]], c_of[sg.index[a]] = tg.index[t], c
+    # index -1 reads the zero image
+    t_of, c_of = _image_arrays(sg, tg, image)
     bas = np.array([sg.index[a] for a in (sg.morphisms if basis is None else basis)], dtype=np.int64)
     t, c = t_of[bas], c_of[bas]
     # e_a e_b = phase e_ab maps to phase c_ab e_t(ab); pair id -1 reads the padding, zero
@@ -359,35 +391,34 @@ class BlockDecomposition:
             for y in orbit
             for z in orbit
         }
-        self._pos = {y: i for orbit in self.orbits for i, y in enumerate(orbit)}
+
+    @cached_property
+    def target(self) -> TwoCocycle:
+        """The direct sum of matrix algebras, block k on orbit k."""
+        return matrix_unit_groupoid(dict(enumerate(self.orbits)))
+
+    @cached_property
+    def rho(self) -> Callable[[AlgebraElement], AlgebraElement]:
+        return linear_map(self.relation, self.target, self.image)
 
     def blocks(self, f: AlgebraElement) -> list[np.ndarray]:
         """Per-orbit matrix images; after untwisting the image of a point
-        mass at (y, z) is a scaled matrix unit e_{y z}."""
+        mass at (y, z) is a scaled matrix unit e_{y z}, read off the
+        induced representation at the block's first unit."""
         if f.groupoid is not self.relation:
             raise ValueError("element lives on a different groupoid")
-        out = [np.zeros((d, d), dtype=complex) for d in self.dims]
-        for m, v in f.coeffs.items():
-            (y, z, k), w = self.image[m]
-            out[k][self._pos[y], self._pos[z]] = v * w
-        return out
-
-    def block_norm(self, f: AlgebraElement) -> float:
-        return max((operator_norm(b) for b in self.blocks(f)), default=0.0)
+        image = self.rho(f)
+        return [induced_rep((o[0], o[0], k), image).matrix for k, o in enumerate(self.orbits)]
 
     def verify(self, rng: random.Random | None = None) -> BlockCheck:
         rng = rng or random.Random(0)
         rel, sigma = self.relation, self.sigma
-        check = check_star_hom(
-            structure_constants(sigma),
-            structure_constants(matrix_unit_groupoid(dict(enumerate(self.orbits)))),
-            self.image,
-        )
+        check = check_star_hom(structure_constants(sigma), structure_constants(self.target), self.image)
         dim_ok = sum(d * d for d in self.dims) == len(rel.morphisms)
         norm_dev = 0.0
         for _ in range(5):
             f = random_element(rng, rel, sigma)
-            norm_dev = max(norm_dev, abs(reduced_norm(f) - self.block_norm(f)))
+            norm_dev = max(norm_dev, abs(reduced_norm(f) - reduced_norm(self.rho(f))))
         return BlockCheck(
             check.multiplicative_dev, check.star_dev, check.bijective and dim_ok, dim_ok,
             norm_dev, self.untwisted,
@@ -399,11 +430,14 @@ def block_decompose(relation: RelationGroupoid, sigma: TwoCocycle) -> BlockDecom
 
 
 def random_element(rng: random.Random, groupoid: FinGroupoid, sigma: TwoCocycle, density: float = 0.7) -> AlgebraElement:
-    coeffs = {}
-    for m in groupoid.morphisms:
-        if rng.random() < density:
-            coeffs[m] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return AlgebraElement(groupoid, sigma, coeffs)
+    if sigma.groupoid is not groupoid:
+        raise CocycleError("cocycle belongs to a different groupoid")
+    # per morphism: one draw for the support, two more for a value in it
+    values = [
+        complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if rng.random() < density else 0j
+        for _ in groupoid.morphisms
+    ]
+    return _element(sigma, np.array(values, dtype=complex))
 
 
 # -- doubled-sheet model (matrix functions, diagonal at the boundary) ------------
@@ -433,26 +467,8 @@ class DoubledModelReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "sheets": self.sheets,
-            "block_shape": list(self.block_shape),
-            "rho_multiplicative_dev": self.rho_multiplicative_dev,
-            "rho_involutive_dev": self.rho_involutive_dev,
-            "rho_bijective": self.rho_bijective,
-            "norm_dev": self.norm_dev,
-            "unitary_equiv_dev": self.unitary_equiv_dev,
-            "ok": self.ok,
-        }
-
-
-def _rho_doubled(levels: int, sheets: int, f: AlgebraElement) -> list[np.ndarray]:
-    """f -> (t -> [f((t,i),(t,j))]_{ij}); the value at the last level is
-    diagonal because off-diagonal pairs are not identified there."""
-    mats = [np.zeros((sheets, sheets), dtype=complex) for _ in range(levels)]
-    for ((t, i), (t2, j)), v in f.coeffs.items():
-        mats[t][i - 1, j - 1] = v
-    return mats
+        out = {k: v for k, v in vars(self).items() if k not in ("relation", "decomposition")}
+        return {**out, "block_shape": list(self.block_shape), "ok": self.ok}
 
 
 def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = None) -> DoubledModelReport:
@@ -481,10 +497,8 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
     shape = tuple(sorted(decomposition.dims, reverse=True))
 
     image = {((t, i), (_, j)): ((i, j, t), 1.0) for ((t, i), (_, j)) in relation.morphisms}
-    sheet_blocks = {t: range(1, sheets + 1) for t in range(levels)}
-    check = check_star_hom(
-        structure_constants(sigma), structure_constants(matrix_unit_groupoid(sheet_blocks)), image
-    )
+    target = matrix_unit_groupoid({t: range(1, sheets + 1) for t in range(levels)})
+    check = check_star_hom(structure_constants(sigma), structure_constants(target), image)
     # onto the matrix functions that are diagonal at the unglued level
     target_dim = (levels - 1) * sheets * sheets + sheets
     bijective = (
@@ -492,35 +506,31 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
         and len(image) == target_dim
         and all(i == j for ((t, i), (_, j)) in relation.morphisms if t == levels - 1)
     )
-    rho = lambda f: _rho_doubled(levels, sheets, f)
+    rho = linear_map(relation, target, image)
 
     norm_dev = 0.0
     for _ in range(5):
         f = random_element(rng, relation, sigma)
-        a_norm = max(operator_norm(m) for m in rho(f))
-        norm_dev = max(norm_dev, abs(reduced_norm(f) - a_norm))
+        norm_dev = max(norm_dev, abs(reduced_norm(f) - reduced_norm(rho(f))))
 
-    # evaluation at level t is unitarily equivalent to inducing at any
-    # unit (t, i): the unitary relabels the fiber basis ((t,j),(t,i)) -> j.
+    # evaluation at level t (inducing rho(f) at (i, i, t)) is unitarily
+    # equivalent to inducing f at the unit (t, i): the unitary relabels the
+    # fiber basis ((t,j),(t,i)) -> (j, i, t), one point at the unglued level.
     # On point masses the induced matrices hold the products compared
     # above, so only dense elements add to the multiplicative deviation.
     uni_dev = check.multiplicative_dev
     for _ in range(3):
         f = random_element(rng, relation, sigma)
-        mats = rho(f)
+        rho_f = rho(f)
         for t in range(levels):
             for i in range(1, sheets + 1):
                 ind = induced_rep(((t, i), (t, i)), f)
-                if t < levels - 1:
-                    perm = [ind.basis.index((((t, j), (t, i)))) for j in range(1, sheets + 1)]
-                    reordered = ind.matrix[np.ix_(perm, perm)]
-                    uni_dev = max(uni_dev, float(np.max(np.abs(reordered - mats[t]))))
-                else:
-                    if len(ind.basis) != 1:
-                        raise InternalCheckFailure("unglued level has a fiber of size > 1")
-                    uni_dev = max(
-                        uni_dev, abs(complex(ind.matrix[0, 0]) - mats[t][i - 1, i - 1])
-                    )
+                if t == levels - 1 and len(ind.basis) != 1:
+                    raise InternalCheckFailure("unglued level has a fiber of size > 1")
+                level = induced_rep((i, i, t), rho_f)
+                pos = [level.basis.index(image[a][0]) for a in ind.basis]
+                dev = np.abs(ind.matrix - level.matrix[np.ix_(pos, pos)]).max()
+                uni_dev = max(uni_dev, float(dev))
     return DoubledModelReport(
         levels, sheets, relation, decomposition, shape,
         check.multiplicative_dev, check.star_dev, bijective, norm_dev, uni_dev,
@@ -543,7 +553,8 @@ class CoverAlgebra:
     This is the twisted algebra of the cover's incidence groupoid, the
     ``matrix_unit_groupoid`` with one block I_s per base point s and
     cocycle -lambda; pi_{i,s} is its induced representation at the unit
-    (i, i, s).  Elements are sparse dicts over the keys (i, j, s).
+    (i, i, s).  Its methods take and return sparse dicts over the keys
+    (i, j, s).
     """
 
     def __init__(self, base_points, cover: Mapping[int, frozenset], n: int, lam: Callable[[int, int, int], int]):
@@ -794,14 +805,14 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
     }
     iso = check_star_hom(products, structure_constants(kernel_algebra.sigma), phi, basis=list(phi))
     iso_bijective = iso.bijective and {t for t, _ in phi.values()} == set(kernel_algebra.spanning_keys())
+    phi_of = linear_map(relation, kernel_algebra.sigma, phi)
     norm_dev = 0.0
     for _ in range(4):
         f = random_element(rng, relation, sigma)
         f = f + AlgebraElement.char(relation, sigma, star_unit, -character(f))
         if character(f):
             raise InternalCheckFailure("element left the character's kernel")
-        image = {phi[m][0]: v for m, v in f.coeffs.items()}
-        norm_dev = max(norm_dev, abs(reduced_norm(f) - kernel_algebra.norm(image)))
+        norm_dev = max(norm_dev, abs(reduced_norm(f) - reduced_norm(phi_of(f))))
 
     certified = not cech_is_coboundary(data).is_coboundary
     return CoverModelReport(
@@ -847,19 +858,8 @@ class EquivariantSuiteReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "conjugated": self.conjugated,
-            "rho_bijective": self.rho_bijective,
-            "equivariance_dev": self.equivariance_dev,
-            "rho_multiplicative_dev": self.rho_multiplicative_dev,
-            "rho_star_dev": self.rho_star_dev,
-            "rep_equivalence_dev": self.rep_equivalence_dev,
-            "mismatch_witness": None
-            if self.mismatch_witness is None
-            else [str(x) for x in self.mismatch_witness],
-            "ok": self.ok,
-        }
+        witness = None if self.mismatch_witness is None else [str(x) for x in self.mismatch_witness]
+        return {**vars(self), "mismatch_witness": witness, "ok": self.ok}
 
 
 def equivariant_suite(
@@ -892,30 +892,26 @@ def equivariant_suite(
     triv_ext = TwoCocycle.trivial(ext, 1)
     target = sigma.conjugate() if conjugate else sigma
 
-    def lift(f: Mapping) -> AlgebraElement:
-        """The equivariant function with slice f: (z, m) -> zeta^z f(m)."""
-        return AlgebraElement(
-            ext, triv_ext, {(z, m): zeta(n, z) * v for m, v in f.items() for z in range(n)}
-        )
+    m_count = len(groupoid.morphisms)
+    roots = np.array(_roots(n))
 
-    def conv_ext(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        # counting-measure convolution scaled by the normalized Z_n average
-        return convolve(a, b).scale(1.0 / n)
+    # the extension's morphisms (z, m) run z-major, so a function on them
+    # is an n x |G| table with row z the values at (z, .)
+    def lift(f: AlgebraElement) -> AlgebraElement:
+        """The equivariant function with slice f: (z, m) -> zeta^z f(m)."""
+        return _element(triv_ext, _mul(roots[:, None], f.vec).reshape(-1))
 
     equiv_dev = 0.0
 
-    def slice_of(full: AlgebraElement) -> dict:
+    def slice_of(full: np.ndarray) -> AlgebraElement:
         nonlocal equiv_dev
-        for (z, m), v in full.coeffs.items():
-            expected = zeta(n, z) * full.coeffs.get((0, m), 0j)
-            equiv_dev = max(equiv_dev, abs(v - expected))
-        return {m: v for (z, m), v in full.coeffs.items() if z == 0}
+        table = full.reshape(n, m_count)
+        equiv_dev = max(equiv_dev, float(np.abs(table - _mul(roots[:, None], table[0])).max(initial=0.0)))
+        return _element(target, table[0].copy())
 
     # the slices of lift(e_a) lift(e_b) / n at every z, in one pass over
     # the extension's pairs, and of lift(e_a)* over its morphisms
-    roots = np.array(_roots(n))
-    z_of = np.array([z for z, _ in ext.morphisms])
-    m_of = np.array([groupoid.index[m] for _, m in ext.morphisms])
+    z_of, m_of = np.divmod(np.arange(len(ext.morphisms)), m_count)
     pa, pb, pc = ext.pairs
     products = np.zeros((len(groupoid.pairs[0]), n), dtype=complex)
     cells = (groupoid.pair_id[m_of[pa], m_of[pb]], z_of[pc])
@@ -933,32 +929,31 @@ def equivariant_suite(
 
     # dense elements exercise the rounding that point masses do not
     for _ in range(3):
-        slice_of(lift(random_element(rng, groupoid, target).coeffs))
+        slice_of(lift(random_element(rng, groupoid, target)).vec)
     mult_dev = check.multiplicative_dev
     for _ in range(3):
         f, g = random_element(rng, groupoid, target), random_element(rng, groupoid, target)
-        prod = slice_of(conv_ext(lift(f.coeffs), lift(g.coeffs)))
-        mult_dev = max(mult_dev, _dict_dev(prod, convolve(f, g).coeffs))
+        # counting-measure convolution scaled by the normalized Z_n average
+        prod = slice_of(convolve(lift(f), lift(g)).vec * (1.0 / n))
+        mult_dev = max(mult_dev, max_deviation(prod, convolve(f, g)))
     f = random_element(rng, groupoid, target)
-    star_dev = max(check.star_dev, _dict_dev(slice_of(involute(lift(f.coeffs))), involute(f).coeffs))
+    star_dev = max(check.star_dev, max_deviation(slice_of(involute(lift(f)).vec), involute(f)))
 
-    # left convolution on the equivariant fiber vs induced representation:
-    # on point masses its matrix entries are the products compared above,
-    # so only a dense element adds to the multiplicative deviation
+    # left convolution on the equivariant fiber vs induced representation.
+    # Column (z, c) of the extension's induced representation at (0, u)
+    # holds lift(f) * e_(z,c), so lift(f) * lift(e_c) / n read at (0, m)
+    # is the zeta^z-weighted average of row (0, m) over z.  On point
+    # masses these entries are the products compared above, so only a
+    # dense element adds to the multiplicative deviation.
     rep_dev = check.multiplicative_dev
     f = random_element(rng, groupoid, target)
-    a = lift(f.coeffs)
+    a = lift(f)
     for u in sorted(groupoid.units, key=str):
-        fiber = groupoid.s_fiber(u)
         ind = induced_rep(u, f)
-        col_index = {m: i for i, m in enumerate(ind.basis)}
-        lmat = np.zeros((len(fiber), len(fiber)), dtype=complex)
-        for col, mb in enumerate(fiber):
-            prod = conv_ext(a, lift({mb: 1.0}))
-            for row, m in enumerate(fiber):
-                lmat[row, col] = prod.coeffs.get((0, m), 0j)
-        perm = [col_index[m] for m in fiber]
-        rep_dev = max(rep_dev, float(np.max(np.abs(lmat - ind.matrix[np.ix_(perm, perm)]))))
+        d = len(ind.basis)
+        rows = induced_rep((0, u), a).matrix.reshape(n, d, n, d)[0]
+        lmat = _mul(rows, roots[:, None]).sum(axis=1) * (1.0 / n)
+        rep_dev = max(rep_dev, float(np.abs(lmat - ind.matrix).max(initial=0.0)))
 
     return EquivariantSuiteReport(
         order=n,

@@ -34,8 +34,19 @@ ACCUMULATED_TOL = calgebra.ACCUMULATED_TOL
 # every input error the library raises (SchemaError, InvalidSpace,
 # CocycleError, GraphError, SizeCapError, JSONDecodeError, ...) is a
 # ValueError; a JSON value of the wrong type read as a number, a label or
-# a container raises TypeError
-INPUT_ERROR_TYPES = (ValueError, TypeError, KeyError, FileNotFoundError)
+# a container raises TypeError; an input path that cannot be read (missing,
+# a directory, no permission) raises OSError
+INPUT_ERROR_TYPES = (ValueError, TypeError, KeyError, OSError)
+
+
+class UsageError(ValueError):
+    """A command line the parser rejects; an input error like any other."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
 def _load(path_or_bundle: str) -> dict:
@@ -462,7 +473,7 @@ def _cmd_suite(args) -> dict:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupoidlab",
         description="Exact finite models of relation groupoids, twisted "
         "convolution algebras, and openness criteria.",
@@ -515,10 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # the subparser action records the command on this namespace before it
+    # parses the command's own flags, so a usage error can still name it
+    args = argparse.Namespace()
     started = time.perf_counter()
     exit_code = 0
     try:
+        build_parser().parse_args(argv, args)
         result = args.handler(args)
         ok = True
     except InternalCheckFailure as err:
@@ -531,7 +545,7 @@ def main(argv=None) -> int:
         exit_code = 1
     report = {
         "schema": "report/1",
-        "command": args.command,
+        "command": getattr(args, "command", None),
         "ok": ok,
         "exit_code": exit_code,
         "result": result,
@@ -539,7 +553,7 @@ def main(argv=None) -> int:
         "elapsed_seconds": round(time.perf_counter() - started, 6),
     }
     text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
-    if args.output:
+    if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text)
     else:

@@ -20,7 +20,7 @@ reported as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import InternalCheckFailure
 from .labels import canonical_label
@@ -368,18 +368,20 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
         )
     stable_from = 0
     stable = labels[stable_from]
-    non_st = set(presentation.block.vertices) - stable
     # quotient walk graph on non-single-threaded block vertices: block
-    # edges and seam edges, one class per block vertex
-    succ: dict = {v: set() for v in non_st}
-    for (eid, r, s) in presentation.block.edges:
-        if r in non_st and s in non_st:
-            succ[r].add(s)
-    for (eid, r, s) in presentation.seam_block:
-        if r in non_st and s in non_st:
-            succ[r].add(s)
-    cycle_vertex = _find_cycle_vertex(succ)
-    if cycle_vertex is None:
+    # edges and seam edges, one class per block vertex, in the
+    # presentation's order so that the witness does not depend on hashing
+    walk = DirectedGraph(
+        [v for v in presentation.block.vertices if v not in stable],
+        [
+            ((tag, e), r, s)
+            for tag, edges in (("b", presentation.block.edges), ("s", presentation.seam_block))
+            for e, r, s in edges
+            if r not in stable and s not in stable
+        ],
+    )
+    cycle = validate_graph(walk).cycle_witness
+    if cycle is None:
         return FellVerdict(
             "FELL",
             vacuous=False,
@@ -387,7 +389,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             note="every infinite path eventually passes through a single-threaded vertex",
             validation=validation,
         )
-    probe = ("b", stable_from, cycle_vertex)
+    probe = ("b", stable_from, walk.range_of[cycle[0]])
     parallel = two_parallel_paths(unrolled, probe)
     if parallel is None:  # pragma: no cover - non-ST vertices have two paths
         raise InternalCheckFailure("non-single-threaded vertex lacks parallel paths")
@@ -400,33 +402,6 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
         note="infinite path avoids single-threaded vertices forever",
         validation=validation,
     )
-
-
-def _find_cycle_vertex(succ: Mapping):
-    color = {v: 0 for v in succ}
-    for start in succ:
-        if color[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        on_stack = {start}
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w in on_stack:
-                    return w
-                if color[w] == 0:
-                    color[w] = 1
-                    on_stack.add(w)
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                on_stack.discard(v)
-                stack.pop()
-    return None
 
 
 def two_thread_ladder() -> PeriodicGraph:

@@ -55,7 +55,7 @@ class FinGroupoid:
     maps on those numbers, ``pair_id[a, b]`` numbers the composable pairs
     in row-major order (-1 elsewhere), and ``pairs`` holds the factors
     and the composite of each numbered pair.  Every all-pairs computation
-    reads this one index.
+    reads this one index; ``fiber_pairs`` restricts it to a source fiber.
     """
 
     def __init__(
@@ -75,6 +75,7 @@ class FinGroupoid:
         self.compose = dict(compose)
         self.inverse = dict(inverse)
         self._props_cache = None
+        self._fibers: dict = {}
         self.verify_axioms()
 
     # -- accessors -------------------------------------------------------
@@ -91,8 +92,17 @@ class FinGroupoid:
     def mul(self, a: Morphism, b: Morphism) -> Morphism:
         return self.compose[(a, b)]
 
-    def s_fiber(self, u: Morphism) -> tuple:
-        return tuple(self.morphisms[i] for i in np.flatnonzero(self.source_idx == self.index[u]))
+    def fiber_pairs(self, u: Morphism) -> tuple:
+        """The source fiber s^{-1}(u) as morphism numbers, and the pairs
+        (b, c) with s(c) = u as pair numbers with the fiber positions of
+        bc and of c; compiled once per unit."""
+        if u not in self._fibers:
+            in_fiber = self.source_idx == self.index[u]
+            pos = np.cumsum(in_fiber) - 1
+            _, pb, pc = self.pairs
+            k = np.flatnonzero(in_fiber[pb])
+            self._fibers[u] = (np.flatnonzero(in_fiber), k, pos[pc[k]], pos[pb[k]])
+        return self._fibers[u]
 
     def unit_space(self) -> FinSpace:
         return self.topology.subspace([m for m in self.morphisms if m in self.units])

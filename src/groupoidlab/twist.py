@@ -239,9 +239,10 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
         (z, a)^{-1}  = (-z - sigma(a, a^{-1}), a^{-1})
 
     The morphism topology is the product of discrete Z_n with the
-    topology of G.  Associativity of the result is equivalent to the
-    cocycle identity and is re-verified rather than assumed, so an
-    invalid sigma fails here with the violating triple.
+    topology of G, and the morphisms run z-major: (0, m) for m in G's
+    order, then (1, m), and so on.  Associativity of the result is
+    equivalent to the cocycle identity and is re-verified rather than
+    assumed, so an invalid sigma fails here with the violating triple.
     """
     if sigma.groupoid is not groupoid:
         raise CocycleError("cocycle is not defined on this groupoid")

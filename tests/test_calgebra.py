@@ -102,6 +102,98 @@ def test_mismatched_algebras_rejected():
         ca.convolve(a, b)
 
 
+# -- differential test against the dict-loop reference ------------------------------
+
+
+def reference_convolve(f, g):
+    """The coefficient-by-coefficient sum over factorizations a = b c."""
+    grp, sigma = f.groupoid, f.sigma
+    out, by_range = {}, {}
+    for c, gc in g.coeffs.items():
+        by_range.setdefault(grp.r(c), []).append((c, gc))
+    for b, fb in f.coeffs.items():
+        for c, gc in by_range.get(grp.s(b), ()):
+            a = grp.mul(b, c)
+            out[a] = out.get(a, 0j) + fb * gc * ca.zeta(sigma.n, sigma.value(b, c))
+    return out
+
+
+def reference_involute(f):
+    grp, sigma = f.groupoid, f.sigma
+    return {
+        grp.inv(b): (v * ca.zeta(sigma.n, sigma.value(grp.inv(b), b))).conjugate()
+        for b, v in f.coeffs.items()
+    }
+
+
+def reference_induced_rep(u, f):
+    grp, sigma, coeffs = f.groupoid, f.sigma, f.coeffs
+    basis = tuple(m for m in grp.morphisms if grp.s(m) == u)
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for col, acol in enumerate(basis):
+        for row, a in enumerate(basis):
+            b = grp.mul(a, grp.inv(acol))
+            if b in coeffs:
+                mat[row, col] = coeffs[b] * ca.zeta(sigma.n, sigma.value(b, acol))
+    return basis, mat
+
+
+def klein_group_cocycle():
+    """Z2 x Z2 as a one-unit groupoid with sigma(a, b) = a_1 b_2 mod 2,
+    whose class is nontrivial."""
+    elements = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    grp = gp.FinGroupoid(
+        fs.discrete(elements),
+        units=[(0, 0)],
+        range_map={a: (0, 0) for a in elements},
+        source_map={a: (0, 0) for a in elements},
+        compose={(a, b): (a[0] ^ b[0], a[1] ^ b[1]) for a in elements for b in elements},
+        inverse={a: a for a in elements},
+    )
+    return tw.TwoCocycle(grp, 2, {(a, b): a[0] * b[1] for a in elements for b in elements})
+
+
+def differential_cases():
+    rng = random.Random(12)
+    rel, twisted = random_relation(rng, 5, 6)
+    while not any(twisted.table.values()):
+        rel, twisted = random_relation(rng, 5, 6)
+    pair = pair_groupoid((1, 2))
+    ext = tw.extension_groupoid(pair, tw.coboundary_twist(tw.OneCochain(pair, 3, {(1, 2): 1, (2, 1): 2})))
+    ext_sigma = tw.coboundary_twist(
+        tw.OneCochain(ext, 5, {m: rng.randrange(5) for m in ext.morphisms if m not in ext.units})
+    )
+    data = tetrahedron_cover(n=3, value=1)
+    matrices = ca.matrix_unit_groupoid({0: (1, 2, 3), 1: (1, 2)}, 3, data.value)
+    return rng, [twisted, klein_group_cocycle(), ext_sigma, matrices]
+
+
+def test_vector_ops_match_the_dict_loop_reference():
+    rng, cases = differential_cases()
+    klein = cases[1]
+    assert not gp.groupoid_properties(klein.groupoid).principal
+    assert tw.verify_two_cocycle(klein).valid
+    assert tw.are_cohomologous(klein, tw.TwoCocycle.trivial(klein.groupoid, 2)) is None
+    assert any(cases[3].table.values())
+
+    def dev(x, y):
+        return max((abs(x.get(k, 0j) - y.get(k, 0j)) for k in set(x) | set(y)), default=0.0)
+
+    for sigma in cases:
+        g = sigma.groupoid
+        assert tw.verify_two_cocycle(sigma).valid
+        f, h, k = (ca.random_element(rng, g, sigma) for _ in range(3))
+        fh = ca.convolve(f, h)
+        for x, y in ((f, h), (h, f), (fh, k), (k, fh)):
+            assert dev(ca.convolve(x, y).coeffs, reference_convolve(x, y)) <= 1e-15
+        for x in (f, fh):
+            assert ca.involute(x).coeffs == reference_involute(x)
+            for u in g.units:
+                basis, mat = reference_induced_rep(u, x)
+                rep = ca.induced_rep(u, x)
+                assert rep.basis == basis and np.array_equal(rep.matrix, mat)
+
+
 # -- induced representations -------------------------------------------------------
 
 

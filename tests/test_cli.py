@@ -1,8 +1,11 @@
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+
+import pytest
 
 from groupoidlab import bundled
 from groupoidlab import finspace as fs
@@ -41,6 +44,69 @@ def test_graph_fell_unroll_bound_out_of_range(capsys):
         )
         assert code == 1 and report["schema"] == "report/1" and report["exit_code"] == 1
         assert report["result"]["error"].startswith("GraphError")
+
+
+def test_usage_errors_are_input_errors_with_a_report(capsys):
+    cases = (
+        (["graph-fell", "bundled:two-thread-ladder", "--unroll-bound", "x"], "graph-fell"),
+        (["model-doubled", "--levels", "2", "--sheets", "x"], "model-doubled"),
+        (["graph-fell", "bundled:two-thread-ladder", "--bogus"], "graph-fell"),
+        (["no-such-command"], None),
+        ([], None),
+    )
+    for argv, command in cases:
+        code, report = run_cli(capsys, *argv)
+        assert code == 1 and report["schema"] == "report/1" and report["exit_code"] == 1
+        assert report["command"] == command and not report["ok"]
+        assert report["result"]["error"].startswith("UsageError")
+    with pytest.raises(SystemExit) as exc:
+        main(["graph-fell", "--help"])
+    assert exc.value.code == 0
+
+
+def test_unreadable_input_path_is_an_input_error(capsys, tmp_path):
+    code, report = run_cli(capsys, "space-check", str(tmp_path))
+    assert code == 1 and report["exit_code"] == 1 and report["command"] == "space-check"
+    assert report["result"]["error"].startswith("IsADirectoryError")
+
+
+def ladder_document(rungs):
+    """``rungs`` two-thread ladders chained inside one periodic block."""
+    vertices, edges = [], []
+    for i in range(rungs):
+        vertices += [f"v{i}", f"t{i}", f"c{i}"]
+        edges += [(f"f1_{i}", f"v{i}", f"t{i}"), (f"f2_{i}", f"v{i}", f"t{i}"), (f"g{i}", f"t{i}", f"c{i}")]
+        if i + 1 < rungs:
+            edges.append((f"h{i}", f"v{i}", f"v{i + 1}"))
+    rows = [{"id": e, "range": r, "source": s} for e, r, s in edges]
+    return {
+        "schema": "periodic_graph/1",
+        "block": {"schema": "digraph/1", "vertices": vertices, "edges": rows},
+        "prefix": {"schema": "digraph/1", "vertices": [], "edges": []},
+        "seam_prefix": [],
+        "seam_block": [{"id": "chain", "range": f"v{rungs - 1}", "source": "v0"}],
+    }
+
+
+def test_graph_fell_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # the witness once followed set iteration order: (b,0,v2) under hash
+    # seed 0 and (b,0,v1) under hash seed 1
+    path = write(tmp_path, "ladder.json", ladder_document(4))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sz.__file__)))
+    reports = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupoidlab.cli", "graph-fell", path, "--unroll-bound", "3"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["result"]["verdict"]["verdict"] == "NOT_FELL"
+        report.pop("elapsed_seconds")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_cocycle_verify_bundled(capsys):

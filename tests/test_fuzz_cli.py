@@ -17,7 +17,7 @@ from groupoidlab.cli import main
 
 ODD_VALUES = (None, True, False, 0, -1, 1.5, 2**63, 2**100 + 277, "", "x", [], [1, "a"], {}, {"k": [0]})
 ODD_ORDERS = (0, -1, -7, 1, 2, 2**40 + 15, 2**63 - 25, 2**63, 2**100 + 277)
-ODD_FLAGS = (-5, -1, 0, 1, 3, 1000, 1001, 2**40) + ODD_ORDERS
+ODD_FLAGS = (-5, -1, 0, 1, 3, 1000, 1001, 2**40, "x", "1.5", "") + ODD_ORDERS
 
 # each command on the bundled document it reads
 TARGETS = (
