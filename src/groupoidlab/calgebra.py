@@ -381,12 +381,21 @@ class BlockDecomposition:
         self.sigma = sigma
         self.orbits = tuple(tuple(u[0] for u in orbit) for orbit in relation.orbits())
         self.dims = tuple(len(o) for o in self.orbits)
-        self.witness = are_cohomologous(sigma, TwoCocycle.trivial(relation, sigma.n))
-        self.untwisted = self.witness is not None
+
+    @cached_property
+    def witness(self):
+        return are_cohomologous(self.sigma, TwoCocycle.trivial(self.relation, self.sigma.n))
+
+    @cached_property
+    def untwisted(self) -> bool:
+        return self.witness is not None
+
+    @cached_property
+    def image(self) -> dict:
         # sigma = d(witness), so rescaling by zeta^{+witness} carries the
         # twisted product to the matrix product
-        self.image = {
-            (y, z): ((y, z, k), zeta(sigma.n, self.witness((y, z))) if self.untwisted else 1.0)
+        return {
+            (y, z): ((y, z, k), zeta(self.sigma.n, self.witness((y, z))) if self.untwisted else 1.0)
             for k, orbit in enumerate(self.orbits)
             for y in orbit
             for z in orbit

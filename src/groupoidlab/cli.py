@@ -12,6 +12,7 @@ GROUPOIDLAB_SEED.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -531,33 +532,32 @@ def main(argv=None) -> int:
     args = argparse.Namespace()
     started = time.perf_counter()
     exit_code = 0
-    try:
-        build_parser().parse_args(argv, args)
-        result = args.handler(args)
-        ok = True
-    except InternalCheckFailure as err:
-        result = err.args[1] if len(err.args) > 1 else {"error": str(err)}
-        ok = False
-        exit_code = 2
-    except INPUT_ERROR_TYPES as err:
-        result = {"error": f"{type(err).__name__}: {err}"}
-        ok = False
-        exit_code = 1
-    report = {
-        "schema": "report/1",
-        "command": getattr(args, "command", None),
-        "ok": ok,
-        "exit_code": exit_code,
-        "result": result,
-        "tolerances": {"structural": STRUCTURAL_TOL, "accumulated": ACCUMULATED_TOL},
-        "elapsed_seconds": round(time.perf_counter() - started, 6),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with contextlib.ExitStack() as stack:
+        out = sys.stdout
+        try:
+            build_parser().parse_args(argv, args)
+            if args.output:
+                out = stack.enter_context(open(args.output, "w"))
+            result = args.handler(args)
+            ok = True
+        except InternalCheckFailure as err:
+            result = err.args[1] if len(err.args) > 1 else {"error": str(err)}
+            ok = False
+            exit_code = 2
+        except INPUT_ERROR_TYPES as err:
+            result = {"error": f"{type(err).__name__}: {err}"}
+            ok = False
+            exit_code = 1
+        report = {
+            "schema": "report/1",
+            "command": getattr(args, "command", None),
+            "ok": ok,
+            "exit_code": exit_code,
+            "result": result,
+            "tolerances": {"structural": STRUCTURAL_TOL, "accumulated": ACCUMULATED_TOL},
+            "elapsed_seconds": round(time.perf_counter() - started, 6),
+        }
+        out.write(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
     return exit_code
 
 

@@ -7,15 +7,23 @@ here are computed directly from that encoding, so facts such as
 "finite Hausdorff = discrete" come out as verified results rather than
 baked-in assumptions.
 
+Every map predicate reads one pass over the images f(U_x) of the
+minimal opens (``scan_images``).  f is continuous iff f(U_x) lies in
+U_{f(x)} for every x, open iff every f(U_x) is open, and a local
+homeomorphism iff it is continuous, open and injective on every U_x.
+The quotient test compares the codomain with the final topology, whose
+minimal opens one routine computes for ``is_quotient_map`` and
+``quotient_space`` alike.
+
 Points are opaque hashables.  Internally a space keeps one bitmask per
-point, which keeps the predicates cheap on spaces of up to a few dozen
-points.
+point and a map the codomain index of each domain point, which keeps
+the predicates cheap on spaces of up to a few dozen points.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InternalCheckFailure
@@ -225,9 +233,11 @@ def disjoint_union(parts: Sequence[FinSpace]) -> FinSpace:
 
 
 class SpaceMap:
-    """A set map between finite spaces; no continuity is assumed."""
+    """A set map between finite spaces; no continuity is assumed.
 
-    __slots__ = ("dom", "cod", "assignment")
+    ``targets`` lists the codomain index of each domain point."""
+
+    __slots__ = ("dom", "cod", "assignment", "targets")
 
     def __init__(self, dom: FinSpace, cod: FinSpace, assignment: Mapping[Point, Point]):
         self.dom = dom
@@ -240,6 +250,7 @@ class SpaceMap:
         for extra in set(assignment) - set(dom.points):
             raise InvalidMap(f"assignment defined on unknown point {extra!r}")
         self.assignment = {p: assignment[p] for p in dom.points}
+        self.targets = [cod._index[assignment[p]] for p in dom.points]
 
     def __call__(self, p: Point) -> Point:
         return self.assignment[p]
@@ -256,23 +267,24 @@ class SpaceMap:
         return f"SpaceMap({self.assignment!r})"
 
     def image_bits(self, mask: int) -> int:
-        out = 0
-        for i in _iter_bits(mask):
-            out |= 1 << self.cod.index(self.assignment[self.dom.points[i]])
-        return out
-
-    def image(self, subset: Iterable[Point]) -> frozenset:
-        return self.cod.unbits(self.image_bits(self.dom.bits(subset)))
+        return _image(self.targets, mask)
 
     def preimage_bits(self, mask: int) -> int:
         out = 0
-        for i, p in enumerate(self.dom.points):
-            if (mask >> self.cod.index(self.assignment[p])) & 1:
+        for i, t in enumerate(self.targets):
+            if (mask >> t) & 1:
                 out |= 1 << i
         return out
 
     def is_surjective(self) -> bool:
-        return self.image_bits((1 << len(self.dom)) - 1) == (1 << len(self.cod)) - 1
+        return len(set(self.targets)) == len(self.cod)
+
+
+def _image(targets: Sequence[int], mask: int) -> int:
+    out = 0
+    for i in _iter_bits(mask):
+        out |= 1 << targets[i]
+    return out
 
 
 def identity_map(space: FinSpace) -> SpaceMap:
@@ -288,101 +300,71 @@ class MapProperties:
     local_homeomorphism: bool
 
     def as_dict(self) -> dict:
-        return {
-            "continuous": self.continuous,
-            "open_map": self.open_map,
-            "surjective": self.surjective,
-            "quotient": self.quotient,
-            "local_homeomorphism": self.local_homeomorphism,
-        }
+        return asdict(self)
 
 
-def final_min_open_bits(f: SpaceMap, c: Point) -> int:
-    """Minimal set containing c whose preimage under f is open.
+def scan_images(f: SpaceMap) -> tuple:
+    """One pass over the images f(U_x) of the minimal opens, returning
+    (continuous, open_map, locally_injective, first_not_open): whether
+    every f(U_x) lies in U_{f(x)}, is open, and has as many points as
+    U_x, and the index of the first x whose image is not open, or None.
+    Images commute with unions, so the minimal opens decide the first two."""
+    cod = f.cod
+    targets = f.targets
+    continuous = locally_injective = True
+    first_not_open = None
+    for i, u in enumerate(f.dom._mo):
+        img = _image(targets, u)
+        if img & ~cod._mo[targets[i]]:
+            continuous = False
+        if img.bit_count() != u.bit_count():
+            locally_injective = False
+        if first_not_open is None and not cod.is_open_bits(img):
+            first_not_open = i
+    return continuous, first_not_open is None, locally_injective, first_not_open
 
-    The sets with open preimage form a topology (the final topology), so
-    each point has a minimal such set; it is the least fixed point of
-    V -> V  union  f(U_y) over y in the preimage of V.
-    """
-    dom, cod = f.dom, f.cod
-    mask = 1 << cod.index(c)
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(dom.points):
-            if (mask >> cod.index(f(p))) & 1:
-                img = f.image_bits(dom.min_open_bits(i))
-                if img & ~mask:
-                    mask |= img
-                    changed = True
-    return mask
 
-
-def _local_homeo_at(f: SpaceMap, i: int) -> bool:
-    # If any open V containing x works, then so does the minimal open U_x:
-    # U_x is open inside V, a homeomorphism onto an open image restricts to
-    # one on U_x, and open subsets of open sets are open.  So testing U_x
-    # alone decides the predicate.
-    dom, cod = f.dom, f.cod
-    w = dom.min_open_bits(i)
-    members = list(_iter_bits(w))
-    targets = [cod.index(f(dom.points[j])) for j in members]
-    if len(set(targets)) != len(targets):
-        return False
-    fw = 0
-    for t in targets:
-        fw |= 1 << t
-    if not cod.is_open_bits(fw):
-        return False
-    back = {t: j for j, t in zip(members, targets)}
-    for j, t in zip(members, targets):
-        # continuity of f restricted to W: f(U_y) within U_{f(y)} cap f(W)
-        img = f.image_bits(dom.min_open_bits(j))
-        if img & ~(cod.min_open_bits(t) & fw):
-            return False
-        # continuity of the inverse: preimages of minimal opens of f(W)
-        pre = 0
-        for t2 in _iter_bits(cod.min_open_bits(t) & fw):
-            pre |= 1 << back[t2]
-        if pre & ~dom.min_open_bits(j):
-            return False
-    return True
+def _final_masks(dom: FinSpace, targets: Sequence[int], size: int) -> list[int]:
+    """Minimal opens of the final topology of a map onto ``size`` points.
+    The sets with open preimage form a topology; its minimal open at c is
+    the least set containing c that contains f(U_y) whenever it has f(y)."""
+    reach = [1 << k for k in range(size)]
+    for i, u in enumerate(dom._mo):
+        reach[targets[i]] |= _image(targets, u)
+    masks = []
+    for mask in reach:
+        done = 0
+        while mask != done:
+            new, done = mask & ~done, mask
+            for j in _iter_bits(new):
+                mask |= reach[j]
+        masks.append(mask)
+    return masks
 
 
 def is_quotient_map(f: SpaceMap) -> bool:
     """Surjective, and the codomain topology is the final topology."""
-    return f.is_surjective() and all(
-        final_min_open_bits(f, c) == f.cod.min_open_bits(j)
-        for j, c in enumerate(f.cod.points)
-    )
+    return f.is_surjective() and _final_masks(f.dom, f.targets, len(f.cod)) == list(f.cod._mo)
 
 
 def is_local_homeomorphism(f: SpaceMap) -> bool:
-    return all(_local_homeo_at(f, i) for i in range(len(f.dom.points)))
+    """Continuous, open and injective on every minimal open U_x.
+
+    Each U_x lies in every open V around x, so a homeomorphism of V onto
+    an open set restricts to one of U_x.  Conversely a continuous open
+    bijection of U_x onto the open set f(U_x) is a homeomorphism.
+    """
+    continuous, open_map, locally_injective, _ = scan_images(f)
+    return continuous and open_map and locally_injective
 
 
 def classify_map(f: SpaceMap) -> MapProperties:
     """Decide continuity, openness, surjectivity, the quotient property and
-    local homeomorphy of a map between finite spaces.
-
-    Continuity and openness reduce to the minimal opens: f is continuous
-    iff f(U_x) lies in U_{f(x)} for every x, and open iff every f(U_x) is
-    open (images commute with the unions that build general opens).  The
-    quotient property compares the codomain topology with the final
-    topology, via their minimal opens.
-    """
-    dom, cod = f.dom, f.cod
-    continuous = True
-    open_map = True
-    for i, p in enumerate(dom.points):
-        img = f.image_bits(dom.min_open_bits(i))
-        if img & ~cod.min_open_bits(cod.index(f(p))):
-            continuous = False
-        if not cod.is_open_bits(img):
-            open_map = False
-    return MapProperties(
-        continuous, open_map, f.is_surjective(), is_quotient_map(f), is_local_homeomorphism(f)
-    )
+    local homeomorphy of a map between finite spaces, all from one pass
+    over the images of the minimal opens and the final topology."""
+    continuous, open_map, locally_injective, _ = scan_images(f)
+    local_homeomorphism = continuous and open_map and locally_injective
+    return MapProperties(continuous, open_map, f.is_surjective(), is_quotient_map(f), local_homeomorphism)
 
 
 @dataclass(frozen=True)
@@ -393,12 +375,7 @@ class SpaceProperties:
     discrete: bool
 
     def as_dict(self) -> dict:
-        return {
-            "hausdorff": self.hausdorff,
-            "locally_hausdorff": self.locally_hausdorff,
-            "t1": self.t1,
-            "discrete": self.discrete,
-        }
+        return asdict(self)
 
 
 def space_properties(space: FinSpace) -> SpaceProperties:
@@ -425,8 +402,10 @@ def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
     """Quotient of a finite space by a partition, with the final topology.
 
     Returns (X, psi) where X has the partition blocks (as frozensets) for
-    points and psi is the projection; psi is a quotient map by
-    construction and this is re-verified before returning.
+    points and psi is the projection.  X's minimal opens come from the
+    same final-topology routine that ``is_quotient_map`` uses, so psi is
+    a quotient map by construction; the tests check that against the
+    open-set lattice.
     """
     blocks = [frozenset(b) for b in partition]
     seen: set = set()
@@ -443,32 +422,12 @@ def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
         raise InvalidSpace("partition does not cover the space")
     blocks.sort(key=lambda b: min(space.index(p) for p in b))
     block_of = {p: b for b in blocks for p in b}
-
-    # minimal final-open of each block: close under "saturate the image of
-    # every minimal open meeting the set", precomputed per block
     block_idx = {b: k for k, b in enumerate(blocks)}
-    reach = [0] * len(blocks)
-    for i, p in enumerate(space.points):
-        img = 0
-        for j in _iter_bits(space.min_open_bits(i)):
-            img |= 1 << block_idx[block_of[space.points[j]]]
-        reach[block_idx[block_of[p]]] |= img
-    mo: dict = {}
-    for k, b in enumerate(blocks):
-        mask = 1 << k
-        while True:
-            grown = mask
-            for j in _iter_bits(mask):
-                grown |= reach[j]
-            if grown == mask:
-                break
-            mask = grown
-        mo[b] = {blocks[j] for j in _iter_bits(mask)}
-    quotient = FinSpace(blocks, mo)
-    psi = SpaceMap(space, quotient, block_of)
-    if not is_quotient_map(psi):
-        raise InternalCheckFailure("canonical projection not a quotient map")
-    return quotient, psi
+    masks = _final_masks(space, [block_idx[block_of[p]] for p in space.points], len(blocks))
+    quotient = FinSpace(blocks, {
+        b: [blocks[j] for j in _iter_bits(mask)] for b, mask in zip(blocks, masks)
+    })
+    return quotient, SpaceMap(space, quotient, block_of)
 
 
 def hausdorff_cover_resolution(space: FinSpace, cover: Sequence[Iterable[Point]]):

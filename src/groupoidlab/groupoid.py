@@ -25,8 +25,10 @@ from .finspace import (
     MapProperties,
     SpaceMap,
     classify_map,
+    discrete,
     is_local_homeomorphism,
     quotient_space,
+    scan_images,
 )
 from .errors import InternalCheckFailure
 from .labels import canonical_label
@@ -76,6 +78,7 @@ class FinGroupoid:
         self.inverse = dict(inverse)
         self._props_cache = None
         self._fibers: dict = {}
+        self._orbits = None
         self.verify_axioms()
 
     # -- accessors -------------------------------------------------------
@@ -107,16 +110,21 @@ class FinGroupoid:
     def unit_space(self) -> FinSpace:
         return self.topology.subspace([m for m in self.morphisms if m in self.units])
 
-    def orbits(self) -> list[tuple]:
+    def orbits(self) -> tuple:
         """Orbits of the unit space: u ~ v when some morphism joins them.
-        The orbit of u is {r(m) : s(m) = u}; its first unit labels it."""
-        first = np.full(len(self.morphisms), len(self.morphisms))
-        np.minimum.at(first, self.source_idx, self.range_idx)
-        groups: dict = {}
-        for u in self.morphisms:
-            if u in self.units:
-                groups.setdefault(first[self.index[u]], []).append(u)
-        return [tuple(g) for g in groups.values()]
+        The orbit of u is {r(m) : s(m) = u}; its first unit labels it.
+        The units are the morphisms that are their own range.  Computed
+        once."""
+        if self._orbits is None:
+            n = len(self.morphisms)
+            first = np.full(n, n)
+            np.minimum.at(first, self.source_idx, self.range_idx)
+            units = np.flatnonzero(self.range_idx == np.arange(n))
+            groups: dict = {}
+            for u, label in zip(units.tolist(), first[units].tolist()):
+                groups.setdefault(label, []).append(self.morphisms[u])
+            self._orbits = tuple(tuple(g) for g in groups.values())
+        return self._orbits
 
     def composable_pairs(self) -> list[tuple]:
         pa, pb, _ = self.pairs
@@ -270,16 +278,9 @@ class RelationGroupoid(FinGroupoid):
                 compose[((x, y), b)] = (x, b[1])
         super().__init__(topology, units, range_map, source_map, compose, inverse)
 
-    def with_topology(self, topology: FinSpace) -> "RelationGroupoid":
-        """Same algebraic groupoid with a different morphism topology."""
-        if set(topology.points) != set(self.morphisms):
-            raise ValueError("topology must be on the same morphism set")
-        return RelationGroupoid(self.base, self.psi, topology)
-
     def with_discrete_topology(self) -> "RelationGroupoid":
-        return self.with_topology(
-            FinSpace(self.morphisms, {m: {m} for m in self.morphisms})
-        )
+        """Same algebraic groupoid with the discrete morphism topology."""
+        return RelationGroupoid(self.base, self.psi, discrete(self.morphisms))
 
 
 def _pair_topology(space: FinSpace, classes: Iterable[Iterable[Morphism]]) -> FinSpace:
@@ -396,14 +397,7 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
     if not props.principal:
         raise NonPrincipalError("fell_check requires a principal groupoid")
     base, label = _orbit_base(groupoid)
-    orbit_of = {}
-    for k, orbit in enumerate(groupoid.orbits()):
-        for u in orbit:
-            orbit_of[label[u]] = k
-    classes: dict = {}
-    for y in base.points:
-        classes.setdefault(orbit_of[y], []).append(y)
-    rq_topology = _pair_topology(base, classes.values())
+    rq_topology = _pair_topology(base, ([label[u] for u in orbit] for orbit in groupoid.orbits()))
     assignment = {
         m: (label[groupoid.range_map[m]], label[groupoid.source_map[m]])
         for m in groupoid.morphisms
@@ -411,19 +405,8 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
     bijective = len(set(assignment.values())) == len(groupoid.morphisms) and len(
         groupoid.morphisms
     ) == len(rq_topology.points)
-    rxs = SpaceMap(groupoid.topology, rq_topology, assignment)
-    continuous = True
-    open_map = True
-    witness = None
-    for i, m in enumerate(groupoid.morphisms):
-        mo_bits = groupoid.topology.min_open_bits(i)
-        img = rxs.image_bits(mo_bits)
-        if img & ~rq_topology.min_open_bits(rq_topology.index(assignment[m])):
-            continuous = False
-        if not rq_topology.is_open_bits(img):
-            open_map = False
-            if witness is None:
-                witness = groupoid.topology.unbits(mo_bits)
+    continuous, open_map, _, first = scan_images(SpaceMap(groupoid.topology, rq_topology, assignment))
+    witness = None if first is None else groupoid.topology.unbits(groupoid.topology.min_open_bits(first))
     return FellCheck(
         is_fell_model=bijective and continuous and open_map,
         r_times_s_open=open_map,

@@ -461,6 +461,26 @@ def test_block_decompose_without_witness_flags_twisted(monkeypatch):
     assert not dec.untwisted
 
 
+def test_block_dims_do_not_solve_for_a_witness(monkeypatch):
+    rel = pair_groupoid((1, 2, 3))
+    sigma = tw.TwoCocycle.trivial(rel, 3)
+
+    def refuse(*_):
+        raise AssertionError("dims must not need a cohomology witness")
+
+    monkeypatch.setattr(ca, "are_cohomologous", refuse)
+    assert ca.block_decompose(rel, sigma).dims == (3,)
+
+
+def test_orbits_computed_once_per_groupoid():
+    rng = random.Random(5)
+    rel, sigma = random_relation(rng, 7, 4)
+    orbits = rel.orbits()
+    assert isinstance(orbits, tuple) and sorted(u for o in orbits for u in o) == sorted(rel.units)
+    ca.reduced_norm(ca.random_element(rng, rel, sigma))
+    assert rel.orbits() is orbits
+
+
 # -- doubled-sheet model --------------------------------------------------------------------
 
 

@@ -281,6 +281,15 @@ def test_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_unopenable_output_reports_on_stdout(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, report = run_cli(capsys, "--output", str(target), "cocycle-verify", "bundled:trivial-cocycle")
+    assert code == 1 and report["exit_code"] == 1 and not report["ok"]
+    assert report["schema"] == "report/1" and report["command"] == "cocycle-verify"
+    assert report["result"]["error"].startswith("FileNotFoundError")
+    assert not target.parent.exists()
+
+
 def test_console_entry_point_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "groupoidlab.cli", "graph-fell", "bundled:two-thread-ladder"],

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from groupoidlab import finspace as fs
@@ -7,19 +9,28 @@ from groupoidlab.corpus import all_partitions, all_topologies, random_space
 # -- brute-force oracles, written against raw definitions -----------------
 
 
+def image(f: fs.SpaceMap, mask: int) -> int:
+    return f.cod.bits(f(p) for p in f.dom.unbits(mask))
+
+
+def preimage(f: fs.SpaceMap, mask: int) -> int:
+    return f.dom.bits(p for p in f.dom.points if f(p) in f.cod.unbits(mask))
+
+
 def oracle_classify(f: fs.SpaceMap):
     """Classify a map by enumerating entire open-set lattices."""
     dom_opens = [f.dom.bits(o) for o in f.dom.open_sets()]
+    dom_open_set = set(dom_opens)
     cod_opens = {f.cod.bits(o) for o in f.cod.open_sets()}
-    continuous = all(f.preimage_bits(v) in set(dom_opens) for v in cod_opens)
-    open_map = all(f.image_bits(u) in cod_opens for u in dom_opens)
-    surjective = f.is_surjective()
+    continuous = all(preimage(f, v) in dom_open_set for v in cod_opens)
+    open_map = all(image(f, u) in cod_opens for u in dom_opens)
+    surjective = set(f.assignment.values()) == set(f.cod.points)
     # final topology: subsets of the codomain with open preimage
     ncod = len(f.cod.points)
     final = {
         v
         for v in range(1 << ncod)
-        if f.preimage_bits(v) in set(dom_opens)
+        if preimage(f, v) in dom_open_set
     }
     quotient = surjective and final == cod_opens
     local_homeo = True
@@ -31,7 +42,7 @@ def oracle_classify(f: fs.SpaceMap):
             pts = [f.dom.points[j] for j in fs._iter_bits(v)]
             if len({f(q) for q in pts}) != len(pts):
                 continue
-            img = f.image_bits(v)
+            img = image(f, v)
             if img not in cod_opens:
                 continue
             sub_dom = f.dom.subspace(pts)
@@ -39,7 +50,7 @@ def oracle_classify(f: fs.SpaceMap):
             fwd = fs.SpaceMap(sub_dom, sub_cod, {q: f(q) for q in pts})
             bwd = fs.SpaceMap(sub_cod, sub_dom, {f(q): q for q in pts})
             cont = lambda g: all(
-                not (g.image_bits(g.dom.min_open_bits(k)) & ~g.cod.min_open_bits(g.cod.index(g(q))))
+                not (image(g, g.dom.min_open_bits(k)) & ~g.cod.min_open_bits(g.cod.index(g(q))))
                 for k, q in enumerate(g.dom.points)
             )
             if cont(fwd) and cont(bwd):
@@ -136,6 +147,21 @@ def test_classify_matches_oracle_on_random_maps():
         assert fs.classify_map(f) == oracle_classify(f)
 
 
+def test_classify_matches_oracle_on_every_small_map():
+    # every map between topologies on 1 to 3 points, except 3 onto 3
+    cases = 0
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        if (n, m) == (3, 3):
+            continue
+        for dom in all_topologies(n):
+            for cod in all_topologies(m):
+                for values in itertools.product(cod.points, repeat=n):
+                    f = fs.SpaceMap(dom, cod, dict(zip(dom.points, values)))
+                    assert fs.classify_map(f) == oracle_classify(f)
+                    cases += 1
+    assert cases == 2165
+
+
 def test_local_homeo_implies_continuous_open_on_random_maps():
     import random
 
@@ -224,11 +250,17 @@ def test_quotient_rejects_bad_partitions():
 
 
 def test_quotient_always_quotient_map_on_corpus():
-    for n in (1, 2, 3):
+    # every quotient of a space on at most 4 points; the final topology
+    # is checked here against the open-set lattice
+    cases = 0
+    for n in (1, 2, 3, 4):
         for s in all_topologies(n):
             for part in all_partitions(s.points):
                 _, psi = fs.quotient_space(s, part)
-                assert fs.classify_map(psi).quotient
+                props = oracle_classify(psi)
+                assert props.quotient and fs.classify_map(psi) == props
+                cases += 1
+    assert cases == 5479
 
 
 # -- hausdorff_cover_resolution ----------------------------------------------
