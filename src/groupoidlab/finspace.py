@@ -46,6 +46,19 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _is_open(mo: Sequence[int], mask: int) -> bool:
+    """Whether ``mask`` contains the minimal open of each of its points.
+    Once U_j is found inside, the points of U_j need no test of their
+    own (their minimal opens lie in U_j), so they are dropped."""
+    todo = mask
+    while todo:
+        u = mo[(todo & -todo).bit_length() - 1]
+        if u & ~mask:
+            return False
+        todo &= ~u
+    return True
+
+
 class FinSpace:
     """A finite topological space.
 
@@ -61,11 +74,42 @@ class FinSpace:
 
     __slots__ = ("points", "_index", "_mo")
 
-    def __init__(self, points: Iterable[Point], min_open: Mapping[Point, Iterable[Point]]):
+    def __init__(
+        self,
+        points: Iterable[Point],
+        min_open: Mapping[Point, Iterable[Point]] | None = None,
+        *,
+        masks: Sequence[int] | None = None,
+    ):
+        """Give the minimal opens either as ``min_open``, point to points,
+        or as ``masks``, one bitmask over the point indices per point;
+        both pass the same coherence check."""
         self.points = tuple(points)
         if len(set(self.points)) != len(self.points):
             raise InvalidSpace("duplicate points")
         self._index = {p: i for i, p in enumerate(self.points)}
+        if masks is None:
+            masks = self._masks_of(min_open)
+        elif len(masks) != len(self.points):
+            raise InvalidSpace("one mask is needed per point")
+        self._mo = mo = tuple(masks)
+        for i, m in enumerate(mo):
+            if not (m >> i) & 1:
+                raise InvalidSpace(f"point {self.points[i]!r} missing from its own minimal open")
+            if m >> len(mo):
+                raise InvalidSpace(f"minimal open of {self.points[i]!r} mentions unknown points")
+            rest = m
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                if mo[j] & ~m:
+                    raise InvalidSpace(
+                        f"minimal opens incoherent: {self.points[j]!r} lies in "
+                        f"U_{self.points[i]!r} but U_{self.points[j]!r} does not"
+                    )
+                rest ^= low
+
+    def _masks_of(self, min_open: Mapping[Point, Iterable[Point]]) -> list[int]:
         masks = []
         for p in self.points:
             if p not in min_open:
@@ -79,16 +123,7 @@ class FinSpace:
             masks.append(m)
         for extra in set(min_open) - set(self.points):
             raise InvalidSpace(f"min_open defined for unknown point {extra!r}")
-        self._mo = tuple(masks)
-        for i, m in enumerate(self._mo):
-            if not (m >> i) & 1:
-                raise InvalidSpace(f"point {self.points[i]!r} missing from its own minimal open")
-            for j in _iter_bits(m):
-                if self._mo[j] & ~m:
-                    raise InvalidSpace(
-                        f"minimal opens incoherent: {self.points[j]!r} lies in "
-                        f"U_{self.points[i]!r} but U_{self.points[j]!r} does not"
-                    )
+        return masks
 
     # -- basic structure ------------------------------------------------
 
@@ -133,7 +168,7 @@ class FinSpace:
     # -- topology -------------------------------------------------------
 
     def is_open_bits(self, mask: int) -> bool:
-        return all(not (self._mo[i] & ~mask) for i in _iter_bits(mask))
+        return _is_open(self._mo, mask)
 
     def is_open(self, subset: Iterable[Point]) -> bool:
         return self.is_open_bits(self.bits(subset))
@@ -282,8 +317,10 @@ class SpaceMap:
 
 def _image(targets: Sequence[int], mask: int) -> int:
     out = 0
-    for i in _iter_bits(mask):
-        out |= 1 << targets[i]
+    while mask:
+        low = mask & -mask
+        out |= 1 << targets[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -309,17 +346,21 @@ def scan_images(f: SpaceMap) -> tuple:
     every f(U_x) lies in U_{f(x)}, is open, and has as many points as
     U_x, and the index of the first x whose image is not open, or None.
     Images commute with unions, so the minimal opens decide the first two."""
-    cod = f.cod
-    targets = f.targets
+    return _scan_masks(f.dom._mo, f.cod._mo, f.targets)
+
+
+def _scan_masks(dom_mo: Sequence[int], cod_mo: Sequence[int], targets: Sequence[int]) -> tuple:
+    """``scan_images`` on bare data: the domain's and the codomain's
+    minimal-open masks, and the codomain index of each domain point."""
     continuous = locally_injective = True
     first_not_open = None
-    for i, u in enumerate(f.dom._mo):
+    for i, u in enumerate(dom_mo):
         img = _image(targets, u)
-        if img & ~cod._mo[targets[i]]:
+        if img & ~cod_mo[targets[i]]:
             continuous = False
         if img.bit_count() != u.bit_count():
             locally_injective = False
-        if first_not_open is None and not cod.is_open_bits(img):
+        if first_not_open is None and not _is_open(cod_mo, img):
             first_not_open = i
     return continuous, first_not_open is None, locally_injective, first_not_open
 

@@ -1,22 +1,30 @@
 """Finite topological groupoids and the equivalence relation of a surjection.
 
-A groupoid is stored as its morphism set together with range, source,
-composition, inverse, and a finite-space topology on the morphisms; the
-unit space always carries the subspace topology.  Construction re-runs
-the axioms (associativity over all composable triples, unit and inverse
-laws), so a bad composition table or a cocycle fault in an extension
-surfaces immediately with a witness, and keeps the integer pair index
-the check compiles for every later all-pairs computation.
+A groupoid is stored as its morphism set with a finite-space topology on
+the morphisms, and as an integer index: arrays for range, source and
+inverse, and a numbering of the composable pairs with their composites.
+The unit space always carries the subspace topology.  ``FinGroupoid``
+compiles the index from dict tables of labels; ``verify_axioms`` then
+checks every axiom (composability, range and source of composites, unit
+and inverse laws, associativity over all composable triples) as array
+code on the index, so a bad composition table or a cocycle fault in an
+extension surfaces immediately with a witness.  Every later all-pairs
+computation reads the same index.
 
 The central construction is the relation groupoid of a surjection
 psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
 and whose topology is the restriction of the product topology on Y x Y.
+As an algebraic groupoid it is the disjoint union of the pair groupoids
+on the fibers of psi, so ``RelationGroupoid`` builds its index straight
+from the fiber sizes, checks it with the same ``verify_axioms``, and
+derives the dict tables only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from functools import cached_property
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,16 +32,18 @@ from .finspace import (
     FinSpace,
     MapProperties,
     SpaceMap,
+    _scan_masks,
     classify_map,
     discrete,
-    is_local_homeomorphism,
     quotient_space,
-    scan_images,
 )
 from .errors import InternalCheckFailure
 from .labels import canonical_label
 
 Morphism = Hashable
+
+# most composable triples in one block of ``FinGroupoid.triple_join``
+TRIPLE_CHUNK = 1 << 16
 
 
 class GroupoidAxiomError(ValueError):
@@ -51,13 +61,14 @@ class NonPrincipalError(ValueError):
 class FinGroupoid:
     """A finite topological groupoid.
 
-    Construction verifies the axioms and keeps the integer index that the
-    check compiles: ``index`` numbers the morphisms in order, the arrays
-    ``range_idx``, ``source_idx`` and ``inverse_idx`` hold the structure
-    maps on those numbers, ``pair_id[a, b]`` numbers the composable pairs
-    in row-major order (-1 elsewhere), and ``pairs`` holds the factors
-    and the composite of each numbered pair.  Every all-pairs computation
-    reads this one index; ``fiber_pairs`` restricts it to a source fiber.
+    Construction compiles the dict tables into the integer index and
+    verifies the axioms on it: ``index`` numbers the morphisms in order,
+    the arrays ``range_idx``, ``source_idx`` and ``inverse_idx`` hold the
+    structure maps on those numbers, ``unit_mask`` marks the units,
+    ``pair_id[a, b]`` numbers the composable pairs in row-major order (-1
+    elsewhere), and ``pairs`` holds the factors and the composite of each
+    numbered pair.  Every all-pairs computation reads this one index;
+    ``fiber_pairs`` restricts it to a source fiber.
     """
 
     def __init__(
@@ -69,17 +80,51 @@ class FinGroupoid:
         compose: Mapping[tuple, Morphism],
         inverse: Mapping[Morphism, Morphism],
     ):
-        self.topology = topology
-        self.morphisms = topology.points
+        self._adopt(topology)
         self.units = frozenset(units)
         self.range_map = dict(range_map)
         self.source_map = dict(source_map)
         self.compose = dict(compose)
         self.inverse = dict(inverse)
+        self._compile()
+        self.verify_axioms()
+
+    def _adopt(self, topology: FinSpace) -> None:
+        self.topology = topology
+        self.morphisms = topology.points
+        self.index = topology._index
         self._props_cache = None
         self._fibers: dict = {}
         self._orbits = None
-        self.verify_axioms()
+
+    def _compile(self) -> None:
+        """Number the labels of the dict tables, raising when a table is
+        not total or names something that is not a morphism."""
+        morphs, index = self.morphisms, self.index
+        n = len(morphs)
+        for m in morphs:
+            for table, name in ((self.range_map, "range"), (self.source_map, "source"), (self.inverse, "inverse")):
+                if m not in table:
+                    raise GroupoidAxiomError(f"{name} undefined on {m!r}", m)
+                if table[m] not in index:
+                    raise GroupoidAxiomError(f"{name}({m!r}) is not a morphism", m)
+        for u in self.units:
+            if u not in index:
+                raise GroupoidAxiomError(f"unit {u!r} is not a morphism", u)
+        comp = np.full((n, n), -1, dtype=np.int64)
+        for (a, b), c in self.compose.items():
+            if a not in index or b not in index or c not in index:
+                raise GroupoidAxiomError(f"composition entry ({a!r},{b!r})->{c!r} off the morphism set")
+            comp[index[a], index[b]] = index[c]
+        self.range_idx = np.array([index[self.range_map[m]] for m in morphs], dtype=np.int64)
+        self.source_idx = np.array([index[self.source_map[m]] for m in morphs], dtype=np.int64)
+        self.inverse_idx = np.array([index[self.inverse[m]] for m in morphs], dtype=np.int64)
+        self.unit_mask = np.zeros(n, dtype=bool)
+        self.unit_mask[[index[u] for u in self.units]] = True
+        pa, pb = np.nonzero(comp >= 0)
+        self.pairs = (pa, pb, comp[pa, pb])
+        self.pair_id = np.full((n, n), -1, dtype=np.int64)
+        self.pair_id[pa, pb] = np.arange(len(pa))
 
     # -- accessors -------------------------------------------------------
 
@@ -131,58 +176,52 @@ class FinGroupoid:
         m = self.morphisms
         return [(m[a], m[b]) for a, b in zip(pa.tolist(), pb.tolist())]
 
-    def triple_join(self) -> tuple[np.ndarray, np.ndarray]:
+    def triple_join(self):
         """The composable triples (a, b, c) in lexicographic index order,
-        as pair numbers: the k-th triple has (a, b) = pair ab[k] and
-        (b, c) = pair bc[k].  Computed on demand and not stored."""
+        as pair numbers, in consecutive blocks of at most ``TRIPLE_CHUNK``:
+        each block is (ab, bc), and its k-th triple has (a, b) = pair ab[k]
+        and (b, c) = pair bc[k].  Computed on demand and not stored."""
         pa, pb, _ = self.pairs
         # pairs are sorted by first factor, so the pairs (b, c) form a run
         start = np.searchsorted(pa, np.arange(len(self.morphisms) + 1))
         counts = (start[1:] - start[:-1])[pb]
-        ab = np.repeat(np.arange(len(pa)), counts)
-        offset = np.arange(len(ab)) - np.repeat(np.cumsum(counts) - counts, counts)
-        return ab, start[pb[ab]] + offset
+        ends = np.cumsum(counts)
+        first = ends - counts  # the number of the first triple through each pair ab
+        total = int(ends[-1]) if len(ends) else 0
+        for lo in range(0, total, TRIPLE_CHUNK):
+            hi = min(lo + TRIPLE_CHUNK, total)
+            a0, a1 = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
+            ab = np.repeat(np.arange(a0, a1 + 1), counts[a0 : a1 + 1])[lo - first[a0] : hi - first[a0]]
+            yield ab, start[pb[ab]] + np.arange(lo, hi) - first[ab]
 
     def composable_triples(self) -> list[tuple]:
         pa, pb, _ = self.pairs
-        ab, bc = self.triple_join()
         m = self.morphisms
         return [
             (m[a], m[b], m[c])
+            for ab, bc in self.triple_join()
             for a, b, c in zip(pa[ab].tolist(), pb[ab].tolist(), pb[bc].tolist())
         ]
 
     # -- validation --------------------------------------------------------
 
     def verify_axioms(self) -> None:
+        """Check the groupoid axioms on the compiled index, raising
+        ``GroupoidAxiomError`` with a witness at the first failure."""
         morphs = self.morphisms
-        mset = set(morphs)
         n = len(morphs)
-        index = {m: i for i, m in enumerate(morphs)}
-        for m in morphs:
-            for table, name in ((self.range_map, "range"), (self.source_map, "source"), (self.inverse, "inverse")):
-                if m not in table:
-                    raise GroupoidAxiomError(f"{name} undefined on {m!r}", m)
-                if table[m] not in mset:
-                    raise GroupoidAxiomError(f"{name}({m!r}) is not a morphism", m)
-        for u in self.units:
-            if u not in mset:
-                raise GroupoidAxiomError(f"unit {u!r} is not a morphism", u)
-            if self.range_map[u] != u or self.source_map[u] != u:
-                raise GroupoidAxiomError(f"unit {u!r} is not its own range and source", u)
-        for m in morphs:
-            if self.range_map[m] not in self.units or self.source_map[m] not in self.units:
-                raise GroupoidAxiomError(f"range or source of {m!r} is not a unit", m)
+        every = np.arange(n)
+        rng, src, inv, is_unit = self.range_idx, self.source_idx, self.inverse_idx, self.unit_mask
+        bad = is_unit & ((rng != every) | (src != every))
+        if bad.any():
+            u = morphs[int(np.argmax(bad))]
+            raise GroupoidAxiomError(f"unit {u!r} is not its own range and source", u)
+        bad = ~(is_unit[rng] & is_unit[src])
+        if bad.any():
+            m = morphs[int(np.argmax(bad))]
+            raise GroupoidAxiomError(f"range or source of {m!r} is not a unit", m)
 
-        # integer composition table; -1 marks undefined
-        comp = np.full((n, n), -1, dtype=np.int64)
-        for (a, b), c in self.compose.items():
-            if a not in mset or b not in mset or c not in mset:
-                raise GroupoidAxiomError(f"composition entry ({a!r},{b!r})->{c!r} off the morphism set")
-            comp[index[a], index[b]] = index[c]
-        src = np.array([index[self.source_map[m]] for m in morphs], dtype=np.int64)
-        rng = np.array([index[self.range_map[m]] for m in morphs], dtype=np.int64)
-        defined = comp >= 0
+        defined = self.pair_id >= 0
         should = src[:, None] == rng[None, :]
         if (defined != should).any():
             a, b = (int(v) for v in np.argwhere(defined != should)[0])
@@ -190,8 +229,7 @@ class FinGroupoid:
                 f"composition defined on ({morphs[a]!r},{morphs[b]!r}) iff sources/ranges mismatch",
                 (morphs[a], morphs[b]),
             )
-        pa, pb = np.nonzero(defined)
-        pc = comp[pa, pb]
+        pa, pb, pc = self.pairs
         if (rng[pc] != rng[pa]).any() or (src[pc] != src[pb]).any():
             bad = int(np.argwhere((rng[pc] != rng[pa]) | (src[pc] != src[pb]))[0, 0])
             raise GroupoidAxiomError(
@@ -200,46 +238,37 @@ class FinGroupoid:
             )
 
         # unit laws: u b = b and a u = a on every composable pair
-        is_unit = np.zeros(n, dtype=bool)
-        is_unit[[index[u] for u in self.units]] = True
         bad = (is_unit[pa] & (pc != pb)) | (is_unit[pb] & (pc != pa))
         if bad.any():
             k = int(np.argmax(bad))
             raise GroupoidAxiomError(f"unit law fails at ({morphs[pa[k]]!r},{morphs[pb[k]]!r})")
 
-        self.index = index
-        self.range_idx, self.source_idx = rng, src
-        self.pairs = (pa, pb, pc)
-        self.pair_id = np.full((n, n), -1, dtype=np.int64)
-        self.pair_id[pa, pb] = np.arange(len(pa))
-
         # associativity over all composable triples; both sides are
         # composable once ranges and sources of composites are right
-        ab, bc = self.triple_join()
-        lhs = pc[self.pair_id[pc[ab], pb[bc]]]
-        rhs = pc[self.pair_id[pa[ab], pc[bc]]]
-        if (lhs != rhs).any():
-            k = int(np.argmax(lhs != rhs))
-            triple = (morphs[pa[ab[k]]], morphs[pb[ab[k]]], morphs[pb[bc[k]]])
-            raise GroupoidAxiomError(f"associativity fails at triple {triple!r}", triple)
+        for ab, bc in self.triple_join():
+            lhs = pc[self.pair_id[pc[ab], pb[bc]]]
+            rhs = pc[self.pair_id[pa[ab], pc[bc]]]
+            if (lhs != rhs).any():
+                k = int(np.argmax(lhs != rhs))
+                triple = (morphs[pa[ab[k]]], morphs[pb[ab[k]]], morphs[pb[bc[k]]])
+                raise GroupoidAxiomError(f"associativity fails at triple {triple!r}", triple)
 
-        # inverse laws
-        inv = np.array([index[self.inverse[m]] for m in morphs], dtype=np.int64)
-        if (inv[inv] != np.arange(n)).any():
-            m = int(np.argwhere(inv[inv] != np.arange(n))[0, 0])
+        # inverse laws; once inv swaps range and source, (m, inv m) and
+        # (inv m, m) are composable
+        if (inv[inv] != every).any():
+            m = int(np.argwhere(inv[inv] != every)[0, 0])
             raise GroupoidAxiomError(f"inverse is not involutive at {morphs[m]!r}", morphs[m])
         if (src[inv] != rng).any() or (rng[inv] != src).any():
             m = int(np.argwhere((src[inv] != rng) | (rng[inv] != src))[0, 0])
             raise GroupoidAxiomError(f"inverse swaps range and source incorrectly at {morphs[m]!r}", morphs[m])
-        left = comp[np.arange(n), inv]
+        left = pc[self.pair_id[every, inv]]
         if (left != rng).any():
             m = int(np.argwhere(left != rng)[0, 0])
             raise GroupoidAxiomError(f"m * inv(m) is not the unit at range({morphs[m]!r})", morphs[m])
-        right = comp[inv, np.arange(n)]
+        right = pc[self.pair_id[inv, every]]
         if (right != src).any():
             m = int(np.argwhere(right != src)[0, 0])
             raise GroupoidAxiomError(f"inv(m) * m is not the unit at source({morphs[m]!r})", morphs[m])
-        self.inverse_idx = inv
 
     # -- representation -----------------------------------------------------
 
@@ -254,46 +283,107 @@ class RelationGroupoid(FinGroupoid):
     """The groupoid of pairs identified by a surjection psi: Y -> X.
 
     Morphisms are pairs (y, z) with psi(y) = psi(z); r(y, z) = (y, y),
-    s(y, z) = (z, z), (x, y)(y, z) = (x, z).  The base space Y and psi
-    are retained so that orbit-space constructions can use the base
-    topology even when a caller deliberately installs a different
-    topology on the morphisms (the mismatch is what the openness test
-    detects).
+    s(y, z) = (z, z), (x, y)(y, z) = (x, z).  ``fibers`` lists the fibers
+    of psi, and the morphisms are numbered fiber by fiber: in a fiber of
+    size k at offset o, the pair of its i-th and j-th points is o + ik + j,
+    so (i, j)(j, l) = (i, l) and the whole index comes from the offsets
+    as array code.  ``verify_axioms`` checks it like any other groupoid.
+    The dict tables ``range_map``, ``source_map``, ``inverse`` and
+    ``compose`` are derived from the index on first use.
+
+    The base space Y and psi are retained so that orbit-space
+    constructions can use the base topology even when a caller
+    deliberately installs a different topology on the morphisms (the
+    mismatch is what the openness test detects).
     """
 
-    def __init__(self, base: FinSpace, psi: SpaceMap, topology: FinSpace):
-        self.base = base
+    def __init__(self, psi: SpaceMap, fibers: Sequence[Sequence], topology: FinSpace):
+        # the topology's points must be the pairs numbered as
+        # ``_pair_topology`` numbers them, as both callers build them
+        if len(topology) != sum(len(f) ** 2 for f in fibers):
+            raise ValueError("the topology's points are not the pairs of the fibers")
+        self._adopt(topology)
+        self.base = psi.dom
         self.psi = psi
-        pairs = topology.points
-        units = [(y, y) for (y, z) in pairs if y == z]
-        range_map = {(y, z): (y, y) for (y, z) in pairs}
-        source_map = {(y, z): (z, z) for (y, z) in pairs}
-        inverse = {(y, z): (z, y) for (y, z) in pairs}
-        by_first: dict = {}
-        for (y, z) in pairs:
-            by_first.setdefault(y, []).append((y, z))
-        compose = {}
-        for (x, y) in pairs:
-            for b in by_first.get(y, ()):
-                compose[((x, y), b)] = (x, b[1])
-        super().__init__(topology, units, range_map, source_map, compose, inverse)
+        self.fibers = fibers
+        size = np.array([len(f) for f in fibers], dtype=np.int64)
+        count = size * size
+        k = np.repeat(size, count)
+        o = np.repeat(np.cumsum(count) - count, count)
+        i, j = np.divmod(np.arange(len(k)) - o, k)
+        row_i, row_j = o + i * k, o + j * k  # the pairs (i, 0) and (j, 0)
+        self.range_idx = row_i + i
+        self.source_idx = row_j + j
+        self.inverse_idx = row_j + i
+        self.unit_mask = i == j
+        # pair (a, b) = ((i, j), (j, l)) for l < k, composite (i, l)
+        pa = np.repeat(np.arange(len(k)), k)
+        l = np.arange(len(pa)) - np.repeat(np.cumsum(k) - k, k)
+        pb = row_j[pa] + l
+        self.pairs = (pa, pb, row_i[pa] + l)
+        self.pair_id = np.full((len(k), len(k)), -1, dtype=np.int64)
+        self.pair_id[pa, pb] = np.arange(len(pa))
+        self.verify_axioms()
+
+    def _table(self, idx: np.ndarray) -> dict:
+        m = self.morphisms
+        return {a: m[b] for a, b in zip(m, idx.tolist())}
+
+    @cached_property
+    def units(self) -> frozenset:
+        return frozenset(self.morphisms[u] for u in np.flatnonzero(self.unit_mask).tolist())
+
+    @cached_property
+    def range_map(self) -> dict:
+        return self._table(self.range_idx)
+
+    @cached_property
+    def source_map(self) -> dict:
+        return self._table(self.source_idx)
+
+    @cached_property
+    def inverse(self) -> dict:
+        return self._table(self.inverse_idx)
+
+    @cached_property
+    def compose(self) -> dict:
+        m = self.morphisms
+        return {(m[a], m[b]): m[c] for a, b, c in zip(*(p.tolist() for p in self.pairs))}
 
     def with_discrete_topology(self) -> "RelationGroupoid":
         """Same algebraic groupoid with the discrete morphism topology."""
-        return RelationGroupoid(self.base, self.psi, discrete(self.morphisms))
+        return RelationGroupoid(self.psi, self.fibers, discrete(self.morphisms))
+
+
+def _union(values: Sequence[int], mask: int) -> int:
+    """The union of ``values[i]`` over the bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= values[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _pair_topology(space: FinSpace, classes: Iterable[Iterable[Morphism]]) -> FinSpace:
-    """The pairs (y, z) of points in a common class with the product
-    topology of ``space`` restricted to them: the minimal open at (y, z)
-    is (U_y x U_z) intersected with the pairs."""
+    """The pairs (y, z) of points in a common class, numbered class by
+    class as in ``RelationGroupoid``, with the product topology of
+    ``space`` restricted to them.
+
+    The minimal open at (y, z) is rows[y] & cols[z], where rows[y] masks
+    the pairs whose first point lies in U_y and cols[z] the pairs whose
+    second point lies in U_z: a pair (a, b) lies in U_y x U_z exactly
+    when a lies in U_y and b in U_z.
+    """
+    index = space._index
     pairs = [(y, z) for cls in classes for y in cls for z in cls]
-    pair_set = set(pairs)
-    min_open = {p: tuple(space.min_open(p)) for p in space.points}
-    return FinSpace(pairs, {
-        (y, z): {(a, b) for a in min_open[y] for b in min_open[z] if (a, b) in pair_set}
-        for (y, z) in pairs
-    })
+    first, second = [0] * len(space), [0] * len(space)
+    for k, (y, z) in enumerate(pairs):
+        first[index[y]] |= 1 << k
+        second[index[z]] |= 1 << k
+    rows = [_union(first, u) for u in space._mo]
+    cols = [_union(second, u) for u in space._mo]
+    return FinSpace(pairs, masks=[rows[index[y]] & cols[index[z]] for y, z in pairs])
 
 
 def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
@@ -302,9 +392,10 @@ def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
     if not psi.is_surjective():
         raise ValueError("psi must be surjective")
     fibers: dict = {}
-    for y in psi.dom.points:
-        fibers.setdefault(psi(y), []).append(y)
-    return RelationGroupoid(psi.dom, psi, _pair_topology(psi.dom, fibers.values()))
+    for y, x in zip(psi.dom.points, psi.targets):
+        fibers.setdefault(x, []).append(y)
+    fibers = list(fibers.values())
+    return RelationGroupoid(psi, fibers, _pair_topology(psi.dom, fibers))
 
 
 def _orbit_base(groupoid: FinGroupoid):
@@ -344,24 +435,27 @@ class GroupoidProperties:
 
 
 def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
-    """Principality and the etale property.
+    """Principality and the etale property, read off the compiled index.
 
-    etale means the range map is a local homeomorphism onto the unit
-    space; the check delegates to the finite-space map classifier.  The
-    literal Cartan condition holds for every finite groupoid, because
-    every subset of a finite space is compact; its meaningful finite
-    surrogate is the r x s openness test of ``fell_check``.
+    principal means (r, s) is injective.  etale means the range map is a
+    local homeomorphism onto the unit space; the scan runs r over the
+    groupoid's own minimal opens against the codomain masks
+    U_u & units, which are the minimal opens of the subspace topology,
+    so the unit space is never built.  The literal Cartan condition
+    holds for every finite groupoid, because every subset of a finite
+    space is compact; its meaningful finite surrogate is the r x s
+    openness test of ``fell_check``.
     """
     if groupoid._props_cache is not None:
         return groupoid._props_cache
-    pairs = {(groupoid.range_map[m], groupoid.source_map[m]) for m in groupoid.morphisms}
-    principal = len(pairs) == len(groupoid.morphisms)
-
-    unit_space = groupoid.unit_space()
-    r_map = SpaceMap(
-        groupoid.topology, unit_space, {m: groupoid.range_map[m] for m in groupoid.morphisms}
+    n = len(groupoid.morphisms)
+    principal = len(set((groupoid.range_idx * n + groupoid.source_idx).tolist())) == n
+    mo = groupoid.topology._mo
+    units = sum(1 << u for u in np.flatnonzero(groupoid.unit_mask).tolist())
+    continuous, open_map, locally_injective, _ = _scan_masks(
+        mo, [u & units for u in mo], groupoid.range_idx.tolist()
     )
-    props = GroupoidProperties(principal, is_local_homeomorphism(r_map))
+    props = GroupoidProperties(principal, continuous and open_map and locally_injective)
     groupoid._props_cache = props
     return props
 
@@ -388,24 +482,27 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
     """Decide whether r x s is a topological isomorphism onto R(q).
 
     R(q) is the relation groupoid of the orbit quotient q, carrying the
-    product topology of the unit space restricted to the relation.  For a
-    principal groupoid r x s is automatically a bijection onto R(q); the
-    content is whether it is continuous and open.  On failure the witness
-    is a minimal open of the groupoid whose image is not open.
+    product topology of the unit space restricted to the relation; it is
+    built in full by ``_pair_topology``, the routine that builds every
+    relation groupoid's topology, and r x s is read off the index in its
+    numbering.  For a principal groupoid r x s is automatically a
+    bijection onto R(q); the content is whether it is continuous and
+    open.  On failure the witness is a minimal open of the groupoid whose
+    image is not open.
     """
     props = groupoid_properties(groupoid)
     if not props.principal:
         raise NonPrincipalError("fell_check requires a principal groupoid")
     base, label = _orbit_base(groupoid)
-    rq_topology = _pair_topology(base, ([label[u] for u in orbit] for orbit in groupoid.orbits()))
-    assignment = {
-        m: (label[groupoid.range_map[m]], label[groupoid.source_map[m]])
-        for m in groupoid.morphisms
-    }
-    bijective = len(set(assignment.values())) == len(groupoid.morphisms) and len(
-        groupoid.morphisms
-    ) == len(rq_topology.points)
-    continuous, open_map, _, first = scan_images(SpaceMap(groupoid.topology, rq_topology, assignment))
+    orbits = groupoid.orbits()
+    rq_topology = _pair_topology(base, ([label[u] for u in orbit] for orbit in orbits))
+    rq, m = rq_topology._index, groupoid.morphisms
+    targets = [
+        rq[(label[m[a]], label[m[b]])]
+        for a, b in zip(groupoid.range_idx.tolist(), groupoid.source_idx.tolist())
+    ]
+    bijective = len(set(targets)) == len(m) == len(rq_topology.points)
+    continuous, open_map, _, first = _scan_masks(groupoid.topology._mo, rq_topology._mo, targets)
     witness = None if first is None else groupoid.topology.unbits(groupoid.topology.min_open_bits(first))
     return FellCheck(
         is_fell_model=bijective and continuous and open_map,
@@ -457,10 +554,7 @@ def orbit_map_check(psi: SpaceMap) -> OrbitMapReport:
         raise ValueError("psi must be surjective")
     relation = build_relation_groupoid(psi)
     space, q = orbit_space(relation)
-    fibers = {}
-    for y in psi.dom.points:
-        fibers.setdefault(psi(y), set()).add(y)
-    h = {x: frozenset(fibers[x]) for x in psi.cod.points}
+    h = {psi(fiber[0]): frozenset(fiber) for fiber in relation.fibers}
     bijective = set(h.values()) == set(space.points) and len(set(h.values())) == len(
         psi.cod.points
     )

@@ -150,15 +150,19 @@ def verify_two_cocycle(sigma: TwoCocycle) -> CocycleReport:
     # the pairs (r(m), m) and (m, s(m)), in that order for each m
     norm = np.stack([g.pair_id[g.range_idx, every], g.pair_id[every, g.source_idx]], axis=1).ravel()
     norm = norm[sigma.on_pairs(norm) != 0]
-    # (a,b), (ab,c), (b,c), (a,bc) on every composable triple (a, b, c)
-    ab, bc = g.triple_join()
-    terms = (ab, g.pair_id[pc[ab], pb[bc]], bc, g.pair_id[pa[ab], pc[bc]])
-    if (sigma.values < 0).any():  # every pair is read: raise at the first missing one
-        sigma.on_pairs(np.stack(terms, axis=1).ravel())
+    # (a,b), (ab,c), (b,c), (a,bc) on every composable triple (a, b, c),
+    # block by block in triple order
     v = sigma.values
-    bad = (v[terms[0]] + v[terms[1]] - v[terms[2]] - v[terms[3]]) % n != 0
+    missing = (v < 0).any()
+    ident_bad = []
+    for ab, bc in g.triple_join():
+        terms = (ab, g.pair_id[pc[ab], pb[bc]], bc, g.pair_id[pa[ab], pc[bc]])
+        if missing:  # every pair is read: raise at the first missing one
+            sigma.on_pairs(np.stack(terms, axis=1).ravel())
+        bad = (v[terms[0]] + v[terms[1]] - v[terms[2]] - v[terms[3]]) % n != 0
+        ident_bad += zip(pa[ab[bad]].tolist(), pb[ab[bad]].tolist(), pb[bc[bad]].tolist())
     norm_bad = tuple((m[a], m[b]) for a, b in zip(pa[norm], pb[norm]))
-    ident_bad = tuple((m[a], m[b], m[c]) for a, b, c in zip(pa[ab[bad]], pb[ab[bad]], pb[bc[bad]]))
+    ident_bad = tuple((m[a], m[b], m[c]) for a, b, c in ident_bad)
     return CocycleReport(not norm_bad and not ident_bad, norm_bad, ident_bad)
 
 

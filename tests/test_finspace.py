@@ -85,6 +85,30 @@ def test_invalid_spaces_rejected():
         fs.FinSpace((0, 1, 2), {0: {0, 1}, 1: {1, 2}, 2: {2}})
 
 
+def test_mask_constructor_matches_and_shares_the_checks():
+    for seed in range(40):
+        s = random_space(seed, 6)
+        masks = [s.min_open_bits(i) for i in range(len(s))]
+        assert fs.FinSpace(s.points, masks=masks) == s
+    bad = (
+        [0b10, 0b10, 0b100],  # 0 outside U_0
+        [0b11, 0b110, 0b100],  # 1 in U_0 but U_1 not inside U_0
+        [0b1, 0b10, 0b1100],  # U_2 names a fourth point
+        [0b1, 0b10, 0b100, 0b1000],  # one mask too many
+    )
+    for masks in bad:
+        with pytest.raises(fs.InvalidSpace):
+            fs.FinSpace((0, 1, 2), masks=masks)
+
+
+def test_is_open_bits_matches_the_open_set_lattice():
+    for seed in range(40):
+        s = random_space(seed, 6)
+        opens = set(s.open_set_bits())
+        for mask in range(1 << len(s)):
+            assert s.is_open_bits(mask) == (mask in opens)
+
+
 def test_open_set_lattice_closed_under_union_and_intersection():
     for seed in range(30):
         s = random_space(seed, 5)

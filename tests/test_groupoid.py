@@ -1,9 +1,13 @@
+import functools
+import random
+
+import numpy as np
 import pytest
 
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
-from groupoidlab.corpus import all_partitions, all_topologies
+from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 
 
 def discrete_3_to_2():
@@ -221,3 +225,145 @@ def test_fell_requires_principal():
     )
     with pytest.raises(gp.NonPrincipalError):
         gp.fell_check(grp)
+
+
+# -- the compiled relation index against reference constructions ----------------
+
+
+@functools.cache
+def quotient_corpus() -> tuple:
+    """Every quotient map of every topology on at most 4 points (5,479),
+    then quotients of seeded random spaces of up to 12 points."""
+    maps = [
+        fs.quotient_space(space, part)[1]
+        for n in range(1, 5)
+        for space in all_topologies(n)
+        for part in all_partitions(space.points)
+    ]
+    rng = random.Random(2012)
+    for _ in range(300):
+        space = random_space(rng.randrange(10**6), 12)
+        maps.append(fs.quotient_space(space, random_partition(rng, space.points))[1])
+    return tuple(maps)
+
+
+@functools.cache
+def product_subspace(space: fs.FinSpace, pairs: tuple) -> fs.FinSpace:
+    """The pairs with the topology of ``product(space, space)``; cached
+    because two tests ask for the same ones."""
+    return fs.product(space, space).subspace(pairs)
+
+
+def reference_relation(psi: fs.SpaceMap, topology: fs.FinSpace) -> gp.FinGroupoid:
+    """R(psi) from dict tables over the morphisms of ``topology``."""
+    pairs = topology.points
+    starting: dict = {}
+    for b in pairs:
+        starting.setdefault(b[0], []).append(b)
+    compose = {(a, b): (a[0], b[1]) for a in pairs for b in starting[a[1]]}
+    return gp.FinGroupoid(
+        topology,
+        [(y, z) for y, z in pairs if y == z],
+        {(y, z): (y, y) for y, z in pairs},
+        {(y, z): (z, z) for y, z in pairs},
+        compose,
+        {(y, z): (z, y) for y, z in pairs},
+    )
+
+
+def reference_properties(g: gp.FinGroupoid) -> gp.GroupoidProperties:
+    """Principal and etale by definition: (r, s) injective, and r a local
+    homeomorphism onto the unit space with its subspace topology."""
+    principal = len({(g.r(m), g.s(m)) for m in g.morphisms}) == len(g.morphisms)
+    r_map = fs.SpaceMap(g.topology, g.unit_space(), {m: g.r(m) for m in g.morphisms})
+    return gp.GroupoidProperties(principal, fs.is_local_homeomorphism(r_map))
+
+
+def test_pair_topology_is_the_product_subspace():
+    for psi in quotient_corpus():
+        relation = gp.build_relation_groupoid(psi)
+        got = relation.topology
+        want = product_subspace(psi.dom, got.points)
+        assert len(got) == len(want) == sum(len(f) ** 2 for f in relation.fibers)
+        assert all(got.min_open(p) == want.min_open(p) for p in got.points)
+
+
+def test_relation_index_matches_the_dict_built_groupoid():
+    for psi in quotient_corpus():
+        relation = gp.build_relation_groupoid(psi)
+        for g in (relation, relation.with_discrete_topology()):
+            ref = reference_relation(psi, g.topology)
+            for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id"):
+                assert np.array_equal(getattr(g, name), getattr(ref, name)), name
+            assert all(np.array_equal(a, b) for a, b in zip(g.pairs, ref.pairs))
+            assert g.units == ref.units
+            assert g.composable_triples() == ref.composable_triples()
+            for name in ("range_map", "source_map", "inverse", "compose"):
+                assert getattr(g, name) == getattr(ref, name), name
+
+
+def test_properties_and_fell_check_match_the_definitions():
+    two = fs.discrete((1, 2))
+    pair = gp.build_relation_groupoid(fs.SpaceMap(two, fs.discrete(("*",)), {1: "*", 2: "*"}))
+    # the pair groupoid on two points whose inverse is not continuous
+    flip = fs.FinSpace(pair.morphisms, {m: {m} for m in pair.morphisms} | {(2, 1): {(2, 1), (1, 2)}})
+    odd = gp.FinGroupoid(flip, pair.units, pair.range_map, pair.source_map, pair.compose, pair.inverse)
+    groupoids = [odd]
+    for psi in quotient_corpus():
+        relation = gp.build_relation_groupoid(psi)
+        groupoids += [relation, relation.with_discrete_topology()]
+    for g in groupoids:
+        props = gp.groupoid_properties(g)
+        assert props == reference_properties(g)
+        # fell_check against R(q) as the product subspace of the unit space
+        base, label = gp._orbit_base(g)
+        classes = [[label[u] for u in orbit] for orbit in g.orbits()]
+        rq = product_subspace(base, tuple((y, z) for c in classes for y in c for z in c))
+        rs = fs.SpaceMap(g.topology, rq, {m: (label[g.r(m)], label[g.s(m)]) for m in g.morphisms})
+        continuous, open_map, _, first = fs.scan_images(rs)
+        res = gp.fell_check(g)
+        assert (res.r_times_s_continuous, res.r_times_s_open) == (continuous, open_map)
+        assert res.bijective and res.is_fell_model == (continuous and open_map)
+        assert res.witness == (None if first is None else g.topology.unbits(g.topology.min_open_bits(first)))
+    assert gp.groupoid_properties(odd) == gp.GroupoidProperties(principal=True, etale=False)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda g: g.range_idx.__setitem__(1, 3),
+    lambda g: g.source_idx.__setitem__(1, 0),
+    lambda g: g.inverse_idx.__setitem__(1, 1),
+    lambda g: g.unit_mask.__setitem__(1, True),
+    lambda g: g.pairs[2].__setitem__(5, g.pairs[2][5] ^ 1),
+    lambda g: g.pair_id.__setitem__((0, 3), 0),
+])
+def test_corrupted_relation_index_is_rejected(corrupt):
+    g = gp.build_relation_groupoid(discrete_3_to_2())
+    g.verify_axioms()
+    corrupt(g)
+    with pytest.raises(gp.GroupoidAxiomError):
+        g.verify_axioms()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunked_triple_join_keeps_the_order(monkeypatch, chunk):
+    y = fs.discrete((1, 2, 3))
+    pair = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("*",)), {p: "*" for p in (1, 2, 3)}))
+    sigma = tw.TwoCocycle.trivial(pair, 3).shift(((1, 2), (2, 3)), 1)
+    cases = [(pair, sigma), (gp.build_relation_groupoid(chain3_to_sierpinski()), None)]
+    two = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("*", "**")), {1: "*", 2: "*", 3: "**"}))
+    carry = tw.TwoCocycle.trivial(two, 3).shift(((1, 2), (2, 1)), 1).shift(((2, 1), (1, 2)), 1)
+    cases.append((tw.extension_groupoid(two, carry), None))
+    whole = [
+        ([np.concatenate(x) for x in zip(*g.triple_join())], g.composable_triples(),
+         None if s is None else tw.verify_two_cocycle(s))
+        for g, s in cases
+    ]
+    monkeypatch.setattr(gp, "TRIPLE_CHUNK", chunk)
+    for (g, s), (joined, triples, report) in zip(cases, whole):
+        blocks = list(g.triple_join())
+        assert all(len(ab) <= chunk for ab, _ in blocks)
+        assert all(np.array_equal(np.concatenate(x), y) for x, y in zip(zip(*blocks), joined))
+        assert g.composable_triples() == triples
+        g.verify_axioms()
+        if s is not None:
+            assert tw.verify_two_cocycle(s) == report and not report.valid
