@@ -59,6 +59,7 @@ from .groupoid import (
     RelationGroupoid,
     build_relation_groupoid,
     groupoid_properties,
+    pair_groupoid_index,
 )
 from .twist import (
     CechData,
@@ -329,23 +330,16 @@ def matrix_unit_groupoid(blocks: Mapping, n: int = 1, lam: Callable | None = Non
     groupoid on keys (i, j, label) for i, j in the index tuple
     ``blocks[label]``, with (i,j,l)(j,k,l) = (i,k,l) and the cocycle
     -lam(i, j, k) mod n (zero without ``lam``), so that
-    e_ij e_jk = zeta^{-lam(i,j,k)} e_ik and e_ij* = e_ji.  Returns the
-    cocycle, which carries the groupoid."""
+    e_ij e_jk = zeta^{-lam(i,j,k)} e_ik and e_ij* = e_ji.  The keys run
+    label by label, row-major within a block, which is the numbering of
+    ``pair_groupoid_index``, so the index comes from the block sizes.
+    Returns the cocycle, which carries the groupoid."""
     keys = [(i, j, label) for label, idx in blocks.items() for i in idx for j in idx]
-    compose = {
-        ((i, j, label), (j, k, label)): (i, k, label)
-        for label, idx in blocks.items() for i in idx for j in idx for k in idx
-    }
-    table = {pair: -lam(pair[0][0], pair[0][1], pair[1][1]) if lam else 0 for pair in compose}
-    groupoid = FinGroupoid(
-        discrete(keys),
-        [(i, i, label) for (i, j, label) in keys if i == j],
-        {(i, j, label): (i, i, label) for (i, j, label) in keys},
-        {(i, j, label): (j, j, label) for (i, j, label) in keys},
-        compose,
-        {(i, j, label): (j, i, label) for (i, j, label) in keys},
-    )
-    return TwoCocycle(groupoid, n, table)
+    index = pair_groupoid_index([len(idx) for idx in blocks.values()])
+    groupoid = FinGroupoid.from_index(discrete(keys), *index)
+    if lam is None:
+        return TwoCocycle.trivial(groupoid, n)
+    return TwoCocycle(groupoid, n, {(a, b): -lam(a[0], a[1], b[1]) for a, b in groupoid.composable_pairs()})
 
 
 # -- block decomposition --------------------------------------------------------
@@ -562,8 +556,9 @@ class CoverAlgebra:
     This is the twisted algebra of the cover's incidence groupoid, the
     ``matrix_unit_groupoid`` with one block I_s per base point s and
     cocycle -lambda; pi_{i,s} is its induced representation at the unit
-    (i, i, s).  Its methods take and return sparse dicts over the keys
-    (i, j, s).
+    (i, i, s).  ``element`` reads a sparse dict over the keys (i, j, s)
+    as an element of that algebra, for ``convolve``, ``involute``,
+    ``induced_rep`` and ``reduced_norm``.
     """
 
     def __init__(self, base_points, cover: Mapping[int, frozenset], n: int, lam: Callable[[int, int, int], int]):
@@ -579,26 +574,8 @@ class CoverAlgebra:
     def spanning_keys(self) -> list[tuple]:
         return list(self.groupoid.morphisms)
 
-    def basis_element(self, key) -> dict:
-        i, j, s = key
-        if s not in self.cover[i] or s not in self.cover[j]:
-            raise ValueError("support outside the overlap")
-        return {key: 1.0 + 0j}
-
     def element(self, f: Mapping) -> AlgebraElement:
         return AlgebraElement(self.groupoid, self.sigma, f)
-
-    def multiply(self, f: Mapping, g: Mapping) -> dict:
-        return convolve(self.element(f), self.element(g)).coeffs
-
-    def star(self, f: Mapping) -> dict:
-        return involute(self.element(f)).coeffs
-
-    def pi(self, i: int, s, f: Mapping) -> np.ndarray:
-        return induced_rep((i, i, s), self.element(f)).matrix
-
-    def norm(self, f: Mapping) -> float:
-        return reduced_norm(self.element(f))
 
     def verify(self, rng: random.Random | None = None) -> "CoverAlgebraCheck":
         """The axiom battery on random elements, and the exact cocycle

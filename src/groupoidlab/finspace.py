@@ -465,9 +465,7 @@ def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
     block_of = {p: b for b in blocks for p in b}
     block_idx = {b: k for k, b in enumerate(blocks)}
     masks = _final_masks(space, [block_idx[block_of[p]] for p in space.points], len(blocks))
-    quotient = FinSpace(blocks, {
-        b: [blocks[j] for j in _iter_bits(mask)] for b, mask in zip(blocks, masks)
-    })
+    quotient = FinSpace(blocks, masks=masks)
     return quotient, SpaceMap(space, quotient, block_of)
 
 

@@ -3,21 +3,21 @@
 A groupoid is stored as its morphism set with a finite-space topology on
 the morphisms, and as an integer index: arrays for range, source and
 inverse, and a numbering of the composable pairs with their composites.
-The unit space always carries the subspace topology.  ``FinGroupoid``
-compiles the index from dict tables of labels; ``verify_axioms`` then
-checks every axiom (composability, range and source of composites, unit
-and inverse laws, associativity over all composable triples) as array
-code on the index, so a bad composition table or a cocycle fault in an
-extension surfaces immediately with a witness.  Every later all-pairs
+The unit space always carries the subspace topology.  One install step
+sets every groupoid's index and runs ``verify_axioms``, which checks
+every axiom (composability, range and source of composites, unit and
+inverse laws, associativity over all composable triples) as array code,
+so a bad composition table or a cocycle fault in an extension surfaces
+immediately with a witness.  Builders install arrays; only the label
+tables of ``fingroupoid/1`` are numbered first.  Every later all-pairs
 computation reads the same index.
 
 The central construction is the relation groupoid of a surjection
 psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
 and whose topology is the restriction of the product topology on Y x Y.
 As an algebraic groupoid it is the disjoint union of the pair groupoids
-on the fibers of psi, so ``RelationGroupoid`` builds its index straight
-from the fiber sizes, checks it with the same ``verify_axioms``, and
-derives the dict tables only when a caller asks for them.
+on the fibers of psi, so ``RelationGroupoid`` installs the index
+``pair_groupoid_index`` computes from the fiber sizes.
 """
 
 from __future__ import annotations
@@ -59,16 +59,16 @@ class NonPrincipalError(ValueError):
 
 
 class FinGroupoid:
-    """A finite topological groupoid.
+    """A finite topological groupoid, held as its integer index.
 
-    Construction compiles the dict tables into the integer index and
-    verifies the axioms on it: ``index`` numbers the morphisms in order,
-    the arrays ``range_idx``, ``source_idx`` and ``inverse_idx`` hold the
-    structure maps on those numbers, ``unit_mask`` marks the units,
-    ``pair_id[a, b]`` numbers the composable pairs in row-major order (-1
-    elsewhere), and ``pairs`` holds the factors and the composite of each
-    numbered pair.  Every all-pairs computation reads this one index;
-    ``fiber_pairs`` restricts it to a source fiber.
+    ``index`` numbers the morphisms in order, the arrays ``range_idx``,
+    ``source_idx`` and ``inverse_idx`` hold the structure maps on those
+    numbers, ``unit_mask`` marks the units, ``pairs`` holds the factors
+    and the composite of each composable pair in row-major order, and
+    ``pair_id[a, b]`` numbers them (-1 elsewhere).  ``_install`` sets the
+    index for the label constructor and for ``from_index`` alike; the
+    dict tables (``units``, ``range_map``, ``source_map``, ``inverse``,
+    ``compose``) are derived from it on first use.
     """
 
     def __init__(
@@ -80,51 +80,84 @@ class FinGroupoid:
         compose: Mapping[tuple, Morphism],
         inverse: Mapping[Morphism, Morphism],
     ):
-        self._adopt(topology)
-        self.units = frozenset(units)
-        self.range_map = dict(range_map)
-        self.source_map = dict(source_map)
-        self.compose = dict(compose)
-        self.inverse = dict(inverse)
-        self._compile()
-        self.verify_axioms()
+        """Number the labels of the dict tables, raising when a table is
+        not total or names something that is not a morphism."""
+        morphs, index = topology.points, topology._index
+        tables = ((range_map, "range"), (source_map, "source"), (inverse, "inverse"))
+        for m in morphs:
+            for table, name in tables:
+                if m not in table:
+                    raise GroupoidAxiomError(f"{name} undefined on {m!r}", m)
+                if table[m] not in index:
+                    raise GroupoidAxiomError(f"{name}({m!r}) is not a morphism", m)
+        units = list(units)
+        for u in units:
+            if u not in index:
+                raise GroupoidAxiomError(f"unit {u!r} is not a morphism", u)
+        for (a, b), c in compose.items():
+            if a not in index or b not in index or c not in index:
+                raise GroupoidAxiomError(f"composition entry ({a!r},{b!r})->{c!r} off the morphism set")
+        unit_mask = np.zeros(len(morphs), dtype=bool)
+        unit_mask[[index[u] for u in units]] = True
+        pairs = np.array([(index[a], index[b], index[c]) for (a, b), c in compose.items()], dtype=np.int64)
+        structure = ([index[table[m]] for m in morphs] for table, _ in tables)
+        self._install(topology, *structure, unit_mask, pairs.reshape(-1, 3).T)
 
-    def _adopt(self, topology: FinSpace) -> None:
+    @classmethod
+    def from_index(cls, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs) -> "FinGroupoid":
+        """A groupoid on the points of ``topology`` from its index arrays;
+        ``pairs`` lists (a, b, ab) in any order."""
+        groupoid = cls.__new__(cls)
+        groupoid._install(topology, range_idx, source_idx, inverse_idx, unit_mask, pairs)
+        return groupoid
+
+    def _install(self, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs) -> None:
+        """Set the index, sorting the pairs row-major and numbering them,
+        and verify the axioms on it."""
         self.topology = topology
         self.morphisms = topology.points
         self.index = topology._index
         self._props_cache = None
         self._fibers: dict = {}
         self._orbits = None
-
-    def _compile(self) -> None:
-        """Number the labels of the dict tables, raising when a table is
-        not total or names something that is not a morphism."""
-        morphs, index = self.morphisms, self.index
-        n = len(morphs)
-        for m in morphs:
-            for table, name in ((self.range_map, "range"), (self.source_map, "source"), (self.inverse, "inverse")):
-                if m not in table:
-                    raise GroupoidAxiomError(f"{name} undefined on {m!r}", m)
-                if table[m] not in index:
-                    raise GroupoidAxiomError(f"{name}({m!r}) is not a morphism", m)
-        for u in self.units:
-            if u not in index:
-                raise GroupoidAxiomError(f"unit {u!r} is not a morphism", u)
-        comp = np.full((n, n), -1, dtype=np.int64)
-        for (a, b), c in self.compose.items():
-            if a not in index or b not in index or c not in index:
-                raise GroupoidAxiomError(f"composition entry ({a!r},{b!r})->{c!r} off the morphism set")
-            comp[index[a], index[b]] = index[c]
-        self.range_idx = np.array([index[self.range_map[m]] for m in morphs], dtype=np.int64)
-        self.source_idx = np.array([index[self.source_map[m]] for m in morphs], dtype=np.int64)
-        self.inverse_idx = np.array([index[self.inverse[m]] for m in morphs], dtype=np.int64)
-        self.unit_mask = np.zeros(n, dtype=bool)
-        self.unit_mask[[index[u] for u in self.units]] = True
-        pa, pb = np.nonzero(comp >= 0)
-        self.pairs = (pa, pb, comp[pa, pb])
+        self.range_idx, self.source_idx, self.inverse_idx = (
+            np.asarray(idx, dtype=np.int64) for idx in (range_idx, source_idx, inverse_idx)
+        )
+        self.unit_mask = np.asarray(unit_mask, dtype=bool)
+        pa, pb, pc = (np.asarray(p, dtype=np.int64).ravel() for p in pairs)
+        order = np.lexsort((pb, pa))
+        self.pairs = (pa[order], pb[order], pc[order])
+        n = len(self.morphisms)
         self.pair_id = np.full((n, n), -1, dtype=np.int64)
-        self.pair_id[pa, pb] = np.arange(len(pa))
+        self.pair_id[self.pairs[0], self.pairs[1]] = np.arange(len(order))
+        self.verify_axioms()
+
+    # -- dict tables, derived from the index --------------------------------
+
+    def _table(self, idx: np.ndarray) -> dict:
+        m = self.morphisms
+        return {a: m[b] for a, b in zip(m, idx.tolist())}
+
+    @cached_property
+    def units(self) -> frozenset:
+        return frozenset(self.morphisms[u] for u in np.flatnonzero(self.unit_mask).tolist())
+
+    @cached_property
+    def range_map(self) -> dict:
+        return self._table(self.range_idx)
+
+    @cached_property
+    def source_map(self) -> dict:
+        return self._table(self.source_idx)
+
+    @cached_property
+    def inverse(self) -> dict:
+        return self._table(self.inverse_idx)
+
+    @cached_property
+    def compose(self) -> dict:
+        m = self.morphisms
+        return {(m[a], m[b]): m[c] for a, b, c in zip(*(p.tolist() for p in self.pairs))}
 
     # -- accessors -------------------------------------------------------
 
@@ -279,17 +312,35 @@ class FinGroupoid:
         return f"<FinGroupoid with {len(self.morphisms)} morphisms, {len(self.units)} units>"
 
 
+def pair_groupoid_index(sizes: Sequence[int]) -> tuple:
+    """The index of a disjoint union of pair groupoids, one block per
+    entry of ``sizes``, in the argument order of ``FinGroupoid.from_index``.
+
+    Blocks are numbered one after another: in a block of size k at offset
+    o, the pair (i, j) of its i-th and j-th points is o + ik + j, with
+    range (i, i), source (j, j) and inverse (j, i), and (i, j)(j, l) =
+    (i, l).  The pairs come out row-major.
+    """
+    size = np.asarray(sizes, dtype=np.int64)
+    count = size * size
+    k = np.repeat(size, count)
+    o = np.repeat(np.cumsum(count) - count, count)
+    i, j = np.divmod(np.arange(len(k)) - o, k)
+    row_i, row_j = o + i * k, o + j * k  # the pairs (i, 0) and (j, 0)
+    # pair (a, b) = ((i, j), (j, l)) for l < k, composite (i, l)
+    pa = np.repeat(np.arange(len(k)), k)
+    l = np.arange(len(pa)) - np.repeat(np.cumsum(k) - k, k)
+    return row_i + i, row_j + j, row_j + i, i == j, (pa, row_j[pa] + l, row_i[pa] + l)
+
+
 class RelationGroupoid(FinGroupoid):
     """The groupoid of pairs identified by a surjection psi: Y -> X.
 
     Morphisms are pairs (y, z) with psi(y) = psi(z); r(y, z) = (y, y),
     s(y, z) = (z, z), (x, y)(y, z) = (x, z).  ``fibers`` lists the fibers
-    of psi, and the morphisms are numbered fiber by fiber: in a fiber of
-    size k at offset o, the pair of its i-th and j-th points is o + ik + j,
-    so (i, j)(j, l) = (i, l) and the whole index comes from the offsets
-    as array code.  ``verify_axioms`` checks it like any other groupoid.
-    The dict tables ``range_map``, ``source_map``, ``inverse`` and
-    ``compose`` are derived from the index on first use.
+    of psi.  As an algebraic groupoid this is the disjoint union of the
+    pair groupoids on the fibers, so the index is ``pair_groupoid_index``
+    of the fiber sizes, installed and verified like any other.
 
     The base space Y and psi are retained so that orbit-space
     constructions can use the base topology even when a caller
@@ -302,53 +353,10 @@ class RelationGroupoid(FinGroupoid):
         # ``_pair_topology`` numbers them, as both callers build them
         if len(topology) != sum(len(f) ** 2 for f in fibers):
             raise ValueError("the topology's points are not the pairs of the fibers")
-        self._adopt(topology)
         self.base = psi.dom
         self.psi = psi
         self.fibers = fibers
-        size = np.array([len(f) for f in fibers], dtype=np.int64)
-        count = size * size
-        k = np.repeat(size, count)
-        o = np.repeat(np.cumsum(count) - count, count)
-        i, j = np.divmod(np.arange(len(k)) - o, k)
-        row_i, row_j = o + i * k, o + j * k  # the pairs (i, 0) and (j, 0)
-        self.range_idx = row_i + i
-        self.source_idx = row_j + j
-        self.inverse_idx = row_j + i
-        self.unit_mask = i == j
-        # pair (a, b) = ((i, j), (j, l)) for l < k, composite (i, l)
-        pa = np.repeat(np.arange(len(k)), k)
-        l = np.arange(len(pa)) - np.repeat(np.cumsum(k) - k, k)
-        pb = row_j[pa] + l
-        self.pairs = (pa, pb, row_i[pa] + l)
-        self.pair_id = np.full((len(k), len(k)), -1, dtype=np.int64)
-        self.pair_id[pa, pb] = np.arange(len(pa))
-        self.verify_axioms()
-
-    def _table(self, idx: np.ndarray) -> dict:
-        m = self.morphisms
-        return {a: m[b] for a, b in zip(m, idx.tolist())}
-
-    @cached_property
-    def units(self) -> frozenset:
-        return frozenset(self.morphisms[u] for u in np.flatnonzero(self.unit_mask).tolist())
-
-    @cached_property
-    def range_map(self) -> dict:
-        return self._table(self.range_idx)
-
-    @cached_property
-    def source_map(self) -> dict:
-        return self._table(self.source_idx)
-
-    @cached_property
-    def inverse(self) -> dict:
-        return self._table(self.inverse_idx)
-
-    @cached_property
-    def compose(self) -> dict:
-        m = self.morphisms
-        return {(m[a], m[b]): m[c] for a, b, c in zip(*(p.tolist() for p in self.pairs))}
+        self._install(topology, *pair_groupoid_index([len(f) for f in fibers]))
 
     def with_discrete_topology(self) -> "RelationGroupoid":
         """Same algebraic groupoid with the discrete morphism topology."""

@@ -167,16 +167,19 @@ def verify_two_cocycle(sigma: TwoCocycle) -> CocycleReport:
 
 
 def coboundary_twist(b: OneCochain) -> TwoCocycle:
-    """The coboundary  (db)(a, c) = b(a) + b(c) - b(ac)  of a 1-cochain.
+    """The coboundary  (db)(a, c) = b(a) + b(c) - b(ac)  of a 1-cochain,
+    on every numbered pair in pair order, in exact integers.
 
     Normalization is automatic because b vanishes on units.
     """
     g = b.groupoid
-    table = {
-        (x, y): b(x) + b(y) - b(g.mul(x, y))
-        for (x, y) in g.composable_pairs()
-    }
-    return TwoCocycle(g, b.n, table)
+    pa, pb, pc = g.pairs
+    m = g.morphisms
+    values = np.array([b.values[x] for x in m], dtype=object)
+    return TwoCocycle(g, b.n, {
+        (m[x], m[y]): v
+        for x, y, v in zip(pa.tolist(), pb.tolist(), (values[pa] + values[pb] - values[pc]).tolist())
+    })
 
 
 def _principal_witness(diff: TwoCocycle) -> OneCochain | None:
@@ -187,14 +190,15 @@ def _principal_witness(diff: TwoCocycle) -> OneCochain | None:
     db = d, by the cocycle identity applied to (m, m', beta) triples.
     """
     g = diff.groupoid
-    by_pair = {(g.r(m), g.s(m)): m for m in g.morphisms}
-    to_base = {}
+    count = len(g.morphisms)
+    by_ends = np.full((count, count), -1, dtype=np.int64)
+    by_ends[g.range_idx, g.source_idx] = np.arange(count)
+    base = np.arange(count)  # the base unit of each unit's orbit
     for orbit in g.orbits():
-        u0 = orbit[0]
-        for v in orbit:
-            to_base[v] = by_pair[(v, u0)]
-    values = {m: diff.value(m, to_base[g.s(m)]) for m in g.morphisms}
-    b = OneCochain(g, diff.n, values)
+        base[[g.index[v] for v in orbit]] = g.index[orbit[0]]
+    to_base = by_ends[g.source_idx, base[g.source_idx]]
+    values = diff.on_pairs(g.pair_id[np.arange(count), to_base])
+    b = OneCochain(g, diff.n, dict(zip(g.morphisms, values.tolist())))
     if coboundary_twist(b) == diff:
         return b
     return None  # pragma: no cover - the construction always satisfies db = d
@@ -243,33 +247,32 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
         (z, a)^{-1}  = (-z - sigma(a, a^{-1}), a^{-1})
 
     The morphism topology is the product of discrete Z_n with the
-    topology of G, and the morphisms run z-major: (0, m) for m in G's
-    order, then (1, m), and so on.  Associativity of the result is
+    topology of G.  (z, m) is number z|G| + m, and the index is array
+    code on G's, with G's pairs broadcast over w and z.  sigma is read at
+    (m, m^{-1}) in morphism order, then at G's pairs in pair order; the
+    first missing entry raises.  Associativity of the result is
     equivalent to the cocycle identity and is re-verified rather than
     assumed, so an invalid sigma fails here with the violating triple.
     """
     if sigma.groupoid is not groupoid:
         raise CocycleError("cocycle is not defined on this groupoid")
-    n = sigma.n
-    morphs = [(z, m) for z in range(n) for m in groupoid.morphisms]
-    mo = {
-        (z, m): {(z, m2) for m2 in groupoid.topology.min_open(m)}
-        for (z, m) in morphs
-    }
-    topology = FinSpace(morphs, mo)
-    units = [(0, u) for u in groupoid.units]
-    range_map = {(z, m): (0, groupoid.r(m)) for (z, m) in morphs}
-    source_map = {(z, m): (0, groupoid.s(m)) for (z, m) in morphs}
-    inverse = {
-        (z, m): ((-z - sigma.value(m, groupoid.inv(m))) % n, groupoid.inv(m))
-        for (z, m) in morphs
-    }
-    compose = {}
-    for (a, b) in groupoid.composable_pairs():
-        for w in range(n):
-            for z in range(n):
-                compose[((w, a), (z, b))] = ((w + z + sigma.value(a, b)) % n, groupoid.mul(a, b))
-    return FinGroupoid(topology, units, range_map, source_map, compose, inverse)
+    n, size = sigma.n, len(groupoid.morphisms)
+    twist_inv = sigma.on_pairs(groupoid.pair_id[np.arange(size), groupoid.inverse_idx])
+    twist = sigma.on_pairs(np.arange(len(groupoid.pairs[0])))
+    topology = FinSpace(
+        [(z, m) for z in range(n) for m in groupoid.morphisms],
+        masks=[u << z * size for z in range(n) for u in groupoid.topology._mo],
+    )
+    pa, pb, pc = groupoid.pairs
+    w, z = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+    return FinGroupoid.from_index(
+        topology,
+        np.tile(groupoid.range_idx, n),
+        np.tile(groupoid.source_idx, n),
+        ((-w[:, 0] - twist_inv) % n * size + groupoid.inverse_idx).ravel(),
+        np.concatenate([groupoid.unit_mask, np.zeros((n - 1) * size, dtype=bool)]),
+        np.broadcast_arrays(w * size + pa, z * size + pb, (w + z + twist) % n * size + pc),
+    )
 
 
 # -- Cech data on finite covers ------------------------------------------------

@@ -530,6 +530,47 @@ def tetrahedron_cover(n=3, value=1):
     return tw.CechData(n, faces, cover, entries)
 
 
+def reference_matrix_units(blocks, n=1, lam=None):
+    """``matrix_unit_groupoid`` from dict tables of labels."""
+    keys = [(i, j, label) for label, idx in blocks.items() for i in idx for j in idx]
+    compose = {
+        ((i, j, label), (j, k, label)): (i, k, label)
+        for label, idx in blocks.items() for i in idx for j in idx for k in idx
+    }
+    groupoid = gp.FinGroupoid(
+        fs.discrete(keys),
+        [(i, i, label) for (i, j, label) in keys if i == j],
+        {(i, j, label): (i, i, label) for (i, j, label) in keys},
+        {(i, j, label): (j, j, label) for (i, j, label) in keys},
+        compose,
+        {(i, j, label): (j, i, label) for (i, j, label) in keys},
+    )
+    table = {pair: -lam(pair[0][0], pair[0][1], pair[1][1]) if lam else 0 for pair in compose}
+    return tw.TwoCocycle(groupoid, n, table)
+
+
+def test_matrix_units_match_the_dict_construction():
+    data = tetrahedron_cover(n=3, value=1)
+    cases = [
+        ({0: (1, 2, 3), 1: (1, 2)}, 3, data.value),
+        ({0: (1, 2, 3), 1: (1, 2)}, 1, None),
+        ({"a": (), "b": (4,), "c": (3, 1, 2)}, 5, lambda i, j, k: i * j + k),
+        (ca.CoverAlgebra(data.base_points, data.cover, 3, data.value).incidence, 3, data.value),
+    ]
+    for blocks, n, lam in cases:
+        got, want = ca.matrix_unit_groupoid(blocks, n, lam), reference_matrix_units(blocks, n, lam)
+        g, h = got.groupoid, want.groupoid
+        assert g.morphisms == h.morphisms and g.topology == h.topology
+        for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id"):
+            assert np.array_equal(getattr(g, name), getattr(h, name)), name
+        assert all(np.array_equal(a, b) for a, b in zip(g.pairs, h.pairs))
+        for name in ("units", "range_map", "source_map", "inverse", "compose"):
+            assert getattr(g, name) == getattr(h, name), name
+        assert (got.n, got.table) == (want.n, want.table)
+        assert list(got.table) == list(want.table)
+        assert np.array_equal(got.values, want.values)
+
+
 def test_cover_algebra_untwisted_blocks():
     data = tetrahedron_cover(value=0)
     alg = ca.CoverAlgebra(data.base_points, data.cover, data.n, data.value)
@@ -562,17 +603,17 @@ def test_cover_algebra_matches_its_formulas():
                         ca.zeta(3, -lam(i, j, l)) * f.get((i, j, s), 0) * g.get((j, l, s), 0)
                         for j in alg.incidence[s]
                     )
-        fg = alg.multiply(f, g)
+        fg = ca.convolve(alg.element(f), alg.element(g)).coeffs
         assert max(abs(fg.get(k, 0) - v) for k, v in product.items()) < 1e-15
         assert set(fg) <= set(product)
         # (f*)_ij = conj(f_ji)
-        assert alg.star(f) == {(j, i, s): v.conjugate() for (i, j, s), v in f.items()}
+        assert ca.involute(alg.element(f)).coeffs == {(j, i, s): v.conjugate() for (i, j, s), v in f.items()}
         # pi_{i,s}[j, k] = zeta^{-lambda(i,j,k)} f_jk(s)
         for s in alg.base_points:
             idx = alg.incidence[s]
             for i in idx:
                 pi = [[ca.zeta(3, -lam(i, j, k)) * f.get((j, k, s), 0) for k in idx] for j in idx]
-                assert np.array_equal(alg.pi(i, s, f), np.array(pi, dtype=complex))
+                assert np.array_equal(ca.induced_rep((i, i, s), alg.element(f)).matrix, np.array(pi, dtype=complex))
 
 
 def test_cover_algebra_flags_non_cocycle_data():
@@ -592,8 +633,8 @@ def test_cover_algebra_norm_of_matrix_unit():
     data = tetrahedron_cover()
     alg = ca.CoverAlgebra(data.base_points, data.cover, data.n, data.value)
     s = next(iter(alg.cover[1] & alg.cover[2]))
-    f = alg.basis_element((1, 2, s))
-    assert abs(alg.norm(f) - 1.0) < 1e-12
+    f = alg.element({(1, 2, s): 1.0 + 0j})
+    assert abs(ca.reduced_norm(f) - 1.0) < 1e-12
 
 
 def test_cover_model_twisted_tetrahedron():

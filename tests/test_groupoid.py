@@ -367,3 +367,62 @@ def test_chunked_triple_join_keeps_the_order(monkeypatch, chunk):
         g.verify_axioms()
         if s is not None:
             assert tw.verify_two_cocycle(s) == report and not report.valid
+
+
+# -- the one install step ---------------------------------------------------------
+
+
+def shuffled_index(g: gp.FinGroupoid, rng: random.Random) -> tuple:
+    """The index arrays of ``g`` with its composable pairs in random order."""
+    order = np.array(rng.sample(range(len(g.pairs[0])), len(g.pairs[0])), dtype=np.int64)
+    return g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask, tuple(p[order] for p in g.pairs)
+
+
+def test_from_index_sorts_shuffled_pairs_row_major():
+    rng = random.Random(6)
+    for psi in quotient_corpus()[::97]:
+        g = gp.build_relation_groupoid(psi)
+        h = gp.FinGroupoid.from_index(g.topology, *shuffled_index(g, rng))
+        pa, pb, _ = h.pairs
+        assert np.array_equal(pa * len(h) + pb, np.sort(pa * len(h) + pb))
+        assert all(np.array_equal(a, b) for a, b in zip(h.pairs, g.pairs))
+        assert np.array_equal(h.pair_id, g.pair_id)
+        assert h.composable_triples() == g.composable_triples()
+        assert h.compose == g.compose and h.units == g.units
+
+
+def test_from_index_rejects_a_corrupted_composite_in_shuffled_pairs():
+    rng = random.Random(7)
+    y = fs.discrete((1, 2, 3))
+    g = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("*",)), {p: "*" for p in y.points}))
+    for _ in range(20):
+        rng_idx, src_idx, inv_idx, units, (pa, pb, pc) = shuffled_index(g, rng)
+        pc = pc.copy()
+        # (1,2)(2,3) = (1,3) is declared (1,2): same range, wrong source
+        k = int(np.flatnonzero((pa == g.index[(1, 2)]) & (pb == g.index[(2, 3)]))[0])
+        pc[k] = g.index[(1, 2)]
+        with pytest.raises(gp.GroupoidAxiomError):
+            gp.FinGroupoid.from_index(g.topology, rng_idx, src_idx, inv_idx, units, (pa, pb, pc))
+
+
+def test_label_constructor_keeps_its_error_order():
+    two = fs.discrete(("e", "g"))
+    tables = dict(
+        units=["e"],
+        range_map={"e": "e", "g": "e"},
+        source_map={"e": "e", "g": "e"},
+        compose={("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"},
+        inverse={"e": "e", "g": "g"},
+    )
+    gp.FinGroupoid(two, **tables)
+    # membership errors come before any algebraic check
+    for key, bad, message in [
+        ("range_map", {"e": "e"}, "range undefined on 'g'"),
+        ("inverse", {"e": "e", "g": "x"}, "inverse('g') is not a morphism"),
+        ("units", ["e", "x"], "unit 'x' is not a morphism"),
+        ("compose", {("e", "e"): "e", ("g", "x"): "g"}, "composition entry ('g','x')->'g' off the morphism set"),
+        ("compose", {("e", "e"): "e"}, "composition defined on ('e','g') iff sources/ranges mismatch"),
+    ]:
+        with pytest.raises(gp.GroupoidAxiomError) as err:
+            gp.FinGroupoid(two, **(tables | {key: bad}))
+        assert str(err.value) == message

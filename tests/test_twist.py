@@ -1,11 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
+from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from groupoidlab.modlin import solve_mod
 
 
@@ -203,6 +205,131 @@ def test_extension_rejects_foreign_cocycle():
     g1, g2 = pair_groupoid((1, 2)), pair_groupoid((1, 2))
     with pytest.raises(tw.CocycleError):
         tw.extension_groupoid(g1, tw.TwoCocycle.trivial(g2, 2))
+
+
+def reference_extension(groupoid, sigma):
+    """Z_n x G from dict tables of labels, reading sigma entry by entry:
+    at (m, m^{-1}) for each morphism, then at every composable pair."""
+    n = sigma.n
+    morphs = [(z, m) for z in range(n) for m in groupoid.morphisms]
+    mo = {(z, m): {(z, m2) for m2 in groupoid.topology.min_open(m)} for (z, m) in morphs}
+    inverse = {
+        (z, m): ((-z - sigma.value(m, groupoid.inv(m))) % n, groupoid.inv(m)) for (z, m) in morphs
+    }
+    compose = {}
+    for (a, b) in groupoid.composable_pairs():
+        for w in range(n):
+            for z in range(n):
+                compose[((w, a), (z, b))] = ((w + z + sigma.value(a, b)) % n, groupoid.mul(a, b))
+    return gp.FinGroupoid(
+        fs.FinSpace(morphs, mo),
+        [(0, u) for u in groupoid.units],
+        {(z, m): (0, groupoid.r(m)) for (z, m) in morphs},
+        {(z, m): (0, groupoid.s(m)) for (z, m) in morphs},
+        compose,
+        inverse,
+    )
+
+
+def cyclic_group(order):
+    """Z/order as a one-unit groupoid with the discrete topology."""
+    elems = tuple(range(order))
+    return gp.FinGroupoid(
+        fs.discrete(elems), [0], {a: 0 for a in elems}, {a: 0 for a in elems},
+        {(a, b): (a + b) % order for a in elems for b in elems}, {a: -a % order for a in elems},
+    )
+
+
+def extension_cases():
+    """Relation groupoids from a seeded sample of the quotient maps on at
+    most 4 points and of seeded random spaces, with coboundaries and
+    random tables of orders 1 to 5, and Z/a with its carry cocycle, whose
+    class is not a coboundary."""
+    rng = random.Random(1207)
+    maps = [
+        fs.quotient_space(space, part)[1]
+        for size in range(1, 5)
+        for space in all_topologies(size)
+        for part in all_partitions(space.points)
+    ]
+    maps = rng.sample(maps, 150)
+    for _ in range(20):
+        space = random_space(rng.randrange(10**6), 6)
+        maps.append(fs.quotient_space(space, random_partition(rng, space.points))[1])
+    for psi in maps:
+        g = gp.build_relation_groupoid(psi)
+        n = rng.randint(1, 5)
+        yield g, tw.coboundary_twist(random_cochain(rng, g, n))
+        table = {p: 0 if p[0] in g.units or p[1] in g.units else rng.randrange(n) for p in g.composable_pairs()}
+        yield g, tw.TwoCocycle(g, n, table)
+    for a in (2, 3, 4):
+        g = cyclic_group(a)
+        n = a * rng.randint(1, 2)
+        yield g, tw.TwoCocycle(g, n, {(x, y): (n // a) * ((x + y) // a) for x, y in g.composable_pairs()})
+
+
+def test_extension_index_matches_the_dict_construction():
+    built = failed = 0
+    for g, sigma in extension_cases():
+        try:
+            want = reference_extension(g, sigma)
+        except gp.GroupoidAxiomError as err:
+            # a random table that is not a cocycle fails alike, at the same triple
+            with pytest.raises(gp.GroupoidAxiomError) as got:
+                tw.extension_groupoid(g, sigma)
+            assert (str(got.value), got.value.witness) == (str(err), err.witness)
+            assert not tw.verify_two_cocycle(sigma).valid
+            failed += 1
+            continue
+        ext = tw.extension_groupoid(g, sigma)
+        assert ext.morphisms == want.morphisms
+        assert ext.topology._mo == want.topology._mo
+        for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id"):
+            assert np.array_equal(getattr(ext, name), getattr(want, name)), name
+        assert all(np.array_equal(a, b) for a, b in zip(ext.pairs, want.pairs))
+        for name in ("units", "range_map", "source_map", "inverse", "compose"):
+            assert getattr(ext, name) == getattr(want, name), name
+        built += 1
+    assert built > 150 and failed > 50
+
+
+@pytest.mark.parametrize("dropped", [
+    [((2, 1), (1, 2))],  # an (m, m^-1) entry
+    [((1, 2), (2, 3))],  # an ordinary pair
+    # (m, m^-1) entries are read first, so the later morphism's is named
+    [((1, 2), (2, 3)), ((3, 2), (2, 3))],
+])
+def test_extension_names_the_same_missing_entry(dropped):
+    g = pair_groupoid((1, 2, 3))
+    table = {p: 0 for p in g.composable_pairs() if p not in dropped}
+    sigma = tw.TwoCocycle(g, 3, table)
+    with pytest.raises(tw.CocycleError) as want:
+        reference_extension(g, sigma)
+    with pytest.raises(tw.CocycleError) as got:
+        tw.extension_groupoid(g, sigma)
+    assert str(got.value) == str(want.value) and got.value.code == want.value.code == "MISSING_ENTRY"
+
+
+def test_extension_of_a_shifted_cocycle_fails_at_the_same_triple():
+    g = pair_groupoid((1, 2, 3))
+    for pair in g.composable_pairs():
+        sigma = tw.TwoCocycle.trivial(g, 4).shift(pair, 1)
+        with pytest.raises(gp.GroupoidAxiomError) as want:
+            reference_extension(g, sigma)
+        with pytest.raises(gp.GroupoidAxiomError) as got:
+            tw.extension_groupoid(g, sigma)
+        assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+
+
+def test_coboundary_is_exact_at_big_moduli():
+    g = pair_groupoid((1, 2, 3))
+    rng = random.Random(8)
+    for n in (2**62 + 1, 2**80 + 7):
+        b = random_cochain(rng, g, n)
+        db = tw.coboundary_twist(b)
+        assert db.table == {(x, y): (b(x) + b(y) - b(g.mul(x, y))) % n for x, y in g.composable_pairs()}
+        assert tw.verify_two_cocycle(db).valid
+        assert tw.are_cohomologous(db, tw.TwoCocycle.trivial(g, n)) is not None
 
 
 # -- Cech data -------------------------------------------------------------------
