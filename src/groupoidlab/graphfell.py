@@ -15,11 +15,20 @@ passes through a single-threaded vertex.  An infinite path avoiding
 single-threaded vertices forever is certified by a vertex carrying two
 parallel paths; cycles make the path groupoid non-principal and are
 reported as such.
+
+Each graph numbers its vertices once (``pos``), and one depth-first
+walk per graph, kept on the graph, yields either the first cycle or a
+topological order.  Path multiplicities are level bitsets over the
+vertex positions: bit p of ``levels[k]`` is set when ``vertices[p]`` is
+the source of at least k + 1 paths, so at the default cap 2 a vertex's
+row is two ints.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InternalCheckFailure
@@ -35,12 +44,13 @@ class GraphError(ValueError):
 
 
 class DirectedGraph:
-    """A finite directed graph with identified edges."""
+    """A finite directed graph with identified edges; ``pos`` numbers the
+    vertices in the order given."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple]):
         self.vertices = tuple(vertices)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        self.pos = {v: p for p, v in enumerate(self.vertices)}
+        if len(self.pos) != len(self.vertices):
             raise GraphError("duplicate vertices")
         self.edges = tuple((eid, r, s) for (eid, r, s) in edges)
         seen = set()
@@ -48,7 +58,7 @@ class DirectedGraph:
             if eid in seen:
                 raise GraphError(f"duplicate edge id {eid!r}")
             seen.add(eid)
-            if r not in vset or s not in vset:
+            if r not in self.pos or s not in self.pos:
                 raise GraphError(f"edge {eid!r} has dangling endpoints", code="DANGLING")
         self.range_of = {eid: r for (eid, r, s) in self.edges}
         self.source_of = {eid: s for (eid, r, s) in self.edges}
@@ -58,6 +68,43 @@ class DirectedGraph:
 
     def delete_edge(self, eid) -> "DirectedGraph":
         return DirectedGraph(self.vertices, [e for e in self.edges if e[0] != eid])
+
+    @cached_property
+    def depth_first(self) -> tuple:
+        """(cycle, order) from one depth-first walk in path direction, from
+        v along incoming edges to their sources, started at each unvisited
+        vertex in turn.  Either cycle is the first cycle closed, as edges
+        in path order, and order is None; or cycle is None and order is
+        the post-order, in which the source of every edge precedes its
+        range.  The walk keeps its own stack, so no recursion limit applies.
+        """
+        state = dict.fromkeys(self.vertices, 0)  # 1 on the stack, 2 finished
+        order = []
+        for start in self.vertices:
+            if state[start]:
+                continue
+            state[start] = 1
+            stack, path = [(start, iter(self.in_edges[start]))], []
+            while stack:
+                v, it = stack[-1]
+                for eid in it:
+                    w = self.source_of[eid]
+                    if not state[w]:
+                        state[w] = 1
+                        path.append(eid)
+                        stack.append((w, iter(self.in_edges[w])))
+                        break
+                    if state[w] == 1:
+                        # path[k] leads from stack[k] to stack[k + 1]
+                        k = next(k for k, (x, _) in enumerate(stack) if x == w)
+                        return tuple(path[k:]) + (eid,), None
+                else:
+                    state[v] = 2
+                    order.append(v)
+                    stack.pop()
+                    if path:
+                        path.pop()
+        return None, order
 
     def __repr__(self):
         return f"<DirectedGraph {len(self.vertices)} vertices, {len(self.edges)} edges>"
@@ -81,57 +128,14 @@ class GraphValidation:
 
 def validate_graph(graph: DirectedGraph) -> GraphValidation:
     """The no-sources condition (every vertex receives an edge), and
-    acyclicity with an extracted cycle when one exists.
+    acyclicity with the cycle closed by the graph's depth-first walk
+    when one exists.
 
     Finite graphs are row-finite, and always have a source somewhere
     when acyclic; the flags matter for unrolled presentations.
     """
     source_witness = next((v for v in graph.vertices if not graph.in_edges[v]), None)
-    # walk in path direction: from v along incoming edges to their sources
-    color = {v: 0 for v in graph.vertices}
-    cycle = None
-
-    def dfs(start):
-        stack = [(start, iter(graph.in_edges[start]))]
-        path_edges = []
-        color[start] = 1
-        on_stack = {start}
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for eid in it:
-                w = graph.source_of[eid]
-                if color[w] == 0:
-                    color[w] = 1
-                    on_stack.add(w)
-                    path_edges.append(eid)
-                    stack.append((w, iter(graph.in_edges[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    # close the cycle: suffix of path_edges from w plus eid
-                    cyc = [eid]
-                    x = v
-                    for back in reversed(path_edges):
-                        if x == w:
-                            break
-                        cyc.append(back)
-                        x = graph.range_of[back]
-                    cyc.reverse()
-                    return tuple(cyc)
-            if not advanced:
-                color[v] = 2
-                on_stack.discard(v)
-                stack.pop()
-                if path_edges:
-                    path_edges.pop()
-        return None
-
-    for v in graph.vertices:
-        if color[v] == 0:
-            cycle = dfs(v)
-            if cycle is not None:
-                break
+    cycle, _ = graph.depth_first
     return GraphValidation(
         no_sources=source_witness is None,
         acyclic=cycle is None,
@@ -140,60 +144,109 @@ def validate_graph(graph: DirectedGraph) -> GraphValidation:
     )
 
 
-def _topological_order(graph: DirectedGraph) -> list:
-    """Order vertices so that the source of every edge precedes its range."""
-    indeg = {v: 0 for v in graph.vertices}
-    for (eid, r, s) in graph.edges:
-        indeg[r] += 1
-    frontier = [v for v in graph.vertices if indeg[v] == 0]
-    out = []
-    by_source: dict = {v: [] for v in graph.vertices}
-    for (eid, r, s) in graph.edges:
-        by_source[s].append(r)
-    while frontier:
-        v = frontier.pop()
-        out.append(v)
-        for r in by_source[v]:
-            indeg[r] -= 1
-            if indeg[r] == 0:
-                frontier.append(r)
-    if len(out) != len(graph.vertices):
-        raise GraphError("graph has a cycle", code="CYCLIC")
-    return out
+class PathRow(Mapping):
+    """Read-only row w -> capped number of paths with range v and source
+    w, for one vertex v, over level bitsets on the graph's vertex
+    positions: bit p of ``levels[k]`` is set when at least k + 1 such
+    paths have source ``vertices[p]``.  Levels are nested and the last
+    one is nonempty, so a row has one level exactly when every count is
+    1.  The row holds the sources of paths into v, in vertex order.
+    """
+
+    __slots__ = ("graph", "levels")
+
+    def __init__(self, graph: DirectedGraph, levels: list):
+        self.graph, self.levels = graph, levels
+
+    def __getitem__(self, w) -> int:
+        p = self.graph.pos[w]
+        count = sum(level >> p & 1 for level in self.levels)
+        if not count:
+            raise KeyError(w)
+        return count
+
+    def __contains__(self, w) -> bool:
+        p = self.graph.pos.get(w)
+        return p is not None and bool(self.levels[0] >> p & 1)
+
+    def __iter__(self):
+        vertices = self.graph.vertices
+        return (vertices[p] for p, bit in enumerate(bin(self.levels[0])[:1:-1]) if bit == "1")
+
+    def __len__(self) -> int:
+        return self.levels[0].bit_count()
 
 
 def path_counts(graph: DirectedGraph, cap: int = 2) -> dict:
-    """counts[v][w] = number of paths with range v and source w, capped.
+    """counts[v][w] = number of paths with range v and source w, capped
+    at ``cap`` >= 1.
 
-    Computed in topological order via
-    count(v, .) = [v] + sum over incoming edges e of count(s(e), .);
-    only the distinction <= 1 versus >= 2 is needed, so values saturate
-    at ``cap``.
+    Rows are ``PathRow`` views over level bitsets on the vertex
+    positions, so ``len(counts[v])`` is the popcount of level 0.  They
+    are computed in the post-order of the graph's depth-first walk via
+    count(v, .) = [v] + sum over incoming edges e of count(s(e), .):
+    each level x of a source's row adds one path to the vertices of x,
+    carried up the levels and dropped at ``cap``.  Only the distinction
+    <= 1 versus >= 2 is needed, and at the default cap 2 a row is two
+    ints, ``two |= s.two | (one & s.one)``, then ``one |= s.one``.  A row
+    keeps one level per unit of count, so a large cap suits only graphs
+    with few paths.
     """
-    order = _topological_order(graph)
+    _, order = graph.depth_first
+    if order is None:
+        raise GraphError("graph has a cycle", code="CYCLIC")
+    pos, source_of, in_edges = graph.pos, graph.source_of, graph.in_edges
     counts: dict = {}
     for v in order:
-        row = {v: 1}
-        for eid in graph.in_edges[v]:
-            for w, c in counts[graph.source_of[eid]].items():
-                row[w] = min(cap, row.get(w, 0) + c)
-        counts[v] = row
+        if cap == 2:
+            one, two = 1 << pos[v], 0
+            for eid in in_edges[v]:
+                s = counts[source_of[eid]].levels
+                two |= (s[1] if len(s) > 1 else 0) | (one & s[0])
+                one |= s[0]
+            counts[v] = PathRow(graph, [one, two] if two else [one])
+            continue
+        levels = [1 << pos[v]]
+        for eid in in_edges[v]:
+            for x in counts[source_of[eid]].levels:
+                # one more path to each vertex of x: carry x up the levels
+                for k, level in enumerate(levels):
+                    levels[k], x = level | x, level & x
+                if x and len(levels) < cap:
+                    levels.append(x)
+        counts[v] = PathRow(graph, levels)
     return counts
 
 
 def single_threaded_vertices(graph: DirectedGraph) -> frozenset:
-    """Vertices v with at most one path from v to any w."""
-    counts = path_counts(graph)
-    return frozenset(v for v in graph.vertices if max(counts[v].values()) <= 1)
+    """Vertices v with at most one path from v to any w: rows with no
+    level 1."""
+    return frozenset(v for v, row in path_counts(graph).items() if len(row.levels) == 1)
 
 
 def two_parallel_paths(graph: DirectedGraph, v: Vertex):
     """Two distinct edge-paths with range v and a common source, if any.
-    The depth-first walk keeps its own stack, so no recursion limit applies."""
+
+    The source is the first vertex with two paths into v in depth-first
+    preorder from v along incoming edges; a second walk then collects
+    the first two paths to it.  Both walks keep their own stacks, so no
+    recursion limit applies."""
     counts = path_counts(graph)
-    target = next((w for w, c in counts[v].items() if c >= 2), None)
-    if target is None:
+    levels = counts[v].levels
+    if len(levels) == 1:
         return None
+    target, seen, stack = None, {v}, [iter(graph.in_edges[v])]
+    while target is None:
+        eid = next(stack[-1], None)
+        if eid is None:
+            stack.pop()
+            continue
+        w = graph.source_of[eid]
+        if w not in seen:
+            seen.add(w)
+            if levels[1] >> graph.pos[w] & 1:
+                target = w
+            stack.append(iter(graph.in_edges[w]))
     found, path = [], []
     stack = [iter(graph.in_edges[v])]
     while stack and len(found) < 2:
@@ -206,7 +259,7 @@ def two_parallel_paths(graph: DirectedGraph, v: Vertex):
         w = graph.source_of[eid]
         if w == target:
             found.append(tuple(path) + (eid,))
-        elif counts[w].get(target, 0) >= 1:
+        elif target in counts[w]:
             path.append(eid)
             stack.append(iter(graph.in_edges[w]))
     if len(found) < 2:  # pragma: no cover - count >= 2 guarantees two paths

@@ -192,33 +192,6 @@ def twisted_groupoid_from_json(doc: Mapping, path: str = "/"):
     return groupoid, sigma
 
 
-def element_to_json(element) -> dict:
-    lab = canonical_label
-    return {
-        "schema": "algebra_element/1",
-        "coeffs": sorted(
-            [lab(m), v.real, v.imag] for m, v in element.coeffs.items()
-        ),
-    }
-
-
-def element_from_json(doc: Mapping, groupoid: FinGroupoid, sigma, path: str = "/"):
-    from .calgebra import AlgebraElement
-
-    _expect_schema(doc, ("algebra_element/1",), path)
-    labels = morphism_labels(groupoid)
-    coeffs = {}
-    rows = _expect(doc.get("coeffs"), list, path + "/coeffs")
-    for k, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError("coeff rows are [morphism, re, im]", f"{path}/coeffs/{k}")
-        m, re_part, im_part = row
-        if m not in labels:
-            raise SchemaError(f"unknown morphism {m!r}", f"{path}/coeffs/{k}")
-        coeffs[labels[m]] = complex(re_part, im_part)
-    return AlgebraElement(groupoid, sigma, coeffs)
-
-
 # -- cech data -----------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -44,6 +45,26 @@ def test_graph_fell_unroll_bound_out_of_range(capsys):
         )
         assert code == 1 and report["schema"] == "report/1" and report["exit_code"] == 1
         assert report["result"]["error"].startswith("GraphError")
+
+
+def test_graph_fell_on_a_long_chain_within_budget(capsys, tmp_path):
+    # v0 <- v1 <- ... <- v5999: path counts kept as dict rows grow with the
+    # square of the chain and took several times this budget
+    n = 6000
+    doc = {
+        "schema": "digraph/1",
+        "vertices": [f"v{k}" for k in range(n)],
+        "edges": [{"id": f"e{k}", "range": f"v{k}", "source": f"v{k + 1}"} for k in range(n - 1)],
+    }
+    path = write(tmp_path, "chain.json", doc)
+    started = time.perf_counter()
+    code, report = run_cli(capsys, "graph-fell", path)
+    elapsed = time.perf_counter() - started
+    assert code == 0 and report["schema"] == "report/1"
+    verdict = report["result"]["verdict"]
+    assert verdict["verdict"] == "FELL" and verdict["vacuous"]
+    assert len(verdict["single_threaded"]) == n
+    assert elapsed < 2.0, f"graph-fell on a {n}-vertex chain took {elapsed:.2f}s"
 
 
 def test_usage_errors_are_input_errors_with_a_report(capsys):

@@ -279,3 +279,176 @@ def test_undecided_distance_two_multiplicity():
     # a larger horizon does not help: the labels keep drifting with the
     # bias, which is exactly why the outcome stays undecided
     assert gf.periodic_fell_verdict(pres, unroll_bound=6).verdict == "UNDECIDED"
+
+
+# -- parity with the dict construction ----------------------------------------------
+
+
+def reference_cycle(graph):
+    """The first cycle of the colour-marking walk that validate_graph ran
+    before the walk moved onto the graph."""
+    color = {v: 0 for v in graph.vertices}
+    for start in graph.vertices:
+        if color[start]:
+            continue
+        stack, path_edges, on_stack = [(start, iter(graph.in_edges[start]))], [], {start}
+        color[start] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for eid in it:
+                w = graph.source_of[eid]
+                if color[w] == 0:
+                    color[w] = 1
+                    on_stack.add(w)
+                    path_edges.append(eid)
+                    stack.append((w, iter(graph.in_edges[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    cyc, x = [eid], v
+                    for back in reversed(path_edges):
+                        if x == w:
+                            break
+                        cyc.append(back)
+                        x = graph.range_of[back]
+                    return tuple(reversed(cyc))
+            if not advanced:
+                color[v] = 2
+                on_stack.discard(v)
+                stack.pop()
+                if path_edges:
+                    path_edges.pop()
+    return None
+
+
+def reference_path_counts(graph, cap=2):
+    """Dict rows merged in Kahn's topological order."""
+    indeg = {v: 0 for v in graph.vertices}
+    by_source = {v: [] for v in graph.vertices}
+    for (eid, r, s) in graph.edges:
+        indeg[r] += 1
+        by_source[s].append(r)
+    frontier, order = [v for v in graph.vertices if indeg[v] == 0], []
+    while frontier:
+        v = frontier.pop()
+        order.append(v)
+        for r in by_source[v]:
+            indeg[r] -= 1
+            if indeg[r] == 0:
+                frontier.append(r)
+    assert len(order) == len(graph.vertices)
+    counts = {}
+    for v in order:
+        row = {v: 1}
+        for eid in graph.in_edges[v]:
+            for w, c in counts[graph.source_of[eid]].items():
+                row[w] = min(cap, row.get(w, 0) + c)
+        counts[v] = row
+    return counts
+
+
+def reference_two_parallel_paths(graph, v, counts):
+    target = next((w for w, c in counts[v].items() if c >= 2), None)
+    if target is None:
+        return None
+    found, path, stack = [], [], [iter(graph.in_edges[v])]
+    while stack and len(found) < 2:
+        eid = next(stack[-1], None)
+        if eid is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        w = graph.source_of[eid]
+        if w == target:
+            found.append(tuple(path) + (eid,))
+        elif counts[w].get(target, 0) >= 1:
+            path.append(eid)
+            stack.append(iter(graph.in_edges[w]))
+    return target, found[0], found[1]
+
+
+def random_multigraph(rng, acyclic):
+    """Up to 9 shuffled vertices and parallel edges; acyclic edges point
+    from a later vertex of the unshuffled order to an earlier one."""
+    n = rng.randint(1, 9)
+    vertices, edges = [f"v{i}" for i in range(n)], []
+    for k in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if acyclic:
+            if i == j:
+                continue
+            i, j = min(i, j), max(i, j)
+        edges.append((f"e{k}", vertices[i], vertices[j]))
+        if rng.random() < 0.3:
+            edges.append((f"e{k}'", vertices[i], vertices[j]))
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return gf.DirectedGraph(vertices, edges)
+
+
+def random_presentation(rng):
+    size = rng.randint(2, 4)
+    vertices = [f"u{i}" for i in range(size)]
+    edges = [(f"e{i}_{j}", vertices[i], vertices[j]) for i in range(size)
+             for j in range(i + 1, size) if rng.random() < 0.4]
+    seam = [(f"s{k}", rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(1, 3))]
+    return gf.PeriodicGraph(gf.DirectedGraph(vertices, edges), seam_block=seam)
+
+
+def parity_graphs():
+    rng = random.Random(9)
+    ladder = gf.two_thread_ladder()
+    presentations = [
+        ladder,
+        gf.PeriodicGraph(ladder.block.delete_edge("f2"), seam_block=ladder.seam_block),
+        gf.tree_with_tails(2),
+        gf.single_tail(),
+        gf.PeriodicGraph(
+            gf.DirectedGraph(("v", "w"), ()),
+            seam_block=[("a", "v", "w"), ("b", "v", "w"), ("c", "w", "v")],
+        ),
+    ] + [random_presentation(rng) for _ in range(40)]
+    graphs = [p.unroll(copies) for p in presentations for copies in (1, 2, 4)]
+    graphs += [random_multigraph(rng, acyclic=True) for _ in range(300)]
+    graphs += [random_multigraph(rng, acyclic=False) for _ in range(150)]
+    return graphs
+
+
+def test_walk_rows_and_witnesses_match_the_dict_construction():
+    acyclic = 0
+    for g in parity_graphs():
+        cycle = reference_cycle(g)
+        assert gf.validate_graph(g).cycle_witness == cycle
+        if cycle is not None:
+            with pytest.raises(gf.GraphError) as err:
+                gf.path_counts(g)
+            assert err.value.code == "CYCLIC"
+            continue
+        acyclic += 1
+        for cap in (1, 2, 3, 10**9):
+            expected = reference_path_counts(g, cap)
+            counts = gf.path_counts(g, cap)
+            assert {v: dict(row) for v, row in counts.items()} == expected
+            for v, row in counts.items():
+                assert len(row) == len(expected[v])
+                assert all((w in row) == (w in expected[v]) for w in g.vertices)
+        expected = reference_path_counts(g)
+        assert gf.single_threaded_vertices(g) == frozenset(
+            v for v, row in expected.items() if max(row.values()) <= 1
+        )
+        for v in g.vertices:
+            assert gf.two_parallel_paths(g, v) == reference_two_parallel_paths(g, v, expected)
+    assert acyclic > 300
+
+
+def test_path_row_is_a_read_only_mapping():
+    g = gf.DirectedGraph(("v", "w", "x"), [("e1", "v", "w"), ("e2", "v", "w")])
+    row = gf.path_counts(g)["v"]
+    assert row == {"v": 1, "w": 2} and len(row) == 2
+    assert "x" not in row and "nowhere" not in row
+    with pytest.raises(KeyError):
+        row["x"]
+    with pytest.raises(TypeError):
+        row["v"] = 3

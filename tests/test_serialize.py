@@ -129,20 +129,3 @@ def test_seam_row_missing_field_carries_path():
 def test_unknown_bundled_name():
     with pytest.raises(KeyError):
         bundled.bundled_document("nope")
-
-
-def test_algebra_element_round_trip():
-    from groupoidlab import calgebra as ca
-
-    relation, sigma = bundled.trivial_cocycle_model()
-    f = ca.AlgebraElement(
-        relation, sigma, {("1", "2"): 0.5 + 0.25j, ("1", "1"): -1.0}
-    )
-    doc = sz.element_to_json(f)
-    back = sz.element_from_json(doc, relation, sigma)
-    assert ca.max_deviation(back, f) == 0
-    assert canon(sz.element_to_json(back)) == canon(doc)
-    with pytest.raises(sz.SchemaError):
-        sz.element_from_json(
-            {"schema": "algebra_element/1", "coeffs": [["zzz", 1, 0]]}, relation, sigma
-        )
