@@ -339,7 +339,10 @@ def matrix_unit_groupoid(blocks: Mapping, n: int = 1, lam: Callable | None = Non
     groupoid = FinGroupoid.from_index(discrete(keys), *index)
     if lam is None:
         return TwoCocycle.trivial(groupoid, n)
-    return TwoCocycle(groupoid, n, {(a, b): -lam(a[0], a[1], b[1]) for a, b in groupoid.composable_pairs()})
+    pa, pb, _ = groupoid.pairs
+    return TwoCocycle.from_values(groupoid, n, [
+        -lam(keys[a][0], keys[a][1], keys[b][1]) for a, b in zip(pa.tolist(), pb.tolist())
+    ])
 
 
 # -- block decomposition --------------------------------------------------------

@@ -21,7 +21,7 @@ walk per graph, kept on the graph, yields either the first cycle or a
 topological order.  Path multiplicities are level bitsets over the
 vertex positions: bit p of ``levels[k]`` is set when ``vertices[p]`` is
 the source of at least k + 1 paths, so at the default cap 2 a vertex's
-row is two ints.
+row is two ints; those rows are kept on the graph as well.
 """
 
 from __future__ import annotations
@@ -106,6 +106,12 @@ class DirectedGraph:
                         path.pop()
         return None, order
 
+    @cached_property
+    def path_rows(self) -> dict:
+        """``path_counts`` at the default cap 2, computed once per graph and
+        read by ``single_threaded_vertices`` and ``two_parallel_paths``."""
+        return path_counts(self)
+
     def __repr__(self):
         return f"<DirectedGraph {len(self.vertices)} vertices, {len(self.edges)} edges>"
 
@@ -150,27 +156,30 @@ class PathRow(Mapping):
     positions: bit p of ``levels[k]`` is set when at least k + 1 such
     paths have source ``vertices[p]``.  Levels are nested and the last
     one is nonempty, so a row has one level exactly when every count is
-    1.  The row holds the sources of paths into v, in vertex order.
+    1.  The row holds the sources of paths into v, in vertex order.  It
+    keeps the graph's numbering rather than the graph, so the rows that
+    ``DirectedGraph.path_rows`` caches make no reference cycle and are
+    freed with the graph.
     """
 
-    __slots__ = ("graph", "levels")
+    __slots__ = ("vertices", "pos", "levels")
 
     def __init__(self, graph: DirectedGraph, levels: list):
-        self.graph, self.levels = graph, levels
+        self.vertices, self.pos, self.levels = graph.vertices, graph.pos, levels
 
     def __getitem__(self, w) -> int:
-        p = self.graph.pos[w]
+        p = self.pos[w]
         count = sum(level >> p & 1 for level in self.levels)
         if not count:
             raise KeyError(w)
         return count
 
     def __contains__(self, w) -> bool:
-        p = self.graph.pos.get(w)
+        p = self.pos.get(w)
         return p is not None and bool(self.levels[0] >> p & 1)
 
     def __iter__(self):
-        vertices = self.graph.vertices
+        vertices = self.vertices
         return (vertices[p] for p, bit in enumerate(bin(self.levels[0])[:1:-1]) if bit == "1")
 
     def __len__(self) -> int:
@@ -221,7 +230,7 @@ def path_counts(graph: DirectedGraph, cap: int = 2) -> dict:
 def single_threaded_vertices(graph: DirectedGraph) -> frozenset:
     """Vertices v with at most one path from v to any w: rows with no
     level 1."""
-    return frozenset(v for v, row in path_counts(graph).items() if len(row.levels) == 1)
+    return frozenset(v for v, row in graph.path_rows.items() if len(row.levels) == 1)
 
 
 def two_parallel_paths(graph: DirectedGraph, v: Vertex):
@@ -231,7 +240,7 @@ def two_parallel_paths(graph: DirectedGraph, v: Vertex):
     preorder from v along incoming edges; a second walk then collects
     the first two paths to it.  Both walks keep their own stacks, so no
     recursion limit applies."""
-    counts = path_counts(graph)
+    counts = graph.path_rows
     levels = counts[v].levels
     if len(levels) == 1:
         return None

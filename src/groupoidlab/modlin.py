@@ -1,32 +1,50 @@
 """Linear algebra over Z/nZ for composite n.
 
-Solves A x = b (mod n) by a Smith-normal-form style diagonalization that
-uses only remainder steps, so no field structure is assumed.  At each
-position r the pivot is the smallest nonzero entry of the trailing
-block.  One array step subtracts (entry // pivot) times the pivot row
-from every row with a nonzero in the pivot column, and one column step
-clears the pivot row the same way.  What is left in the pivot row and
-column is smaller than the pivot, so repeating the two steps with a
-fresh pivot ends once both are clear.
+Solves A x = b (mod n) in two phases of row operations, so no field
+structure is assumed.
 
-The row transform U is never formed: c = U b is carried beside D, and
-the row swaps and row steps go into a log.  When a system is
-unsolvable, the solver rebuilds the one row u of U it needs by replaying
-the log backwards and returns the checkable certificate u' = (n/g) u,
-with u'.A = 0 and u'.b != 0 (mod n).  Such a row exists for every
+1. Unit pivots.  The rows are sparse, {column: value}.  While an active
+   row holds a unit entry (gcd(v, n) = 1), a shortest such row becomes a
+   pivot row, and its unit entry's column, the one in the fewest rows,
+   is cleared from every other row, Gauss-Jordan style, in Python ints.
+   A pivot row then holds its pivot column and columns that no row
+   pivots on.
+2. The rest.  The rows without a pivot, restricted to the columns
+   without one, form a block with no unit entry (often empty or zero).
+   ``_diagonalize`` brings it to Smith-normal-form style diagonal form
+   with remainder steps only: at each position r the pivot is the
+   smallest nonzero entry of the trailing block, one array step
+   subtracts (entry // pivot) times the pivot row from every row with a
+   nonzero in the pivot column, one column step clears the pivot row the
+   same way, and what is left is smaller than the pivot, so repeating
+   the two steps with a fresh pivot ends once both are clear.
+
+The solution solves the diagonal block, then back-substitutes each
+pivot column through the inverse of its unit.
+
+The row transform U is never formed: c = U b is carried beside the
+rows, and both phases write their row swaps and row steps, in the
+caller's row numbers, into one log.  When a system is unsolvable, the
+solver rebuilds the one row u of U it needs by replaying the log
+backwards and returns the checkable certificate u' = (n/g) u, with
+u'.A = 0 and u'.b != 0 (mod n).  Such a row exists for every
 unsolvable system because Z/nZ is self-injective, and conversely its
-existence obviously rules out solutions.
+existence obviously rules out solutions.  Solutions and certificates
+are re-verified against the caller's full system.
 
 Arithmetic is exact at every modulus.  Every entry is kept in [0, n), so
 a product is at most (n-1)^2 and a dot product over max(m, k) terms at
-most max(m, k) (n-1)^2.  The solver uses int64 when that bound is below
-2**63 and Python ints (``dtype=object``) otherwise; both run the same
-code.
+most max(m, k) (n-1)^2.  The array code uses int64 when that bound is
+below 2**63 and Python ints (``dtype=object``) otherwise; both run the
+same code.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -88,6 +106,59 @@ def _diagonalize(d: np.ndarray, c: np.ndarray, n: int):
     return v, log
 
 
+def _unit_pivots(a: np.ndarray, c: list, n: int, dtype):
+    """Phase 1 on the rows of ``a``, with right-hand sides ``c`` (Python
+    ints, updated in place).
+
+    Returns (rows, pivot, log): the rows as {column: value} after the
+    clearings, pivot mapping each pivot row to its column, and the log of
+    ``(r, rows, q)`` steps, each clearing the pivot column of row r from
+    the rows ``rows``.  A shortest active row comes from a heap of
+    (length, row); an entry whose length is out of date is skipped, and
+    a row without a unit entry waits until a clearing changes it.
+    """
+    rows = [{} for _ in range(a.shape[0])]
+    holders = defaultdict(set)  # column -> rows with a nonzero there
+    ri, ci = np.nonzero(a)
+    for i, j, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
+        rows[i][j] = v
+        holders[j].add(i)
+    pivot, log = {}, []
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    while heap:
+        size, r = heapq.heappop(heap)
+        row = rows[r]
+        if r in pivot or size != len(row):
+            continue
+        units = [j for j, v in row.items() if gcd(v, n) == 1]
+        if not units:
+            continue
+        j = min(units, key=lambda col: (len(holders[col]), col))
+        pivot[r] = j
+        others = sorted(holders[j] - {r})
+        if not others:
+            continue
+        inv, qs = pow(row[j], -1, n), []
+        for i in others:
+            target = rows[i]
+            q = target[j] * inv % n
+            for col, v in row.items():
+                w = (target.get(col, 0) - q * v) % n
+                if w:
+                    target[col] = w
+                    holders[col].add(i)
+                elif col in target:
+                    del target[col]
+                    holders[col].discard(i)
+            c[i] = (c[i] - q * c[r]) % n
+            qs.append(q)
+            if i not in pivot:
+                heapq.heappush(heap, (len(target), i))
+        log.append((r, np.array(others), np.array(qs, dtype=dtype)))
+    return rows, pivot, log
+
+
 def _transform_row(i: int, m: int, log: list, n: int, dtype) -> np.ndarray:
     """Row i of the row transform U, replayed from the log backwards."""
     u = np.zeros(m, dtype=dtype)
@@ -113,7 +184,7 @@ def solve_mod(a, b, n: int) -> ModSolveResult:
 
     Returns a result carrying either one solution vector or a certificate
     of unsolvability u with u.a = 0 and u.b != 0 (mod n).  Both are
-    re-verified before returning.
+    re-verified against (a, b) before returning.
     """
     if n < 1:
         raise ValueError("modulus must be positive")
@@ -124,24 +195,46 @@ def solve_mod(a, b, n: int) -> ModSolveResult:
     b = _residues(b, n, dtype).reshape(m)
     if n == 1:
         return ModSolveResult(1, tuple([0] * k), None)
-    d, c = a.copy(), b.copy()
-    v, log = _diagonalize(d, c, n)
-    diag = np.zeros(m, dtype=dtype)
-    diag[:min(m, k)] = d.diagonal()
+    c = b.tolist()
+    rows, pivot, log = _unit_pivots(a, c, n, dtype)
+    # phase 2 on the rows and columns without a pivot, none of whose
+    # entries is a unit; its log goes into the caller's row numbers
+    rest = np.array([i for i in range(m) if i not in pivot], dtype=np.int64)
+    free = np.array(sorted(set(range(k)) - set(pivot.values())), dtype=np.int64)
+    at = {j: t for t, j in enumerate(free.tolist())}
+    d = np.zeros((rest.size, free.size), dtype=dtype)
+    for t, i in enumerate(rest.tolist()):
+        for j, value in rows[i].items():
+            d[t, at[j]] = value
+    c_rest = np.array([c[i] for i in rest.tolist()], dtype=dtype)
+    v, block_log = _diagonalize(d, c_rest, n)
+    for op in block_log:
+        if len(op) == 2:
+            log.append((int(rest[op[0]]), int(rest[op[1]])))
+        else:
+            log.append((int(rest[op[0]]), rest[op[1]], op[2]))
+    diag = np.zeros(rest.size, dtype=dtype)
+    diag[:min(d.shape)] = d.diagonal()
     g = np.gcd(diag, n)  # = n where the row of D vanished
-    bad = np.flatnonzero(c % g)
+    bad = np.flatnonzero(c_rest % g)
     if bad.size:
-        i = int(bad[0])
-        cert = (_transform_row(i, m, log, n, dtype) * (n // int(g[i]))) % n
+        t = int(bad[0])
+        cert = (_transform_row(int(rest[t]), m, log, n, dtype) * (n // int(g[t]))) % n
         if (cert @ a % n).any() or not int(cert @ b) % n:
             raise InternalCheckFailure(f"unsolvability certificate fails to verify mod {n}")
         return ModSolveResult(n, None, tuple(int(x) for x in cert))
-    y = np.zeros(k, dtype=dtype)
-    for i in np.flatnonzero(diag[:k]):
-        gi = int(g[i])
-        red = n // gi
-        y[i] = (int(c[i]) // gi * pow(int(diag[i]) // gi, -1, red)) % red
-    x = (v @ y) % n
+    y = np.zeros(free.size, dtype=dtype)
+    for t in np.flatnonzero(diag[:free.size]):
+        gt = int(g[t])
+        red = n // gt
+        y[t] = (int(c_rest[t]) // gt * pow(int(diag[t]) // gt, -1, red)) % red
+    x = [0] * k
+    for j, value in zip(free.tolist(), ((v @ y) % n).tolist()):
+        x[j] = value
+    for r, j in pivot.items():
+        known = sum(value * x[col] for col, value in rows[r].items() if col != j)
+        x[j] = (c[r] - known) * pow(rows[r][j], -1, n) % n
+    x = np.array(x, dtype=dtype)
     if (a @ x % n != b).any():
         raise InternalCheckFailure(f"solution fails to verify mod {n}")
     return ModSolveResult(n, tuple(int(t) for t in x), None)

@@ -157,18 +157,18 @@ def cocycle_to_json(sigma: TwoCocycle) -> dict:
 def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> TwoCocycle:
     _expect_schema(doc, ("two_cocycle/1",), path)
     n = _expect(doc.get("n"), int, path + "/n")
-    labels = morphism_labels(groupoid)
-    table = {}
+    number = {lab: groupoid.index[m] for lab, m in morphism_labels(groupoid).items()}
+    entries = {}
     rows = _expect(doc.get("table"), list, path + "/table")
     for k, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 3):
             raise SchemaError("table rows are [a, b, value]", f"{path}/table/{k}")
         a, b, v = row
-        if a not in labels or b not in labels:
+        if a not in number or b not in number:
             raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
-        table[(labels[a], labels[b])] = int(v)
+        entries[(number[a], number[b])] = int(v)
     try:
-        return TwoCocycle(groupoid, n, table)
+        return TwoCocycle.from_numbered(groupoid, n, entries)
     except ValueError as err:
         raise SchemaError(str(err), path + "/table")
 

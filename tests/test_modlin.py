@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 
 import numpy as np
 
-from groupoidlab.modlin import _diagonalize, _transform_row, solve_mod
+from groupoidlab import modlin
+from groupoidlab.modlin import _diagonalize, _transform_row, _unit_pivots, solve_mod
 
 
 def brute_force_solvable(a, b, n):
@@ -148,3 +150,128 @@ def test_big_moduli_use_exact_arithmetic():
         assert not res.solvable
         u = res.certificate
         assert (2 * u[0] + 4 * u[1]) % even == 0 and (u[0] + 2 * u[1]) % even != 0
+
+
+def check_result(res, a, b, n):
+    """Re-check a result in Python ints: A x = b, or u A = 0 and u b != 0."""
+    a = [[int(v) for v in row] for row in np.asarray(a, dtype=object)]
+    b = [int(v) for v in np.asarray(b, dtype=object)]
+    if res.solvable:
+        assert all(sum(r * x for r, x in zip(row, res.solution)) % n == rhs % n for row, rhs in zip(a, b))
+    else:
+        u = res.certificate
+        assert all(sum(u[i] * a[i][j] for i in range(len(a))) % n == 0 for j in range(len(a[0])))
+        assert sum(ui * bi for ui, bi in zip(u, b)) % n != 0
+
+
+def reachable(a, b, n):
+    return (brute_force_solutions(np.asarray(a), n) == np.asarray(b)[:, None] % n).all(axis=0).any()
+
+
+def phases(a, b, n):
+    """The pivots of the unit phase and the rows it leaves."""
+    a = np.asarray(a, dtype=np.int64) % n
+    _, pivot, _ = _unit_pivots(a, [int(v) % n for v in b], n, np.int64)
+    return pivot, [i for i in range(a.shape[0]) if i not in pivot]
+
+
+def random_system(rng, n, m, k, entries, solvable):
+    a = np.array([[rng.choice(entries) for _ in range(k)] for _ in range(m)])
+    if solvable:
+        return a, (a @ np.array([rng.randrange(n) for _ in range(k)])) % n
+    return a, np.array([rng.randrange(n) for _ in range(m)])
+
+
+def test_systems_without_unit_entries_go_to_the_diagonal_phase():
+    rng = random.Random(21)
+    for _ in range(80):
+        n = rng.choice([4, 6, 8, 9, 12])
+        non_units = [v for v in range(n) if math.gcd(v, n) > 1]
+        m, k = rng.randint(1, 6), rng.randint(1, 3)
+        a, b = random_system(rng, n, m, k, non_units, rng.random() < 0.5)
+        assert phases(a, b, n)[0] == {}
+        res = solve_mod(a, b, n)
+        assert res.solvable == reachable(a, b, n)
+        check_result(res, a, b, n)
+
+
+def test_mixed_unit_and_non_unit_systems_against_brute_force():
+    # tall (m > k) and wide (k > m) systems whose unit phase pivots on
+    # some rows and leaves others, with a non-unit entry, to phase 2
+    rng = random.Random(22)
+    mixed = 0
+    for _ in range(300):
+        n = rng.choice([4, 6, 8, 9, 12])
+        m, k = rng.choice([(rng.randint(3, 8), rng.randint(1, 3)), (rng.randint(1, 3), 4 + (n <= 6))])
+        a, b = random_system(rng, n, m, k, range(n), rng.random() < 0.4)
+        pivot, rest = phases(a, b, n)
+        res = solve_mod(a, b, n)
+        assert res.solvable == reachable(a, b, n)
+        check_result(res, a, b, n)
+        mixed += bool(pivot) and bool(rest)
+    assert mixed > 50
+
+
+def test_zero_rows_with_nonzero_right_hand_side():
+    for n in (5, 12):
+        a, b = [[1, 2], [0, 0], [3, 1]], [1, 4, 2]
+        res = solve_mod(a, b, n)
+        assert not res.solvable
+        check_result(res, a, b, n)
+    res = solve_mod([[1, 2], [0, 0]], [1, 0], 12)
+    assert res.solvable
+
+
+def test_big_moduli_in_both_phases():
+    rng = random.Random(23)
+    for n in (2**40 + 15, 2**100 + 277):
+        for _ in range(10):
+            m, k = rng.randint(2, 8), rng.randint(1, 6)
+            a = [[rng.randrange(n) for _ in range(k)] for _ in range(m)]
+            # a dependent row whose right-hand side is off by one
+            a.append([(x + y) % n for x, y in zip(a[0], a[1])])
+            x = [rng.randrange(n) for _ in range(k)]
+            b = [sum(r * v for r, v in zip(row, x)) % n for row in a]
+            for rhs in (b, b[:-1] + [(b[-1] + 1) % n]):
+                res = solve_mod(a, rhs, n)
+                assert res.solvable == (rhs is b)
+                check_result(res, a, rhs, n)
+        # entries sharing a factor with 2n are not units: phase 2 runs on them
+        res = solve_mod([[2, 2, 1], [4, 4, 0], [0, 0, 0]], [1, 2, 5], 2 * n)
+        check_result(res, [[2, 2, 1], [4, 4, 0], [0, 0, 0]], [1, 2, 5], 2 * n)
+        assert not res.solvable
+
+
+def test_certificate_row_touched_by_both_phases(monkeypatch):
+    # the certificate row is cleared in the unit phase and then moved by
+    # _diagonalize; its row of U is replayed across both logs
+    calls = {}
+
+    def diagonalize(d, c, n):
+        v, log = _diagonalize(d, c, n)
+        calls["block"] = len(log)
+        return v, log
+
+    def transform_row(i, m, log, n, dtype):
+        calls["row"], calls["log"] = i, list(log)
+        return _transform_row(i, m, log, n, dtype)
+
+    monkeypatch.setattr(modlin, "_diagonalize", diagonalize)
+    monkeypatch.setattr(modlin, "_transform_row", transform_row)
+    rng = random.Random(24)
+    both = 0
+    for _ in range(400):
+        calls.clear()
+        n = rng.choice([4, 8, 9, 12])
+        a, b = random_system(rng, n, rng.randint(3, 7), rng.randint(2, 4), range(n), False)
+        res = solve_mod(a, b, n)
+        assert res.solvable == reachable(a, b, n)
+        check_result(res, a, b, n)
+        if res.solvable:
+            continue
+        i, log = calls["row"], calls["log"]
+        unit_log, block_log = log[: len(log) - calls["block"]], log[len(log) - calls["block"]:]
+        # row i changes in a swap it is part of and in a step that targets it
+        changed = [any(i in (op if len(op) == 2 else op[1].tolist()) for op in part) for part in (unit_log, block_log)]
+        both += all(changed)
+    assert both > 10

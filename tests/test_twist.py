@@ -1,11 +1,17 @@
 import itertools
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
+from groupoidlab import serialize
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from groupoidlab.modlin import solve_mod
@@ -170,6 +176,136 @@ def test_mismatched_footing_rejected():
         tw.are_cohomologous(tw.TwoCocycle.trivial(g1, 2), tw.TwoCocycle.trivial(g2, 2))
     with pytest.raises(tw.CocycleError):
         tw.are_cohomologous(tw.TwoCocycle.trivial(g1, 2), tw.TwoCocycle.trivial(g1, 3))
+
+
+def full_system_solvable(sigma):
+    """The verdict of every equation b(x) + b(y) - b(xy) = sigma(x, y),
+    one per composable pair, in the non-unit values of b."""
+    g = sigma.groupoid
+    pa = g.pairs[0]
+    rows = np.zeros((len(pa), len(g.morphisms)), dtype=np.int64)
+    for ends, c in zip(g.pairs, (1, 1, -1)):
+        np.add.at(rows, (np.arange(len(pa)), ends), c)
+    free = ~g.unit_mask
+    if not free.any():
+        return not sigma.values.any()
+    return solve_mod(rows[:, free], sigma.values, sigma.n).solvable
+
+
+def product_group(a, b):
+    """Z/a x Z/b as a one-unit groupoid on the labels (x, y)."""
+    elems = [(x, y) for x in range(a) for y in range(b)]
+    return gp.FinGroupoid(
+        fs.discrete(elems), [(0, 0)], {e: (0, 0) for e in elems}, {e: (0, 0) for e in elems},
+        {(e, f): ((e[0] + f[0]) % a, (e[1] + f[1]) % b) for e in elems for f in elems},
+        {e: (-e[0] % a, -e[1] % b) for e in elems},
+    )
+
+
+def s3_from_table():
+    """S3 read from a fingroupoid/1 document; labels are permutations of
+    012 as strings."""
+    perms = ["".join(map(str, p)) for p in itertools.permutations(range(3))]
+    compose = [[p, q, "".join(p[int(i)] for i in q)] for p in perms for q in perms]
+    inverse = {p: "".join(str(p.index(str(i))) for i in range(3)) for p in perms}
+    doc = {
+        "schema": "fingroupoid/1",
+        "topology": {"schema": "finspace/1", "points": perms, "min_open": {p: [p] for p in perms}},
+        "units": ["012"], "range": {p: "012" for p in perms}, "source": {p: "012" for p in perms},
+        "compose": compose, "inverse": inverse,
+    }
+    return serialize.groupoid_from_json(doc)
+
+
+def odd(p):
+    return sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2
+
+
+def oracle_cases():
+    """(groupoid, n, carry) with carry a class that need not be trivial."""
+    for a, b in ((2, 3), (4, 1), (2, 2), (2, 4), (3, 3), (6, 2)):
+        g = product_group(a, b)
+        for n in (a, 2 * a, 6):
+            yield g, n, {(x, y): (n // math.gcd(n, a)) * ((x[0] + y[0]) // a) for x, y in g.composable_pairs()}
+    s3 = s3_from_table()
+    for n in (2, 3, 4, 6):
+        yield s3, n, {(x, y): n // 2 * (odd(x) & odd(y)) if n % 2 == 0 else 0 for x, y in s3.composable_pairs()}
+    for size, n in ((1, 3), (2, 2), (3, 2), (2, 4)):
+        # Z_n x (a pair groupoid): from two points on, several units with
+        # isotropy Z_n, and the lowest-numbered non-unit joins two units,
+        # so it generates no group
+        base = pair_groupoid(range(size))
+        ext = tw.extension_groupoid(base, tw.TwoCocycle.trivial(base, n))
+        yield ext, n, {(x, y): (x[0] + y[0]) // n for x, y in ext.composable_pairs()}
+    rng = random.Random(31)
+    for _ in range(4):
+        space = random_space(rng.randrange(10**6), 4)
+        psi = fs.quotient_space(space, random_partition(rng, space.points))[1]
+        base = gp.build_relation_groupoid(psi)
+        n = rng.choice((2, 3, 4))
+        ext = tw.extension_groupoid(base, tw.coboundary_twist(random_cochain(rng, base, n)))
+        yield ext, n, {(x, y): (x[0] + y[0]) // n for x, y in ext.composable_pairs()}
+
+
+def test_generator_equations_agree_with_all_pairs():
+    rng = random.Random(1207)
+    verdicts = set()
+    non_loop_first = 0
+    for g, n, carry in oracle_cases():
+        assert not gp.groupoid_properties(g).principal
+        first = int(np.argmin(g.unit_mask))
+        non_loop_first += g.range_idx[first] != g.source_idx[first]
+        pairs = g.composable_pairs()
+        cob = tw.coboundary_twist(random_cochain(rng, g, n))
+        carried = tw.TwoCocycle(g, n, {p: cob.value(*p) + carry[p] for p in pairs})
+        unit_pair = next(p for p in pairs if p[0] in g.units and p[1] not in g.units)
+        cases = [cob, carried, cob.shift(unit_pair, 1)]  # the last is not normalized
+        cases.append(tw.TwoCocycle(g, n, {p: rng.randrange(n) for p in pairs}))
+        cases.append(carried.shift(rng.choice(pairs), rng.randrange(1, n)))
+        for sigma in cases:
+            b = tw.are_cohomologous(sigma, tw.TwoCocycle.trivial(g, n))
+            assert (b is not None) == full_system_solvable(sigma)
+            if b is not None:
+                assert tw.coboundary_twist(b) == sigma
+            verdicts.add((tw.verify_two_cocycle(sigma).valid, b is not None))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+    assert non_loop_first >= 4
+
+
+def test_generator_equations_are_few():
+    g = product_group(6, 6)
+    assert len(tw._generator_pairs(g)) == 108 < len(g.pairs[0]) == 1296
+
+
+MISMATCH = """
+from groupoidlab import finspace as fs, groupoid as gp, twist as tw
+from groupoidlab.errors import InternalCheckFailure
+from groupoidlab.modlin import ModSolveResult
+
+elems = range(6)
+g = gp.FinGroupoid(
+    fs.discrete(elems), [0], dict.fromkeys(elems, 0), dict.fromkeys(elems, 0),
+    {(a, b): (a + b) % 6 for a in elems for b in elems}, {a: -a % 6 for a in elems},
+)
+# a forced wrong witness: the zero cochain, checked against every pair
+tw.solve_mod = lambda a, b, n: ModSolveResult(n, (0,) * a.shape[1], None)
+coboundary = tw.coboundary_twist(tw.OneCochain(g, 6, {1: 1}))
+invalid = tw.TwoCocycle.trivial(g, 6).shift((1, 2), 1)
+print(tw.are_cohomologous(invalid, tw.TwoCocycle.trivial(g, 6)))
+try:
+    tw.are_cohomologous(coboundary, tw.TwoCocycle.trivial(g, 6))
+except InternalCheckFailure:
+    print("raised")
+"""
+
+
+def test_witness_mismatch_raises_under_python_O():
+    # a mismatch on a table that is not a cocycle is a verdict (None);
+    # on a valid cocycle it is an internal failure, also under -O
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(tw.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-O", "-c", MISMATCH], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["None", "raised"]
 
 
 # -- extension groupoid --------------------------------------------------------------
