@@ -22,9 +22,7 @@ from .finspace import (
     closed_hausdorff_core,
     discrete,
     sierpinski,
-    chain_space,
     product,
-    disjoint_union,
 )
 from .groupoid import (
     FinGroupoid,
@@ -49,7 +47,6 @@ from .twist import (
     extension_groupoid,
     verify_cech,
     cech_is_coboundary,
-    cech_coboundary,
     cech_to_groupoid_cocycle,
 )
 from .calgebra import (

@@ -577,9 +577,6 @@ class CoverAlgebra:
     def spanning_keys(self) -> list[tuple]:
         return list(self.groupoid.morphisms)
 
-    def element(self, f: Mapping) -> AlgebraElement:
-        return AlgebraElement(self.groupoid, self.sigma, f)
-
     def verify(self, rng: random.Random | None = None) -> "CoverAlgebraCheck":
         """The axiom battery on random elements, and the exact cocycle
         identity of -lambda; the groupoid axioms ran at construction."""

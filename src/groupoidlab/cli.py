@@ -18,6 +18,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 
 from . import bundled, calgebra, finspace, graphfell, groupoid, serialize, twist
 from .corpus import (
@@ -87,7 +88,7 @@ def _cmd_build_relation(args) -> dict:
     psi = serialize.map_from_json(_load(args.input))
     relation = groupoid.build_relation_groupoid(psi)
     props = groupoid.groupoid_properties(relation)
-    orbit_sizes = sorted((len(o) for o in relation.orbits()), reverse=True)
+    orbit_sizes = sorted(Counter(relation.orbit_idx[relation.unit_mask].tolist()).values(), reverse=True)
     report = groupoid.orbit_map_check(psi)
     if not report.all_verified:
         raise InternalCheckFailure("orbit-space identification failed")

@@ -132,22 +132,3 @@ def random_discrete_surjection(rng: random.Random, n: int) -> SpaceMap:
         for p in b:
             assignment[p] = k
     return SpaceMap(dom, cod, assignment)
-
-
-def random_dag(rng: random.Random, n_vertices: int, edge_prob: float = 0.35):
-    """A random acyclic directed graph as (vertices, edges).
-
-    Edges are triples (id, range_vertex, source_vertex) oriented so that
-    the vertex order is a topological order for the path direction.
-    """
-    vertices = [f"v{i}" for i in range(n_vertices)]
-    edges = []
-    eid = 0
-    for i in range(n_vertices):
-        for j in range(i + 1, n_vertices):
-            while rng.random() < edge_prob:
-                edges.append((f"e{eid}", vertices[i], vertices[j]))
-                eid += 1
-                if rng.random() < 0.7:
-                    break
-    return vertices, edges

@@ -170,15 +170,6 @@ class FinSpace:
     def is_open_bits(self, mask: int) -> bool:
         return _is_open(self._mo, mask)
 
-    def is_open(self, subset: Iterable[Point]) -> bool:
-        return self.is_open_bits(self.bits(subset))
-
-    def is_closed_bits(self, mask: int) -> bool:
-        return self.is_open_bits(~mask & (1 << len(self.points)) - 1)
-
-    def is_closed(self, subset: Iterable[Point]) -> bool:
-        return self.is_closed_bits(self.bits(subset))
-
     def closure_bits(self, mask: int) -> int:
         return sum(1 << i for i in range(len(self.points)) if self._mo[i] & mask)
 
@@ -203,15 +194,6 @@ class FinSpace:
                         nxt.append(u)
             frontier = nxt
         return sorted(seen, key=lambda m: (bin(m).count("1"), m))
-
-    def open_sets(self) -> list[frozenset]:
-        return [self.unbits(m) for m in self.open_set_bits()]
-
-    def subspace(self, subset: Iterable[Point]) -> "FinSpace":
-        sub = self.bits(subset)
-        pts = [p for p in self.points if (sub >> self._index[p]) & 1]
-        mo = {p: self.unbits(self._mo[self._index[p]] & sub) for p in pts}
-        return FinSpace(pts, mo)
 
     # subspace predicates on bitmasks, avoiding object construction in hot loops
 
@@ -241,28 +223,12 @@ def sierpinski(open_point: Point = "a", closed_point: Point = "b") -> FinSpace:
     )
 
 
-def chain_space() -> FinSpace:
-    """Two-point space {c, o} with {o} open and {c} not: U_c = {c, o}."""
-    return FinSpace(("c", "o"), {"o": {"o"}, "c": {"c", "o"}})
-
-
 def product(left: FinSpace, right: FinSpace) -> FinSpace:
     """Product space; minimal opens are U_y x U_z."""
     pts = [(y, z) for y in left.points for z in right.points]
     mo = {
         (y, z): {(y2, z2) for y2 in left.min_open(y) for z2 in right.min_open(z)}
         for (y, z) in pts
-    }
-    return FinSpace(pts, mo)
-
-
-def disjoint_union(parts: Sequence[FinSpace]) -> FinSpace:
-    """Disjoint union with each part open and closed; points are (i, p)."""
-    pts = [(i, p) for i, part in enumerate(parts) for p in part.points]
-    mo = {
-        (i, p): {(i, q) for q in part.min_open(p)}
-        for i, part in enumerate(parts)
-        for p in part.points
     }
     return FinSpace(pts, mo)
 
@@ -300,16 +266,6 @@ class SpaceMap:
 
     def __repr__(self):
         return f"SpaceMap({self.assignment!r})"
-
-    def image_bits(self, mask: int) -> int:
-        return _image(self.targets, mask)
-
-    def preimage_bits(self, mask: int) -> int:
-        out = 0
-        for i, t in enumerate(self.targets):
-            if (mask >> t) & 1:
-                out |= 1 << i
-        return out
 
     def is_surjective(self) -> bool:
         return len(set(self.targets)) == len(self.cod)

@@ -17,7 +17,12 @@ psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
 and whose topology is the restriction of the product topology on Y x Y.
 As an algebraic groupoid it is the disjoint union of the pair groupoids
 on the fibers of psi, so ``RelationGroupoid`` installs the index
-``pair_groupoid_index`` computes from the fiber sizes.
+``pair_groupoid_index`` computes from the fiber sizes.  Its topology
+comes from ``product_masks``, which pulls the product topology of a
+space on the units back along r x s on any groupoid's own numbering.
+``fell_check`` calls the same routine for R(q), the relation groupoid
+of the orbit quotient: r x s of a principal groupoid is a bijection
+onto R(q), so R(q) is never built as a space of its own.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .finspace import (
     FinSpace,
     MapProperties,
     SpaceMap,
+    _image,
     _scan_masks,
     classify_map,
     discrete,
@@ -159,20 +165,6 @@ class FinGroupoid:
         m = self.morphisms
         return {(m[a], m[b]): m[c] for a, b, c in zip(*(p.tolist() for p in self.pairs))}
 
-    # -- accessors -------------------------------------------------------
-
-    def r(self, m: Morphism) -> Morphism:
-        return self.range_map[m]
-
-    def s(self, m: Morphism) -> Morphism:
-        return self.source_map[m]
-
-    def inv(self, m: Morphism) -> Morphism:
-        return self.inverse[m]
-
-    def mul(self, a: Morphism, b: Morphism) -> Morphism:
-        return self.compose[(a, b)]
-
     def fiber_pairs(self, u: Morphism) -> tuple:
         """The source fiber s^{-1}(u) as morphism numbers, and the pairs
         (b, c) with s(c) = u as pair numbers with the fiber positions of
@@ -185,21 +177,23 @@ class FinGroupoid:
             self._fibers[u] = (np.flatnonzero(in_fiber), k, pos[pc[k]], pos[pb[k]])
         return self._fibers[u]
 
-    def unit_space(self) -> FinSpace:
-        return self.topology.subspace([m for m in self.morphisms if m in self.units])
+    @cached_property
+    def orbit_idx(self) -> np.ndarray:
+        """The orbit of each unit, named by its lowest-numbered unit: the
+        least r(m) over the m with s(m) = u, which is the same for every
+        unit of the orbit.  Morphisms that are not units hold len(self)."""
+        n = len(self.morphisms)
+        first = np.full(n, n)
+        np.minimum.at(first, self.source_idx, self.range_idx)
+        return first
 
     def orbits(self) -> tuple:
-        """Orbits of the unit space: u ~ v when some morphism joins them.
-        The orbit of u is {r(m) : s(m) = u}; its first unit labels it.
-        The units are the morphisms that are their own range.  Computed
-        once."""
+        """Orbits of the unit space, u ~ v when some morphism joins them,
+        as tuples of units grouped by ``orbit_idx``.  Computed once."""
         if self._orbits is None:
-            n = len(self.morphisms)
-            first = np.full(n, n)
-            np.minimum.at(first, self.source_idx, self.range_idx)
-            units = np.flatnonzero(self.range_idx == np.arange(n))
+            units = np.flatnonzero(self.unit_mask)
             groups: dict = {}
-            for u, label in zip(units.tolist(), first[units].tolist()):
+            for u, label in zip(units.tolist(), self.orbit_idx[units].tolist()):
                 groups.setdefault(label, []).append(self.morphisms[u])
             self._orbits = tuple(tuple(g) for g in groups.values())
         return self._orbits
@@ -226,15 +220,6 @@ class FinGroupoid:
             a0, a1 = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
             ab = np.repeat(np.arange(a0, a1 + 1), counts[a0 : a1 + 1])[lo - first[a0] : hi - first[a0]]
             yield ab, start[pb[ab]] + np.arange(lo, hi) - first[ab]
-
-    def composable_triples(self) -> list[tuple]:
-        pa, pb, _ = self.pairs
-        m = self.morphisms
-        return [
-            (m[a], m[b], m[c])
-            for ab, bc in self.triple_join()
-            for a, b, c in zip(pa[ab].tolist(), pb[ab].tolist(), pb[bc].tolist())
-        ]
 
     # -- validation --------------------------------------------------------
 
@@ -342,21 +327,29 @@ class RelationGroupoid(FinGroupoid):
     pair groupoids on the fibers, so the index is ``pair_groupoid_index``
     of the fiber sizes, installed and verified like any other.
 
-    The base space Y and psi are retained so that orbit-space
-    constructions can use the base topology even when a caller
-    deliberately installs a different topology on the morphisms (the
-    mismatch is what the openness test detects).
+    The base space Y is kept, as ``base_masks``: the minimal open of Y
+    at each y carried to the unit numbers of the (y, y).  The default
+    topology on the morphisms is the product topology of Y x Y restricted
+    to them, which ``product_masks`` builds from those masks.  Orbit-space
+    constructions read Y even when a caller installs another topology on
+    the morphisms (the mismatch is what the openness test detects).
     """
 
-    def __init__(self, psi: SpaceMap, fibers: Sequence[Sequence], topology: FinSpace):
-        # the topology's points must be the pairs numbered as
-        # ``_pair_topology`` numbers them, as both callers build them
-        if len(topology) != sum(len(f) ** 2 for f in fibers):
+    def __init__(self, psi: SpaceMap, fibers: Sequence[Sequence], topology: FinSpace | None = None):
+        index = pair_groupoid_index([len(f) for f in fibers])
+        y = psi.dom
+        self.base, self.psi, self.fibers = y, psi, fibers
+        self.base_labels = [p for f in fibers for p in f]
+        # the units (y, y) come out fiber by fiber, as the base labels do
+        units = np.flatnonzero(index[3]).tolist()
+        unit_of = {y._index[p]: u for p, u in zip(self.base_labels, units)}
+        self.base_masks = {u: _image(unit_of, y._mo[y._index[p]]) for p, u in zip(self.base_labels, units)}
+        if topology is None:
+            pairs = [(a, b) for f in fibers for a in f for b in f]
+            topology = FinSpace(pairs, masks=product_masks(self.base_masks, index[0], index[1]))
+        elif len(topology) != len(index[0]):
             raise ValueError("the topology's points are not the pairs of the fibers")
-        self.base = psi.dom
-        self.psi = psi
-        self.fibers = fibers
-        self._install(topology, *pair_groupoid_index([len(f) for f in fibers]))
+        self._install(topology, *index)
 
     def with_discrete_topology(self) -> "RelationGroupoid":
         """Same algebraic groupoid with the discrete morphism topology."""
@@ -373,25 +366,24 @@ def _union(values: Sequence[int], mask: int) -> int:
     return out
 
 
-def _pair_topology(space: FinSpace, classes: Iterable[Iterable[Morphism]]) -> FinSpace:
-    """The pairs (y, z) of points in a common class, numbered class by
-    class as in ``RelationGroupoid``, with the product topology of
-    ``space`` restricted to them.
+def product_masks(unit_mo: Mapping[int, int], range_idx: np.ndarray, source_idx: np.ndarray) -> list[int]:
+    """The minimal opens of the morphisms in the topology that r x s
+    pulls back from the product topology of a space on the units.
 
-    The minimal open at (y, z) is rows[y] & cols[z], where rows[y] masks
-    the pairs whose first point lies in U_y and cols[z] the pairs whose
-    second point lies in U_z: a pair (a, b) lies in U_y x U_z exactly
-    when a lies in U_y and b in U_z.
+    ``unit_mo[u]`` masks, by morphism number, the units in the minimal
+    open U_u of that space at the unit u.  The minimal open at m is
+    rows[r(m)] & cols[s(m)], where rows[u] masks the morphisms whose range
+    lies in U_u and cols[u] those whose source does: m' lies in the
+    preimage of U_{r(m)} x U_{s(m)} exactly when both hold.
     """
-    index = space._index
-    pairs = [(y, z) for cls in classes for y in cls for z in cls]
-    first, second = [0] * len(space), [0] * len(space)
-    for k, (y, z) in enumerate(pairs):
-        first[index[y]] |= 1 << k
-        second[index[z]] |= 1 << k
-    rows = [_union(first, u) for u in space._mo]
-    cols = [_union(second, u) for u in space._mo]
-    return FinSpace(pairs, masks=[rows[index[y]] & cols[index[z]] for y, z in pairs])
+    rng, src = range_idx.tolist(), source_idx.tolist()
+    first, second = [0] * len(rng), [0] * len(rng)
+    for k, (a, b) in enumerate(zip(rng, src)):
+        first[a] |= 1 << k
+        second[b] |= 1 << k
+    rows = {u: _union(first, mask) for u, mask in unit_mo.items()}
+    cols = {u: _union(second, mask) for u, mask in unit_mo.items()}
+    return [rows[a] & cols[b] for a, b in zip(rng, src)]
 
 
 def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
@@ -402,21 +394,26 @@ def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
     fibers: dict = {}
     for y, x in zip(psi.dom.points, psi.targets):
         fibers.setdefault(x, []).append(y)
-    fibers = list(fibers.values())
-    return RelationGroupoid(psi, fibers, _pair_topology(psi.dom, fibers))
+    return RelationGroupoid(psi, list(fibers.values()))
 
 
-def _orbit_base(groupoid: FinGroupoid):
-    """Space to quotient for the orbit space, with unit labels.
+def _subspace_masks(groupoid: FinGroupoid) -> dict:
+    """The minimal opens U_u & units of the unit subspace, keyed and
+    masked by unit number."""
+    units = np.flatnonzero(groupoid.unit_mask).tolist()
+    bits = sum(1 << u for u in units)
+    return {u: groupoid.topology._mo[u] & bits for u in units}
 
-    For a relation groupoid the retained base Y is used (its points are in
-    canonical bijection u = (y, y) <-> y with the units, and for the
-    untampered product-subspace topology the two agree); otherwise the
-    unit space with its subspace topology.
-    """
+
+def _unit_base(groupoid: FinGroupoid) -> tuple:
+    """The space whose quotient is the orbit space, on the units: its
+    point at each unit, in unit order, and ``unit_mo`` as
+    ``product_masks`` takes it.  For a relation groupoid that is Y at the
+    units (y, y); otherwise the unit subspace."""
     if isinstance(groupoid, RelationGroupoid):
-        return groupoid.base, {u: u[0] for u in groupoid.units}
-    return groupoid.unit_space(), {u: u for u in groupoid.units}
+        return groupoid.base_labels, groupoid.base_masks
+    masks = _subspace_masks(groupoid)
+    return [groupoid.morphisms[u] for u in masks], masks
 
 
 def orbit_space(groupoid: FinGroupoid):
@@ -425,9 +422,14 @@ def orbit_space(groupoid: FinGroupoid):
     Returns (X, q).  For an etale groupoid the quotient map is also open;
     this is asserted whenever the etale property holds.
     """
-    base, label = _orbit_base(groupoid)
-    partition = [frozenset(label[u] for u in orbit) for orbit in groupoid.orbits()]
-    space, q = quotient_space(base, partition)
+    labels, masks = _unit_base(groupoid)
+    position = (np.cumsum(groupoid.unit_mask) - 1).tolist()
+    base = FinSpace(labels, masks=[_image(position, m) for m in masks.values()])
+    orbit = groupoid.orbit_idx.tolist()
+    blocks: dict = {}
+    for u, label in zip(masks, labels):
+        blocks.setdefault(orbit[u], []).append(label)
+    space, q = quotient_space(base, blocks.values())
     if groupoid_properties(groupoid).etale and not classify_map(q).open_map:
         raise InternalCheckFailure("etale groupoid with non-open orbit map")
     return space, q
@@ -458,10 +460,8 @@ def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
         return groupoid._props_cache
     n = len(groupoid.morphisms)
     principal = len(set((groupoid.range_idx * n + groupoid.source_idx).tolist())) == n
-    mo = groupoid.topology._mo
-    units = sum(1 << u for u in np.flatnonzero(groupoid.unit_mask).tolist())
     continuous, open_map, locally_injective, _ = _scan_masks(
-        mo, [u & units for u in mo], groupoid.range_idx.tolist()
+        groupoid.topology._mo, _subspace_masks(groupoid), groupoid.range_idx.tolist()
     )
     props = GroupoidProperties(principal, continuous and open_map and locally_injective)
     groupoid._props_cache = props
@@ -473,7 +473,6 @@ class FellCheck:
     is_fell_model: bool
     r_times_s_open: bool
     r_times_s_continuous: bool
-    bijective: bool
     witness: frozenset | None
 
     def as_dict(self) -> dict:
@@ -481,7 +480,8 @@ class FellCheck:
             "is_fell_model": self.is_fell_model,
             "r_times_s_open": self.r_times_s_open,
             "r_times_s_continuous": self.r_times_s_continuous,
-            "bijective": self.bijective,
+            # r x s of a principal groupoid is a bijection onto R(q)
+            "bijective": True,
             "witness": None if self.witness is None else sorted(map(canonical_label, self.witness)),
         }
 
@@ -490,35 +490,24 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
     """Decide whether r x s is a topological isomorphism onto R(q).
 
     R(q) is the relation groupoid of the orbit quotient q, carrying the
-    product topology of the unit space restricted to the relation; it is
-    built in full by ``_pair_topology``, the routine that builds every
-    relation groupoid's topology, and r x s is read off the index in its
-    numbering.  For a principal groupoid r x s is automatically a
-    bijection onto R(q); the content is whether it is continuous and
-    open.  On failure the witness is a minimal open of the groupoid whose
+    product topology of the unit space restricted to the relation.  For
+    a principal groupoid r x s is a bijection onto R(q) by construction:
+    it is injective by principality, and onto because two units lie in
+    one orbit exactly when a morphism joins them.  So R(q) lives on the
+    groupoid's own numbering, where ``product_masks`` gives its minimal
+    opens from the base of the orbit space (Y for a relation groupoid),
+    and the content is whether the identity of the morphisms is
+    continuous and open from the groupoid's topology to R(q)'s.  On
+    failure the witness is the first minimal open of the groupoid whose
     image is not open.
     """
-    props = groupoid_properties(groupoid)
-    if not props.principal:
+    if not groupoid_properties(groupoid).principal:
         raise NonPrincipalError("fell_check requires a principal groupoid")
-    base, label = _orbit_base(groupoid)
-    orbits = groupoid.orbits()
-    rq_topology = _pair_topology(base, ([label[u] for u in orbit] for orbit in orbits))
-    rq, m = rq_topology._index, groupoid.morphisms
-    targets = [
-        rq[(label[m[a]], label[m[b]])]
-        for a, b in zip(groupoid.range_idx.tolist(), groupoid.source_idx.tolist())
-    ]
-    bijective = len(set(targets)) == len(m) == len(rq_topology.points)
-    continuous, open_map, _, first = _scan_masks(groupoid.topology._mo, rq_topology._mo, targets)
-    witness = None if first is None else groupoid.topology.unbits(groupoid.topology.min_open_bits(first))
-    return FellCheck(
-        is_fell_model=bijective and continuous and open_map,
-        r_times_s_open=open_map,
-        r_times_s_continuous=continuous,
-        bijective=bijective,
-        witness=witness,
-    )
+    rq = product_masks(_unit_base(groupoid)[1], groupoid.range_idx, groupoid.source_idx)
+    mo = groupoid.topology._mo
+    continuous, open_map, _, first = _scan_masks(mo, rq, range(len(mo)))
+    witness = None if first is None else groupoid.topology.unbits(mo[first])
+    return FellCheck(continuous and open_map, open_map, continuous, witness)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ identity on canonical form.  Errors carry a JSON-pointer-style path.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Mapping
 
 from .finspace import FinSpace, SpaceMap
@@ -26,6 +27,14 @@ class SchemaError(ValueError):
 def _expect(doc: Any, kind: type, path: str):
     if not isinstance(doc, kind):
         raise SchemaError(f"expected {kind.__name__}, got {type(doc).__name__}", path)
+    return doc
+
+
+def _expect_int(doc: Any, path: str, *keys) -> int:
+    """A JSON integer (exactly an int: no float, numeric string or bool) at
+    ``path`` and then ``keys``, which are joined only on failure."""
+    if type(doc) is not int:
+        raise SchemaError(f"expected int, got {type(doc).__name__}", path + "".join(f"/{k}" for k in keys))
     return doc
 
 
@@ -89,16 +98,17 @@ def map_from_json(doc: Mapping, path: str = "/") -> SpaceMap:
 def groupoid_to_json(groupoid: FinGroupoid) -> dict:
     if isinstance(groupoid, RelationGroupoid):
         return {"schema": "relation_groupoid/1", "psi": map_to_json(groupoid.psi)}
-    lab = canonical_label
+    labels = [canonical_label(m) for m in groupoid.morphisms]
+    table = lambda idx: {m: labels[t] for m, t in zip(labels, idx.tolist())}
     return {
         "schema": "fingroupoid/1",
         "topology": space_to_json(groupoid.topology),
-        "units": sorted(lab(u) for u in groupoid.units),
-        "range": {lab(m): lab(groupoid.r(m)) for m in groupoid.morphisms},
-        "source": {lab(m): lab(groupoid.s(m)) for m in groupoid.morphisms},
-        "inverse": {lab(m): lab(groupoid.inv(m)) for m in groupoid.morphisms},
+        "units": sorted(canonical_label(u) for u in groupoid.units),
+        "range": table(groupoid.range_idx),
+        "source": table(groupoid.source_idx),
+        "inverse": table(groupoid.inverse_idx),
         "compose": sorted(
-            [lab(a), lab(b), lab(c)] for (a, b), c in groupoid.compose.items()
+            [labels[a], labels[b], labels[c]] for a, b, c in zip(*(p.tolist() for p in groupoid.pairs))
         ),
     }
 
@@ -156,7 +166,7 @@ def cocycle_to_json(sigma: TwoCocycle) -> dict:
 
 def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> TwoCocycle:
     _expect_schema(doc, ("two_cocycle/1",), path)
-    n = _expect(doc.get("n"), int, path + "/n")
+    n = _expect_int(doc.get("n"), path, "n")
     number = {lab: groupoid.index[m] for lab, m in morphism_labels(groupoid).items()}
     entries = {}
     rows = _expect(doc.get("table"), list, path + "/table")
@@ -166,7 +176,7 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
         a, b, v = row
         if a not in number or b not in number:
             raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
-        entries[(number[a], number[b])] = int(v)
+        entries[(number[a], number[b])] = _expect_int(v, path, "table", k, 2)
     try:
         return TwoCocycle.from_numbered(groupoid, n, entries)
     except ValueError as err:
@@ -210,19 +220,21 @@ def cech_to_json(data: CechData) -> dict:
 
 def cech_from_json(doc: Mapping, path: str = "/") -> CechData:
     _expect_schema(doc, ("cech/1",), path)
-    n = _expect(doc.get("n"), int, path + "/n")
+    n = _expect_int(doc.get("n"), path, "n")
     base = _expect(doc.get("base_points"), list, path + "/base_points")
     cover_doc = _expect(doc.get("cover"), dict, path + "/cover")
     entries = _expect(doc.get("lambda"), list, path + "/lambda")
     cover = {}
     for key, pts in cover_doc.items():
-        try:
-            cover[int(key)] = set(_expect(pts, list, f"{path}/cover/{key}"))
-        except ValueError:
-            raise SchemaError("cover indices must be integers", f"{path}/cover/{key}")
+        # canonical decimal, so that no two keys name the same index
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            raise SchemaError("cover indices must be integers in canonical decimal", f"{path}/cover/{key}")
+        cover[int(key)] = set(_expect(pts, list, f"{path}/cover/{key}"))
     for k, row in enumerate(entries):
         if not (isinstance(row, list) and len(row) == 4):
             raise SchemaError("lambda rows are [i, j, k, value]", f"{path}/lambda/{k}")
+        for c, v in enumerate(row):
+            _expect_int(v, path, "lambda", k, c)
     try:
         return CechData(n, base, cover, [tuple(r) for r in entries])
     except ValueError as err:

@@ -226,18 +226,16 @@ def coboundary_twist(b: OneCochain) -> TwoCocycle:
 def _principal_witness(diff: TwoCocycle) -> OneCochain | None:
     """Explicit untwisting cochain for a principal groupoid.
 
-    In a principal groupoid pick a base unit u0 per orbit and let beta(v)
-    be the unique morphism v -> u0; then b(m) := d(m, beta(s(m))) solves
-    db = d, by the cocycle identity applied to (m, m', beta) triples.
+    In a principal groupoid take the base unit u0 of each orbit to be the
+    unit ``orbit_idx`` names it by, and let beta(v) be the unique
+    morphism v -> u0; then b(m) := d(m, beta(s(m))) solves db = d, by the
+    cocycle identity applied to (m, m', beta) triples.
     """
     g = diff.groupoid
     count = len(g.morphisms)
     by_ends = np.full((count, count), -1, dtype=np.int64)
     by_ends[g.range_idx, g.source_idx] = np.arange(count)
-    base = np.arange(count)  # the base unit of each unit's orbit
-    for orbit in g.orbits():
-        base[[g.index[v] for v in orbit]] = g.index[orbit[0]]
-    to_base = by_ends[g.source_idx, base[g.source_idx]]
+    to_base = by_ends[g.source_idx, g.orbit_idx[g.source_idx]]
     values = diff.on_pairs(g.pair_id[np.arange(count), to_base])
     b = OneCochain(g, diff.n, dict(zip(g.morphisms, values.tolist())))
     if coboundary_twist(b) == diff:
@@ -540,14 +538,6 @@ def cech_is_coboundary(data: CechData) -> CechCoboundaryResult:
         f"but evaluates to {value} != 0 mod {data.n} on lambda"
     )
     return CechCoboundaryResult(False, None, cert, note)
-
-
-def cech_coboundary(data: CechData, mu: Mapping[tuple, int]) -> dict:
-    """The Cech coboundary d(mu) on the nonempty triple overlaps."""
-    return {
-        (i, j, k): (mu.get((j, k), 0) - mu.get((i, k), 0) + mu.get((i, j), 0)) % data.n
-        for (i, j, k) in data.nerve(3)
-    }
 
 
 def cech_to_groupoid_cocycle(data: CechData, doubled) -> TwoCocycle:

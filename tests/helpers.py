@@ -1,0 +1,59 @@
+"""Test-only constructions: small spaces and random graphs that the
+library itself never builds."""
+
+from __future__ import annotations
+
+import random
+from typing import Sequence
+
+from groupoidlab import finspace as fs
+
+
+def chain_space() -> fs.FinSpace:
+    """Two-point space {c, o} with {o} open and {c} not: U_c = {c, o}."""
+    return fs.FinSpace(("c", "o"), {"o": {"o"}, "c": {"c", "o"}})
+
+
+def disjoint_union(parts: Sequence[fs.FinSpace]) -> fs.FinSpace:
+    """Disjoint union with each part open and closed; points are (i, p)."""
+    pts = [(i, p) for i, part in enumerate(parts) for p in part.points]
+    mo = {
+        (i, p): {(i, q) for q in part.min_open(p)}
+        for i, part in enumerate(parts)
+        for p in part.points
+    }
+    return fs.FinSpace(pts, mo)
+
+
+def subspace(space: fs.FinSpace, subset) -> fs.FinSpace:
+    """``subset`` in the order of ``space`` with the subspace topology."""
+    sub = space.bits(subset)
+    pts = [p for p in space.points if (sub >> space.index(p)) & 1]
+    return fs.FinSpace(pts, {p: space.unbits(space.min_open_bits(space.index(p)) & sub) for p in pts})
+
+
+def open_sets(space: fs.FinSpace) -> list[frozenset]:
+    return [space.unbits(m) for m in space.open_set_bits()]
+
+
+def random_dag(rng: random.Random, n_vertices: int, edge_prob: float = 0.35):
+    """A random acyclic directed graph as (vertices, edges).
+
+    Edges are triples (id, range_vertex, source_vertex) oriented so that
+    the vertex order is a topological order for the path direction.
+    """
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    edges = []
+    eid = 0
+    for i in range(n_vertices):
+        for j in range(i + 1, n_vertices):
+            while rng.random() < edge_prob:
+                edges.append((f"e{eid}", vertices[i], vertices[j]))
+                eid += 1
+                if rng.random() < 0.7:
+                    break
+    return vertices, edges
+
+
+def is_closed_bits(space: fs.FinSpace, mask: int) -> bool:
+    return space.is_open_bits(~mask & (1 << len(space.points)) - 1)

@@ -15,7 +15,8 @@ from groupoidlab import finspace as fs
 from groupoidlab import graphfell as gf
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
-from groupoidlab.corpus import all_partitions, all_topologies, random_dag, random_space
+from groupoidlab.corpus import all_partitions, all_topologies, random_space
+from helpers import random_dag
 
 STRUCT = 1e-12
 ACCUM = 1e-9

@@ -110,10 +110,10 @@ def reference_convolve(f, g):
     grp, sigma = f.groupoid, f.sigma
     out, by_range = {}, {}
     for c, gc in g.coeffs.items():
-        by_range.setdefault(grp.r(c), []).append((c, gc))
+        by_range.setdefault(grp.range_map[c], []).append((c, gc))
     for b, fb in f.coeffs.items():
-        for c, gc in by_range.get(grp.s(b), ()):
-            a = grp.mul(b, c)
+        for c, gc in by_range.get(grp.source_map[b], ()):
+            a = grp.compose[(b, c)]
             out[a] = out.get(a, 0j) + fb * gc * ca.zeta(sigma.n, sigma.value(b, c))
     return out
 
@@ -121,18 +121,18 @@ def reference_convolve(f, g):
 def reference_involute(f):
     grp, sigma = f.groupoid, f.sigma
     return {
-        grp.inv(b): (v * ca.zeta(sigma.n, sigma.value(grp.inv(b), b))).conjugate()
+        grp.inverse[b]: (v * ca.zeta(sigma.n, sigma.value(grp.inverse[b], b))).conjugate()
         for b, v in f.coeffs.items()
     }
 
 
 def reference_induced_rep(u, f):
     grp, sigma, coeffs = f.groupoid, f.sigma, f.coeffs
-    basis = tuple(m for m in grp.morphisms if grp.s(m) == u)
+    basis = tuple(m for m in grp.morphisms if grp.source_map[m] == u)
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
     for col, acol in enumerate(basis):
         for row, a in enumerate(basis):
-            b = grp.mul(a, grp.inv(acol))
+            b = grp.compose[(a, grp.inverse[acol])]
             if b in coeffs:
                 mat[row, col] = coeffs[b] * ca.zeta(sigma.n, sigma.value(b, acol))
     return basis, mat
@@ -226,7 +226,7 @@ def test_induced_rep_closed_form():
         rep = ca.induced_rep(u, f)
         for i, a in enumerate(rep.basis):
             for j, ap in enumerate(rep.basis):
-                b = rel.mul(a, rel.inv(ap))
+                b = rel.compose[(a, rel.inverse[ap])]
                 expected = f(b) * ca.zeta(sigma.n, sigma.value(b, ap))
                 assert abs(rep.matrix[i, j] - expected) < 1e-12
 
@@ -580,6 +580,10 @@ def test_cover_algebra_untwisted_blocks():
     assert alg.verify().ok
 
 
+def cover_element(alg: ca.CoverAlgebra, f) -> ca.AlgebraElement:
+    return ca.AlgebraElement(alg.groupoid, alg.sigma, f)
+
+
 def test_cover_algebra_matches_its_formulas():
     data = tetrahedron_cover(n=3, value=1)
     alg = ca.CoverAlgebra(data.base_points, data.cover, data.n, data.value)
@@ -603,17 +607,17 @@ def test_cover_algebra_matches_its_formulas():
                         ca.zeta(3, -lam(i, j, l)) * f.get((i, j, s), 0) * g.get((j, l, s), 0)
                         for j in alg.incidence[s]
                     )
-        fg = ca.convolve(alg.element(f), alg.element(g)).coeffs
+        fg = ca.convolve(cover_element(alg, f), cover_element(alg, g)).coeffs
         assert max(abs(fg.get(k, 0) - v) for k, v in product.items()) < 1e-15
         assert set(fg) <= set(product)
         # (f*)_ij = conj(f_ji)
-        assert ca.involute(alg.element(f)).coeffs == {(j, i, s): v.conjugate() for (i, j, s), v in f.items()}
+        assert ca.involute(cover_element(alg, f)).coeffs == {(j, i, s): v.conjugate() for (i, j, s), v in f.items()}
         # pi_{i,s}[j, k] = zeta^{-lambda(i,j,k)} f_jk(s)
         for s in alg.base_points:
             idx = alg.incidence[s]
             for i in idx:
                 pi = [[ca.zeta(3, -lam(i, j, k)) * f.get((j, k, s), 0) for k in idx] for j in idx]
-                assert np.array_equal(ca.induced_rep((i, i, s), alg.element(f)).matrix, np.array(pi, dtype=complex))
+                assert np.array_equal(ca.induced_rep((i, i, s), cover_element(alg, f)).matrix, np.array(pi, dtype=complex))
 
 
 def test_cover_algebra_flags_non_cocycle_data():
@@ -633,7 +637,7 @@ def test_cover_algebra_norm_of_matrix_unit():
     data = tetrahedron_cover()
     alg = ca.CoverAlgebra(data.base_points, data.cover, data.n, data.value)
     s = next(iter(alg.cover[1] & alg.cover[2]))
-    f = alg.element({(1, 2, s): 1.0 + 0j})
+    f = cover_element(alg, {(1, 2, s): 1.0 + 0j})
     assert abs(ca.reduced_norm(f) - 1.0) < 1e-12
 
 

@@ -13,6 +13,7 @@ from groupoidlab import finspace as fs
 from groupoidlab import graphfell
 from groupoidlab import serialize as sz
 from groupoidlab.cli import main
+from helpers import disjoint_union
 
 
 def run_cli(capsys, *argv):
@@ -156,7 +157,7 @@ def test_space_check(capsys, tmp_path):
     assert report["result"]["closed_hausdorff_core"]["core"] == []
 
     # an open of a disjoint union is one open per piece: 3 ** 3 of them, one empty
-    doc = sz.space_to_json(fs.disjoint_union([fs.sierpinski()] * 3))
+    doc = sz.space_to_json(disjoint_union([fs.sierpinski()] * 3))
     code, report = run_cli(capsys, "space-check", write(tmp_path, "u.json", doc))
     assert code == 0
     assert report["result"]["open_subsets_checked"] == 26

@@ -4,6 +4,7 @@ import pytest
 
 from groupoidlab import finspace as fs
 from groupoidlab.corpus import all_partitions, all_topologies, random_space
+from helpers import chain_space, disjoint_union, is_closed_bits, open_sets, subspace
 
 
 # -- brute-force oracles, written against raw definitions -----------------
@@ -19,9 +20,9 @@ def preimage(f: fs.SpaceMap, mask: int) -> int:
 
 def oracle_classify(f: fs.SpaceMap):
     """Classify a map by enumerating entire open-set lattices."""
-    dom_opens = [f.dom.bits(o) for o in f.dom.open_sets()]
+    dom_opens = [f.dom.bits(o) for o in open_sets(f.dom)]
     dom_open_set = set(dom_opens)
-    cod_opens = {f.cod.bits(o) for o in f.cod.open_sets()}
+    cod_opens = {f.cod.bits(o) for o in open_sets(f.cod)}
     continuous = all(preimage(f, v) in dom_open_set for v in cod_opens)
     open_map = all(image(f, u) in cod_opens for u in dom_opens)
     surjective = set(f.assignment.values()) == set(f.cod.points)
@@ -45,8 +46,8 @@ def oracle_classify(f: fs.SpaceMap):
             img = image(f, v)
             if img not in cod_opens:
                 continue
-            sub_dom = f.dom.subspace(pts)
-            sub_cod = f.cod.subspace(f.cod.unbits(img))
+            sub_dom = subspace(f.dom, pts)
+            sub_cod = subspace(f.cod, f.cod.unbits(img))
             fwd = fs.SpaceMap(sub_dom, sub_cod, {q: f(q) for q in pts})
             bwd = fs.SpaceMap(sub_cod, sub_dom, {f(q): q for q in pts})
             cont = lambda g: all(
@@ -121,7 +122,7 @@ def test_open_set_lattice_closed_under_union_and_intersection():
 
 def test_sierpinski_opens():
     s = fs.sierpinski()
-    assert sorted(map(sorted, s.open_sets())) == [[], ["a"], ["a", "b"]]
+    assert sorted(map(sorted, open_sets(s))) == [[], ["a"], ["a", "b"]]
 
 
 # -- classify_map ------------------------------------------------------------
@@ -214,7 +215,7 @@ def test_space_properties_examples():
     dp = fs.space_properties(fs.discrete(range(4)))
     assert dp == fs.SpaceProperties(True, True, True, True)
 
-    cp = fs.space_properties(fs.chain_space())
+    cp = fs.space_properties(chain_space())
     assert not cp.t1 and not cp.locally_hausdorff
 
 
@@ -240,11 +241,11 @@ def test_quotient_of_discrete_is_discrete():
 
 
 def test_doubled_closed_point():
-    y = fs.disjoint_union([fs.chain_space(), fs.chain_space()])
+    y = disjoint_union([chain_space(), chain_space()])
     o0, o1 = (0, "o"), (1, "o")
     c0, c1 = (0, "c"), (1, "c")
     x, psi = fs.quotient_space(y, [{o0, o1}, {c0}, {c1}])
-    opens = {tuple(sorted(map(str, o))) for o in x.open_sets()}
+    opens = {tuple(sorted(map(str, o))) for o in open_sets(x)}
     blk = {p: b for b in x.points for p in b}
     o_blk, c0_blk, c1_blk = str(blk[o0]), str(blk[c0]), str(blk[c1])
     assert len(x.points) == 3
@@ -330,7 +331,7 @@ def test_core_discrete_everything():
 
 
 def test_core_chain_plus_isolated_point():
-    s = fs.disjoint_union([fs.chain_space(), fs.discrete(("d",))])
+    s = disjoint_union([chain_space(), fs.discrete(("d",))])
     rep = fs.closed_hausdorff_core(s)
     assert rep.core == frozenset({(1, "d")})
     assert rep.core_is_open and rep.core_is_hausdorff
@@ -349,7 +350,7 @@ def test_core_open_and_hausdorff_on_random_spaces():
             for mask in range(1 << n):
                 if s.min_open_bits(i) & ~mask:
                     continue
-                if s.is_closed_bits(mask) and s._subspace_hausdorff(mask):
+                if is_closed_bits(s, mask) and s._subspace_hausdorff(mask):
                     expected.add(p)
                     break
         assert rep.core == frozenset(expected)
@@ -358,7 +359,7 @@ def test_core_open_and_hausdorff_on_random_spaces():
 def test_open_lattice_enumeration_cap():
     big = fs.discrete(tuple(range(17)))
     with pytest.raises(fs.InvalidSpace):
-        big.open_sets()
+        open_sets(big)
     # predicates that avoid the lattice still work
     assert fs.space_properties(big).discrete
 
@@ -368,4 +369,5 @@ def test_resolution_parts_open_and_closed():
     y, psi = fs.hausdorff_cover_resolution(x, [{"a", "b"}, {"b", "c"}])
     for k in (0, 1):
         part = [p for p in y.points if p[0] == k]
-        assert y.is_open(part) and y.is_closed(part)
+        mask = y.bits(part)
+        assert y.is_open_bits(mask) and is_closed_bits(y, mask)

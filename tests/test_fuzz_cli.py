@@ -85,3 +85,56 @@ def test_mutated_documents_keep_the_exit_code_contract(data):
     assert code in (0, 1, 2)
     assert report["schema"] == "report/1" and report["exit_code"] == code
     assert report["command"] == command
+
+
+# -- integer fields -----------------------------------------------------------------
+
+# a float, a whole float, a huge float, a bool and numeric strings: none is a
+# JSON integer, so each is an input error that names the field
+BAD_INTEGERS = (1.5, 2.0, 1e300, -3e30, True, False, "3", "1e3", "0x1")
+
+
+def integer_fields(name):
+    """The key paths of every integer field in a bundled document."""
+    doc = bundled.bundled_document(name)
+    if name == "trivial-cocycle":
+        return [("cocycle", "n")] + [("cocycle", "table", k, 2) for k in range(len(doc["cocycle"]["table"]))]
+    return [("n",)] + [("lambda", k, c) for k in range(len(doc["lambda"])) for c in range(4)]
+
+
+def run_doc(command, doc) -> tuple[int, dict]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return run([command, path])
+
+
+INTEGER_TARGETS = TARGETS[1:]  # every command that reads an integer field
+
+
+def test_a_non_integer_in_an_integer_field_is_an_input_error():
+    for command, name in INTEGER_TARGETS:
+        for keys in integer_fields(name):
+            path = "/" + "".join(f"/{key}" for key in keys)
+            for bad in BAD_INTEGERS:
+                doc = copy.deepcopy(bundled.bundled_document(name))
+                node = doc
+                for key in keys[:-1]:
+                    node = node[key]
+                node[keys[-1]] = bad
+                code, report = run_doc(command, doc)
+                assert code == 1 and report["result"]["error"].endswith(f"(at {path})"), (command, keys, bad)
+
+
+def test_cover_keys_are_canonical_decimal():
+    base = bundled.bundled_document("tetrahedron-z3")
+    assert run_doc("cech-cert", base)[0] == 0
+    for command in ("cech-cert", "model-cover"):
+        # "01" beside "1" would name index 1 twice; the others rename key 2
+        for key, renamed in (("01", None), ("+2", "2"), (" 2", "2"), ("2.0", "2"), ("02", "2"), ("-0", "2"), ("٢", "2"), ("x", "2")):
+            doc = copy.deepcopy(base)
+            doc["cover"][key] = doc["cover"].pop(renamed) if renamed else doc["cover"]["1"]
+            code, report = run_doc(command, doc)
+            assert code == 1, key
+            assert report["result"]["error"].endswith(f"(at //cover/{key})"), key

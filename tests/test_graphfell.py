@@ -3,7 +3,7 @@ import random
 import pytest
 
 from groupoidlab import graphfell as gf
-from groupoidlab.corpus import random_dag
+from helpers import random_dag
 
 
 def brute_force_path_sets(graph: gf.DirectedGraph):

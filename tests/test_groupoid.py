@@ -6,8 +6,10 @@ import pytest
 
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
+from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
+from helpers import subspace
 
 
 def discrete_3_to_2():
@@ -60,6 +62,17 @@ def cyclic_group(k):
     )
 
 
+def composable_triples(g: gp.FinGroupoid) -> list[tuple]:
+    """The composable triples as labels, read off ``triple_join``."""
+    pa, pb, _ = g.pairs
+    m = g.morphisms
+    return [
+        (m[a], m[b], m[c])
+        for ab, bc in g.triple_join()
+        for a, b, c in zip(pa[ab].tolist(), pb[ab].tolist(), pb[bc].tolist())
+    ]
+
+
 def test_pairs_and_triples_match_brute_force():
     relation = gp.build_relation_groupoid(chain3_to_sierpinski())  # non-discrete base
     y = fs.discrete((1, 2))
@@ -69,11 +82,11 @@ def test_pairs_and_triples_match_brute_force():
     for g in (relation, cyclic_group(6), extension):
         m, s, r = g.morphisms, g.source_map, g.range_map
         assert g.composable_pairs() == [(a, b) for a in m for b in m if s[a] == r[b]]
-        assert g.composable_triples() == [
+        assert composable_triples(g) == [
             (a, b, c) for a in m for b in m for c in m if s[a] == r[b] and s[b] == r[c]
         ]
         pa, pb, pc = g.pairs
-        assert [m[c] for c in pc] == [g.mul(m[a], m[b]) for a, b in zip(pa, pb)]
+        assert [m[c] for c in pc] == [g.compose[(m[a], m[b])] for a, b in zip(pa, pb)]
 
 
 def test_rejects_non_surjective():
@@ -184,7 +197,7 @@ def test_etale_iff_local_homeo_small_corpus():
 def test_fell_check_discrete_surjection_true():
     r = gp.build_relation_groupoid(discrete_3_to_2())
     res = gp.fell_check(r)
-    assert res.is_fell_model and res.r_times_s_open and res.bijective
+    assert res.is_fell_model and res.r_times_s_open and res.as_dict()["bijective"]
 
 
 def test_fell_check_unit_groupoid():
@@ -251,7 +264,7 @@ def quotient_corpus() -> tuple:
 def product_subspace(space: fs.FinSpace, pairs: tuple) -> fs.FinSpace:
     """The pairs with the topology of ``product(space, space)``; cached
     because two tests ask for the same ones."""
-    return fs.product(space, space).subspace(pairs)
+    return subspace(fs.product(space, space), pairs)
 
 
 def reference_relation(psi: fs.SpaceMap, topology: fs.FinSpace) -> gp.FinGroupoid:
@@ -271,12 +284,33 @@ def reference_relation(psi: fs.SpaceMap, topology: fs.FinSpace) -> gp.FinGroupoi
     )
 
 
+def unit_subspace(g: gp.FinGroupoid) -> fs.FinSpace:
+    return subspace(g.topology, [m for m in g.morphisms if m in g.units])
+
+
 def reference_properties(g: gp.FinGroupoid) -> gp.GroupoidProperties:
     """Principal and etale by definition: (r, s) injective, and r a local
     homeomorphism onto the unit space with its subspace topology."""
-    principal = len({(g.r(m), g.s(m)) for m in g.morphisms}) == len(g.morphisms)
-    r_map = fs.SpaceMap(g.topology, g.unit_space(), {m: g.r(m) for m in g.morphisms})
+    principal = len({(g.range_map[m], g.source_map[m]) for m in g.morphisms}) == len(g.morphisms)
+    r_map = fs.SpaceMap(g.topology, unit_subspace(g), {m: g.range_map[m] for m in g.morphisms})
     return gp.GroupoidProperties(principal, fs.is_local_homeomorphism(r_map))
+
+
+def reference_rq(g: gp.FinGroupoid) -> fs.SpaceMap:
+    """r x s onto R(q), labelled: R(q) is the product subspace of the
+    orbit base on the pairs of units in one orbit.  The base is Y for a
+    relation groupoid, with the unit (y, y) read as y, and the unit
+    subspace otherwise; the orbits are the sets {r(m) : s(m) = u}."""
+    if isinstance(g, gp.RelationGroupoid):
+        base, label = g.base, {u: u[0] for u in g.units}
+    else:
+        base, label = unit_subspace(g), {u: u for u in g.units}
+    reach: dict = {}
+    for m in g.morphisms:
+        reach.setdefault(g.source_map[m], []).append(label[g.range_map[m]])
+    orbits = dict.fromkeys(frozenset(ys) for ys in reach.values())
+    rq = product_subspace(base, tuple((y, z) for c in orbits for y in c for z in c))
+    return fs.SpaceMap(g.topology, rq, {m: (label[g.range_map[m]], label[g.source_map[m]]) for m in g.morphisms})
 
 
 def test_pair_topology_is_the_product_subspace():
@@ -297,7 +331,7 @@ def test_relation_index_matches_the_dict_built_groupoid():
                 assert np.array_equal(getattr(g, name), getattr(ref, name)), name
             assert all(np.array_equal(a, b) for a, b in zip(g.pairs, ref.pairs))
             assert g.units == ref.units
-            assert g.composable_triples() == ref.composable_triples()
+            assert composable_triples(g) == composable_triples(ref)
             for name in ("range_map", "source_map", "inverse", "compose"):
                 assert getattr(g, name) == getattr(ref, name), name
 
@@ -315,17 +349,29 @@ def test_properties_and_fell_check_match_the_definitions():
     for g in groupoids:
         props = gp.groupoid_properties(g)
         assert props == reference_properties(g)
-        # fell_check against R(q) as the product subspace of the unit space
-        base, label = gp._orbit_base(g)
-        classes = [[label[u] for u in orbit] for orbit in g.orbits()]
-        rq = product_subspace(base, tuple((y, z) for c in classes for y in c for z in c))
-        rs = fs.SpaceMap(g.topology, rq, {m: (label[g.r(m)], label[g.s(m)]) for m in g.morphisms})
+        rs = reference_rq(g)
+        bijective = len(set(rs.targets)) == len(g.morphisms) == len(rs.cod.points)
         continuous, open_map, _, first = fs.scan_images(rs)
         res = gp.fell_check(g)
         assert (res.r_times_s_continuous, res.r_times_s_open) == (continuous, open_map)
-        assert res.bijective and res.is_fell_model == (continuous and open_map)
+        assert res.as_dict()["bijective"] is bijective is True
+        assert res.is_fell_model == (continuous and open_map)
         assert res.witness == (None if first is None else g.topology.unbits(g.topology.min_open_bits(first)))
     assert gp.groupoid_properties(odd) == gp.GroupoidProperties(principal=True, etale=False)
+
+
+def test_fell_check_reads_the_same_on_a_plain_copy():
+    # a fingroupoid/1 copy of R(psi) tests r x s against its unit subspace,
+    # R(psi) itself against Y; with the product topology the two agree
+    for psi in quotient_corpus():
+        relation = gp.build_relation_groupoid(psi)
+        plain = gp.FinGroupoid.from_index(
+            relation.topology, relation.range_idx, relation.source_idx,
+            relation.inverse_idx, relation.unit_mask, relation.pairs,
+        )
+        copy = sz.groupoid_from_json(sz.groupoid_to_json(plain))
+        assert type(copy) is gp.FinGroupoid
+        assert gp.fell_check(copy).as_dict() == gp.fell_check(relation).as_dict()
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -354,7 +400,7 @@ def test_chunked_triple_join_keeps_the_order(monkeypatch, chunk):
     carry = tw.TwoCocycle.trivial(two, 3).shift(((1, 2), (2, 1)), 1).shift(((2, 1), (1, 2)), 1)
     cases.append((tw.extension_groupoid(two, carry), None))
     whole = [
-        ([np.concatenate(x) for x in zip(*g.triple_join())], g.composable_triples(),
+        ([np.concatenate(x) for x in zip(*g.triple_join())], composable_triples(g),
          None if s is None else tw.verify_two_cocycle(s))
         for g, s in cases
     ]
@@ -363,7 +409,7 @@ def test_chunked_triple_join_keeps_the_order(monkeypatch, chunk):
         blocks = list(g.triple_join())
         assert all(len(ab) <= chunk for ab, _ in blocks)
         assert all(np.array_equal(np.concatenate(x), y) for x, y in zip(zip(*blocks), joined))
-        assert g.composable_triples() == triples
+        assert composable_triples(g) == triples
         g.verify_axioms()
         if s is not None:
             assert tw.verify_two_cocycle(s) == report and not report.valid
@@ -387,7 +433,7 @@ def test_from_index_sorts_shuffled_pairs_row_major():
         assert np.array_equal(pa * len(h) + pb, np.sort(pa * len(h) + pb))
         assert all(np.array_equal(a, b) for a, b in zip(h.pairs, g.pairs))
         assert np.array_equal(h.pair_id, g.pair_id)
-        assert h.composable_triples() == g.composable_triples()
+        assert composable_triples(h) == composable_triples(g)
         assert h.compose == g.compose and h.units == g.units
 
 

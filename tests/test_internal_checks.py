@@ -2,6 +2,7 @@
 ``assert``, so they also run under ``python -O``."""
 
 import ast
+import collections
 import os
 import pathlib
 import subprocess
@@ -18,6 +19,50 @@ def test_no_assert_statements_in_the_library():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+# public entry points with no caller inside the library: the README example,
+# the bench harness, the writers that invert the readers, and a hook that
+# argparse calls
+ENTRY_POINTS = {
+    "calgebra.py": {"identity_element"},
+    "cli.py": {"error"},
+    "finspace.py": {"is_local_homeomorphism", "hausdorff_cover_resolution"},
+    "serialize.py": {"twisted_groupoid_to_json", "cech_to_json", "periodic_to_json"},
+}
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_library_function_has_a_caller_in_the_library():
+    """Each module-level function and method is named somewhere in the
+    package outside its own body and ``__init__.py``, or is a listed
+    entry point.  Names are matched as names, so a call through any
+    object with a method of the same name counts."""
+    used = collections.Counter()
+    definitions = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used.update(_names(tree))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            definitions += [(path.name, d) for d in members if isinstance(d, ast.FunctionDef)]
+    offenders = [
+        f"{name}:{d.lineno} {d.name}"
+        for name, d in definitions
+        if not d.name.startswith("__")
+        and d.name not in ENTRY_POINTS.get(name, ())
+        and used[d.name] == collections.Counter(_names(d))[d.name]
     ]
     assert offenders == []
 

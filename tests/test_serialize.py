@@ -46,9 +46,9 @@ def test_plain_groupoid_round_trip():
         "schema": "fingroupoid/1",
         "topology": sz.space_to_json(relation.topology),
         "units": sorted(sz.canonical_label(u) for u in relation.units),
-        "range": {sz.canonical_label(m): sz.canonical_label(relation.r(m)) for m in relation.morphisms},
-        "source": {sz.canonical_label(m): sz.canonical_label(relation.s(m)) for m in relation.morphisms},
-        "inverse": {sz.canonical_label(m): sz.canonical_label(relation.inv(m)) for m in relation.morphisms},
+        "range": {sz.canonical_label(m): sz.canonical_label(relation.range_map[m]) for m in relation.morphisms},
+        "source": {sz.canonical_label(m): sz.canonical_label(relation.source_map[m]) for m in relation.morphisms},
+        "inverse": {sz.canonical_label(m): sz.canonical_label(relation.inverse[m]) for m in relation.morphisms},
         "compose": sorted(
             [sz.canonical_label(a), sz.canonical_label(b), sz.canonical_label(c)]
             for (a, b), c in relation.compose.items()

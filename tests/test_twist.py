@@ -82,12 +82,12 @@ def loop_verify(sigma):
     """The cocycle check as the plain loop it used to be: the reference
     for the vectorized verify_two_cocycle, reading entries in its order."""
     g, n, m = sigma.groupoid, sigma.n, sigma.groupoid.morphisms
-    norm = [p for a in m for p in ((g.r(a), a), (a, g.s(a))) if sigma.value(*p) % n]
+    norm = [p for a in m for p in ((g.range_map[a], a), (a, g.source_map[a])) if sigma.value(*p) % n]
     ident = [
         (a, b, c)
-        for a in m for b in m if g.s(a) == g.r(b) for c in m if g.s(b) == g.r(c)
-        if (sigma.value(a, b) + sigma.value(g.mul(a, b), c)
-            - sigma.value(b, c) - sigma.value(a, g.mul(b, c))) % n
+        for a in m for b in m if g.source_map[a] == g.range_map[b] for c in m if g.source_map[b] == g.range_map[c]
+        if (sigma.value(a, b) + sigma.value(g.compose[(a, b)], c)
+            - sigma.value(b, c) - sigma.value(a, g.compose[(b, c)])) % n
     ]
     return tw.CocycleReport(not norm and not ident, tuple(norm), tuple(ident))
 
@@ -315,7 +315,7 @@ def test_extension_trivial_is_direct_product():
     g = pair_groupoid((1, 2))
     ext = tw.extension_groupoid(g, tw.TwoCocycle.trivial(g, 2))
     assert len(ext.morphisms) == 8
-    assert ext.mul((0, (1, 2)), (1, (2, 1))) == (1, (1, 1))
+    assert ext.compose[((0, (1, 2)), (1, (2, 1)))] == (1, (1, 1))
 
 
 def test_extension_associativity_for_valid_cocycles():
@@ -350,18 +350,18 @@ def reference_extension(groupoid, sigma):
     morphs = [(z, m) for z in range(n) for m in groupoid.morphisms]
     mo = {(z, m): {(z, m2) for m2 in groupoid.topology.min_open(m)} for (z, m) in morphs}
     inverse = {
-        (z, m): ((-z - sigma.value(m, groupoid.inv(m))) % n, groupoid.inv(m)) for (z, m) in morphs
+        (z, m): ((-z - sigma.value(m, groupoid.inverse[m])) % n, groupoid.inverse[m]) for (z, m) in morphs
     }
     compose = {}
     for (a, b) in groupoid.composable_pairs():
         for w in range(n):
             for z in range(n):
-                compose[((w, a), (z, b))] = ((w + z + sigma.value(a, b)) % n, groupoid.mul(a, b))
+                compose[((w, a), (z, b))] = ((w + z + sigma.value(a, b)) % n, groupoid.compose[(a, b)])
     return gp.FinGroupoid(
         fs.FinSpace(morphs, mo),
         [(0, u) for u in groupoid.units],
-        {(z, m): (0, groupoid.r(m)) for (z, m) in morphs},
-        {(z, m): (0, groupoid.s(m)) for (z, m) in morphs},
+        {(z, m): (0, groupoid.range_map[m]) for (z, m) in morphs},
+        {(z, m): (0, groupoid.source_map[m]) for (z, m) in morphs},
         compose,
         inverse,
     )
@@ -463,7 +463,7 @@ def test_coboundary_is_exact_at_big_moduli():
     for n in (2**62 + 1, 2**80 + 7):
         b = random_cochain(rng, g, n)
         db = tw.coboundary_twist(b)
-        assert db.table == {(x, y): (b(x) + b(y) - b(g.mul(x, y))) % n for x, y in g.composable_pairs()}
+        assert db.table == {(x, y): (b(x) + b(y) - b(g.compose[(x, y)])) % n for x, y in g.composable_pairs()}
         assert tw.verify_two_cocycle(db).valid
         assert tw.are_cohomologous(db, tw.TwoCocycle.trivial(g, n)) is not None
 
@@ -527,6 +527,14 @@ def test_alternating_accessor_signs():
     assert data.value(1, 1, 3) == 0
 
 
+def cech_coboundary(data: tw.CechData, mu) -> dict:
+    """The Cech coboundary d(mu) on the nonempty triple overlaps."""
+    return {
+        (i, j, k): (mu.get((j, k), 0) - mu.get((i, k), 0) + mu.get((i, j), 0)) % data.n
+        for (i, j, k) in data.nerve(3)
+    }
+
+
 def test_cech_coboundary_decision_zero():
     data = tetrahedron_cover(value=0)
     res = tw.cech_is_coboundary(data)
@@ -555,11 +563,11 @@ def test_random_coboundaries_recovered():
                 for pair in itertools.combinations((1, 2, 3, 4), 2)
             }
             shell = tw.CechData(n, faces, cover, [])
-            lam = tw.cech_coboundary(shell, mu)
+            lam = cech_coboundary(shell, mu)
             data = tw.CechData(n, faces, cover, [(i, j, k, v) for (i, j, k), v in lam.items()])
             res = tw.cech_is_coboundary(data)
             assert res.is_coboundary
-            back = tw.cech_coboundary(data, res.witness)
+            back = cech_coboundary(data, res.witness)
             assert back == lam
 
 
@@ -715,7 +723,7 @@ def test_transported_cocycles_cohomologous_for_shifted_lambda():
     n = 3
     base = tetrahedron_cover(n=n, value=1)
     mu = {pair: rng.randrange(n) for pair in itertools.combinations((1, 2, 3, 4), 2)}
-    shift = tw.cech_coboundary(base, mu)
+    shift = cech_coboundary(base, mu)
     shifted = tw.CechData(
         n,
         faces,
