@@ -48,11 +48,9 @@ class DirectedGraph:
     vertices in the order given."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple]):
-        self.vertices = tuple(vertices)
-        self.pos = {v: p for p, v in enumerate(self.vertices)}
+        self._assemble(vertices, edges)
         if len(self.pos) != len(self.vertices):
             raise GraphError("duplicate vertices")
-        self.edges = tuple((eid, r, s) for (eid, r, s) in edges)
         seen = set()
         for (eid, r, s) in self.edges:
             if eid in seen:
@@ -60,6 +58,23 @@ class DirectedGraph:
             seen.add(eid)
             if r not in self.pos or s not in self.pos:
                 raise GraphError(f"edge {eid!r} has dangling endpoints", code="DANGLING")
+        self._link()
+
+    @classmethod
+    def trusted(cls, vertices: Iterable[Vertex], edges: Iterable[tuple]) -> "DirectedGraph":
+        """The graph without the checks of the constructor, for vertices
+        and edges assembled from graphs and seams that were checked."""
+        graph = cls.__new__(cls)
+        graph._assemble(vertices, edges)
+        graph._link()
+        return graph
+
+    def _assemble(self, vertices, edges) -> None:
+        self.vertices = tuple(vertices)
+        self.pos = {v: p for p, v in enumerate(self.vertices)}
+        self.edges = tuple((eid, r, s) for (eid, r, s) in edges)
+
+    def _link(self) -> None:
         self.range_of = {eid: r for (eid, r, s) in self.edges}
         self.source_of = {eid: s for (eid, r, s) in self.edges}
         self.in_edges: dict = {v: [] for v in self.vertices}
@@ -67,7 +82,7 @@ class DirectedGraph:
             self.in_edges[r].append(eid)
 
     def delete_edge(self, eid) -> "DirectedGraph":
-        return DirectedGraph(self.vertices, [e for e in self.edges if e[0] != eid])
+        return DirectedGraph.trusted(self.vertices, [e for e in self.edges if e[0] != eid])
 
     @cached_property
     def depth_first(self) -> tuple:
@@ -340,6 +355,9 @@ class PeriodicGraph:
     Seam edges are (id, range_vertex, source_vertex): the range lives in
     the earlier layer (prefix or copy k) and the source in the later one
     (copy k or copy k+1), so infinite paths run outward through copies.
+    The ids of each seam list are distinct.  With the checks of the two
+    graphs, that makes every unrolling a valid graph, so ``unroll``
+    builds it through ``DirectedGraph.trusted``.
     """
 
     def __init__(
@@ -354,12 +372,14 @@ class PeriodicGraph:
         self.seam_prefix = tuple(seam_prefix)
         self.seam_block = tuple(seam_block)
         pset, bset = set(self.prefix.vertices), set(block.vertices)
-        for (eid, r, s) in self.seam_prefix:
-            if r not in pset or s not in bset:
-                raise GraphError(f"prefix seam {eid!r} has dangling endpoints", code="DANGLING")
-        for (eid, r, s) in self.seam_block:
-            if r not in bset or s not in bset:
-                raise GraphError(f"block seam {eid!r} has dangling endpoints", code="DANGLING")
+        for kind, seams, ranges in (("prefix", self.seam_prefix, pset), ("block", self.seam_block, bset)):
+            seen = set()
+            for (eid, r, s) in seams:
+                if eid in seen:
+                    raise GraphError(f"duplicate {kind} seam id {eid!r}")
+                seen.add(eid)
+                if r not in ranges or s not in bset:
+                    raise GraphError(f"{kind} seam {eid!r} has dangling endpoints", code="DANGLING")
 
     def unroll(self, copies: int) -> DirectedGraph:
         vertices = [("p", v) for v in self.prefix.vertices]
@@ -377,7 +397,7 @@ class PeriodicGraph:
                 (("s", k, eid), ("b", k, r), ("b", k + 1, s))
                 for (eid, r, s) in self.seam_block
             ]
-        return DirectedGraph(vertices, edges)
+        return DirectedGraph.trusted(vertices, edges)
 
 
 MAX_UNROLL_BOUND = 1000

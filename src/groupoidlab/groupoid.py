@@ -6,9 +6,13 @@ inverse, and a numbering of the composable pairs with their composites.
 The unit space always carries the subspace topology.  One install step
 sets every groupoid's index and runs ``verify_axioms``, which checks
 every axiom (composability, range and source of composites, unit and
-inverse laws, associativity over all composable triples) as array code,
-so a bad composition table or a cocycle fault in an extension surfaces
-immediately with a witness.  Builders install arrays; only the label
+inverse laws, associativity) as array code, so a bad composition table
+or a cocycle fault in an extension surfaces immediately with a witness.
+Associativity is decided without a triple for a principal groupoid, and
+otherwise on the triples whose last factor is a unit or lies in the
+greedy generating set of ``generating_mask``; when that reduced check
+fails, the full lexicographic sweep over all composable triples runs and
+reports the first failing one.  Builders install arrays; only the label
 tables of ``fingroupoid/1`` are numbered first.  Every later all-pairs
 computation reads the same index.
 
@@ -74,7 +78,8 @@ class FinGroupoid:
     ``pair_id[a, b]`` numbers them (-1 elsewhere).  ``_install`` sets the
     index for the label constructor and for ``from_index`` alike; the
     dict tables (``units``, ``range_map``, ``source_map``, ``inverse``,
-    ``compose``) are derived from it on first use.
+    ``compose``) are derived from it on first use.  ``principal`` is set
+    by ``verify_axioms``.
     """
 
     def __init__(
@@ -126,6 +131,7 @@ class FinGroupoid:
         self._props_cache = None
         self._fibers: dict = {}
         self._orbits = None
+        self._generators = None
         self.range_idx, self.source_idx, self.inverse_idx = (
             np.asarray(idx, dtype=np.int64) for idx in (range_idx, source_idx, inverse_idx)
         )
@@ -198,19 +204,48 @@ class FinGroupoid:
             self._orbits = tuple(tuple(g) for g in groups.values())
         return self._orbits
 
+    @property
+    def generating_mask(self) -> np.ndarray:
+        """The units and a generating set S, as a mask on the morphisms:
+        every morphism is a composite of marked ones.  Computed once per
+        groupoid, by ``verify_axioms`` for a non-principal groupoid and
+        on first use otherwise.
+
+        S is greedy: each step adds the lowest-numbered morphism outside
+        the set that the units and S so far generate under composition,
+        and the closure is grown by passes over the numbered pairs until
+        a pass adds nothing."""
+        if self._generators is None:
+            pa, pb, pc = self.pairs
+            closed, kept = self.unit_mask.copy(), self.unit_mask.copy()
+            while not closed.all():
+                s = int(np.argmin(closed))
+                closed[s] = kept[s] = True
+                while True:
+                    size = closed.sum()
+                    closed[pc[closed[pa] & closed[pb]]] = True
+                    if closed.sum() == size:
+                        break
+            self._generators = kept
+        return self._generators
+
     def composable_pairs(self) -> list[tuple]:
         pa, pb, _ = self.pairs
         m = self.morphisms
         return [(m[a], m[b]) for a, b in zip(pa.tolist(), pb.tolist())]
 
-    def triple_join(self):
+    def triple_join(self, last: np.ndarray | None = None):
         """The composable triples (a, b, c) in lexicographic index order,
         as pair numbers, in consecutive blocks of at most ``TRIPLE_CHUNK``:
         each block is (ab, bc), and its k-th triple has (a, b) = pair ab[k]
-        and (b, c) = pair bc[k].  Computed on demand and not stored."""
+        and (b, c) = pair bc[k].  With ``last``, a mask on the morphisms,
+        only the triples whose c it marks.  Computed on demand and not
+        stored."""
         pa, pb, _ = self.pairs
-        # pairs are sorted by first factor, so the pairs (b, c) form a run
-        start = np.searchsorted(pa, np.arange(len(self.morphisms) + 1))
+        # the pairs (b, c) with an admissible c; they are sorted by first
+        # factor, so the ones through each b form a run
+        tail = None if last is None else np.flatnonzero(last[pb])
+        start = np.searchsorted(pa if tail is None else pa[tail], np.arange(len(self.morphisms) + 1))
         counts = (start[1:] - start[:-1])[pb]
         ends = np.cumsum(counts)
         first = ends - counts  # the number of the first triple through each pair ab
@@ -219,17 +254,51 @@ class FinGroupoid:
             hi = min(lo + TRIPLE_CHUNK, total)
             a0, a1 = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
             ab = np.repeat(np.arange(a0, a1 + 1), counts[a0 : a1 + 1])[lo - first[a0] : hi - first[a0]]
-            yield ab, start[pb[ab]] + np.arange(lo, hi) - first[ab]
+            bc = start[pb[ab]] + np.arange(lo, hi) - first[ab]
+            yield ab, bc if tail is None else tail[bc]
+
+    def _first_nonassociative(self, last: np.ndarray | None = None) -> tuple | None:
+        """The first triple of ``triple_join(last)`` with (ab)c != a(bc),
+        as morphism numbers, or None.  Both sides are composable once the
+        ranges and sources of composites are right."""
+        pa, pb, pc = self.pairs
+        for ab, bc in self.triple_join(last):
+            bad = pc[self.pair_id[pc[ab], pb[bc]]] != pc[self.pair_id[pa[ab], pc[bc]]]
+            if bad.any():
+                k = int(np.argmax(bad))
+                return int(pa[ab[k]]), int(pb[ab[k]]), int(pb[bc[k]])
+        return None
 
     # -- validation --------------------------------------------------------
 
     def verify_axioms(self) -> None:
         """Check the groupoid axioms on the compiled index, raising
-        ``GroupoidAxiomError`` with a witness at the first failure."""
+        ``GroupoidAxiomError`` with a witness at the first failure, and
+        record whether the groupoid is principal, that is whether r x s
+        is injective.
+
+        Associativity needs no triple in a principal groupoid: once
+        composites have the right range and source, (ab)c and a(bc) both
+        run from s(c) to r(a), and r x s is injective.  Otherwise it is
+        checked on the triples (a, b, c) with c marked by
+        ``generating_mask``, which suffices by Light's associativity test
+        (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
+        1.2): the set M of c with (ab)c = a(bc) for all composable a, b
+        is closed under composition, since for c, d in M
+
+            (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)),
+
+        so M holds the units and S, hence everything they generate.  When
+        that check fails, the full sweep over all composable triples in
+        lexicographic order names the first failing triple.
+        """
         morphs = self.morphisms
         n = len(morphs)
         every = np.arange(n)
         rng, src, inv, is_unit = self.range_idx, self.source_idx, self.inverse_idx, self.unit_mask
+        # both are read off the arrays under verification
+        self.principal = len(set((rng * n + src).tolist())) == n
+        self._generators = None
         bad = is_unit & ((rng != every) | (src != every))
         if bad.any():
             u = morphs[int(np.argmax(bad))]
@@ -261,15 +330,9 @@ class FinGroupoid:
             k = int(np.argmax(bad))
             raise GroupoidAxiomError(f"unit law fails at ({morphs[pa[k]]!r},{morphs[pb[k]]!r})")
 
-        # associativity over all composable triples; both sides are
-        # composable once ranges and sources of composites are right
-        for ab, bc in self.triple_join():
-            lhs = pc[self.pair_id[pc[ab], pb[bc]]]
-            rhs = pc[self.pair_id[pa[ab], pc[bc]]]
-            if (lhs != rhs).any():
-                k = int(np.argmax(lhs != rhs))
-                triple = (morphs[pa[ab[k]]], morphs[pb[ab[k]]], morphs[pb[bc[k]]])
-                raise GroupoidAxiomError(f"associativity fails at triple {triple!r}", triple)
+        if not self.principal and self._first_nonassociative(self.generating_mask) is not None:
+            triple = tuple(morphs[m] for m in self._first_nonassociative())
+            raise GroupoidAxiomError(f"associativity fails at triple {triple!r}", triple)
 
         # inverse laws; once inv swaps range and source, (m, inv m) and
         # (inv m, m) are composable
@@ -447,23 +510,21 @@ class GroupoidProperties:
 def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
     """Principality and the etale property, read off the compiled index.
 
-    principal means (r, s) is injective.  etale means the range map is a
-    local homeomorphism onto the unit space; the scan runs r over the
-    groupoid's own minimal opens against the codomain masks
-    U_u & units, which are the minimal opens of the subspace topology,
-    so the unit space is never built.  The literal Cartan condition
+    principal means (r, s) is injective; ``verify_axioms`` records it at
+    install.  etale means the range map is a local homeomorphism onto
+    the unit space; the scan runs r over the groupoid's own minimal
+    opens against the codomain masks U_u & units, which are the minimal
+    opens of the subspace topology, so the unit space is never built.  The literal Cartan condition
     holds for every finite groupoid, because every subset of a finite
     space is compact; its meaningful finite surrogate is the r x s
     openness test of ``fell_check``.
     """
     if groupoid._props_cache is not None:
         return groupoid._props_cache
-    n = len(groupoid.morphisms)
-    principal = len(set((groupoid.range_idx * n + groupoid.source_idx).tolist())) == n
     continuous, open_map, locally_injective, _ = _scan_masks(
         groupoid.topology._mo, _subspace_masks(groupoid), groupoid.range_idx.tolist()
     )
-    props = GroupoidProperties(principal, continuous and open_map and locally_injective)
+    props = GroupoidProperties(groupoid.principal, continuous and open_map and locally_injective)
     groupoid._props_cache = props
     return props
 

@@ -229,7 +229,11 @@ def cech_from_json(doc: Mapping, path: str = "/") -> CechData:
         # canonical decimal, so that no two keys name the same index
         if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
             raise SchemaError("cover indices must be integers in canonical decimal", f"{path}/cover/{key}")
-        cover[int(key)] = set(_expect(pts, list, f"{path}/cover/{key}"))
+        try:
+            index = int(key)
+        except ValueError:  # more digits than int() converts
+            raise SchemaError("cover index has too many digits", f"{path}/cover/{key}")
+        cover[index] = set(_expect(pts, list, f"{path}/cover/{key}"))
     for k, row in enumerate(entries):
         if not (isinstance(row, list) and len(row) == 4):
             raise SchemaError("lambda rows are [i, j, k, value]", f"{path}/lambda/{k}")

@@ -1,5 +1,5 @@
-"""Test-only constructions: small spaces and random graphs that the
-library itself never builds."""
+"""Test-only constructions: small spaces, groups and random graphs that
+the library itself never builds."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import random
 from typing import Sequence
 
 from groupoidlab import finspace as fs
+from groupoidlab import groupoid as gp
 
 
 def chain_space() -> fs.FinSpace:
@@ -57,3 +58,13 @@ def random_dag(rng: random.Random, n_vertices: int, edge_prob: float = 0.35):
 
 def is_closed_bits(space: fs.FinSpace, mask: int) -> bool:
     return space.is_open_bits(~mask & (1 << len(space.points)) - 1)
+
+
+def product_group(a: int, b: int) -> gp.FinGroupoid:
+    """Z/a x Z/b as a one-unit groupoid on the labels (x, y)."""
+    elems = [(x, y) for x in range(a) for y in range(b)]
+    return gp.FinGroupoid(
+        fs.discrete(elems), [(0, 0)], {e: (0, 0) for e in elems}, {e: (0, 0) for e in elems},
+        {(e, f): ((e[0] + f[0]) % a, (e[1] + f[1]) % b) for e in elems for f in elems},
+        {e: (-e[0] % a, -e[1] % b) for e in elems},
+    )

@@ -138,3 +138,14 @@ def test_cover_keys_are_canonical_decimal():
             code, report = run_doc(command, doc)
             assert code == 1, key
             assert report["result"]["error"].endswith(f"(at //cover/{key})"), key
+
+
+def test_a_cover_key_too_long_for_int_is_an_input_error():
+    base = bundled.bundled_document("tetrahedron-z3")
+    for command in ("cech-cert", "model-cover"):
+        for key in ("9" * 5000, "-1" + "0" * 4400):
+            doc = copy.deepcopy(base)
+            doc["cover"][key] = doc["cover"]["1"]
+            code, report = run_doc(command, doc)
+            assert code == 1, (command, len(key))
+            assert report["result"]["error"].endswith(f"(at //cover/{key})"), (command, len(key))

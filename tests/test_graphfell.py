@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
 from groupoidlab import graphfell as gf
+from groupoidlab import serialize
+from groupoidlab.cli import main
 from helpers import random_dag
 
 
@@ -247,6 +252,50 @@ def test_seam_validation():
     block = gf.DirectedGraph(("v",), [])
     with pytest.raises(gf.GraphError):
         gf.PeriodicGraph(block, seam_block=[("bad", "v", "zzz")])
+
+
+def test_duplicate_seam_ids_are_rejected_at_construction():
+    block = gf.DirectedGraph(("v", "w"), [("e", "v", "w")])
+    prefix = gf.DirectedGraph(("p",), [])
+    for seams in (
+        dict(seam_block=[("s", "v", "w"), ("s", "w", "v")]),
+        dict(prefix=prefix, seam_prefix=[("d", "p", "v"), ("d", "p", "w")]),
+    ):
+        with pytest.raises(gf.GraphError, match="duplicate (block|prefix) seam id"):
+            gf.PeriodicGraph(block, **seams)
+    # the two seam lists and the block are numbered apart in an unrolling
+    ok = gf.PeriodicGraph(block, prefix=prefix, seam_prefix=[("e", "p", "v")], seam_block=[("e", "v", "w")])
+    assert len(ok.unroll(3).edges) == 3 + 1 + 2
+
+
+def test_duplicate_seam_id_is_an_input_error_at_every_bound(tmp_path):
+    doc = serialize.periodic_to_json(gf.two_thread_ladder())
+    doc["seam_block"].append(dict(doc["seam_block"][0], range="t"))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    for bound in ("0", "1", "3"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["graph-fell", str(path), "--unroll-bound", bound])
+        report = json.loads(out.getvalue())
+        assert code == report["exit_code"] == 1
+        assert "duplicate block seam id 'chain'" in report["result"]["error"]
+
+
+def test_unrolled_graphs_equal_their_checked_construction():
+    rng = random.Random(12)
+    presentations = [gf.two_thread_ladder(), gf.tree_with_tails(2), gf.single_tail()]
+    presentations += [random_presentation(rng) for _ in range(30)]
+    for pres in presentations:
+        for copies in (1, 2, 5):
+            fast = pres.unroll(copies)
+            checked = gf.DirectedGraph(fast.vertices, fast.edges)
+            for name in ("vertices", "pos", "edges", "range_of", "source_of", "in_edges"):
+                assert getattr(fast, name) == getattr(checked, name), name
+            eid = fast.edges[rng.randrange(len(fast.edges))][0] if fast.edges else None
+            smaller = fast.delete_edge(eid)
+            rebuilt = gf.DirectedGraph(fast.vertices, [e for e in fast.edges if e[0] != eid])
+            assert (smaller.edges, smaller.in_edges) == (rebuilt.edges, rebuilt.in_edges)
 
 
 def test_undecided_when_multiplicity_exceeds_horizon():

@@ -9,7 +9,7 @@ from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
-from helpers import subspace
+from helpers import product_group, subspace
 
 
 def discrete_3_to_2():
@@ -413,6 +413,126 @@ def test_chunked_triple_join_keeps_the_order(monkeypatch, chunk):
         g.verify_axioms()
         if s is not None:
             assert tw.verify_two_cocycle(s) == report and not report.valid
+
+
+def sweep_verify_axioms(g: gp.FinGroupoid) -> None:
+    """``verify_axioms`` as it was before the generator-triple rule, with
+    associativity checked on every composable triple in lexicographic
+    order: the reference for its messages and witnesses."""
+    morphs = g.morphisms
+    every = np.arange(len(morphs))
+    rng, src, inv, is_unit = g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask
+    bad = is_unit & ((rng != every) | (src != every))
+    if bad.any():
+        u = morphs[int(np.argmax(bad))]
+        raise gp.GroupoidAxiomError(f"unit {u!r} is not its own range and source", u)
+    bad = ~(is_unit[rng] & is_unit[src])
+    if bad.any():
+        m = morphs[int(np.argmax(bad))]
+        raise gp.GroupoidAxiomError(f"range or source of {m!r} is not a unit", m)
+    defined, should = g.pair_id >= 0, src[:, None] == rng[None, :]
+    if (defined != should).any():
+        a, b = (int(v) for v in np.argwhere(defined != should)[0])
+        raise gp.GroupoidAxiomError(
+            f"composition defined on ({morphs[a]!r},{morphs[b]!r}) iff sources/ranges mismatch",
+            (morphs[a], morphs[b]),
+        )
+    pa, pb, pc = g.pairs
+    if (rng[pc] != rng[pa]).any() or (src[pc] != src[pb]).any():
+        bad = int(np.argwhere((rng[pc] != rng[pa]) | (src[pc] != src[pb]))[0, 0])
+        raise gp.GroupoidAxiomError(
+            "range/source of a composite disagree with the factors", (morphs[int(pa[bad])], morphs[int(pb[bad])])
+        )
+    bad = (is_unit[pa] & (pc != pb)) | (is_unit[pb] & (pc != pa))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise gp.GroupoidAxiomError(f"unit law fails at ({morphs[pa[k]]!r},{morphs[pb[k]]!r})")
+    for ab, bc in g.triple_join():
+        lhs, rhs = pc[g.pair_id[pc[ab], pb[bc]]], pc[g.pair_id[pa[ab], pc[bc]]]
+        if (lhs != rhs).any():
+            k = int(np.argmax(lhs != rhs))
+            triple = (morphs[pa[ab[k]]], morphs[pb[ab[k]]], morphs[pb[bc[k]]])
+            raise gp.GroupoidAxiomError(f"associativity fails at triple {triple!r}", triple)
+    if (inv[inv] != every).any():
+        m = int(np.argwhere(inv[inv] != every)[0, 0])
+        raise gp.GroupoidAxiomError(f"inverse is not involutive at {morphs[m]!r}", morphs[m])
+    if (src[inv] != rng).any() or (rng[inv] != src).any():
+        m = int(np.argwhere((src[inv] != rng) | (rng[inv] != src))[0, 0])
+        raise gp.GroupoidAxiomError(f"inverse swaps range and source incorrectly at {morphs[m]!r}", morphs[m])
+    left = pc[g.pair_id[every, inv]]
+    if (left != rng).any():
+        m = int(np.argwhere(left != rng)[0, 0])
+        raise gp.GroupoidAxiomError(f"m * inv(m) is not the unit at range({morphs[m]!r})", morphs[m])
+    right = pc[g.pair_id[inv, every]]
+    if (right != src).any():
+        m = int(np.argwhere(right != src)[0, 0])
+        raise gp.GroupoidAxiomError(f"inv(m) * m is not the unit at source({morphs[m]!r})", morphs[m])
+
+
+def tampered_tables():
+    """Each group Z/a x Z/b with one composite of two non-units replaced
+    by each other element, as index arrays, and the extensions of two
+    pair groupoids by cocycles with one entry shifted."""
+    for a, b in ((2, 1), (3, 1), (2, 2), (4, 1), (5, 1), (2, 3), (6, 1), (7, 1), (2, 4), (4, 2), (3, 3)):
+        g = product_group(a, b)
+        pa, pb, pc = g.pairs
+        for k in np.flatnonzero(~g.unit_mask[pa] & ~g.unit_mask[pb]).tolist():
+            for other in range(len(g)):
+                if other != pc[k]:
+                    composite = pc.copy()
+                    composite[k] = other
+                    yield g, (pa, pb, composite)
+    y = fs.discrete((1, 2, 3))
+    for fibers in ({1: "*", 2: "*", 3: "*"}, {1: "*", 2: "*", 3: "**"}):
+        base = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(tuple(set(fibers.values()))), fibers))
+        for pair in base.composable_pairs():
+            sigma = tw.TwoCocycle.trivial(base, 3).shift(pair, 1)
+            ext = tw.extension_groupoid(base, tw.TwoCocycle.trivial(base, 3))
+            pa, pb, pc = ext.pairs
+            # the composites of sigma's extension on the trivial one's pairs
+            k = base.pair_id[pa % len(base), pb % len(base)]
+            z = (pa // len(base) + pb // len(base) + sigma.values[k]) % 3
+            yield ext, (pa, pb, z * len(base) + pc % len(base))
+
+
+def test_generator_triples_decide_associativity_as_the_full_sweep(monkeypatch):
+    verify = gp.FinGroupoid.verify_axioms
+    outcomes = {"associativity": 0, "other": 0, "passed": 0}
+    for g, pairs in tampered_tables():
+        monkeypatch.setattr(gp.FinGroupoid, "verify_axioms", lambda self: None)
+        h = gp.FinGroupoid.from_index(g.topology, g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask, pairs)
+        monkeypatch.undo()
+        try:
+            sweep_verify_axioms(h)
+        except gp.GroupoidAxiomError as err:
+            with pytest.raises(gp.GroupoidAxiomError) as got:
+                verify(h)
+            assert (str(got.value), got.value.witness) == (str(err), err.witness)
+            outcomes["associativity" if str(err).startswith("associativity") else "other"] += 1
+        else:
+            verify(h)
+            outcomes["passed"] += 1
+    assert outcomes["associativity"] >= 1800 and outcomes["other"] > 0, outcomes
+
+
+@pytest.mark.parametrize("chunk", [1, 7, gp.TRIPLE_CHUNK])
+def test_masked_triple_join_is_the_full_join_filtered(monkeypatch, chunk):
+    rng = random.Random(chunk)
+    cases = [product_group(2, 3), gp.build_relation_groupoid(chain3_to_sierpinski())]
+    two = gp.build_relation_groupoid(fs.SpaceMap(fs.discrete((1, 2, 3)), fs.discrete(("*",)), dict.fromkeys((1, 2, 3), "*")))
+    cases.append(tw.extension_groupoid(two, tw.TwoCocycle.trivial(two, 2)))
+    monkeypatch.setattr(gp, "TRIPLE_CHUNK", chunk)
+    for g in cases:
+        _, pb, _ = g.pairs
+        full = [np.concatenate(x) for x in zip(*g.triple_join())]
+        for last in [g.generating_mask, np.zeros(len(g), dtype=bool)] + [
+            np.array([rng.random() < 0.3 for _ in range(len(g))]) for _ in range(5)
+        ]:
+            blocks = list(g.triple_join(last))
+            assert all(0 < len(ab) <= chunk for ab, _ in blocks)
+            joined = [np.concatenate(x) for x in zip(*blocks)] if blocks else [np.zeros(0, dtype=np.int64)] * 2
+            keep = last[pb[full[1]]]
+            assert all(np.array_equal(x, y[keep]) for x, y in zip(joined, full))
 
 
 # -- the one install step ---------------------------------------------------------

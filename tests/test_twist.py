@@ -9,12 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from groupoidlab.modlin import solve_mod
+from helpers import product_group
 
 
 def pair_groupoid(points):
@@ -192,16 +194,6 @@ def full_system_solvable(sigma):
     return solve_mod(rows[:, free], sigma.values, sigma.n).solvable
 
 
-def product_group(a, b):
-    """Z/a x Z/b as a one-unit groupoid on the labels (x, y)."""
-    elems = [(x, y) for x in range(a) for y in range(b)]
-    return gp.FinGroupoid(
-        fs.discrete(elems), [(0, 0)], {e: (0, 0) for e in elems}, {e: (0, 0) for e in elems},
-        {(e, f): ((e[0] + f[0]) % a, (e[1] + f[1]) % b) for e in elems for f in elems},
-        {e: (-e[0] % a, -e[1] % b) for e in elems},
-    )
-
-
 def s3_from_table():
     """S3 read from a fingroupoid/1 document; labels are permutations of
     012 as strings."""
@@ -274,7 +266,116 @@ def test_generator_equations_agree_with_all_pairs():
 
 def test_generator_equations_are_few():
     g = product_group(6, 6)
-    assert len(tw._generator_pairs(g)) == 108 < len(g.pairs[0]) == 1296
+    assert np.count_nonzero(g.generating_mask[g.pairs[1]]) == 108 < len(g.pairs[0]) == 1296
+
+
+def sweep_verify(sigma):
+    """``verify_two_cocycle`` as it was before the generator-triple rule:
+    the identity on every composable triple, block by block in triple
+    order, reading every pair when an entry is missing."""
+    g, n, m = sigma.groupoid, sigma.n, sigma.groupoid.morphisms
+    pa, pb, pc = g.pairs
+    every = np.arange(len(m))
+    norm = np.stack([g.pair_id[g.range_idx, every], g.pair_id[every, g.source_idx]], axis=1).ravel()
+    norm = norm[sigma.on_pairs(norm) != 0]
+    v = sigma.values
+    missing = (v < 0).any()
+    ident_bad = []
+    for ab, bc in g.triple_join():
+        terms = (ab, g.pair_id[pc[ab], pb[bc]], bc, g.pair_id[pa[ab], pc[bc]])
+        if missing:
+            sigma.on_pairs(np.stack(terms, axis=1).ravel())
+        bad = (v[terms[0]] + v[terms[1]] - v[terms[2]] - v[terms[3]]) % n != 0
+        ident_bad += zip(pa[ab[bad]].tolist(), pb[ab[bad]].tolist(), pb[bc[bad]].tolist())
+    norm_bad = tuple((m[a], m[b]) for a, b in zip(pa[norm], pb[norm]))
+    ident_bad = tuple((m[a], m[b], m[c]) for a, b, c in ident_bad)
+    return tw.CocycleReport(not norm_bad and not ident_bad, norm_bad, ident_bad)
+
+
+def test_generator_triples_decide_the_identity_as_the_full_sweep():
+    rng = random.Random(12)
+    groupoids = {id(g): (g, n) for g, n, _ in oracle_cases()}
+    for g, sigma in itertools.islice(extension_cases(), 0, None, 5):
+        if sigma.n > 1 and tw.verify_two_cocycle(sigma).valid:
+            groupoids[id(sigma)] = (tw.extension_groupoid(g, sigma), rng.randint(2, 6))
+    seen = {"valid": 0, "invalid": 0, "missing": 0}
+    for g, n in groupoids.values():
+        assert not gp.groupoid_properties(g).principal
+        pairs = g.composable_pairs()
+        cob = tw.coboundary_twist(random_cochain(rng, g, n))
+        cases = [cob, tw.TwoCocycle(g, n, {p: rng.randrange(n) for p in pairs})]
+        # one entry shifted, on non-unit pairs so that normalization holds
+        inner = [p for p in pairs if p[0] not in g.units and p[1] not in g.units]
+        cases += [cob.shift(p, rng.randrange(1, n)) for p in rng.sample(inner, min(len(inner), 12))]
+        for sigma in cases:
+            report = tw.verify_two_cocycle(sigma)
+            assert report == sweep_verify(sigma)
+            seen["valid" if report.valid else "invalid"] += 1
+        for _ in range(3):
+            table = dict(cases[rng.randrange(len(cases))].table)
+            del table[rng.choice(pairs)]
+            missing = tw.TwoCocycle(g, n, table)
+            with pytest.raises(tw.CocycleError) as want:
+                sweep_verify(missing)
+            with pytest.raises(tw.CocycleError) as got:
+                tw.verify_two_cocycle(missing)
+            assert str(got.value) == str(want.value) and got.value.code == "MISSING_ENTRY"
+            seen["missing"] += 1
+    assert seen["valid"] >= 50 and seen["invalid"] >= 500 and seen["missing"] >= 150, seen
+
+
+def reference_generator_pairs(g):
+    """The greedy generator rows as ``are_cohomologous`` chose them before
+    the generating set was kept on the groupoid: each step adds the
+    lowest-numbered morphism outside the closure of the units and the
+    set so far, and the closure grows by passes over the pairs."""
+    pa, pb, pc = g.pairs
+    closed, kept = g.unit_mask.copy(), g.unit_mask.copy()
+    while not closed.all():
+        s = int(np.argmin(closed))
+        closed[s] = kept[s] = True
+        while True:
+            size = closed.sum()
+            closed[pc[closed[pa] & closed[pb]]] = True
+            if closed.sum() == size:
+                break
+    return np.flatnonzero(kept[pb])
+
+
+def generator_cases():
+    """Groups, extensions and matrix-unit groupoids."""
+    for g, _, _ in oracle_cases():
+        yield g
+    for g, sigma in itertools.islice(extension_cases(), 0, None, 7):
+        if tw.verify_two_cocycle(sigma).valid:
+            yield tw.extension_groupoid(g, sigma)
+    for blocks in ({0: (1,)}, {0: (1, 2, 3)}, {0: (1, 2), 1: (1, 2, 3, 4)}, {k: range(k + 1) for k in range(4)}):
+        yield ca.matrix_unit_groupoid(blocks).groupoid
+
+
+def test_cached_generators_match_the_greedy_reference(monkeypatch):
+    rows = []
+    monkeypatch.setattr(tw, "solve_mod", lambda a, b, n: rows.append(np.array(a)) or solve_mod(a, b, n))
+    kinds = set()
+    for g in generator_cases():
+        kinds.add((len(g.units) > 1, gp.groupoid_properties(g).principal))
+        want = reference_generator_pairs(g)
+        assert np.array_equal(np.flatnonzero(g.generating_mask[g.pairs[1]]), want)
+        assert g.generating_mask is g.generating_mask  # computed once
+        if g.principal:
+            continue
+        # a class off the coboundaries reaches the solver on the same rows
+        sigma = tw.TwoCocycle.trivial(g, 5).shift((g.morphisms[0], g.morphisms[0]), 1)
+        free = ~g.unit_mask
+        if not free.any():
+            continue
+        rows.clear()
+        tw.are_cohomologous(sigma, tw.TwoCocycle.trivial(g, 5))
+        expect = np.zeros((want.size, len(g)), dtype=np.int64)
+        for ends, c in zip(g.pairs, (1, 1, -1)):
+            np.add.at(expect, (np.arange(want.size), ends[want]), c)
+        assert len(rows) == 1 and np.array_equal(rows[0], expect[:, free])
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
 MISMATCH = """
