@@ -10,11 +10,11 @@ certified nontrivial mod 3.  Tests pin the files to the builders.
 from __future__ import annotations
 
 import itertools
-import json
 from importlib import resources
 
 from .finspace import SpaceMap, discrete
 from .groupoid import build_relation_groupoid
+from .serialize import parse_json
 from .twist import CechData, TwoCocycle
 
 BUNDLED_NAMES = ("two-thread-ladder", "trivial-cocycle", "tetrahedron-z3")
@@ -55,4 +55,4 @@ def bundled_document(name: str) -> dict:
     if name not in _FILES:
         raise KeyError(f"unknown bundled input {name!r}; choose from {BUNDLED_NAMES}")
     text = resources.files("groupoidlab.data").joinpath(_FILES[name]).read_text()
-    return json.loads(text)
+    return parse_json(text)

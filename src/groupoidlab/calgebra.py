@@ -332,11 +332,12 @@ def matrix_unit_groupoid(blocks: Mapping, n: int = 1, lam: Callable | None = Non
     -lam(i, j, k) mod n (zero without ``lam``), so that
     e_ij e_jk = zeta^{-lam(i,j,k)} e_ik and e_ij* = e_ji.  The keys run
     label by label, row-major within a block, which is the numbering of
-    ``pair_groupoid_index``, so the index comes from the block sizes.
+    ``pair_groupoid_index``, so the groupoid carries the verified index
+    shared by every pair-groupoid union with these block sizes.
     Returns the cocycle, which carries the groupoid."""
     keys = [(i, j, label) for label, idx in blocks.items() for i in idx for j in idx]
-    index = pair_groupoid_index([len(idx) for idx in blocks.values()])
-    groupoid = FinGroupoid.from_index(discrete(keys), *index)
+    groupoid = FinGroupoid.__new__(FinGroupoid)
+    groupoid._attach(discrete(keys), *pair_groupoid_index(tuple(len(idx) for idx in blocks.values())))
     if lam is None:
         return TwoCocycle.trivial(groupoid, n)
     pa, pb, _ = groupoid.pairs

@@ -55,7 +55,7 @@ def _load(path_or_bundle: str) -> dict:
     if path_or_bundle.startswith("bundled:"):
         return bundled.bundled_document(path_or_bundle.split(":", 1)[1])
     with open(path_or_bundle) as fh:
-        return json.load(fh)
+        return serialize.parse_json(fh.read())
 
 
 # -- subcommand handlers: each returns a JSON-ready result dict -----------------

@@ -16,6 +16,9 @@ from .finspace import FinSpace, SpaceMap, discrete
 
 SEED_ENV_VAR = "GROUPOIDLAB_SEED"
 
+# most point tuples whose partitions ``all_partitions`` keeps
+PARTITION_CACHE = 16
+
 
 def env_seed(default: int = 0) -> int:
     raw = os.environ.get(SEED_ENV_VAR)
@@ -68,20 +71,33 @@ def all_topologies(n: int) -> list[FinSpace]:
     return spaces
 
 
-def all_partitions(points) -> list[list[frozenset]]:
-    """Every partition of a finite iterable, in a deterministic order."""
-    pts = list(points)
-    if not pts:
-        return [[]]
-    first, rest = pts[0], pts[1:]
-    out = []
-    for sub in all_partitions(rest):
-        out.append([frozenset({first})] + sub)
-        for k in range(len(sub)):
-            widened = list(sub)
-            widened[k] = sub[k] | {first}
-            out.append(widened)
-    return out
+def all_partitions(points) -> tuple[tuple[frozenset, ...], ...]:
+    """Every partition of a finite iterable, in a deterministic order.
+
+    Computed once per point tuple (up to ``PARTITION_CACHE`` of them) and
+    shared: the result is immutable, and each distinct block is one
+    frozenset however many partitions hold it.
+    """
+    return _partitions(tuple(points))
+
+
+@lru_cache(maxsize=PARTITION_CACHE)
+def _partitions(pts: tuple) -> tuple:
+    # the partitions of each suffix of pts, from the empty one up: those of
+    # (p, *rest) are, for each partition of rest, {p} beside it and then p
+    # joined to each of its blocks in turn
+    blocks: dict = {}
+    out: list = [()]
+    for p in reversed(pts):
+        single = blocks.setdefault(frozenset((p,)), frozenset((p,)))
+        grown = []
+        for sub in out:
+            grown.append((single, *sub))
+            for k, block in enumerate(sub):
+                widened = block | single
+                grown.append((*sub[:k], blocks.setdefault(widened, widened), *sub[k + 1 :]))
+        out = grown
+    return tuple(out)
 
 
 def random_space(seed: int, max_points: int) -> FinSpace:

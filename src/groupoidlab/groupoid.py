@@ -2,37 +2,41 @@
 
 A groupoid is stored as its morphism set with a finite-space topology on
 the morphisms, and as an integer index: arrays for range, source and
-inverse, and a numbering of the composable pairs with their composites.
-The unit space always carries the subspace topology.  One install step
-sets every groupoid's index and runs ``verify_axioms``, which checks
-every axiom (composability, range and source of composites, unit and
-inverse laws, associativity) as array code, so a bad composition table
-or a cocycle fault in an extension surfaces immediately with a witness.
-Associativity is decided without a triple for a principal groupoid, and
-otherwise on the triples whose last factor is a unit or lies in the
-greedy generating set of ``generating_mask``; when that reduced check
-fails, the full lexicographic sweep over all composable triples runs and
-reports the first failing one.  Builders install arrays; only the label
-tables of ``fingroupoid/1`` are numbered first.  Every later all-pairs
-computation reads the same index.
+inverse, and the composable pairs with their composites in row-major
+order.  The n x n table ``pair_id`` that numbers the pairs is built from
+them on first use, per groupoid.  The unit space always carries the
+subspace topology.  One install step numbers and sorts an index and runs
+``verify_axioms``, which checks every axiom (composability, range and
+source of composites, unit and inverse laws, associativity) as array
+code, so a bad composition table or a cocycle fault in an extension
+surfaces immediately with a witness; a second step attaches a verified
+index to a topology.  Associativity is decided without a triple for a
+principal groupoid, and otherwise on the triples whose last factor is a
+unit or lies in the greedy generating set of ``generating_mask``; when
+that reduced check fails, the full lexicographic sweep over all
+composable triples runs and reports the first failing one.  Builders
+install arrays; only the label tables of ``fingroupoid/1`` are numbered
+first.  Every later all-pairs computation reads the same index.
 
 The central construction is the relation groupoid of a surjection
 psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
 and whose topology is the restriction of the product topology on Y x Y.
 As an algebraic groupoid it is the disjoint union of the pair groupoids
-on the fibers of psi, so ``RelationGroupoid`` installs the index
-``pair_groupoid_index`` computes from the fiber sizes.  Its topology
-comes from ``product_masks``, which pulls the product topology of a
-space on the units back along r x s on any groupoid's own numbering.
-``fell_check`` calls the same routine for R(q), the relation groupoid
-of the orbit quotient: r x s of a principal groupoid is a bijection
-onto R(q), so R(q) is never built as a space of its own.
+on the fibers of psi, so its index depends only on the tuple of fiber
+sizes: ``pair_groupoid_index`` installs and verifies it once per tuple,
+and every ``RelationGroupoid`` with those sizes attaches the same
+read-only arrays to its own topology.  That topology comes from
+``product_masks``, which pulls the product topology of a space on the
+units back along r x s on any groupoid's own numbering.  ``fell_check``
+calls the same routine for R(q), the relation groupoid of the orbit
+quotient: r x s of a principal groupoid is a bijection onto R(q), so
+R(q) is never built as a space of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -55,6 +59,10 @@ Morphism = Hashable
 # most composable triples in one block of ``FinGroupoid.triple_join``
 TRIPLE_CHUNK = 1 << 16
 
+# most fiber-size tuples whose verified index ``pair_groupoid_index``
+# keeps; all 255 tuples of at most 8 points fit with room to spare
+PAIR_INDEX_CACHE = 512
+
 
 class GroupoidAxiomError(ValueError):
     """Raised when the structure maps fail a groupoid axiom."""
@@ -75,11 +83,15 @@ class FinGroupoid:
     ``source_idx`` and ``inverse_idx`` hold the structure maps on those
     numbers, ``unit_mask`` marks the units, ``pairs`` holds the factors
     and the composite of each composable pair in row-major order, and
-    ``pair_id[a, b]`` numbers them (-1 elsewhere).  ``_install`` sets the
-    index for the label constructor and for ``from_index`` alike; the
-    dict tables (``units``, ``range_map``, ``source_map``, ``inverse``,
-    ``compose``) are derived from it on first use.  ``principal`` is set
-    by ``verify_axioms``.
+    ``pair_id[a, b]`` numbers them (-1 elsewhere), built from ``pairs``
+    on first use.  ``_install`` numbers, sorts and verifies the index for
+    the label constructor and for ``from_index`` alike, and ``_attach``
+    puts a verified index on a topology; a pair-groupoid union attaches
+    the read-only arrays ``pair_groupoid_index`` shares between every
+    groupoid with the same block sizes.  The dict tables (``units``,
+    ``range_map``, ``source_map``, ``inverse``, ``compose``) are derived
+    from the index on first use.  ``principal`` is set by
+    ``verify_axioms``.
     """
 
     def __init__(
@@ -123,26 +135,36 @@ class FinGroupoid:
         return groupoid
 
     def _install(self, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs) -> None:
-        """Set the index, sorting the pairs row-major and numbering them,
-        and verify the axioms on it."""
+        """Number the index arrays, sort the pairs row-major, attach them
+        to ``topology`` and verify the axioms on them."""
+        pa, pb, pc = (np.asarray(p, dtype=np.int64).ravel() for p in pairs)
+        order = np.lexsort((pb, pa))
+        structure = (np.asarray(idx, dtype=np.int64) for idx in (range_idx, source_idx, inverse_idx))
+        unit_mask = np.asarray(unit_mask, dtype=bool)
+        self._attach(topology, *structure, unit_mask, (pa[order], pb[order], pc[order]), None)
+        self.verify_axioms()
+
+    def _attach(self, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs, principal) -> None:
+        """Put an index on the points of ``topology``, as it is (no copy
+        and no check), with empty per-groupoid caches."""
         self.topology = topology
         self.morphisms = topology.points
         self.index = topology._index
+        self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
+        self.unit_mask, self.pairs, self.principal = unit_mask, pairs, principal
         self._props_cache = None
         self._fibers: dict = {}
         self._orbits = None
         self._generators = None
-        self.range_idx, self.source_idx, self.inverse_idx = (
-            np.asarray(idx, dtype=np.int64) for idx in (range_idx, source_idx, inverse_idx)
-        )
-        self.unit_mask = np.asarray(unit_mask, dtype=bool)
-        pa, pb, pc = (np.asarray(p, dtype=np.int64).ravel() for p in pairs)
-        order = np.lexsort((pb, pa))
-        self.pairs = (pa[order], pb[order], pc[order])
+
+    @cached_property
+    def pair_id(self) -> np.ndarray:
+        """The number of each composable pair (a, b) in ``pairs`` at
+        [a, b], -1 elsewhere; built on first use, per groupoid."""
         n = len(self.morphisms)
-        self.pair_id = np.full((n, n), -1, dtype=np.int64)
-        self.pair_id[self.pairs[0], self.pairs[1]] = np.arange(len(order))
-        self.verify_axioms()
+        pair_id = np.full((n, n), -1, dtype=np.int64)
+        pair_id[self.pairs[0], self.pairs[1]] = np.arange(len(self.pairs[0]))
+        return pair_id
 
     # -- dict tables, derived from the index --------------------------------
 
@@ -360,14 +382,22 @@ class FinGroupoid:
         return f"<FinGroupoid with {len(self.morphisms)} morphisms, {len(self.units)} units>"
 
 
-def pair_groupoid_index(sizes: Sequence[int]) -> tuple:
-    """The index of a disjoint union of pair groupoids, one block per
-    entry of ``sizes``, in the argument order of ``FinGroupoid.from_index``.
+@lru_cache(maxsize=PAIR_INDEX_CACHE)
+def pair_groupoid_index(sizes: tuple) -> tuple:
+    """The verified index of a disjoint union of pair groupoids, one
+    block per entry of the tuple ``sizes``, in the argument order of
+    ``FinGroupoid._attach``: range, source and inverse, the unit mask,
+    the pairs and ``principal``.
 
     Blocks are numbered one after another: in a block of size k at offset
     o, the pair (i, j) of its i-th and j-th points is o + ik + j, with
     range (i, i), source (j, j) and inverse (j, i), and (i, j)(j, l) =
     (i, l).  The pairs come out row-major.
+
+    The index is installed and verified once per size tuple, on the
+    discrete space of its numbers, and the arrays are returned read-only,
+    so every groupoid built from them shares one verified copy.  Each
+    keeps its own ``pair_id``, topology and caches.
     """
     size = np.asarray(sizes, dtype=np.int64)
     count = size * size
@@ -378,7 +408,13 @@ def pair_groupoid_index(sizes: Sequence[int]) -> tuple:
     # pair (a, b) = ((i, j), (j, l)) for l < k, composite (i, l)
     pa = np.repeat(np.arange(len(k)), k)
     l = np.arange(len(pa)) - np.repeat(np.cumsum(k) - k, k)
-    return row_i + i, row_j + j, row_j + i, i == j, (pa, row_j[pa] + l, row_i[pa] + l)
+    g = FinGroupoid.from_index(
+        discrete(range(len(k))), row_i + i, row_j + j, row_j + i, i == j, (pa, row_j[pa] + l, row_i[pa] + l)
+    )
+    arrays = (g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask, *g.pairs)
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays[:4], arrays[4:], g.principal)
 
 
 class RelationGroupoid(FinGroupoid):
@@ -388,7 +424,7 @@ class RelationGroupoid(FinGroupoid):
     s(y, z) = (z, z), (x, y)(y, z) = (x, z).  ``fibers`` lists the fibers
     of psi.  As an algebraic groupoid this is the disjoint union of the
     pair groupoids on the fibers, so the index is ``pair_groupoid_index``
-    of the fiber sizes, installed and verified like any other.
+    of the fiber sizes: verified once per size tuple and shared read-only.
 
     The base space Y is kept, as ``base_masks``: the minimal open of Y
     at each y carried to the unit numbers of the (y, y).  The default
@@ -399,7 +435,7 @@ class RelationGroupoid(FinGroupoid):
     """
 
     def __init__(self, psi: SpaceMap, fibers: Sequence[Sequence], topology: FinSpace | None = None):
-        index = pair_groupoid_index([len(f) for f in fibers])
+        index = pair_groupoid_index(tuple(len(f) for f in fibers))
         y = psi.dom
         self.base, self.psi, self.fibers = y, psi, fibers
         self.base_labels = [p for f in fibers for p in f]
@@ -412,7 +448,7 @@ class RelationGroupoid(FinGroupoid):
             topology = FinSpace(pairs, masks=product_masks(self.base_masks, index[0], index[1]))
         elif len(topology) != len(index[0]):
             raise ValueError("the topology's points are not the pairs of the fibers")
-        self._install(topology, *index)
+        self._attach(topology, *index)
 
     def with_discrete_topology(self) -> "RelationGroupoid":
         """Same algebraic groupoid with the discrete morphism topology."""
@@ -451,7 +487,7 @@ def product_masks(unit_mo: Mapping[int, int], range_idx: np.ndarray, source_idx:
 
 def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
     """Build the relation groupoid of a surjection with the product-subspace
-    topology.  Axioms are re-verified on the result."""
+    topology, on the verified index of its fiber sizes."""
     if not psi.is_surjective():
         raise ValueError("psi must be surjective")
     fibers: dict = {}

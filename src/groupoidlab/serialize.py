@@ -4,10 +4,13 @@ Each document carries a ``schema`` field like ``finspace/1``.  Emission
 is canonical: keys sorted, point identifiers rendered through one label
 function, lists in deterministic order, so that parse-then-emit is the
 identity on canonical form.  Errors carry a JSON-pointer-style path.
+``parse_json`` reads every document and rejects an object that writes a
+key twice, which plain ``json`` would collapse to its last value.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Any, Mapping
 
@@ -35,6 +38,38 @@ def _expect_int(doc: Any, path: str, *keys) -> int:
     ``path`` and then ``keys``, which are joined only on failure."""
     if type(doc) is not int:
         raise SchemaError(f"expected int, got {type(doc).__name__}", path + "".join(f"/{k}" for k in keys))
+    return doc
+
+
+def _path_to(node: Any, target: dict, path: str) -> str | None:
+    """The path of the object ``target`` inside the parsed tree ``node``."""
+    if node is target:
+        return path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        found = _path_to(child, target, f"{path}/{key}")
+        if found is not None:
+            return found
+    return None
+
+
+def parse_json(text: str) -> Any:
+    """Parse a JSON document, raising ``SchemaError`` at the first object
+    (in the order the parser closes them) that writes a key twice; the
+    path names the object and the key."""
+    repeated = []
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs) and not repeated:
+            keys = [k for k, _ in pairs]
+            repeated.append((obj, next(k for i, k in enumerate(keys) if k in keys[:i])))
+        return obj
+
+    doc = json.loads(text, object_pairs_hook=unique)
+    if repeated:
+        obj, key = repeated[0]
+        raise SchemaError(f"key {key!r} written twice in one object", f"{_path_to(doc, obj, '/')}/{key}")
     return doc
 
 
@@ -272,6 +307,20 @@ def _edge_rows(rows: Any, path: str) -> list[tuple]:
     return edges
 
 
+def _edge_labels(edges: list, path: str):
+    """(path, value) of each id, range and source in ``edges``."""
+    return ((f"{path}/{k}/{f}", v) for k, e in enumerate(edges) for f, v in zip(("id", "range", "source"), e))
+
+
+def _reject_non_scalar(labels) -> None:
+    """Raise ``SchemaError`` at the first (path, value) of ``labels`` whose
+    value is a JSON list or object.  Graph labels are hashed, so a graph
+    built from such a label raises ``TypeError``; only then are they read."""
+    for path, value in labels:
+        if isinstance(value, (list, dict)):
+            raise SchemaError(f"expected a scalar label, got {type(value).__name__}", path)
+
+
 def _digraph_body(doc: Mapping, path: str) -> DirectedGraph:
     vertices = _expect(doc.get("vertices"), list, path + "/vertices")
     edges = _edge_rows(doc.get("edges"), path + "/edges")
@@ -279,6 +328,10 @@ def _digraph_body(doc: Mapping, path: str) -> DirectedGraph:
         return DirectedGraph(vertices, edges)
     except ValueError as err:
         raise SchemaError(str(err), path)
+    except TypeError:
+        _reject_non_scalar((f"{path}/vertices/{k}", v) for k, v in enumerate(vertices))
+        _reject_non_scalar(_edge_labels(edges, path + "/edges"))
+        raise
 
 
 def digraph_from_json(doc: Mapping, path: str = "/") -> DirectedGraph:
@@ -310,6 +363,10 @@ def periodic_from_json(doc: Mapping, path: str = "/") -> PeriodicGraph:
         return PeriodicGraph(block, prefix=prefix, seam_prefix=seam_prefix, seam_block=seam_block)
     except ValueError as err:
         raise SchemaError(str(err), path)
+    except TypeError:
+        _reject_non_scalar(_edge_labels(seam_prefix, path + "/seam_prefix"))
+        _reject_non_scalar(_edge_labels(seam_block, path + "/seam_block"))
+        raise
 
 
 def graph_input_from_json(doc: Mapping, path: str = "/"):

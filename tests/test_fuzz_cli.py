@@ -149,3 +149,84 @@ def test_a_cover_key_too_long_for_int_is_an_input_error():
             code, report = run_doc(command, doc)
             assert code == 1, (command, len(key))
             assert report["result"]["error"].endswith(f"(at //cover/{key})"), (command, len(key))
+
+
+# -- graph labels ---------------------------------------------------------------------
+
+NON_SCALARS = (["w"], [], {"k": 1}, {})
+
+
+def label_fields(doc, path="/"):
+    """(container, key, path) of every vertex and every edge id, range and
+    source in a digraph/1 or periodic_graph/1 document."""
+    if doc["schema"] == "periodic_graph/1":
+        return [
+            *label_fields(doc["block"], path + "/block"),
+            *label_fields(doc["prefix"], path + "/prefix"),
+            *((e, f, f"{path}/{seam}/{k}/{f}") for seam in ("seam_prefix", "seam_block")
+              for k, e in enumerate(doc[seam]) for f in ("id", "range", "source")),
+        ]
+    return [
+        *((doc["vertices"], k, f"{path}/vertices/{k}") for k in range(len(doc["vertices"]))),
+        *((e, f, f"{path}/edges/{k}/{f}") for k, e in enumerate(doc["edges"]) for f in ("id", "range", "source")),
+    ]
+
+
+def test_a_non_scalar_graph_label_is_an_input_error():
+    ladder = bundled.bundled_document("two-thread-ladder")
+    docs = (ladder, ladder["block"])
+    for base in docs:
+        for place in range(len(label_fields(base))):
+            for bad in NON_SCALARS:
+                doc = copy.deepcopy(base)
+                node, key, path = label_fields(doc)[place]
+                node[key] = copy.deepcopy(bad)
+                code, report = run_doc("graph-fell", doc)
+                assert code == 1, path
+                assert report["result"]["error"].startswith("SchemaError"), path
+                assert report["result"]["error"].endswith(f"(at {path})"), path
+
+
+# -- keys written twice ---------------------------------------------------------------
+
+
+def objects(node, path="/"):
+    """(object, path) of every JSON object in a tree, outermost first."""
+    out = []
+    if isinstance(node, dict):
+        out.append((node, path))
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        out += objects(child, f"{path}/{key}")
+    return out
+
+
+def dumps_repeating(node, target) -> str:
+    """JSON text of ``node`` with the first key of the object ``target``
+    written a second time, with its value, at the end of that object."""
+    if isinstance(node, dict):
+        items = [f"{json.dumps(k)}: {dumps_repeating(v, target)}" for k, v in node.items()]
+        if node is target:
+            items.append(items[0])
+        return "{" + ", ".join(items) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(dumps_repeating(v, target) for v in node) + "]"
+    return json.dumps(node)
+
+
+def test_a_key_written_twice_is_an_input_error():
+    for command, name in TARGETS:
+        base = bundled.bundled_document(name)
+        for obj, path in objects(base):
+            if not obj:
+                continue
+            with tempfile.TemporaryDirectory() as tmp:
+                file = os.path.join(tmp, "doc.json")
+                with open(file, "w") as fh:
+                    fh.write(dumps_repeating(base, obj))
+                code, report = run([command, file])
+            key = next(iter(obj))
+            assert code == 1, (command, path)
+            error = report["result"]["error"]
+            assert error.startswith("SchemaError") and f"{key!r}" in error, (command, path)
+            assert error.endswith(f"(at {path}/{key})"), (command, path)

@@ -1,13 +1,18 @@
+import contextlib
 import functools
+import io
+import json
 import random
 
 import numpy as np
 import pytest
 
+from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
+from groupoidlab.cli import main
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from helpers import product_group, subspace
 
@@ -385,6 +390,11 @@ def test_fell_check_reads_the_same_on_a_plain_copy():
 def test_corrupted_relation_index_is_rejected(corrupt):
     g = gp.build_relation_groupoid(discrete_3_to_2())
     g.verify_axioms()
+    # the shared index is read-only; corrupt this groupoid's own copies
+    g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask = (
+        a.copy() for a in (g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask)
+    )
+    g.pairs = tuple(p.copy() for p in g.pairs)
     corrupt(g)
     with pytest.raises(gp.GroupoidAxiomError):
         g.verify_axioms()
@@ -592,3 +602,106 @@ def test_label_constructor_keeps_its_error_order():
         with pytest.raises(gp.GroupoidAxiomError) as err:
             gp.FinGroupoid(two, **(tables | {key: bad}))
         assert str(err.value) == message
+
+
+# -- the shared pair-groupoid index ------------------------------------------------
+
+
+def compositions(n: int):
+    """Every tuple of positive sizes summing to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first, *rest)
+
+
+def loop_pair_index(sizes: tuple, rng: random.Random) -> tuple:
+    """The index of a union of pair groupoids from Python loops, with the
+    composable pairs in random order."""
+    rng_idx, src_idx, inv_idx, units, pairs = [], [], [], [], []
+    offset = 0
+    for k in sizes:
+        number = lambda i, j: offset + i * k + j
+        for i in range(k):
+            for j in range(k):
+                rng_idx.append(number(i, i))
+                src_idx.append(number(j, j))
+                inv_idx.append(number(j, i))
+                units.append(i == j)
+                pairs += [(number(i, j), number(j, l), number(i, l)) for l in range(k)]
+        offset += k * k
+    rng.shuffle(pairs)
+    return rng_idx, src_idx, inv_idx, units, np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+
+
+def test_cached_pair_index_matches_a_fresh_install():
+    rng = random.Random(13)
+    tuples = [s for n in range(7) for s in compositions(n)] + [(20,), (33,), (1, 40)]
+    for sizes in tuples:
+        *arrays, pairs, principal = gp.pair_groupoid_index(sizes)
+        count = sum(k * k for k in sizes)
+        fresh = gp.FinGroupoid.from_index(fs.discrete(range(count)), *loop_pair_index(sizes, rng))
+        want = (fresh.range_idx, fresh.source_idx, fresh.inverse_idx, fresh.unit_mask)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(arrays, want)), sizes
+        assert all(np.array_equal(a, b) for a, b in zip(pairs, fresh.pairs)), sizes
+        assert principal is fresh.principal is True, sizes
+
+
+def test_cached_pair_index_is_read_only():
+    *arrays, pairs, _ = gp.pair_groupoid_index((2, 3))
+    for a in (*arrays, *pairs):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    g = gp.build_relation_groupoid(discrete_3_to_2())
+    with pytest.raises(ValueError):
+        g.range_idx[0] = 1
+
+
+def test_relation_groupoids_share_only_the_index():
+    y = fs.discrete(("a", "b", "c"))
+    one = gp.build_relation_groupoid(discrete_3_to_2())
+    two = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("u", "v")), {"a": "v", "b": "v", "c": "u"}))
+    assert [len(f) for f in one.fibers] == [len(f) for f in two.fibers]
+    for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask"):
+        assert getattr(one, name) is getattr(two, name), name
+    assert all(a is b for a, b in zip(one.pairs, two.pairs))
+    assert one.topology is not two.topology and one.morphisms != two.morphisms
+    assert one.pair_id is not two.pair_id and not np.shares_memory(one.pair_id, two.pair_id)
+    assert np.array_equal(one.pair_id, two.pair_id) and one.pair_id.flags.writeable
+    gp.groupoid_properties(one)
+    one.fiber_pairs(one.morphisms[0])
+    one.orbits()
+    assert two._props_cache is None and two._fibers == {} and two._orbits is None
+    assert one.units != two.units and one.compose != two.compose
+
+
+def test_reports_do_not_depend_on_the_pair_index_cache(tmp_path):
+    psi = fs.quotient_space(fs.FinSpace((0, 1, 2, 3), {0: {0}, 1: {0, 1}, 2: {2}, 3: {2, 3}}), [{0, 2}, {1, 3}])[1]
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(sz.map_to_json(psi)))
+    relation = tmp_path / "relation.json"
+    relation.write_text(json.dumps(sz.groupoid_to_json(gp.build_relation_groupoid(psi))))
+    runs = [
+        ["build-relation", str(path)],
+        ["fell-check", str(relation)],
+        ["fell-check", str(relation), "--discrete-morphisms"],
+        ["algebra-verify", "bundled:trivial-cocycle"],
+    ]
+
+    def reports():
+        out = []
+        for argv in runs:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0, argv
+            report = json.loads(buf.getvalue())
+            report.pop("elapsed_seconds", None)
+            out.append(report)
+        blocks = ca.matrix_unit_groupoid({"a": (0, 1), "b": (2,)}, 3, lambda i, j, k: i + j + k).groupoid
+        return out, blocks.compose
+
+    warm = reports()
+    gp.pair_groupoid_index.cache_clear()
+    assert reports() == warm
+    assert gp.pair_groupoid_index.cache_info().misses > 0
