@@ -15,7 +15,8 @@ pair index: convolution is one scatter-add over the pairs, and an induced
 representation fills one matrix entry per pair.
 
 Induced representations act on functions over source fibers; the reduced
-norm is the largest induced operator norm, taken once per orbit.  On top
+norm is the largest induced operator norm over the orbit representatives
+that ``orbit_idx`` names, with one stacked SVD per source-fiber size.  On top
 of the plain algebra the module builds the two matrix-algebra models
 used throughout: the doubled-sheet model (functions into N x N matrices,
 diagonal at the unglued boundary level) and the Cech-twisted cover model
@@ -220,26 +221,31 @@ def induced_rep(u: Hashable, f: AlgebraElement) -> InducedRep:
     if u not in gp.units:
         raise ValueError(f"{u!r} is not a unit")
     _, phases, _ = structure_constants(f.sigma)
-    fiber, k, rows, cols = gp.fiber_pairs(u)
-    mat = np.zeros((len(fiber), len(fiber)), dtype=complex)
-    mat[rows, cols] = _mul(f.vec[gp.pairs[0][k]], phases[k])
-    return InducedRep(u, tuple(gp.morphisms[i] for i in fiber.tolist()), mat)
+    basis, first, k, rows, cols = gp.fiber_pairs(u)
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    mat[rows, cols] = _mul(f.vec[first], phases[k])
+    return InducedRep(u, basis, mat)
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    if matrix.size == 0:
+def operator_norm(matrices: np.ndarray) -> float:
+    """The largest singular value in a (..., d, d) stack of matrices, from
+    one ``svd`` call; 0.0 when the stack is empty."""
+    if matrices.size == 0:
         return 0.0
-    return float(np.linalg.norm(matrix, 2))
+    return float(np.linalg.svd(matrices, compute_uv=False).max())
 
 
 def reduced_norm(f: AlgebraElement) -> float:
-    """sup over units of the induced operator norm; units in one orbit
-    give unitarily equivalent representations, so one representative per
-    orbit is evaluated (the invariance is covered by tests)."""
-    best = 0.0
-    for orbit in f.groupoid.orbits():
-        best = max(best, operator_norm(induced_rep(orbit[0], f).matrix))
-    return best
+    """sup over units of the induced operator norm.  Units in one orbit
+    give unitarily equivalent representations (covered by tests), so only
+    the orbit representatives ``orbit_idx`` names are induced: their
+    matrices are filled in one scatter, from the groupoid's
+    ``orbit_stacks``, and each fiber size takes one stacked SVD."""
+    first, k, flat, cells, blocks = f.groupoid.orbit_stacks
+    _, phases, _ = structure_constants(f.sigma)
+    stacks = np.zeros(cells, dtype=complex)
+    stacks[flat] = _mul(f.vec[first], phases[k])
+    return max((operator_norm(stacks[o:o + m * d * d].reshape(m, d, d)) for o, m, d in blocks), default=0.0)
 
 
 # -- *-homomorphisms on a basis ---------------------------------------------------

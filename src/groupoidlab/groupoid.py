@@ -194,15 +194,17 @@ class FinGroupoid:
         return {(m[a], m[b]): m[c] for a, b, c in zip(*(p.tolist() for p in self.pairs))}
 
     def fiber_pairs(self, u: Morphism) -> tuple:
-        """The source fiber s^{-1}(u) as morphism numbers, and the pairs
-        (b, c) with s(c) = u as pair numbers with the fiber positions of
-        bc and of c; compiled once per unit."""
+        """The source fiber s^{-1}(u) as its basis of morphism labels, and
+        the pairs (b, c) with s(c) = u as the numbers of b, the pair
+        numbers and the fiber positions of bc and of c; compiled once per
+        unit."""
         if u not in self._fibers:
             in_fiber = self.source_idx == self.index[u]
             pos = np.cumsum(in_fiber) - 1
-            _, pb, pc = self.pairs
+            pa, pb, pc = self.pairs
             k = np.flatnonzero(in_fiber[pb])
-            self._fibers[u] = (np.flatnonzero(in_fiber), k, pos[pc[k]], pos[pb[k]])
+            basis = tuple(self.morphisms[i] for i in np.flatnonzero(in_fiber).tolist())
+            self._fibers[u] = (basis, pa[k], k, pos[pc[k]], pos[pb[k]])
         return self._fibers[u]
 
     @cached_property
@@ -214,6 +216,47 @@ class FinGroupoid:
         first = np.full(n, n)
         np.minimum.at(first, self.source_idx, self.range_idx)
         return first
+
+    @cached_property
+    def orbit_stacks(self) -> tuple:
+        """The cells of the induced matrices at the orbit representatives
+        (the units that ``orbit_idx`` names), stacked by source-fiber size,
+        as (first, k, flat, cells, blocks).  Pair number ``k`` of a
+        representative's fiber, (b, c) with b numbered ``first``, lands at
+        ``flat`` in a buffer of ``cells`` entries; the (offset, m, d) of
+        ``blocks`` say that the m matrices of the size-d representatives,
+        in unit order, start at ``offset``.  Each matrix holds the cells
+        ``fiber_pairs`` fills.  Built once, from the index arrays, and
+        read-only."""
+        n = len(self.morphisms)
+        src, numbers = self.source_idx, np.arange(n)
+        size = np.bincount(src, minlength=n)
+        # each morphism's position in its source fiber, in morphism order
+        order = src.argsort(kind="stable")
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = numbers - (size.cumsum() - size)[src[order]]
+        # the representatives by fiber size, then number, each with the
+        # start of its d x d matrix in the buffer
+        reps = (self.orbit_idx == numbers).nonzero()[0]
+        reps = reps[size[reps].argsort(kind="stable")]
+        area = size[reps] ** 2
+        start = np.zeros(n, dtype=np.int64)
+        start[reps] = area.cumsum() - area
+        pa, pb, pc = self.pairs
+        u = src[pb]
+        k = (self.orbit_idx[u] == u).nonzero()[0]
+        u = u[k]
+        flat = start[u] + pos[pc[k]] * size[u] + pos[pb[k]]
+        arrays = (pa[k], k, flat)
+        for a in arrays:
+            a.flags.writeable = False
+        counts = np.bincount(size[reps]).tolist()
+        blocks, offset = [], 0
+        for d, m in enumerate(counts):
+            if m:
+                blocks.append((offset, m, d))
+                offset += m * d * d
+        return (*arrays, offset, tuple(blocks))
 
     def orbits(self) -> tuple:
         """Orbits of the unit space, u ~ v when some morphism joins them,

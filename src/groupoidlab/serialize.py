@@ -41,13 +41,18 @@ def _expect_int(doc: Any, path: str, *keys) -> int:
     return doc
 
 
+def _members(node: Any, path: str):
+    """(path, value) of each member of a JSON list or object."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return ((f"{path}/{key}", value) for key, value in items)
+
+
 def _path_to(node: Any, target: dict, path: str) -> str | None:
     """The path of the object ``target`` inside the parsed tree ``node``."""
     if node is target:
         return path
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        found = _path_to(child, target, f"{path}/{key}")
+    for sub, child in _members(node, path):
+        found = _path_to(child, target, sub)
         if found is not None:
             return found
     return None
@@ -71,6 +76,16 @@ def parse_json(text: str) -> Any:
         obj, key = repeated[0]
         raise SchemaError(f"key {key!r} written twice in one object", f"{_path_to(doc, obj, '/')}/{key}")
     return doc
+
+
+def _reject_non_scalar(labels) -> None:
+    """Raise ``SchemaError`` at the first (path, value) of ``labels`` whose
+    value is a JSON list or object.  Labels are hashed, so a space, map,
+    groupoid or graph built from such a label raises ``TypeError``; only
+    then are they read."""
+    for path, value in labels:
+        if isinstance(value, (list, dict)):
+            raise SchemaError(f"expected a scalar label, got {type(value).__name__}", path)
 
 
 def _expect_schema(doc: Mapping, names: tuple, path: str) -> str:
@@ -103,6 +118,11 @@ def space_from_json(doc: Mapping, path: str = "/") -> FinSpace:
         return FinSpace(points, {p: set(v) for p, v in mo.items()})
     except ValueError as err:
         raise SchemaError(str(err), path)
+    except TypeError:
+        _reject_non_scalar(_members(points, path + "/points"))
+        for p, v in mo.items():
+            _reject_non_scalar(_members(v, f"{path}/min_open/{p}"))
+        raise
 
 
 def map_to_json(f: SpaceMap) -> dict:
@@ -125,6 +145,9 @@ def map_from_json(doc: Mapping, path: str = "/") -> SpaceMap:
         return SpaceMap(dom, cod, assignment)
     except ValueError as err:
         raise SchemaError(str(err), path + "/assignment")
+    except TypeError:
+        _reject_non_scalar(_members(assignment, path + "/assignment"))
+        raise
 
 
 # -- groupoids ----------------------------------------------------------------
@@ -160,22 +183,23 @@ def groupoid_from_json(doc: Mapping, path: str = "/") -> FinGroupoid:
         _expect(doc.get("topology"), dict, path + "/topology"), path + "/topology"
     )
     compose_rows = _expect(doc.get("compose"), list, path + "/compose")
-    compose = {}
     for k, row in enumerate(compose_rows):
         if not (isinstance(row, list) and len(row) == 3):
             raise SchemaError("compose rows are [a, b, ab]", f"{path}/compose/{k}")
-        compose[(row[0], row[1])] = row[2]
+    units = _expect(doc.get("units"), list, path + "/units")
+    tables = {name: _expect(doc.get(name), dict, f"{path}/{name}") for name in ("range", "source", "inverse")}
     try:
-        return FinGroupoid(
-            topology,
-            units=_expect(doc.get("units"), list, path + "/units"),
-            range_map=_expect(doc.get("range"), dict, path + "/range"),
-            source_map=_expect(doc.get("source"), dict, path + "/source"),
-            compose=compose,
-            inverse=_expect(doc.get("inverse"), dict, path + "/inverse"),
-        )
+        compose = {(a, b): ab for a, b, ab in compose_rows}
+        return FinGroupoid(topology, units, tables["range"], tables["source"], compose, tables["inverse"])
     except ValueError as err:
         raise SchemaError(str(err), path)
+    except TypeError:
+        _reject_non_scalar(_members(units, path + "/units"))
+        for name, table in tables.items():
+            _reject_non_scalar(_members(table, f"{path}/{name}"))
+        for k, row in enumerate(compose_rows):
+            _reject_non_scalar(_members(row, f"{path}/compose/{k}"))
+        raise
 
 
 def morphism_labels(groupoid: FinGroupoid) -> dict:
@@ -312,15 +336,6 @@ def _edge_labels(edges: list, path: str):
     return ((f"{path}/{k}/{f}", v) for k, e in enumerate(edges) for f, v in zip(("id", "range", "source"), e))
 
 
-def _reject_non_scalar(labels) -> None:
-    """Raise ``SchemaError`` at the first (path, value) of ``labels`` whose
-    value is a JSON list or object.  Graph labels are hashed, so a graph
-    built from such a label raises ``TypeError``; only then are they read."""
-    for path, value in labels:
-        if isinstance(value, (list, dict)):
-            raise SchemaError(f"expected a scalar label, got {type(value).__name__}", path)
-
-
 def _digraph_body(doc: Mapping, path: str) -> DirectedGraph:
     vertices = _expect(doc.get("vertices"), list, path + "/vertices")
     edges = _edge_rows(doc.get("edges"), path + "/edges")
@@ -329,7 +344,7 @@ def _digraph_body(doc: Mapping, path: str) -> DirectedGraph:
     except ValueError as err:
         raise SchemaError(str(err), path)
     except TypeError:
-        _reject_non_scalar((f"{path}/vertices/{k}", v) for k, v in enumerate(vertices))
+        _reject_non_scalar(_members(vertices, path + "/vertices"))
         _reject_non_scalar(_edge_labels(edges, path + "/edges"))
         raise
 

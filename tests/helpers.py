@@ -6,6 +6,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+import numpy as np
+
+from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 
@@ -68,3 +71,13 @@ def product_group(a: int, b: int) -> gp.FinGroupoid:
         {(e, f): ((e[0] + f[0]) % a, (e[1] + f[1]) % b) for e in elems for f in elems},
         {e: (-e[0] % a, -e[1] % b) for e in elems},
     )
+
+
+def reference_reduced_norm(f: ca.AlgebraElement) -> float:
+    """The reduced norm as a loop over the orbits: one induced
+    representation at each orbit's first unit and one 2-norm of it."""
+    best = 0.0
+    for orbit in f.groupoid.orbits():
+        matrix = ca.induced_rep(orbit[0], f).matrix
+        best = max(best, float(np.linalg.norm(matrix, 2)) if matrix.size else 0.0)
+    return best

@@ -8,6 +8,7 @@ from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
+from helpers import reference_reduced_norm
 
 
 def pair_groupoid(points):
@@ -320,6 +321,92 @@ def test_cstar_identity():
         f = ca.random_element(rng, rel, sigma)
         lhs = ca.reduced_norm(ca.convolve(ca.involute(f), f))
         assert abs(lhs - ca.reduced_norm(f) ** 2) < 1e-9
+
+
+def norm_oracle_cases():
+    """Twisted algebras whose reduced norms the orbit loop decides: random
+    relation groupoids, Z/n extensions (non-principal), matrix-unit
+    groupoids and the doubled-model and cover-model groupoids."""
+    rng = random.Random(14)
+    cases = [random_relation(rng, 12, 12)[1] for _ in range(40)]
+    for _ in range(6):
+        rel, sigma = random_relation(rng, 4, 4)
+        ext = tw.extension_groupoid(rel, sigma)
+        values = {m: rng.randrange(5) for m in ext.morphisms if m not in ext.units}
+        cases += [tw.TwoCocycle.trivial(ext, 1), tw.coboundary_twist(tw.OneCochain(ext, 5, values))]
+    data = tetrahedron_cover(n=3, value=1)
+    cases += [
+        ca.matrix_unit_groupoid({0: (1, 2, 3), 1: (1, 2), 2: (5,)}, 3, data.value),
+        ca.matrix_unit_groupoid({"a": range(4)}),
+        ca.matrix_unit_groupoid({}),
+    ]
+    doubled = ca.build_doubled_model(3, 4)
+    cases += [
+        tw.TwoCocycle.trivial(doubled.relation, 1),
+        doubled.decomposition.target,
+        ca.matrix_unit_groupoid({t: range(1, 5) for t in range(3)}),
+    ]
+    cover = ca.build_cover_model(data)
+    cases += [cover.algebra.sigma, cover.sigma, cover.kernel_algebra.sigma]
+    return rng, cases
+
+
+def test_reduced_norm_matches_the_orbit_loop():
+    rng, cases = norm_oracle_cases()
+    assert any(not gp.groupoid_properties(s.groupoid).principal for s in cases)
+    compared = 0
+    for sigma in cases:
+        g = sigma.groupoid
+        zero = ca.AlgebraElement(g, sigma, {})
+        assert ca.reduced_norm(zero) == reference_reduced_norm(zero) == 0.0
+        for density in (0.2, 0.7, 1.0):
+            f = ca.random_element(rng, g, sigma, density)
+            for x in (f, ca.convolve(ca.involute(f), f)):
+                assert ca.reduced_norm(x) == reference_reduced_norm(x)
+                compared += 1
+    assert compared == 6 * len(cases)
+
+
+def test_stacked_operator_norm_matches_each_matrix():
+    rng = np.random.default_rng(14)
+    for d in (1, 2, 3, 5, 8):
+        for m in (1, 2, 7):
+            stack = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+            stack[rng.random(m) < 0.3] = 0
+            if m > 1:
+                stack[0] = 0  # a zero matrix beside nonzero ones
+            expected = max(float(np.linalg.norm(a, 2)) for a in stack)
+            assert ca.operator_norm(stack) == expected, (m, d)
+            assert ca.operator_norm(stack[-1]) == float(np.linalg.norm(stack[-1], 2))
+    ones = np.array([[[3 - 4j]], [[0.5j]], [[-1.0]]])
+    assert ca.operator_norm(ones) == max(float(np.linalg.norm(a, 2)) for a in ones) == 5.0
+    for empty in (np.zeros((0, 0), dtype=complex), np.zeros((0, 3, 3), dtype=complex)):
+        assert ca.operator_norm(empty) == 0.0
+
+
+def test_orbit_stacks_are_built_once_and_read_only():
+    rel, sigma = random_relation(random.Random(3), 9, 5)
+    stacks = rel.orbit_stacks
+    first, k, flat, cells, blocks = stacks
+    ca.reduced_norm(ca.random_element(random.Random(4), rel, sigma))
+    assert rel.orbit_stacks is stacks
+    for array in (first, k, flat):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # one block per fiber size, one matrix per orbit, every cell once
+    sizes = [len(rel.fiber_pairs(orbit[0])[0]) for orbit in rel.orbits()]
+    assert [(m, d) for _, m, d in blocks] == sorted((sizes.count(d), d) for d in set(sizes))
+    assert cells == sum(d * d for d in sizes) and len(set(flat.tolist())) == len(flat)
+
+
+def test_fiber_pairs_are_compiled_once_per_unit():
+    rel, sigma = random_relation(random.Random(5), 7, 3)
+    u = next(iter(rel.units))
+    fiber = rel.fiber_pairs(u)
+    rep = ca.induced_rep(u, ca.random_element(random.Random(6), rel, sigma))
+    assert rel.fiber_pairs(u) is fiber and rep.basis is fiber[0]
+    assert rep.basis == tuple(m for m in rel.morphisms if rel.source_map[m] == u)
 
 
 # -- *-homomorphism checker ----------------------------------------------------------

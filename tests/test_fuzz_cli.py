@@ -13,6 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from groupoidlab import bundled
+from groupoidlab import finspace as fs
+from groupoidlab import groupoid as gp
+from groupoidlab import serialize as sz
 from groupoidlab.cli import main
 
 ODD_VALUES = (None, True, False, 0, -1, 1.5, 2**63, 2**100 + 277, "", "x", [], [1, "a"], {}, {"k": [0]})
@@ -185,6 +188,59 @@ def test_a_non_scalar_graph_label_is_an_input_error():
                 assert code == 1, path
                 assert report["result"]["error"].startswith("SchemaError"), path
                 assert report["result"]["error"].endswith(f"(at {path})"), path
+
+
+def space_label_fields(doc, path="/"):
+    """(container, key, path) of every label in a finspace/1, spacemap/1 or
+    fingroupoid/1 document: points, min_open members, assignment values,
+    units, table values and compose entries."""
+    if doc["schema"] == "finspace/1":
+        return [
+            *((doc["points"], k, f"{path}/points/{k}") for k in range(len(doc["points"]))),
+            *((v, k, f"{path}/min_open/{p}/{k}") for p, v in doc["min_open"].items() for k in range(len(v))),
+        ]
+    if doc["schema"] == "spacemap/1":
+        return [
+            *space_label_fields(doc["dom"], path + "/dom"),
+            *space_label_fields(doc["cod"], path + "/cod"),
+            *((doc["assignment"], p, f"{path}/assignment/{p}") for p in doc["assignment"]),
+        ]
+    return [
+        *space_label_fields(doc["topology"], path + "/topology"),
+        *((doc["units"], k, f"{path}/units/{k}") for k in range(len(doc["units"]))),
+        *((doc[t], m, f"{path}/{t}/{m}") for t in ("range", "source", "inverse") for m in doc[t]),
+        *((row, c, f"{path}/compose/{k}/{c}") for k, row in enumerate(doc["compose"]) for c in range(3)),
+    ]
+
+
+def test_a_non_scalar_space_or_groupoid_label_is_an_input_error():
+    space = fs.FinSpace(("a", "b", "c"), {"a": {"a"}, "b": {"a", "b"}, "c": {"c"}})
+    psi = fs.SpaceMap(space, fs.discrete(("x", "y")), {"a": "x", "b": "x", "c": "y"})
+    rel = gp.build_relation_groupoid(fs.SpaceMap(fs.discrete((1, 2)), fs.discrete(("*",)), {1: "*", 2: "*"}))
+    table = gp.FinGroupoid(rel.topology, rel.units, rel.range_map, rel.source_map, rel.compose, rel.inverse)
+    cases = (
+        ("space-check", sz.space_to_json(space)),
+        ("map-classify", sz.map_to_json(psi)),
+        ("fell-check", sz.groupoid_to_json(table)),
+    )
+    for command, base in cases:
+        assert run_doc(command, base)[0] == 0, command
+        for place in range(len(space_label_fields(base))):
+            for bad in NON_SCALARS:
+                doc = copy.deepcopy(base)
+                node, key, path = space_label_fields(doc)[place]
+                node[key] = copy.deepcopy(bad)
+                code, report = run_doc(command, doc)
+                assert code == 1, (command, path)
+                assert report["result"]["error"].startswith("SchemaError"), (command, path)
+                assert report["result"]["error"].endswith(f"(at {path})"), (command, path)
+    # a mistyped table is named once, not once more by the constructor's handler
+    for field, bad in (("units", {}), ("range", []), ("inverse", None)):
+        doc = copy.deepcopy(cases[2][1])
+        doc[field] = bad
+        code, report = run_doc("fell-check", doc)
+        assert code == 1 and report["result"]["error"].count("(at ") == 1, field
+        assert report["result"]["error"].endswith(f"(at //{field})"), field
 
 
 # -- keys written twice ---------------------------------------------------------------
