@@ -233,7 +233,12 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
         if not (isinstance(row, list) and len(row) == 3):
             raise SchemaError("table rows are [a, b, value]", f"{path}/table/{k}")
         a, b, v = row
-        if a not in number or b not in number:
+        try:
+            known = a in number and b in number
+        except TypeError:
+            _reject_non_scalar(_members(row, f"{path}/table/{k}"))
+            raise
+        if not known:
             raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
         entries[(number[a], number[b])] = _expect_int(v, path, "table", k, 2)
     try:
@@ -292,7 +297,7 @@ def cech_from_json(doc: Mapping, path: str = "/") -> CechData:
             index = int(key)
         except ValueError:  # more digits than int() converts
             raise SchemaError("cover index has too many digits", f"{path}/cover/{key}")
-        cover[index] = set(_expect(pts, list, f"{path}/cover/{key}"))
+        cover[index] = _expect(pts, list, f"{path}/cover/{key}")
     for k, row in enumerate(entries):
         if not (isinstance(row, list) and len(row) == 4):
             raise SchemaError("lambda rows are [i, j, k, value]", f"{path}/lambda/{k}")
@@ -302,6 +307,11 @@ def cech_from_json(doc: Mapping, path: str = "/") -> CechData:
         return CechData(n, base, cover, [tuple(r) for r in entries])
     except ValueError as err:
         raise SchemaError(str(err), path)
+    except TypeError:
+        _reject_non_scalar(_members(base, path + "/base_points"))
+        for key, pts in cover_doc.items():
+            _reject_non_scalar(_members(pts, f"{path}/cover/{key}"))
+        raise
 
 
 # -- graphs -------------------------------------------------------------------

@@ -243,6 +243,35 @@ def test_a_non_scalar_space_or_groupoid_label_is_an_input_error():
         assert report["result"]["error"].endswith(f"(at //{field})"), field
 
 
+def test_a_non_scalar_cocycle_or_cech_label_is_an_input_error():
+    twisted = bundled.bundled_document("trivial-cocycle")
+    cech = bundled.bundled_document("tetrahedron-z3")
+
+    def twisted_fields(doc):
+        rows = doc["cocycle"]["table"]
+        return [
+            *space_label_fields(doc["groupoid"]["psi"], "//groupoid/psi"),
+            *((row, c, f"//cocycle/table/{k}/{c}") for k, row in enumerate(rows) for c in range(2)),
+        ]
+
+    def cech_fields(doc):
+        return [
+            *((doc["base_points"], k, f"//base_points/{k}") for k in range(len(doc["base_points"]))),
+            *((v, k, f"//cover/{i}/{k}") for i, v in doc["cover"].items() for k in range(len(v))),
+        ]
+
+    for command, base, fields in (("cocycle-verify", twisted, twisted_fields), ("cech-cert", cech, cech_fields)):
+        for place in range(len(fields(base))):
+            for bad in NON_SCALARS:
+                doc = copy.deepcopy(base)
+                node, key, path = fields(doc)[place]
+                node[key] = copy.deepcopy(bad)
+                code, report = run_doc(command, doc)
+                assert code == 1, (command, path)
+                assert report["result"]["error"].startswith("SchemaError"), (command, path)
+                assert report["result"]["error"].endswith(f"(at {path})"), (command, path)
+
+
 # -- keys written twice ---------------------------------------------------------------
 
 
