@@ -11,17 +11,20 @@ with zeta = exp(2 pi i / n), and the involution is
 
 An element is a complex vector over the morphisms.  Each law reads one
 table per cocycle, ``structure_constants``, on the groupoid's compiled
-pair index: convolution is one scatter-add over the pairs, and an induced
-representation fills one matrix entry per pair.
+pair index: convolution is one scatter-add over the pairs, and induced
+representations read one matrix entry per pair, in the cell order of the
+groupoid's ``fiber_cells``.
 
-Induced representations act on functions over source fibers; the reduced
-norm is the largest induced operator norm over the orbit representatives
-that ``orbit_idx`` names, with one stacked SVD per source-fiber size.  On top
-of the plain algebra the module builds the two matrix-algebra models
-used throughout: the doubled-sheet model (functions into N x N matrices,
-diagonal at the unglued boundary level) and the Cech-twisted cover model
-with its boundary character and kernel identification, plus the
-equivariant-slice equivalence for the central extension Z_n x G.
+Induced representations act on functions over source fibers; a unit's
+matrix is a contiguous run of cells, and the reduced norm is the largest
+induced operator norm over the orbit representatives that ``orbit_idx``
+names, whose runs lead the layout, with one stacked SVD per source-fiber
+size.  On top of the plain algebra the module builds the two
+matrix-algebra models used throughout: the doubled-sheet model
+(functions into N x N matrices, diagonal at the unglued boundary level)
+and the Cech-twisted cover model with its boundary character and kernel
+identification, plus the equivariant-slice equivalence for the central
+extension Z_n x G.
 
 Matrix algebras are twisted groupoid algebras too: ``matrix_unit_groupoid``
 builds the groupoid on keys (i, j, label) with one full block per label.
@@ -52,7 +55,7 @@ from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
-from .errors import InternalCheckFailure
+from .errors import InternalCheckFailure, SizeCapError
 from .finspace import SpaceMap, discrete, quotient_space
 from .groupoid import (
     FinGroupoid,
@@ -77,10 +80,6 @@ from .twist import (
 
 STRUCTURAL_TOL = 1e-12
 ACCUMULATED_TOL = 1e-9
-
-
-class SizeCapError(ValueError):
-    pass
 
 
 @lru_cache(maxsize=None)
@@ -216,15 +215,16 @@ def induced_rep(u: Hashable, f: AlgebraElement) -> InducedRep:
 
     to the point masses over the source fiber s^{-1}(u): each numbered
     pair (b, c) with s(c) = u puts f(b) zeta^{sigma(b, c)} at row bc,
-    column c."""
+    column c, which is u's run of the groupoid's ``fiber_cells``."""
     gp = f.groupoid
     if u not in gp.units:
         raise ValueError(f"{u!r} is not a unit")
     _, phases, _ = structure_constants(f.sigma)
-    basis, first, k, rows, cols = gp.fiber_pairs(u)
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    mat[rows, cols] = _mul(f.vec[first], phases[k])
-    return InducedRep(u, basis, mat)
+    cells, first, start, size, _ = gp.fiber_cells
+    o, d = start.item(gp.index[u]), size.item(gp.index[u])
+    k = cells[o:o + d * d]
+    basis = tuple([gp.morphisms[c] for c in gp.pairs[1][k[:d]].tolist()])
+    return InducedRep(u, basis, _mul(f.vec[first[o:o + d * d]], phases[k]).reshape(d, d))
 
 
 def operator_norm(matrices: np.ndarray) -> float:
@@ -239,13 +239,13 @@ def reduced_norm(f: AlgebraElement) -> float:
     """sup over units of the induced operator norm.  Units in one orbit
     give unitarily equivalent representations (covered by tests), so only
     the orbit representatives ``orbit_idx`` names are induced: their
-    matrices are filled in one scatter, from the groupoid's
-    ``orbit_stacks``, and each fiber size takes one stacked SVD."""
-    first, k, flat, cells, blocks = f.groupoid.orbit_stacks
+    matrices are the leading cells of the groupoid's ``fiber_cells``,
+    filled in one product, and each fiber size takes one stacked SVD."""
+    cells, first, _, _, blocks = f.groupoid.fiber_cells
     _, phases, _ = structure_constants(f.sigma)
-    stacks = np.zeros(cells, dtype=complex)
-    stacks[flat] = _mul(f.vec[first], phases[k])
-    return max((operator_norm(stacks[o:o + m * d * d].reshape(m, d, d)) for o, m, d in blocks), default=0.0)
+    end = sum(m * d * d for _, m, d in blocks)
+    values = _mul(f.vec[first[:end]], phases[cells[:end]])
+    return max((operator_norm(values[o:o + m * d * d].reshape(m, d, d)) for o, m, d in blocks), default=0.0)
 
 
 # -- *-homomorphisms on a basis ---------------------------------------------------

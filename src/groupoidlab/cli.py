@@ -148,6 +148,13 @@ def _cmd_cech_cert(args) -> dict:
     return out
 
 
+def _random_coboundary(rng: random.Random, relation, n: int):
+    """The coboundary of a cochain with one ``randrange(n)`` draw per
+    non-unit morphism, in morphism order."""
+    values = {m: rng.randrange(n) for m in relation.morphisms if m not in relation.units}
+    return twist.coboundary_twist(twist.OneCochain(relation, n, values))
+
+
 def _cmd_algebra_verify(args) -> dict:
     rng = random.Random(env_seed())
     instances = []
@@ -159,12 +166,7 @@ def _cmd_algebra_verify(args) -> dict:
     for _ in range(args.random):
         psi = random_discrete_surjection(rng, rng.randint(1, args.max_points))
         relation = groupoid.build_relation_groupoid(psi)
-        n = rng.randint(1, args.max_order)
-        values = {
-            m: rng.randrange(n) for m in relation.morphisms if m not in relation.units
-        }
-        sigma = twist.coboundary_twist(twist.OneCochain(relation, n, values))
-        instances.append((relation, sigma))
+        instances.append((relation, _random_coboundary(rng, relation, rng.randint(1, args.max_order))))
     if not instances:
         raise serialize.SchemaError("provide an input file or --random N")
     results = []
@@ -377,10 +379,7 @@ def run_paper_suite(inject_cocycle_fault: bool = False) -> dict:
     def equivariant_slice_equivalence():
         relation, _ = bundled.trivial_cocycle_model()
         n = 4
-        values = {
-            m: rng.randrange(n) for m in relation.morphisms if m not in relation.units
-        }
-        sigma = twist.coboundary_twist(twist.OneCochain(relation, n, values))
+        sigma = _random_coboundary(rng, relation, n)
         good = calgebra.equivariant_suite(relation, sigma)
         dropped = calgebra.equivariant_suite(relation, sigma, conjugate=False)
         fault_detected = (
@@ -402,10 +401,7 @@ def run_paper_suite(inject_cocycle_fault: bool = False) -> dict:
         return {"cases": 60, "_ok": ok}
 
     def _faultable_sigma(relation, n):
-        values = {
-            m: rng.randrange(n) for m in relation.morphisms if m not in relation.units
-        }
-        sigma = twist.coboundary_twist(twist.OneCochain(relation, n, values))
+        sigma = _random_coboundary(rng, relation, n)
         if inject_cocycle_fault:
             pair = next(
                 p

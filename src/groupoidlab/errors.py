@@ -1,4 +1,4 @@
-"""The exception for failed internal checks."""
+"""The exceptions that several modules raise."""
 
 
 class InternalCheckFailure(Exception):
@@ -6,3 +6,8 @@ class InternalCheckFailure(Exception):
     rather than by ``assert``, so the checks also run under ``python -O``;
     the command line exits 2 on it, reporting the optional second
     argument as the partial result."""
+
+
+class SizeCapError(ValueError):
+    """An input beyond a documented size cap, rejected before the work
+    that would exceed it; an input error like any other."""

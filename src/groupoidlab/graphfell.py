@@ -321,7 +321,7 @@ class FellVerdict:
         }
 
 
-def fell_verdict(graph: DirectedGraph, depth_bound: int | None = None) -> FellVerdict:
+def fell_verdict(graph: DirectedGraph) -> FellVerdict:
     """Verdict for a finite graph.
 
     A cyclic graph makes the path groupoid non-principal.  A finite
@@ -448,8 +448,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             note="single-threaded labels did not stabilize within the unroll bound",
             validation=validation,
         )
-    stable_from = 0
-    stable = labels[stable_from]
+    stable = labels[0]
     # quotient walk graph on non-single-threaded block vertices: block
     # edges and seam edges, one class per block vertex, in the
     # presentation's order so that the witness does not depend on hashing
@@ -471,7 +470,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             note="every infinite path eventually passes through a single-threaded vertex",
             validation=validation,
         )
-    probe = ("b", stable_from, walk.range_of[cycle[0]])
+    probe = ("b", 0, walk.range_of[cycle[0]])
     parallel = two_parallel_paths(unrolled, probe)
     if parallel is None:  # pragma: no cover - non-ST vertices have two paths
         raise InternalCheckFailure("non-single-threaded vertex lacks parallel paths")

@@ -16,16 +16,18 @@ unit or lies in the greedy generating set of ``generating_mask``; when
 that reduced check fails, the full lexicographic sweep over all
 composable triples runs and reports the first failing one.  Builders
 install arrays; only the label tables of ``fingroupoid/1`` are numbered
-first.  Every later all-pairs computation reads the same index.
+first.  Every later all-pairs computation reads the same index, and the
+induced representations read it in the cell order of ``fiber_cells``.
 
 The central construction is the relation groupoid of a surjection
 psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
 and whose topology is the restriction of the product topology on Y x Y.
 As an algebraic groupoid it is the disjoint union of the pair groupoids
 on the fibers of psi, so its index depends only on the tuple of fiber
-sizes: ``pair_groupoid_index`` installs and verifies it once per tuple,
-and every ``RelationGroupoid`` with those sizes attaches the same
-read-only arrays to its own topology.  That topology comes from
+sizes: ``pair_groupoid_index`` installs and verifies it once per tuple
+of up to ``PAIR_INDEX_MORPHISMS`` morphisms, and every
+``RelationGroupoid`` with those sizes attaches the same read-only arrays
+to its own topology.  That topology comes from
 ``product_masks``, which pulls the product topology of a space on the
 units back along r x s on any groupoid's own numbering.  ``fell_check``
 calls the same routine for R(q), the relation groupoid of the orbit
@@ -51,7 +53,7 @@ from .finspace import (
     discrete,
     quotient_space,
 )
-from .errors import InternalCheckFailure
+from .errors import InternalCheckFailure, SizeCapError
 from .labels import canonical_label
 
 Morphism = Hashable
@@ -62,6 +64,10 @@ TRIPLE_CHUNK = 1 << 16
 # most fiber-size tuples whose verified index ``pair_groupoid_index``
 # keeps; all 255 tuples of at most 8 points fit with room to spare
 PAIR_INDEX_CACHE = 512
+
+# most morphisms in a pair-groupoid union: one 64-point fiber, twice the
+# largest target of the doubled model, and a 128 MiB n x n ``pair_id``
+PAIR_INDEX_MORPHISMS = 4096
 
 
 class GroupoidAxiomError(ValueError):
@@ -88,10 +94,10 @@ class FinGroupoid:
     the label constructor and for ``from_index`` alike, and ``_attach``
     puts a verified index on a topology; a pair-groupoid union attaches
     the read-only arrays ``pair_groupoid_index`` shares between every
-    groupoid with the same block sizes.  The dict tables (``units``,
-    ``range_map``, ``source_map``, ``inverse``, ``compose``) are derived
-    from the index on first use.  ``principal`` is set by
-    ``verify_axioms``.
+    groupoid with the same block sizes.  ``orbit_idx``, ``fiber_cells``
+    and the dict tables (``units``, ``range_map``, ``source_map``,
+    ``inverse``, ``compose``) are derived from the index on first use.
+    ``principal`` is set by ``verify_axioms``.
     """
 
     def __init__(
@@ -153,7 +159,6 @@ class FinGroupoid:
         self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
         self.unit_mask, self.pairs, self.principal = unit_mask, pairs, principal
         self._props_cache = None
-        self._fibers: dict = {}
         self._orbits = None
         self._generators = None
 
@@ -193,20 +198,6 @@ class FinGroupoid:
         m = self.morphisms
         return {(m[a], m[b]): m[c] for a, b, c in zip(*(p.tolist() for p in self.pairs))}
 
-    def fiber_pairs(self, u: Morphism) -> tuple:
-        """The source fiber s^{-1}(u) as its basis of morphism labels, and
-        the pairs (b, c) with s(c) = u as the numbers of b, the pair
-        numbers and the fiber positions of bc and of c; compiled once per
-        unit."""
-        if u not in self._fibers:
-            in_fiber = self.source_idx == self.index[u]
-            pos = np.cumsum(in_fiber) - 1
-            pa, pb, pc = self.pairs
-            k = np.flatnonzero(in_fiber[pb])
-            basis = tuple(self.morphisms[i] for i in np.flatnonzero(in_fiber).tolist())
-            self._fibers[u] = (basis, pa[k], k, pos[pc[k]], pos[pb[k]])
-        return self._fibers[u]
-
     @cached_property
     def orbit_idx(self) -> np.ndarray:
         """The orbit of each unit, named by its lowest-numbered unit: the
@@ -218,45 +209,42 @@ class FinGroupoid:
         return first
 
     @cached_property
-    def orbit_stacks(self) -> tuple:
-        """The cells of the induced matrices at the orbit representatives
-        (the units that ``orbit_idx`` names), stacked by source-fiber size,
-        as (first, k, flat, cells, blocks).  Pair number ``k`` of a
-        representative's fiber, (b, c) with b numbered ``first``, lands at
-        ``flat`` in a buffer of ``cells`` entries; the (offset, m, d) of
-        ``blocks`` say that the m matrices of the size-d representatives,
-        in unit order, start at ``offset``.  Each matrix holds the cells
-        ``fiber_pairs`` fills.  Built once, from the index arrays, and
-        read-only."""
-        n = len(self.morphisms)
-        src, numbers = self.source_idx, np.arange(n)
+    def fiber_cells(self) -> tuple:
+        """Every unit's induced matrix as a run of one permutation of the
+        pairs, (cells, first, start, size, blocks).  The pair (b, c) with
+        s(c) = u is the entry of u's size[u] x size[u] matrix at the fiber
+        positions of bc and c, once each, as b -> bc maps s^-1(r(c)) onto
+        s^-1(u).  ``cells`` holds the pair numbers and ``first`` their b
+        in cell order, each matrix row-major from start[u], so its first
+        row's c are the fiber in morphism order.  The orbit
+        representatives (named by ``orbit_idx``) lead, by fiber size and
+        then number; ``blocks`` holds (offset, m, d) for the m size-d
+        ones.  Built once, from the index arrays, and read-only."""
+        n, src = len(self.morphisms), self.source_idx
         size = np.bincount(src, minlength=n)
         # each morphism's position in its source fiber, in morphism order
         order = src.argsort(kind="stable")
         pos = np.empty(n, dtype=np.int64)
-        pos[order] = numbers - (size.cumsum() - size)[src[order]]
-        # the representatives by fiber size, then number, each with the
-        # start of its d x d matrix in the buffer
-        reps = (self.orbit_idx == numbers).nonzero()[0]
-        reps = reps[size[reps].argsort(kind="stable")]
-        area = size[reps] ** 2
+        pos[order] = np.arange(n) - (size.cumsum() - size)[src[order]]
+        units = np.flatnonzero(self.unit_mask)
+        rep = self.orbit_idx[units] == units
+        units = units[np.lexsort((units, size[units], ~rep))]
+        area = size[units] ** 2
         start = np.zeros(n, dtype=np.int64)
-        start[reps] = area.cumsum() - area
+        start[units] = area.cumsum() - area
         pa, pb, pc = self.pairs
         u = src[pb]
-        k = (self.orbit_idx[u] == u).nonzero()[0]
-        u = u[k]
-        flat = start[u] + pos[pc[k]] * size[u] + pos[pb[k]]
-        arrays = (pa[k], k, flat)
+        cells = np.empty(len(pa), dtype=np.int64)
+        cells[start[u] + pos[pc] * size[u] + pos[pb]] = np.arange(len(pa))
+        arrays = (cells, pa[cells], start, size)
         for a in arrays:
             a.flags.writeable = False
-        counts = np.bincount(size[reps]).tolist()
         blocks, offset = [], 0
-        for d, m in enumerate(counts):
+        for d, m in enumerate(np.bincount(size[units[: rep.sum()]]).tolist()):
             if m:
                 blocks.append((offset, m, d))
                 offset += m * d * d
-        return (*arrays, offset, tuple(blocks))
+        return (*arrays, tuple(blocks))
 
     def orbits(self) -> tuple:
         """Orbits of the unit space, u ~ v when some morphism joins them,
@@ -440,8 +428,11 @@ def pair_groupoid_index(sizes: tuple) -> tuple:
     The index is installed and verified once per size tuple, on the
     discrete space of its numbers, and the arrays are returned read-only,
     so every groupoid built from them shares one verified copy.  Each
-    keeps its own ``pair_id``, topology and caches.
+    keeps its own ``pair_id``, topology and caches.  Above
+    ``PAIR_INDEX_MORPHISMS`` morphisms it raises ``SizeCapError`` first.
     """
+    if sum(k * k for k in sizes) > PAIR_INDEX_MORPHISMS:
+        raise SizeCapError(f"pair-groupoid unions capped at {PAIR_INDEX_MORPHISMS} morphisms")
     size = np.asarray(sizes, dtype=np.int64)
     count = size * size
     k = np.repeat(size, count)

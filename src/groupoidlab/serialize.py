@@ -190,7 +190,8 @@ def groupoid_from_json(doc: Mapping, path: str = "/") -> FinGroupoid:
     tables = {name: _expect(doc.get(name), dict, f"{path}/{name}") for name in ("range", "source", "inverse")}
     try:
         compose = {(a, b): ab for a, b, ab in compose_rows}
-        return FinGroupoid(topology, units, tables["range"], tables["source"], compose, tables["inverse"])
+        if len(compose) == len(compose_rows):
+            return FinGroupoid(topology, units, tables["range"], tables["source"], compose, tables["inverse"])
     except ValueError as err:
         raise SchemaError(str(err), path)
     except TypeError:
@@ -200,6 +201,10 @@ def groupoid_from_json(doc: Mapping, path: str = "/") -> FinGroupoid:
         for k, row in enumerate(compose_rows):
             _reject_non_scalar(_members(row, f"{path}/compose/{k}"))
         raise
+    # some pair is listed twice: name the later row
+    first: dict = {}
+    k = next(k for k, (a, b, _) in enumerate(compose_rows) if first.setdefault((a, b), k) != k)
+    raise SchemaError("pair ({!r},{!r}) listed twice".format(*compose_rows[k][:2]), f"{path}/compose/{k}")
 
 
 def morphism_labels(groupoid: FinGroupoid) -> dict:
@@ -240,7 +245,10 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
             raise
         if not known:
             raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
-        entries[(number[a], number[b])] = _expect_int(v, path, "table", k, 2)
+        key = number[a], number[b]
+        if key in entries:
+            raise SchemaError(f"pair ({a!r},{b!r}) listed twice", f"{path}/table/{k}")
+        entries[key] = _expect_int(v, path, "table", k, 2)
     try:
         return TwoCocycle.from_numbered(groupoid, n, entries)
     except ValueError as err:

@@ -384,29 +384,43 @@ def test_stacked_operator_norm_matches_each_matrix():
         assert ca.operator_norm(empty) == 0.0
 
 
-def test_orbit_stacks_are_built_once_and_read_only():
-    rel, sigma = random_relation(random.Random(3), 9, 5)
-    stacks = rel.orbit_stacks
-    first, k, flat, cells, blocks = stacks
-    ca.reduced_norm(ca.random_element(random.Random(4), rel, sigma))
-    assert rel.orbit_stacks is stacks
-    for array in (first, k, flat):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
-    # one block per fiber size, one matrix per orbit, every cell once
-    sizes = [len(rel.fiber_pairs(orbit[0])[0]) for orbit in rel.orbits()]
-    assert [(m, d) for _, m, d in blocks] == sorted((sizes.count(d), d) for d in set(sizes))
-    assert cells == sum(d * d for d in sizes) and len(set(flat.tolist())) == len(flat)
-
-
-def test_fiber_pairs_are_compiled_once_per_unit():
-    rel, sigma = random_relation(random.Random(5), 7, 3)
-    u = next(iter(rel.units))
-    fiber = rel.fiber_pairs(u)
-    rep = ca.induced_rep(u, ca.random_element(random.Random(6), rel, sigma))
-    assert rel.fiber_pairs(u) is fiber and rep.basis is fiber[0]
-    assert rep.basis == tuple(m for m in rel.morphisms if rel.source_map[m] == u)
+def test_fiber_cells_are_one_read_only_permutation_of_the_pairs():
+    rng, cases = norm_oracle_cases()
+    assert any(not gp.groupoid_properties(s.groupoid).principal for s in cases)
+    assert any(len(s.groupoid) == 0 for s in cases)
+    for sigma in cases:
+        g = sigma.groupoid
+        layout = g.fiber_cells
+        cells, first, start, size, blocks = layout
+        f = ca.random_element(rng, g, sigma)
+        ca.reduced_norm(f)
+        assert g.fiber_cells is layout
+        for array in (cells, first, start, size):
+            assert not array.flags.writeable
+            if len(array):
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        # every pair in exactly one cell
+        pa, pb, pc = g.pairs
+        assert sorted(cells.tolist()) == list(range(len(pa))) and np.array_equal(first, pa[cells])
+        runs = {}
+        for u in g.units:
+            i, fiber = g.index[u], np.flatnonzero(g.source_idx == g.index[u])
+            d = len(fiber)
+            run = cells[start[i]:start[i] + d * d].reshape(d, d)
+            # cell (row, col) is the pair (b, c) with bc and c at those fiber positions
+            assert size[i] == d and np.array_equal(pc[run], np.repeat(fiber[:, None], d, axis=1))
+            assert np.array_equal(pb[run], np.repeat(fiber[None, :], d, axis=0))
+            assert ca.induced_rep(u, f).basis == tuple(g.morphisms[m] for m in fiber.tolist())
+            runs[i] = (int(start[i]), d)
+        # the representatives first, by fiber size and then number, one block per size
+        reps = sorted((d, i) for i, (_, d) in runs.items() if g.orbit_idx[i] == i)
+        assert [runs[i][0] for _, i in reps] == [sum(d * d for d, _ in reps[:k]) for k in range(len(reps))]
+        offsets = {}
+        for d, i in reps:
+            offsets.setdefault(d, runs[i][0])
+        sizes = [d for d, _ in reps]
+        assert blocks == tuple((offsets[d], sizes.count(d), d) for d in sorted(offsets))
 
 
 # -- *-homomorphism checker ----------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -433,3 +434,33 @@ def test_cech_cert_at_big_moduli(capsys, tmp_path):
                     total += c * {(j, k): 1, (i, k): -1, (i, j): 1}.get(p, 0)
                 assert total % n == 0
             assert sum(c * lam[t] for t, c in u.items()) % n != 0
+
+
+def run_capped(argv, env=None):
+    """``groupoidlab`` in a subprocess whose address space is capped at
+    2 GiB, so that an oversized allocation fails fast instead of filling
+    the machine; returns the exit code and the report."""
+    limit = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupoidlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sz.__file__)), **(env or {})},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return proc.returncode, json.loads(proc.stdout) if proc.stdout else proc.stderr
+
+
+def test_pair_groupoid_unions_are_size_capped(tmp_path):
+    points = [f"y{i}" for i in range(600)]
+    psi = fs.SpaceMap(fs.discrete(points), fs.discrete(("*",)), {p: "*" for p in points})
+    doc = {"schema": "relation_groupoid/1", "psi": sz.map_to_json(psi)}
+    runs = [
+        (["fell-check", write(tmp_path, "fiber.json", doc)], None),
+        (["algebra-verify", "--random", "1", "--max-points", "3000"], {"GROUPOIDLAB_SEED": "335"}),
+    ]
+    for argv, env in runs:
+        code, report = run_capped(argv, env)
+        # an uncaught MemoryError also exits 1, but prints a traceback, not a report
+        assert code == 1 and isinstance(report, dict), (argv, report)
+        assert "pair-groupoid unions capped at 4096 morphisms" in report["result"]["error"], argv

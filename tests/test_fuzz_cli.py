@@ -315,3 +315,32 @@ def test_a_key_written_twice_is_an_input_error():
             error = report["result"]["error"]
             assert error.startswith("SchemaError") and f"{key!r}" in error, (command, path)
             assert error.endswith(f"(at {path}/{key})"), (command, path)
+
+
+def z2_document() -> dict:
+    """Z/2 = {e, g} with the trivial Z/2-valued cocycle, as a twisted_groupoid/1."""
+    discrete = {"schema": "finspace/1", "points": ["e", "g"], "min_open": {"e": ["e"], "g": ["g"]}}
+    return {
+        "schema": "twisted_groupoid/1",
+        "groupoid": {
+            "schema": "fingroupoid/1", "topology": discrete, "units": ["e"],
+            "range": {"e": "e", "g": "e"}, "source": {"e": "e", "g": "e"}, "inverse": {"e": "e", "g": "g"},
+            "compose": [["e", "e", "e"], ["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]],
+        },
+        "cocycle": {"schema": "two_cocycle/1", "n": 2,
+                    "table": [["e", "e", 0], ["e", "g", 0], ["g", "e", 0], ["g", "g", 0]]},
+    }
+
+
+def test_a_pair_listed_twice_is_an_input_error():
+    assert run_doc("cocycle-verify", z2_document())[0] == 0
+    for keys, extra in ((("groupoid", "compose"), ["g", "g", "g"]), (("cocycle", "table"), ["g", "g", 1])):
+        # the extra row before and after the row it repeats; the later one is named
+        for at in (3, 4):
+            doc = z2_document()
+            doc[keys[0]][keys[1]].insert(at, extra)
+            code, report = run_doc("cocycle-verify", doc)
+            assert code == 1, (keys, at)
+            error = report["result"]["error"]
+            assert error.startswith("SchemaError") and "listed twice" in error, (keys, at)
+            assert error.endswith(f"(at //{keys[0]}/{keys[1]}/4)"), (keys, at)

@@ -67,6 +67,27 @@ def test_every_library_function_has_a_caller_in_the_library():
     assert offenders == []
 
 
+def test_every_parameter_is_read():
+    """Each parameter of a module-level function or method is read in its
+    body, nested functions included: a parameter no line reads is a knob
+    that does nothing."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for d in members:
+                if not isinstance(d, ast.FunctionDef):
+                    continue
+                read = {
+                    sub.id for stmt in d.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                }
+                a = d.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                offenders += [f"{path.name}:{d.lineno} {d.name}.{p.arg}" for p in params if p.arg not in read]
+    assert offenders == []
+
+
 SOLVE = """
 import random
 from groupoidlab.errors import InternalCheckFailure
