@@ -384,7 +384,14 @@ def test_stacked_operator_norm_matches_each_matrix():
         assert ca.operator_norm(empty) == 0.0
 
 
-def test_fiber_cells_are_one_read_only_permutation_of_the_pairs():
+def fiber_runs(g):
+    """Each unit's (start, fiber) in ``g.fiber_cells``, keyed by unit number."""
+    cells, first, start, size, blocks = g.fiber_cells
+    return {g.index[u]: (int(start[g.index[u]]), np.flatnonzero(g.source_idx == g.index[u])) for u in g.units}
+
+
+def test_orbit_stacks_are_built_once_and_read_only():
+    # the orbit representatives' stacks are the prefix of the one fiber-cell layout
     rng, cases = norm_oracle_cases()
     assert any(not gp.groupoid_properties(s.groupoid).principal for s in cases)
     assert any(len(s.groupoid) == 0 for s in cases)
@@ -392,35 +399,43 @@ def test_fiber_cells_are_one_read_only_permutation_of_the_pairs():
         g = sigma.groupoid
         layout = g.fiber_cells
         cells, first, start, size, blocks = layout
-        f = ca.random_element(rng, g, sigma)
-        ca.reduced_norm(f)
+        ca.reduced_norm(ca.random_element(rng, g, sigma))
         assert g.fiber_cells is layout
         for array in (cells, first, start, size):
             assert not array.flags.writeable
             if len(array):
                 with pytest.raises(ValueError):
                     array[0] = 0
-        # every pair in exactly one cell
-        pa, pb, pc = g.pairs
-        assert sorted(cells.tolist()) == list(range(len(pa))) and np.array_equal(first, pa[cells])
-        runs = {}
-        for u in g.units:
-            i, fiber = g.index[u], np.flatnonzero(g.source_idx == g.index[u])
-            d = len(fiber)
-            run = cells[start[i]:start[i] + d * d].reshape(d, d)
-            # cell (row, col) is the pair (b, c) with bc and c at those fiber positions
-            assert size[i] == d and np.array_equal(pc[run], np.repeat(fiber[:, None], d, axis=1))
-            assert np.array_equal(pb[run], np.repeat(fiber[None, :], d, axis=0))
-            assert ca.induced_rep(u, f).basis == tuple(g.morphisms[m] for m in fiber.tolist())
-            runs[i] = (int(start[i]), d)
         # the representatives first, by fiber size and then number, one block per size
-        reps = sorted((d, i) for i, (_, d) in runs.items() if g.orbit_idx[i] == i)
+        runs = fiber_runs(g)
+        reps = sorted((len(fiber), i) for i, (_, fiber) in runs.items() if g.orbit_idx[i] == i)
         assert [runs[i][0] for _, i in reps] == [sum(d * d for d, _ in reps[:k]) for k in range(len(reps))]
         offsets = {}
         for d, i in reps:
             offsets.setdefault(d, runs[i][0])
         sizes = [d for d, _ in reps]
         assert blocks == tuple((offsets[d], sizes.count(d), d) for d in sorted(offsets))
+
+
+def test_fiber_pairs_are_compiled_once_per_unit():
+    # every unit's induced matrix is one run of the layout, which is one permutation of the pairs
+    rng, cases = norm_oracle_cases()
+    for sigma in cases:
+        g = sigma.groupoid
+        layout = g.fiber_cells
+        cells, first, start, size, blocks = layout
+        f = ca.random_element(rng, g, sigma)
+        pa, pb, pc = g.pairs
+        assert sorted(cells.tolist()) == list(range(len(pa))) and np.array_equal(first, pa[cells])
+        for i, (at, fiber) in fiber_runs(g).items():
+            d = len(fiber)
+            run = cells[at:at + d * d].reshape(d, d)
+            # cell (row, col) is the pair (b, c) with bc and c at those fiber positions
+            assert size[i] == d and np.array_equal(pc[run], np.repeat(fiber[:, None], d, axis=1))
+            assert np.array_equal(pb[run], np.repeat(fiber[None, :], d, axis=0))
+            rep = ca.induced_rep(g.morphisms[i], f)
+            assert rep.basis == tuple(g.morphisms[m] for m in fiber.tolist())
+        assert g.fiber_cells is layout
 
 
 # -- *-homomorphism checker ----------------------------------------------------------
