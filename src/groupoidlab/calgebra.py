@@ -566,9 +566,9 @@ class CoverAlgebra:
     This is the twisted algebra of the cover's incidence groupoid, the
     ``matrix_unit_groupoid`` with one block I_s per base point s and
     cocycle -lambda; pi_{i,s} is its induced representation at the unit
-    (i, i, s).  ``element`` reads a sparse dict over the keys (i, j, s)
-    as an element of that algebra, for ``convolve``, ``involute``,
-    ``induced_rep`` and ``reduced_norm``.
+    (i, i, s).  An element is an ``AlgebraElement`` on ``groupoid`` and
+    ``sigma``, built from a sparse dict over the keys (i, j, s), for
+    ``convolve``, ``involute``, ``induced_rep`` and ``reduced_norm``.
     """
 
     def __init__(self, base_points, cover: Mapping[int, frozenset], n: int, lam: Callable[[int, int, int], int]):

@@ -5,19 +5,20 @@ the morphisms, and as an integer index: arrays for range, source and
 inverse, and the composable pairs with their composites in row-major
 order.  The n x n table ``pair_id`` that numbers the pairs is built from
 them on first use, per groupoid.  The unit space always carries the
-subspace topology.  One install step numbers and sorts an index and runs
-``verify_axioms``, which checks every axiom (composability, range and
-source of composites, unit and inverse laws, associativity) as array
-code, so a bad composition table or a cocycle fault in an extension
-surfaces immediately with a witness; a second step attaches a verified
-index to a topology.  Associativity is decided without a triple for a
-principal groupoid, and otherwise on the triples whose last factor is a
-unit or lies in the greedy generating set of ``generating_mask``; when
-that reduced check fails, the full lexicographic sweep over all
-composable triples runs and reports the first failing one.  Builders
-install arrays; only the label tables of ``fingroupoid/1`` are numbered
-first.  Every later all-pairs computation reads the same index, and the
-induced representations read it in the cell order of ``fiber_cells``.
+subspace topology.  The one constructor takes index arrays, sorts the
+pairs row-major and runs ``verify_axioms``, which checks every axiom
+(composability, range and source of composites, unit and inverse laws,
+associativity) as array code, so a bad composition table or a cocycle
+fault in an extension surfaces immediately with a witness; ``_attach``
+puts an index that is already verified on a topology.  Associativity is
+decided without a triple for a principal groupoid, and otherwise on the
+triples whose last factor is a unit or lies in the greedy generating set
+of ``generating_mask``; when that reduced check fails, the full
+lexicographic sweep over all composable triples runs and reports the
+first failing one.  Labels are numbered only where ``serialize`` reads a
+``fingroupoid/1`` document.  Every later all-pairs computation reads the
+same index, and the induced representations read it in the cell order
+of ``fiber_cells``.
 
 The central construction is the relation groupoid of a surjection
 psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,8 +56,6 @@ from .finspace import (
 )
 from .errors import InternalCheckFailure, SizeCapError
 from .labels import canonical_label
-
-Morphism = Hashable
 
 # most composable triples in one block of ``FinGroupoid.triple_join``
 TRIPLE_CHUNK = 1 << 16
@@ -90,64 +89,24 @@ class FinGroupoid:
     numbers, ``unit_mask`` marks the units, ``pairs`` holds the factors
     and the composite of each composable pair in row-major order, and
     ``pair_id[a, b]`` numbers them (-1 elsewhere), built from ``pairs``
-    on first use.  ``_install`` numbers, sorts and verifies the index for
-    the label constructor and for ``from_index`` alike, and ``_attach``
-    puts a verified index on a topology; a pair-groupoid union attaches
-    the read-only arrays ``pair_groupoid_index`` shares between every
-    groupoid with the same block sizes.  ``orbit_idx``, ``fiber_cells``
-    and the dict tables (``units``, ``range_map``, ``source_map``,
-    ``inverse``, ``compose``) are derived from the index on first use.
-    ``principal`` is set by ``verify_axioms``.
+    on first use.  The constructor sorts and verifies an index, and
+    ``_attach`` puts a verified one on a topology; a pair-groupoid union
+    attaches the read-only arrays ``pair_groupoid_index`` shares between
+    every groupoid with the same block sizes.  ``orbit_idx``,
+    ``fiber_cells``, ``units`` and the label tables ``range_map``,
+    ``source_map`` and ``compose`` are derived from the index on first
+    use.  ``principal`` is set by ``verify_axioms``.
     """
 
-    def __init__(
-        self,
-        topology: FinSpace,
-        units: Iterable[Morphism],
-        range_map: Mapping[Morphism, Morphism],
-        source_map: Mapping[Morphism, Morphism],
-        compose: Mapping[tuple, Morphism],
-        inverse: Mapping[Morphism, Morphism],
-    ):
-        """Number the labels of the dict tables, raising when a table is
-        not total or names something that is not a morphism."""
-        morphs, index = topology.points, topology._index
-        tables = ((range_map, "range"), (source_map, "source"), (inverse, "inverse"))
-        for m in morphs:
-            for table, name in tables:
-                if m not in table:
-                    raise GroupoidAxiomError(f"{name} undefined on {m!r}", m)
-                if table[m] not in index:
-                    raise GroupoidAxiomError(f"{name}({m!r}) is not a morphism", m)
-        units = list(units)
-        for u in units:
-            if u not in index:
-                raise GroupoidAxiomError(f"unit {u!r} is not a morphism", u)
-        for (a, b), c in compose.items():
-            if a not in index or b not in index or c not in index:
-                raise GroupoidAxiomError(f"composition entry ({a!r},{b!r})->{c!r} off the morphism set")
-        unit_mask = np.zeros(len(morphs), dtype=bool)
-        unit_mask[[index[u] for u in units]] = True
-        pairs = np.array([(index[a], index[b], index[c]) for (a, b), c in compose.items()], dtype=np.int64)
-        structure = ([index[table[m]] for m in morphs] for table, _ in tables)
-        self._install(topology, *structure, unit_mask, pairs.reshape(-1, 3).T)
-
-    @classmethod
-    def from_index(cls, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs) -> "FinGroupoid":
+    def __init__(self, topology: FinSpace, range_idx, source_idx, inverse_idx, unit_mask, pairs):
         """A groupoid on the points of ``topology`` from its index arrays;
-        ``pairs`` lists (a, b, ab) in any order."""
-        groupoid = cls.__new__(cls)
-        groupoid._install(topology, range_idx, source_idx, inverse_idx, unit_mask, pairs)
-        return groupoid
-
-    def _install(self, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs) -> None:
-        """Number the index arrays, sort the pairs row-major, attach them
-        to ``topology`` and verify the axioms on them."""
+        ``pairs`` lists (a, b, ab) in any order.  The pairs are sorted
+        row-major and attached to ``topology``, and the axioms verified
+        on them."""
         pa, pb, pc = (np.asarray(p, dtype=np.int64).ravel() for p in pairs)
         order = np.lexsort((pb, pa))
         structure = (np.asarray(idx, dtype=np.int64) for idx in (range_idx, source_idx, inverse_idx))
-        unit_mask = np.asarray(unit_mask, dtype=bool)
-        self._attach(topology, *structure, unit_mask, (pa[order], pb[order], pc[order]), None)
+        self._attach(topology, *structure, np.asarray(unit_mask, dtype=bool), (pa[order], pb[order], pc[order]), None)
         self.verify_axioms()
 
     def _attach(self, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs, principal) -> None:
@@ -171,7 +130,7 @@ class FinGroupoid:
         pair_id[self.pairs[0], self.pairs[1]] = np.arange(len(self.pairs[0]))
         return pair_id
 
-    # -- dict tables, derived from the index --------------------------------
+    # -- label tables, derived from the index -------------------------------
 
     def _table(self, idx: np.ndarray) -> dict:
         m = self.morphisms
@@ -188,10 +147,6 @@ class FinGroupoid:
     @cached_property
     def source_map(self) -> dict:
         return self._table(self.source_idx)
-
-    @cached_property
-    def inverse(self) -> dict:
-        return self._table(self.inverse_idx)
 
     @cached_property
     def compose(self) -> dict:
@@ -425,7 +380,7 @@ def pair_groupoid_index(sizes: tuple) -> tuple:
     range (i, i), source (j, j) and inverse (j, i), and (i, j)(j, l) =
     (i, l).  The pairs come out row-major.
 
-    The index is installed and verified once per size tuple, on the
+    The index is built and verified once per size tuple, on the
     discrete space of its numbers, and the arrays are returned read-only,
     so every groupoid built from them shares one verified copy.  Each
     keeps its own ``pair_id``, topology and caches.  Above
@@ -442,7 +397,7 @@ def pair_groupoid_index(sizes: tuple) -> tuple:
     # pair (a, b) = ((i, j), (j, l)) for l < k, composite (i, l)
     pa = np.repeat(np.arange(len(k)), k)
     l = np.arange(len(pa)) - np.repeat(np.cumsum(k) - k, k)
-    g = FinGroupoid.from_index(
+    g = FinGroupoid(
         discrete(range(len(k))), row_i + i, row_j + j, row_j + i, i == j, (pa, row_j[pa] + l, row_i[pa] + l)
     )
     arrays = (g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask, *g.pairs)

@@ -10,15 +10,19 @@ key twice, which plain ``json`` would collapse to its last value.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from typing import Any, Mapping
 
+import numpy as np
+
+from .errors import SizeCapError
 from .finspace import FinSpace, SpaceMap
 from .labels import canonical_label
 from .graphfell import DirectedGraph, PeriodicGraph
 from .groupoid import FinGroupoid, RelationGroupoid, build_relation_groupoid
-from .twist import CechData, TwoCocycle
+from .twist import CechData, TwoCocycle, _value_dtype
 
 
 class SchemaError(ValueError):
@@ -58,10 +62,18 @@ def _path_to(node: Any, target: dict, path: str) -> str | None:
     return None
 
 
+def _depth(text: str) -> int:
+    """The deepest nesting of lists and objects in the JSON ``text``; a
+    string is matched whole, so no bracket inside it counts."""
+    brackets = re.findall(r'"(?:[^"\\]|\\.)*"|([][{}])', text)
+    return max(itertools.accumulate((b in "[{") - (b in "]}") for b in brackets if b), default=0)
+
+
 def parse_json(text: str) -> Any:
     """Parse a JSON document, raising ``SchemaError`` at the first object
     (in the order the parser closes them) that writes a key twice; the
-    path names the object and the key."""
+    path names the object and the key.  A document nested deeper than
+    the parser recurses is a ``SchemaError`` that gives its depth."""
     repeated = []
 
     def unique(pairs: list) -> dict:
@@ -71,7 +83,10 @@ def parse_json(text: str) -> Any:
             repeated.append((obj, next(k for i, k in enumerate(keys) if k in keys[:i])))
         return obj
 
-    doc = json.loads(text, object_pairs_hook=unique)
+    try:
+        doc = json.loads(text, object_pairs_hook=unique)
+    except RecursionError:
+        raise SchemaError(f"document nested too deeply ({_depth(text)} levels)")
     if repeated:
         obj, key = repeated[0]
         raise SchemaError(f"key {key!r} written twice in one object", f"{_path_to(doc, obj, '/')}/{key}")
@@ -177,44 +192,80 @@ def groupoid_from_json(doc: Mapping, path: str = "/") -> FinGroupoid:
         psi = map_from_json(_expect(doc.get("psi"), dict, path + "/psi"), path + "/psi")
         try:
             return build_relation_groupoid(psi)
+        except SizeCapError as err:
+            raise SizeCapError(f"{err} (at {path}/psi)")
         except ValueError as err:
             raise SchemaError(str(err), path + "/psi")
     topology = space_from_json(
         _expect(doc.get("topology"), dict, path + "/topology"), path + "/topology"
     )
-    compose_rows = _expect(doc.get("compose"), list, path + "/compose")
-    for k, row in enumerate(compose_rows):
+    rows = _expect(doc.get("compose"), list, path + "/compose")
+    for k, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 3):
             raise SchemaError("compose rows are [a, b, ab]", f"{path}/compose/{k}")
     units = _expect(doc.get("units"), list, path + "/units")
     tables = {name: _expect(doc.get(name), dict, f"{path}/{name}") for name in ("range", "source", "inverse")}
+    index = _number_tables(topology, units, tables, rows, path)
     try:
-        compose = {(a, b): ab for a, b, ab in compose_rows}
-        if len(compose) == len(compose_rows):
-            return FinGroupoid(topology, units, tables["range"], tables["source"], compose, tables["inverse"])
+        groupoid = FinGroupoid(topology, *index)
     except ValueError as err:
         raise SchemaError(str(err), path)
+    for name, table in tables.items():
+        # every morphism has an entry, so a longer table has a stray key
+        if len(table) > len(groupoid):
+            key = next(k for k in table if k not in topology._index)
+            raise SchemaError(f"{name} defined on {key!r}, which is not a morphism", f"{path}/{name}/{key}")
+    return groupoid
+
+
+def _number_tables(topology: FinSpace, units: list, tables: Mapping, rows: list, path: str) -> tuple:
+    """The index of the label tables of a ``fingroupoid/1`` document, as
+    ``FinGroupoid`` takes it: range, source and inverse, the unit mask
+    and the compose rows (a, b, ab), numbered by ``topology``.
+
+    The first fault raises ``SchemaError``, in the order of
+    ``docs/schemas.md``: a pair listed twice (naming the later row);
+    then, morphism by morphism, a range, source or inverse entry that is
+    missing or names no morphism; then a unit, then a compose row, that
+    names none.  A list or object label met on the way is named by
+    ``_reject_non_scalar``, which looks at the units, the tables and the
+    rows in that order.  The rows are numbered in one pass, and walked
+    one by one only to find a fault."""
+    index = topology._index
+    try:
+        if len({(a, b) for a, b, _ in rows}) < len(rows):
+            first: dict = {}
+            k = next(k for k, (a, b, _) in enumerate(rows) if first.setdefault((a, b), k) != k)
+            raise SchemaError("pair ({!r},{!r}) listed twice".format(*rows[k][:2]), f"{path}/compose/{k}")
+        structure: list = [[], [], []]
+        for m in topology.points:
+            for (name, table), numbers in zip(tables.items(), structure):
+                if m not in table:
+                    raise SchemaError(f"{name} undefined on {m!r}", path)
+                if table[m] not in index:
+                    raise SchemaError(f"{name}({m!r}) is not a morphism", path)
+                numbers.append(index[table[m]])
+        for u in units:
+            if u not in index:
+                raise SchemaError(f"unit {u!r} is not a morphism", path)
+        try:
+            flat = [index.get(x, -1) for row in rows for x in row]
+        except TypeError:
+            flat = [-1]
+        if -1 in flat:
+            for a, b, ab in rows:
+                if a not in index or b not in index or ab not in index:
+                    raise SchemaError(f"composition entry ({a!r},{b!r})->{ab!r} off the morphism set", path)
     except TypeError:
         _reject_non_scalar(_members(units, path + "/units"))
         for name, table in tables.items():
             _reject_non_scalar(_members(table, f"{path}/{name}"))
-        for k, row in enumerate(compose_rows):
+        for k, row in enumerate(rows):
             _reject_non_scalar(_members(row, f"{path}/compose/{k}"))
         raise
-    # some pair is listed twice: name the later row
-    first: dict = {}
-    k = next(k for k, (a, b, _) in enumerate(compose_rows) if first.setdefault((a, b), k) != k)
-    raise SchemaError("pair ({!r},{!r}) listed twice".format(*compose_rows[k][:2]), f"{path}/compose/{k}")
-
-
-def morphism_labels(groupoid: FinGroupoid) -> dict:
-    out = {}
-    for m in groupoid.morphisms:
-        lab = canonical_label(m)
-        if lab in out:
-            raise SchemaError(f"morphism labels collide at {lab!r}")
-        out[lab] = m
-    return out
+    unit_mask = np.zeros(len(topology), dtype=bool)
+    unit_mask[[index[u] for u in units]] = True
+    return (*structure, unit_mask, np.array(flat, dtype=np.int64).reshape(-1, 3).T)
 
 
 def cocycle_to_json(sigma: TwoCocycle) -> dict:
@@ -231,28 +282,48 @@ def cocycle_to_json(sigma: TwoCocycle) -> dict:
 def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> TwoCocycle:
     _expect_schema(doc, ("two_cocycle/1",), path)
     n = _expect_int(doc.get("n"), path, "n")
-    number = {lab: groupoid.index[m] for lab, m in morphism_labels(groupoid).items()}
-    entries = {}
+    labels = [canonical_label(m) for m in groupoid.morphisms]
+    number = {lab: k for k, lab in enumerate(labels)}
+    if len(number) < len(labels):
+        lab = next(x for k, x in enumerate(labels) if x in labels[:k])
+        raise SchemaError(f"morphism labels collide at {lab!r}")
     rows = _expect(doc.get("table"), list, path + "/table")
-    for k, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError("table rows are [a, b, value]", f"{path}/table/{k}")
-        a, b, v = row
-        try:
-            known = a in number and b in number
-        except TypeError:
-            _reject_non_scalar(_members(row, f"{path}/table/{k}"))
-            raise
-        if not known:
-            raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
-        key = number[a], number[b]
-        if key in entries:
-            raise SchemaError(f"pair ({a!r},{b!r}) listed twice", f"{path}/table/{k}")
-        entries[key] = _expect_int(v, path, "table", k, 2)
     try:
-        return TwoCocycle.from_numbered(groupoid, n, entries)
+        ends = np.array([(number[a], number[b]) for a, b, _ in rows], dtype=np.int64).reshape(-1, 2)
+        values = [v for _, _, v in rows]
+        clean = all(isinstance(row, list) for row in rows) and all(type(v) is int for v in values)
+    except (KeyError, TypeError, ValueError):
+        clean = False
+    if not clean or len(np.unique(ends[:, 0] * len(groupoid) + ends[:, 1])) < len(rows):
+        # the first faulty row, and within it the first fault in this order
+        seen = set()
+        for k, row in enumerate(rows):
+            at = f"{path}/table/{k}"
+            if not (isinstance(row, list) and len(row) == 3):
+                raise SchemaError("table rows are [a, b, value]", at)
+            a, b, v = row
+            try:
+                known = a in number and b in number
+            except TypeError:
+                _reject_non_scalar(_members(row, at))
+                raise
+            if not known:
+                raise SchemaError(f"unknown morphism in ({a!r},{b!r})", at)
+            if (number[a], number[b]) in seen:
+                raise SchemaError(f"pair ({a!r},{b!r}) listed twice", at)
+            seen.add((number[a], number[b]))
+            _expect_int(v, path, "table", k, 2)
+    try:
+        dtype = _value_dtype(n)
     except ValueError as err:
         raise SchemaError(str(err), path + "/table")
+    pid = groupoid.pair_id[ends[:, 0], ends[:, 1]]
+    if (pid < 0).any():
+        a, b = (groupoid.morphisms[x] for x in ends[int(np.argmax(pid < 0))])
+        raise SchemaError(f"table entry on non-composable pair ({a!r},{b!r})", path + "/table")
+    out = np.full(len(groupoid.pairs[0]), -1, dtype=dtype)
+    out[pid] = [v % n for v in values]
+    return TwoCocycle(groupoid, n, out)
 
 
 def twisted_groupoid_to_json(groupoid: FinGroupoid, sigma: TwoCocycle) -> dict:

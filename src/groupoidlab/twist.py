@@ -46,31 +46,18 @@ def _missing_entry(a, b) -> CocycleError:
 class TwoCocycle:
     """A normalized Z/n-valued 2-cocycle on the composable pairs of a
     finite groupoid, stored additively: ``values`` holds the values on
-    the groupoid's numbered pairs, in pair order, with -1 where there is
-    no entry, and ``table`` is the same by pairs of labels."""
+    the groupoid's numbered pairs, in pair order and reduced mod n, with
+    -1 where there is no entry, and ``table`` is the same by pairs of
+    labels."""
 
-    def __init__(self, groupoid: FinGroupoid, n: int, table: Mapping[tuple, int]):
-        index = groupoid.index
-        numbered = {(index[a], index[b]): value for (a, b), value in table.items()}
-        self.groupoid, self.n, self.values = groupoid, n, _numbered_values(groupoid, n, numbered)
-
-    @classmethod
-    def from_numbered(cls, groupoid: FinGroupoid, n: int, entries: Mapping[tuple, int]) -> "TwoCocycle":
-        """The cocycle with ``entries`` keyed by pairs of morphism numbers;
-        pairs without an entry stay missing."""
-        return cls._of(groupoid, n, _numbered_values(groupoid, n, entries))
+    def __init__(self, groupoid: FinGroupoid, n: int, values: np.ndarray):
+        self.groupoid, self.n, self.values = groupoid, n, values
 
     @classmethod
     def from_values(cls, groupoid: FinGroupoid, n: int, values) -> "TwoCocycle":
         """The cocycle with ``values`` (reduced mod n) on every numbered
         pair, in pair order."""
-        return cls._of(groupoid, n, _residues(values, n, _value_dtype(n)))
-
-    @classmethod
-    def _of(cls, groupoid: FinGroupoid, n: int, values: np.ndarray) -> "TwoCocycle":
-        sigma = cls.__new__(cls)
-        sigma.groupoid, sigma.n, sigma.values = groupoid, n, values
-        return sigma
+        return cls(groupoid, n, _residues(values, n, _value_dtype(n)))
 
     @classmethod
     def trivial(cls, groupoid: FinGroupoid, n: int = 1) -> "TwoCocycle":
@@ -102,7 +89,7 @@ class TwoCocycle:
 
     def conjugate(self) -> "TwoCocycle":
         v = self.values
-        return TwoCocycle._of(self.groupoid, self.n, np.where(v < 0, v, -v % self.n))
+        return TwoCocycle(self.groupoid, self.n, np.where(v < 0, v, -v % self.n))
 
     def shift(self, pair: tuple, delta: int) -> "TwoCocycle":
         """Copy with one entry perturbed, a missing one read as 0; used for
@@ -113,7 +100,7 @@ class TwoCocycle:
             raise CocycleError(f"table entry on non-composable pair ({pair[0]!r},{pair[1]!r})")
         values = self.values.copy()
         values[k] = (max(int(values[k]), 0) + delta) % self.n
-        return TwoCocycle._of(g, self.n, values)
+        return TwoCocycle(g, self.n, values)
 
     def same_footing(self, other: "TwoCocycle") -> bool:
         return self.groupoid is other.groupoid and self.n == other.n
@@ -132,20 +119,6 @@ def _value_dtype(n: int):
     if n < 1:
         raise CocycleError("cocycle order must be positive")
     return np.int64 if n < 2**61 else object
-
-
-def _numbered_values(groupoid: FinGroupoid, n: int, entries: Mapping[tuple, int]) -> np.ndarray:
-    """Pair-order values of ``entries`` keyed by pairs of morphism
-    numbers, -1 where there is none; a non-composable key raises."""
-    dtype = _value_dtype(n)
-    ends = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-    pid = groupoid.pair_id[ends[:, 0], ends[:, 1]]
-    if (pid < 0).any():
-        a, b = (groupoid.morphisms[x] for x in ends[int(np.argmax(pid < 0))])
-        raise CocycleError(f"table entry on non-composable pair ({a!r},{b!r})")
-    values = np.full(len(groupoid.pairs[0]), -1, dtype=dtype)
-    values[pid] = [value % n for value in entries.values()]
-    return values
 
 
 class OneCochain:
@@ -346,7 +319,7 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
     )
     pa, pb, pc = groupoid.pairs
     w, z = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
-    return FinGroupoid.from_index(
+    return FinGroupoid(
         topology,
         np.tile(groupoid.range_idx, n),
         np.tile(groupoid.source_idx, n),

@@ -1,5 +1,6 @@
 """Test-only constructions: small spaces, groups and random graphs that
-the library itself never builds."""
+the library itself never builds, and groupoids and cocycles given by
+label tables."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import numpy as np
 from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
+from groupoidlab import serialize as sz
+from groupoidlab import twist as tw
 
 
 def chain_space() -> fs.FinSpace:
@@ -63,10 +66,38 @@ def is_closed_bits(space: fs.FinSpace, mask: int) -> bool:
     return space.is_open_bits(~mask & (1 << len(space.points)) - 1)
 
 
+def label_groupoid(topology: fs.FinSpace, units, range_map, source_map, compose, inverse) -> gp.FinGroupoid:
+    """The groupoid given by label tables, numbered as the ``fingroupoid/1``
+    parser numbers a document's: a table fault raises its ``SchemaError``,
+    a failed axiom ``GroupoidAxiomError``."""
+    tables = {"range": range_map, "source": source_map, "inverse": inverse}
+    rows = [[a, b, ab] for (a, b), ab in compose.items()]
+    return gp.FinGroupoid(topology, *sz._number_tables(topology, list(units), tables, rows, "/"))
+
+
+def label_cocycle(groupoid: gp.FinGroupoid, n: int, table) -> tw.TwoCocycle:
+    """The cocycle with ``table``'s values, reduced mod n, at its pairs of
+    labels, placed through ``pair_id``; pairs without an entry stay
+    missing."""
+    index = groupoid.index
+    k = groupoid.pair_id[[index[a] for a, _ in table], [index[b] for _, b in table]]
+    if (k < 0).any():
+        raise ValueError("a table entry on a non-composable pair")
+    values = np.full(len(groupoid.pairs[0]), -1, dtype=np.int64 if n < 2**61 else object)
+    values[k] = [v % n for v in table.values()]
+    return tw.TwoCocycle(groupoid, n, values)
+
+
+def inverse_map(groupoid: gp.FinGroupoid) -> dict:
+    """The inverse of each morphism, by label."""
+    m = groupoid.morphisms
+    return {a: m[b] for a, b in zip(m, groupoid.inverse_idx.tolist())}
+
+
 def product_group(a: int, b: int) -> gp.FinGroupoid:
     """Z/a x Z/b as a one-unit groupoid on the labels (x, y)."""
     elems = [(x, y) for x in range(a) for y in range(b)]
-    return gp.FinGroupoid(
+    return label_groupoid(
         fs.discrete(elems), [(0, 0)], {e: (0, 0) for e in elems}, {e: (0, 0) for e in elems},
         {(e, f): ((e[0] + f[0]) % a, (e[1] + f[1]) % b) for e in elems for f in elems},
         {e: (-e[0] % a, -e[1] % b) for e in elems},

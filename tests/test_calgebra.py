@@ -8,7 +8,7 @@ from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
-from helpers import reference_reduced_norm
+from helpers import inverse_map, label_cocycle, label_groupoid, reference_reduced_norm
 
 
 def pair_groupoid(points):
@@ -56,7 +56,7 @@ def test_twisted_convolution_picks_up_phase():
     table = {p: 0 for p in g.composable_pairs()}
     table[((1, 2), (2, 1))] = 1
     table[((2, 1), (1, 2))] = 1  # forced by the cocycle identity
-    sigma = tw.TwoCocycle(g, 4, table)
+    sigma = label_cocycle(g, 4, table)
     assert tw.verify_two_cocycle(sigma).valid
     a = ca.AlgebraElement.char(g, sigma, (1, 2))
     b = ca.AlgebraElement.char(g, sigma, (2, 1))
@@ -121,19 +121,20 @@ def reference_convolve(f, g):
 
 def reference_involute(f):
     grp, sigma = f.groupoid, f.sigma
+    inverse = inverse_map(grp)
     return {
-        grp.inverse[b]: (v * ca.zeta(sigma.n, sigma.value(grp.inverse[b], b))).conjugate()
+        inverse[b]: (v * ca.zeta(sigma.n, sigma.value(inverse[b], b))).conjugate()
         for b, v in f.coeffs.items()
     }
 
 
 def reference_induced_rep(u, f):
     grp, sigma, coeffs = f.groupoid, f.sigma, f.coeffs
-    basis = tuple(m for m in grp.morphisms if grp.source_map[m] == u)
+    basis, inverse = tuple(m for m in grp.morphisms if grp.source_map[m] == u), inverse_map(grp)
     mat = np.zeros((len(basis), len(basis)), dtype=complex)
     for col, acol in enumerate(basis):
         for row, a in enumerate(basis):
-            b = grp.compose[(a, grp.inverse[acol])]
+            b = grp.compose[(a, inverse[acol])]
             if b in coeffs:
                 mat[row, col] = coeffs[b] * ca.zeta(sigma.n, sigma.value(b, acol))
     return basis, mat
@@ -143,7 +144,7 @@ def klein_group_cocycle():
     """Z2 x Z2 as a one-unit groupoid with sigma(a, b) = a_1 b_2 mod 2,
     whose class is nontrivial."""
     elements = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    grp = gp.FinGroupoid(
+    grp = label_groupoid(
         fs.discrete(elements),
         units=[(0, 0)],
         range_map={a: (0, 0) for a in elements},
@@ -151,7 +152,7 @@ def klein_group_cocycle():
         compose={(a, b): (a[0] ^ b[0], a[1] ^ b[1]) for a in elements for b in elements},
         inverse={a: a for a in elements},
     )
-    return tw.TwoCocycle(grp, 2, {(a, b): a[0] * b[1] for a in elements for b in elements})
+    return label_cocycle(grp, 2, {(a, b): a[0] * b[1] for a in elements for b in elements})
 
 
 def differential_cases():
@@ -224,10 +225,10 @@ def test_induced_rep_closed_form():
         rel, sigma = random_relation(rng, 5, 6)
         f = ca.random_element(rng, rel, sigma)
         u = sorted(rel.units)[0]
-        rep = ca.induced_rep(u, f)
+        rep, inverse = ca.induced_rep(u, f), inverse_map(rel)
         for i, a in enumerate(rep.basis):
             for j, ap in enumerate(rep.basis):
-                b = rel.compose[(a, rel.inverse[ap])]
+                b = rel.compose[(a, inverse[ap])]
                 expected = f(b) * ca.zeta(sigma.n, sigma.value(b, ap))
                 assert abs(rep.matrix[i, j] - expected) < 1e-12
 
@@ -264,7 +265,7 @@ def test_cohomologous_cocycles_unitarily_equivalent_reps():
         b = tw.OneCochain(
             rel, n, {m: rng.randrange(n) for m in rel.morphisms if m not in rel.units}
         )
-        sigma2 = tw.TwoCocycle(
+        sigma2 = label_cocycle(
             rel,
             n,
             {p: sigma1.value(*p) + tw.coboundary_twist(b).value(*p) for p in rel.composable_pairs()},
@@ -653,7 +654,7 @@ def reference_matrix_units(blocks, n=1, lam=None):
         ((i, j, label), (j, k, label)): (i, k, label)
         for label, idx in blocks.items() for i in idx for j in idx for k in idx
     }
-    groupoid = gp.FinGroupoid(
+    groupoid = label_groupoid(
         fs.discrete(keys),
         [(i, i, label) for (i, j, label) in keys if i == j],
         {(i, j, label): (i, i, label) for (i, j, label) in keys},
@@ -662,7 +663,7 @@ def reference_matrix_units(blocks, n=1, lam=None):
         {(i, j, label): (j, i, label) for (i, j, label) in keys},
     )
     table = {pair: -lam(pair[0][0], pair[0][1], pair[1][1]) if lam else 0 for pair in compose}
-    return tw.TwoCocycle(groupoid, n, table)
+    return label_cocycle(groupoid, n, table)
 
 
 def test_matrix_units_match_the_dict_construction():
@@ -680,7 +681,7 @@ def test_matrix_units_match_the_dict_construction():
         for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id"):
             assert np.array_equal(getattr(g, name), getattr(h, name)), name
         assert all(np.array_equal(a, b) for a, b in zip(g.pairs, h.pairs))
-        for name in ("units", "range_map", "source_map", "inverse", "compose"):
+        for name in ("units", "range_map", "source_map", "compose"):
             assert getattr(g, name) == getattr(h, name), name
         assert (got.n, got.table) == (want.n, want.table)
         assert list(got.table) == list(want.table)
@@ -840,7 +841,7 @@ def test_equivariant_suite_detects_dropped_conjugation():
 
 def test_equivariant_suite_requires_principal():
     topo = fs.discrete(("e", "g"))
-    grp = gp.FinGroupoid(
+    grp = label_groupoid(
         topo,
         units=["e"],
         range_map={"e": "e", "g": "e"},

@@ -455,12 +455,14 @@ def test_pair_groupoid_unions_are_size_capped(tmp_path):
     points = [f"y{i}" for i in range(600)]
     psi = fs.SpaceMap(fs.discrete(points), fs.discrete(("*",)), {p: "*" for p in points})
     doc = {"schema": "relation_groupoid/1", "psi": sz.map_to_json(psi)}
+    cap = "SizeCapError: pair-groupoid unions capped at 4096 morphisms"
     runs = [
-        (["fell-check", write(tmp_path, "fiber.json", doc)], None),
-        (["algebra-verify", "--random", "1", "--max-points", "3000"], {"GROUPOIDLAB_SEED": "335"}),
+        # a document names the path of the map that is too big
+        (["fell-check", write(tmp_path, "fiber.json", doc)], None, f"{cap} (at //psi)"),
+        (["algebra-verify", "--random", "1", "--max-points", "3000"], {"GROUPOIDLAB_SEED": "335"}, cap),
     ]
-    for argv, env in runs:
+    for argv, env, error in runs:
         code, report = run_capped(argv, env)
         # an uncaught MemoryError also exits 1, but prints a traceback, not a report
         assert code == 1 and isinstance(report, dict), (argv, report)
-        assert "pair-groupoid unions capped at 4096 morphisms" in report["result"]["error"], argv
+        assert report["result"]["error"] == error, argv

@@ -17,6 +17,7 @@ from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab.cli import main
+from helpers import inverse_map, label_groupoid
 
 ODD_VALUES = (None, True, False, 0, -1, 1.5, 2**63, 2**100 + 277, "", "x", [], [1, "a"], {}, {"k": [0]})
 ODD_ORDERS = (0, -1, -7, 1, 2, 2**40 + 15, 2**63 - 25, 2**63, 2**100 + 277)
@@ -217,7 +218,7 @@ def test_a_non_scalar_space_or_groupoid_label_is_an_input_error():
     space = fs.FinSpace(("a", "b", "c"), {"a": {"a"}, "b": {"a", "b"}, "c": {"c"}})
     psi = fs.SpaceMap(space, fs.discrete(("x", "y")), {"a": "x", "b": "x", "c": "y"})
     rel = gp.build_relation_groupoid(fs.SpaceMap(fs.discrete((1, 2)), fs.discrete(("*",)), {1: "*", 2: "*"}))
-    table = gp.FinGroupoid(rel.topology, rel.units, rel.range_map, rel.source_map, rel.compose, rel.inverse)
+    table = label_groupoid(rel.topology, rel.units, rel.range_map, rel.source_map, rel.compose, inverse_map(rel))
     cases = (
         ("space-check", sz.space_to_json(space)),
         ("map-classify", sz.map_to_json(psi)),
@@ -344,3 +345,41 @@ def test_a_pair_listed_twice_is_an_input_error():
             error = report["result"]["error"]
             assert error.startswith("SchemaError") and "listed twice" in error, (keys, at)
             assert error.endswith(f"(at //{keys[0]}/{keys[1]}/4)"), (keys, at)
+
+
+# -- nesting and stray table keys -------------------------------------------------------
+
+
+def run_text(command, text) -> tuple[int, dict]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return run([command, path])
+
+
+def test_deeply_nested_json_is_an_input_error():
+    # deeper than the parser recurses: 3,000 lists in a 6 KB file, and 990 objects
+    for text, depth in (("[" * 3000 + "]" * 3000, 3000), ('{"a": ' * 990 + '"[{"' + "}" * 990, 990)):
+        code, report = run_text("fell-check", text)
+        assert code == 1, depth
+        assert report["result"]["error"] == f"SchemaError: document nested too deeply ({depth} levels) (at /)"
+
+
+def test_a_stray_table_key_is_an_input_error():
+    for table, key, value in (("range", "zzz", "e"), ("inverse", "x", [1]), ("source", "", "g")):
+        doc = z2_document()
+        doc["groupoid"][table][key] = value
+        code, report = run_doc("cocycle-verify", doc)
+        assert code == 1, (table, key)
+        error = f"SchemaError: {table} defined on {key!r}, which is not a morphism (at //groupoid/{table}/{key})"
+        assert report["result"]["error"] == error
+        # every fault read before it keeps its message
+        for field, fault, message in (
+            ("units", ["e", "q"], "unit 'q' is not a morphism (at //groupoid)"),
+            ("compose", [["e", "e", "e"]], "composition defined on ('e','g') iff sources/ranges mismatch (at //groupoid)"),
+        ):
+            doc["groupoid"][field] = fault
+            code, report = run_doc("cocycle-verify", doc)
+            assert code == 1 and report["result"]["error"] == f"SchemaError: {message}", (table, field)
+            doc["groupoid"][field] = z2_document()["groupoid"][field]

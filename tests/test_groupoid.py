@@ -14,7 +14,7 @@ from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
 from groupoidlab.cli import main
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
-from helpers import product_group, subspace
+from helpers import inverse_map, label_groupoid, product_group, subspace
 
 
 def discrete_3_to_2():
@@ -57,7 +57,7 @@ def test_relation_groupoid_chain_topology():
 def cyclic_group(k):
     """Z/k as a one-unit groupoid."""
     elems = tuple(range(k))
-    return gp.FinGroupoid(
+    return label_groupoid(
         fs.discrete(elems),
         [0],
         {a: 0 for a in elems},
@@ -107,7 +107,7 @@ def test_axiom_verifier_catches_faults():
     bad_compose = dict(r.compose)
     bad_compose[((1, 2), (2, 1))] = (2, 2)  # should be (1,1)
     with pytest.raises(gp.GroupoidAxiomError):
-        gp.FinGroupoid(r.topology, r.units, r.range_map, r.source_map, bad_compose, r.inverse)
+        label_groupoid(r.topology, r.units, r.range_map, r.source_map, bad_compose, inverse_map(r))
 
 
 # -- orbit space ---------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_fell_requires_principal():
     # a two-element group viewed as a one-unit groupoid is not principal
     topo = fs.discrete(("e", "g"))
     compose = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
-    grp = gp.FinGroupoid(
+    grp = label_groupoid(
         topo,
         units=["e"],
         range_map={"e": "e", "g": "e"},
@@ -266,10 +266,17 @@ def quotient_corpus() -> tuple:
 
 
 @functools.cache
+def product_square(space: fs.FinSpace) -> fs.FinSpace:
+    """``product(space, space)``; cached because the quotient maps of one
+    space ask for the same one."""
+    return fs.product(space, space)
+
+
+@functools.cache
 def product_subspace(space: fs.FinSpace, pairs: tuple) -> fs.FinSpace:
     """The pairs with the topology of ``product(space, space)``; cached
     because two tests ask for the same ones."""
-    return subspace(fs.product(space, space), pairs)
+    return subspace(product_square(space), pairs)
 
 
 def reference_relation(psi: fs.SpaceMap, topology: fs.FinSpace) -> gp.FinGroupoid:
@@ -279,7 +286,7 @@ def reference_relation(psi: fs.SpaceMap, topology: fs.FinSpace) -> gp.FinGroupoi
     for b in pairs:
         starting.setdefault(b[0], []).append(b)
     compose = {(a, b): (a[0], b[1]) for a in pairs for b in starting[a[1]]}
-    return gp.FinGroupoid(
+    return label_groupoid(
         topology,
         [(y, z) for y, z in pairs if y == z],
         {(y, z): (y, y) for y, z in pairs},
@@ -318,39 +325,49 @@ def reference_rq(g: gp.FinGroupoid) -> fs.SpaceMap:
     return fs.SpaceMap(g.topology, rq, {m: (label[g.range_map[m]], label[g.source_map[m]]) for m in g.morphisms})
 
 
-def test_pair_topology_is_the_product_subspace():
+@pytest.fixture(scope="module")
+def corpus_builds() -> list:
+    """Per map psi of ``quotient_corpus``: psi, R(psi), its discrete copy
+    and the label-built references of both.  Built once for the four
+    tests below, which only read them."""
+    out = []
     for psi in quotient_corpus():
         relation = gp.build_relation_groupoid(psi)
+        discrete = relation.with_discrete_topology()
+        out.append((psi, relation, discrete, *(reference_relation(psi, g.topology) for g in (relation, discrete))))
+    return out
+
+
+def test_pair_topology_is_the_product_subspace(corpus_builds):
+    for psi, relation, *_ in corpus_builds:
         got = relation.topology
         want = product_subspace(psi.dom, got.points)
         assert len(got) == len(want) == sum(len(f) ** 2 for f in relation.fibers)
         assert all(got.min_open(p) == want.min_open(p) for p in got.points)
 
 
-def test_relation_index_matches_the_dict_built_groupoid():
-    for psi in quotient_corpus():
-        relation = gp.build_relation_groupoid(psi)
-        for g in (relation, relation.with_discrete_topology()):
-            ref = reference_relation(psi, g.topology)
+def test_relation_index_matches_the_dict_built_groupoid(corpus_builds):
+    for _, relation, discrete, *refs in corpus_builds:
+        for g, ref in zip((relation, discrete), refs):
             for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id"):
                 assert np.array_equal(getattr(g, name), getattr(ref, name)), name
             assert all(np.array_equal(a, b) for a, b in zip(g.pairs, ref.pairs))
             assert g.units == ref.units
             assert composable_triples(g) == composable_triples(ref)
-            for name in ("range_map", "source_map", "inverse", "compose"):
+            for name in ("range_map", "source_map", "compose"):
                 assert getattr(g, name) == getattr(ref, name), name
+            assert inverse_map(g) == inverse_map(ref)
 
 
-def test_properties_and_fell_check_match_the_definitions():
+def test_properties_and_fell_check_match_the_definitions(corpus_builds):
     two = fs.discrete((1, 2))
     pair = gp.build_relation_groupoid(fs.SpaceMap(two, fs.discrete(("*",)), {1: "*", 2: "*"}))
     # the pair groupoid on two points whose inverse is not continuous
     flip = fs.FinSpace(pair.morphisms, {m: {m} for m in pair.morphisms} | {(2, 1): {(2, 1), (1, 2)}})
-    odd = gp.FinGroupoid(flip, pair.units, pair.range_map, pair.source_map, pair.compose, pair.inverse)
+    odd = label_groupoid(flip, pair.units, pair.range_map, pair.source_map, pair.compose, inverse_map(pair))
     groupoids = [odd]
-    for psi in quotient_corpus():
-        relation = gp.build_relation_groupoid(psi)
-        groupoids += [relation, relation.with_discrete_topology()]
+    for _, relation, discrete, *_ in corpus_builds:
+        groupoids += [relation, discrete]
     for g in groupoids:
         props = gp.groupoid_properties(g)
         assert props == reference_properties(g)
@@ -365,15 +382,11 @@ def test_properties_and_fell_check_match_the_definitions():
     assert gp.groupoid_properties(odd) == gp.GroupoidProperties(principal=True, etale=False)
 
 
-def test_fell_check_reads_the_same_on_a_plain_copy():
+def test_fell_check_reads_the_same_on_a_plain_copy(corpus_builds):
     # a fingroupoid/1 copy of R(psi) tests r x s against its unit subspace,
-    # R(psi) itself against Y; with the product topology the two agree
-    for psi in quotient_corpus():
-        relation = gp.build_relation_groupoid(psi)
-        plain = gp.FinGroupoid.from_index(
-            relation.topology, relation.range_idx, relation.source_idx,
-            relation.inverse_idx, relation.unit_mask, relation.pairs,
-        )
+    # R(psi) itself against Y; with the product topology the two agree.
+    # The label-built reference on R(psi)'s topology is such a copy.
+    for _, relation, _, plain, _ in corpus_builds:
         copy = sz.groupoid_from_json(sz.groupoid_to_json(plain))
         assert type(copy) is gp.FinGroupoid
         assert gp.fell_check(copy).as_dict() == gp.fell_check(relation).as_dict()
@@ -510,7 +523,7 @@ def test_generator_triples_decide_associativity_as_the_full_sweep(monkeypatch):
     outcomes = {"associativity": 0, "other": 0, "passed": 0}
     for g, pairs in tampered_tables():
         monkeypatch.setattr(gp.FinGroupoid, "verify_axioms", lambda self: None)
-        h = gp.FinGroupoid.from_index(g.topology, g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask, pairs)
+        h = gp.FinGroupoid(g.topology, g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask, pairs)
         monkeypatch.undo()
         try:
             sweep_verify_axioms(h)
@@ -545,7 +558,7 @@ def test_masked_triple_join_is_the_full_join_filtered(monkeypatch, chunk):
             assert all(np.array_equal(x, y[keep]) for x, y in zip(joined, full))
 
 
-# -- the one install step ---------------------------------------------------------
+# -- the one constructor -----------------------------------------------------------
 
 
 def shuffled_index(g: gp.FinGroupoid, rng: random.Random) -> tuple:
@@ -558,7 +571,7 @@ def test_from_index_sorts_shuffled_pairs_row_major():
     rng = random.Random(6)
     for psi in quotient_corpus()[::97]:
         g = gp.build_relation_groupoid(psi)
-        h = gp.FinGroupoid.from_index(g.topology, *shuffled_index(g, rng))
+        h = gp.FinGroupoid(g.topology, *shuffled_index(g, rng))
         pa, pb, _ = h.pairs
         assert np.array_equal(pa * len(h) + pb, np.sort(pa * len(h) + pb))
         assert all(np.array_equal(a, b) for a, b in zip(h.pairs, g.pairs))
@@ -578,30 +591,28 @@ def test_from_index_rejects_a_corrupted_composite_in_shuffled_pairs():
         k = int(np.flatnonzero((pa == g.index[(1, 2)]) & (pb == g.index[(2, 3)]))[0])
         pc[k] = g.index[(1, 2)]
         with pytest.raises(gp.GroupoidAxiomError):
-            gp.FinGroupoid.from_index(g.topology, rng_idx, src_idx, inv_idx, units, (pa, pb, pc))
+            gp.FinGroupoid(g.topology, rng_idx, src_idx, inv_idx, units, (pa, pb, pc))
 
 
 def test_label_constructor_keeps_its_error_order():
-    two = fs.discrete(("e", "g"))
-    tables = dict(
-        units=["e"],
-        range_map={"e": "e", "g": "e"},
-        source_map={"e": "e", "g": "e"},
-        compose={("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"},
-        inverse={"e": "e", "g": "g"},
-    )
-    gp.FinGroupoid(two, **tables)
+    # labels are numbered only by the fingroupoid/1 parser; Z/2 = {e, g}
+    doc = {
+        "schema": "fingroupoid/1", "topology": sz.space_to_json(fs.discrete(("e", "g"))), "units": ["e"],
+        "range": {"e": "e", "g": "e"}, "source": {"e": "e", "g": "e"}, "inverse": {"e": "e", "g": "g"},
+        "compose": [["e", "e", "e"], ["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]],
+    }
+    sz.groupoid_from_json(doc)
     # membership errors come before any algebraic check
     for key, bad, message in [
-        ("range_map", {"e": "e"}, "range undefined on 'g'"),
+        ("range", {"e": "e"}, "range undefined on 'g'"),
         ("inverse", {"e": "e", "g": "x"}, "inverse('g') is not a morphism"),
         ("units", ["e", "x"], "unit 'x' is not a morphism"),
-        ("compose", {("e", "e"): "e", ("g", "x"): "g"}, "composition entry ('g','x')->'g' off the morphism set"),
-        ("compose", {("e", "e"): "e"}, "composition defined on ('e','g') iff sources/ranges mismatch"),
+        ("compose", [["e", "e", "e"], ["g", "x", "g"]], "composition entry ('g','x')->'g' off the morphism set"),
+        ("compose", [["e", "e", "e"]], "composition defined on ('e','g') iff sources/ranges mismatch"),
     ]:
-        with pytest.raises(gp.GroupoidAxiomError) as err:
-            gp.FinGroupoid(two, **(tables | {key: bad}))
-        assert str(err.value) == message
+        with pytest.raises(sz.SchemaError) as err:
+            sz.groupoid_from_json(doc | {key: bad})
+        assert str(err.value) == f"{message} (at /)"
 
 
 # -- the shared pair-groupoid index ------------------------------------------------
@@ -641,7 +652,7 @@ def test_cached_pair_index_matches_a_fresh_install():
     for sizes in tuples:
         *arrays, pairs, principal = gp.pair_groupoid_index(sizes)
         count = sum(k * k for k in sizes)
-        fresh = gp.FinGroupoid.from_index(fs.discrete(range(count)), *loop_pair_index(sizes, rng))
+        fresh = gp.FinGroupoid(fs.discrete(range(count)), *loop_pair_index(sizes, rng))
         want = (fresh.range_idx, fresh.source_idx, fresh.inverse_idx, fresh.unit_mask)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(arrays, want)), sizes
         assert all(np.array_equal(a, b) for a, b in zip(pairs, fresh.pairs)), sizes

@@ -1,5 +1,9 @@
+import collections
+import copy
 import json
+import random
 
+import numpy as np
 import pytest
 
 from groupoidlab import bundled
@@ -8,6 +12,7 @@ from groupoidlab import graphfell as gf
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
+from helpers import inverse_map, label_groupoid, product_group
 
 
 def canon(doc):
@@ -48,7 +53,7 @@ def test_plain_groupoid_round_trip():
         "units": sorted(sz.canonical_label(u) for u in relation.units),
         "range": {sz.canonical_label(m): sz.canonical_label(relation.range_map[m]) for m in relation.morphisms},
         "source": {sz.canonical_label(m): sz.canonical_label(relation.source_map[m]) for m in relation.morphisms},
-        "inverse": {sz.canonical_label(m): sz.canonical_label(relation.inverse[m]) for m in relation.morphisms},
+        "inverse": {sz.canonical_label(m): sz.canonical_label(inverse_map(relation)[m]) for m in relation.morphisms},
         "compose": sorted(
             [sz.canonical_label(a), sz.canonical_label(b), sz.canonical_label(c)]
             for (a, b), c in relation.compose.items()
@@ -129,3 +134,273 @@ def test_seam_row_missing_field_carries_path():
 def test_unknown_bundled_name():
     with pytest.raises(KeyError):
         bundled.bundled_document("nope")
+
+
+# -- the label path of the label constructor, kept as the parsers' reference ----------
+
+
+def reference_label_groupoid(topology, units, range_map, source_map, compose, inverse):
+    """The label constructor ``FinGroupoid`` had before the index became its
+    only constructor, verbatim but for the last line, which hands the
+    numbered tables to that constructor."""
+    morphs, index = topology.points, topology._index
+    tables = ((range_map, "range"), (source_map, "source"), (inverse, "inverse"))
+    for m in morphs:
+        for table, name in tables:
+            if m not in table:
+                raise gp.GroupoidAxiomError(f"{name} undefined on {m!r}", m)
+            if table[m] not in index:
+                raise gp.GroupoidAxiomError(f"{name}({m!r}) is not a morphism", m)
+    units = list(units)
+    for u in units:
+        if u not in index:
+            raise gp.GroupoidAxiomError(f"unit {u!r} is not a morphism", u)
+    for (a, b), c in compose.items():
+        if a not in index or b not in index or c not in index:
+            raise gp.GroupoidAxiomError(f"composition entry ({a!r},{b!r})->{c!r} off the morphism set")
+    unit_mask = np.zeros(len(morphs), dtype=bool)
+    unit_mask[[index[u] for u in units]] = True
+    pairs = np.array([(index[a], index[b], index[c]) for (a, b), c in compose.items()], dtype=np.int64)
+    structure = ([index[table[m]] for m in morphs] for table, _ in tables)
+    return gp.FinGroupoid(topology, *structure, unit_mask, pairs.reshape(-1, 3).T)
+
+
+def reference_groupoid_from_json(doc, path="/"):
+    """``groupoid_from_json`` on ``fingroupoid/1`` as it read documents
+    through the label constructor, verbatim."""
+    sz._expect_schema(doc, ("fingroupoid/1",), path)
+    topology = sz.space_from_json(
+        sz._expect(doc.get("topology"), dict, path + "/topology"), path + "/topology"
+    )
+    compose_rows = sz._expect(doc.get("compose"), list, path + "/compose")
+    for k, row in enumerate(compose_rows):
+        if not (isinstance(row, list) and len(row) == 3):
+            raise sz.SchemaError("compose rows are [a, b, ab]", f"{path}/compose/{k}")
+    units = sz._expect(doc.get("units"), list, path + "/units")
+    tables = {name: sz._expect(doc.get(name), dict, f"{path}/{name}") for name in ("range", "source", "inverse")}
+    try:
+        compose = {(a, b): ab for a, b, ab in compose_rows}
+        if len(compose) == len(compose_rows):
+            return reference_label_groupoid(topology, units, tables["range"], tables["source"], compose, tables["inverse"])
+    except ValueError as err:
+        raise sz.SchemaError(str(err), path)
+    except TypeError:
+        sz._reject_non_scalar(sz._members(units, path + "/units"))
+        for name, table in tables.items():
+            sz._reject_non_scalar(sz._members(table, f"{path}/{name}"))
+        for k, row in enumerate(compose_rows):
+            sz._reject_non_scalar(sz._members(row, f"{path}/compose/{k}"))
+        raise
+    # some pair is listed twice: name the later row
+    first: dict = {}
+    k = next(k for k, (a, b, _) in enumerate(compose_rows) if first.setdefault((a, b), k) != k)
+    raise sz.SchemaError("pair ({!r},{!r}) listed twice".format(*compose_rows[k][:2]), f"{path}/compose/{k}")
+
+
+def reference_cocycle_from_json(doc, groupoid, path="/"):
+    """``cocycle_from_json`` as it read rows one by one into a dict keyed by
+    pairs of morphism numbers, with ``morphism_labels``,
+    ``TwoCocycle.from_numbered`` and ``_numbered_values`` inlined,
+    verbatim."""
+    sz._expect_schema(doc, ("two_cocycle/1",), path)
+    n = sz._expect_int(doc.get("n"), path, "n")
+    labels = {}
+    for m in groupoid.morphisms:
+        lab = sz.canonical_label(m)
+        if lab in labels:
+            raise sz.SchemaError(f"morphism labels collide at {lab!r}")
+        labels[lab] = m
+    number = {lab: groupoid.index[m] for lab, m in labels.items()}
+    entries = {}
+    rows = sz._expect(doc.get("table"), list, path + "/table")
+    for k, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3):
+            raise sz.SchemaError("table rows are [a, b, value]", f"{path}/table/{k}")
+        a, b, v = row
+        try:
+            known = a in number and b in number
+        except TypeError:
+            sz._reject_non_scalar(sz._members(row, f"{path}/table/{k}"))
+            raise
+        if not known:
+            raise sz.SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
+        key = number[a], number[b]
+        if key in entries:
+            raise sz.SchemaError(f"pair ({a!r},{b!r}) listed twice", f"{path}/table/{k}")
+        entries[key] = sz._expect_int(v, path, "table", k, 2)
+    try:
+        dtype = tw._value_dtype(n)
+        ends = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        pid = groupoid.pair_id[ends[:, 0], ends[:, 1]]
+        if (pid < 0).any():
+            a, b = (groupoid.morphisms[x] for x in ends[int(np.argmax(pid < 0))])
+            raise tw.CocycleError(f"table entry on non-composable pair ({a!r},{b!r})")
+        values = np.full(len(groupoid.pairs[0]), -1, dtype=dtype)
+        values[pid] = [value % n for value in entries.values()]
+        return tw.TwoCocycle(groupoid, n, values)
+    except ValueError as err:
+        raise sz.SchemaError(str(err), path + "/table")
+
+
+def outcome(parse, *args):
+    """What ``parse`` returns, or the type and text of what it raises."""
+    try:
+        return parse(*args)
+    except Exception as err:  # every exception, compared by type and text
+        return f"{type(err).__name__}: {err}"
+
+
+# labels that are never morphisms: hashable ones, some equal to each other
+# (1 == True), and lists and objects
+ODD_LABELS = ("zz", "", 7, 1, 1.5, True, None)
+NON_SCALARS = ([1], {"k": 1})
+TABLES = ("range", "source", "inverse")
+
+
+def relation_plain_copy(psi) -> gp.FinGroupoid:
+    """R(psi) as a groupoid that ``groupoid_to_json`` writes as fingroupoid/1."""
+    r = gp.build_relation_groupoid(psi)
+    return gp.FinGroupoid(r.topology, r.range_idx, r.source_idx, r.inverse_idx, r.unit_mask, r.pairs)
+
+
+def oracle_groupoids() -> list:
+    """Groups, relation groupoids on non-discrete spaces and an extension by
+    a nontrivial cocycle: principal and not, one unit and several."""
+    y = fs.FinSpace((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
+    chain = fs.SpaceMap(y, fs.sierpinski(), {0: "b", 1: "a", 2: "a"})
+    pair = gp.build_relation_groupoid(fs.SpaceMap(fs.discrete((1, 2)), fs.discrete(("*",)), {1: "*", 2: "*"}))
+    carry = tw.TwoCocycle.trivial(pair, 2).shift(((1, 2), (2, 1)), 1).shift(((2, 1), (1, 2)), 1)
+    quotient = fs.quotient_space(fs.FinSpace((0, 1, 2, 3), {0: {0}, 1: {0, 1}, 2: {2}, 3: {2, 3}}), [{0, 2}, {1, 3}])[1]
+    return [product_group(2, 3), relation_plain_copy(chain), relation_plain_copy(quotient),
+            tw.extension_groupoid(pair, carry)]
+
+
+def same_groupoid(got, want) -> bool:
+    labels = lambda g: [sz.canonical_label(m) for m in g.morphisms]
+    return labels(got) == labels(want) and all(
+        np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id")
+    ) and all(np.array_equal(a, b) for a, b in zip(got.pairs, want.pairs))
+
+
+def fault_groupoid(doc, kind, rng):
+    """Put one fault of ``kind`` into a fingroupoid/1 document, at random."""
+    rows, units, points = doc["compose"], doc["units"], doc["topology"]["points"]
+    table = doc[rng.choice(TABLES)]
+    if kind == "repeated pair":
+        rows.insert(rng.randint(0, len(rows)), [*rng.choice(rows)[:2], rng.choice(points)])
+    elif kind == "missing table entry" and table:
+        del table[rng.choice(list(table))]
+    elif kind == "non-morphism value" and table:
+        table[rng.choice(list(table))] = rng.choice(ODD_LABELS)
+    elif kind == "non-morphism unit":
+        units.insert(rng.randint(0, len(units)), rng.choice(ODD_LABELS))
+    elif kind == "off-set compose entry":
+        rng.choice(rows)[rng.randrange(3)] = rng.choice(ODD_LABELS)
+    elif kind == "non-scalar label":
+        slots = [(units, k) for k in range(len(units))] + [(t, m) for t in map(doc.get, TABLES) for m in t]
+        node, key = rng.choice(slots + [(row, c) for row in rows for c in range(3)])
+        node[key] = copy.deepcopy(rng.choice(NON_SCALARS))
+    elif kind == "axiom failure":
+        if rng.random() < 0.4:
+            del rows[rng.randrange(len(rows))]
+        else:
+            target = rng.choice([rng.choice(rows), doc["range"], doc["inverse"]])
+            key = 2 if isinstance(target, list) else rng.choice(list(target) or [None])
+            target[key] = rng.choice(points)
+
+
+GROUPOID_FAULTS = ("repeated pair", "missing table entry", "non-morphism value", "non-morphism unit",
+                   "off-set compose entry", "non-scalar label", "axiom failure")
+
+
+def test_fingroupoid_parse_matches_the_label_path():
+    rng = random.Random(1207)
+    seen = collections.Counter()
+    for g in oracle_groupoids():
+        base = sz.groupoid_to_json(g)
+        for trial in range(240):
+            doc = copy.deepcopy(base)
+            if trial % 8 == 0:  # valid: rows, units and keys in another order
+                rng.shuffle(doc["compose"])
+                rng.shuffle(doc["units"])
+                doc["range"] = dict(rng.sample(list(doc["range"].items()), len(doc["range"])))
+            else:
+                for kind in rng.choices(GROUPOID_FAULTS, k=rng.randint(2, 3)):
+                    fault_groupoid(doc, kind, rng)
+            want = outcome(reference_groupoid_from_json, copy.deepcopy(doc))
+            got = outcome(sz.groupoid_from_json, doc)
+            if isinstance(want, str):
+                assert got == want, doc
+                seen[want.split(" (at ")[0]] += 1
+            else:
+                assert same_groupoid(got, want) and same_groupoid(got, g)
+                seen["valid"] += 1
+    # the first fault is of every kind, and the valid documents parse alike
+    for reported in ("SchemaError: pair (", "SchemaError: range undefined on ", "SchemaError: inverse(",
+                     "SchemaError: unit ", "SchemaError: composition entry (", "SchemaError: expected a scalar label",
+                     "SchemaError: composition defined on (", "SchemaError: range/source of a composite", "valid"):
+        assert any(k.startswith(reported) for k in seen), (reported, seen)
+
+
+def collide_groupoid() -> gp.FinGroupoid:
+    """Two units, 1 and "1", whose canonical labels are both "1"."""
+    points = (1, "1", "u")
+    return label_groupoid(fs.discrete(points), points, {p: p for p in points}, {p: p for p in points},
+                          {(p, p): p for p in points}, {p: p for p in points})
+
+
+def fault_cocycle(doc, kind, rng, groupoid):
+    """Put one fault of ``kind`` into a two_cocycle/1 document, at random."""
+    rows, labels = doc["table"], [sz.canonical_label(m) for m in groupoid.morphisms]
+    k = rng.randrange(len(rows))
+    row = rng.choice([r for r in rows if isinstance(r, list) and len(r) == 3] or [[None] * 3])
+    if kind == "row shape":
+        rows[k] = rng.choice([row[:2], row + [0], "x", 5, None, {"a": 1}])
+    elif kind == "unknown morphism":
+        row[rng.randrange(2)] = copy.deepcopy(rng.choice(ODD_LABELS + NON_SCALARS))
+    elif kind == "repeated pair":
+        rows.insert(rng.randint(0, len(rows)), [*row[:2], rng.randrange(5)])
+    elif kind == "non-integer value":
+        row[2] = copy.deepcopy(rng.choice((1.5, 2.0, "3", True, None, [1])))
+    elif kind == "non-composable pair":
+        a, b = np.argwhere(groupoid.pair_id < 0)[rng.randrange(int((groupoid.pair_id < 0).sum()))]
+        row[:2] = [labels[a], labels[b]]
+    elif kind == "order below 1":
+        doc["n"] = rng.choice((0, -1, -7))
+
+
+COCYCLE_FAULTS = ("row shape", "unknown morphism", "repeated pair", "non-integer value", "order below 1")
+
+
+def test_cocycle_parse_matches_the_label_path():
+    rng = random.Random(1207)
+    seen = collections.Counter()
+    # with several units there are non-composable pairs; the last case's
+    # labels collide, which is named before any row
+    cases = [(g, n) for g, n in zip(oracle_groupoids(), (6, 2**62 + 1, 4, 3))] + [(collide_groupoid(), 2)]
+    for g, n in cases:
+        pairs = g.pairs[0].size
+        base = sz.cocycle_to_json(tw.TwoCocycle.from_values(g, n, [rng.randrange(n) for _ in range(pairs)]))
+        kinds = COCYCLE_FAULTS + (("non-composable pair",) if (g.pair_id < 0).any() else ())
+        for trial in range(200):
+            doc = copy.deepcopy(base)
+            if trial % 8 == 0:  # valid, with rows left out and in another order
+                doc["table"] = rng.sample(doc["table"], rng.randint(0, len(doc["table"])))
+            else:
+                for kind in rng.choices(kinds, k=rng.randint(2, 3)):
+                    fault_cocycle(doc, kind, rng, g)
+            want = outcome(reference_cocycle_from_json, copy.deepcopy(doc), g)
+            got = outcome(sz.cocycle_from_json, doc, g)
+            if isinstance(want, str):
+                assert got == want, doc
+                seen[want.split(" (at ")[0]] += 1
+            else:
+                assert got.n == want.n and got.values.dtype == want.values.dtype
+                assert np.array_equal(got.values, want.values)
+                seen["valid"] += 1
+    for reported in ("SchemaError: table rows are [a, b, value]", "SchemaError: unknown morphism in ",
+                     "SchemaError: pair ", "SchemaError: expected int, got ", "SchemaError: table entry on non-composable pair ",
+                     "SchemaError: cocycle order must be positive", "SchemaError: morphism labels collide at ",
+                     "SchemaError: expected a scalar label, got list", "valid"):
+        assert any(k.startswith(reported) for k in seen), (reported, seen)

@@ -16,7 +16,7 @@ from groupoidlab import serialize
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from groupoidlab.modlin import solve_mod
-from helpers import product_group
+from helpers import inverse_map, label_cocycle, label_groupoid, product_group
 
 
 def pair_groupoid(points):
@@ -74,7 +74,7 @@ def test_missing_entry_error():
     g = pair_groupoid((1, 2))
     table = {p: 0 for p in g.composable_pairs()}
     del table[((1, 2), (2, 1))]
-    sigma = tw.TwoCocycle(g, 4, table)
+    sigma = label_cocycle(g, 4, table)
     with pytest.raises(tw.CocycleError) as err:
         tw.verify_two_cocycle(sigma)
     assert err.value.code == "MISSING_ENTRY"
@@ -105,7 +105,7 @@ def test_verify_matches_loop_reference():
             assert tw.verify_two_cocycle(sigma) == loop_verify(sigma)
             table = dict(sigma.table)
             del table[rng.choice(pairs)]
-            missing = tw.TwoCocycle(g, 6, table)
+            missing = label_cocycle(g, 6, table)
             with pytest.raises(tw.CocycleError) as got:
                 tw.verify_two_cocycle(missing)
             with pytest.raises(tw.CocycleError) as want:
@@ -141,7 +141,7 @@ def test_witness_matches_shift():
     n = 6
     base = tw.coboundary_twist(random_cochain(rng, g, n))
     b0 = random_cochain(rng, g, n)
-    shifted = tw.TwoCocycle(
+    shifted = label_cocycle(
         g,
         n,
         {p: base.value(*p) + tw.coboundary_twist(b0).value(*p) for p in g.composable_pairs()},
@@ -156,7 +156,7 @@ def test_non_cohomologous_detected_on_group():
     # Z/2 as a one-unit groupoid; sigma(g,g)=1 mod 2 is the extension
     # Z/4 and is not a coboundary (b(g) free gives db(g,g) = 2b(g) = 0)
     topo = fs.discrete(("e", "g"))
-    grp = gp.FinGroupoid(
+    grp = label_groupoid(
         topo,
         units=["e"],
         range_map={"e": "e", "g": "e"},
@@ -164,7 +164,7 @@ def test_non_cohomologous_detected_on_group():
         compose={("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"},
         inverse={"e": "e", "g": "g"},
     )
-    sigma = tw.TwoCocycle(
+    sigma = label_cocycle(
         grp, 2, {("e", "e"): 0, ("e", "g"): 0, ("g", "e"): 0, ("g", "g"): 1}
     )
     assert tw.verify_two_cocycle(sigma).valid
@@ -249,10 +249,10 @@ def test_generator_equations_agree_with_all_pairs():
         non_loop_first += g.range_idx[first] != g.source_idx[first]
         pairs = g.composable_pairs()
         cob = tw.coboundary_twist(random_cochain(rng, g, n))
-        carried = tw.TwoCocycle(g, n, {p: cob.value(*p) + carry[p] for p in pairs})
+        carried = label_cocycle(g, n, {p: cob.value(*p) + carry[p] for p in pairs})
         unit_pair = next(p for p in pairs if p[0] in g.units and p[1] not in g.units)
         cases = [cob, carried, cob.shift(unit_pair, 1)]  # the last is not normalized
-        cases.append(tw.TwoCocycle(g, n, {p: rng.randrange(n) for p in pairs}))
+        cases.append(label_cocycle(g, n, {p: rng.randrange(n) for p in pairs}))
         cases.append(carried.shift(rng.choice(pairs), rng.randrange(1, n)))
         for sigma in cases:
             b = tw.are_cohomologous(sigma, tw.TwoCocycle.trivial(g, n))
@@ -303,7 +303,7 @@ def test_generator_triples_decide_the_identity_as_the_full_sweep():
         assert not gp.groupoid_properties(g).principal
         pairs = g.composable_pairs()
         cob = tw.coboundary_twist(random_cochain(rng, g, n))
-        cases = [cob, tw.TwoCocycle(g, n, {p: rng.randrange(n) for p in pairs})]
+        cases = [cob, label_cocycle(g, n, {p: rng.randrange(n) for p in pairs})]
         # one entry shifted, on non-unit pairs so that normalization holds
         inner = [p for p in pairs if p[0] not in g.units and p[1] not in g.units]
         cases += [cob.shift(p, rng.randrange(1, n)) for p in rng.sample(inner, min(len(inner), 12))]
@@ -314,7 +314,7 @@ def test_generator_triples_decide_the_identity_as_the_full_sweep():
         for _ in range(3):
             table = dict(cases[rng.randrange(len(cases))].table)
             del table[rng.choice(pairs)]
-            missing = tw.TwoCocycle(g, n, table)
+            missing = label_cocycle(g, n, table)
             with pytest.raises(tw.CocycleError) as want:
                 sweep_verify(missing)
             with pytest.raises(tw.CocycleError) as got:
@@ -379,12 +379,13 @@ def test_cached_generators_match_the_greedy_reference(monkeypatch):
 
 
 MISMATCH = """
-from groupoidlab import finspace as fs, groupoid as gp, twist as tw
+from groupoidlab import finspace as fs, twist as tw
 from groupoidlab.errors import InternalCheckFailure
 from groupoidlab.modlin import ModSolveResult
+from helpers import label_groupoid
 
 elems = range(6)
-g = gp.FinGroupoid(
+g = label_groupoid(
     fs.discrete(elems), [0], dict.fromkeys(elems, 0), dict.fromkeys(elems, 0),
     {(a, b): (a + b) % 6 for a in elems for b in elems}, {a: -a % 6 for a in elems},
 )
@@ -403,7 +404,8 @@ except InternalCheckFailure:
 def test_witness_mismatch_raises_under_python_O():
     # a mismatch on a table that is not a cocycle is a verdict (None);
     # on a valid cocycle it is an internal failure, also under -O
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(tw.__file__).parent.parent)}
+    paths = (pathlib.Path(tw.__file__).parent.parent, pathlib.Path(__file__).parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
     proc = subprocess.run([sys.executable, "-O", "-c", MISMATCH], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["None", "raised"]
@@ -447,18 +449,16 @@ def test_extension_rejects_foreign_cocycle():
 def reference_extension(groupoid, sigma):
     """Z_n x G from dict tables of labels, reading sigma entry by entry:
     at (m, m^{-1}) for each morphism, then at every composable pair."""
-    n = sigma.n
+    n, inv = sigma.n, inverse_map(groupoid)
     morphs = [(z, m) for z in range(n) for m in groupoid.morphisms]
     mo = {(z, m): {(z, m2) for m2 in groupoid.topology.min_open(m)} for (z, m) in morphs}
-    inverse = {
-        (z, m): ((-z - sigma.value(m, groupoid.inverse[m])) % n, groupoid.inverse[m]) for (z, m) in morphs
-    }
+    inverse = {(z, m): ((-z - sigma.value(m, inv[m])) % n, inv[m]) for (z, m) in morphs}
     compose = {}
     for (a, b) in groupoid.composable_pairs():
         for w in range(n):
             for z in range(n):
                 compose[((w, a), (z, b))] = ((w + z + sigma.value(a, b)) % n, groupoid.compose[(a, b)])
-    return gp.FinGroupoid(
+    return label_groupoid(
         fs.FinSpace(morphs, mo),
         [(0, u) for u in groupoid.units],
         {(z, m): (0, groupoid.range_map[m]) for (z, m) in morphs},
@@ -471,7 +471,7 @@ def reference_extension(groupoid, sigma):
 def cyclic_group(order):
     """Z/order as a one-unit groupoid with the discrete topology."""
     elems = tuple(range(order))
-    return gp.FinGroupoid(
+    return label_groupoid(
         fs.discrete(elems), [0], {a: 0 for a in elems}, {a: 0 for a in elems},
         {(a, b): (a + b) % order for a in elems for b in elems}, {a: -a % order for a in elems},
     )
@@ -498,11 +498,11 @@ def extension_cases():
         n = rng.randint(1, 5)
         yield g, tw.coboundary_twist(random_cochain(rng, g, n))
         table = {p: 0 if p[0] in g.units or p[1] in g.units else rng.randrange(n) for p in g.composable_pairs()}
-        yield g, tw.TwoCocycle(g, n, table)
+        yield g, label_cocycle(g, n, table)
     for a in (2, 3, 4):
         g = cyclic_group(a)
         n = a * rng.randint(1, 2)
-        yield g, tw.TwoCocycle(g, n, {(x, y): (n // a) * ((x + y) // a) for x, y in g.composable_pairs()})
+        yield g, label_cocycle(g, n, {(x, y): (n // a) * ((x + y) // a) for x, y in g.composable_pairs()})
 
 
 def test_extension_index_matches_the_dict_construction():
@@ -524,7 +524,7 @@ def test_extension_index_matches_the_dict_construction():
         for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id"):
             assert np.array_equal(getattr(ext, name), getattr(want, name)), name
         assert all(np.array_equal(a, b) for a, b in zip(ext.pairs, want.pairs))
-        for name in ("units", "range_map", "source_map", "inverse", "compose"):
+        for name in ("units", "range_map", "source_map", "compose"):
             assert getattr(ext, name) == getattr(want, name), name
         built += 1
     assert built > 150 and failed > 50
@@ -539,7 +539,7 @@ def test_extension_index_matches_the_dict_construction():
 def test_extension_names_the_same_missing_entry(dropped):
     g = pair_groupoid((1, 2, 3))
     table = {p: 0 for p in g.composable_pairs() if p not in dropped}
-    sigma = tw.TwoCocycle(g, 3, table)
+    sigma = label_cocycle(g, 3, table)
     with pytest.raises(tw.CocycleError) as want:
         reference_extension(g, sigma)
     with pytest.raises(tw.CocycleError) as got:
@@ -840,7 +840,7 @@ def test_transported_cocycles_cohomologous_for_shifted_lambda():
     table = {}
     for (a, b), v in sigma2_far.table.items():
         table[(a, b)] = v
-    sigma2 = tw.TwoCocycle(doubled.relation, n, table)
+    sigma2 = label_cocycle(doubled.relation, n, table)
     witness = tw.are_cohomologous(sigma1, sigma2)
     assert witness is not None
     db = tw.coboundary_twist(witness)
@@ -854,7 +854,7 @@ def test_orbit_space_of_plain_groupoid():
     from groupoidlab import groupoid as gp
 
     topo = fs.discrete(("e", "g"))
-    grp = gp.FinGroupoid(
+    grp = label_groupoid(
         topo,
         units=["e"],
         range_map={"e": "e", "g": "e"},
