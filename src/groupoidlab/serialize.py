@@ -5,7 +5,10 @@ is canonical: keys sorted, point identifiers rendered through one label
 function, lists in deterministic order, so that parse-then-emit is the
 identity on canonical form.  Errors carry a JSON-pointer-style path.
 ``parse_json`` reads every document and rejects an object that writes a
-key twice, which plain ``json`` would collapse to its last value.
+key twice, which plain ``json`` would collapse to its last value.  The
+readers of ``fingroupoid/1`` and ``two_cocycle/1`` are the only code
+that numbers labels: each reads its tables and rows once into the int
+arrays that ``FinGroupoid`` and ``TwoCocycle`` take.
 """
 
 from __future__ import annotations
@@ -62,13 +65,6 @@ def _path_to(node: Any, target: dict, path: str) -> str | None:
     return None
 
 
-def _depth(text: str) -> int:
-    """The deepest nesting of lists and objects in the JSON ``text``; a
-    string is matched whole, so no bracket inside it counts."""
-    brackets = re.findall(r'"(?:[^"\\]|\\.)*"|([][{}])', text)
-    return max(itertools.accumulate((b in "[{") - (b in "]}") for b in brackets if b), default=0)
-
-
 def parse_json(text: str) -> Any:
     """Parse a JSON document, raising ``SchemaError`` at the first object
     (in the order the parser closes them) that writes a key twice; the
@@ -86,7 +82,10 @@ def parse_json(text: str) -> Any:
     try:
         doc = json.loads(text, object_pairs_hook=unique)
     except RecursionError:
-        raise SchemaError(f"document nested too deeply ({_depth(text)} levels)")
+        # the depth, with each string matched whole so that no bracket in it counts
+        brackets = re.findall(r'"(?:[^"\\]|\\.)*"|([][{}])', text)
+        depth = max(itertools.accumulate((b in "[{") - (b in "]}") for b in brackets if b), default=0)
+        raise SchemaError(f"document nested too deeply ({depth} levels)")
     if repeated:
         obj, key = repeated[0]
         raise SchemaError(f"key {key!r} written twice in one object", f"{_path_to(doc, obj, '/')}/{key}")

@@ -83,7 +83,7 @@ def label_cocycle(groupoid: gp.FinGroupoid, n: int, table) -> tw.TwoCocycle:
     k = groupoid.pair_id[[index[a] for a, _ in table], [index[b] for _, b in table]]
     if (k < 0).any():
         raise ValueError("a table entry on a non-composable pair")
-    values = np.full(len(groupoid.pairs[0]), -1, dtype=np.int64 if n < 2**61 else object)
+    values = np.full(len(groupoid.pairs[0]), -1, dtype=tw._value_dtype(n))
     values[k] = [v % n for v in table.values()]
     return tw.TwoCocycle(groupoid, n, values)
 
