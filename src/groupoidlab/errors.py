@@ -8,6 +8,15 @@ class InternalCheckFailure(Exception):
     argument as the partial result."""
 
 
-class SizeCapError(ValueError):
+class InputError(ValueError):
+    """An input error.  Given a ``path``, a JSON pointer into the
+    document, the message ends with where the fault is."""
+
+    def __init__(self, message: str, path: str | None = None):
+        super().__init__(message if path is None else f"{message} (at {path})")
+        self.path = path
+
+
+class SizeCapError(InputError):
     """An input beyond a documented size cap, rejected before the work
     that would exceed it; an input error like any other."""

@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import InputError, SizeCapError
 from .finspace import FinSpace, SpaceMap
 from .labels import canonical_label
 from .graphfell import DirectedGraph, PeriodicGraph
@@ -28,10 +28,9 @@ from .groupoid import FinGroupoid, RelationGroupoid, build_relation_groupoid
 from .twist import CechData, TwoCocycle, _value_dtype
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     def __init__(self, message: str, path: str = "/"):
-        super().__init__(f"{message} (at {path})")
-        self.path = path
+        InputError.__init__(self, message, path)
 
 
 def _expect(doc: Any, kind: type, path: str):
@@ -192,7 +191,7 @@ def groupoid_from_json(doc: Mapping, path: str = "/") -> FinGroupoid:
         try:
             return build_relation_groupoid(psi)
         except SizeCapError as err:
-            raise SizeCapError(f"{err} (at {path}/psi)")
+            raise SizeCapError(str(err), path + "/psi") from err
         except ValueError as err:
             raise SchemaError(str(err), path + "/psi")
     topology = space_from_json(
@@ -228,8 +227,7 @@ def _number_tables(topology: FinSpace, units: list, tables: Mapping, rows: list,
     missing or names no morphism; then a unit, then a compose row, that
     names none.  A list or object label met on the way is named by
     ``_reject_non_scalar``, which looks at the units, the tables and the
-    rows in that order.  The rows are numbered in one pass, and walked
-    one by one only to find a fault."""
+    rows in that order."""
     index = topology._index
     try:
         if len({(a, b) for a, b, _ in rows}) < len(rows):
@@ -247,14 +245,11 @@ def _number_tables(topology: FinSpace, units: list, tables: Mapping, rows: list,
         for u in units:
             if u not in index:
                 raise SchemaError(f"unit {u!r} is not a morphism", path)
-        try:
-            flat = [index.get(x, -1) for row in rows for x in row]
-        except TypeError:
-            flat = [-1]
-        if -1 in flat:
-            for a, b, ab in rows:
-                if a not in index or b not in index or ab not in index:
-                    raise SchemaError(f"composition entry ({a!r},{b!r})->{ab!r} off the morphism set", path)
+        flat = []
+        for a, b, ab in rows:
+            if a not in index or b not in index or ab not in index:
+                raise SchemaError(f"composition entry ({a!r},{b!r})->{ab!r} off the morphism set", path)
+            flat += index[a], index[b], index[ab]
     except TypeError:
         _reject_non_scalar(_members(units, path + "/units"))
         for name, table in tables.items():
@@ -287,41 +282,33 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
         lab = next(x for k, x in enumerate(labels) if x in labels[:k])
         raise SchemaError(f"morphism labels collide at {lab!r}")
     rows = _expect(doc.get("table"), list, path + "/table")
-    try:
-        ends = np.array([(number[a], number[b]) for a, b, _ in rows], dtype=np.int64).reshape(-1, 2)
-        values = [v for _, _, v in rows]
-        clean = all(isinstance(row, list) for row in rows) and all(type(v) is int for v in values)
-    except (KeyError, TypeError, ValueError):
-        clean = False
-    if not clean or len(np.unique(ends[:, 0] * len(groupoid) + ends[:, 1])) < len(rows):
-        # the first faulty row, and within it the first fault in this order
-        seen = set()
-        for k, row in enumerate(rows):
-            at = f"{path}/table/{k}"
-            if not (isinstance(row, list) and len(row) == 3):
-                raise SchemaError("table rows are [a, b, value]", at)
-            a, b, v = row
-            try:
-                known = a in number and b in number
-            except TypeError:
-                _reject_non_scalar(_members(row, at))
-                raise
-            if not known:
-                raise SchemaError(f"unknown morphism in ({a!r},{b!r})", at)
-            if (number[a], number[b]) in seen:
-                raise SchemaError(f"pair ({a!r},{b!r}) listed twice", at)
-            seen.add((number[a], number[b]))
-            _expect_int(v, path, "table", k, 2)
+    entries = {}
+    for k, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == 3):
+            raise SchemaError("table rows are [a, b, value]", f"{path}/table/{k}")
+        a, b, v = row
+        try:
+            known = a in number and b in number
+        except TypeError:
+            _reject_non_scalar(_members(row, f"{path}/table/{k}"))
+            raise
+        if not known:
+            raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
+        key = number[a], number[b]
+        if key in entries:
+            raise SchemaError(f"pair ({a!r},{b!r}) listed twice", f"{path}/table/{k}")
+        entries[key] = _expect_int(v, path, "table", k, 2)
     try:
         dtype = _value_dtype(n)
     except ValueError as err:
         raise SchemaError(str(err), path + "/table")
+    ends = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
     pid = groupoid.pair_id[ends[:, 0], ends[:, 1]]
     if (pid < 0).any():
         a, b = (groupoid.morphisms[x] for x in ends[int(np.argmax(pid < 0))])
         raise SchemaError(f"table entry on non-composable pair ({a!r},{b!r})", path + "/table")
     out = np.full(len(groupoid.pairs[0]), -1, dtype=dtype)
-    out[pid] = [v % n for v in values]
+    out[pid] = [v % n for v in entries.values()]
     return TwoCocycle(groupoid, n, out)
 
 

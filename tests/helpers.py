@@ -14,6 +14,7 @@ from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
+from groupoidlab.labels import canonical_label
 
 
 def chain_space() -> fs.FinSpace:
@@ -76,16 +77,11 @@ def label_groupoid(topology: fs.FinSpace, units, range_map, source_map, compose,
 
 
 def label_cocycle(groupoid: gp.FinGroupoid, n: int, table) -> tw.TwoCocycle:
-    """The cocycle with ``table``'s values, reduced mod n, at its pairs of
-    labels, placed through ``pair_id``; pairs without an entry stay
+    """The cocycle with ``table``'s values at its pairs of labels, read
+    as a ``two_cocycle/1`` document; pairs without an entry stay
     missing."""
-    index = groupoid.index
-    k = groupoid.pair_id[[index[a] for a, _ in table], [index[b] for _, b in table]]
-    if (k < 0).any():
-        raise ValueError("a table entry on a non-composable pair")
-    values = np.full(len(groupoid.pairs[0]), -1, dtype=tw._value_dtype(n))
-    values[k] = [v % n for v in table.values()]
-    return tw.TwoCocycle(groupoid, n, values)
+    rows = [[canonical_label(a), canonical_label(b), int(v)] for (a, b), v in table.items()]
+    return sz.cocycle_from_json({"schema": "two_cocycle/1", "n": n, "table": rows}, groupoid)
 
 
 def inverse_map(groupoid: gp.FinGroupoid) -> dict:
