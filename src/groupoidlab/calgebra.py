@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Mapping
 
@@ -64,6 +64,7 @@ from .groupoid import (
     build_relation_groupoid,
     groupoid_properties,
     pair_groupoid_index,
+    pair_groupoid_layout,
 )
 from .twist import (
     CechData,
@@ -164,7 +165,7 @@ def structure_constants(sigma: TwoCocycle) -> tuple:
         g = sigma.groupoid
         roots = np.array(_roots(sigma.n))
         phases = roots[sigma.on_pairs(np.arange(len(g.pairs[0])))]
-        stars = roots[sigma.on_pairs(g.pair_id[g.inverse_idx, np.arange(len(g.morphisms))])].conj()
+        stars = roots[sigma.on_pairs(g.inverse_pairs)].conj()
         cached = sigma._structure_constants = (g, phases, stars)
     return cached
 
@@ -203,9 +204,17 @@ def involute(f: AlgebraElement) -> AlgebraElement:
 
 @dataclass(frozen=True)
 class InducedRep:
+    """The matrix of an induced representation at ``unit``; ``basis``, the
+    source fiber's morphisms, is listed when first read."""
+
     unit: Hashable
-    basis: tuple
     matrix: np.ndarray
+    groupoid: FinGroupoid = field(repr=False)
+    row: np.ndarray = field(repr=False)  # the first row's pairs, whose second factors are the basis
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple([self.groupoid.morphisms[c] for c in self.groupoid.pairs[1][self.row].tolist()])
 
 
 def induced_rep(u: Hashable, f: AlgebraElement) -> InducedRep:
@@ -223,8 +232,7 @@ def induced_rep(u: Hashable, f: AlgebraElement) -> InducedRep:
     cells, first, start, size, _ = gp.fiber_cells
     o, d = start.item(gp.index[u]), size.item(gp.index[u])
     k = cells[o:o + d * d]
-    basis = tuple([gp.morphisms[c] for c in gp.pairs[1][k[:d]].tolist()])
-    return InducedRep(u, basis, _mul(f.vec[first[o:o + d * d]], phases[k]).reshape(d, d))
+    return InducedRep(u, _mul(f.vec[first[o:o + d * d]], phases[k]).reshape(d, d), gp, k[:d])
 
 
 def operator_norm(matrices: np.ndarray) -> float:
@@ -339,11 +347,12 @@ def matrix_unit_groupoid(blocks: Mapping, n: int = 1, lam: Callable | None = Non
     e_ij e_jk = zeta^{-lam(i,j,k)} e_ik and e_ij* = e_ji.  The keys run
     label by label, row-major within a block, which is the numbering of
     ``pair_groupoid_index``, so the groupoid carries the verified index
-    shared by every pair-groupoid union with these block sizes.
-    Returns the cocycle, which carries the groupoid."""
+    and the layout shared by every pair-groupoid union with these block
+    sizes.  Returns the cocycle, which carries the groupoid."""
     keys = [(i, j, label) for label, idx in blocks.items() for i in idx for j in idx]
+    sizes = tuple(len(idx) for idx in blocks.values())
     groupoid = FinGroupoid.__new__(FinGroupoid)
-    groupoid._attach(discrete(keys), *pair_groupoid_index(tuple(len(idx) for idx in blocks.values())))
+    groupoid._attach(discrete(keys), *pair_groupoid_index(sizes), pair_groupoid_layout(sizes))
     if lam is None:
         return TwoCocycle.trivial(groupoid, n)
     pa, pb, _ = groupoid.pairs

@@ -4,7 +4,9 @@ A groupoid is stored as its morphism set with a finite-space topology on
 the morphisms, and as an integer index: arrays for range, source and
 inverse, and the composable pairs with their composites in row-major
 order.  The n x n table ``pair_id`` that numbers the pairs is built from
-them on first use, per groupoid.  The unit space always carries the
+them on first use, per groupoid; what the algebra derives from the index
+arrays alone (``orbit_idx``, ``fiber_cells``, ``inverse_pairs``) lives in
+an ``IndexLayout``, built on first use.  The unit space always carries the
 subspace topology.  The one constructor takes index arrays, sorts the
 pairs row-major and runs ``verify_axioms``, which checks every axiom
 (composability, range and source of composites, unit and inverse laws,
@@ -25,12 +27,16 @@ psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
 and whose topology is the restriction of the product topology on Y x Y.
 As an algebraic groupoid it is the disjoint union of the pair groupoids
 on the fibers of psi, so its index depends only on the tuple of fiber
-sizes: ``pair_groupoid_index`` installs and verifies it once per tuple
-of up to ``PAIR_INDEX_MORPHISMS`` morphisms, and every
-``RelationGroupoid`` with those sizes attaches the same read-only arrays
-to its own topology.  That topology comes from
-``product_masks``, which pulls the product topology of a space on the
-units back along r x s on any groupoid's own numbering.  ``fell_check``
+sizes.  Per tuple of up to ``PAIR_INDEX_MORPHISMS`` morphisms, one
+read-only cache entry of each kind is built on first use and shared by
+every ``RelationGroupoid`` and matrix-unit groupoid with those sizes:
+the index, installed and verified once (``pair_groupoid_index``), and
+its layout (``pair_groupoid_layout``).  Each groupoid attaches them to
+its own topology and keeps its own ``pair_id``, orbits and property
+cache.  The topology of R(psi) comes from ``product_masks``, which
+pulls the product topology of a space on the units back along r x s on
+any groupoid's own numbering; ``relation_masks`` memoizes it on the
+fiber sizes and Y's masks at the units.  ``fell_check``
 calls the same routine for R(q), the relation groupoid of the orbit
 quotient: r x s of a principal groupoid is a bijection onto R(q), so
 R(q) is never built as a space of its own.
@@ -60,8 +66,10 @@ from .labels import canonical_label
 # most composable triples in one block of ``FinGroupoid.triple_join``
 TRIPLE_CHUNK = 1 << 16
 
-# most fiber-size tuples whose verified index ``pair_groupoid_index``
-# keeps; all 255 tuples of at most 8 points fit with room to spare
+# most entries of each per-shape cache: the fiber-size tuples of
+# ``pair_groupoid_index`` and ``pair_groupoid_layout``, and the (sizes,
+# masks of Y) of ``relation_masks``; all 255 tuples of at most 8 points
+# fit with room to spare
 PAIR_INDEX_CACHE = 512
 
 # most morphisms in a pair-groupoid union: one 64-point fiber, twice the
@@ -81,6 +89,79 @@ class NonPrincipalError(ValueError):
     code = "NON_PRINCIPAL"
 
 
+class IndexLayout:
+    """What the algebra derives from a groupoid's index arrays alone:
+    ``orbit_idx``, ``fiber_cells`` and ``inverse_pairs``, each built on
+    first use and read-only.  Nothing here reads the labels, the topology
+    or ``pair_id``, so a pair-groupoid union reads the one layout that
+    ``pair_groupoid_layout`` keeps for its fiber sizes."""
+
+    def __init__(self, range_idx, source_idx, inverse_idx, unit_mask, pairs):
+        self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
+        self.unit_mask, self.pairs = unit_mask, pairs
+
+    @cached_property
+    def orbit_idx(self) -> np.ndarray:
+        """The orbit of each unit, named by its lowest-numbered unit: the
+        least r(m) over the m with s(m) = u, which is the same for every
+        unit of the orbit.  Morphisms that are not units hold the
+        morphism count."""
+        n = len(self.range_idx)
+        first = np.full(n, n)
+        np.minimum.at(first, self.source_idx, self.range_idx)
+        first.flags.writeable = False
+        return first
+
+    @cached_property
+    def fiber_cells(self) -> tuple:
+        """Every unit's induced matrix as a run of one permutation of the
+        pairs, (cells, first, start, size, blocks).  The pair (b, c) with
+        s(c) = u is the entry of u's size[u] x size[u] matrix at the fiber
+        positions of bc and c, once each, as b -> bc maps s^-1(r(c)) onto
+        s^-1(u).  ``cells`` holds the pair numbers and ``first`` their b
+        in cell order, each matrix row-major from start[u], so its first
+        row's c are the fiber in morphism order.  The orbit
+        representatives (named by ``orbit_idx``) lead, by fiber size and
+        then number; ``blocks`` holds (offset, m, d) for the m size-d
+        ones."""
+        n, src = len(self.range_idx), self.source_idx
+        size = np.bincount(src, minlength=n)
+        # each morphism's position in its source fiber, in morphism order
+        order = src.argsort(kind="stable")
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n) - (size.cumsum() - size)[src[order]]
+        units = np.flatnonzero(self.unit_mask)
+        rep = self.orbit_idx[units] == units
+        units = units[np.lexsort((units, size[units], ~rep))]
+        area = size[units] ** 2
+        start = np.zeros(n, dtype=np.int64)
+        start[units] = area.cumsum() - area
+        pa, pb, pc = self.pairs
+        u = src[pb]
+        cells = np.empty(len(pa), dtype=np.int64)
+        cells[start[u] + pos[pc] * size[u] + pos[pb]] = np.arange(len(pa))
+        arrays = (cells, pa[cells], start, size)
+        for a in arrays:
+            a.flags.writeable = False
+        blocks, offset = [], 0
+        for d, m in enumerate(np.bincount(size[units[: rep.sum()]]).tolist()):
+            if m:
+                blocks.append((offset, m, d))
+                offset += m * d * d
+        return (*arrays, tuple(blocks))
+
+    @cached_property
+    def inverse_pairs(self) -> np.ndarray:
+        """The number of the pair (m^-1, m) for each morphism m.  The
+        pairs are row-major, so their keys a n + b ascend and each is
+        found by bisection."""
+        pa, pb, _ = self.pairs
+        n = len(self.range_idx)
+        out = np.searchsorted(pa * n + pb, self.inverse_idx * n + np.arange(n))
+        out.flags.writeable = False
+        return out
+
+
 class FinGroupoid:
     """A finite topological groupoid, held as its integer index.
 
@@ -92,10 +173,12 @@ class FinGroupoid:
     on first use.  The constructor sorts and verifies an index, and
     ``_attach`` puts a verified one on a topology; a pair-groupoid union
     attaches the read-only arrays ``pair_groupoid_index`` shares between
-    every groupoid with the same block sizes.  ``orbit_idx``,
-    ``fiber_cells``, ``units`` and the label tables ``range_map``,
-    ``source_map`` and ``compose`` are derived from the index on first
-    use.  ``principal`` is set by ``verify_axioms``.
+    every groupoid with the same block sizes, and the layout
+    ``pair_groupoid_layout`` shares beside them.  ``orbit_idx``,
+    ``fiber_cells`` and ``inverse_pairs`` are read from ``layout``;
+    ``units`` and the label tables ``range_map``, ``source_map`` and
+    ``compose`` are derived from the index on first use, per groupoid.
+    ``principal`` is set by ``verify_axioms``.
     """
 
     def __init__(self, topology: FinSpace, range_idx, source_idx, inverse_idx, unit_mask, pairs):
@@ -109,14 +192,16 @@ class FinGroupoid:
         self._attach(topology, *structure, np.asarray(unit_mask, dtype=bool), (pa[order], pb[order], pc[order]), None)
         self.verify_axioms()
 
-    def _attach(self, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs, principal) -> None:
+    def _attach(self, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs, principal, layout=None) -> None:
         """Put an index on the points of ``topology``, as it is (no copy
-        and no check), with empty per-groupoid caches."""
+        and no check), with empty per-groupoid caches, and ``layout`` on
+        it, a fresh one over these arrays by default."""
         self.topology = topology
         self.morphisms = topology.points
         self.index = topology._index
         self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
         self.unit_mask, self.pairs, self.principal = unit_mask, pairs, principal
+        self.layout = layout or IndexLayout(range_idx, source_idx, inverse_idx, unit_mask, pairs)
         self._props_cache = None
         self._orbits = None
         self._generators = None
@@ -153,53 +238,17 @@ class FinGroupoid:
         m = self.morphisms
         return {(m[a], m[b]): m[c] for a, b, c in zip(*(p.tolist() for p in self.pairs))}
 
-    @cached_property
+    @property
     def orbit_idx(self) -> np.ndarray:
-        """The orbit of each unit, named by its lowest-numbered unit: the
-        least r(m) over the m with s(m) = u, which is the same for every
-        unit of the orbit.  Morphisms that are not units hold len(self)."""
-        n = len(self.morphisms)
-        first = np.full(n, n)
-        np.minimum.at(first, self.source_idx, self.range_idx)
-        return first
+        return self.layout.orbit_idx
 
-    @cached_property
+    @property
     def fiber_cells(self) -> tuple:
-        """Every unit's induced matrix as a run of one permutation of the
-        pairs, (cells, first, start, size, blocks).  The pair (b, c) with
-        s(c) = u is the entry of u's size[u] x size[u] matrix at the fiber
-        positions of bc and c, once each, as b -> bc maps s^-1(r(c)) onto
-        s^-1(u).  ``cells`` holds the pair numbers and ``first`` their b
-        in cell order, each matrix row-major from start[u], so its first
-        row's c are the fiber in morphism order.  The orbit
-        representatives (named by ``orbit_idx``) lead, by fiber size and
-        then number; ``blocks`` holds (offset, m, d) for the m size-d
-        ones.  Built once, from the index arrays, and read-only."""
-        n, src = len(self.morphisms), self.source_idx
-        size = np.bincount(src, minlength=n)
-        # each morphism's position in its source fiber, in morphism order
-        order = src.argsort(kind="stable")
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n) - (size.cumsum() - size)[src[order]]
-        units = np.flatnonzero(self.unit_mask)
-        rep = self.orbit_idx[units] == units
-        units = units[np.lexsort((units, size[units], ~rep))]
-        area = size[units] ** 2
-        start = np.zeros(n, dtype=np.int64)
-        start[units] = area.cumsum() - area
-        pa, pb, pc = self.pairs
-        u = src[pb]
-        cells = np.empty(len(pa), dtype=np.int64)
-        cells[start[u] + pos[pc] * size[u] + pos[pb]] = np.arange(len(pa))
-        arrays = (cells, pa[cells], start, size)
-        for a in arrays:
-            a.flags.writeable = False
-        blocks, offset = [], 0
-        for d, m in enumerate(np.bincount(size[units[: rep.sum()]]).tolist()):
-            if m:
-                blocks.append((offset, m, d))
-                offset += m * d * d
-        return (*arrays, tuple(blocks))
+        return self.layout.fiber_cells
+
+    @property
+    def inverse_pairs(self) -> np.ndarray:
+        return self.layout.inverse_pairs
 
     def orbits(self) -> tuple:
         """Orbits of the unit space, u ~ v when some morphism joins them,
@@ -406,25 +455,52 @@ def pair_groupoid_index(sizes: tuple) -> tuple:
     return (*arrays[:4], arrays[4:], g.principal)
 
 
+@lru_cache(maxsize=PAIR_INDEX_CACHE)
+def pair_groupoid_layout(sizes: tuple) -> IndexLayout:
+    """The layout of ``pair_groupoid_index(sizes)``, one per size tuple:
+    every groupoid that attaches that index reads its ``orbit_idx``,
+    ``fiber_cells`` and ``inverse_pairs`` from here, each built the first
+    time one of them asks."""
+    return IndexLayout(*pair_groupoid_index(sizes)[:5])
+
+
+@lru_cache(maxsize=PAIR_INDEX_CACHE)
+def relation_masks(sizes: tuple, base_masks: tuple) -> tuple:
+    """``product_masks`` on ``pair_groupoid_index(sizes)`` from the masks
+    of Y at its units, in unit order: the minimal opens of the product
+    topology on a relation groupoid, computed once per pair of fiber
+    sizes and topology of Y."""
+    rng, src, _, unit_mask, _, _ = pair_groupoid_index(sizes)
+    return tuple(product_masks(dict(zip(np.flatnonzero(unit_mask).tolist(), base_masks)), rng, src))
+
+
 class RelationGroupoid(FinGroupoid):
     """The groupoid of pairs identified by a surjection psi: Y -> X.
 
     Morphisms are pairs (y, z) with psi(y) = psi(z); r(y, z) = (y, y),
     s(y, z) = (z, z), (x, y)(y, z) = (x, z).  ``fibers`` lists the fibers
     of psi.  As an algebraic groupoid this is the disjoint union of the
-    pair groupoids on the fibers, so the index is ``pair_groupoid_index``
-    of the fiber sizes: verified once per size tuple and shared read-only.
+    pair groupoids on the fibers, so everything derived from the index
+    depends only on the tuple of fiber sizes and is shared read-only
+    between the groupoids with that tuple: the index itself
+    (``pair_groupoid_index``, verified once per tuple) and its layout
+    (``pair_groupoid_layout``: ``orbit_idx``, ``fiber_cells``,
+    ``inverse_pairs``).  ``pair_id``, the topology, the orbits and the
+    property cache stay per groupoid.
 
     The base space Y is kept, as ``base_masks``: the minimal open of Y
     at each y carried to the unit numbers of the (y, y).  The default
     topology on the morphisms is the product topology of Y x Y restricted
-    to them, which ``product_masks`` builds from those masks.  Orbit-space
-    constructions read Y even when a caller installs another topology on
-    the morphisms (the mismatch is what the openness test detects).
+    to them, whose masks ``relation_masks`` computes once per fiber sizes
+    and ``base_masks``; the space is built, and checked, per groupoid.
+    Orbit-space constructions read Y even when a caller installs another
+    topology on the morphisms (the mismatch is what the openness test
+    detects).
     """
 
     def __init__(self, psi: SpaceMap, fibers: Sequence[Sequence], topology: FinSpace | None = None):
-        index = pair_groupoid_index(tuple(len(f) for f in fibers))
+        sizes = tuple(len(f) for f in fibers)
+        index = pair_groupoid_index(sizes)
         y = psi.dom
         self.base, self.psi, self.fibers = y, psi, fibers
         self.base_labels = [p for f in fibers for p in f]
@@ -434,10 +510,10 @@ class RelationGroupoid(FinGroupoid):
         self.base_masks = {u: _image(unit_of, y._mo[y._index[p]]) for p, u in zip(self.base_labels, units)}
         if topology is None:
             pairs = [(a, b) for f in fibers for a in f for b in f]
-            topology = FinSpace(pairs, masks=product_masks(self.base_masks, index[0], index[1]))
+            topology = FinSpace(pairs, masks=relation_masks(sizes, tuple(self.base_masks.values())))
         elif len(topology) != len(index[0]):
             raise ValueError("the topology's points are not the pairs of the fibers")
-        self._attach(topology, *index)
+        self._attach(topology, *index, pair_groupoid_layout(sizes))
 
     def with_discrete_topology(self) -> "RelationGroupoid":
         """Same algebraic groupoid with the discrete morphism topology."""

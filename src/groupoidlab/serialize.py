@@ -21,7 +21,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import InputError, SizeCapError
-from .finspace import FinSpace, SpaceMap
+from .finspace import FinSpace, SpaceMap, _iter_bits
 from .labels import canonical_label
 from .graphfell import DirectedGraph, PeriodicGraph
 from .groupoid import FinGroupoid, RelationGroupoid, build_relation_groupoid
@@ -113,12 +113,14 @@ def _expect_schema(doc: Mapping, names: tuple, path: str) -> str:
 
 
 def space_to_json(space: FinSpace) -> dict:
+    """The ``finspace/1`` document of a space; each point's label is
+    rendered once."""
+    labels = [canonical_label(p) for p in space.points]
     return {
         "schema": "finspace/1",
-        "points": [canonical_label(p) for p in space.points],
+        "points": labels,
         "min_open": {
-            canonical_label(p): sorted(canonical_label(q) for q in space.min_open(p))
-            for p in space.points
+            label: sorted([labels[j] for j in _iter_bits(mask)]) for label, mask in zip(labels, space._mo)
         },
     }
 

@@ -212,13 +212,16 @@ def verify_two_cocycle(sigma: TwoCocycle) -> CocycleReport:
 
 def coboundary_twist(b: OneCochain) -> TwoCocycle:
     """The coboundary  (db)(a, c) = b(a) + b(c) - b(ac)  of a 1-cochain,
-    on every numbered pair in pair order, in exact integers.
+    on every numbered pair in pair order, in exact integers: in the
+    cocycle's value dtype, where the residues are below 2^61 and the sum
+    lies between -2^61 and 2^62, and in Python integers above.
 
     Normalization is automatic because b vanishes on units.
     """
     g = b.groupoid
     pa, pb, pc = g.pairs
-    values = np.array([b.values[x] for x in g.morphisms], dtype=object)
+    # b.values lists the morphisms in order
+    values = np.array(list(b.values.values()), dtype=_value_dtype(b.n))
     return TwoCocycle.from_values(g, b.n, values[pa] + values[pb] - values[pc])
 
 

@@ -669,7 +669,7 @@ def test_cached_pair_index_is_read_only():
         g.range_idx[0] = 1
 
 
-def test_relation_groupoids_share_only_the_index():
+def test_relation_groupoids_share_the_index_and_its_layout():
     y = fs.discrete(("a", "b", "c"))
     one = gp.build_relation_groupoid(discrete_3_to_2())
     two = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("u", "v")), {"a": "v", "b": "v", "c": "u"}))
@@ -677,14 +677,60 @@ def test_relation_groupoids_share_only_the_index():
     for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask"):
         assert getattr(one, name) is getattr(two, name), name
     assert all(a is b for a, b in zip(one.pairs, two.pairs))
+    for name in ("fiber_cells", "orbit_idx", "inverse_pairs"):
+        assert getattr(one, name) is getattr(two, name), name
     assert one.topology is not two.topology and one.morphisms != two.morphisms
     assert one.pair_id is not two.pair_id and not np.shares_memory(one.pair_id, two.pair_id)
     assert np.array_equal(one.pair_id, two.pair_id) and one.pair_id.flags.writeable
     gp.groupoid_properties(one)
-    one.fiber_cells
     one.orbits()
-    assert two._props_cache is None and "fiber_cells" not in vars(two) and two._orbits is None
+    assert two._props_cache is None and two._orbits is None
     assert one.units != two.units and one.compose != two.compose
+
+
+def fresh_copy(g: gp.FinGroupoid) -> gp.FinGroupoid:
+    """A groupoid on copies of ``g``'s index, with a layout of its own."""
+    arrays = (a.copy() for a in (g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask))
+    return gp.FinGroupoid(fs.discrete(range(len(g))), *arrays, tuple(p.copy() for p in g.pairs))
+
+
+def test_shared_layout_matches_a_fresh_groupoid():
+    # every fiber-size tuple of at most 8 points, and a matrix-unit groupoid with an empty block
+    cases = []
+    for sizes in (s for n in range(9) for s in compositions(n)):
+        points = tuple(range(sum(sizes)))
+        fibers = [points[sum(sizes[:k]):sum(sizes[:k + 1])] for k in range(len(sizes))]
+        psi = fs.SpaceMap(fs.discrete(points), fs.discrete(range(len(sizes))),
+                          {p: k for k, f in enumerate(fibers) for p in f})
+        cases.append((sizes, gp.RelationGroupoid(psi, fibers)))
+    cases.append(((2, 0, 1), ca.matrix_unit_groupoid({"a": (0, 1), "e": (), "b": (2,)}, 3).groupoid))
+    for sizes, g in cases:
+        fresh = fresh_copy(g)
+        assert g.layout is gp.pair_groupoid_layout(sizes) and fresh.layout is not g.layout, sizes
+        assert np.array_equal(g.orbit_idx, fresh.orbit_idx), sizes
+        *cells, blocks = g.fiber_cells
+        *want, want_blocks = fresh.fiber_cells
+        assert all(np.array_equal(a, b) for a, b in zip(cells, want)) and blocks == want_blocks, sizes
+        every = np.arange(len(fresh))
+        assert np.array_equal(g.inverse_pairs, fresh.pair_id[fresh.inverse_idx, every]), sizes
+        assert np.array_equal(g.inverse_pairs, fresh.inverse_pairs), sizes
+        for a in (g.orbit_idx, *cells, g.inverse_pairs):
+            with pytest.raises(ValueError):
+                a[:1] = 0
+
+
+def test_memoized_relation_masks_match_product_masks():
+    # one tuple of fiber sizes under many topologies of Y: the memo must
+    # tell them apart by Y's masks
+    rng = random.Random(17)
+    bases = []
+    while len(bases) < 200:
+        space = random_space(rng.randrange(10**6), 6)
+        if len(space) == 6 and not space.is_discrete():
+            bases.append(fs.quotient_space(space, random_partition(rng, space.points))[1])
+    for psi in [psi for psi in quotient_corpus() if len(psi.dom) <= 4] + bases:
+        g = gp.build_relation_groupoid(psi)
+        assert list(g.topology._mo) == gp.product_masks(g.base_masks, g.range_idx, g.source_idx), psi
 
 
 def test_reports_do_not_depend_on_the_pair_index_cache(tmp_path):
@@ -713,6 +759,8 @@ def test_reports_do_not_depend_on_the_pair_index_cache(tmp_path):
         return out, blocks.compose
 
     warm = reports()
-    gp.pair_groupoid_index.cache_clear()
+    caches = (gp.pair_groupoid_index, gp.pair_groupoid_layout, gp.relation_masks)
+    for cache in caches:
+        cache.cache_clear()
     assert reports() == warm
-    assert gp.pair_groupoid_index.cache_info().misses > 0
+    assert all(cache.cache_info().misses > 0 for cache in caches)

@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import copy
+import io
 import json
 import random
 
@@ -12,6 +14,9 @@ from groupoidlab import graphfell as gf
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
+from groupoidlab.cli import main
+from groupoidlab.corpus import random_partition, random_space
+from groupoidlab.labels import canonical_label
 from helpers import inverse_map, label_groupoid, product_group
 
 
@@ -24,6 +29,47 @@ def test_space_round_trip_idempotent():
     doc = sz.space_to_json(space)
     once = sz.space_from_json(doc)
     assert canon(sz.space_to_json(once)) == canon(doc)
+
+
+def per_member_space_to_json(space):
+    """``space_to_json`` as it rendered every member of every minimal open
+    again: the reference for byte-identical output."""
+    return {
+        "schema": "finspace/1",
+        "points": [canonical_label(p) for p in space.points],
+        "min_open": {
+            canonical_label(p): sorted(canonical_label(q) for q in space.min_open(p)) for p in space.points
+        },
+    }
+
+
+def test_space_to_json_renders_as_per_member(monkeypatch, tmp_path):
+    rng = random.Random(29)
+    shapes = (lambda i: (i, "p"), lambda i: ((i, i % 2), frozenset({i, "q"})), lambda i: (str(i), (True, i)))
+    psis = []
+    for k in range(60):
+        base = random_space(rng.randrange(10**6), 9)
+        space = fs.FinSpace([shapes[k % 3](i) for i in base.points], masks=base._mo)
+        psis.append(fs.quotient_space(space, random_partition(rng, space.points))[1])
+    spaces = [s for psi in psis for s in (psi.dom, psi.cod, gp.build_relation_groupoid(psi).topology)]
+    for space in spaces:
+        assert json.dumps(sz.space_to_json(space)) == json.dumps(per_member_space_to_json(space))
+
+    def build_relation(path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["build-relation", str(path)]) == 0
+        report = json.loads(out.getvalue())
+        report.pop("elapsed_seconds")
+        return json.dumps(report)
+
+    paths = []
+    for k, psi in enumerate(psis[:12]):
+        paths.append(tmp_path / f"psi{k}.json")
+        paths[-1].write_text(json.dumps(sz.map_to_json(psi)))
+    now = [build_relation(path) for path in paths]
+    monkeypatch.setattr(sz, "space_to_json", per_member_space_to_json)
+    assert now == [build_relation(path) for path in paths]
 
 
 def test_map_round_trip():

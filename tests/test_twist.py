@@ -561,12 +561,18 @@ def test_extension_of_a_shifted_cocycle_fails_at_the_same_triple():
 def test_coboundary_is_exact_at_big_moduli():
     g = pair_groupoid((1, 2, 3))
     rng = random.Random(8)
-    for n in (2**62 + 1, 2**80 + 7):
-        b = random_cochain(rng, g, n)
-        db = tw.coboundary_twist(b)
-        assert db.table == {(x, y): (b(x) + b(y) - b(g.compose[(x, y)])) % n for x, y in g.composable_pairs()}
-        assert tw.verify_two_cocycle(db).valid
-        assert tw.are_cohomologous(db, tw.TwoCocycle.trivial(g, n)) is not None
+    pa, pb, pc = g.pairs
+    # 2^61 - 1 is the largest modulus whose values stay int64
+    for n in (2**61 - 1, 2**62 + 1, 2**80 + 7):
+        top = tw.OneCochain(g, n, {m: n - 1 for m in g.morphisms if m not in g.units})
+        for b in (random_cochain(rng, g, n), top):
+            db = tw.coboundary_twist(b)
+            assert db.values.dtype == (np.int64 if n < 2**61 else object)
+            assert db.table == {(x, y): (b(x) + b(y) - b(g.compose[(x, y)])) % n for x, y in g.composable_pairs()}
+            exact = np.array([b(m) for m in g.morphisms], dtype=object)
+            assert db.values.tolist() == ((exact[pa] + exact[pb] - exact[pc]) % n).tolist()
+            assert tw.verify_two_cocycle(db).valid
+            assert tw.are_cohomologous(db, tw.TwoCocycle.trivial(g, n)) is not None
 
 
 # -- Cech data -------------------------------------------------------------------
