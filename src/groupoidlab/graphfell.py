@@ -16,12 +16,20 @@ single-threaded vertices forever is certified by a vertex carrying two
 parallel paths; cycles make the path groupoid non-principal and are
 reported as such.
 
-Each graph numbers its vertices once (``pos``), and one depth-first
-walk per graph, kept on the graph, yields either the first cycle or a
-topological order.  Path multiplicities are level bitsets over the
-vertex positions: bit p of ``levels[k]`` is set when ``vertices[p]`` is
-the source of at least k + 1 paths, so at the default cap 2 a vertex's
-row is two ints; those rows are kept on the graph as well.
+Each graph is numbered once, in its constructor: vertex p is
+``vertices[p]``, edge e is ``edges[e]``, its range and source are at
+positions ``range_pos[e]`` and ``source_pos[e]``, and ``incoming[p]``
+lists the edges into vertex p in edge order.  An unrolled periodic graph
+is numbered by offsets instead of lookups: with P prefix and B block
+vertices, block vertex i of copy k is at position P + kB + i.  One
+depth-first walk per graph, kept on the graph, yields either the first
+cycle or a topological order of the positions.  Path multiplicities are
+level bitsets over the positions: bit p of ``levels[k]`` is set when
+vertex p is the source of at least k + 1 paths, so at the default cap 2
+a vertex's row is two ints; those rows are kept on the graph as well.
+The walk, the counts, the single-threaded sets, both witness searches
+and the periodic label chain run on these numbers; labels are read only
+to build witnesses and reports.
 """
 
 from __future__ import annotations
@@ -44,75 +52,78 @@ class GraphError(ValueError):
 
 
 class DirectedGraph:
-    """A finite directed graph with identified edges; ``pos`` numbers the
-    vertices in the order given."""
+    """A finite directed graph with identified edges (id, range, source),
+    numbered once as the module describes.  An endpoint names a vertex
+    only when it equals the vertex and has its type, so the JSON values
+    ``1``, ``1.0`` and ``true`` never name one vertex."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple]):
-        self._assemble(vertices, edges)
-        if len(self.pos) != len(self.vertices):
-            raise GraphError("duplicate vertices")
-        seen = set()
-        for (eid, r, s) in self.edges:
-            if eid in seen:
-                raise GraphError(f"duplicate edge id {eid!r}")
-            seen.add(eid)
-            if r not in self.pos or s not in self.pos:
-                raise GraphError(f"edge {eid!r} has dangling endpoints", code="DANGLING")
-        self._link()
-
-    @classmethod
-    def trusted(cls, vertices: Iterable[Vertex], edges: Iterable[tuple]) -> "DirectedGraph":
-        """The graph without the checks of the constructor, for vertices
-        and edges assembled from graphs and seams that were checked."""
-        graph = cls.__new__(cls)
-        graph._assemble(vertices, edges)
-        graph._link()
-        return graph
-
-    def _assemble(self, vertices, edges) -> None:
         self.vertices = tuple(vertices)
         self.pos = {v: p for p, v in enumerate(self.vertices)}
-        self.edges = tuple((eid, r, s) for (eid, r, s) in edges)
+        edges = tuple((eid, r, s) for (eid, r, s) in edges)
+        if len(self.pos) != len(self.vertices):
+            raise GraphError("duplicate vertices")
+        self._number(edges, *_number_edges("edge", edges, self, self))
 
-    def _link(self) -> None:
-        self.range_of = {eid: r for (eid, r, s) in self.edges}
-        self.source_of = {eid: s for (eid, r, s) in self.edges}
-        self.in_edges: dict = {v: [] for v in self.vertices}
-        for (eid, r, s) in self.edges:
-            self.in_edges[r].append(eid)
+    @classmethod
+    def numbered(cls, vertices: Iterable[Vertex], edges: Iterable[tuple],
+                 range_pos: list, source_pos: list) -> "DirectedGraph":
+        """The graph whose edges are already numbered, without the checks
+        of the constructor: for unrollings and subgraphs of graphs and
+        seams that were checked."""
+        graph = cls.__new__(cls)
+        graph.vertices = tuple(vertices)
+        graph._number(tuple(edges), range_pos, source_pos)
+        return graph
+
+    def _number(self, edges: tuple, range_pos: list, source_pos: list) -> None:
+        self.edges, self.range_pos, self.source_pos = edges, range_pos, source_pos
+        self.incoming = [[] for _ in self.vertices]
+        for e, p in enumerate(range_pos):
+            self.incoming[p].append(e)
+
+    @cached_property
+    def pos(self) -> dict:
+        """Vertex -> position.  The constructor keeps the one it numbered
+        with; a numbered graph builds it when a label is looked up."""
+        return {v: p for p, v in enumerate(self.vertices)}
 
     def delete_edge(self, eid) -> "DirectedGraph":
-        return DirectedGraph.trusted(self.vertices, [e for e in self.edges if e[0] != eid])
+        keep = [e for e, edge in enumerate(self.edges) if edge[0] != eid]
+        pick = lambda seq: [seq[e] for e in keep]
+        return DirectedGraph.numbered(self.vertices, pick(self.edges), pick(self.range_pos), pick(self.source_pos))
 
     @cached_property
     def depth_first(self) -> tuple:
         """(cycle, order) from one depth-first walk in path direction, from
-        v along incoming edges to their sources, started at each unvisited
-        vertex in turn.  Either cycle is the first cycle closed, as edges
-        in path order, and order is None; or cycle is None and order is
-        the post-order, in which the source of every edge precedes its
-        range.  The walk keeps its own stack, so no recursion limit applies.
+        p along incoming edges to their sources, started at each unvisited
+        position in turn.  Either cycle is the first cycle closed, as edge
+        numbers in path order, and order is None; or cycle is None and
+        order is the post-order of the positions, in which the source of
+        every edge precedes its range.  The walk keeps its own stack, so no
+        recursion limit applies.
         """
-        state = dict.fromkeys(self.vertices, 0)  # 1 on the stack, 2 finished
+        incoming, source_pos = self.incoming, self.source_pos
+        state = [0] * len(self.vertices)  # 1 on the stack, 2 finished
         order = []
-        for start in self.vertices:
+        for start in range(len(state)):
             if state[start]:
                 continue
             state[start] = 1
-            stack, path = [(start, iter(self.in_edges[start]))], []
+            stack, path = [(start, iter(incoming[start]))], []
             while stack:
                 v, it = stack[-1]
-                for eid in it:
-                    w = self.source_of[eid]
+                for e in it:
+                    w = source_pos[e]
                     if not state[w]:
                         state[w] = 1
-                        path.append(eid)
-                        stack.append((w, iter(self.in_edges[w])))
+                        path.append(e)
+                        stack.append((w, iter(incoming[w])))
                         break
                     if state[w] == 1:
                         # path[k] leads from stack[k] to stack[k + 1]
                         k = next(k for k, (x, _) in enumerate(stack) if x == w)
-                        return tuple(path[k:]) + (eid,), None
+                        return tuple(path[k:]) + (e,), None
                 else:
                     state[v] = 2
                     order.append(v)
@@ -122,13 +133,33 @@ class DirectedGraph:
         return None, order
 
     @cached_property
-    def path_rows(self) -> dict:
-        """``path_counts`` at the default cap 2, computed once per graph and
-        read by ``single_threaded_vertices`` and ``two_parallel_paths``."""
-        return path_counts(self)
+    def path_rows(self) -> list:
+        """The levels of ``path_counts`` at the default cap 2, by position,
+        computed once per graph and read by ``single_threaded_vertices``,
+        ``two_parallel_paths`` and ``periodic_fell_verdict``."""
+        return path_counts(self).rows
 
     def __repr__(self):
         return f"<DirectedGraph {len(self.vertices)} vertices, {len(self.edges)} edges>"
+
+
+def _number_edges(kind: str, edges: Iterable[tuple], ranges: DirectedGraph, sources: DirectedGraph) -> tuple:
+    """(range positions, source positions) of edges (id, range, source)
+    whose ranges are vertices of ``ranges`` and sources of ``sources``,
+    checked in edge order: an id seen before, and then an endpoint that
+    equals no vertex of its own type, raise ``GraphError``."""
+    rpos, rvert, spos, svert = ranges.pos, ranges.vertices, sources.pos, sources.vertices
+    seen, range_pos, source_pos = set(), [], []
+    for (eid, r, s) in edges:
+        if eid in seen:
+            raise GraphError(f"duplicate {kind} id {eid!r}")
+        seen.add(eid)
+        p, q = rpos.get(r), spos.get(s)
+        if p is None or q is None or type(rvert[p]) is not type(r) or type(svert[q]) is not type(s):
+            raise GraphError(f"{kind} {eid!r} has dangling endpoints", code="DANGLING")
+        range_pos.append(p)
+        source_pos.append(q)
+    return range_pos, source_pos
 
 
 @dataclass(frozen=True)
@@ -155,12 +186,12 @@ def validate_graph(graph: DirectedGraph) -> GraphValidation:
     Finite graphs are row-finite, and always have a source somewhere
     when acyclic; the flags matter for unrolled presentations.
     """
-    source_witness = next((v for v in graph.vertices if not graph.in_edges[v]), None)
+    source_witness = next((v for v, into in zip(graph.vertices, graph.incoming) if not into), None)
     cycle, _ = graph.depth_first
     return GraphValidation(
         no_sources=source_witness is None,
         acyclic=cycle is None,
-        cycle_witness=cycle,
+        cycle_witness=None if cycle is None else tuple(graph.edges[e][0] for e in cycle),
         source_witness=source_witness,
     )
 
@@ -171,39 +202,57 @@ class PathRow(Mapping):
     positions: bit p of ``levels[k]`` is set when at least k + 1 such
     paths have source ``vertices[p]``.  Levels are nested and the last
     one is nonempty, so a row has one level exactly when every count is
-    1.  The row holds the sources of paths into v, in vertex order.  It
-    keeps the graph's numbering rather than the graph, so the rows that
-    ``DirectedGraph.path_rows`` caches make no reference cycle and are
-    freed with the graph.
+    1.  The row holds the sources of paths into v, in vertex order.
+    ``DirectedGraph.path_rows`` caches the levels, not the rows, so a row
+    can keep its graph without a reference cycle.
     """
 
-    __slots__ = ("vertices", "pos", "levels")
+    __slots__ = ("graph", "levels")
 
     def __init__(self, graph: DirectedGraph, levels: list):
-        self.vertices, self.pos, self.levels = graph.vertices, graph.pos, levels
+        self.graph, self.levels = graph, levels
 
     def __getitem__(self, w) -> int:
-        p = self.pos[w]
+        p = self.graph.pos[w]
         count = sum(level >> p & 1 for level in self.levels)
         if not count:
             raise KeyError(w)
         return count
 
     def __contains__(self, w) -> bool:
-        p = self.pos.get(w)
+        p = self.graph.pos.get(w)
         return p is not None and bool(self.levels[0] >> p & 1)
 
     def __iter__(self):
-        vertices = self.vertices
+        vertices = self.graph.vertices
         return (vertices[p] for p, bit in enumerate(bin(self.levels[0])[:1:-1]) if bit == "1")
 
     def __len__(self) -> int:
         return self.levels[0].bit_count()
 
 
-def path_counts(graph: DirectedGraph, cap: int = 2) -> dict:
+class PathCounts(Mapping):
+    """Read-only map v -> ``PathRow`` over one graph's level lists by
+    vertex position, ``rows``; a row view is made when it is read."""
+
+    __slots__ = ("graph", "rows")
+
+    def __init__(self, graph: DirectedGraph, rows: list):
+        self.graph, self.rows = graph, rows
+
+    def __getitem__(self, v) -> PathRow:
+        return PathRow(self.graph, self.rows[self.graph.pos[v]])
+
+    def __iter__(self):
+        return iter(self.graph.vertices)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def path_counts(graph: DirectedGraph, cap: int = 2) -> PathCounts:
     """counts[v][w] = number of paths with range v and source w, capped
-    at ``cap`` >= 1.
+    at ``cap`` >= 1, as a ``PathCounts`` over the graph's vertices.
 
     Rows are ``PathRow`` views over level bitsets on the vertex
     positions, so ``len(counts[v])`` is the popcount of level 0.  They
@@ -219,33 +268,36 @@ def path_counts(graph: DirectedGraph, cap: int = 2) -> dict:
     _, order = graph.depth_first
     if order is None:
         raise GraphError("graph has a cycle", code="CYCLIC")
-    pos, source_of, in_edges = graph.pos, graph.source_of, graph.in_edges
-    counts: dict = {}
-    for v in order:
-        if cap == 2:
-            one, two = 1 << pos[v], 0
-            for eid in in_edges[v]:
-                s = counts[source_of[eid]].levels
-                two |= (s[1] if len(s) > 1 else 0) | (one & s[0])
-                one |= s[0]
-            counts[v] = PathRow(graph, [one, two] if two else [one])
-            continue
-        levels = [1 << pos[v]]
-        for eid in in_edges[v]:
-            for x in counts[source_of[eid]].levels:
-                # one more path to each vertex of x: carry x up the levels
-                for k, level in enumerate(levels):
-                    levels[k], x = level | x, level & x
-                if x and len(levels) < cap:
-                    levels.append(x)
-        counts[v] = PathRow(graph, levels)
-    return counts
+    incoming, source_pos = graph.incoming, graph.source_pos
+    rows: list = [None] * len(order)
+    if cap == 2:
+        ones, twos = rows[:], rows[:]
+        for v in order:
+            one, two = 1 << v, 0
+            for e in incoming[v]:
+                s = source_pos[e]
+                two |= twos[s] | (one & ones[s])
+                one |= ones[s]
+            ones[v], twos[v] = one, two
+            rows[v] = [one, two] if two else [one]
+    else:
+        for v in order:
+            levels = [1 << v]
+            for e in incoming[v]:
+                for x in rows[source_pos[e]]:
+                    # one more path to each vertex of x: carry x up the levels
+                    for k, level in enumerate(levels):
+                        levels[k], x = level | x, level & x
+                    if x and len(levels) < cap:
+                        levels.append(x)
+            rows[v] = levels
+    return PathCounts(graph, rows)
 
 
 def single_threaded_vertices(graph: DirectedGraph) -> frozenset:
     """Vertices v with at most one path from v to any w: rows with no
     level 1."""
-    return frozenset(v for v, row in graph.path_rows.items() if len(row.levels) == 1)
+    return frozenset(v for v, levels in zip(graph.vertices, graph.path_rows) if len(levels) == 1)
 
 
 def two_parallel_paths(graph: DirectedGraph, v: Vertex):
@@ -253,42 +305,44 @@ def two_parallel_paths(graph: DirectedGraph, v: Vertex):
 
     The source is the first vertex with two paths into v in depth-first
     preorder from v along incoming edges; a second walk then collects
-    the first two paths to it.  Both walks keep their own stacks, so no
-    recursion limit applies."""
-    counts = graph.path_rows
-    levels = counts[v].levels
+    the first two paths to it.  Both walks run on positions and edge
+    numbers and keep their own stacks, so no recursion limit applies."""
+    rows, incoming, source_pos = graph.path_rows, graph.incoming, graph.source_pos
+    p = graph.pos[v]
+    levels = rows[p]
     if len(levels) == 1:
         return None
-    target, seen, stack = None, {v}, [iter(graph.in_edges[v])]
+    target, seen, stack = None, {p}, [iter(incoming[p])]
     while target is None:
-        eid = next(stack[-1], None)
-        if eid is None:
+        e = next(stack[-1], None)
+        if e is None:
             stack.pop()
             continue
-        w = graph.source_of[eid]
+        w = source_pos[e]
         if w not in seen:
             seen.add(w)
-            if levels[1] >> graph.pos[w] & 1:
+            if levels[1] >> w & 1:
                 target = w
-            stack.append(iter(graph.in_edges[w]))
+            stack.append(iter(incoming[w]))
     found, path = [], []
-    stack = [iter(graph.in_edges[v])]
+    stack = [iter(incoming[p])]
     while stack and len(found) < 2:
-        eid = next(stack[-1], None)
-        if eid is None:
+        e = next(stack[-1], None)
+        if e is None:
             stack.pop()
             if path:
                 path.pop()
             continue
-        w = graph.source_of[eid]
+        w = source_pos[e]
         if w == target:
-            found.append(tuple(path) + (eid,))
-        elif target in counts[w]:
-            path.append(eid)
-            stack.append(iter(graph.in_edges[w]))
+            found.append(tuple(path) + (e,))
+        elif rows[w][0] >> target & 1:
+            path.append(e)
+            stack.append(iter(incoming[w]))
     if len(found) < 2:  # pragma: no cover - count >= 2 guarantees two paths
         return None
-    return target, found[0], found[1]
+    ids = lambda path: tuple(graph.edges[e][0] for e in path)
+    return graph.vertices[target], ids(found[0]), ids(found[1])
 
 
 @dataclass(frozen=True)
@@ -355,9 +409,11 @@ class PeriodicGraph:
     Seam edges are (id, range_vertex, source_vertex): the range lives in
     the earlier layer (prefix or copy k) and the source in the later one
     (copy k or copy k+1), so infinite paths run outward through copies.
-    The ids of each seam list are distinct.  With the checks of the two
-    graphs, that makes every unrolling a valid graph, so ``unroll``
-    builds it through ``DirectedGraph.trusted``.
+    The ids of each seam list are distinct, and each endpoint names a
+    vertex as an edge endpoint does.  The constructor numbers the seam
+    endpoints once, as (range positions, source positions) in
+    ``seam_prefix_pos`` and ``seam_block_pos``; with the checks of the two
+    graphs, that makes every unrolling a valid graph.
     """
 
     def __init__(
@@ -371,33 +427,38 @@ class PeriodicGraph:
         self.prefix = prefix if prefix is not None else DirectedGraph((), ())
         self.seam_prefix = tuple(seam_prefix)
         self.seam_block = tuple(seam_block)
-        pset, bset = set(self.prefix.vertices), set(block.vertices)
-        for kind, seams, ranges in (("prefix", self.seam_prefix, pset), ("block", self.seam_block, bset)):
-            seen = set()
-            for (eid, r, s) in seams:
-                if eid in seen:
-                    raise GraphError(f"duplicate {kind} seam id {eid!r}")
-                seen.add(eid)
-                if r not in ranges or s not in bset:
-                    raise GraphError(f"{kind} seam {eid!r} has dangling endpoints", code="DANGLING")
+        self.seam_prefix_pos = _number_edges("prefix seam", self.seam_prefix, self.prefix, block)
+        self.seam_block_pos = _number_edges("block seam", self.seam_block, block, block)
 
     def unroll(self, copies: int) -> DirectedGraph:
-        vertices = [("p", v) for v in self.prefix.vertices]
-        vertices += [("b", k, v) for k in range(copies) for v in self.block.vertices]
-        edges = [(("p", eid), ("p", r), ("p", s)) for (eid, r, s) in self.prefix.edges]
+        """The prefix and ``copies`` block copies glued by their seams.
+
+        Positions are offsets, not lookups: with P prefix and B block
+        vertices, prefix vertex i is at position i and block vertex i of
+        copy k at P + kB + i.  Edges come in the order prefix, block copy
+        0 to copies - 1, prefix seam, then the block seam from copy k + 1
+        into copy k for each k.  Labels are built for witnesses and
+        reports only: vertices ("p", v) and ("b", k, v), edges ("p", e),
+        ("b", k, e), ("s0", e) and ("s", k, e).
+        """
+        prefix, block = self.prefix, self.block
+        P, B = len(prefix.vertices), len(block.vertices)
+        vertices = [("p", v) for v in prefix.vertices]
+        vertices += [("b", k, v) for k in range(copies) for v in block.vertices]
+        edges = [(("p", eid), ("p", r), ("p", s)) for (eid, r, s) in prefix.edges]
+        range_pos, source_pos = prefix.range_pos[:], prefix.source_pos[:]
         for k in range(copies):
-            edges += [
-                (("b", k, eid), ("b", k, r), ("b", k, s)) for (eid, r, s) in self.block.edges
-            ]
-        edges += [
-            (("s0", eid), ("p", r), ("b", 0, s)) for (eid, r, s) in self.seam_prefix
-        ]
+            edges += [(("b", k, eid), ("b", k, r), ("b", k, s)) for (eid, r, s) in block.edges]
+            range_pos += [P + k * B + i for i in block.range_pos]
+            source_pos += [P + k * B + i for i in block.source_pos]
+        edges += [(("s0", eid), ("p", r), ("b", 0, s)) for (eid, r, s) in self.seam_prefix]
+        range_pos += self.seam_prefix_pos[0]
+        source_pos += [P + i for i in self.seam_prefix_pos[1]]
         for k in range(copies - 1):
-            edges += [
-                (("s", k, eid), ("b", k, r), ("b", k + 1, s))
-                for (eid, r, s) in self.seam_block
-            ]
-        return DirectedGraph.trusted(vertices, edges)
+            edges += [(("s", k, eid), ("b", k, r), ("b", k + 1, s)) for (eid, r, s) in self.seam_block]
+            range_pos += [P + k * B + i for i in self.seam_block_pos[0]]
+            source_pos += [P + (k + 1) * B + i for i in self.seam_block_pos[1]]
+        return DirectedGraph.numbered(vertices, edges, range_pos, source_pos)
 
 
 MAX_UNROLL_BOUND = 1000
@@ -414,7 +475,8 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
     single-threaded vertices exists exactly when the non-single-threaded
     quotient graph, seam edges included, has a cycle.  A NOT_FELL verdict
     carries a violating vertex and two parallel paths with that range and
-    a common source.
+    a common source.  The label chain and the quotient graph run on the
+    positions of the unrolling.
     """
     if not 0 <= unroll_bound <= MAX_UNROLL_BOUND:
         raise GraphError(f"unroll bound {unroll_bound} is outside 0..{MAX_UNROLL_BOUND}")
@@ -428,11 +490,10 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             note="cycle makes the path groupoid non-principal",
             validation=validation,
         )
-    st = single_threaded_vertices(unrolled)
-    labels = [
-        frozenset(v for v in presentation.block.vertices if ("b", k, v) in st)
-        for k in range(copies)
-    ]
+    block = presentation.block
+    P, B = len(presentation.prefix.vertices), len(block.vertices)
+    # single[k * B + i]: block vertex i of copy k is single-threaded
+    single = [len(levels) == 1 for levels in unrolled.path_rows[P:]]
     # In the infinite graph the outgoing side of every copy looks the same,
     # so the true labels are uniform in the copy index, while truncation
     # can only lose paths and thus only ever adds vertices to the computed
@@ -441,27 +502,29 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
     # constant; a monotone but non-constant chain means the unroll bound
     # was too small to see some multiplicity, and the honest answer is
     # UNDECIDED rather than a verdict read off the biased tail copies.
-    if any(labels[k] != labels[k + 1] for k in range(copies - 1)):
+    if single[: len(single) - B] != single[B:]:
         return FellVerdict(
             "UNDECIDED",
             undecided_depth=unroll_bound,
             note="single-threaded labels did not stabilize within the unroll bound",
             validation=validation,
         )
-    stable = labels[0]
-    # quotient walk graph on non-single-threaded block vertices: block
-    # edges and seam edges, one class per block vertex, in the
-    # presentation's order so that the witness does not depend on hashing
-    walk = DirectedGraph(
-        [v for v in presentation.block.vertices if v not in stable],
-        [
-            ((tag, e), r, s)
-            for tag, edges in (("b", presentation.block.edges), ("s", presentation.seam_block))
-            for e, r, s in edges
-            if r not in stable and s not in stable
-        ],
-    )
-    cycle = validate_graph(walk).cycle_witness
+    stable = frozenset(v for v, st in zip(block.vertices, single) if st)
+    # quotient walk graph on the block positions: the block edges and seam
+    # edges between non-single-threaded vertices, in the presentation's
+    # order so that the witness does not depend on hashing; a
+    # single-threaded vertex keeps no edge and cannot change the walk
+    edges, range_pos, source_pos = [], [], []
+    for tag, triples, ranges, sources in (
+        ("b", block.edges, block.range_pos, block.source_pos),
+        ("s", presentation.seam_block, *presentation.seam_block_pos),
+    ):
+        for (e, r, s), p, q in zip(triples, ranges, sources):
+            if not (single[p] or single[q]):
+                edges.append(((tag, e), r, s))
+                range_pos.append(p)
+                source_pos.append(q)
+    cycle, _ = DirectedGraph.numbered(block.vertices, edges, range_pos, source_pos).depth_first
     if cycle is None:
         return FellVerdict(
             "FELL",
@@ -470,7 +533,7 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             note="every infinite path eventually passes through a single-threaded vertex",
             validation=validation,
         )
-    probe = ("b", 0, walk.range_of[cycle[0]])
+    probe = unrolled.vertices[P + range_pos[cycle[0]]]
     parallel = two_parallel_paths(unrolled, probe)
     if parallel is None:  # pragma: no cover - non-ST vertices have two paths
         raise InternalCheckFailure("non-single-threaded vertex lacks parallel paths")
@@ -499,10 +562,7 @@ def two_thread_ladder() -> PeriodicGraph:
     surviving vertices unchanged; the resulting source vertices are
     reported by validation, not fatal.
     """
-    block = DirectedGraph(
-        ("v", "t", "c"),
-        [("f1", "v", "t"), ("f2", "v", "t"), ("g", "t", "c")],
-    )
+    block = DirectedGraph(("v", "t", "c"), [("f1", "v", "t"), ("f2", "v", "t"), ("g", "t", "c")])
     return PeriodicGraph(block, seam_block=[("chain", "v", "v")])
 
 
@@ -515,22 +575,14 @@ def single_tail() -> PeriodicGraph:
 def tree_with_tails(depth: int = 2) -> PeriodicGraph:
     """A finite binary tree, edges oriented toward the root, with an
     infinite tail glued below each leaf.  All path counts are 1."""
-    vertices = []
-    edges = []
-    leaves = []
-    for level in range(depth + 1):
-        for i in range(2**level):
-            vertices.append(f"n{level}_{i}")
-    for level in range(depth):
-        for i in range(2**level):
-            for side in (0, 1):
-                child = f"n{level + 1}_{2 * i + side}"
-                edges.append((f"e{level}_{i}_{side}", f"n{level}_{i}", child))
-    leaves = [f"n{depth}_{i}" for i in range(2**depth)]
+    vertices = [f"n{level}_{i}" for level in range(depth + 1) for i in range(2**level)]
+    edges = [
+        (f"e{level}_{i}_{side}", f"n{level}_{i}", f"n{level + 1}_{2 * i + side}")
+        for level in range(depth) for i in range(2**level) for side in (0, 1)
+    ]
+    leaves = vertices[2**depth - 1:]
     prefix = DirectedGraph(vertices, edges)
     block = DirectedGraph([f"tail{i}" for i in range(len(leaves))], [])
-    seam_prefix = [
-        (f"drop{i}", leaf, f"tail{i}") for i, leaf in enumerate(leaves)
-    ]
+    seam_prefix = [(f"drop{i}", leaf, f"tail{i}") for i, leaf in enumerate(leaves)]
     seam_block = [(f"step{i}", f"tail{i}", f"tail{i}") for i in range(len(leaves))]
     return PeriodicGraph(block, prefix=prefix, seam_prefix=seam_prefix, seam_block=seam_block)

@@ -400,11 +400,12 @@ def _edge_rows(rows: Any, path: str) -> list[tuple]:
     """Edge rows {"id", "range", "source"}: digraph edges and seam edges."""
     edges = []
     for k, e in enumerate(_expect(rows, list, path)):
-        _expect(e, dict, f"{path}/{k}")
-        for fieldname in ("id", "range", "source"):
-            if fieldname not in e:
-                raise SchemaError(f"edge missing {fieldname!r}", f"{path}/{k}")
-        edges.append((e["id"], e["range"], e["source"]))
+        try:
+            edges.append((e["id"], e["range"], e["source"]))
+        except (TypeError, KeyError):
+            _expect(e, dict, f"{path}/{k}")
+            missing = next(f for f in ("id", "range", "source") if f not in e)
+            raise SchemaError(f"edge missing {missing!r}", f"{path}/{k}") from None
     return edges
 
 

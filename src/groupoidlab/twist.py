@@ -72,12 +72,6 @@ class TwoCocycle:
             for a, b, v in zip(pa[present].tolist(), pb[present].tolist(), self.values[present].tolist())
         }
 
-    def value(self, a, b) -> int:
-        try:
-            return self.table[(a, b)]
-        except KeyError:
-            raise _missing_entry(a, b)
-
     def on_pairs(self, ks: np.ndarray) -> np.ndarray:
         """Values at the numbered pairs ``ks``; the first missing one raises."""
         out = self.values[ks]

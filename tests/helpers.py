@@ -1,6 +1,7 @@
 """Test-only constructions: small spaces, groups and random graphs that
-the library itself never builds, and groupoids and cocycles given by
-label tables."""
+the library itself never builds, groupoids and cocycles given by label
+tables, and graphs on label dicts with the verdict they gave before
+graphs were numbered."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
+from groupoidlab import graphfell as gf
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
@@ -63,6 +65,185 @@ def random_dag(rng: random.Random, n_vertices: int, edge_prob: float = 0.35):
     return vertices, edges
 
 
+class LabelGraph:
+    """A graph on label dicts, as graphs were kept before they were
+    numbered: ``range_of`` and ``source_of`` map an edge id to its
+    endpoints, and ``in_edges`` maps a vertex to the ids of the edges into
+    it, in edge order."""
+
+    def __init__(self, vertices, edges):
+        self.vertices, self.edges = tuple(vertices), tuple(edges)
+        self.range_of = {eid: r for (eid, r, s) in self.edges}
+        self.source_of = {eid: s for (eid, r, s) in self.edges}
+        self.in_edges = {v: [] for v in self.vertices}
+        for (eid, r, s) in self.edges:
+            self.in_edges[r].append(eid)
+
+
+def label_relations(graph: gf.DirectedGraph) -> LabelGraph:
+    """The label dicts of a numbered graph, read off its numbers: each
+    edge runs between the vertices at its source and range positions."""
+    v = graph.vertices
+    return LabelGraph(v, [(e[0], v[p], v[q]) for e, p, q in zip(graph.edges, graph.range_pos, graph.source_pos)])
+
+
+def reference_cycle(graph: LabelGraph):
+    """The first cycle of the colour-marking walk on label dicts, from
+    each vertex in turn along incoming edges in edge order."""
+    color = {v: 0 for v in graph.vertices}
+    for start in graph.vertices:
+        if color[start]:
+            continue
+        stack, path_edges, on_stack = [(start, iter(graph.in_edges[start]))], [], {start}
+        color[start] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for eid in it:
+                w = graph.source_of[eid]
+                if color[w] == 0:
+                    color[w] = 1
+                    on_stack.add(w)
+                    path_edges.append(eid)
+                    stack.append((w, iter(graph.in_edges[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    cyc, x = [eid], v
+                    for back in reversed(path_edges):
+                        if x == w:
+                            break
+                        cyc.append(back)
+                        x = graph.range_of[back]
+                    return tuple(reversed(cyc))
+            if not advanced:
+                color[v] = 2
+                on_stack.discard(v)
+                stack.pop()
+                if path_edges:
+                    path_edges.pop()
+    return None
+
+
+def reference_path_counts(graph: LabelGraph, cap=2):
+    """Dict rows merged in Kahn's topological order."""
+    indeg = {v: 0 for v in graph.vertices}
+    by_source = {v: [] for v in graph.vertices}
+    for (eid, r, s) in graph.edges:
+        indeg[r] += 1
+        by_source[s].append(r)
+    frontier, order = [v for v in graph.vertices if indeg[v] == 0], []
+    while frontier:
+        v = frontier.pop()
+        order.append(v)
+        for r in by_source[v]:
+            indeg[r] -= 1
+            if indeg[r] == 0:
+                frontier.append(r)
+    assert len(order) == len(graph.vertices)
+    counts = {}
+    for v in order:
+        row = {v: 1}
+        for eid in graph.in_edges[v]:
+            for w, c in counts[graph.source_of[eid]].items():
+                row[w] = min(cap, row.get(w, 0) + c)
+        counts[v] = row
+    return counts
+
+
+def reference_two_parallel_paths(graph: LabelGraph, v, counts):
+    """The first source with two paths into v in the row's order, and the
+    first two paths to it in depth-first order."""
+    target = next((w for w, c in counts[v].items() if c >= 2), None)
+    if target is None:
+        return None
+    found, path, stack = [], [], [iter(graph.in_edges[v])]
+    while stack and len(found) < 2:
+        eid = next(stack[-1], None)
+        if eid is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        w = graph.source_of[eid]
+        if w == target:
+            found.append(tuple(path) + (eid,))
+        elif counts[w].get(target, 0) >= 1:
+            path.append(eid)
+            stack.append(iter(graph.in_edges[w]))
+    return target, found[0], found[1]
+
+
+def reference_unroll(pres: gf.PeriodicGraph, copies: int) -> LabelGraph:
+    """The unrolling on labels alone, in the edge order of ``unroll``."""
+    vertices = [("p", v) for v in pres.prefix.vertices]
+    vertices += [("b", k, v) for k in range(copies) for v in pres.block.vertices]
+    edges = [(("p", eid), ("p", r), ("p", s)) for (eid, r, s) in pres.prefix.edges]
+    for k in range(copies):
+        edges += [(("b", k, eid), ("b", k, r), ("b", k, s)) for (eid, r, s) in pres.block.edges]
+    edges += [(("s0", eid), ("p", r), ("b", 0, s)) for (eid, r, s) in pres.seam_prefix]
+    for k in range(copies - 1):
+        edges += [(("s", k, eid), ("b", k, r), ("b", k + 1, s)) for (eid, r, s) in pres.seam_block]
+    return LabelGraph(vertices, edges)
+
+
+def reference_periodic_fell_verdict(pres: gf.PeriodicGraph, unroll_bound: int = 3) -> gf.FellVerdict:
+    """The periodic verdict on label dicts: the label chain of sets of
+    single-threaded block labels per copy, and the quotient walk graph
+    on the non-single-threaded block vertices."""
+    copies = unroll_bound + 1
+    unrolled = reference_unroll(pres, copies)
+    cycle = reference_cycle(unrolled)
+    source = next((v for v in unrolled.vertices if not unrolled.in_edges[v]), None)
+    validation = gf.GraphValidation(source is None, cycle is None, cycle, source)
+    if cycle is not None:
+        return gf.FellVerdict("NOT_PRINCIPAL", cycle=cycle, note="cycle makes the path groupoid non-principal",
+                              validation=validation)
+    counts = reference_path_counts(unrolled)
+    st = {v for v, row in counts.items() if max(row.values()) <= 1}
+    labels = [frozenset(v for v in pres.block.vertices if ("b", k, v) in st) for k in range(copies)]
+    if any(labels[k] != labels[k + 1] for k in range(copies - 1)):
+        return gf.FellVerdict("UNDECIDED", undecided_depth=unroll_bound, validation=validation,
+                              note="single-threaded labels did not stabilize within the unroll bound")
+    stable = labels[0]
+    walk = LabelGraph(
+        [v for v in pres.block.vertices if v not in stable],
+        [((tag, e), r, s) for tag, edges in (("b", pres.block.edges), ("s", pres.seam_block))
+         for e, r, s in edges if r not in stable and s not in stable],
+    )
+    walk_cycle = reference_cycle(walk)
+    if walk_cycle is None:
+        return gf.FellVerdict("FELL", single_threaded=stable, validation=validation,
+                              note="every infinite path eventually passes through a single-threaded vertex")
+    probe = ("b", 0, walk.range_of[walk_cycle[0]])
+    _, path1, path2 = reference_two_parallel_paths(unrolled, probe, counts)
+    return gf.FellVerdict("NOT_FELL", witness_vertex=probe, witness_paths=(path1, path2), single_threaded=stable,
+                          validation=validation, note="infinite path avoids single-threaded vertices forever")
+
+
+def ladder(rungs: int, with_f2: bool = True) -> gf.PeriodicGraph:
+    """``rungs`` copies of the two-thread ladder chained inside one block,
+    ``f2`` left out when ``with_f2`` is false."""
+    vertices, edges = [], []
+    for i in range(rungs):
+        vertices += [f"v{i}", f"t{i}", f"c{i}"]
+        edges += [(f"f1_{i}", f"v{i}", f"t{i}"), (f"g{i}", f"t{i}", f"c{i}")]
+        if with_f2:
+            edges.append((f"f2_{i}", f"v{i}", f"t{i}"))
+        if i + 1 < rungs:
+            edges.append((f"h{i}", f"v{i}", f"v{i + 1}"))
+    return gf.PeriodicGraph(gf.DirectedGraph(vertices, edges), seam_block=[("chain", f"v{rungs - 1}", "v0")])
+
+
+def seam_counterexample() -> gf.PeriodicGraph:
+    """Block vertices v and w and no block edges; seam edges a and b from
+    w to v and c from v to w.  v has the parallel seam paths a and b to
+    the next copy's w, so the truth is NOT_FELL."""
+    return gf.PeriodicGraph(
+        gf.DirectedGraph(("v", "w"), ()), seam_block=[("a", "v", "w"), ("b", "v", "w"), ("c", "w", "v")]
+    )
+
+
 def is_closed_bits(space: fs.FinSpace, mask: int) -> bool:
     return space.is_open_bits(~mask & (1 << len(space.points)) - 1)
 
@@ -82,6 +263,14 @@ def label_cocycle(groupoid: gp.FinGroupoid, n: int, table) -> tw.TwoCocycle:
     missing."""
     rows = [[canonical_label(a), canonical_label(b), int(v)] for (a, b), v in table.items()]
     return sz.cocycle_from_json({"schema": "two_cocycle/1", "n": n, "table": rows}, groupoid)
+
+
+def cocycle_entry(sigma: tw.TwoCocycle, a, b) -> int:
+    """sigma at the pair of labels (a, b), read from its table; a missing
+    entry raises the ``CocycleError`` the library raises for it."""
+    if (a, b) not in sigma.table:
+        raise tw.CocycleError(f"cocycle table missing composable pair ({a!r},{b!r})", code="MISSING_ENTRY")
+    return sigma.table[(a, b)]
 
 
 def inverse_map(groupoid: gp.FinGroupoid) -> dict:

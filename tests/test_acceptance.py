@@ -16,7 +16,7 @@ from groupoidlab import graphfell as gf
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_space
-from helpers import random_dag
+from helpers import label_relations, random_dag
 
 STRUCT = 1e-12
 ACCUM = 1e-9
@@ -215,6 +215,7 @@ def test_criterion_7_graph_criterion():
         vertices, edges = random_dag(rng, rng.randint(1, 8))
         graph = gf.DirectedGraph(vertices, edges)
         counts = gf.path_counts(graph, cap=10**9)
+        rel = label_relations(graph)
         # brute-force path enumeration oracle
         expected = set()
         for v in vertices:
@@ -222,9 +223,9 @@ def test_criterion_7_graph_criterion():
 
             def walk(current, acc):
                 paths.setdefault(current, []).append(tuple(acc))
-                for eid in graph.in_edges[current]:
+                for eid in rel.in_edges[current]:
                     acc.append(eid)
-                    walk(graph.source_of[eid], acc)
+                    walk(rel.source_of[eid], acc)
                     acc.pop()
 
             walk(v, [])
@@ -239,8 +240,8 @@ def test_criterion_7_graph_criterion():
                     nonlocal brute
                     if current == w:
                         brute += 1
-                    for eid in graph.in_edges[current]:
-                        count_walk(graph.source_of[eid])
+                    for eid in rel.in_edges[current]:
+                        count_walk(rel.source_of[eid])
 
                 count_walk(v)
                 assert brute == c

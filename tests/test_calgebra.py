@@ -115,7 +115,7 @@ def reference_convolve(f, g):
     for b, fb in f.coeffs.items():
         for c, gc in by_range.get(grp.source_map[b], ()):
             a = grp.compose[(b, c)]
-            out[a] = out.get(a, 0j) + fb * gc * ca.zeta(sigma.n, sigma.value(b, c))
+            out[a] = out.get(a, 0j) + fb * gc * ca.zeta(sigma.n, sigma.table[(b, c)])
     return out
 
 
@@ -123,7 +123,7 @@ def reference_involute(f):
     grp, sigma = f.groupoid, f.sigma
     inverse = inverse_map(grp)
     return {
-        inverse[b]: (v * ca.zeta(sigma.n, sigma.value(inverse[b], b))).conjugate()
+        inverse[b]: (v * ca.zeta(sigma.n, sigma.table[(inverse[b], b)])).conjugate()
         for b, v in f.coeffs.items()
     }
 
@@ -136,7 +136,7 @@ def reference_induced_rep(u, f):
         for row, a in enumerate(basis):
             b = grp.compose[(a, inverse[acol])]
             if b in coeffs:
-                mat[row, col] = coeffs[b] * ca.zeta(sigma.n, sigma.value(b, acol))
+                mat[row, col] = coeffs[b] * ca.zeta(sigma.n, sigma.table[(b, acol)])
     return basis, mat
 
 
@@ -229,7 +229,7 @@ def test_induced_rep_closed_form():
         for i, a in enumerate(rep.basis):
             for j, ap in enumerate(rep.basis):
                 b = rel.compose[(a, inverse[ap])]
-                expected = f(b) * ca.zeta(sigma.n, sigma.value(b, ap))
+                expected = f(b) * ca.zeta(sigma.n, sigma.table[(b, ap)])
                 assert abs(rep.matrix[i, j] - expected) < 1e-12
 
 
@@ -268,7 +268,7 @@ def test_cohomologous_cocycles_unitarily_equivalent_reps():
         sigma2 = label_cocycle(
             rel,
             n,
-            {p: sigma1.value(*p) + tw.coboundary_twist(b).value(*p) for p in rel.composable_pairs()},
+            {p: sigma1.table[p] + tw.coboundary_twist(b).table[p] for p in rel.composable_pairs()},
         )
         f1 = ca.random_element(rng, rel, sigma1)
         f2 = ca.AlgebraElement(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -14,7 +15,7 @@ from groupoidlab import finspace as fs
 from groupoidlab import graphfell
 from groupoidlab import serialize as sz
 from groupoidlab.cli import main
-from helpers import disjoint_union
+from helpers import disjoint_union, random_dag
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,31 @@ def test_graph_fell_report_does_not_depend_on_the_hash_seed(tmp_path):
         report.pop("elapsed_seconds")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+# sha256 of the graph-fell report without elapsed_seconds, as printed when
+# graphs were kept on label dicts: refactors keep the reports byte-identical
+PINNED_REPORTS = {
+    "ladder": "34cc758ae7d39da0d53074f3967e3b5afb803fc03d75064b2cdc5945d2153806",
+    "dag": "37f6f03b0ead9163705218085ed68fd18dfa24ed435b3df9f66d9bd88b93c7aa",
+}
+
+
+def report_digest(capsys, *argv):
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    report.pop("elapsed_seconds")
+    return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def test_graph_fell_reports_are_pinned(capsys, tmp_path):
+    for bound in ("0", "1", "3", "30"):
+        digest = report_digest(capsys, "graph-fell", "bundled:two-thread-ladder", "--unroll-bound", bound)
+        assert digest == PINNED_REPORTS["ladder"], bound
+    vertices, edges = random_dag(random.Random(3), 12)
+    doc = {"schema": "digraph/1", "vertices": vertices,
+           "edges": [{"id": e, "range": r, "source": s} for e, r, s in edges]}
+    assert report_digest(capsys, "graph-fell", write(tmp_path, "dag.json", doc)) == PINNED_REPORTS["dag"]
 
 
 def test_cocycle_verify_bundled(capsys):

@@ -9,11 +9,13 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from groupoidlab import bundled
 from groupoidlab import finspace as fs
+from groupoidlab import graphfell as gf
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab.cli import main
@@ -189,6 +191,38 @@ def test_a_non_scalar_graph_label_is_an_input_error():
                 assert code == 1, path
                 assert report["result"]["error"].startswith("SchemaError"), path
                 assert report["result"]["error"].endswith(f"(at {path})"), path
+
+
+def test_an_endpoint_equal_to_a_vertex_of_another_json_type_is_dangling():
+    # Python takes 1, 1.0 and true for one key, so such an endpoint once
+    # attached to vertex 1
+    def digraph(*edges):
+        return {"schema": "digraph/1", "vertices": [0, 1, 2],
+                "edges": [{"id": e, "range": r, "source": s} for e, r, s in edges]}
+
+    def periodic(*seams):
+        return {"schema": "periodic_graph/1", "block": digraph(), "prefix": digraph(),
+                "seam_prefix": [{"id": e, "range": r, "source": s} for e, r, s in seams[:1]],
+                "seam_block": [{"id": e, "range": r, "source": s} for e, r, s in seams[1:]]}
+
+    assert run_doc("graph-fell", digraph(("e", 1, 2), ("f", 0, 1)))[0] == 0
+    assert run_doc("graph-fell", periodic(("d", 0, 1), ("a", 1, 2)))[0] == 0
+    cases = [
+        (digraph(("e", True, 2), ("f", 1.0, 2)), "edge 'e'"),
+        (digraph(("e", 1, 2), ("f", 0, 1.0)), "edge 'f'"),
+        (digraph(("e", 1, 2), ("f", False, 1)), "edge 'f'"),
+        (periodic(("d", 0, 1), ("a", True, 2), ("b", 1.0, 2)), "block seam 'a'"),
+        (periodic(("d", 0, 1), ("a", 1, 2), ("b", 2, True)), "block seam 'b'"),
+        (periodic(("d", 0.0, 1)), "prefix seam 'd'"),
+        (periodic(("d", 0, 1.0)), "prefix seam 'd'"),
+    ]
+    for doc, name in cases:
+        code, report = run_doc("graph-fell", doc)
+        assert code == 1, doc
+        assert report["result"]["error"] == f"SchemaError: {name} has dangling endpoints (at /)", doc
+    with pytest.raises(gf.GraphError) as err:
+        gf.DirectedGraph((1, 2), [("e", True, 2)])
+    assert err.value.code == "DANGLING"
 
 
 def space_label_fields(doc, path="/"):

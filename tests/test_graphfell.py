@@ -8,18 +8,27 @@ import pytest
 from groupoidlab import graphfell as gf
 from groupoidlab import serialize
 from groupoidlab.cli import main
-from helpers import random_dag
+from helpers import (
+    label_relations,
+    ladder,
+    random_dag,
+    reference_cycle,
+    reference_path_counts,
+    reference_periodic_fell_verdict,
+    reference_two_parallel_paths,
+    seam_counterexample,
+)
 
 
 def brute_force_path_sets(graph: gf.DirectedGraph):
     """All paths (as edge tuples) keyed by (range, source), by DFS."""
-    paths = {}
+    paths, rel = {}, label_relations(graph)
     for v in graph.vertices:
         paths.setdefault((v, v), set()).add(())
 
     def extend(v, edges_so_far, source):
-        for eid in graph.in_edges[source]:
-            w = graph.source_of[eid]
+        for eid in rel.in_edges[source]:
+            w = rel.source_of[eid]
             p = edges_so_far + (eid,)
             paths.setdefault((v, w), set()).add(p)
             extend(v, p, w)
@@ -58,11 +67,11 @@ def test_cycle_witness_is_genuine():
         g = gf.DirectedGraph(vertices, edges)
         val = gf.validate_graph(g)
         if val.cycle_witness is not None:
-            cyc = val.cycle_witness
+            cyc, rel = val.cycle_witness, label_relations(g)
             # consecutive edges compose and the ends close up
             for a, b in zip(cyc, cyc[1:]):
-                assert g.source_of[a] == g.range_of[b]
-            assert g.range_of[cyc[0]] == g.source_of[cyc[-1]]
+                assert rel.source_of[a] == rel.range_of[b]
+            assert rel.range_of[cyc[0]] == rel.source_of[cyc[-1]]
 
 
 def test_dangling_edge_rejected():
@@ -155,7 +164,7 @@ def test_two_parallel_paths_deeper_than_recursion_limit():
     assert verdict.verdict == "NOT_FELL"
     p1, p2 = verdict.witness_paths
     assert p1 != p2 and len(p1) > 1500
-    unrolled = presentation.unroll(2)
+    unrolled = label_relations(presentation.unroll(2))
     for path in (p1, p2):
         assert all(
             unrolled.range_of[nxt] == unrolled.source_of[prev] for prev, nxt in zip(path, path[1:])
@@ -225,7 +234,7 @@ def test_periodic_cycle_not_principal():
 
 def test_not_fell_witness_revalidates():
     verdict = gf.periodic_fell_verdict(gf.two_thread_ladder())
-    unrolled = gf.two_thread_ladder().unroll(4)
+    unrolled = label_relations(gf.two_thread_ladder().unroll(4))
     p1, p2 = verdict.witness_paths
     assert p1 != p2
     for path in (p1, p2):
@@ -241,11 +250,12 @@ def test_ladder_sources_are_only_the_tail_stubs():
     unrolled = gf.two_thread_ladder().unroll(4)
     val = gf.validate_graph(unrolled)
     assert not val.no_sources
+    in_edges = label_relations(unrolled).in_edges
     for v in unrolled.vertices:
         if v[0] == "b" and v[2] in ("v", "t") and v[1] < 3:
-            assert unrolled.in_edges[v]
+            assert in_edges[v]
         if v[0] == "b" and v[2] == "c":
-            assert not unrolled.in_edges[v]
+            assert not in_edges[v]
 
 
 def test_seam_validation():
@@ -290,12 +300,16 @@ def test_unrolled_graphs_equal_their_checked_construction():
         for copies in (1, 2, 5):
             fast = pres.unroll(copies)
             checked = gf.DirectedGraph(fast.vertices, fast.edges)
-            for name in ("vertices", "pos", "edges", "range_of", "source_of", "in_edges"):
+            for name in ("vertices", "pos", "edges", "range_pos", "source_pos", "incoming"):
                 assert getattr(fast, name) == getattr(checked, name), name
+            fast_rel, checked_rel = label_relations(fast), label_relations(checked)
+            for name in ("range_of", "source_of", "in_edges"):
+                assert getattr(fast_rel, name) == getattr(checked_rel, name), name
             eid = fast.edges[rng.randrange(len(fast.edges))][0] if fast.edges else None
             smaller = fast.delete_edge(eid)
             rebuilt = gf.DirectedGraph(fast.vertices, [e for e in fast.edges if e[0] != eid])
-            assert (smaller.edges, smaller.in_edges) == (rebuilt.edges, rebuilt.in_edges)
+            assert (smaller.edges, smaller.incoming) == (rebuilt.edges, rebuilt.incoming)
+            assert label_relations(smaller).in_edges == label_relations(rebuilt).in_edges
 
 
 def test_undecided_when_multiplicity_exceeds_horizon():
@@ -330,92 +344,27 @@ def test_undecided_distance_two_multiplicity():
     assert gf.periodic_fell_verdict(pres, unroll_bound=6).verdict == "UNDECIDED"
 
 
+def test_periodic_verdicts_match_the_label_dict_verdict():
+    rng = random.Random(18)
+    presentations = [ladder(k, with_f2) for k in (1, 4, 10) for with_f2 in (True, False)]
+    presentations += [gf.single_tail(), seam_counterexample()]
+    loop = gf.DirectedGraph(("v",), [("loop", "v", "v")])
+    presentations.append(gf.PeriodicGraph(loop, seam_block=[("chain", "v", "v")]))
+    presentations += [gf.tree_with_tails(d) for d in range(3, 8)]
+    presentations += [random_presentation(rng) for _ in range(40)]
+    seen = set()
+    for pres in presentations:
+        for bound in (0, 1, 3, 10, 30):
+            verdict, expected = gf.periodic_fell_verdict(pres, bound), reference_periodic_fell_verdict(pres, bound)
+            assert verdict.as_dict() == expected.as_dict()
+            assert verdict.validation.as_dict() == expected.validation.as_dict()
+            seen.add(verdict.verdict)
+    assert seen == {"FELL", "NOT_FELL", "NOT_PRINCIPAL", "UNDECIDED"}
+    # the known wrong answer of the truncated unrolling stays as it is
+    assert gf.periodic_fell_verdict(seam_counterexample(), 0).verdict == "FELL"
+
+
 # -- parity with the dict construction ----------------------------------------------
-
-
-def reference_cycle(graph):
-    """The first cycle of the colour-marking walk that validate_graph ran
-    before the walk moved onto the graph."""
-    color = {v: 0 for v in graph.vertices}
-    for start in graph.vertices:
-        if color[start]:
-            continue
-        stack, path_edges, on_stack = [(start, iter(graph.in_edges[start]))], [], {start}
-        color[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for eid in it:
-                w = graph.source_of[eid]
-                if color[w] == 0:
-                    color[w] = 1
-                    on_stack.add(w)
-                    path_edges.append(eid)
-                    stack.append((w, iter(graph.in_edges[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    cyc, x = [eid], v
-                    for back in reversed(path_edges):
-                        if x == w:
-                            break
-                        cyc.append(back)
-                        x = graph.range_of[back]
-                    return tuple(reversed(cyc))
-            if not advanced:
-                color[v] = 2
-                on_stack.discard(v)
-                stack.pop()
-                if path_edges:
-                    path_edges.pop()
-    return None
-
-
-def reference_path_counts(graph, cap=2):
-    """Dict rows merged in Kahn's topological order."""
-    indeg = {v: 0 for v in graph.vertices}
-    by_source = {v: [] for v in graph.vertices}
-    for (eid, r, s) in graph.edges:
-        indeg[r] += 1
-        by_source[s].append(r)
-    frontier, order = [v for v in graph.vertices if indeg[v] == 0], []
-    while frontier:
-        v = frontier.pop()
-        order.append(v)
-        for r in by_source[v]:
-            indeg[r] -= 1
-            if indeg[r] == 0:
-                frontier.append(r)
-    assert len(order) == len(graph.vertices)
-    counts = {}
-    for v in order:
-        row = {v: 1}
-        for eid in graph.in_edges[v]:
-            for w, c in counts[graph.source_of[eid]].items():
-                row[w] = min(cap, row.get(w, 0) + c)
-        counts[v] = row
-    return counts
-
-
-def reference_two_parallel_paths(graph, v, counts):
-    target = next((w for w, c in counts[v].items() if c >= 2), None)
-    if target is None:
-        return None
-    found, path, stack = [], [], [iter(graph.in_edges[v])]
-    while stack and len(found) < 2:
-        eid = next(stack[-1], None)
-        if eid is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        w = graph.source_of[eid]
-        if w == target:
-            found.append(tuple(path) + (eid,))
-        elif counts[w].get(target, 0) >= 1:
-            path.append(eid)
-            stack.append(iter(graph.in_edges[w]))
-    return target, found[0], found[1]
 
 
 def random_multigraph(rng, acyclic):
@@ -446,29 +395,59 @@ def random_presentation(rng):
     return gf.PeriodicGraph(gf.DirectedGraph(vertices, edges), seam_block=seam)
 
 
+def wide_dag(rng, n_vertices, n_edges):
+    """Random edges between distinct vertices, each from the later vertex
+    to the earlier one, parallel edges allowed."""
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    edges = []
+    for k in range(n_edges):
+        i, j = sorted(rng.sample(range(n_vertices), 2))
+        edges.append((f"e{k}", vertices[i], vertices[j]))
+    return gf.DirectedGraph(vertices, edges)
+
+
 def parity_graphs():
     rng = random.Random(9)
-    ladder = gf.two_thread_ladder()
+    ladder_1 = gf.two_thread_ladder()
     presentations = [
-        ladder,
-        gf.PeriodicGraph(ladder.block.delete_edge("f2"), seam_block=ladder.seam_block),
+        ladder_1,
+        gf.PeriodicGraph(ladder_1.block.delete_edge("f2"), seam_block=ladder_1.seam_block),
         gf.tree_with_tails(2),
         gf.single_tail(),
-        gf.PeriodicGraph(
-            gf.DirectedGraph(("v", "w"), ()),
-            seam_block=[("a", "v", "w"), ("b", "v", "w"), ("c", "w", "v")],
-        ),
+        seam_counterexample(),
     ] + [random_presentation(rng) for _ in range(40)]
     graphs = [p.unroll(copies) for p in presentations for copies in (1, 2, 4)]
     graphs += [random_multigraph(rng, acyclic=True) for _ in range(300)]
     graphs += [random_multigraph(rng, acyclic=False) for _ in range(150)]
+    # bitsets wider than a machine word: 100 to 400 vertices and a 10-rung
+    # ladder unrolled to 31 copies (930 vertices); and a chain of 1,010
+    # vertices with a parallel pair at its far end, walked deeper than
+    # the recursion limit
+    graphs += [wide_dag(rng, n, m) for n, m in ((100, 500), (200, 1000), (300, 2000), (400, 4000))]
+    graphs.append(ladder(10).unroll(31))
+    chain = [f"x{k}" for k in range(1010)]
+    edges = [(f"c{k}", chain[k], chain[k + 1]) for k in range(1009)] + [("p", chain[-2], chain[-1])]
+    graphs.append(gf.DirectedGraph(chain, edges))
     return graphs
 
 
+def reference_levels(graph, expected):
+    """The level bitsets of the dict rows ``expected``, by position."""
+    rows = []
+    for v in graph.vertices:
+        levels = [0] * max(expected[v].values())
+        for w, c in expected[v].items():
+            for k in range(c):
+                levels[k] |= 1 << graph.pos[w]
+        rows.append(levels)
+    return rows
+
+
 def test_walk_rows_and_witnesses_match_the_dict_construction():
-    acyclic = 0
+    acyclic = wide = 0
     for g in parity_graphs():
-        cycle = reference_cycle(g)
+        rel = label_relations(g)
+        cycle = reference_cycle(rel)
         assert gf.validate_graph(g).cycle_witness == cycle
         if cycle is not None:
             with pytest.raises(gf.GraphError) as err:
@@ -476,20 +455,27 @@ def test_walk_rows_and_witnesses_match_the_dict_construction():
             assert err.value.code == "CYCLIC"
             continue
         acyclic += 1
-        for cap in (1, 2, 3, 10**9):
-            expected = reference_path_counts(g, cap)
+        if len(g.vertices) > 64:
+            # a wide graph has more paths than a row of 10**9 levels can
+            # hold; the small graphs tie its levels to the mapping view
+            wide += 1
+            for cap in (2, 3):
+                expected = reference_levels(g, reference_path_counts(rel, cap))
+                assert [row.levels for row in gf.path_counts(g, cap).values()] == expected
+        for cap in () if len(g.vertices) > 64 else (1, 2, 3, 10**9):
+            expected = reference_path_counts(rel, cap)
             counts = gf.path_counts(g, cap)
             assert {v: dict(row) for v, row in counts.items()} == expected
             for v, row in counts.items():
                 assert len(row) == len(expected[v])
                 assert all((w in row) == (w in expected[v]) for w in g.vertices)
-        expected = reference_path_counts(g)
+        expected = reference_path_counts(rel)
         assert gf.single_threaded_vertices(g) == frozenset(
             v for v, row in expected.items() if max(row.values()) <= 1
         )
         for v in g.vertices:
-            assert gf.two_parallel_paths(g, v) == reference_two_parallel_paths(g, v, expected)
-    assert acyclic > 300
+            assert gf.two_parallel_paths(g, v) == reference_two_parallel_paths(rel, v, expected)
+    assert acyclic > 300 and wide == 6
 
 
 def test_path_row_is_a_read_only_mapping():

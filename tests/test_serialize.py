@@ -175,6 +175,19 @@ def test_seam_row_missing_field_carries_path():
     with pytest.raises(sz.SchemaError) as err:
         sz.periodic_from_json(doc)
     assert "edge missing 'id'" in str(err.value) and "/seam_block/0" in str(err.value)
+    # the first missing field is named in the order id, range, source, and
+    # a row that is no object is named before any field
+    for drop, named in ((("range", "source"), "range"), (("id", "source"), "id"), (("source",), "source")):
+        doc = sz.periodic_to_json(gf.two_thread_ladder())
+        for field in drop:
+            del doc["block"]["edges"][1][field]
+        with pytest.raises(sz.SchemaError, match=f"edge missing '{named}' \\(at //block/edges/1\\)"):
+            sz.periodic_from_json(doc)
+    for row in (["f1", "v", "t"], "f1", 3, None):
+        doc = sz.periodic_to_json(gf.two_thread_ladder())
+        doc["seam_block"][0] = row
+        with pytest.raises(sz.SchemaError, match=f"expected dict, got {type(row).__name__} \\(at //seam_block/0\\)"):
+            sz.periodic_from_json(doc)
 
 
 def test_unknown_bundled_name():
