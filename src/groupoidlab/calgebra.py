@@ -64,7 +64,6 @@ from .groupoid import (
     build_relation_groupoid,
     groupoid_properties,
     pair_groupoid_index,
-    pair_groupoid_layout,
 )
 from .twist import (
     CechData,
@@ -346,13 +345,12 @@ def matrix_unit_groupoid(blocks: Mapping, n: int = 1, lam: Callable | None = Non
     -lam(i, j, k) mod n (zero without ``lam``), so that
     e_ij e_jk = zeta^{-lam(i,j,k)} e_ik and e_ij* = e_ji.  The keys run
     label by label, row-major within a block, which is the numbering of
-    ``pair_groupoid_index``, so the groupoid carries the verified index
-    and the layout shared by every pair-groupoid union with these block
+    ``pair_groupoid_index``, so the groupoid attaches the one verified
+    index object shared by every pair-groupoid union with these block
     sizes.  Returns the cocycle, which carries the groupoid."""
     keys = [(i, j, label) for label, idx in blocks.items() for i in idx for j in idx]
-    sizes = tuple(len(idx) for idx in blocks.values())
     groupoid = FinGroupoid.__new__(FinGroupoid)
-    groupoid._attach(discrete(keys), *pair_groupoid_index(sizes), pair_groupoid_layout(sizes))
+    groupoid._attach(discrete(keys), pair_groupoid_index(tuple(len(idx) for idx in blocks.values())))
     if lam is None:
         return TwoCocycle.trivial(groupoid, n)
     pa, pb, _ = groupoid.pairs
@@ -422,15 +420,6 @@ class BlockDecomposition:
     @cached_property
     def rho(self) -> Callable[[AlgebraElement], AlgebraElement]:
         return linear_map(self.relation, self.target, self.image)
-
-    def blocks(self, f: AlgebraElement) -> list[np.ndarray]:
-        """Per-orbit matrix images; after untwisting the image of a point
-        mass at (y, z) is a scaled matrix unit e_{y z}, read off the
-        induced representation at the block's first unit."""
-        if f.groupoid is not self.relation:
-            raise ValueError("element lives on a different groupoid")
-        image = self.rho(f)
-        return [induced_rep((o[0], o[0], k), image).matrix for k, o in enumerate(self.orbits)]
 
     def verify(self, rng: random.Random | None = None) -> BlockCheck:
         rng = rng or random.Random(0)

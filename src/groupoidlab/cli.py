@@ -224,7 +224,7 @@ def _cmd_equivariant_check(args) -> dict:
 
 
 def _chain3_to_sierpinski():
-    y = finspace.FinSpace((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
+    y = finspace.FinSpace((0, 1, 2), (0b111, 0b110, 0b100))
     return finspace.SpaceMap(y, finspace.sierpinski(), {0: "b", 1: "a", 2: "a"})
 
 

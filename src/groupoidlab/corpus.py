@@ -63,12 +63,8 @@ def _topology_relations(n: int) -> tuple:
 
 def all_topologies(n: int) -> list[FinSpace]:
     """Every topology on the labelled point set 0..n-1."""
-    spaces = []
     pts = tuple(range(n))
-    for rows in _topology_relations(n):
-        mo = {i: {j for j in range(n) if (rows[i] >> j) & 1} for i in pts}
-        spaces.append(FinSpace(pts, mo))
-    return spaces
+    return [FinSpace(pts, rows) for rows in _topology_relations(n)]
 
 
 def all_partitions(points) -> tuple[tuple[frozenset, ...], ...]:
@@ -104,7 +100,6 @@ def random_space(seed: int, max_points: int) -> FinSpace:
     """A random finite space with 1..max_points points."""
     rng = random.Random(seed)
     n = rng.randint(1, max_points)
-    pts = tuple(range(n))
     # random preorder: close a random relation reflexively and transitively
     rows = [1 << i for i in range(n)]
     for i in range(n):
@@ -122,8 +117,7 @@ def random_space(seed: int, max_points: int) -> FinSpace:
             if acc != rows[i]:
                 rows[i] = acc
                 changed = True
-    mo = {i: {j for j in range(n) if (rows[i] >> j) & 1} for i in pts}
-    return FinSpace(pts, mo)
+    return FinSpace(range(n), rows)
 
 
 def random_partition(rng: random.Random, points) -> list[set]:

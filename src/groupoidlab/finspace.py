@@ -15,9 +15,11 @@ The quotient test compares the codomain with the final topology, whose
 minimal opens one routine computes for ``is_quotient_map`` and
 ``quotient_space`` alike.
 
-Points are opaque hashables.  Internally a space keeps one bitmask per
-point and a map the codomain index of each domain point, which keeps
-the predicates cheap on spaces of up to a few dozen points.
+Points are opaque hashables.  A space is built from one bitmask per
+point over the point indices, and a map keeps the codomain index of each
+domain point, which keeps the predicates cheap on spaces of up to a few
+dozen points.  Every builder here hands over masks; the labels of a
+``finspace/1`` document are numbered only in ``serialize``.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ def _is_open(mo: Sequence[int], mask: int) -> bool:
 class FinSpace:
     """A finite topological space.
 
-    ``points`` is an ordered tuple of point identifiers and ``min_open``
-    maps each point x to the minimal open set containing it.  The data
-    must satisfy x in U_x and the coherence law
+    ``points`` is an ordered tuple of point identifiers and ``masks``
+    holds the minimal open set U_x of each point x, as a bitmask over the
+    point indices.  The data must satisfy x in U_x and the coherence law
 
         y in U_x  implies  U_y subset of U_x,
 
@@ -74,23 +76,16 @@ class FinSpace:
 
     __slots__ = ("points", "_index", "_mo")
 
-    def __init__(
-        self,
-        points: Iterable[Point],
-        min_open: Mapping[Point, Iterable[Point]] | None = None,
-        *,
-        masks: Sequence[int] | None = None,
-    ):
-        """Give the minimal opens either as ``min_open``, point to points,
-        or as ``masks``, one bitmask over the point indices per point;
-        both pass the same coherence check."""
+    def __init__(self, points: Iterable[Point], masks: Sequence[int]):
+        """The minimal opens are ``masks``, one bitmask over the point
+        indices per point, checked for coherence."""
+        if isinstance(masks, Mapping):
+            raise TypeError("masks are one bitmask per point, not a mapping")
         self.points = tuple(points)
         if len(set(self.points)) != len(self.points):
             raise InvalidSpace("duplicate points")
         self._index = {p: i for i, p in enumerate(self.points)}
-        if masks is None:
-            masks = self._masks_of(min_open)
-        elif len(masks) != len(self.points):
+        if len(masks) != len(self.points):
             raise InvalidSpace("one mask is needed per point")
         self._mo = mo = tuple(masks)
         for i, m in enumerate(mo):
@@ -108,22 +103,6 @@ class FinSpace:
                         f"U_{self.points[i]!r} but U_{self.points[j]!r} does not"
                     )
                 rest ^= low
-
-    def _masks_of(self, min_open: Mapping[Point, Iterable[Point]]) -> list[int]:
-        masks = []
-        for p in self.points:
-            if p not in min_open:
-                raise InvalidSpace(f"no minimal open given for point {p!r}")
-            m = 0
-            for q in min_open[p]:
-                i = self._index.get(q)
-                if i is None:
-                    raise InvalidSpace(f"min_open({p!r}) mentions unknown point {q!r}")
-                m |= 1 << i
-            masks.append(m)
-        for extra in set(min_open) - set(self.points):
-            raise InvalidSpace(f"min_open defined for unknown point {extra!r}")
-        return masks
 
     # -- basic structure ------------------------------------------------
 
@@ -144,8 +123,7 @@ class FinSpace:
         return hash((self.points, self._mo))
 
     def __repr__(self):
-        mo = {p: sorted(map(str, self.min_open(p))) for p in self.points}
-        return f"FinSpace({list(self.points)!r}, {mo!r})"
+        return f"FinSpace({list(self.points)!r}, {list(self._mo)!r})"
 
     def index(self, p: Point) -> int:
         return self._index[p]
@@ -161,9 +139,6 @@ class FinSpace:
 
     def min_open_bits(self, i: int) -> int:
         return self._mo[i]
-
-    def min_open(self, p: Point) -> frozenset:
-        return self.unbits(self._mo[self._index[p]])
 
     # -- topology -------------------------------------------------------
 
@@ -213,24 +188,19 @@ class FinSpace:
 
 def discrete(points: Iterable[Point]) -> FinSpace:
     pts = tuple(points)
-    return FinSpace(pts, {p: {p} for p in pts})
+    return FinSpace(pts, [1 << i for i in range(len(pts))])
 
 
 def sierpinski(open_point: Point = "a", closed_point: Point = "b") -> FinSpace:
-    return FinSpace(
-        (open_point, closed_point),
-        {open_point: {open_point}, closed_point: {open_point, closed_point}},
-    )
+    return FinSpace((open_point, closed_point), (0b01, 0b11))
 
 
 def product(left: FinSpace, right: FinSpace) -> FinSpace:
-    """Product space; minimal opens are U_y x U_z."""
+    """Product space; minimal opens are U_y x U_z, with (y, z) at index
+    i|right| + j for y and z at i and j."""
     pts = [(y, z) for y in left.points for z in right.points]
-    mo = {
-        (y, z): {(y2, z2) for y2 in left.min_open(y) for z2 in right.min_open(z)}
-        for (y, z) in pts
-    }
-    return FinSpace(pts, mo)
+    width = len(right)
+    return FinSpace(pts, [sum(v << i * width for i in _iter_bits(u)) for u in left._mo for v in right._mo])
 
 
 class SpaceMap:
@@ -421,7 +391,7 @@ def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
     block_of = {p: b for b in blocks for p in b}
     block_idx = {b: k for k, b in enumerate(blocks)}
     masks = _final_masks(space, [block_idx[block_of[p]] for p in space.points], len(blocks))
-    quotient = FinSpace(blocks, masks=masks)
+    quotient = FinSpace(blocks, masks)
     return quotient, SpaceMap(space, quotient, block_of)
 
 
@@ -447,17 +417,15 @@ def hausdorff_cover_resolution(space: FinSpace, cover: Sequence[Iterable[Point]]
         raise InvalidSpace("cover is not exhaustive")
 
     pts = []
-    mo = {}
-    assignment = {}
+    mo = []
     for k, mask in enumerate(masks):
-        for i in _iter_bits(mask):
-            p = space.points[i]
-            pts.append((k, p))
-            # the cover element is open, so U_p is contained in it and the
-            # subspace minimal open of p is U_p itself
-            mo[(k, p)] = {(k, q) for q in space.min_open(p)}
-            assignment[(k, p)] = p
+        # the cover element is open, so U_p is contained in it and the
+        # subspace minimal open of p is U_p itself, carried to copy k
+        position = {i: len(pts) + r for r, i in enumerate(_iter_bits(mask))}
+        pts += [(k, space.points[i]) for i in position]
+        mo += [_image(position, space._mo[i]) for i in position]
     resolution = FinSpace(pts, mo)
+    assignment = {(k, p): p for k, p in pts}
     psi = SpaceMap(resolution, space, assignment)
     props = classify_map(psi)
     if not (props.local_homeomorphism and props.surjective):

@@ -174,7 +174,7 @@ class GraphValidation:
             "no_sources": self.no_sources,
             "acyclic": self.acyclic,
             "cycle_witness": None if self.cycle_witness is None else [canonical_label(e) for e in self.cycle_witness],
-            "source_witness": None if self.source_witness is None else canonical_label(self.source_witness),
+            "source_witness": None if self.no_sources else canonical_label(self.source_witness),
         }
 
 
@@ -186,13 +186,14 @@ def validate_graph(graph: DirectedGraph) -> GraphValidation:
     Finite graphs are row-finite, and always have a source somewhere
     when acyclic; the flags matter for unrolled presentations.
     """
-    source_witness = next((v for v, into in zip(graph.vertices, graph.incoming) if not into), None)
+    # found by position, so that a source labelled None is still a source
+    source = next((k for k, into in enumerate(graph.incoming) if not into), None)
     cycle, _ = graph.depth_first
     return GraphValidation(
-        no_sources=source_witness is None,
+        no_sources=source is None,
         acyclic=cycle is None,
         cycle_witness=None if cycle is None else tuple(graph.edges[e][0] for e in cycle),
-        source_witness=source_witness,
+        source_witness=None if source is None else graph.vertices[source],
     )
 
 

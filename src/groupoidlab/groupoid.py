@@ -1,14 +1,15 @@
 """Finite topological groupoids and the equivalence relation of a surjection.
 
 A groupoid is stored as its morphism set with a finite-space topology on
-the morphisms, and as an integer index: arrays for range, source and
-inverse, and the composable pairs with their composites in row-major
-order.  The n x n table ``pair_id`` that numbers the pairs is built from
-them on first use, per groupoid; what the algebra derives from the index
-arrays alone (``orbit_idx``, ``fiber_cells``, ``inverse_pairs``) lives in
-an ``IndexLayout``, built on first use.  The unit space always carries the
-subspace topology.  The one constructor takes index arrays, sorts the
-pairs row-major and runs ``verify_axioms``, which checks every axiom
+the morphisms, and as an integer index, one ``IndexLayout``: arrays for
+range, source and inverse, the unit mask, and the composable pairs with
+their composites in row-major order, beside what derives from these
+arrays alone (``principal``, ``generating_mask``, ``orbit_idx``,
+``fiber_cells``, ``inverse_pairs``), each built on first use.  The
+n x n table ``pair_id`` that numbers the pairs is built from them on
+first use, per groupoid.  The unit space always carries the subspace
+topology.  The one constructor takes index arrays, sorts the pairs
+row-major and runs ``verify_axioms``, which checks every axiom
 (composability, range and source of composites, unit and inverse laws,
 associativity) as array code, so a bad composition table or a cocycle
 fault in an extension surfaces immediately with a witness; ``_attach``
@@ -18,9 +19,9 @@ triples whose last factor is a unit or lies in the greedy generating set
 of ``generating_mask``; when that reduced check fails, the full
 lexicographic sweep over all composable triples runs and reports the
 first failing one.  Labels are numbered only where ``serialize`` reads a
-``fingroupoid/1`` document.  Every later all-pairs computation reads the
-same index, and the induced representations read it in the cell order
-of ``fiber_cells``.
+``finspace/1`` or ``fingroupoid/1`` document.  Every later all-pairs
+computation reads the same index, and the induced representations read
+it in the cell order of ``fiber_cells``.
 
 The central construction is the relation groupoid of a surjection
 psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
@@ -28,18 +29,17 @@ and whose topology is the restriction of the product topology on Y x Y.
 As an algebraic groupoid it is the disjoint union of the pair groupoids
 on the fibers of psi, so its index depends only on the tuple of fiber
 sizes.  Per tuple of up to ``PAIR_INDEX_MORPHISMS`` morphisms, one
-read-only cache entry of each kind is built on first use and shared by
-every ``RelationGroupoid`` and matrix-unit groupoid with those sizes:
-the index, installed and verified once (``pair_groupoid_index``), and
-its layout (``pair_groupoid_layout``).  Each groupoid attaches them to
-its own topology and keeps its own ``pair_id``, orbits and property
-cache.  The topology of R(psi) comes from ``product_masks``, which
-pulls the product topology of a space on the units back along r x s on
-any groupoid's own numbering; ``relation_masks`` memoizes it on the
-fiber sizes and Y's masks at the units.  ``fell_check``
-calls the same routine for R(q), the relation groupoid of the orbit
-quotient: r x s of a principal groupoid is a bijection onto R(q), so
-R(q) is never built as a space of its own.
+read-only index object is built and verified on first use
+(``pair_groupoid_index``) and shared by every ``RelationGroupoid`` and
+matrix-unit groupoid with those sizes.  Each groupoid attaches it to its
+own topology and keeps its own ``pair_id``, orbits and property cache.
+The topology of R(psi) comes from ``product_masks``, which pulls the
+product topology of a space on the units back along r x s on any
+groupoid's own numbering; ``relation_masks`` memoizes it on the fiber
+sizes and Y's masks at the units.  ``fell_check`` calls the same
+routine for R(q), the relation groupoid of the orbit quotient: r x s of
+a principal groupoid is a bijection onto R(q), so R(q) is never built
+as a space of its own.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ from .labels import canonical_label
 TRIPLE_CHUNK = 1 << 16
 
 # most entries of each per-shape cache: the fiber-size tuples of
-# ``pair_groupoid_index`` and ``pair_groupoid_layout``, and the (sizes,
-# masks of Y) of ``relation_masks``; all 255 tuples of at most 8 points
-# fit with room to spare
+# ``pair_groupoid_index`` and the (sizes, masks of Y) of
+# ``relation_masks``; all 255 tuples of at most 8 points fit with room
+# to spare
 PAIR_INDEX_CACHE = 512
 
 # most morphisms in a pair-groupoid union: one 64-point fiber, twice the
@@ -90,15 +90,48 @@ class NonPrincipalError(ValueError):
 
 
 class IndexLayout:
-    """What the algebra derives from a groupoid's index arrays alone:
-    ``orbit_idx``, ``fiber_cells`` and ``inverse_pairs``, each built on
-    first use and read-only.  Nothing here reads the labels, the topology
-    or ``pair_id``, so a pair-groupoid union reads the one layout that
-    ``pair_groupoid_layout`` keeps for its fiber sizes."""
+    """A groupoid's integer index: the arrays ``range_idx``,
+    ``source_idx`` and ``inverse_idx`` of the structure maps on the
+    morphism numbers, ``unit_mask`` marking the units, and ``pairs``, the
+    factors and the composite of each composable pair in row-major order.
+    What derives from these arrays alone is built on first use and kept:
+    ``principal``, ``generating_mask``, ``orbit_idx``, ``fiber_cells`` and
+    ``inverse_pairs``, the arrays read-only.  Nothing here reads the
+    labels, the topology or ``pair_id``, so every pair-groupoid union
+    with the same block sizes attaches the one object that
+    ``pair_groupoid_index`` keeps for them."""
 
     def __init__(self, range_idx, source_idx, inverse_idx, unit_mask, pairs):
         self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
         self.unit_mask, self.pairs = unit_mask, pairs
+
+    @cached_property
+    def principal(self) -> bool:
+        """Whether r x s is injective."""
+        n = len(self.range_idx)
+        return len(set((self.range_idx * n + self.source_idx).tolist())) == n
+
+    @cached_property
+    def generating_mask(self) -> np.ndarray:
+        """The units and a generating set S, as a mask on the morphisms:
+        every morphism is a composite of marked ones.
+
+        S is greedy: each step adds the lowest-numbered morphism outside
+        the set that the units and S so far generate under composition,
+        and the closure is grown by passes over the numbered pairs until
+        a pass adds nothing."""
+        pa, pb, pc = self.pairs
+        closed, kept = self.unit_mask.copy(), self.unit_mask.copy()
+        while not closed.all():
+            s = int(np.argmin(closed))
+            closed[s] = kept[s] = True
+            while True:
+                size = closed.sum()
+                closed[pc[closed[pa] & closed[pb]]] = True
+                if closed.sum() == size:
+                    break
+        kept.flags.writeable = False
+        return kept
 
     @cached_property
     def orbit_idx(self) -> np.ndarray:
@@ -170,15 +203,15 @@ class FinGroupoid:
     numbers, ``unit_mask`` marks the units, ``pairs`` holds the factors
     and the composite of each composable pair in row-major order, and
     ``pair_id[a, b]`` numbers them (-1 elsewhere), built from ``pairs``
-    on first use.  The constructor sorts and verifies an index, and
+    on first use.  The arrays are those of ``layout``, the groupoid's
+    ``IndexLayout``.  The constructor sorts and verifies an index, and
     ``_attach`` puts a verified one on a topology; a pair-groupoid union
-    attaches the read-only arrays ``pair_groupoid_index`` shares between
-    every groupoid with the same block sizes, and the layout
-    ``pair_groupoid_layout`` shares beside them.  ``orbit_idx``,
-    ``fiber_cells`` and ``inverse_pairs`` are read from ``layout``;
-    ``units`` and the label tables ``range_map``, ``source_map`` and
-    ``compose`` are derived from the index on first use, per groupoid.
-    ``principal`` is set by ``verify_axioms``.
+    attaches the read-only ``IndexLayout`` that ``pair_groupoid_index``
+    shares between every groupoid with the same block sizes.
+    ``principal``, ``generating_mask``, ``orbit_idx``, ``fiber_cells`` and
+    ``inverse_pairs`` are read from ``layout``; ``units`` and the label
+    tables ``range_map``, ``source_map`` and ``compose`` are derived from
+    the index on first use, per groupoid.
     """
 
     def __init__(self, topology: FinSpace, range_idx, source_idx, inverse_idx, unit_mask, pairs):
@@ -189,22 +222,22 @@ class FinGroupoid:
         pa, pb, pc = (np.asarray(p, dtype=np.int64).ravel() for p in pairs)
         order = np.lexsort((pb, pa))
         structure = (np.asarray(idx, dtype=np.int64) for idx in (range_idx, source_idx, inverse_idx))
-        self._attach(topology, *structure, np.asarray(unit_mask, dtype=bool), (pa[order], pb[order], pc[order]), None)
+        layout = IndexLayout(*structure, np.asarray(unit_mask, dtype=bool), (pa[order], pb[order], pc[order]))
+        self._attach(topology, layout)
         self.verify_axioms()
 
-    def _attach(self, topology, range_idx, source_idx, inverse_idx, unit_mask, pairs, principal, layout=None) -> None:
-        """Put an index on the points of ``topology``, as it is (no copy
-        and no check), with empty per-groupoid caches, and ``layout`` on
-        it, a fresh one over these arrays by default."""
+    def _attach(self, topology: FinSpace, layout: IndexLayout) -> None:
+        """Put ``layout`` on the points of ``topology``, as it is (no copy
+        and no check), with empty per-groupoid caches; its arrays are
+        bound to the groupoid's own attributes for reading."""
         self.topology = topology
         self.morphisms = topology.points
         self.index = topology._index
-        self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
-        self.unit_mask, self.pairs, self.principal = unit_mask, pairs, principal
-        self.layout = layout or IndexLayout(range_idx, source_idx, inverse_idx, unit_mask, pairs)
+        self.layout = layout
+        self.range_idx, self.source_idx, self.inverse_idx = layout.range_idx, layout.source_idx, layout.inverse_idx
+        self.unit_mask, self.pairs = layout.unit_mask, layout.pairs
         self._props_cache = None
         self._orbits = None
-        self._generators = None
 
     @cached_property
     def pair_id(self) -> np.ndarray:
@@ -238,17 +271,11 @@ class FinGroupoid:
         m = self.morphisms
         return {(m[a], m[b]): m[c] for a, b, c in zip(*(p.tolist() for p in self.pairs))}
 
-    @property
-    def orbit_idx(self) -> np.ndarray:
-        return self.layout.orbit_idx
-
-    @property
-    def fiber_cells(self) -> tuple:
-        return self.layout.fiber_cells
-
-    @property
-    def inverse_pairs(self) -> np.ndarray:
-        return self.layout.inverse_pairs
+    principal = property(lambda self: self.layout.principal)
+    generating_mask = property(lambda self: self.layout.generating_mask)
+    orbit_idx = property(lambda self: self.layout.orbit_idx)
+    fiber_cells = property(lambda self: self.layout.fiber_cells)
+    inverse_pairs = property(lambda self: self.layout.inverse_pairs)
 
     def orbits(self) -> tuple:
         """Orbits of the unit space, u ~ v when some morphism joins them,
@@ -260,31 +287,6 @@ class FinGroupoid:
                 groups.setdefault(label, []).append(self.morphisms[u])
             self._orbits = tuple(tuple(g) for g in groups.values())
         return self._orbits
-
-    @property
-    def generating_mask(self) -> np.ndarray:
-        """The units and a generating set S, as a mask on the morphisms:
-        every morphism is a composite of marked ones.  Computed once per
-        groupoid, by ``verify_axioms`` for a non-principal groupoid and
-        on first use otherwise.
-
-        S is greedy: each step adds the lowest-numbered morphism outside
-        the set that the units and S so far generate under composition,
-        and the closure is grown by passes over the numbered pairs until
-        a pass adds nothing."""
-        if self._generators is None:
-            pa, pb, pc = self.pairs
-            closed, kept = self.unit_mask.copy(), self.unit_mask.copy()
-            while not closed.all():
-                s = int(np.argmin(closed))
-                closed[s] = kept[s] = True
-                while True:
-                    size = closed.sum()
-                    closed[pc[closed[pa] & closed[pb]]] = True
-                    if closed.sum() == size:
-                        break
-            self._generators = kept
-        return self._generators
 
     def composable_pairs(self) -> list[tuple]:
         pa, pb, _ = self.pairs
@@ -330,9 +332,7 @@ class FinGroupoid:
 
     def verify_axioms(self) -> None:
         """Check the groupoid axioms on the compiled index, raising
-        ``GroupoidAxiomError`` with a witness at the first failure, and
-        record whether the groupoid is principal, that is whether r x s
-        is injective.
+        ``GroupoidAxiomError`` with a witness at the first failure.
 
         Associativity needs no triple in a principal groupoid: once
         composites have the right range and source, (ab)c and a(bc) both
@@ -353,9 +353,6 @@ class FinGroupoid:
         n = len(morphs)
         every = np.arange(n)
         rng, src, inv, is_unit = self.range_idx, self.source_idx, self.inverse_idx, self.unit_mask
-        # both are read off the arrays under verification
-        self.principal = len(set((rng * n + src).tolist())) == n
-        self._generators = None
         bad = is_unit & ((rng != every) | (src != every))
         if bad.any():
             u = morphs[int(np.argmax(bad))]
@@ -418,11 +415,9 @@ class FinGroupoid:
 
 
 @lru_cache(maxsize=PAIR_INDEX_CACHE)
-def pair_groupoid_index(sizes: tuple) -> tuple:
+def pair_groupoid_index(sizes: tuple) -> IndexLayout:
     """The verified index of a disjoint union of pair groupoids, one
-    block per entry of the tuple ``sizes``, in the argument order of
-    ``FinGroupoid._attach``: range, source and inverse, the unit mask,
-    the pairs and ``principal``.
+    block per entry of the tuple ``sizes``.
 
     Blocks are numbered one after another: in a block of size k at offset
     o, the pair (i, j) of its i-th and j-th points is o + ik + j, with
@@ -430,10 +425,11 @@ def pair_groupoid_index(sizes: tuple) -> tuple:
     (i, l).  The pairs come out row-major.
 
     The index is built and verified once per size tuple, on the
-    discrete space of its numbers, and the arrays are returned read-only,
-    so every groupoid built from them shares one verified copy.  Each
-    keeps its own ``pair_id``, topology and caches.  Above
-    ``PAIR_INDEX_MORPHISMS`` morphisms it raises ``SizeCapError`` first.
+    discrete space of its numbers, and returned with its arrays
+    read-only, so every groupoid that attaches it shares one verified
+    copy and what derives from it.  Each keeps its own ``pair_id``,
+    topology and caches.  Above ``PAIR_INDEX_MORPHISMS`` morphisms it
+    raises ``SizeCapError`` first.
     """
     if sum(k * k for k in sizes) > PAIR_INDEX_MORPHISMS:
         raise SizeCapError(f"pair-groupoid unions capped at {PAIR_INDEX_MORPHISMS} morphisms")
@@ -449,19 +445,9 @@ def pair_groupoid_index(sizes: tuple) -> tuple:
     g = FinGroupoid(
         discrete(range(len(k))), row_i + i, row_j + j, row_j + i, i == j, (pa, row_j[pa] + l, row_i[pa] + l)
     )
-    arrays = (g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask, *g.pairs)
-    for a in arrays:
+    for a in (g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask, *g.pairs):
         a.flags.writeable = False
-    return (*arrays[:4], arrays[4:], g.principal)
-
-
-@lru_cache(maxsize=PAIR_INDEX_CACHE)
-def pair_groupoid_layout(sizes: tuple) -> IndexLayout:
-    """The layout of ``pair_groupoid_index(sizes)``, one per size tuple:
-    every groupoid that attaches that index reads its ``orbit_idx``,
-    ``fiber_cells`` and ``inverse_pairs`` from here, each built the first
-    time one of them asks."""
-    return IndexLayout(*pair_groupoid_index(sizes)[:5])
+    return g.layout
 
 
 @lru_cache(maxsize=PAIR_INDEX_CACHE)
@@ -470,8 +456,9 @@ def relation_masks(sizes: tuple, base_masks: tuple) -> tuple:
     of Y at its units, in unit order: the minimal opens of the product
     topology on a relation groupoid, computed once per pair of fiber
     sizes and topology of Y."""
-    rng, src, _, unit_mask, _, _ = pair_groupoid_index(sizes)
-    return tuple(product_masks(dict(zip(np.flatnonzero(unit_mask).tolist(), base_masks)), rng, src))
+    index = pair_groupoid_index(sizes)
+    units = np.flatnonzero(index.unit_mask).tolist()
+    return tuple(product_masks(dict(zip(units, base_masks)), index.range_idx, index.source_idx))
 
 
 class RelationGroupoid(FinGroupoid):
@@ -482,11 +469,10 @@ class RelationGroupoid(FinGroupoid):
     of psi.  As an algebraic groupoid this is the disjoint union of the
     pair groupoids on the fibers, so everything derived from the index
     depends only on the tuple of fiber sizes and is shared read-only
-    between the groupoids with that tuple: the index itself
-    (``pair_groupoid_index``, verified once per tuple) and its layout
-    (``pair_groupoid_layout``: ``orbit_idx``, ``fiber_cells``,
-    ``inverse_pairs``).  ``pair_id``, the topology, the orbits and the
-    property cache stay per groupoid.
+    between the groupoids with that tuple: the ``IndexLayout`` of
+    ``pair_groupoid_index``, verified once per tuple, with its
+    ``orbit_idx``, ``fiber_cells`` and ``inverse_pairs``.  ``pair_id``,
+    the topology, the orbits and the property cache stay per groupoid.
 
     The base space Y is kept, as ``base_masks``: the minimal open of Y
     at each y carried to the unit numbers of the (y, y).  The default
@@ -505,15 +491,15 @@ class RelationGroupoid(FinGroupoid):
         self.base, self.psi, self.fibers = y, psi, fibers
         self.base_labels = [p for f in fibers for p in f]
         # the units (y, y) come out fiber by fiber, as the base labels do
-        units = np.flatnonzero(index[3]).tolist()
+        units = np.flatnonzero(index.unit_mask).tolist()
         unit_of = {y._index[p]: u for p, u in zip(self.base_labels, units)}
         self.base_masks = {u: _image(unit_of, y._mo[y._index[p]]) for p, u in zip(self.base_labels, units)}
         if topology is None:
             pairs = [(a, b) for f in fibers for a in f for b in f]
-            topology = FinSpace(pairs, masks=relation_masks(sizes, tuple(self.base_masks.values())))
-        elif len(topology) != len(index[0]):
+            topology = FinSpace(pairs, relation_masks(sizes, tuple(self.base_masks.values())))
+        elif len(topology) != len(index.range_idx):
             raise ValueError("the topology's points are not the pairs of the fibers")
-        self._attach(topology, *index, pair_groupoid_layout(sizes))
+        self._attach(topology, index)
 
     def with_discrete_topology(self) -> "RelationGroupoid":
         """Same algebraic groupoid with the discrete morphism topology."""
@@ -588,7 +574,7 @@ def orbit_space(groupoid: FinGroupoid):
     """
     labels, masks = _unit_base(groupoid)
     position = (np.cumsum(groupoid.unit_mask) - 1).tolist()
-    base = FinSpace(labels, masks=[_image(position, m) for m in masks.values()])
+    base = FinSpace(labels, [_image(position, m) for m in masks.values()])
     orbit = groupoid.orbit_idx.tolist()
     blocks: dict = {}
     for u, label in zip(masks, labels):
@@ -611,8 +597,7 @@ class GroupoidProperties:
 def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
     """Principality and the etale property, read off the compiled index.
 
-    principal means (r, s) is injective; ``verify_axioms`` records it at
-    install.  etale means the range map is a local homeomorphism onto
+    principal means (r, s) is injective; the index computes it once.  etale means the range map is a local homeomorphism onto
     the unit space; the scan runs r over the groupoid's own minimal
     opens against the codomain masks U_u & units, which are the minimal
     opens of the subspace topology, so the unit space is never built.  The literal Cartan condition

@@ -6,9 +6,10 @@ function, lists in deterministic order, so that parse-then-emit is the
 identity on canonical form.  Errors carry a JSON-pointer-style path.
 ``parse_json`` reads every document and rejects an object that writes a
 key twice, which plain ``json`` would collapse to its last value.  The
-readers of ``fingroupoid/1`` and ``two_cocycle/1`` are the only code
-that numbers labels: each reads its tables and rows once into the int
-arrays that ``FinGroupoid`` and ``TwoCocycle`` take.
+readers of ``finspace/1``, ``fingroupoid/1`` and ``two_cocycle/1`` are
+the only code that numbers labels: each reads its tables and rows once
+into the masks that ``FinSpace`` takes or the int arrays that
+``FinGroupoid`` and ``TwoCocycle`` take.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import InputError, SizeCapError
-from .finspace import FinSpace, SpaceMap, _iter_bits
+from .finspace import FinSpace, InvalidSpace, SpaceMap, _iter_bits
 from .labels import canonical_label
 from .graphfell import DirectedGraph, PeriodicGraph
 from .groupoid import FinGroupoid, RelationGroupoid, build_relation_groupoid
@@ -125,12 +126,37 @@ def space_to_json(space: FinSpace) -> dict:
     }
 
 
+def _number_opens(points: list, min_open: Mapping) -> list[int]:
+    """The mask of each point's minimal open in ``min_open``, point to
+    points, over the positions in ``points``.  The first fault raises
+    ``InvalidSpace``: duplicate points; then, point by point, a missing
+    entry or a member that is no point; then a key that is no point.
+    ``FinSpace`` checks coherence on the masks."""
+    index = {p: i for i, p in enumerate(points)}
+    if len(index) < len(points):
+        raise InvalidSpace("duplicate points")
+    masks = []
+    for p in points:
+        if p not in min_open:
+            raise InvalidSpace(f"no minimal open given for point {p!r}")
+        m = 0
+        for q in min_open[p]:
+            i = index.get(q)
+            if i is None:
+                raise InvalidSpace(f"min_open({p!r}) mentions unknown point {q!r}")
+            m |= 1 << i
+        masks.append(m)
+    for extra in set(min_open) - set(points):
+        raise InvalidSpace(f"min_open defined for unknown point {extra!r}")
+    return masks
+
+
 def space_from_json(doc: Mapping, path: str = "/") -> FinSpace:
     _expect_schema(doc, ("finspace/1",), path)
     points = _expect(doc.get("points"), list, path + "/points")
     mo = _expect(doc.get("min_open"), dict, path + "/min_open")
     try:
-        return FinSpace(points, {p: set(v) for p, v in mo.items()})
+        return FinSpace(points, _number_opens(points, {p: set(v) for p, v in mo.items()}))
     except ValueError as err:
         raise SchemaError(str(err), path)
     except TypeError:

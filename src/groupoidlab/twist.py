@@ -312,7 +312,7 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
     twist = sigma.on_pairs(np.arange(len(groupoid.pairs[0])))
     topology = FinSpace(
         [(z, m) for z in range(n) for m in groupoid.morphisms],
-        masks=[u << z * size for z in range(n) for u in groupoid.topology._mo],
+        [u << z * size for z in range(n) for u in groupoid.topology._mo],
     )
     pa, pb, pc = groupoid.pairs
     w, z = np.arange(n)[:, None, None], np.arange(n)[None, :, None]

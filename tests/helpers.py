@@ -1,7 +1,8 @@
 """Test-only constructions: small spaces, groups and random graphs that
-the library itself never builds, groupoids and cocycles given by label
-tables, and graphs on label dicts with the verdict they gave before
-graphs were numbered."""
+the library itself never builds, spaces, groupoids and cocycles given by
+label tables, the label path spaces were numbered on before the
+``finspace/1`` parser did it, and graphs on label dicts with the verdict
+they gave before graphs were numbered."""
 
 from __future__ import annotations
 
@@ -19,27 +20,70 @@ from groupoidlab import twist as tw
 from groupoidlab.labels import canonical_label
 
 
+def label_space(points, min_open) -> fs.FinSpace:
+    """The space with minimal opens ``min_open``, point to points,
+    numbered as the ``finspace/1`` parser numbers a document's: a fault
+    raises ``InvalidSpace``."""
+    pts = list(points)
+    return fs.FinSpace(pts, sz._number_opens(pts, min_open))
+
+
+class ReferenceSpace:
+    """The label constructor ``FinSpace(points, min_open)`` as it was
+    before labels were numbered only in ``serialize``: the duplicate
+    check, then ``_masks_of`` verbatim, then the coherence checks of
+    ``FinSpace`` on the masks, as ``space``."""
+
+    def __init__(self, points, min_open):
+        self.points = tuple(points)
+        if len(set(self.points)) != len(self.points):
+            raise fs.InvalidSpace("duplicate points")
+        self._index = {p: i for i, p in enumerate(self.points)}
+        self.space = fs.FinSpace(self.points, self._masks_of(min_open))
+
+    def _masks_of(self, min_open) -> list[int]:
+        masks = []
+        for p in self.points:
+            if p not in min_open:
+                raise fs.InvalidSpace(f"no minimal open given for point {p!r}")
+            m = 0
+            for q in min_open[p]:
+                i = self._index.get(q)
+                if i is None:
+                    raise fs.InvalidSpace(f"min_open({p!r}) mentions unknown point {q!r}")
+                m |= 1 << i
+            masks.append(m)
+        for extra in set(min_open) - set(self.points):
+            raise fs.InvalidSpace(f"min_open defined for unknown point {extra!r}")
+        return masks
+
+
+def min_open(space: fs.FinSpace, p) -> frozenset:
+    """The minimal open U_p of ``space`` at the point ``p``, as labels."""
+    return space.unbits(space.min_open_bits(space.index(p)))
+
+
 def chain_space() -> fs.FinSpace:
     """Two-point space {c, o} with {o} open and {c} not: U_c = {c, o}."""
-    return fs.FinSpace(("c", "o"), {"o": {"o"}, "c": {"c", "o"}})
+    return label_space(("c", "o"), {"o": {"o"}, "c": {"c", "o"}})
 
 
 def disjoint_union(parts: Sequence[fs.FinSpace]) -> fs.FinSpace:
     """Disjoint union with each part open and closed; points are (i, p)."""
     pts = [(i, p) for i, part in enumerate(parts) for p in part.points]
     mo = {
-        (i, p): {(i, q) for q in part.min_open(p)}
+        (i, p): {(i, q) for q in min_open(part, p)}
         for i, part in enumerate(parts)
         for p in part.points
     }
-    return fs.FinSpace(pts, mo)
+    return label_space(pts, mo)
 
 
 def subspace(space: fs.FinSpace, subset) -> fs.FinSpace:
     """``subset`` in the order of ``space`` with the subspace topology."""
     sub = space.bits(subset)
     pts = [p for p in space.points if (sub >> space.index(p)) & 1]
-    return fs.FinSpace(pts, {p: space.unbits(space.min_open_bits(space.index(p)) & sub) for p in pts})
+    return label_space(pts, {p: space.unbits(space.min_open_bits(space.index(p)) & sub) for p in pts})
 
 
 def open_sets(space: fs.FinSpace) -> list[frozenset]:

@@ -537,7 +537,9 @@ def test_block_decompose_shapes():
     dec = ca.block_decompose(rel, sigma)
     assert sorted(dec.dims, reverse=True) == [2, 1]
     f = ca.AlgebraElement.char(rel, sigma, (1, 2))
-    blocks = dec.blocks(f)
+    # per orbit, the induced representation of the image at the block's first unit
+    image = dec.rho(f)
+    blocks = [ca.induced_rep((o[0], o[0], k), image).matrix for k, o in enumerate(dec.orbits)]
     big = blocks[dec.dims.index(2)]
     assert np.count_nonzero(big) == 1 and abs(big[0, 1] - 1) < 1e-15
     assert not np.count_nonzero(blocks[dec.dims.index(1)])

@@ -15,7 +15,7 @@ from groupoidlab import finspace as fs
 from groupoidlab import graphfell
 from groupoidlab import serialize as sz
 from groupoidlab.cli import main
-from helpers import disjoint_union, random_dag
+from helpers import disjoint_union, label_space, random_dag
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +68,15 @@ def test_graph_fell_on_a_long_chain_within_budget(capsys, tmp_path):
     assert verdict["verdict"] == "FELL" and verdict["vacuous"]
     assert len(verdict["single_threaded"]) == n
     assert elapsed < 2.0, f"graph-fell on a {n}-vertex chain took {elapsed:.2f}s"
+
+
+def test_graph_fell_names_a_source_labelled_null(capsys, tmp_path):
+    doc = {"schema": "digraph/1", "vertices": [None, "a"], "edges": [{"id": "e", "range": "a", "source": None}]}
+    code, report = run_cli(capsys, "graph-fell", write(tmp_path, "null.json", doc))
+    assert code == 0
+    assert report["result"]["validation"] == {
+        "acyclic": True, "cycle_witness": None, "no_sources": False, "source_witness": "None",
+    }
 
 
 def test_usage_errors_are_input_errors_with_a_report(capsys):
@@ -193,7 +202,7 @@ def test_space_check(capsys, tmp_path):
 
 
 def test_map_classify(capsys, tmp_path):
-    y = fs.FinSpace(("0", "1", "2"), {"0": {"0", "1", "2"}, "1": {"1", "2"}, "2": {"2"}})
+    y = label_space(("0", "1", "2"), {"0": {"0", "1", "2"}, "1": {"1", "2"}, "2": {"2"}})
     psi = fs.SpaceMap(y, fs.sierpinski(), {"0": "b", "1": "a", "2": "a"})
     code, report = run_cli(capsys, "map-classify", write(tmp_path, "m.json", sz.map_to_json(psi)))
     assert code == 0
@@ -218,7 +227,7 @@ def test_build_relation_and_fell_check(capsys, tmp_path):
 
 
 def test_fell_check_discrete_morphisms_flag(capsys, tmp_path):
-    y = fs.FinSpace(("0", "1", "2"), {"0": {"0", "1", "2"}, "1": {"1", "2"}, "2": {"2"}})
+    y = label_space(("0", "1", "2"), {"0": {"0", "1", "2"}, "1": {"1", "2"}, "2": {"2"}})
     psi = fs.SpaceMap(y, fs.sierpinski(), {"0": "b", "1": "a", "2": "a"})
     doc = {"schema": "relation_groupoid/1", "psi": sz.map_to_json(psi)}
     path = write(tmp_path, "rel.json", doc)
@@ -366,7 +375,7 @@ def test_parser_state_does_not_leak_between_calls(capsys, tmp_path):
         ],
     }
     graph = write(tmp_path, "seam.json", seam)
-    y = fs.FinSpace(("0", "1", "2"), {"0": {"0", "1", "2"}, "1": {"1", "2"}, "2": {"2"}})
+    y = label_space(("0", "1", "2"), {"0": {"0", "1", "2"}, "1": {"1", "2"}, "2": {"2"}})
     psi = fs.SpaceMap(y, fs.sierpinski(), {"0": "b", "1": "a", "2": "a"})
     relation = write(tmp_path, "rel.json", {"schema": "relation_groupoid/1", "psi": sz.map_to_json(psi)})
     verdict = lambda report: report["result"]["verdict"]["verdict"]

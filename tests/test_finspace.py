@@ -4,7 +4,7 @@ import pytest
 
 from groupoidlab import finspace as fs
 from groupoidlab.corpus import all_partitions, all_topologies, random_space
-from helpers import chain_space, disjoint_union, is_closed_bits, open_sets, subspace
+from helpers import chain_space, disjoint_union, is_closed_bits, label_space, min_open, open_sets, subspace
 
 
 # -- brute-force oracles, written against raw definitions -----------------
@@ -64,7 +64,7 @@ def oracle_classify(f: fs.SpaceMap):
 
 def chain3():
     # Y = {0,1,2} with opens (emptyset), {2}, {1,2}, Y
-    return fs.FinSpace((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
+    return label_space((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
 
 
 def chain3_to_sierpinski():
@@ -78,19 +78,19 @@ def chain3_to_sierpinski():
 
 def test_invalid_spaces_rejected():
     with pytest.raises(fs.InvalidSpace):
-        fs.FinSpace((0, 1), {0: {1}, 1: {1}})  # 0 not in own minimal open
+        label_space((0, 1), {0: {1}, 1: {1}})  # 0 not in own minimal open
     # indiscrete two-point space is fine
-    fs.FinSpace((0, 1), {0: {0, 1}, 1: {0, 1}})
+    label_space((0, 1), {0: {0, 1}, 1: {0, 1}})
     # incoherent: 1 in U_0 but U_1 not inside U_0
     with pytest.raises(fs.InvalidSpace):
-        fs.FinSpace((0, 1, 2), {0: {0, 1}, 1: {1, 2}, 2: {2}})
+        label_space((0, 1, 2), {0: {0, 1}, 1: {1, 2}, 2: {2}})
 
 
 def test_mask_constructor_matches_and_shares_the_checks():
     for seed in range(40):
         s = random_space(seed, 6)
         masks = [s.min_open_bits(i) for i in range(len(s))]
-        assert fs.FinSpace(s.points, masks=masks) == s
+        assert fs.FinSpace(s.points, masks) == label_space(s.points, {p: min_open(s, p) for p in s.points})
     bad = (
         [0b10, 0b10, 0b100],  # 0 outside U_0
         [0b11, 0b110, 0b100],  # 1 in U_0 but U_1 not inside U_0
@@ -99,7 +99,7 @@ def test_mask_constructor_matches_and_shares_the_checks():
     )
     for masks in bad:
         with pytest.raises(fs.InvalidSpace):
-            fs.FinSpace((0, 1, 2), masks=masks)
+            fs.FinSpace((0, 1, 2), masks)
 
 
 def test_is_open_bits_matches_the_open_set_lattice():
@@ -262,8 +262,8 @@ def test_quotient_chain3_gives_sierpinski():
     # the block {1,2} is open, {0} is not: Sierpinski
     b0 = next(b for b in x.points if 0 in b)
     b12 = next(b for b in x.points if 1 in b)
-    assert x.min_open(b12) == frozenset({b12})
-    assert x.min_open(b0) == frozenset({b0, b12})
+    assert min_open(x, b12) == frozenset({b12})
+    assert min_open(x, b0) == frozenset({b0, b12})
 
 
 def test_quotient_rejects_bad_partitions():

@@ -19,7 +19,7 @@ from groupoidlab import graphfell as gf
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab.cli import main
-from helpers import inverse_map, label_groupoid
+from helpers import inverse_map, label_groupoid, label_space
 
 ODD_VALUES = (None, True, False, 0, -1, 1.5, 2**63, 2**100 + 277, "", "x", [], [1, "a"], {}, {"k": [0]})
 ODD_ORDERS = (0, -1, -7, 1, 2, 2**40 + 15, 2**63 - 25, 2**63, 2**100 + 277)
@@ -225,6 +225,14 @@ def test_an_endpoint_equal_to_a_vertex_of_another_json_type_is_dangling():
     assert err.value.code == "DANGLING"
 
 
+def test_vertices_equal_across_json_types_are_duplicates():
+    # unrolled labels ("b", k, 1) and ("b", k, True) would collide in the
+    # position lookup of the witness search
+    code, report = run_doc("graph-fell", {"schema": "digraph/1", "vertices": [1, True], "edges": []})
+    assert code == 1
+    assert report["result"]["error"] == "SchemaError: duplicate vertices (at /)"
+
+
 def space_label_fields(doc, path="/"):
     """(container, key, path) of every label in a finspace/1, spacemap/1 or
     fingroupoid/1 document: points, min_open members, assignment values,
@@ -249,7 +257,7 @@ def space_label_fields(doc, path="/"):
 
 
 def test_a_non_scalar_space_or_groupoid_label_is_an_input_error():
-    space = fs.FinSpace(("a", "b", "c"), {"a": {"a"}, "b": {"a", "b"}, "c": {"c"}})
+    space = label_space(("a", "b", "c"), {"a": {"a"}, "b": {"a", "b"}, "c": {"c"}})
     psi = fs.SpaceMap(space, fs.discrete(("x", "y")), {"a": "x", "b": "x", "c": "y"})
     rel = gp.build_relation_groupoid(fs.SpaceMap(fs.discrete((1, 2)), fs.discrete(("*",)), {1: "*", 2: "*"}))
     table = label_groupoid(rel.topology, rel.units, rel.range_map, rel.source_map, rel.compose, inverse_map(rel))

@@ -56,6 +56,12 @@ def test_parallel_edges_acyclic_but_sourced():
     assert val.source_witness == "w"
 
 
+def test_a_source_labelled_none_is_a_source():
+    val = gf.validate_graph(gf.DirectedGraph((None, "a"), [("e", "a", None)]))
+    assert not val.no_sources and val.source_witness is None
+    assert val.as_dict()["source_witness"] == "None"
+
+
 def test_cycle_witness_is_genuine():
     rng = random.Random(0)
     for _ in range(40):

@@ -14,7 +14,7 @@ from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
 from groupoidlab.cli import main
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
-from helpers import inverse_map, label_groupoid, product_group, subspace
+from helpers import inverse_map, label_groupoid, label_space, min_open, product_group, subspace
 
 
 def discrete_3_to_2():
@@ -24,7 +24,7 @@ def discrete_3_to_2():
 
 
 def chain3_to_sierpinski():
-    y = fs.FinSpace((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
+    y = label_space((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
     x = fs.sierpinski()
     return fs.SpaceMap(y, x, {0: "b", 1: "a", 2: "a"})
 
@@ -49,9 +49,9 @@ def test_relation_groupoid_chain_topology():
     assert len(r.morphisms) == 5
     # minimal open of (0,0) is the whole relation: U_0 = Y so U_0 x U_0
     # meets every pair
-    assert r.topology.min_open((0, 0)) == frozenset(r.morphisms)
-    assert r.topology.min_open((2, 2)) == frozenset({(2, 2)})
-    assert r.topology.min_open((1, 2)) == frozenset({(1, 2), (2, 2)})
+    assert min_open(r.topology, (0, 0)) == frozenset(r.morphisms)
+    assert min_open(r.topology, (2, 2)) == frozenset({(2, 2)})
+    assert min_open(r.topology, (1, 2)) == frozenset({(1, 2), (2, 2)})
 
 
 def cyclic_group(k):
@@ -131,8 +131,8 @@ def test_orbit_space_chain_is_sierpinski():
     space, q = gp.orbit_space(r)
     b0 = next(b for b in space.points if 0 in b)
     b12 = next(b for b in space.points if 1 in b)
-    assert space.min_open(b12) == frozenset({b12})
-    assert space.min_open(b0) == frozenset({b0, b12})
+    assert min_open(space, b12) == frozenset({b12})
+    assert min_open(space, b0) == frozenset({b0, b12})
 
 
 # -- orbit_map_check -----------------------------------------------------------
@@ -343,7 +343,7 @@ def test_pair_topology_is_the_product_subspace(corpus_builds):
         got = relation.topology
         want = product_subspace(psi.dom, got.points)
         assert len(got) == len(want) == sum(len(f) ** 2 for f in relation.fibers)
-        assert all(got.min_open(p) == want.min_open(p) for p in got.points)
+        assert all(min_open(got, p) == min_open(want, p) for p in got.points)
 
 
 def test_relation_index_matches_the_dict_built_groupoid(corpus_builds):
@@ -363,7 +363,7 @@ def test_properties_and_fell_check_match_the_definitions(corpus_builds):
     two = fs.discrete((1, 2))
     pair = gp.build_relation_groupoid(fs.SpaceMap(two, fs.discrete(("*",)), {1: "*", 2: "*"}))
     # the pair groupoid on two points whose inverse is not continuous
-    flip = fs.FinSpace(pair.morphisms, {m: {m} for m in pair.morphisms} | {(2, 1): {(2, 1), (1, 2)}})
+    flip = label_space(pair.morphisms, {m: {m} for m in pair.morphisms} | {(2, 1): {(2, 1), (1, 2)}})
     odd = label_groupoid(flip, pair.units, pair.range_map, pair.source_map, pair.compose, inverse_map(pair))
     groupoids = [odd]
     for _, relation, discrete, *_ in corpus_builds:
@@ -649,19 +649,22 @@ def loop_pair_index(sizes: tuple, rng: random.Random) -> tuple:
 def test_cached_pair_index_matches_a_fresh_install():
     rng = random.Random(13)
     tuples = [s for n in range(7) for s in compositions(n)] + [(20,), (33,), (1, 40)]
+    names = ("range_idx", "source_idx", "inverse_idx", "unit_mask")
     for sizes in tuples:
-        *arrays, pairs, principal = gp.pair_groupoid_index(sizes)
+        index = gp.pair_groupoid_index(sizes)
         count = sum(k * k for k in sizes)
         fresh = gp.FinGroupoid(fs.discrete(range(count)), *loop_pair_index(sizes, rng))
-        want = (fresh.range_idx, fresh.source_idx, fresh.inverse_idx, fresh.unit_mask)
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(arrays, want)), sizes
-        assert all(np.array_equal(a, b) for a, b in zip(pairs, fresh.pairs)), sizes
-        assert principal is fresh.principal is True, sizes
+        got, want = ([getattr(x, name) for name in names] for x in (index, fresh))
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want)), sizes
+        assert all(np.array_equal(a, b) for a, b in zip(index.pairs, fresh.pairs)), sizes
+        assert index.principal is fresh.principal is True, sizes
+        assert np.array_equal(index.generating_mask, fresh.generating_mask), sizes
 
 
 def test_cached_pair_index_is_read_only():
-    *arrays, pairs, _ = gp.pair_groupoid_index((2, 3))
-    for a in (*arrays, *pairs):
+    index = gp.pair_groupoid_index((2, 3))
+    for a in (index.range_idx, index.source_idx, index.inverse_idx, index.unit_mask, *index.pairs,
+              index.generating_mask):
         with pytest.raises(ValueError):
             a[0] = a[1]
     g = gp.build_relation_groupoid(discrete_3_to_2())
@@ -674,6 +677,7 @@ def test_relation_groupoids_share_the_index_and_its_layout():
     one = gp.build_relation_groupoid(discrete_3_to_2())
     two = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("u", "v")), {"a": "v", "b": "v", "c": "u"}))
     assert [len(f) for f in one.fibers] == [len(f) for f in two.fibers]
+    assert one.layout is two.layout
     for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask"):
         assert getattr(one, name) is getattr(two, name), name
     assert all(a is b for a, b in zip(one.pairs, two.pairs))
@@ -706,7 +710,8 @@ def test_shared_layout_matches_a_fresh_groupoid():
     cases.append(((2, 0, 1), ca.matrix_unit_groupoid({"a": (0, 1), "e": (), "b": (2,)}, 3).groupoid))
     for sizes, g in cases:
         fresh = fresh_copy(g)
-        assert g.layout is gp.pair_groupoid_layout(sizes) and fresh.layout is not g.layout, sizes
+        assert g.layout is gp.pair_groupoid_index(sizes) and fresh.layout is not g.layout, sizes
+        assert g.principal is fresh.principal is True, sizes
         assert np.array_equal(g.orbit_idx, fresh.orbit_idx), sizes
         *cells, blocks = g.fiber_cells
         *want, want_blocks = fresh.fiber_cells
@@ -734,7 +739,7 @@ def test_memoized_relation_masks_match_product_masks():
 
 
 def test_reports_do_not_depend_on_the_pair_index_cache(tmp_path):
-    psi = fs.quotient_space(fs.FinSpace((0, 1, 2, 3), {0: {0}, 1: {0, 1}, 2: {2}, 3: {2, 3}}), [{0, 2}, {1, 3}])[1]
+    psi = fs.quotient_space(label_space((0, 1, 2, 3), {0: {0}, 1: {0, 1}, 2: {2}, 3: {2, 3}}), [{0, 2}, {1, 3}])[1]
     path = tmp_path / "psi.json"
     path.write_text(json.dumps(sz.map_to_json(psi)))
     relation = tmp_path / "relation.json"
@@ -759,7 +764,7 @@ def test_reports_do_not_depend_on_the_pair_index_cache(tmp_path):
         return out, blocks.compose
 
     warm = reports()
-    caches = (gp.pair_groupoid_index, gp.pair_groupoid_layout, gp.relation_masks)
+    caches = (gp.pair_groupoid_index, gp.relation_masks)
     for cache in caches:
         cache.cache_clear()
     assert reports() == warm

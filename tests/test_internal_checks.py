@@ -45,27 +45,38 @@ def _names(node):
             yield sub.attr
 
 
+def _attributes(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def test_every_library_function_has_a_caller_in_the_library():
-    """Each module-level function and method is named somewhere in the
-    package outside its own body and ``__init__.py``, or is a listed
-    entry point.  Names are matched as names, so a call through any
-    object with a method of the same name counts."""
-    used = collections.Counter()
+    """Each module-level function is named somewhere in the package
+    outside its own body and ``__init__.py``, and each method is read as
+    an attribute (``.name``) there, or it is a listed entry point.  A
+    local variable or a function that shares a method's name does not
+    count as a use of the method."""
+    names, attributes = collections.Counter(), collections.Counter()
     definitions = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        used.update(_names(tree))
+        names.update(_names(tree))
+        attributes.update(_attributes(tree))
         for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            definitions += [(path.name, d) for d in members if isinstance(d, ast.FunctionDef)]
+            if isinstance(node, ast.ClassDef):
+                definitions += [(path.name, d, attributes, _attributes) for d in node.body
+                                if isinstance(d, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                definitions.append((path.name, node, names, _names))
     offenders = [
         f"{name}:{d.lineno} {d.name}"
-        for name, d in definitions
+        for name, d, used, uses in definitions
         if not d.name.startswith("__")
         and d.name not in ENTRY_POINTS.get(name, ())
-        and used[d.name] == collections.Counter(_names(d))[d.name]
+        and used[d.name] == collections.Counter(uses(d))[d.name]
     ]
     assert offenders == []
 

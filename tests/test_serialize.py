@@ -17,7 +17,7 @@ from groupoidlab import twist as tw
 from groupoidlab.cli import main
 from groupoidlab.corpus import random_partition, random_space
 from groupoidlab.labels import canonical_label
-from helpers import inverse_map, label_groupoid, product_group
+from helpers import ReferenceSpace, inverse_map, label_groupoid, label_space, min_open, product_group
 
 
 def canon(doc):
@@ -25,7 +25,7 @@ def canon(doc):
 
 
 def test_space_round_trip_idempotent():
-    space = fs.FinSpace((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
+    space = label_space((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
     doc = sz.space_to_json(space)
     once = sz.space_from_json(doc)
     assert canon(sz.space_to_json(once)) == canon(doc)
@@ -38,7 +38,7 @@ def per_member_space_to_json(space):
         "schema": "finspace/1",
         "points": [canonical_label(p) for p in space.points],
         "min_open": {
-            canonical_label(p): sorted(canonical_label(q) for q in space.min_open(p)) for p in space.points
+            canonical_label(p): sorted(canonical_label(q) for q in min_open(space, p)) for p in space.points
         },
     }
 
@@ -49,7 +49,7 @@ def test_space_to_json_renders_as_per_member(monkeypatch, tmp_path):
     psis = []
     for k in range(60):
         base = random_space(rng.randrange(10**6), 9)
-        space = fs.FinSpace([shapes[k % 3](i) for i in base.points], masks=base._mo)
+        space = fs.FinSpace([shapes[k % 3](i) for i in base.points], base._mo)
         psis.append(fs.quotient_space(space, random_partition(rng, space.points))[1])
     spaces = [s for psi in psis for s in (psi.dom, psi.cod, gp.build_relation_groupoid(psi).topology)]
     for space in spaces:
@@ -73,7 +73,7 @@ def test_space_to_json_renders_as_per_member(monkeypatch, tmp_path):
 
 
 def test_map_round_trip():
-    y = fs.FinSpace((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
+    y = label_space((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
     psi = fs.SpaceMap(y, fs.sierpinski(), {0: "b", 1: "a", 2: "a"})
     doc = sz.map_to_json(psi)
     back = sz.map_from_json(doc)
@@ -325,11 +325,11 @@ def relation_plain_copy(psi) -> gp.FinGroupoid:
 def oracle_groupoids() -> list:
     """Groups, relation groupoids on non-discrete spaces and an extension by
     a nontrivial cocycle: principal and not, one unit and several."""
-    y = fs.FinSpace((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
+    y = label_space((0, 1, 2), {0: {0, 1, 2}, 1: {1, 2}, 2: {2}})
     chain = fs.SpaceMap(y, fs.sierpinski(), {0: "b", 1: "a", 2: "a"})
     pair = gp.build_relation_groupoid(fs.SpaceMap(fs.discrete((1, 2)), fs.discrete(("*",)), {1: "*", 2: "*"}))
     carry = tw.TwoCocycle.trivial(pair, 2).shift(((1, 2), (2, 1)), 1).shift(((2, 1), (1, 2)), 1)
-    quotient = fs.quotient_space(fs.FinSpace((0, 1, 2, 3), {0: {0}, 1: {0, 1}, 2: {2}, 3: {2, 3}}), [{0, 2}, {1, 3}])[1]
+    quotient = fs.quotient_space(label_space((0, 1, 2, 3), {0: {0}, 1: {0, 1}, 2: {2}, 3: {2, 3}}), [{0, 2}, {1, 3}])[1]
     return [product_group(2, 3), relation_plain_copy(chain), relation_plain_copy(quotient),
             tw.extension_groupoid(pair, carry)]
 
@@ -400,6 +400,87 @@ def test_fingroupoid_parse_matches_the_label_path():
                      "SchemaError: unit ", "SchemaError: composition entry (", "SchemaError: expected a scalar label",
                      "SchemaError: composition defined on (", "SchemaError: range/source of a composite", "valid"):
         assert any(k.startswith(reported) for k in seen), (reported, seen)
+
+
+def reference_space_from_json(doc, path="/"):
+    """``space_from_json`` as it read a finspace/1 document while
+    ``FinSpace`` numbered label sets itself."""
+    points, mo = doc["points"], doc["min_open"]
+    try:
+        return ReferenceSpace(points, {p: set(v) for p, v in mo.items()}).space
+    except ValueError as err:
+        raise sz.SchemaError(str(err), path)
+    except TypeError:
+        sz._reject_non_scalar(sz._members(points, path + "/points"))
+        for p, v in mo.items():
+            sz._reject_non_scalar(sz._members(v, f"{path}/min_open/{p}"))
+        raise
+
+
+def fault_space(doc, kind, rng):
+    """Put one fault of ``kind`` into a finspace/1 document, at random."""
+    points, mo = doc["points"], doc["min_open"]
+    opens = [v for v in mo.values() if isinstance(v, list)]
+    if kind == "duplicate point":
+        points.insert(rng.randint(0, len(points)), rng.choice(points))
+    elif kind == "missing entry" and mo:
+        del mo[rng.choice(list(mo))]
+    elif kind == "unknown member" and opens:
+        rng.choice(opens).append(rng.choice(ODD_LABELS))
+    elif kind == "stray key":
+        mo[rng.choice(("zz", "7", ""))] = rng.sample(points, rng.randint(0, len(points)))
+    elif kind == "non-scalar label":
+        node = rng.choice([points, *opens])
+        node.insert(rng.randint(0, len(node)), copy.deepcopy(rng.choice(NON_SCALARS)))
+    elif kind == "incoherent opens" and opens:
+        target = rng.choice(opens)
+        if target and rng.random() < 0.5:
+            del target[rng.randrange(len(target))]
+        else:
+            target.append(rng.choice(points))
+    elif kind == "point of another type":
+        points[rng.randrange(len(points))] = rng.choice(ODD_LABELS)
+    elif kind == "open that is no list" and mo:
+        mo[rng.choice(list(mo))] = rng.choice((5, None, "ab", {"a": 1}))
+
+
+SPACE_FAULTS = ("duplicate point", "missing entry", "unknown member", "stray key", "non-scalar label",
+                "incoherent opens", "point of another type", "open that is no list")
+
+
+def test_finspace_parse_matches_the_label_path():
+    rng = random.Random(1208)
+    seen = collections.Counter()
+    for trial in range(1000):
+        base = random_space(rng.randrange(10**6), 6)
+        names = rng.sample("abcdefgh", len(base))
+        doc = {"schema": "finspace/1", "points": names, "min_open": {
+            names[i]: rng.sample([names[j] for j in range(len(base)) if base.min_open_bits(i) >> j & 1],
+                                 base.min_open_bits(i).bit_count())
+            for i in rng.sample(range(len(base)), len(base))
+        }}
+        if trial % 8:
+            for kind in rng.choices(SPACE_FAULTS, k=rng.randint(1, 3)):
+                fault_space(doc, kind, rng)
+        want = outcome(reference_space_from_json, copy.deepcopy(doc))
+        got = outcome(sz.space_from_json, doc)
+        if isinstance(want, str):
+            assert got == want, doc
+            seen[want.split(" (at ")[0]] += 1
+        else:
+            assert (got.points, got._mo) == (want.points, want._mo), doc
+            seen["valid"] += 1
+    # the first fault is of every kind, and the valid documents parse alike
+    for reported in ("SchemaError: duplicate points", "SchemaError: no minimal open given", "SchemaError: min_open(",
+                     "SchemaError: min_open defined for unknown point", "SchemaError: expected a scalar label",
+                     "SchemaError: minimal opens incoherent", "SchemaError: point ", "TypeError: ", "valid"):
+        assert any(k.startswith(reported) for k in seen), (reported, seen)
+
+
+def test_a_mapping_is_not_taken_for_masks():
+    # its keys would read as masks: U_1 = {1} and U_3 = {1, 3}, coherent but wrong
+    with pytest.raises(TypeError):
+        fs.FinSpace((1, 3), {1: {1, 3}, 3: {3}})
 
 
 def collide_groupoid() -> gp.FinGroupoid:

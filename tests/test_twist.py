@@ -17,7 +17,7 @@ from groupoidlab import serialize
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from groupoidlab.modlin import solve_mod
-from helpers import cocycle_entry, inverse_map, label_cocycle, label_groupoid, product_group
+from helpers import cocycle_entry, inverse_map, label_cocycle, label_groupoid, label_space, min_open, product_group
 
 
 def pair_groupoid(points):
@@ -453,7 +453,7 @@ def reference_extension(groupoid, sigma):
     at (m, m^{-1}) for each morphism, then at every composable pair."""
     n, inv = sigma.n, inverse_map(groupoid)
     morphs = [(z, m) for z in range(n) for m in groupoid.morphisms]
-    mo = {(z, m): {(z, m2) for m2 in groupoid.topology.min_open(m)} for (z, m) in morphs}
+    mo = {(z, m): {(z, m2) for m2 in min_open(groupoid.topology, m)} for (z, m) in morphs}
     inverse = {(z, m): ((-z - cocycle_entry(sigma, m, inv[m])) % n, inv[m]) for (z, m) in morphs}
     compose = {}
     for (a, b) in groupoid.composable_pairs():
@@ -461,7 +461,7 @@ def reference_extension(groupoid, sigma):
             for z in range(n):
                 compose[((w, a), (z, b))] = ((w + z + cocycle_entry(sigma, a, b)) % n, groupoid.compose[(a, b)])
     return label_groupoid(
-        fs.FinSpace(morphs, mo),
+        label_space(morphs, mo),
         [(0, u) for u in groupoid.units],
         {(z, m): (0, groupoid.range_map[m]) for (z, m) in morphs},
         {(z, m): (0, groupoid.source_map[m]) for (z, m) in morphs},
