@@ -13,13 +13,18 @@ An element is a complex vector over the morphisms.  Each law reads one
 table per cocycle, ``structure_constants``, on the groupoid's compiled
 pair index: convolution is one scatter-add over the pairs, and induced
 representations read one matrix entry per pair, in the cell order of the
-groupoid's ``fiber_cells``.
+groupoid's ``fiber_cells``, from one helper, ``_cell_values``.
 
 Induced representations act on functions over source fibers; a unit's
-matrix is a contiguous run of cells, and the reduced norm is the largest
-induced operator norm over the orbit representatives that ``orbit_idx``
-names, whose runs lead the layout, with one stacked SVD per source-fiber
-size.  On top of the plain algebra the module builds the two
+matrix is a contiguous run of cells, and the units of one fiber size
+are adjacent, so one product over the cells gives every unit's matrix
+as (m, d, d) stacks.  The reduced norm is the largest induced operator
+norm over the orbit representatives that ``orbit_idx`` names, whose runs
+lead the layout, with one stacked SVD per source-fiber size.  The model
+checks read every unit's matrix the same way, one product per element:
+the axiom battery compares the stacks of f, g, fg and f*, and the
+doubled-sheet model compares each element's cells with their partners
+in the target's layout.  On top of the plain algebra the module builds the two
 matrix-algebra models used throughout: the doubled-sheet model
 (functions into N x N matrices, diagonal at the unglued boundary level)
 and the Cech-twisted cover model with its boundary character and kernel
@@ -216,6 +221,21 @@ class InducedRep:
         return tuple([self.groupoid.morphisms[c] for c in self.groupoid.pairs[1][self.row].tolist()])
 
 
+def _cell_values(f: AlgebraElement, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """f(b) zeta^{sigma(b, c)} at the pair (b, c) of each of the cells
+    start:stop of the groupoid's ``fiber_cells`` (default all): the
+    entries of the induced matrices there, row-major, unit after unit."""
+    cells, first, *_ = f.groupoid.fiber_cells
+    _, phases, _ = structure_constants(f.sigma)
+    return _mul(f.vec[first[start:stop]], phases[cells[start:stop]])
+
+
+def _stacks(values: np.ndarray, blocks: tuple) -> list:
+    """The (m, d, d) stack of each (offset, m, d) of ``blocks`` in the
+    cell values ``values``."""
+    return [values[o:o + m * d * d].reshape(m, d, d) for o, m, d in blocks]
+
+
 def induced_rep(u: Hashable, f: AlgebraElement) -> InducedRep:
     """The induced representation at a unit, realized by applying
 
@@ -227,11 +247,9 @@ def induced_rep(u: Hashable, f: AlgebraElement) -> InducedRep:
     gp = f.groupoid
     if u not in gp.units:
         raise ValueError(f"{u!r} is not a unit")
-    _, phases, _ = structure_constants(f.sigma)
-    cells, first, start, size, _ = gp.fiber_cells
+    cells, _, start, size, _, _ = gp.fiber_cells
     o, d = start.item(gp.index[u]), size.item(gp.index[u])
-    k = cells[o:o + d * d]
-    return InducedRep(u, _mul(f.vec[first[o:o + d * d]], phases[k]).reshape(d, d), gp, k[:d])
+    return InducedRep(u, _cell_values(f, o, o + d * d).reshape(d, d), gp, cells[o:o + d])
 
 
 def operator_norm(matrices: np.ndarray) -> float:
@@ -248,11 +266,9 @@ def reduced_norm(f: AlgebraElement) -> float:
     the orbit representatives ``orbit_idx`` names are induced: their
     matrices are the leading cells of the groupoid's ``fiber_cells``,
     filled in one product, and each fiber size takes one stacked SVD."""
-    cells, first, _, _, blocks = f.groupoid.fiber_cells
-    _, phases, _ = structure_constants(f.sigma)
-    end = sum(m * d * d for _, m, d in blocks)
-    values = _mul(f.vec[first[:end]], phases[cells[:end]])
-    return max((operator_norm(values[o:o + m * d * d].reshape(m, d, d)) for o, m, d in blocks), default=0.0)
+    _, _, _, _, blocks, _ = f.groupoid.fiber_cells
+    values = _cell_values(f, 0, sum(m * d * d for _, m, d in blocks))
+    return max(map(operator_norm, _stacks(values, blocks)), default=0.0)
 
 
 # -- *-homomorphisms on a basis ---------------------------------------------------
@@ -443,11 +459,10 @@ def block_decompose(relation: RelationGroupoid, sigma: TwoCocycle) -> BlockDecom
 def random_element(rng: random.Random, groupoid: FinGroupoid, sigma: TwoCocycle, density: float = 0.7) -> AlgebraElement:
     if sigma.groupoid is not groupoid:
         raise CocycleError("cocycle belongs to a different groupoid")
-    # per morphism: one draw for the support, two more for a value in it
-    values = [
-        complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if rng.random() < density else 0j
-        for _ in groupoid.morphisms
-    ]
+    # per morphism: one draw for the support, two more for a value in it,
+    # each -1 + 2 x as ``rng.uniform(-1, 1)`` forms it
+    draw = rng.random
+    values = [complex(-1 + 2 * draw(), -1 + 2 * draw()) if draw() < density else 0j for _ in groupoid.morphisms]
     return _element(sigma, np.array(values, dtype=complex))
 
 
@@ -490,7 +505,11 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
     *-homomorphism onto functions into N x N matrices that are diagonal
     at the unglued level, that it is isometric for the reduced norm, and
     that evaluating at a level is unitarily equivalent to the induced
-    representation there via the sheet-relabelling permutation.
+    representation there via the sheet-relabelling permutation.  The
+    permutation is one map from the relation groupoid's fiber cells to
+    the target's, built once; each element's induced matrices at every
+    unit, and rho(f)'s at every level, come from one product each, so a
+    round is one comparison.
     """
     if levels < 2 or sheets < 1:
         raise ValueError("need at least 2 levels and 1 sheet")
@@ -527,21 +546,25 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
     # evaluation at level t (inducing rho(f) at (i, i, t)) is unitarily
     # equivalent to inducing f at the unit (t, i): the unitary relabels the
     # fiber basis ((t,j),(t,i)) -> (j, i, t), one point at the unglued level.
-    # On point masses the induced matrices hold the products compared
-    # above, so only dense elements add to the multiplicative deviation.
+    # So the entry of the pair (b, c) sits at the pair (rho b, rho c), and
+    # each cell of the relation's ``fiber_cells`` has one partner cell in
+    # the target's.  On point masses the induced matrices hold the products
+    # compared above, so only dense elements add to the multiplicative
+    # deviation.
+    cells, _, _, size, _, _ = relation.fiber_cells
+    if (size[[relation.index[((levels - 1, i), (levels - 1, i))] for i in range(1, sheets + 1)]] != 1).any():
+        raise InternalCheckFailure("unglued level has a fiber of size > 1")
+    t_cells, *_ = target.groupoid.fiber_cells
+    where = np.empty_like(t_cells)
+    where[t_cells] = np.arange(len(t_cells))
+    t_of, _ = _image_arrays(relation, target.groupoid, image)
+    pa, pb, _ = relation.pairs
+    partner = where[target.groupoid.pair_id[t_of[pa[cells]], t_of[pb[cells]]]]
     uni_dev = check.multiplicative_dev
     for _ in range(3):
         f = random_element(rng, relation, sigma)
-        rho_f = rho(f)
-        for t in range(levels):
-            for i in range(1, sheets + 1):
-                ind = induced_rep(((t, i), (t, i)), f)
-                if t == levels - 1 and len(ind.basis) != 1:
-                    raise InternalCheckFailure("unglued level has a fiber of size > 1")
-                level = induced_rep((i, i, t), rho_f)
-                pos = [level.basis.index(image[a][0]) for a in ind.basis]
-                dev = np.abs(ind.matrix - level.matrix[np.ix_(pos, pos)]).max()
-                uni_dev = max(uni_dev, float(dev))
+        dev = np.abs(_cell_values(f) - _cell_values(rho(f))[partner]).max()
+        uni_dev = max(uni_dev, float(dev))
     return DoubledModelReport(
         levels, sheets, relation, decomposition, shape,
         check.multiplicative_dev, check.star_dev, bijective, norm_dev, uni_dev,
@@ -614,9 +637,13 @@ def axiom_battery(sigma: TwoCocycle, rng: random.Random) -> CoverAlgebraCheck:
     """Four rounds of three random elements f, g, h: associativity,
     f** = f and (fg)* = g* f*, multiplicativity and *-preservation of the
     induced representation at every unit, and the C* identity of the
-    reduced norm; plus the exact cocycle identity of ``sigma``."""
+    reduced norm; plus the exact cocycle identity of ``sigma``.  The
+    induced matrices of f, g, fg and f* at every unit come from one
+    product each over the groupoid's ``fiber_cells``, as (m, d, d)
+    stacks, so each stack takes one batched matmul and one conjugate
+    transpose."""
     groupoid = sigma.groupoid
-    units = [m for m in groupoid.morphisms if m in groupoid.units]
+    _, _, _, _, blocks, rest = groupoid.fiber_cells
     assoc = star = rep = cstar = 0.0
     for _ in range(4):
         f, g, h = (random_element(rng, groupoid, sigma) for _ in range(3))
@@ -627,12 +654,13 @@ def axiom_battery(sigma: TwoCocycle, rng: random.Random) -> CoverAlgebraCheck:
             max_deviation(involute(fstar), f),
             max_deviation(involute(fg), convolve(involute(g), fstar)),
         )
-        for u in units:
-            mf, mg = induced_rep(u, f).matrix, induced_rep(u, g).matrix
+        # every unit's matrices of f, g, fg and f*, one stack per block
+        stacks = (_stacks(_cell_values(x), blocks + rest) for x in (f, g, fg, fstar))
+        for mf, mg, mfg, mstar in zip(*stacks):
             rep = max(
                 rep,
-                float(np.max(np.abs(induced_rep(u, fg).matrix - mf @ mg))),
-                float(np.max(np.abs(induced_rep(u, fstar).matrix - mf.conj().T))),
+                float(np.max(np.abs(mfg - mf @ mg))),
+                float(np.max(np.abs(mstar - mf.conj().mT))),
             )
         cstar = max(cstar, abs(reduced_norm(convolve(fstar, f)) - reduced_norm(f) ** 2))
     return CoverAlgebraCheck(assoc, star, rep, cstar, verify_two_cocycle(sigma).valid)

@@ -148,15 +148,18 @@ class IndexLayout:
     @cached_property
     def fiber_cells(self) -> tuple:
         """Every unit's induced matrix as a run of one permutation of the
-        pairs, (cells, first, start, size, blocks).  The pair (b, c) with
-        s(c) = u is the entry of u's size[u] x size[u] matrix at the fiber
-        positions of bc and c, once each, as b -> bc maps s^-1(r(c)) onto
-        s^-1(u).  ``cells`` holds the pair numbers and ``first`` their b
-        in cell order, each matrix row-major from start[u], so its first
-        row's c are the fiber in morphism order.  The orbit
-        representatives (named by ``orbit_idx``) lead, by fiber size and
-        then number; ``blocks`` holds (offset, m, d) for the m size-d
-        ones."""
+        pairs, (cells, first, start, size, blocks, rest).  The pair (b, c)
+        with s(c) = u is the entry of u's size[u] x size[u] matrix at the
+        fiber positions of bc and c, once each, as b -> bc maps
+        s^-1(r(c)) onto s^-1(u).  ``cells`` holds the pair numbers and
+        ``first`` their b in cell order, each matrix row-major from
+        start[u], so its first row's c are the fiber in morphism order.
+        The orbit representatives (named by ``orbit_idx``) lead, by fiber
+        size and then number, and the other units follow in the same
+        order; so the runs of the m units of fiber size d in either group
+        are one (m, d, d) stack.  ``blocks`` holds (offset, m, d) for each
+        stack of representatives and ``rest`` for each stack of the
+        others: a reduced norm reads ``blocks``, the model checks both."""
         n, src = len(self.range_idx), self.source_idx
         size = np.bincount(src, minlength=n)
         # each morphism's position in its source fiber, in morphism order
@@ -176,12 +179,13 @@ class IndexLayout:
         arrays = (cells, pa[cells], start, size)
         for a in arrays:
             a.flags.writeable = False
-        blocks, offset = [], 0
-        for d, m in enumerate(np.bincount(size[units[: rep.sum()]]).tolist()):
-            if m:
-                blocks.append((offset, m, d))
-                offset += m * d * d
-        return (*arrays, tuple(blocks))
+        stacks, offset, k = ([], []), 0, int(rep.sum())
+        for group, out in zip((units[:k], units[k:]), stacks):
+            for d, m in enumerate(np.bincount(size[group]).tolist()):
+                if m:
+                    out.append((offset, m, d))
+                    offset += m * d * d
+        return (*arrays, *map(tuple, stacks))
 
     @cached_property
     def inverse_pairs(self) -> np.ndarray:

@@ -128,26 +128,34 @@ def space_to_json(space: FinSpace) -> dict:
 
 def _number_opens(points: list, min_open: Mapping) -> list[int]:
     """The mask of each point's minimal open in ``min_open``, point to
-    points, over the positions in ``points``.  The first fault raises
+    members, over the positions in ``points``.  The first fault raises
     ``InvalidSpace``: duplicate points; then, point by point, a missing
-    entry or a member that is no point; then a key that is no point.
+    entry or its first member that is no point; then the first key that
+    is no point, members and keys in the order given.  An unhashable
+    label anywhere outranks them all and raises ``TypeError``.
     ``FinSpace`` checks coherence on the masks."""
     index = {p: i for i, p in enumerate(points)}
-    if len(index) < len(points):
-        raise InvalidSpace("duplicate points")
-    masks = []
-    for p in points:
-        if p not in min_open:
-            raise InvalidSpace(f"no minimal open given for point {p!r}")
-        m = 0
-        for q in min_open[p]:
-            i = index.get(q)
-            if i is None:
-                raise InvalidSpace(f"min_open({p!r}) mentions unknown point {q!r}")
-            m |= 1 << i
-        masks.append(m)
-    for extra in set(min_open) - set(points):
-        raise InvalidSpace(f"min_open defined for unknown point {extra!r}")
+    try:
+        if len(index) < len(points):
+            raise InvalidSpace("duplicate points")
+        masks = []
+        for p in points:
+            if p not in min_open:
+                raise InvalidSpace(f"no minimal open given for point {p!r}")
+            m = 0
+            for q in min_open[p]:
+                i = index.get(q)
+                if i is None:
+                    raise InvalidSpace(f"min_open({p!r}) mentions unknown point {q!r}")
+                m |= 1 << i
+            masks.append(m)
+        for extra in min_open:
+            if extra not in index:
+                raise InvalidSpace(f"min_open defined for unknown point {extra!r}")
+    except InvalidSpace:
+        for members in min_open.values():
+            set(members)  # raises TypeError on an unhashable member
+        raise
     return masks
 
 
@@ -155,8 +163,11 @@ def space_from_json(doc: Mapping, path: str = "/") -> FinSpace:
     _expect_schema(doc, ("finspace/1",), path)
     points = _expect(doc.get("points"), list, path + "/points")
     mo = _expect(doc.get("min_open"), dict, path + "/min_open")
+    for p, v in mo.items():
+        if not isinstance(v, list):  # the path is formed only for a fault
+            _expect(v, list, f"{path}/min_open/{p}")
     try:
-        return FinSpace(points, _number_opens(points, {p: set(v) for p, v in mo.items()}))
+        return FinSpace(points, _number_opens(points, mo))
     except ValueError as err:
         raise SchemaError(str(err), path)
     except TypeError:

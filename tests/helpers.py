@@ -1,8 +1,10 @@
 """Test-only constructions: small spaces, groups and random graphs that
 the library itself never builds, spaces, groupoids and cocycles given by
 label tables, the label path spaces were numbered on before the
-``finspace/1`` parser did it, and graphs on label dicts with the verdict
-they gave before graphs were numbered."""
+``finspace/1`` parser did it, graphs on label dicts with the verdict
+they gave before graphs were numbered, and the algebra checks as they
+ran one unit at a time before every unit's matrix came from one
+product."""
 
 from __future__ import annotations
 
@@ -31,8 +33,10 @@ def label_space(points, min_open) -> fs.FinSpace:
 class ReferenceSpace:
     """The label constructor ``FinSpace(points, min_open)`` as it was
     before labels were numbered only in ``serialize``: the duplicate
-    check, then ``_masks_of`` verbatim, then the coherence checks of
-    ``FinSpace`` on the masks, as ``space``."""
+    check, then ``_masks_of``, then the coherence checks of ``FinSpace``
+    on the masks, as ``space``.  ``_masks_of`` is verbatim but for the
+    stray keys, which it reads in the order given rather than as a set
+    difference, so that the first one is named whatever the hash seed."""
 
     def __init__(self, points, min_open):
         self.points = tuple(points)
@@ -53,8 +57,9 @@ class ReferenceSpace:
                     raise fs.InvalidSpace(f"min_open({p!r}) mentions unknown point {q!r}")
                 m |= 1 << i
             masks.append(m)
-        for extra in set(min_open) - set(self.points):
-            raise fs.InvalidSpace(f"min_open defined for unknown point {extra!r}")
+        for extra in min_open:
+            if extra not in self._index:
+                raise fs.InvalidSpace(f"min_open defined for unknown point {extra!r}")
         return masks
 
 
@@ -341,3 +346,61 @@ def reference_reduced_norm(f: ca.AlgebraElement) -> float:
         matrix = ca.induced_rep(orbit[0], f).matrix
         best = max(best, float(np.linalg.norm(matrix, 2)) if matrix.size else 0.0)
     return best
+
+
+def reference_random_element(rng: random.Random, groupoid: gp.FinGroupoid, sigma: tw.TwoCocycle,
+                             density: float = 0.7) -> np.ndarray:
+    """The values of ``random_element`` as it drew them with ``rng.uniform``."""
+    values = [
+        complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if rng.random() < density else 0j
+        for _ in groupoid.morphisms
+    ]
+    return np.array(values, dtype=complex)
+
+
+def reference_representation_dev(sigma: tw.TwoCocycle, rng: random.Random) -> float:
+    """``axiom_battery``'s representation deviation from its per-unit loop:
+    the battery's four rounds of draws, and in each four induced
+    representations at every unit."""
+    groupoid = sigma.groupoid
+    units = [m for m in groupoid.morphisms if m in groupoid.units]
+    rep = 0.0
+    for _ in range(4):
+        f, g, h = (ca.random_element(rng, groupoid, sigma) for _ in range(3))
+        fg, fstar = ca.convolve(f, g), ca.involute(f)
+        for u in units:
+            mf, mg = ca.induced_rep(u, f).matrix, ca.induced_rep(u, g).matrix
+            rep = max(
+                rep,
+                float(np.max(np.abs(ca.induced_rep(u, fg).matrix - mf @ mg))),
+                float(np.max(np.abs(ca.induced_rep(u, fstar).matrix - mf.conj().T))),
+            )
+    return rep
+
+
+def reference_unitary_equiv_dev(report: ca.DoubledModelReport, rng: random.Random) -> float:
+    """``build_doubled_model``'s unitary-equivalence deviation from its
+    per-level loop, on the report's relation groupoid and map, after the
+    five draws of the norm check from ``rng``."""
+    levels, sheets, relation = report.levels, report.sheets, report.relation
+    sigma = report.decomposition.sigma
+    image = {((t, i), (_, j)): ((i, j, t), 1.0) for ((t, i), (_, j)) in relation.morphisms}
+    target = ca.matrix_unit_groupoid({t: range(1, sheets + 1) for t in range(levels)})
+    check = ca.check_star_hom(ca.structure_constants(sigma), ca.structure_constants(target), image)
+    rho = ca.linear_map(relation, target, image)
+    for _ in range(5):
+        ca.random_element(rng, relation, sigma)
+    uni_dev = check.multiplicative_dev
+    for _ in range(3):
+        f = ca.random_element(rng, relation, sigma)
+        rho_f = rho(f)
+        for t in range(levels):
+            for i in range(1, sheets + 1):
+                ind = ca.induced_rep(((t, i), (t, i)), f)
+                if t == levels - 1 and len(ind.basis) != 1:
+                    raise AssertionError("unglued level has a fiber of size > 1")
+                level = ca.induced_rep((i, i, t), rho_f)
+                pos = [level.basis.index(image[a][0]) for a in ind.basis]
+                dev = np.abs(ind.matrix - level.matrix[np.ix_(pos, pos)]).max()
+                uni_dev = max(uni_dev, float(dev))
+    return uni_dev

@@ -8,7 +8,15 @@ from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
-from helpers import inverse_map, label_cocycle, label_groupoid, reference_reduced_norm
+from helpers import (
+    inverse_map,
+    label_cocycle,
+    label_groupoid,
+    reference_random_element,
+    reference_reduced_norm,
+    reference_representation_dev,
+    reference_unitary_equiv_dev,
+)
 
 
 def pair_groupoid(points):
@@ -387,7 +395,7 @@ def test_stacked_operator_norm_matches_each_matrix():
 
 def fiber_runs(g):
     """Each unit's (start, fiber) in ``g.fiber_cells``, keyed by unit number."""
-    cells, first, start, size, blocks = g.fiber_cells
+    start = g.fiber_cells[2]
     return {g.index[u]: (int(start[g.index[u]]), np.flatnonzero(g.source_idx == g.index[u])) for u in g.units}
 
 
@@ -399,7 +407,7 @@ def test_orbit_stacks_are_built_once_and_read_only():
     for sigma in cases:
         g = sigma.groupoid
         layout = g.fiber_cells
-        cells, first, start, size, blocks = layout
+        cells, first, start, size, blocks, rest = layout
         ca.reduced_norm(ca.random_element(rng, g, sigma))
         assert g.fiber_cells is layout
         for array in (cells, first, start, size):
@@ -407,15 +415,17 @@ def test_orbit_stacks_are_built_once_and_read_only():
             if len(array):
                 with pytest.raises(ValueError):
                     array[0] = 0
-        # the representatives first, by fiber size and then number, one block per size
+        # the representatives first, then the other units, each by fiber
+        # size and then number, one block per size in each group
         runs = fiber_runs(g)
-        reps = sorted((len(fiber), i) for i, (_, fiber) in runs.items() if g.orbit_idx[i] == i)
-        assert [runs[i][0] for _, i in reps] == [sum(d * d for d, _ in reps[:k]) for k in range(len(reps))]
-        offsets = {}
-        for d, i in reps:
-            offsets.setdefault(d, runs[i][0])
-        sizes = [d for d, _ in reps]
-        assert blocks == tuple((offsets[d], sizes.count(d), d) for d in sorted(offsets))
+        units = sorted((g.orbit_idx[i] != i, len(fiber), i) for i, (_, fiber) in runs.items())
+        assert [runs[i][0] for *_, i in units] == [sum(d * d for _, d, _ in units[:k]) for k in range(len(units))]
+        for group, want in ((False, blocks), (True, rest)):
+            offsets, sizes = {}, [d for other, d, _ in units if other == group]
+            for other, d, i in units:
+                if other == group:
+                    offsets.setdefault(d, runs[i][0])
+            assert want == tuple((offsets[d], sizes.count(d), d) for d in sorted(offsets))
 
 
 def test_fiber_pairs_are_compiled_once_per_unit():
@@ -424,7 +434,7 @@ def test_fiber_pairs_are_compiled_once_per_unit():
     for sigma in cases:
         g = sigma.groupoid
         layout = g.fiber_cells
-        cells, first, start, size, blocks = layout
+        cells, first, start, size, _, _ = layout
         f = ca.random_element(rng, g, sigma)
         pa, pb, pc = g.pairs
         assert sorted(cells.tolist()) == list(range(len(pa))) and np.array_equal(first, pa[cells])
@@ -437,6 +447,56 @@ def test_fiber_pairs_are_compiled_once_per_unit():
             rep = ca.induced_rep(g.morphisms[i], f)
             assert rep.basis == tuple(g.morphisms[m] for m in fiber.tolist())
         assert g.fiber_cells is layout
+
+
+def test_every_units_matrix_is_a_slice_of_one_stack():
+    # the runs of blocks and rest reshape into (m, d, d) stacks that hold every unit's induced matrix
+    rng, cases = norm_oracle_cases()
+    cases.append(ca.matrix_unit_groupoid({"a": (0, 1), "e": (), "b": (2,)}, 3))
+    for sigma in cases:
+        g = sigma.groupoid
+        cells, _, start, size, blocks, rest = g.fiber_cells
+        f = ca.random_element(rng, g, sigma)
+        stacks = ca._stacks(ca._cell_values(f), blocks + rest)
+        assert sum(m * d * d for _, m, d in blocks + rest) == len(cells)
+        # each stack's j-th matrix, keyed by where its run starts
+        matrices = {o + j * d * d: s[j] for (o, m, d), s in zip(blocks + rest, stacks) for j in range(m)}
+        assert sorted(matrices) == sorted(int(start[g.index[u]]) for u in g.units)
+        for u in g.units:
+            got, want = matrices[start[g.index[u]]], ca.induced_rep(u, f).matrix
+            assert got.shape == want.shape == (size[g.index[u]],) * 2 and (got == want).all(), u
+
+
+def test_battery_representation_check_matches_the_unit_loop():
+    # every unit of random relation groupoids with coboundary twists, Z/n
+    # extensions, the cover-model and kernel groupoids and an empty block
+    _, cases = norm_oracle_cases()
+    cases.append(ca.matrix_unit_groupoid({"a": (0, 1), "e": (), "b": (2,)}, 3))
+    for seed, sigma in enumerate(cases):
+        got = ca.axiom_battery(sigma, random.Random(seed))
+        assert got.representation_dev == reference_representation_dev(sigma, random.Random(seed)), seed
+
+
+def test_doubled_model_unitary_check_matches_the_level_loop():
+    for levels in range(2, 25):
+        for sheets in range(1, 24 // levels + 1):
+            for seed in (1, 7):
+                report = ca.build_doubled_model(levels, sheets, random.Random(seed))
+                want = reference_unitary_equiv_dev(report, random.Random(seed))
+                assert report.unitary_equiv_dev == want, (levels, sheets, seed)
+
+
+def test_random_element_draws_as_uniform_did():
+    rng = random.Random(20)
+    groupoids = [random_relation(rng, 10, 6)[1] for _ in range(12)]
+    groupoids += [ca.matrix_unit_groupoid({}), ca.matrix_unit_groupoid({0: range(5), 1: range(2)}, 4)]
+    for seed in range(60):
+        for sigma in groupoids:
+            for density in (0.0, 0.3, 0.7, 1.0):
+                got, want = random.Random(seed), random.Random(seed)
+                f = ca.random_element(got, sigma.groupoid, sigma, density)
+                assert (f.vec == reference_random_element(want, sigma.groupoid, sigma, density)).all()
+                assert got.getstate() == want.getstate()
 
 
 # -- *-homomorphism checker ----------------------------------------------------------

@@ -7,6 +7,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -425,3 +427,38 @@ def test_a_stray_table_key_is_an_input_error():
             code, report = run_doc("cocycle-verify", doc)
             assert code == 1 and report["result"]["error"] == f"SchemaError: {message}", (table, field)
             doc["groupoid"][field] = z2_document()["groupoid"][field]
+
+
+def test_a_min_open_value_that_is_no_list_is_an_input_error():
+    # a string or an object was once read as the set of its characters or keys
+    for value, kind in (("ab", "str"), ({"b": 1}, "dict"), (5, "int"), (None, "NoneType"), (True, "bool")):
+        doc = {"schema": "finspace/1", "points": ["a", "b"], "min_open": {"a": value, "b": ["b"]}}
+        code, report = run_doc("space-check", doc)
+        assert code == 1, value
+        assert report["result"]["error"] == f"SchemaError: expected list, got {kind} (at //min_open/a)"
+    # the first value that is no list, in document order, before any label check
+    doc = {"schema": "finspace/1", "points": ["a", "a"], "min_open": {"a": [[1]], "b": "b", "c": 5}}
+    code, report = run_doc("space-check", doc)
+    assert code == 1 and report["result"]["error"] == "SchemaError: expected list, got str (at //min_open/b)"
+
+
+def test_space_check_names_the_first_unknown_label_in_the_document():
+    # the first unknown member, or stray key, was once named in set order,
+    # which changes with the hash seed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sz.__file__)))
+    cases = (
+        ({"a": ["a", "x", "y", "z", "w"]}, "min_open('a') mentions unknown point 'x'"),
+        ({"a": ["a"], "w": [], "z": [], "y": [], "x": []}, "min_open defined for unknown point 'w'"),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (min_open, message) in enumerate(cases):
+            path = os.path.join(tmp, f"space{k}.json")
+            with open(path, "w") as fh:
+                json.dump({"schema": "finspace/1", "points": ["a"], "min_open": min_open}, fh)
+            for seed in ("1", "2"):
+                env = {**os.environ, "PYTHONHASHSEED": seed,
+                       "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+                proc = subprocess.run([sys.executable, "-m", "groupoidlab.cli", "space-check", path],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 1, proc.stderr
+                assert json.loads(proc.stdout)["result"]["error"] == f"SchemaError: {message} (at /)", seed

@@ -713,9 +713,10 @@ def test_shared_layout_matches_a_fresh_groupoid():
         assert g.layout is gp.pair_groupoid_index(sizes) and fresh.layout is not g.layout, sizes
         assert g.principal is fresh.principal is True, sizes
         assert np.array_equal(g.orbit_idx, fresh.orbit_idx), sizes
-        *cells, blocks = g.fiber_cells
-        *want, want_blocks = fresh.fiber_cells
-        assert all(np.array_equal(a, b) for a, b in zip(cells, want)) and blocks == want_blocks, sizes
+        *cells, blocks, rest = g.fiber_cells
+        *want, want_blocks, want_rest = fresh.fiber_cells
+        assert all(np.array_equal(a, b) for a, b in zip(cells, want)), sizes
+        assert (blocks, rest) == (want_blocks, want_rest), sizes
         every = np.arange(len(fresh))
         assert np.array_equal(g.inverse_pairs, fresh.pair_id[fresh.inverse_idx, every]), sizes
         assert np.array_equal(g.inverse_pairs, fresh.inverse_pairs), sizes

@@ -404,10 +404,19 @@ def test_fingroupoid_parse_matches_the_label_path():
 
 def reference_space_from_json(doc, path="/"):
     """``space_from_json`` as it read a finspace/1 document while
-    ``FinSpace`` numbered label sets itself."""
+    ``FinSpace`` numbered label sets itself, with two intended
+    differences: a ``min_open`` value that is no list is a SchemaError at
+    its path, where ``set(v)`` took it apart, and each value's members
+    are read in document order, where the set's order named the first
+    unknown member by hash."""
     points, mo = doc["points"], doc["min_open"]
+    for p, v in mo.items():
+        if not isinstance(v, list):
+            raise sz.SchemaError(f"expected list, got {type(v).__name__}", f"{path}/min_open/{p}")
     try:
-        return ReferenceSpace(points, {p: set(v) for p, v in mo.items()}).space
+        for v in mo.values():
+            set(v)  # every member is hashed before any check, as the label path's sets did
+        return ReferenceSpace(points, mo).space
     except ValueError as err:
         raise sz.SchemaError(str(err), path)
     except TypeError:
@@ -473,7 +482,8 @@ def test_finspace_parse_matches_the_label_path():
     # the first fault is of every kind, and the valid documents parse alike
     for reported in ("SchemaError: duplicate points", "SchemaError: no minimal open given", "SchemaError: min_open(",
                      "SchemaError: min_open defined for unknown point", "SchemaError: expected a scalar label",
-                     "SchemaError: minimal opens incoherent", "SchemaError: point ", "TypeError: ", "valid"):
+                     "SchemaError: minimal opens incoherent", "SchemaError: point ", "SchemaError: expected list",
+                     "valid"):
         assert any(k.startswith(reported) for k in seen), (reported, seen)
 
 
