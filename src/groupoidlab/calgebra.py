@@ -225,7 +225,7 @@ def _cell_values(f: AlgebraElement, start: int = 0, stop: int | None = None) -> 
     """f(b) zeta^{sigma(b, c)} at the pair (b, c) of each of the cells
     start:stop of the groupoid's ``fiber_cells`` (default all): the
     entries of the induced matrices there, row-major, unit after unit."""
-    cells, first, *_ = f.groupoid.fiber_cells
+    cells, first, _, _, _, _ = f.groupoid.fiber_cells
     _, phases, _ = structure_constants(f.sigma)
     return _mul(f.vec[first[start:stop]], phases[cells[start:stop]])
 
@@ -660,7 +660,7 @@ def axiom_battery(sigma: TwoCocycle, rng: random.Random) -> CoverAlgebraCheck:
             rep = max(
                 rep,
                 float(np.max(np.abs(mfg - mf @ mg))),
-                float(np.max(np.abs(mstar - mf.conj().mT))),
+                float(np.max(np.abs(mstar - mf.conj().transpose(0, 2, 1)))),
             )
         cstar = max(cstar, abs(reduced_norm(convolve(fstar, f)) - reduced_norm(f) ** 2))
     return CoverAlgebraCheck(assoc, star, rep, cstar, verify_two_cocycle(sigma).valid)
