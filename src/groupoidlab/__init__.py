@@ -22,7 +22,6 @@ from .finspace import (
     closed_hausdorff_core,
     discrete,
     sierpinski,
-    product,
 )
 from .groupoid import (
     FinGroupoid,

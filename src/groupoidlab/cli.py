@@ -89,7 +89,7 @@ def _cmd_build_relation(args) -> dict:
     relation = groupoid.build_relation_groupoid(psi)
     props = groupoid.groupoid_properties(relation)
     orbit_sizes = sorted(Counter(relation.orbit_idx[relation.unit_mask].tolist()).values(), reverse=True)
-    report = groupoid.orbit_map_check(psi)
+    report = groupoid.orbit_map_check(relation)
     if not report.all_verified:
         raise InternalCheckFailure("orbit-space identification failed")
     return {
@@ -256,7 +256,7 @@ def run_paper_suite(inject_cocycle_fault: bool = False) -> dict:
             finspace.identity_map(finspace.discrete((1, 2))),
             _chain3_to_sierpinski(),
         ]
-        reports = [groupoid.orbit_map_check(psi) for psi in maps]
+        reports = [groupoid.orbit_map_check(groupoid.build_relation_groupoid(psi)) for psi in maps]
         return {"cases": len(reports), "_ok": all(r.all_verified for r in reports)}
 
     def etale_iff_local_homeo():

@@ -12,7 +12,7 @@ import os
 import random
 from functools import lru_cache
 
-from .finspace import FinSpace, SpaceMap, discrete
+from .finspace import FinSpace, SpaceMap, _closure, _union, discrete
 
 SEED_ENV_VAR = "GROUPOIDLAB_SEED"
 
@@ -46,17 +46,7 @@ def _topology_relations(n: int) -> tuple:
         for k, (i, j) in enumerate(pairs):
             if (choice >> k) & 1:
                 rows[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            m = rows[i]
-            acc = m
-            for j in range(n):
-                if (m >> j) & 1:
-                    acc |= rows[j]
-            if acc != m:
-                ok = False
-                break
-        if ok:
+        if all(_union(rows, m) == m for m in rows):
             out.append(tuple(rows))
     return tuple(out)
 
@@ -101,23 +91,12 @@ def random_space(seed: int, max_points: int) -> FinSpace:
     rng = random.Random(seed)
     n = rng.randint(1, max_points)
     # random preorder: close a random relation reflexively and transitively
-    rows = [1 << i for i in range(n)]
+    rows = [0] * n
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < 0.3:
                 rows[i] |= 1 << j
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = rows[i]
-            for j in range(n):
-                if (rows[i] >> j) & 1:
-                    acc |= rows[j]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
-    return FinSpace(range(n), rows)
+    return FinSpace(range(n), _closure(rows))
 
 
 def random_partition(rng: random.Random, points) -> list[set]:

@@ -20,6 +20,14 @@ point over the point indices, and a map keeps the codomain index of each
 domain point, which keeps the predicates cheap on spaces of up to a few
 dozen points.  Every builder here hands over masks; the labels of a
 ``finspace/1`` document are numbered only in ``serialize``.
+
+This module is the one home of the bit algebra of a preorder, in four
+private helpers: ``_iter_bits`` lists the set bits of a mask,
+``_is_open`` decides whether a mask is a down-set, ``_union`` joins a
+value per set bit (a map's image is ``_union`` over ``1 << target``),
+and ``_closure`` closes one row mask per point reflexively and
+transitively.  ``groupoid``, ``corpus`` and ``serialize`` walk bits only
+through them.
 """
 
 from __future__ import annotations
@@ -61,6 +69,31 @@ def _is_open(mo: Sequence[int], mask: int) -> bool:
     return True
 
 
+def _union(values, mask: int) -> int:
+    """The union of ``values[i]`` over the bits i of ``mask``; ``values``
+    is a list, or a dict keyed by bit index."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= values[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _closure(rows: Sequence[int]) -> list[int]:
+    """The reflexive-transitive closure of a relation given by one row
+    mask per point: each row grows by the rows of the points it gained
+    in the round before, until a round adds none."""
+    out = []
+    for i, mask in enumerate(rows):
+        mask |= 1 << i
+        done = 0
+        while mask != done:
+            mask, done = mask | _union(rows, mask & ~done), mask
+        out.append(mask)
+    return out
+
+
 class FinSpace:
     """A finite topological space.
 
@@ -82,9 +115,9 @@ class FinSpace:
         if isinstance(masks, Mapping):
             raise TypeError("masks are one bitmask per point, not a mapping")
         self.points = tuple(points)
-        if len(set(self.points)) != len(self.points):
-            raise InvalidSpace("duplicate points")
         self._index = {p: i for i, p in enumerate(self.points)}
+        if len(self._index) != len(self.points):
+            raise InvalidSpace("duplicate points")
         if len(masks) != len(self.points):
             raise InvalidSpace("one mask is needed per point")
         self._mo = mo = tuple(masks)
@@ -93,16 +126,12 @@ class FinSpace:
                 raise InvalidSpace(f"point {self.points[i]!r} missing from its own minimal open")
             if m >> len(mo):
                 raise InvalidSpace(f"minimal open of {self.points[i]!r} mentions unknown points")
-            rest = m
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                if mo[j] & ~m:
-                    raise InvalidSpace(
-                        f"minimal opens incoherent: {self.points[j]!r} lies in "
-                        f"U_{self.points[i]!r} but U_{self.points[j]!r} does not"
-                    )
-                rest ^= low
+            if _union(mo, m) != m:
+                j = next(j for j in _iter_bits(m) if mo[j] & ~m)
+                raise InvalidSpace(
+                    f"minimal opens incoherent: {self.points[j]!r} lies in "
+                    f"U_{self.points[i]!r} but U_{self.points[j]!r} does not"
+                )
 
     # -- basic structure ------------------------------------------------
 
@@ -195,14 +224,6 @@ def sierpinski(open_point: Point = "a", closed_point: Point = "b") -> FinSpace:
     return FinSpace((open_point, closed_point), (0b01, 0b11))
 
 
-def product(left: FinSpace, right: FinSpace) -> FinSpace:
-    """Product space; minimal opens are U_y x U_z, with (y, z) at index
-    i|right| + j for y and z at i and j."""
-    pts = [(y, z) for y in left.points for z in right.points]
-    width = len(right)
-    return FinSpace(pts, [sum(v << i * width for i in _iter_bits(u)) for u in left._mo for v in right._mo])
-
-
 class SpaceMap:
     """A set map between finite spaces; no continuity is assumed.
 
@@ -218,8 +239,9 @@ class SpaceMap:
                 raise InvalidMap(f"assignment missing domain point {p!r}")
             if assignment[p] not in cod:
                 raise InvalidMap(f"assignment sends {p!r} outside the codomain")
-        for extra in set(assignment) - set(dom.points):
-            raise InvalidMap(f"assignment defined on unknown point {extra!r}")
+        for extra in assignment:
+            if extra not in dom:
+                raise InvalidMap(f"assignment defined on unknown point {extra!r}")
         self.assignment = {p: assignment[p] for p in dom.points}
         self.targets = [cod._index[assignment[p]] for p in dom.points]
 
@@ -239,15 +261,6 @@ class SpaceMap:
 
     def is_surjective(self) -> bool:
         return len(set(self.targets)) == len(self.cod)
-
-
-def _image(targets: Sequence[int], mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << targets[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def identity_map(space: FinSpace) -> SpaceMap:
@@ -280,8 +293,9 @@ def _scan_masks(dom_mo: Sequence[int], cod_mo: Sequence[int], targets: Sequence[
     minimal-open masks, and the codomain index of each domain point."""
     continuous = locally_injective = True
     first_not_open = None
+    bits = [1 << t for t in targets]
     for i, u in enumerate(dom_mo):
-        img = _image(targets, u)
+        img = _union(bits, u)
         if img & ~cod_mo[targets[i]]:
             continuous = False
         if img.bit_count() != u.bit_count():
@@ -295,18 +309,11 @@ def _final_masks(dom: FinSpace, targets: Sequence[int], size: int) -> list[int]:
     """Minimal opens of the final topology of a map onto ``size`` points.
     The sets with open preimage form a topology; its minimal open at c is
     the least set containing c that contains f(U_y) whenever it has f(y)."""
-    reach = [1 << k for k in range(size)]
+    bits = [1 << t for t in targets]
+    reach = [0] * size
     for i, u in enumerate(dom._mo):
-        reach[targets[i]] |= _image(targets, u)
-    masks = []
-    for mask in reach:
-        done = 0
-        while mask != done:
-            new, done = mask & ~done, mask
-            for j in _iter_bits(new):
-                mask |= reach[j]
-        masks.append(mask)
-    return masks
+        reach[targets[i]] |= _union(bits, u)
+    return _closure(reach)
 
 
 def is_quotient_map(f: SpaceMap) -> bool:
@@ -421,9 +428,9 @@ def hausdorff_cover_resolution(space: FinSpace, cover: Sequence[Iterable[Point]]
     for k, mask in enumerate(masks):
         # the cover element is open, so U_p is contained in it and the
         # subspace minimal open of p is U_p itself, carried to copy k
-        position = {i: len(pts) + r for r, i in enumerate(_iter_bits(mask))}
+        position = {i: 1 << (len(pts) + r) for r, i in enumerate(_iter_bits(mask))}
         pts += [(k, space.points[i]) for i in position]
-        mo += [_image(position, space._mo[i]) for i in position]
+        mo += [_union(position, space._mo[i]) for i in position]
     resolution = FinSpace(pts, mo)
     assignment = {(k, p): p for k, p in pts}
     psi = SpaceMap(resolution, space, assignment)

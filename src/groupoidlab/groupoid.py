@@ -54,8 +54,8 @@ from .finspace import (
     FinSpace,
     MapProperties,
     SpaceMap,
-    _image,
     _scan_masks,
+    _union,
     classify_map,
     discrete,
     quotient_space,
@@ -496,8 +496,8 @@ class RelationGroupoid(FinGroupoid):
         self.base_labels = [p for f in fibers for p in f]
         # the units (y, y) come out fiber by fiber, as the base labels do
         units = np.flatnonzero(index.unit_mask).tolist()
-        unit_of = {y._index[p]: u for p, u in zip(self.base_labels, units)}
-        self.base_masks = {u: _image(unit_of, y._mo[y._index[p]]) for p, u in zip(self.base_labels, units)}
+        unit_of = {y._index[p]: 1 << u for p, u in zip(self.base_labels, units)}
+        self.base_masks = {u: _union(unit_of, y._mo[y._index[p]]) for p, u in zip(self.base_labels, units)}
         if topology is None:
             pairs = [(a, b) for f in fibers for a in f for b in f]
             topology = FinSpace(pairs, relation_masks(sizes, tuple(self.base_masks.values())))
@@ -508,16 +508,6 @@ class RelationGroupoid(FinGroupoid):
     def with_discrete_topology(self) -> "RelationGroupoid":
         """Same algebraic groupoid with the discrete morphism topology."""
         return RelationGroupoid(self.psi, self.fibers, discrete(self.morphisms))
-
-
-def _union(values: Sequence[int], mask: int) -> int:
-    """The union of ``values[i]`` over the bits i of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= values[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def product_masks(unit_mo: Mapping[int, int], range_idx: np.ndarray, source_idx: np.ndarray) -> list[int]:
@@ -577,8 +567,8 @@ def orbit_space(groupoid: FinGroupoid):
     this is asserted whenever the etale property holds.
     """
     labels, masks = _unit_base(groupoid)
-    position = (np.cumsum(groupoid.unit_mask) - 1).tolist()
-    base = FinSpace(labels, [_image(position, m) for m in masks.values()])
+    position = {u: 1 << k for k, u in enumerate(masks)}
+    base = FinSpace(labels, [_union(position, m) for m in masks.values()])
     orbit = groupoid.orbit_idx.tolist()
     blocks: dict = {}
     for u, label in zip(masks, labels):
@@ -689,18 +679,16 @@ class OrbitMapReport:
         }
 
 
-def orbit_map_check(psi: SpaceMap) -> OrbitMapReport:
+def orbit_map_check(relation: RelationGroupoid) -> OrbitMapReport:
     """Verify that x -> psi^{-1}(x) identifies the codomain with the orbit
-    space of the relation groupoid of psi.
+    space of ``relation``, the relation groupoid of psi.
 
     Checks, in order: the map h is a bijection and h o psi is the orbit
     projection; if psi is continuous, h is open; if psi is a quotient
     map, h is a homeomorphism.  All clauses hold for every surjection;
     a False entry would indicate an implementation bug.
     """
-    if not psi.is_surjective():
-        raise ValueError("psi must be surjective")
-    relation = build_relation_groupoid(psi)
+    psi = relation.psi
     space, q = orbit_space(relation)
     h = {psi(fiber[0]): frozenset(fiber) for fiber in relation.fibers}
     bijective = set(h.values()) == set(space.points) and len(set(h.values())) == len(

@@ -4,7 +4,9 @@ label tables, the label path spaces were numbered on before the
 ``finspace/1`` parser did it, graphs on label dicts with the verdict
 they gave before graphs were numbered, and the algebra checks as they
 ran one unit at a time before every unit's matrix came from one
-product."""
+product, the product space, which the library never builds, and the
+bit walks that ``finspace``, ``groupoid`` and ``corpus`` each wrote for
+themselves before ``finspace`` kept the one kernel."""
 
 from __future__ import annotations
 
@@ -291,6 +293,149 @@ def seam_counterexample() -> gf.PeriodicGraph:
     return gf.PeriodicGraph(
         gf.DirectedGraph(("v", "w"), ()), seam_block=[("a", "v", "w"), ("b", "v", "w"), ("c", "w", "v")]
     )
+
+
+def product(left: fs.FinSpace, right: fs.FinSpace) -> fs.FinSpace:
+    """Product space; minimal opens are U_y x U_z, with (y, z) at index
+    i|right| + j for y and z at i and j."""
+    pts = [(y, z) for y in left.points for z in right.points]
+    width = len(right)
+    return fs.FinSpace(pts, [sum(v << i * width for i in fs._iter_bits(u)) for u in left._mo for v in right._mo])
+
+
+# -- the bit walks as each module wrote its own ---------------------------------
+
+
+def reference_image(targets, mask: int) -> int:
+    """``finspace._image``: the image of ``mask`` under a map given by
+    the target index of each bit."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << targets[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def reference_final_masks(dom: fs.FinSpace, targets, size: int) -> list[int]:
+    """``finspace._final_masks`` with its own fixpoint loop per row."""
+    reach = [1 << k for k in range(size)]
+    for i, u in enumerate(dom._mo):
+        reach[targets[i]] |= reference_image(targets, u)
+    masks = []
+    for mask in reach:
+        done = 0
+        while mask != done:
+            new, done = mask & ~done, mask
+            for j in fs._iter_bits(new):
+                mask |= reach[j]
+        masks.append(mask)
+    return masks
+
+
+def reference_topology_relations(n: int) -> tuple:
+    """``corpus._topology_relations`` with its own transitivity filter."""
+    if n == 0:
+        return ((),)
+    out = []
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for choice in range(1 << len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if (choice >> k) & 1:
+                rows[i] |= 1 << j
+        ok = True
+        for i in range(n):
+            m = rows[i]
+            acc = m
+            for j in range(n):
+                if (m >> j) & 1:
+                    acc |= rows[j]
+            if acc != m:
+                ok = False
+                break
+        if ok:
+            out.append(tuple(rows))
+    return tuple(out)
+
+
+def reference_random_space(seed: int, max_points: int) -> fs.FinSpace:
+    """``corpus.random_space`` with its own closure loop."""
+    rng = random.Random(seed)
+    n = rng.randint(1, max_points)
+    rows = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.3:
+                rows[i] |= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = rows[i]
+            for j in range(n):
+                if (rows[i] >> j) & 1:
+                    acc |= rows[j]
+            if acc != rows[i]:
+                rows[i] = acc
+                changed = True
+    return fs.FinSpace(range(n), rows)
+
+
+def reference_space_fault(points, masks):
+    """The checks of ``FinSpace(points, masks)`` with the coherence walk
+    written out inline: the ``InvalidSpace`` they raise, or None."""
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        return fs.InvalidSpace("duplicate points")
+    if len(masks) != len(points):
+        return fs.InvalidSpace("one mask is needed per point")
+    mo = tuple(masks)
+    for i, m in enumerate(mo):
+        if not (m >> i) & 1:
+            return fs.InvalidSpace(f"point {points[i]!r} missing from its own minimal open")
+        if m >> len(mo):
+            return fs.InvalidSpace(f"minimal open of {points[i]!r} mentions unknown points")
+        rest = m
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if mo[j] & ~m:
+                return fs.InvalidSpace(
+                    f"minimal opens incoherent: {points[j]!r} lies in "
+                    f"U_{points[i]!r} but U_{points[j]!r} does not"
+                )
+            rest ^= low
+    return None
+
+
+def reference_base_masks(relation: gp.RelationGroupoid) -> dict:
+    """``RelationGroupoid.base_masks``: Y's minimal opens carried to the
+    unit numbers by ``_image``."""
+    y = relation.base
+    units = np.flatnonzero(relation.unit_mask).tolist()
+    unit_of = {y._index[p]: u for p, u in zip(relation.base_labels, units)}
+    return {u: reference_image(unit_of, y._mo[y._index[p]]) for p, u in zip(relation.base_labels, units)}
+
+
+def reference_orbit_base(groupoid: gp.FinGroupoid) -> fs.FinSpace:
+    """The space on the units that ``orbit_space`` quotients, relabelled
+    by the unit positions ``cumsum - 1``."""
+    labels, masks = gp._unit_base(groupoid)
+    position = (np.cumsum(groupoid.unit_mask) - 1).tolist()
+    return fs.FinSpace(labels, [reference_image(position, m) for m in masks.values()])
+
+
+def reference_cover_resolution(space: fs.FinSpace, masks) -> tuple:
+    """The points and minimal opens of the disjoint union of the cover
+    elements ``masks``, as ``hausdorff_cover_resolution`` built them."""
+    pts = []
+    mo = []
+    for k, mask in enumerate(masks):
+        position = {i: len(pts) + r for r, i in enumerate(fs._iter_bits(mask))}
+        pts += [(k, space.points[i]) for i in position]
+        mo += [reference_image(position, space._mo[i]) for i in position]
+    return pts, mo
 
 
 def is_closed_bits(space: fs.FinSpace, mask: int) -> bool:

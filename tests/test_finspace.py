@@ -1,10 +1,25 @@
 import itertools
+import random
 
 import pytest
 
+from groupoidlab import corpus
 from groupoidlab import finspace as fs
 from groupoidlab.corpus import all_partitions, all_topologies, random_space
-from helpers import chain_space, disjoint_union, is_closed_bits, label_space, min_open, open_sets, subspace
+from helpers import (
+    chain_space,
+    disjoint_union,
+    is_closed_bits,
+    label_space,
+    min_open,
+    open_sets,
+    reference_cover_resolution,
+    reference_final_masks,
+    reference_random_space,
+    reference_space_fault,
+    reference_topology_relations,
+    subspace,
+)
 
 
 # -- brute-force oracles, written against raw definitions -----------------
@@ -371,3 +386,86 @@ def test_resolution_parts_open_and_closed():
         part = [p for p in y.points if p[0] == k]
         mask = y.bits(part)
         assert y.is_open_bits(mask) and is_closed_bits(y, mask)
+
+
+# -- the one bit kernel, against the walks it replaced -------------------------
+
+
+def test_topologies_and_random_spaces_match_the_closure_loops_they_replaced():
+    for n in range(5):
+        assert corpus._topology_relations(n) == reference_topology_relations(n)
+    assert [len(corpus._topology_relations(n)) for n in range(5)] == [1, 1, 4, 29, 355]
+    for seed in range(1000):
+        assert random_space(seed, 8) == reference_random_space(seed, 8)
+
+
+def test_quotient_masks_match_the_fixpoint_loop_they_replaced():
+    cases = 0
+    for n in range(5):
+        for space in all_topologies(n):
+            for part in all_partitions(space.points):
+                x, psi = fs.quotient_space(space, part)
+                assert list(x._mo) == reference_final_masks(space, psi.targets, len(x))
+                cases += 1
+    assert cases == 5480
+
+
+def _fault(points, masks):
+    try:
+        fs.FinSpace(points, masks)
+    except fs.InvalidSpace as err:
+        return str(err)
+    return None
+
+
+def test_space_faults_match_the_inline_coherence_walk():
+    """Every fault is named as the inline walk named it, point by point:
+    the self-missing, out-of-range and coherence checks of each point
+    before any check of the next, and the first incoherent point j."""
+    cases = [
+        (("a", "a"), [1, 3]),
+        (("a", "b"), [1, 2, 4]),
+        (("a", "b", "c"), [0b010, 0b010, 0b100]),
+        (("a", "b", "c"), [0b011, 0b110, 0b100]),
+        (("a", "b", "c"), [0b001, 0b010, 0b1100]),
+        (("a", "b", "c"), [0b111, 0b010, 0b1100]),
+        (("a", "b", "c"), [0b111, 0b110, 0b001]),
+    ]
+    rng = random.Random(21)
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        masks = list(rng.choice(all_topologies(min(n, 4)))._mo) + [1 << 4] * (n - 4)
+        for _ in range(rng.randint(1, 3)):
+            masks[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)
+        cases.append(("abcde"[:n], masks))
+    kinds, seen = ("duplicate", "one mask", "missing", "unknown", "incoherent"), set()
+    for points, masks in cases:
+        ref = reference_space_fault(points, masks)
+        assert _fault(points, masks) == (None if ref is None else str(ref)), (points, masks)
+        seen.update(k for k in kinds if k in str(ref))
+    assert seen == set(kinds)
+
+
+def test_cover_resolution_matches_the_walk_it_replaced():
+    """Random covers of locally Hausdorff spaces by open Hausdorff sets:
+    the minimal opens in random order, some joined to the one before
+    while the union stays Hausdorff, then some repeated."""
+    rng = random.Random(21)
+    spaces = [s for n in range(1, 5) for s in all_topologies(n)] + [random_space(s, 8) for s in range(300)]
+    checked = 0
+    for space in spaces:
+        mo = [space.min_open_bits(i) for i in range(len(space))]
+        if not all(space._subspace_hausdorff(m) for m in mo):
+            continue
+        for _ in range(4):
+            masks = []
+            for m in rng.sample(mo, len(mo)):
+                if masks and rng.random() < 0.4 and space._subspace_hausdorff(masks[-1] | m):
+                    masks[-1] |= m
+                else:
+                    masks.append(m)
+            masks += rng.sample(masks, rng.randrange(len(masks) + 1))
+            y, _ = fs.hausdorff_cover_resolution(space, [space.unbits(m) for m in masks])
+            assert (list(y.points), list(y._mo)) == reference_cover_resolution(space, masks)
+            checked += 1
+    assert checked > 250

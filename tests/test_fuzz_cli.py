@@ -462,3 +462,24 @@ def test_space_check_names_the_first_unknown_label_in_the_document():
                                       capture_output=True, text=True, env=env)
                 assert proc.returncode == 1, proc.stderr
                 assert json.loads(proc.stdout)["result"]["error"] == f"SchemaError: {message} (at /)", seed
+
+
+def test_map_classify_names_the_first_stray_assignment_key_in_the_document():
+    # the first stray key was once named in set order: ww, zz, zz, yy and
+    # yy under hash seeds 1 to 5
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sz.__file__)))
+    point = {"schema": "finspace/1", "points": ["a"], "min_open": {"a": ["a"]}}
+    doc = {"schema": "spacemap/1", "dom": point, "cod": point,
+           "assignment": {"a": "a", "zz": "a", "yy": "a", "ww": "a", "vv": "a"}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "groupoidlab.cli", "map-classify", path],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 1, proc.stderr
+            assert json.loads(proc.stdout)["result"]["error"] == (
+                "SchemaError: assignment defined on unknown point 'zz' (at //assignment)"), seed

@@ -14,7 +14,18 @@ from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
 from groupoidlab.cli import main
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
-from helpers import inverse_map, label_groupoid, label_space, min_open, product_group, subspace
+from helpers import (
+    inverse_map,
+    label_groupoid,
+    label_space,
+    min_open,
+    product,
+    product_group,
+    reference_base_masks,
+    reference_final_masks,
+    reference_orbit_base,
+    subspace,
+)
 
 
 def discrete_3_to_2():
@@ -139,18 +150,18 @@ def test_orbit_space_chain_is_sierpinski():
 
 
 def test_orbit_map_check_discrete():
-    rep = gp.orbit_map_check(discrete_3_to_2())
+    rep = gp.orbit_map_check(gp.build_relation_groupoid(discrete_3_to_2()))
     assert rep.all_verified
     assert rep.homeomorphism_when_quotient is True
 
 
 def test_orbit_map_check_identity():
-    rep = gp.orbit_map_check(fs.identity_map(fs.discrete((0, 1))))
+    rep = gp.orbit_map_check(gp.build_relation_groupoid(fs.identity_map(fs.discrete((0, 1)))))
     assert rep.all_verified
 
 
 def test_orbit_map_check_chain():
-    rep = gp.orbit_map_check(chain3_to_sierpinski())
+    rep = gp.orbit_map_check(gp.build_relation_groupoid(chain3_to_sierpinski()))
     assert rep.all_verified
     assert rep.homeomorphism_when_quotient is True
 
@@ -161,7 +172,28 @@ def test_orbit_map_check_over_corpus():
     for s in all_topologies(3):
         for part in all_partitions(s.points):
             _, psi = fs.quotient_space(s, part)
-            assert gp.orbit_map_check(psi).all_verified
+            assert gp.orbit_map_check(gp.build_relation_groupoid(psi)).all_verified
+
+
+def test_base_masks_and_orbit_spaces_match_the_walks_they_replaced():
+    """On every quotient of every space of at most four points: Y's masks
+    carried to the units, and the orbit space of R(psi) and of the plain
+    groupoid on its index and topology, whose base is the unit subspace."""
+    cases = 0
+    for n in range(1, 5):
+        for space in all_topologies(n):
+            for part in all_partitions(space.points):
+                relation = gp.build_relation_groupoid(fs.quotient_space(space, part)[1])
+                assert relation.base_masks == reference_base_masks(relation)
+                plain = gp.FinGroupoid(relation.topology, relation.range_idx, relation.source_idx,
+                                       relation.inverse_idx, relation.unit_mask, relation.pairs)
+                for g in (relation, plain):
+                    x, q = gp.orbit_space(g)
+                    base = reference_orbit_base(g)
+                    assert q.dom == base
+                    assert list(x._mo) == reference_final_masks(base, q.targets, len(x))
+                cases += 1
+    assert cases == 5479
 
 
 # -- groupoid properties ---------------------------------------------------------
@@ -269,7 +301,7 @@ def quotient_corpus() -> tuple:
 def product_square(space: fs.FinSpace) -> fs.FinSpace:
     """``product(space, space)``; cached because the quotient maps of one
     space ask for the same one."""
-    return fs.product(space, space)
+    return product(space, space)
 
 
 @functools.cache

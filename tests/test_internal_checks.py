@@ -37,46 +37,68 @@ ENTRY_POINTS = {
 }
 
 
-def _names(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-
-
 def _attributes(node):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute):
             yield sub.attr
 
 
+def _bindings(tree) -> tuple:
+    """What a module's relative imports bind: each imported function
+    name to (module, name), and each imported module to its stem."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names[alias.asname or alias.name] = (node.module, alias.name)
+    return names, modules
+
+
+def _uses(node, stem, bindings):
+    """The (module, name) pairs that ``node`` names: a bare name is the
+    imported function it binds, else a name of module ``stem`` itself,
+    and ``module.name`` is ``name`` of an imported module."""
+    names, modules = bindings
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield names.get(sub.id, (stem, sub.id))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in modules:
+            yield modules[sub.value.id], sub.attr
+
+
 def test_every_library_function_has_a_caller_in_the_library():
-    """Each module-level function is named somewhere in the package
-    outside its own body and ``__init__.py``, and each method is read as
-    an attribute (``.name``) there, or it is a listed entry point.  A
-    local variable or a function that shares a method's name does not
-    count as a use of the method."""
-    names, attributes = collections.Counter(), collections.Counter()
+    """Each module-level function is named outside its own body by its
+    own module, or by a module that imports it, by name or as
+    ``module.name`` (``__init__.py`` does not count), and each method is
+    read as an attribute (``.name``) somewhere in the package, or it is
+    a listed entry point.  A function of another module or a method that
+    shares the name does not count as a use, and neither does the
+    import alone."""
+    uses, attributes = collections.Counter(), collections.Counter()
     definitions = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
-        names.update(_names(tree))
+        stem, tree = path.stem, ast.parse(path.read_text())
+        bindings = _bindings(tree)
+        uses.update(_uses(tree, stem, bindings))
         attributes.update(_attributes(tree))
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                definitions += [(path.name, d, attributes, _attributes) for d in node.body
+                definitions += [(path.name, d, attributes, d.name, _attributes(d)) for d in node.body
                                 if isinstance(d, ast.FunctionDef)]
             elif isinstance(node, ast.FunctionDef):
-                definitions.append((path.name, node, names, _names))
+                key = (stem, node.name)
+                definitions.append((path.name, node, uses, key, _uses(node, stem, bindings)))
     offenders = [
         f"{name}:{d.lineno} {d.name}"
-        for name, d, used, uses in definitions
+        for name, d, used, key, inside in definitions
         if not d.name.startswith("__")
         and d.name not in ENTRY_POINTS.get(name, ())
-        and used[d.name] == collections.Counter(uses(d))[d.name]
+        and used[key] == collections.Counter(inside)[key]
     ]
     assert offenders == []
 
