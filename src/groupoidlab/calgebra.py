@@ -67,7 +67,6 @@ from .groupoid import (
     NonPrincipalError,
     RelationGroupoid,
     build_relation_groupoid,
-    groupoid_properties,
     pair_groupoid_index,
 )
 from .twist import (
@@ -442,13 +441,9 @@ class BlockDecomposition:
         rel, sigma = self.relation, self.sigma
         check = check_star_hom(structure_constants(sigma), structure_constants(self.target), self.image)
         dim_ok = sum(d * d for d in self.dims) == len(rel.morphisms)
-        norm_dev = 0.0
-        for _ in range(5):
-            f = random_element(rng, rel, sigma)
-            norm_dev = max(norm_dev, abs(reduced_norm(f) - reduced_norm(self.rho(f))))
         return BlockCheck(
             check.multiplicative_dev, check.star_dev, check.bijective and dim_ok, dim_ok,
-            norm_dev, self.untwisted,
+            _norm_dev(rng, sigma, self.rho, 5), self.untwisted,
         )
 
 
@@ -464,6 +459,18 @@ def random_element(rng: random.Random, groupoid: FinGroupoid, sigma: TwoCocycle,
     draw = rng.random
     values = [complex(-1 + 2 * draw(), -1 + 2 * draw()) if draw() < density else 0j for _ in groupoid.morphisms]
     return _element(sigma, np.array(values, dtype=complex))
+
+
+def _norm_dev(rng: random.Random, sigma: TwoCocycle, rho: Callable, rounds: int, off: int | None = None) -> float:
+    """The largest | ||f|| - ||rho(f)|| | over ``rounds`` random elements f
+    of the algebra twisted by ``sigma``, each set to 0 at ``off`` if given."""
+    dev = 0.0
+    for _ in range(rounds):
+        f = random_element(rng, sigma.groupoid, sigma)
+        if off is not None:
+            f.vec[off] = 0
+        dev = max(dev, abs(reduced_norm(f) - reduced_norm(rho(f))))
+    return dev
 
 
 # -- doubled-sheet model (matrix functions, diagonal at the boundary) ------------
@@ -537,11 +544,7 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
         and all(i == j for ((t, i), (_, j)) in relation.morphisms if t == levels - 1)
     )
     rho = linear_map(relation, target, image)
-
-    norm_dev = 0.0
-    for _ in range(5):
-        f = random_element(rng, relation, sigma)
-        norm_dev = max(norm_dev, abs(reduced_norm(f) - reduced_norm(rho(f))))
+    norm_dev = _norm_dev(rng, sigma, rho, 5)
 
     # evaluation at level t (inducing rho(f) at (i, i, t)) is unitarily
     # equivalent to inducing f at the unit (t, i): the unitary relabels the
@@ -824,14 +827,8 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
     }
     iso = check_star_hom(products, structure_constants(kernel_algebra.sigma), phi, basis=list(phi))
     iso_bijective = iso.bijective and {t for t, _ in phi.values()} == set(kernel_algebra.spanning_keys())
-    phi_of = linear_map(relation, kernel_algebra.sigma, phi)
-    norm_dev = 0.0
-    for _ in range(4):
-        f = random_element(rng, relation, sigma)
-        f = f + AlgebraElement.char(relation, sigma, star_unit, -character(f))
-        if character(f):
-            raise InternalCheckFailure("element left the character's kernel")
-        norm_dev = max(norm_dev, abs(reduced_norm(f) - reduced_norm(phi_of(f))))
+    # random elements of the kernel: their value at the fresh point is 0
+    norm_dev = _norm_dev(rng, sigma, linear_map(relation, kernel_algebra.sigma, phi), 4, relation.index[star_unit])
 
     certified = not cech_is_coboundary(data).is_coboundary
     return CoverModelReport(
@@ -901,7 +898,7 @@ def equivariant_suite(
     then exhibits a composable pair where multiplicativity fails, so the
     necessity of the conjugate is itself a tested fact.
     """
-    if not groupoid_properties(groupoid).principal:
+    if not groupoid.principal:
         raise NonPrincipalError("equivariant suite requires a principal groupoid")
     n = sigma.n
     if n * len(groupoid.morphisms) > 512:
@@ -963,16 +960,19 @@ def equivariant_suite(
     # holds lift(f) * e_(z,c), so lift(f) * lift(e_c) / n read at (0, m)
     # is the zeta^z-weighted average of row (0, m) over z.  On point
     # masses these entries are the products compared above, so only a
-    # dense element adds to the multiplicative deviation.
+    # dense element adds to the multiplicative deviation.  The units (0, u)
+    # carry G's unit numbers, orbits and order, with n times larger source
+    # fibers, so the extension's stacks of induced matrices pair with G's.
     rep_dev = check.multiplicative_dev
     f = random_element(rng, groupoid, target)
-    a = lift(f)
-    for u in sorted(groupoid.units, key=str):
-        ind = induced_rep(u, f)
-        d = len(ind.basis)
-        rows = induced_rep((0, u), a).matrix.reshape(n, d, n, d)[0]
-        lmat = _mul(rows, roots[:, None]).sum(axis=1) * (1.0 / n)
-        rep_dev = max(rep_dev, float(np.abs(lmat - ind.matrix).max(initial=0.0)))
+    _, _, _, _, blocks, rest = groupoid.fiber_cells
+    _, _, _, _, ext_blocks, ext_rest = ext.fiber_cells
+    pairs = zip(_stacks(_cell_values(f), blocks + rest), _stacks(_cell_values(lift(f)), ext_blocks + ext_rest))
+    for mat, big in pairs:
+        k, d, _ = mat.shape
+        rows = big.reshape(k, n, d, n, d)[:, 0]
+        lmat = _mul(rows, roots[:, None]).sum(axis=2) * (1.0 / n)
+        rep_dev = max(rep_dev, float(np.abs(lmat - mat).max(initial=0.0)))
 
     return EquivariantSuiteReport(
         order=n,

@@ -7,10 +7,10 @@ here are computed directly from that encoding, so facts such as
 "finite Hausdorff = discrete" come out as verified results rather than
 baked-in assumptions.
 
-Every map predicate reads one pass over the images f(U_x) of the
-minimal opens (``scan_images``).  f is continuous iff f(U_x) lies in
-U_{f(x)} for every x, open iff every f(U_x) is open, and a local
-homeomorphism iff it is continuous, open and injective on every U_x.
+Every map predicate reads the three flags of one pass over the images
+f(U_x) of the minimal opens (``_scan_masks``): f is continuous iff
+f(U_x) lies in U_{f(x)} for every x, open iff every f(U_x) is open, and
+a local homeomorphism iff also injective on every U_x.
 The quotient test compares the codomain with the final topology, whose
 minimal opens one routine computes for ``is_quotient_map`` and
 ``quotient_space`` alike.
@@ -279,20 +279,13 @@ class MapProperties:
         return asdict(self)
 
 
-def scan_images(f: SpaceMap) -> tuple:
-    """One pass over the images f(U_x) of the minimal opens, returning
-    (continuous, open_map, locally_injective, first_not_open): whether
-    every f(U_x) lies in U_{f(x)}, is open, and has as many points as
-    U_x, and the index of the first x whose image is not open, or None.
-    Images commute with unions, so the minimal opens decide the first two."""
-    return _scan_masks(f.dom._mo, f.cod._mo, f.targets)
-
-
 def _scan_masks(dom_mo: Sequence[int], cod_mo: Sequence[int], targets: Sequence[int]) -> tuple:
-    """``scan_images`` on bare data: the domain's and the codomain's
-    minimal-open masks, and the codomain index of each domain point."""
-    continuous = locally_injective = True
-    first_not_open = None
+    """(continuous, open_map, locally_injective) of the map with domain
+    and codomain minimal opens ``dom_mo`` and ``cod_mo`` and a codomain
+    index per domain point: whether every f(U_x) lies in U_{f(x)}, is
+    open, and has as many points as U_x.  Images commute with unions, so
+    the minimal opens decide the first two."""
+    continuous = open_map = locally_injective = True
     bits = [1 << t for t in targets]
     for i, u in enumerate(dom_mo):
         img = _union(bits, u)
@@ -300,9 +293,8 @@ def _scan_masks(dom_mo: Sequence[int], cod_mo: Sequence[int], targets: Sequence[
             continuous = False
         if img.bit_count() != u.bit_count():
             locally_injective = False
-        if first_not_open is None and not _is_open(cod_mo, img):
-            first_not_open = i
-    return continuous, first_not_open is None, locally_injective, first_not_open
+        open_map = open_map and _is_open(cod_mo, img)
+    return continuous, open_map, locally_injective
 
 
 def _final_masks(dom: FinSpace, targets: Sequence[int], size: int) -> list[int]:
@@ -328,15 +320,14 @@ def is_local_homeomorphism(f: SpaceMap) -> bool:
     an open set restricts to one of U_x.  Conversely a continuous open
     bijection of U_x onto the open set f(U_x) is a homeomorphism.
     """
-    continuous, open_map, locally_injective, _ = scan_images(f)
-    return continuous and open_map and locally_injective
+    return all(_scan_masks(f.dom._mo, f.cod._mo, f.targets))
 
 
 def classify_map(f: SpaceMap) -> MapProperties:
     """Decide continuity, openness, surjectivity, the quotient property and
     local homeomorphy of a map between finite spaces, all from one pass
     over the images of the minimal opens and the final topology."""
-    continuous, open_map, locally_injective, _ = scan_images(f)
+    continuous, open_map, locally_injective = _scan_masks(f.dom._mo, f.cod._mo, f.targets)
     local_homeomorphism = continuous and open_map and locally_injective
     return MapProperties(continuous, open_map, f.is_surjective(), is_quotient_map(f), local_homeomorphism)
 
@@ -446,6 +437,7 @@ class ClosedHausdorffCore:
     core_is_open: bool
     core_is_hausdorff: bool
     witnesses: dict
+    open_sets: int  # the open sets searched, the empty one included; not reported
 
     def as_dict(self) -> dict:
         return {
@@ -464,9 +456,8 @@ def closed_hausdorff_core(space: FinSpace) -> ClosedHausdorffCore:
     """
     n = len(space.points)
     full = (1 << n) - 1
-    closed_hausdorff = [
-        full & ~m for m in space.open_set_bits() if space._subspace_hausdorff(full & ~m)
-    ]
+    opens = space.open_set_bits()
+    closed_hausdorff = [full & ~m for m in opens if space._subspace_hausdorff(full & ~m)]
     core = 0
     witnesses = {}
     for i in range(n):
@@ -480,4 +471,5 @@ def closed_hausdorff_core(space: FinSpace) -> ClosedHausdorffCore:
         core_is_open=space.is_open_bits(core),
         core_is_hausdorff=space._subspace_hausdorff(core),
         witnesses=witnesses,
+        open_sets=len(opens),
     )

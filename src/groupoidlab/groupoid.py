@@ -54,6 +54,7 @@ from .finspace import (
     FinSpace,
     MapProperties,
     SpaceMap,
+    _is_open,
     _scan_masks,
     _union,
     classify_map,
@@ -352,6 +353,10 @@ class FinGroupoid:
         so M holds the units and S, hence everything they generate.  When
         that check fails, the full sweep over all composable triples in
         lexicographic order names the first failing triple.
+
+        Of the inverse laws only m inv(m) = r(m) is checked: once inv is
+        an involution that swaps range and source, (inv m, m) is that
+        law's pair at inv m, so inv(m) m = r(inv m) = s(m).
         """
         morphs = self.morphisms
         n = len(morphs)
@@ -392,8 +397,8 @@ class FinGroupoid:
             triple = tuple(morphs[m] for m in self._first_nonassociative())
             raise GroupoidAxiomError(f"associativity fails at triple {triple!r}", triple)
 
-        # inverse laws; once inv swaps range and source, (m, inv m) and
-        # (inv m, m) are composable
+        # inverse laws; once inv swaps range and source, (m, inv m) is
+        # composable, and the right law is the left one at inv m
         if (inv[inv] != every).any():
             m = int(np.argwhere(inv[inv] != every)[0, 0])
             raise GroupoidAxiomError(f"inverse is not involutive at {morphs[m]!r}", morphs[m])
@@ -404,10 +409,6 @@ class FinGroupoid:
         if (left != rng).any():
             m = int(np.argwhere(left != rng)[0, 0])
             raise GroupoidAxiomError(f"m * inv(m) is not the unit at range({morphs[m]!r})", morphs[m])
-        right = pc[self.pair_id[inv, every]]
-        if (right != src).any():
-            m = int(np.argwhere(right != src)[0, 0])
-            raise GroupoidAxiomError(f"inv(m) * m is not the unit at source({morphs[m]!r})", morphs[m])
 
     # -- representation -----------------------------------------------------
 
@@ -601,10 +602,8 @@ def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
     """
     if groupoid._props_cache is not None:
         return groupoid._props_cache
-    continuous, open_map, locally_injective, _ = _scan_masks(
-        groupoid.topology._mo, _subspace_masks(groupoid), groupoid.range_idx.tolist()
-    )
-    props = GroupoidProperties(groupoid.principal, continuous and open_map and locally_injective)
+    scan = _scan_masks(groupoid.topology._mo, _subspace_masks(groupoid), groupoid.range_idx.tolist())
+    props = GroupoidProperties(groupoid.principal, all(scan))
     groupoid._props_cache = props
     return props
 
@@ -637,18 +636,19 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
     one orbit exactly when a morphism joins them.  So R(q) lives on the
     groupoid's own numbering, where ``product_masks`` gives its minimal
     opens from the base of the orbit space (Y for a relation groupoid),
-    and the content is whether the identity of the morphisms is
-    continuous and open from the groupoid's topology to R(q)'s.  On
-    failure the witness is the first minimal open of the groupoid whose
-    image is not open.
+    and the content is whether two topologies on one set agree: with
+    minimal opens mo (the groupoid's) and rq (R(q)'s), r x s is
+    continuous iff every mo[m] lies in rq[m], and open iff every mo[m]
+    is open in R(q); the witness is the first mo[m] that is not.
     """
-    if not groupoid_properties(groupoid).principal:
+    if not groupoid.principal:
         raise NonPrincipalError("fell_check requires a principal groupoid")
     rq = product_masks(_unit_base(groupoid)[1], groupoid.range_idx, groupoid.source_idx)
     mo = groupoid.topology._mo
-    continuous, open_map, _, first = _scan_masks(mo, rq, range(len(mo)))
+    continuous = not any(u & ~v for u, v in zip(mo, rq))
+    first = next((m for m, u in enumerate(mo) if not _is_open(rq, u)), None)
     witness = None if first is None else groupoid.topology.unbits(mo[first])
-    return FellCheck(continuous and open_map, open_map, continuous, witness)
+    return FellCheck(continuous and first is None, first is None, continuous, witness)
 
 
 @dataclass(frozen=True)

@@ -225,13 +225,15 @@ def _principal_witness(diff: TwoCocycle) -> OneCochain | None:
     In a principal groupoid take the base unit u0 of each orbit to be the
     unit ``orbit_idx`` names it by, and let beta(v) be the unique
     morphism v -> u0; then b(m) := d(m, beta(s(m))) solves db = d, by the
-    cocycle identity applied to (m, m', beta) triples.
+    cocycle identity applied to (m, m', beta) triples.  beta(v) is the
+    morphism with range v whose source is the orbit base of its range.
     """
     g = diff.groupoid
     count = len(g.morphisms)
-    by_ends = np.full((count, count), -1, dtype=np.int64)
-    by_ends[g.range_idx, g.source_idx] = np.arange(count)
-    to_base = by_ends[g.source_idx, g.orbit_idx[g.source_idx]]
+    sel = g.source_idx == g.orbit_idx[g.range_idx]
+    into = np.full(count, -1, dtype=np.int64)
+    into[g.range_idx[sel]] = np.flatnonzero(sel)
+    to_base = into[g.source_idx]
     values = diff.on_pairs(g.pair_id[np.arange(count), to_base])
     b = OneCochain(g, diff.n, dict(zip(g.morphisms, values.tolist())))
     if coboundary_twist(b) == diff:

@@ -4,9 +4,14 @@ label tables, the label path spaces were numbered on before the
 ``finspace/1`` parser did it, graphs on label dicts with the verdict
 they gave before graphs were numbered, and the algebra checks as they
 ran one unit at a time before every unit's matrix came from one
-product, the product space, which the library never builds, and the
+product, the product space, which the library never builds, the
 bit walks that ``finspace``, ``groupoid`` and ``corpus`` each wrote for
-themselves before ``finspace`` kept the one kernel."""
+themselves before ``finspace`` kept the one kernel, and the verifiers
+as they ran before each fact was read once from the index: the map scan
+with its first-not-open channel, the Fell test as a scan of the
+identity map, the principal witness from a table by both ends, the
+equivariant slice with its per-unit loop, and the cover kernel's norm
+check on f - f(star) e_star."""
 
 from __future__ import annotations
 
@@ -549,3 +554,154 @@ def reference_unitary_equiv_dev(report: ca.DoubledModelReport, rng: random.Rando
                 dev = np.abs(ind.matrix - level.matrix[np.ix_(pos, pos)]).max()
                 uni_dev = max(uni_dev, float(dev))
     return uni_dev
+
+
+# -- the verifiers as they ran before each fact was read once -------------------
+
+
+def reference_scan_images(f: fs.SpaceMap) -> tuple:
+    """``finspace.scan_images``: (continuous, open_map, locally_injective,
+    first_not_open) from one pass over the images of the minimal opens."""
+    return reference_scan_masks(f.dom._mo, f.cod._mo, f.targets)
+
+
+def reference_scan_masks(dom_mo, cod_mo, targets) -> tuple:
+    """``finspace._scan_masks`` with its first-not-open channel."""
+    continuous = locally_injective = True
+    first_not_open = None
+    bits = [1 << t for t in targets]
+    for i, u in enumerate(dom_mo):
+        img = fs._union(bits, u)
+        if img & ~cod_mo[targets[i]]:
+            continuous = False
+        if img.bit_count() != u.bit_count():
+            locally_injective = False
+        if first_not_open is None and not fs._is_open(cod_mo, img):
+            first_not_open = i
+    return continuous, first_not_open is None, locally_injective, first_not_open
+
+
+def reference_classify_map(f: fs.SpaceMap) -> fs.MapProperties:
+    """``finspace.classify_map`` on ``reference_scan_images``."""
+    continuous, open_map, locally_injective, _ = reference_scan_images(f)
+    local_homeomorphism = continuous and open_map and locally_injective
+    return fs.MapProperties(continuous, open_map, f.is_surjective(), fs.is_quotient_map(f), local_homeomorphism)
+
+
+def reference_fell_check(groupoid: gp.FinGroupoid) -> gp.FellCheck:
+    """``groupoid.fell_check`` as a scan of the identity map of the
+    morphisms from the groupoid's topology to R(q)'s."""
+    if not gp.groupoid_properties(groupoid).principal:
+        raise gp.NonPrincipalError("fell_check requires a principal groupoid")
+    rq = gp.product_masks(gp._unit_base(groupoid)[1], groupoid.range_idx, groupoid.source_idx)
+    mo = groupoid.topology._mo
+    continuous, open_map, _, first = reference_scan_masks(mo, rq, range(len(mo)))
+    witness = None if first is None else groupoid.topology.unbits(mo[first])
+    return gp.FellCheck(continuous and open_map, open_map, continuous, witness)
+
+
+def reference_principal_witness(diff: tw.TwoCocycle) -> tw.OneCochain | None:
+    """``twist._principal_witness`` with the n x n table of morphisms by
+    range and source."""
+    g = diff.groupoid
+    count = len(g.morphisms)
+    by_ends = np.full((count, count), -1, dtype=np.int64)
+    by_ends[g.range_idx, g.source_idx] = np.arange(count)
+    to_base = by_ends[g.source_idx, g.orbit_idx[g.source_idx]]
+    values = diff.on_pairs(g.pair_id[np.arange(count), to_base])
+    b = tw.OneCochain(g, diff.n, dict(zip(g.morphisms, values.tolist())))
+    if tw.coboundary_twist(b) == diff:
+        return b
+    return None
+
+
+def reference_equivariant_suite(groupoid: gp.FinGroupoid, sigma: tw.TwoCocycle, *, conjugate: bool = True,
+                                rng: random.Random | None = None) -> ca.EquivariantSuiteReport:
+    """``calgebra.equivariant_suite`` with the representation check as a
+    loop over the units sorted by ``str``, two ``induced_rep`` calls
+    each."""
+    if not gp.groupoid_properties(groupoid).principal:
+        raise gp.NonPrincipalError("equivariant suite requires a principal groupoid")
+    n = sigma.n
+    rng = rng or random.Random(4)
+    ext = tw.extension_groupoid(groupoid, sigma)
+    triv_ext = tw.TwoCocycle.trivial(ext, 1)
+    target = sigma.conjugate() if conjugate else sigma
+    m_count = len(groupoid.morphisms)
+    roots = np.array(ca._roots(n))
+
+    def lift(f):
+        return ca._element(triv_ext, ca._mul(roots[:, None], f.vec).reshape(-1))
+
+    equiv_dev = 0.0
+
+    def slice_of(full):
+        nonlocal equiv_dev
+        table = full.reshape(n, m_count)
+        equiv_dev = max(equiv_dev, float(np.abs(table - ca._mul(roots[:, None], table[0])).max(initial=0.0)))
+        return ca._element(target, table[0].copy())
+
+    z_of, m_of = np.divmod(np.arange(len(ext.morphisms)), m_count)
+    pa, pb, pc = ext.pairs
+    products = np.zeros((len(groupoid.pairs[0]), n), dtype=complex)
+    cells = (groupoid.pair_id[m_of[pa], m_of[pb]], z_of[pc])
+    np.add.at(products, cells, roots[z_of[pa]] * roots[z_of[pb]])
+    products *= 1.0 / n
+    stars = np.zeros((len(groupoid.morphisms), n), dtype=complex)
+    stars[m_of, z_of[ext.inverse_idx]] = roots[z_of].conj()
+    for table in (products, stars):
+        equiv_dev = max(equiv_dev, float(np.abs(table - roots * table[:, :1]).max(initial=0.0)))
+    check = ca.check_star_hom(
+        (groupoid, products[:, 0], stars[:, 0]), ca.structure_constants(target),
+        {m: (m, 1.0) for m in groupoid.morphisms},
+    )
+    for _ in range(3):
+        slice_of(lift(ca.random_element(rng, groupoid, target)).vec)
+    mult_dev = check.multiplicative_dev
+    for _ in range(3):
+        f, g = ca.random_element(rng, groupoid, target), ca.random_element(rng, groupoid, target)
+        prod = slice_of(ca.convolve(lift(f), lift(g)).vec * (1.0 / n))
+        mult_dev = max(mult_dev, ca.max_deviation(prod, ca.convolve(f, g)))
+    f = ca.random_element(rng, groupoid, target)
+    star_dev = max(check.star_dev, ca.max_deviation(slice_of(ca.involute(lift(f)).vec), ca.involute(f)))
+    rep_dev = check.multiplicative_dev
+    f = ca.random_element(rng, groupoid, target)
+    a = lift(f)
+    for u in sorted(groupoid.units, key=str):
+        ind = ca.induced_rep(u, f)
+        d = len(ind.basis)
+        rows = ca.induced_rep((0, u), a).matrix.reshape(n, d, n, d)[0]
+        lmat = ca._mul(rows, roots[:, None]).sum(axis=1) * (1.0 / n)
+        rep_dev = max(rep_dev, float(np.abs(lmat - ind.matrix).max(initial=0.0)))
+    return ca.EquivariantSuiteReport(
+        order=n, conjugated=conjugate, rho_bijective=check.bijective, equivariance_dev=equiv_dev,
+        rho_multiplicative_dev=mult_dev, rho_star_dev=star_dev, rep_equivalence_dev=rep_dev,
+        mismatch_witness=check.witness if check.multiplicative_dev > ca.STRUCTURAL_TOL else None,
+    )
+
+
+def reference_kernel_norm_dev(report: ca.CoverModelReport, rng: random.Random) -> float:
+    """``build_cover_model``'s kernel norm deviation from its loop that
+    adds -f(star) e_star to each random f, after the model's earlier
+    draws from ``rng``: two axiom batteries of twelve elements and nine
+    elements of the doubled relation's algebra."""
+    relation, sigma, kernel = report.doubled.relation, report.sigma, report.kernel_algebra
+    for g, s, count in ((report.algebra.groupoid, report.algebra.sigma, 12), (relation, sigma, 9),
+                        (kernel.groupoid, kernel.sigma, 12)):
+        for _ in range(count):
+            ca.random_element(rng, g, s)
+    star_unit = ((report.doubled.star, 0), (report.doubled.star, 0))
+    phi = {
+        ((s, i), (s2, j)): ((i, j, s), 1.0)
+        for ((s, i), (s2, j)) in relation.morphisms
+        if ((s, i), (s2, j)) != star_unit
+    }
+    phi_of = ca.linear_map(relation, kernel.sigma, phi)
+    norm_dev = 0.0
+    for _ in range(4):
+        f = ca.random_element(rng, relation, sigma)
+        f = f + ca.AlgebraElement.char(relation, sigma, star_unit, -f(star_unit))
+        if f(star_unit):
+            raise AssertionError("element left the character's kernel")
+        norm_dev = max(norm_dev, abs(ca.reduced_norm(f) - ca.reduced_norm(phi_of(f))))
+    return norm_dev

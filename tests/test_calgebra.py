@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -12,6 +13,8 @@ from helpers import (
     inverse_map,
     label_cocycle,
     label_groupoid,
+    reference_equivariant_suite,
+    reference_kernel_norm_dev,
     reference_random_element,
     reference_reduced_norm,
     reference_representation_dev,
@@ -899,6 +902,50 @@ def test_equivariant_suite_detects_dropped_conjugation():
     assert not rep.ok
     assert rep.rho_multiplicative_dev > 1e-6
     assert rep.mismatch_witness is not None
+
+
+def mixed_orbits(sizes) -> gp.RelationGroupoid:
+    """The relation groupoid of a discrete surjection with fibers of the
+    given sizes, the points of the fibers interleaved in Y."""
+    points = [(k, i) for i in range(max(sizes)) for k, size in enumerate(sizes) if i < size]
+    y = fs.discrete(points)
+    return gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(range(len(sizes))), {p: p[0] for p in points}))
+
+
+@pytest.mark.parametrize("isolated", [False, True])
+def test_equivariant_suite_matches_the_per_unit_loop_bit_for_bit(monkeypatch, isolated):
+    # every field, the representation check above all, as the loop of two
+    # induced representations per unit computed it, to the last bit.  The
+    # representation deviation starts from the point-mass product
+    # deviation, which often exceeds what the dense element adds; isolated,
+    # both sides read that deviation as 0, so the stacks decide the field.
+    if isolated:
+        check = ca.check_star_hom
+        monkeypatch.setattr(ca, "check_star_hom",
+                            lambda *args: dataclasses.replace(check(*args), multiplicative_dev=0.0))
+    rng = random.Random(1207)
+    cases = [(mixed_orbits(sizes), n) for sizes in ((2, 1), (1, 3, 2), (2, 2, 1), (3, 1, 1, 2), (1,), (4, 2))
+             for n in range(2, 9)]
+    cases += [(pair_groupoid(range(8)), 8)]  # the 512-morphism extension
+    seen, added = set(), 0
+    for g, n in cases:
+        values = {m: rng.randrange(n) for m in g.morphisms if m not in g.units}
+        sigma = tw.coboundary_twist(tw.OneCochain(g, n, values))
+        for conjugate in (True, False):
+            seed = rng.randrange(10**6)
+            got = ca.equivariant_suite(g, sigma, conjugate=conjugate, rng=random.Random(seed))
+            want = reference_equivariant_suite(g, sigma, conjugate=conjugate, rng=random.Random(seed))
+            assert repr(vars(got)) == repr(vars(want)), (g, n, conjugate)
+            seen.add(got.ok)
+            added += got.rep_equivalence_dev > 0
+    assert seen == {True, False} if not isolated else added > len(cases)
+
+
+def test_kernel_norm_dev_matches_the_loop_that_added_minus_f_star():
+    for data in (tetrahedron_cover(3, 1), tetrahedron_cover(3, 0), tetrahedron_cover(6, 2), tetrahedron_cover(2, 1)):
+        report = ca.build_cover_model(data, random.Random(3))
+        assert repr(report.kernel_norm_dev) == repr(reference_kernel_norm_dev(report, random.Random(3)))
+        assert report.kernel_norm_dev < ca.ACCUMULATED_TOL
 
 
 def test_equivariant_suite_requires_principal():

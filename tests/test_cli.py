@@ -257,6 +257,32 @@ def test_model_cover(capsys):
     assert report["result"]["twist_nontrivial_certified"]
 
 
+def test_model_cover_order_override_reads_as_the_rewritten_document(capsys, tmp_path):
+    code, report = run_cli(capsys, "model-cover", "bundled:tetrahedron-z3", "--order", "6")
+    assert code == 0
+    assert report["result"]["order"] == 6 and report["result"]["twist_nontrivial_certified"] is True
+    doc = bundled.bundled_document("tetrahedron-z3")
+    doc["n"] = 6
+    code, rewritten = run_cli(capsys, "model-cover", write(tmp_path, "c.json", doc))
+    assert code == 0 and rewritten["result"] == report["result"]
+
+
+def test_cech_cert_names_a_nonzero_value_on_repeated_indices(capsys, tmp_path):
+    _, plain = run_cli(capsys, "cech-cert", "bundled:tetrahedron-z3")
+    doc = bundled.bundled_document("tetrahedron-z3")
+    doc["lambda"].append([1, 1, 2, 1])
+    code, report = run_cli(capsys, "cech-cert", write(tmp_path, "c.json", doc))
+    assert code == 0
+    assert report["result"]["report"]["valid"] is False
+    assert report["result"]["report"]["repeated_index_violations"] == [[1, 1, 2]]
+    assert "coboundary" not in report["result"]
+    # a zero there is accepted, and the verdict is the bundled one
+    doc["lambda"][-1] = [1, 1, 2, 0]
+    code, report = run_cli(capsys, "cech-cert", write(tmp_path, "c.json", doc))
+    assert code == 0 and report["result"]["report"]["valid"] is True
+    assert report["result"] == plain["result"] and "coboundary" in report["result"]
+
+
 def test_equivariant_check(capsys):
     code, report = run_cli(capsys, "equivariant-check", "bundled:trivial-cocycle")
     assert code == 0

@@ -14,6 +14,7 @@ from helpers import (
     min_open,
     open_sets,
     reference_cover_resolution,
+    reference_classify_map,
     reference_final_masks,
     reference_random_space,
     reference_space_fault,
@@ -408,6 +409,33 @@ def test_quotient_masks_match_the_fixpoint_loop_they_replaced():
                 assert list(x._mo) == reference_final_masks(space, psi.targets, len(x))
                 cases += 1
     assert cases == 5480
+
+
+def test_core_counts_the_open_sets_it_enumerated():
+    # ``space-check`` reports this count instead of enumerating again
+    for seed in range(100):
+        s = random_space(seed, 6)
+        assert fs.closed_hausdorff_core(s).open_sets == len(s.open_set_bits())
+
+
+def test_map_classes_match_the_scan_with_the_first_not_open_channel():
+    # every quotient of every space of at most 4 points, and the same
+    # assignment into a random topology on the blocks, which need be
+    # neither continuous nor open
+    rng = random.Random(1240)
+    kinds = set()
+    for n in range(5):
+        for space in all_topologies(n):
+            for part in all_partitions(space.points):
+                x, psi = fs.quotient_space(space, part)
+                other = fs.FinSpace(x.points, rng.choice(all_topologies(len(x)))._mo)
+                for f in (psi, fs.SpaceMap(space, other, psi.assignment)):
+                    props = fs.classify_map(f)
+                    assert props == reference_classify_map(f)
+                    assert fs.is_local_homeomorphism(f) == props.local_homeomorphism
+                    kinds.add((props.continuous, props.open_map, props.local_homeomorphism))
+    assert {(c, o) for c, o, _ in kinds} == {(True, True), (True, False), (False, True), (False, False)}
+    assert {h for *_, h in kinds} == {True, False}
 
 
 def _fault(points, masks):

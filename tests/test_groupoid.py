@@ -1,6 +1,8 @@
+import collections
 import contextlib
 import functools
 import io
+import itertools
 import json
 import random
 
@@ -22,8 +24,10 @@ from helpers import (
     product,
     product_group,
     reference_base_masks,
+    reference_fell_check,
     reference_final_masks,
     reference_orbit_base,
+    reference_scan_images,
     subspace,
 )
 
@@ -405,13 +409,55 @@ def test_properties_and_fell_check_match_the_definitions(corpus_builds):
         assert props == reference_properties(g)
         rs = reference_rq(g)
         bijective = len(set(rs.targets)) == len(g.morphisms) == len(rs.cod.points)
-        continuous, open_map, _, first = fs.scan_images(rs)
+        continuous, open_map, _, first = reference_scan_images(rs)
         res = gp.fell_check(g)
         assert (res.r_times_s_continuous, res.r_times_s_open) == (continuous, open_map)
         assert res.as_dict()["bijective"] is bijective is True
         assert res.is_fell_model == (continuous and open_map)
         assert res.witness == (None if first is None else g.topology.unbits(g.topology.min_open_bits(first)))
     assert gp.groupoid_properties(odd) == gp.GroupoidProperties(principal=True, etale=False)
+
+
+def criterion_2_relations():
+    """The relation groupoid of every partition of a discrete space of at
+    most 8 points, as acceptance criterion 2 builds them."""
+    for n in range(1, 9):
+        space = fs.discrete(tuple(range(n)))
+        for part in all_partitions(space.points):
+            yield gp.build_relation_groupoid(fs.quotient_space(space, part)[1])
+
+
+def random_pair_topologies(count: int, seed: int):
+    """The pair groupoid over a random topology Y on three points, with
+    ``count`` random topologies on its nine morphisms: random relations
+    closed to preorders."""
+    rng = random.Random(seed)
+    spaces = all_topologies(3)
+    for _ in range(count):
+        y = rng.choice(spaces)
+        pair = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("*",)), dict.fromkeys(y.points, "*")))
+        rows = [sum(1 << j for j in range(9) if rng.random() < 0.15) for _ in range(9)]
+        yield gp.RelationGroupoid(pair.psi, pair.fibers, fs.FinSpace(pair.morphisms, fs._closure(rows)))
+
+
+def test_fell_check_matches_the_identity_scan(corpus_builds):
+    # the two mask comparisons against the scan of the identity map of
+    # the morphisms, on criteria 1 and 2 with their discrete twins and on
+    # random topologies of the 3-point pair groupoid
+    groupoids = [g for _, relation, discrete, *_ in corpus_builds for g in (relation, discrete)]
+    for relation in criterion_2_relations():
+        groupoids += [relation, relation.with_discrete_topology()]
+    groupoids += random_pair_topologies(400, 1207)
+    verdicts = collections.Counter()
+    for g in groupoids:
+        got = gp.fell_check(g)
+        assert got == reference_fell_check(g)
+        verdicts[got.r_times_s_continuous, got.r_times_s_open] += 1
+    assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}, verdicts
+    group = product_group(2, 1)
+    for check in (gp.fell_check, reference_fell_check):
+        with pytest.raises(gp.NonPrincipalError, match="requires a principal groupoid"):
+            check(group)
 
 
 def test_fell_check_reads_the_same_on_a_plain_copy(corpus_builds):
@@ -548,6 +594,89 @@ def tampered_tables():
             k = base.pair_id[pa % len(base), pb % len(base)]
             z = (pa // len(base) + pb // len(base) + sigma.values[k]) % 3
             yield ext, (pa, pb, z * len(base) + pc % len(base))
+
+
+def pair_groupoid(points) -> gp.RelationGroupoid:
+    y = fs.discrete(tuple(points))
+    return gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("*",)), dict.fromkeys(y.points, "*")))
+
+
+def inverse_faults():
+    """Groups, pair-groupoid unions and an extension, each with tampered
+    inverse arrays: every inverse moved one place on (mostly not an
+    involution), the identity, and each swap of the inverses of two
+    morphisms a and b with a, a^-1, b, b^-1 distinct, an involution that
+    swaps range and source correctly exactly when a and b share both
+    ends.  Arrays equal to the true inverse are left out."""
+    base = pair_groupoid(range(2))
+    groupoids = [product_group(a, b) for a, b in ((3, 1), (2, 2), (2, 3), (4, 1))]
+    groupoids += [gp.build_relation_groupoid(discrete_3_to_2()), pair_groupoid(range(3))]
+    groupoids.append(tw.extension_groupoid(base, tw.TwoCocycle.trivial(base, 3)))
+    for g in groupoids:
+        inv, n = g.inverse_idx, len(g)
+        candidates = [np.arange(n)]
+        for m in range(n):
+            moved = inv.copy()
+            moved[m] = (inv[m] + 1) % n
+            candidates.append(moved)
+        for a, b in itertools.combinations(range(n), 2):
+            if len({a, int(inv[a]), b, int(inv[b])}) == 4:
+                swapped = inv.copy()
+                swapped[[a, inv[b], b, inv[a]]] = inv[b], a, inv[a], b
+                candidates.append(swapped)
+        for inverse in candidates:
+            if not np.array_equal(inverse, inv):
+                yield g, inverse
+
+
+def unverified(g: gp.FinGroupoid, inverse, monkeypatch, topology=None) -> gp.FinGroupoid:
+    """g's index with ``inverse`` for its inverse array, built without
+    running ``verify_axioms``, on ``topology`` (default g's)."""
+    monkeypatch.setattr(gp.FinGroupoid, "verify_axioms", lambda self: None)
+    h = gp.FinGroupoid(topology or g.topology, g.range_idx, g.source_idx, inverse, g.unit_mask, g.pairs)
+    monkeypatch.undo()
+    return h
+
+
+def twisted_document(g: gp.FinGroupoid, inverse, labels) -> dict:
+    """g with ``inverse`` for its inverse table as a discrete
+    ``fingroupoid/1`` on ``labels``, with the zero cocycle mod 2."""
+    pa, pb, pc = (p.tolist() for p in g.pairs)
+    table = lambda idx: {m: labels[i] for m, i in zip(labels, idx.tolist())}
+    return {"schema": "twisted_groupoid/1", "groupoid": {
+        "schema": "fingroupoid/1",
+        "topology": {"schema": "finspace/1", "points": labels, "min_open": {m: [m] for m in labels}},
+        "units": [labels[u] for u in np.flatnonzero(g.unit_mask).tolist()],
+        "range": table(g.range_idx), "source": table(g.source_idx), "inverse": table(np.asarray(inverse)),
+        "compose": [[labels[a], labels[b], labels[c]] for a, b, c in zip(pa, pb, pc)],
+    }, "cocycle": {"schema": "two_cocycle/1", "n": 2, "table": [[labels[a], labels[b], 0] for a, b in zip(pa, pb)]}}
+
+
+def test_inverse_faults_raise_as_the_reference_sweep(monkeypatch, tmp_path):
+    # the reference sweep keeps the right-inverse block that the library
+    # dropped as implied; every fault is named alike, with the same witness
+    kinds = {}
+    for g, inverse in inverse_faults():
+        with pytest.raises(gp.GroupoidAxiomError) as want:
+            sweep_verify_axioms(unverified(g, inverse, monkeypatch))
+        with pytest.raises(gp.GroupoidAxiomError) as got:
+            gp.FinGroupoid(g.topology, g.range_idx, g.source_idx, inverse, g.unit_mask, g.pairs)
+        assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+        kinds.setdefault(str(want.value).split(" at ")[0], (g, inverse))
+    assert set(kinds) == {
+        "inverse is not involutive", "inverse swaps range and source incorrectly", "m * inv(m) is not the unit",
+    }
+    # the first fault of each kind, read from a document by cocycle-verify
+    for g, inverse in kinds.values():
+        labels = [f"m{i}" for i in range(len(g))]
+        with pytest.raises(gp.GroupoidAxiomError) as want:
+            sweep_verify_axioms(unverified(g, inverse, monkeypatch, fs.discrete(labels)))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(twisted_document(g, inverse, labels)))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["cocycle-verify", str(path)]) == 1
+        assert json.loads(buf.getvalue())["result"]["error"] == f"SchemaError: {want.value} (at //groupoid)"
 
 
 def test_generator_triples_decide_associativity_as_the_full_sweep(monkeypatch):

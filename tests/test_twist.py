@@ -17,7 +17,16 @@ from groupoidlab import serialize
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from groupoidlab.modlin import solve_mod
-from helpers import cocycle_entry, inverse_map, label_cocycle, label_groupoid, label_space, min_open, product_group
+from helpers import (
+    cocycle_entry,
+    inverse_map,
+    label_cocycle,
+    label_groupoid,
+    label_space,
+    min_open,
+    product_group,
+    reference_principal_witness,
+)
 
 
 def pair_groupoid(points):
@@ -152,6 +161,56 @@ def test_witness_matches_shift():
     assert b is not None
     db, db0 = tw.coboundary_twist(b), tw.coboundary_twist(b0)
     assert all(db.table[p] == db0.table[p] for p in g.composable_pairs())
+
+
+def shuffled_table(g: gp.FinGroupoid, rng: random.Random) -> gp.FinGroupoid:
+    """g read from a ``fingroupoid/1`` document that lists its morphisms,
+    labelled m0, m1, ..., in a random order, so the numbering and the
+    orbit bases differ from g's."""
+    labels = [f"m{i}" for i in range(len(g))]
+    points = rng.sample(labels, len(labels))
+    table = lambda idx: dict(zip(labels, (labels[i] for i in idx.tolist())))
+    return serialize.groupoid_from_json({
+        "schema": "fingroupoid/1",
+        "topology": {"schema": "finspace/1", "points": points,
+                     "min_open": {labels[i]: [labels[j] for j in fs._iter_bits(m)] for i, m in enumerate(g.topology._mo)}},
+        "units": [labels[u] for u in np.flatnonzero(g.unit_mask).tolist()],
+        "range": table(g.range_idx), "source": table(g.source_idx), "inverse": table(g.inverse_idx),
+        "compose": [[labels[a], labels[b], labels[c]] for a, b, c in zip(*(p.tolist() for p in g.pairs))],
+    })
+
+
+def witness_outcome(find, diff):
+    """The values of the cochain ``find`` returns, None, or the text of
+    the ``CocycleError`` it raises."""
+    try:
+        b = find(diff)
+    except tw.CocycleError as err:
+        return str(err)
+    return None if b is None else b.values
+
+
+def test_principal_witness_matches_the_table_by_both_ends():
+    rng = random.Random(2207)
+    groupoids = []
+    for _ in range(60):
+        space = random_space(rng.randrange(10**6), 5)
+        relation = gp.build_relation_groupoid(fs.quotient_space(space, random_partition(rng, space.points))[1])
+        groupoids += [relation, shuffled_table(relation, rng)]
+    outcomes = set()
+    for g in groupoids:
+        assert g.principal
+        n = rng.choice((2, 3, 4, 6))
+        sigma = tw.coboundary_twist(random_cochain(rng, g, n))
+        cases = [sigma, tw.TwoCocycle.trivial(g, n)]
+        if len(g.pairs[0]) > len(g):
+            k = rng.choice(np.flatnonzero(~g.unit_mask[g.pairs[0]] & ~g.unit_mask[g.pairs[1]]).tolist())
+            cases.append(sigma.shift((g.morphisms[g.pairs[0][k]], g.morphisms[g.pairs[1][k]]), 1))
+        for diff in cases:
+            got = witness_outcome(tw._principal_witness, diff)
+            assert got == witness_outcome(reference_principal_witness, diff)
+            outcomes.add(type(got))
+    assert outcomes == {dict, type(None)}, outcomes
 
 
 def test_non_cohomologous_detected_on_group():
