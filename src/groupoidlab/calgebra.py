@@ -37,14 +37,15 @@ The cover algebra of Cech data lambda is the algebra of the cover's
 incidence groupoid, morphisms (i, j, s) with s in U_i cap U_j, twisted by
 -lambda, so it has no product, star or representation of its own.
 
-Each model declares its map on a basis of point masses and hands it to
-``check_star_hom``, which compares the basis-product tables of source and
+Each model's map is monomial, e_a -> c e_t, given as two arrays over the
+source morphism numbers: t (-1 where the map gives 0) and c.
+``check_star_hom`` compares the basis-product tables of source and
 target, read off the groupoids' compiled pair index and the cocycle
 phases, on every basis pair in one vectorized pass.  A map whose basis
 images are nonzero multiples of distinct target basis elements, with
 matching dimensions, is bijective; no separate round trip is run.  The
 models compare norms and representations by pushing elements through the
-same map (``linear_map``) and reading them in the target algebra.
+same arrays (``linear_map``) and reading them in the target algebra.
 
 Scalars are double precision; structural identities are asserted to
 1e-12 and accumulated ones to 1e-9.
@@ -91,10 +92,6 @@ def _roots(n: int) -> tuple:
     if n > 2**16:  # the table of n-th roots is built in full
         raise SizeCapError("twisted algebras capped at order 2**16")
     return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
-
-
-def zeta(n: int, k: int) -> complex:
-    return _roots(n)[k % n]
 
 
 class AlgebraElement:
@@ -273,22 +270,11 @@ def reduced_norm(f: AlgebraElement) -> float:
 # -- *-homomorphisms on a basis ---------------------------------------------------
 
 
-def _image_arrays(source: FinGroupoid, target: FinGroupoid, image: Mapping) -> tuple:
-    """The target number and coefficient of each source morphism under
-    e_a -> c e_t, ``image[a] = (t, c)``; a last slot holds the zero image."""
-    t_of = np.full(len(source.morphisms) + 1, -1, dtype=np.int64)
-    c_of = np.zeros(len(source.morphisms) + 1, dtype=complex)
-    for a, (t, c) in image.items():
-        t_of[source.index[a]], c_of[source.index[a]] = target.index[t], c
-    return t_of, c_of
-
-
-def linear_map(source: FinGroupoid, target: TwoCocycle, image: Mapping) -> Callable:
-    """The linear map e_a -> c e_t, for ``image[a] = (t, c)``, from the
-    functions on ``source`` to the algebra twisted by ``target``, as a
-    function of elements; morphisms missing from ``image`` map to 0."""
-    t_of, c_of = _image_arrays(source, target.groupoid, image)
-    mapped = np.flatnonzero(t_of[:-1] >= 0)
+def linear_map(target: TwoCocycle, t_of: np.ndarray, c_of: np.ndarray) -> Callable:
+    """The linear map e_a -> c_of[a] e_t_of[a], over the source morphism
+    numbers a, into the algebra twisted by ``target``, as a function of
+    elements; a morphism with ``t_of`` -1 maps to 0."""
+    mapped = np.flatnonzero(t_of >= 0)
 
     def apply(f: AlgebraElement) -> AlgebraElement:
         vec = np.zeros(len(target.groupoid.morphisms), dtype=complex)
@@ -311,24 +297,26 @@ class StarHomCheck:
     bijective: bool
 
 
-def check_star_hom(source: tuple, target: tuple, image: Mapping, basis=None) -> StarHomCheck:
-    """Check that the linear map e_a -> c e_t, for ``image[a] = (t, c)``,
-    is a *-homomorphism; source morphisms missing from ``image`` map to 0.
+def check_star_hom(source: tuple, target: tuple, t_of: np.ndarray, c_of: np.ndarray, basis=None) -> StarHomCheck:
+    """Check that the linear map e_a -> c_of[a] e_t_of[a], over the
+    source morphism numbers a, is a *-homomorphism; a morphism with
+    ``t_of`` -1 maps to 0, and its ``c_of`` is not read.
 
     ``source`` and ``target`` are ``structure_constants`` triples.  By
-    bilinearity every ordered pair of ``basis`` elements (default: every
-    source morphism) decides multiplicativity, so the two sides' product
-    tables are compared on all of them at once.  The witness is the
-    first pair in basis order with the largest deviation, None when none
-    deviates.  ``bijective`` says the basis images are nonzero multiples
+    bilinearity every ordered pair of ``basis`` elements, an int array of
+    source morphism numbers (default: all of them), decides
+    multiplicativity, so the two sides' product tables are compared on
+    all of them at once.  The witness is the first pair in basis order
+    with the largest deviation, None when none deviates.  ``bijective`` says the basis images are nonzero multiples
     of distinct target basis elements, which makes the map bijective
     whenever the caller's target has the same dimension.
     """
     sg, s_phase, s_star = source
     tg, t_phase, t_star = target
-    # index -1 reads the zero image
-    t_of, c_of = _image_arrays(sg, tg, image)
-    bas = np.array([sg.index[a] for a in (sg.morphisms if basis is None else basis)], dtype=np.int64)
+    # a last slot holds the zero image, which index -1 reads
+    c_of = np.append(np.where(t_of >= 0, c_of, 0), 0)
+    t_of = np.append(t_of, -1)
+    bas = np.arange(len(sg.morphisms)) if basis is None else basis
     t, c = t_of[bas], c_of[bas]
     # e_a e_b = phase e_ab maps to phase c_ab e_t(ab); pair id -1 reads the padding, zero
     pid = sg.pair_id[np.ix_(bas, bas)]
@@ -417,29 +405,30 @@ class BlockDecomposition:
         return self.witness is not None
 
     @cached_property
-    def image(self) -> dict:
-        # sigma = d(witness), so rescaling by zeta^{+witness} carries the
-        # twisted product to the matrix product
-        return {
-            (y, z): ((y, z, k), zeta(self.sigma.n, self.witness((y, z))) if self.untwisted else 1.0)
-            for k, orbit in enumerate(self.orbits)
-            for y in orbit
-            for z in orbit
-        }
+    def coefficients(self) -> np.ndarray:
+        """The c of e_(y,z) -> c e_(y,z,k) in morphism order, which is the
+        target's: its m is (y, z, k) for the relation's m = (y, z).
+        sigma = d(witness), so rescaling by zeta^{+witness} carries the
+        twisted product to the matrix product; ones without a witness."""
+        if not self.untwisted:
+            return np.ones(len(self.relation.morphisms), dtype=complex)
+        return np.array(_roots(self.sigma.n))[list(self.witness.values.values())]
 
     @cached_property
     def target(self) -> TwoCocycle:
-        """The direct sum of matrix algebras, block k on orbit k."""
+        """The direct sum of matrix algebras, block k on orbit k, on the
+        relation's own index."""
         return matrix_unit_groupoid(dict(enumerate(self.orbits)))
 
     @cached_property
     def rho(self) -> Callable[[AlgebraElement], AlgebraElement]:
-        return linear_map(self.relation, self.target, self.image)
+        return linear_map(self.target, np.arange(len(self.relation.morphisms)), self.coefficients)
 
     def verify(self, rng: random.Random | None = None) -> BlockCheck:
         rng = rng or random.Random(0)
         rel, sigma = self.relation, self.sigma
-        check = check_star_hom(structure_constants(sigma), structure_constants(self.target), self.image)
+        every, c = np.arange(len(rel.morphisms)), self.coefficients
+        check = check_star_hom(structure_constants(sigma), structure_constants(self.target), every, c)
         dim_ok = sum(d * d for d in self.dims) == len(rel.morphisms)
         return BlockCheck(
             check.multiplicative_dev, check.star_dev, check.bijective and dim_ok, dim_ok,
@@ -533,17 +522,19 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
     decomposition = block_decompose(relation, sigma)
     shape = tuple(sorted(decomposition.dims, reverse=True))
 
-    image = {((t, i), (_, j)): ((i, j, t), 1.0) for ((t, i), (_, j)) in relation.morphisms}
     target = matrix_unit_groupoid({t: range(1, sheets + 1) for t in range(levels)})
-    check = check_star_hom(structure_constants(sigma), structure_constants(target), image)
+    # e_((t,i),(t,j)) -> e_(i,j,t)
+    t_of = np.array([target.groupoid.index[(i, j, t)] for ((t, i), (_, j)) in relation.morphisms])
+    ones = np.ones(len(t_of), dtype=complex)
+    check = check_star_hom(structure_constants(sigma), structure_constants(target), t_of, ones)
     # onto the matrix functions that are diagonal at the unglued level
     target_dim = (levels - 1) * sheets * sheets + sheets
     bijective = (
         check.bijective
-        and len(image) == target_dim
+        and len(t_of) == target_dim
         and all(i == j for ((t, i), (_, j)) in relation.morphisms if t == levels - 1)
     )
-    rho = linear_map(relation, target, image)
+    rho = linear_map(target, t_of, ones)
     norm_dev = _norm_dev(rng, sigma, rho, 5)
 
     # evaluation at level t (inducing rho(f) at (i, i, t)) is unitarily
@@ -560,7 +551,6 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
     t_cells, *_ = target.groupoid.fiber_cells
     where = np.empty_like(t_cells)
     where[t_cells] = np.arange(len(t_cells))
-    t_of, _ = _image_arrays(relation, target.groupoid, image)
     pa, pb, _ = relation.pairs
     partner = where[target.groupoid.pair_id[t_of[pa[cells]], t_of[pb[cells]]]]
     uni_dev = check.multiplicative_dev
@@ -604,9 +594,6 @@ class CoverAlgebra:
         }
         self.sigma = matrix_unit_groupoid(self.incidence, n, lam)
         self.groupoid = self.sigma.groupoid
-
-    def spanning_keys(self) -> list[tuple]:
-        return list(self.groupoid.morphisms)
 
     def verify(self, rng: random.Random | None = None) -> "CoverAlgebraCheck":
         """The axiom battery on random elements, and the exact cocycle
@@ -796,10 +783,12 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
         return f(star_unit)
 
     products = structure_constants(sigma)
+    star_idx = relation.index[star_unit]
+    ones = np.ones(len(relation.morphisms), dtype=complex)
     # the character is a *-homomorphism onto C, the 1 x 1 matrices
-    char_check = check_star_hom(
-        products, structure_constants(matrix_unit_groupoid({0: (0,)})), {star_unit: ((0, 0, 0), 1.0)}
-    )
+    char_of = np.full(len(ones), -1)
+    char_of[star_idx] = 0
+    char_check = check_star_hom(products, structure_constants(matrix_unit_groupoid({0: (0,)})), char_of, ones)
     char_dev = max(char_check.multiplicative_dev, char_check.star_dev)
     for _ in range(4):
         f, g = random_element(rng, relation, sigma), random_element(rng, relation, sigma)
@@ -820,15 +809,17 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
 
     # (s, i) ~ (s, j) -> e_{ij,s}; the kernel is an ideal, so products of
     # kernel basis elements stay in the kernel
-    phi = {
-        ((s, i), (s2, j)): ((i, j, s), 1.0)
+    kernel_index = kernel_algebra.groupoid.index
+    phi = np.array([
+        -1 if ((s, i), (s2, j)) == star_unit else kernel_index[(i, j, s)]
         for ((s, i), (s2, j)) in relation.morphisms
-        if ((s, i), (s2, j)) != star_unit
-    }
-    iso = check_star_hom(products, structure_constants(kernel_algebra.sigma), phi, basis=list(phi))
-    iso_bijective = iso.bijective and {t for t, _ in phi.values()} == set(kernel_algebra.spanning_keys())
+    ])
+    basis = np.flatnonzero(phi >= 0)
+    iso = check_star_hom(products, structure_constants(kernel_algebra.sigma), phi, ones, basis)
+    # distinct targets, as many as the kernel's morphisms: onto
+    iso_bijective = iso.bijective and len(basis) == len(kernel_algebra.groupoid.morphisms)
     # random elements of the kernel: their value at the fresh point is 0
-    norm_dev = _norm_dev(rng, sigma, linear_map(relation, kernel_algebra.sigma, phi), 4, relation.index[star_unit])
+    norm_dev = _norm_dev(rng, sigma, linear_map(kernel_algebra.sigma, phi, ones), 4, star_idx)
 
     certified = not cech_is_coboundary(data).is_coboundary
     return CoverModelReport(
@@ -938,9 +929,8 @@ def equivariant_suite(
     for table in (products, stars):
         equiv_dev = max(equiv_dev, float(np.abs(table - roots * table[:, :1]).max(initial=0.0)))
     check = check_star_hom(
-        (groupoid, products[:, 0], stars[:, 0]),
-        structure_constants(target),
-        {m: (m, 1.0) for m in groupoid.morphisms},
+        (groupoid, products[:, 0], stars[:, 0]), structure_constants(target),
+        np.arange(m_count), np.ones(m_count, dtype=complex),
     )
 
     # dense elements exercise the rounding that point masses do not

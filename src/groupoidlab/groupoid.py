@@ -356,7 +356,10 @@ class FinGroupoid:
 
         Of the inverse laws only m inv(m) = r(m) is checked: once inv is
         an involution that swaps range and source, (inv m, m) is that
-        law's pair at inv m, so inv(m) m = r(inv m) = s(m).
+        law's pair at inv m, so inv(m) m = r(inv m) = s(m).  Of the swap
+        only s(inv m) = r(m) is tested: m fails r(inv m) = s(m) exactly
+        when inv m fails it, so the witness is the least m or inv m over
+        its failures.
         """
         morphs = self.morphisms
         n = len(morphs)
@@ -402,8 +405,9 @@ class FinGroupoid:
         if (inv[inv] != every).any():
             m = int(np.argwhere(inv[inv] != every)[0, 0])
             raise GroupoidAxiomError(f"inverse is not involutive at {morphs[m]!r}", morphs[m])
-        if (src[inv] != rng).any() or (rng[inv] != src).any():
-            m = int(np.argwhere((src[inv] != rng) | (rng[inv] != src))[0, 0])
+        bad = np.flatnonzero(src[inv] != rng)
+        if len(bad):
+            m = int(np.minimum(bad, inv[bad]).min())
             raise GroupoidAxiomError(f"inverse swaps range and source incorrectly at {morphs[m]!r}", morphs[m])
         left = pc[self.pair_id[every, inv]]
         if (left != rng).any():

@@ -11,7 +11,9 @@ as they ran before each fact was read once from the index: the map scan
 with its first-not-open channel, the Fell test as a scan of the
 identity map, the principal witness from a table by both ends, the
 equivariant slice with its per-unit loop, and the cover kernel's norm
-check on f - f(star) e_star."""
+check on f - f(star) e_star; and the *-homomorphism checker and linear
+map as they read a label dictionary ``{a: (t, c)}`` before maps were
+index arrays, with the root-of-unity helper ``zeta``."""
 
 from __future__ import annotations
 
@@ -488,6 +490,10 @@ def product_group(a: int, b: int) -> gp.FinGroupoid:
     )
 
 
+def zeta(n: int, k: int) -> complex:
+    return ca._roots(n)[k % n]
+
+
 def reference_reduced_norm(f: ca.AlgebraElement) -> float:
     """The reduced norm as a loop over the orbits: one induced
     representation at each orbit's first unit and one 2-norm of it."""
@@ -536,8 +542,8 @@ def reference_unitary_equiv_dev(report: ca.DoubledModelReport, rng: random.Rando
     sigma = report.decomposition.sigma
     image = {((t, i), (_, j)): ((i, j, t), 1.0) for ((t, i), (_, j)) in relation.morphisms}
     target = ca.matrix_unit_groupoid({t: range(1, sheets + 1) for t in range(levels)})
-    check = ca.check_star_hom(ca.structure_constants(sigma), ca.structure_constants(target), image)
-    rho = ca.linear_map(relation, target, image)
+    check = reference_check_star_hom(ca.structure_constants(sigma), ca.structure_constants(target), image)
+    rho = reference_linear_map(relation, target, image)
     for _ in range(5):
         ca.random_element(rng, relation, sigma)
     uni_dev = check.multiplicative_dev
@@ -554,6 +560,76 @@ def reference_unitary_equiv_dev(report: ca.DoubledModelReport, rng: random.Rando
                 dev = np.abs(ind.matrix - level.matrix[np.ix_(pos, pos)]).max()
                 uni_dev = max(uni_dev, float(dev))
     return uni_dev
+
+
+# -- the *-homomorphism checker on label dictionaries ------------------------------
+
+
+def reference_image_arrays(source: gp.FinGroupoid, target: gp.FinGroupoid, image) -> tuple:
+    """The target number and coefficient of each source morphism under
+    e_a -> c e_t, ``image[a] = (t, c)``; a last slot holds the zero image."""
+    t_of = np.full(len(source.morphisms) + 1, -1, dtype=np.int64)
+    c_of = np.zeros(len(source.morphisms) + 1, dtype=complex)
+    for a, (t, c) in image.items():
+        t_of[source.index[a]], c_of[source.index[a]] = target.index[t], c
+    return t_of, c_of
+
+
+def reference_linear_map(source: gp.FinGroupoid, target: tw.TwoCocycle, image):
+    """The linear map e_a -> c e_t, for ``image[a] = (t, c)``, from the
+    functions on ``source`` to the algebra twisted by ``target``, as a
+    function of elements; morphisms missing from ``image`` map to 0."""
+    t_of, c_of = reference_image_arrays(source, target.groupoid, image)
+    mapped = np.flatnonzero(t_of[:-1] >= 0)
+
+    def apply(f: ca.AlgebraElement) -> ca.AlgebraElement:
+        vec = np.zeros(len(target.groupoid.morphisms), dtype=complex)
+        np.add.at(vec, t_of[mapped], ca._mul(f.vec[mapped], c_of[mapped]))
+        return ca._element(target, vec)
+
+    return apply
+
+
+def reference_check_star_hom(source: tuple, target: tuple, image, basis=None) -> ca.StarHomCheck:
+    """Check that the linear map e_a -> c e_t, for ``image[a] = (t, c)``,
+    is a *-homomorphism; source morphisms missing from ``image`` map to 0.
+
+    ``source`` and ``target`` are ``structure_constants`` triples.  By
+    bilinearity every ordered pair of ``basis`` elements (default: every
+    source morphism) decides multiplicativity, so the two sides' product
+    tables are compared on all of them at once.  The witness is the
+    first pair in basis order with the largest deviation, None when none
+    deviates.  ``bijective`` says the basis images are nonzero multiples
+    of distinct target basis elements, which makes the map bijective
+    whenever the caller's target has the same dimension.
+    """
+    sg, s_phase, s_star = source
+    tg, t_phase, t_star = target
+    # index -1 reads the zero image
+    t_of, c_of = reference_image_arrays(sg, tg, image)
+    bas = np.array([sg.index[a] for a in (sg.morphisms if basis is None else basis)], dtype=np.int64)
+    t, c = t_of[bas], c_of[bas]
+    # e_a e_b = phase e_ab maps to phase c_ab e_t(ab); pair id -1 reads the padding, zero
+    pid = sg.pair_id[np.ix_(bas, bas)]
+    ab = np.append(sg.pairs[2], -1)[pid]
+    lhs_key, lhs = t_of[ab], np.append(s_phase, 0)[pid] * c_of[ab]
+    # (c_a e_t(a)) (c_b e_t(b)) = phase c_a c_b e_t(a)t(b)
+    tid = np.pad(tg.pair_id, (0, 1), constant_values=-1)[np.ix_(t, t)]
+    rhs_key = np.append(tg.pairs[2], -1)[tid]
+    rhs = np.append(t_phase, 0)[tid] * c[:, None] * c[None, :]
+    dev = ca._deviation(lhs_key, lhs, rhs_key, rhs)
+    mult_dev = float(dev.max(initial=0.0))
+    witness = None
+    if mult_dev > 0:
+        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        witness = (sg.morphisms[bas[i]], sg.morphisms[bas[j]])
+    inv = sg.inverse_idx[bas]
+    star_dev = ca._deviation(
+        t_of[inv], s_star[bas] * c_of[inv],
+        np.append(tg.inverse_idx, -1)[t], c.conj() * np.append(t_star, 0)[t],
+    )
+    bijective = bool((t >= 0).all() and (c != 0).all()) and len(set(t.tolist())) == len(t)
+    return ca.StarHomCheck(mult_dev, witness, float(star_dev.max(initial=0.0)), bijective)
 
 
 # -- the verifiers as they ran before each fact was read once -------------------
@@ -651,7 +727,7 @@ def reference_equivariant_suite(groupoid: gp.FinGroupoid, sigma: tw.TwoCocycle, 
     stars[m_of, z_of[ext.inverse_idx]] = roots[z_of].conj()
     for table in (products, stars):
         equiv_dev = max(equiv_dev, float(np.abs(table - roots * table[:, :1]).max(initial=0.0)))
-    check = ca.check_star_hom(
+    check = reference_check_star_hom(
         (groupoid, products[:, 0], stars[:, 0]), ca.structure_constants(target),
         {m: (m, 1.0) for m in groupoid.morphisms},
     )
@@ -696,7 +772,7 @@ def reference_kernel_norm_dev(report: ca.CoverModelReport, rng: random.Random) -
         for ((s, i), (s2, j)) in relation.morphisms
         if ((s, i), (s2, j)) != star_unit
     }
-    phi_of = ca.linear_map(relation, kernel.sigma, phi)
+    phi_of = reference_linear_map(relation, kernel.sigma, phi)
     norm_dev = 0.0
     for _ in range(4):
         f = ca.random_element(rng, relation, sigma)

@@ -9,16 +9,21 @@ from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import twist as tw
+import helpers
 from helpers import (
     inverse_map,
     label_cocycle,
     label_groupoid,
+    reference_check_star_hom,
     reference_equivariant_suite,
+    reference_image_arrays,
     reference_kernel_norm_dev,
+    reference_linear_map,
     reference_random_element,
     reference_reduced_norm,
     reference_representation_dev,
     reference_unitary_equiv_dev,
+    zeta,
 )
 
 
@@ -126,7 +131,7 @@ def reference_convolve(f, g):
     for b, fb in f.coeffs.items():
         for c, gc in by_range.get(grp.source_map[b], ()):
             a = grp.compose[(b, c)]
-            out[a] = out.get(a, 0j) + fb * gc * ca.zeta(sigma.n, sigma.table[(b, c)])
+            out[a] = out.get(a, 0j) + fb * gc * zeta(sigma.n, sigma.table[(b, c)])
     return out
 
 
@@ -134,7 +139,7 @@ def reference_involute(f):
     grp, sigma = f.groupoid, f.sigma
     inverse = inverse_map(grp)
     return {
-        inverse[b]: (v * ca.zeta(sigma.n, sigma.table[(inverse[b], b)])).conjugate()
+        inverse[b]: (v * zeta(sigma.n, sigma.table[(inverse[b], b)])).conjugate()
         for b, v in f.coeffs.items()
     }
 
@@ -147,7 +152,7 @@ def reference_induced_rep(u, f):
         for row, a in enumerate(basis):
             b = grp.compose[(a, inverse[acol])]
             if b in coeffs:
-                mat[row, col] = coeffs[b] * ca.zeta(sigma.n, sigma.table[(b, acol)])
+                mat[row, col] = coeffs[b] * zeta(sigma.n, sigma.table[(b, acol)])
     return basis, mat
 
 
@@ -240,7 +245,7 @@ def test_induced_rep_closed_form():
         for i, a in enumerate(rep.basis):
             for j, ap in enumerate(rep.basis):
                 b = rel.compose[(a, inverse[ap])]
-                expected = f(b) * ca.zeta(sigma.n, sigma.table[(b, ap)])
+                expected = f(b) * zeta(sigma.n, sigma.table[(b, ap)])
                 assert abs(rep.matrix[i, j] - expected) < 1e-12
 
 
@@ -283,13 +288,13 @@ def test_cohomologous_cocycles_unitarily_equivalent_reps():
         )
         f1 = ca.random_element(rng, rel, sigma1)
         f2 = ca.AlgebraElement(
-            rel, sigma2, {m: v * ca.zeta(n, -b(m)) for m, v in f1.coeffs.items()}
+            rel, sigma2, {m: v * zeta(n, -b(m)) for m, v in f1.coeffs.items()}
         )
         for orbit in rel.orbits():
             u = orbit[0]
             rep1 = ca.induced_rep(u, f1)
             rep2 = ca.induced_rep(u, f2)
-            d = np.diag([ca.zeta(n, -b(a)) for a in rep1.basis])
+            d = np.diag([zeta(n, -b(a)) for a in rep1.basis])
             assert np.max(np.abs(d @ rep1.matrix @ d.conj().T - rep2.matrix)) < 1e-12
 
 
@@ -505,6 +510,13 @@ def test_random_element_draws_as_uniform_did():
 # -- *-homomorphism checker ----------------------------------------------------------
 
 
+def map_arrays(source, target, image):
+    """The (t_of, c_of) arrays over the source morphism numbers of the
+    label map ``image[a] = (t, c)``; morphisms missing from it give -1."""
+    t_of, c_of = reference_image_arrays(source, target, image)
+    return t_of[:-1], c_of[:-1]
+
+
 def check_pair_groupoid_map(image):
     """Check a map from the untwisted pair groupoid on {1, 2, 3} into
     3 x 3 matrices keyed (row, col); each image is a one-entry dict."""
@@ -514,7 +526,7 @@ def check_pair_groupoid_map(image):
     return ca.check_star_hom(
         ca.structure_constants(tw.TwoCocycle.trivial(g, 1)),
         ca.structure_constants(matrices),
-        declared,
+        *map_arrays(g, matrices.groupoid, declared),
     )
 
 
@@ -555,7 +567,9 @@ def test_check_star_hom_matches_pairwise_reference():
         for m in g.morphisms
         if m != (2, 3)  # maps to zero
     }
-    chk = ca.check_star_hom(ca.structure_constants(sigma), ca.structure_constants(target), image)
+    chk = ca.check_star_hom(
+        ca.structure_constants(sigma), ca.structure_constants(target), *map_arrays(g, target.groupoid, image)
+    )
 
     def mapped(f):
         out = {}
@@ -589,7 +603,123 @@ def test_check_star_hom_matches_pairwise_reference():
     assert not chk.bijective
 
 
+def random_coboundary(rng, groupoid, n):
+    values = {m: rng.randrange(n) for m in groupoid.morphisms if m not in groupoid.units}
+    return tw.coboundary_twist(tw.OneCochain(groupoid, n, values))
+
+
+def monomial_algebras(rng):
+    """Twisted relations, extension groupoids and matrix-unit groupoids."""
+    out = [random_relation(rng, 6, 6)[1] for _ in range(3)]
+    for _ in range(2):
+        rel, sigma = random_relation(rng, 3, 3)
+        out.append(random_coboundary(rng, tw.extension_groupoid(rel, sigma), rng.randint(1, 4)))
+    out.append(ca.matrix_unit_groupoid({0: (1, 2), 1: (3,), 2: (4, 5, 6)}, 3, lambda i, j, k: i + 2 * j * k))
+    out.append(ca.matrix_unit_groupoid({"a": (0, 1, 2)}))
+    return out
+
+
+def random_monomial_map(rng, count, size):
+    """(t_of, c_of) over ``count`` source morphisms into ``size`` target
+    morphisms: injective or with repeated targets, with -1 targets, and a
+    nonzero coefficient at every morphism, mapped or not."""
+    if rng.random() < 0.3 and size >= count:  # e_a -> e_a
+        return np.arange(count), np.ones(count, dtype=complex)
+    if size >= count and rng.random() < 0.5:
+        t_of = np.array(rng.sample(range(size), count), dtype=np.int64)
+    else:
+        t_of = np.array([rng.randrange(size) for _ in range(count)], dtype=np.int64)
+    t_of[[rng.random() < 0.2 for _ in range(count)]] = -1
+    roots = ca._roots(rng.randint(1, 6))
+    c_of = np.array([
+        rng.choice(roots) if rng.random() < 0.5 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for _ in range(count)
+    ])
+    return t_of, c_of
+
+
+def test_array_maps_match_the_label_dictionary_checker_bit_for_bit():
+    # the checker and linear_map on index arrays against the label-dict
+    # versions they replaced, which never saw a coefficient of an
+    # unmapped morphism
+    rng = random.Random(2540)
+    unmapped, seen = 0, set()
+    for _ in range(3):
+        algebras = monomial_algebras(rng)
+        for source in algebras:
+            for target in algebras:
+                sg, tg = source.groupoid, target.groupoid
+                t_of, c_of = random_monomial_map(rng, len(sg.morphisms), len(tg.morphisms))
+                image = {sg.morphisms[a]: (tg.morphisms[t], c) for a, (t, c) in enumerate(zip(t_of, c_of)) if t >= 0}
+                unmapped += int((t_of < 0).sum())
+                basis = None
+                if rng.random() < 0.5:
+                    basis = np.array(rng.sample(range(len(sg.morphisms)), rng.randint(0, len(sg.morphisms))),
+                                     dtype=np.int64)
+                got = ca.check_star_hom(ca.structure_constants(source), ca.structure_constants(target),
+                                        t_of, c_of, basis)
+                want = reference_check_star_hom(
+                    ca.structure_constants(source), ca.structure_constants(target), image,
+                    None if basis is None else [sg.morphisms[a] for a in basis.tolist()],
+                )
+                assert repr(got) == repr(want)
+                seen.add((got.bijective, got.witness is None))
+                f = ca.random_element(rng, sg, source)
+                mapped = ca.linear_map(target, t_of, c_of)(f)
+                assert mapped.sigma is target
+                assert mapped.vec.tobytes() == reference_linear_map(sg, target, image)(f).vec.tobytes()
+    assert unmapped > 0
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_norm_dev_hands_rho_only_elements_zero_at_off():
+    # the cover kernel's norm check: the reduced norm cannot see a small
+    # value left at the fresh point, so the elements are checked here
+    rng = random.Random(25)
+    rel, sigma = random_relation(rng, 6, 5)
+    seen = []
+
+    def rho(f):
+        seen.append(f.vec.copy())
+        return f
+
+    for off in range(len(rel.morphisms)):
+        seen.clear()
+        assert ca._norm_dev(random.Random(off), sigma, rho, 4, off) == 0.0
+        assert len(seen) == 4 and all(v[off] == 0 for v in seen)
+
+
 # -- block decomposition -----------------------------------------------------------------
+
+
+def test_block_target_is_the_relation_on_its_own_index():
+    from groupoidlab.corpus import random_discrete_surjection
+
+    rng = random.Random(26)
+    for _ in range(500):
+        rel = gp.build_relation_groupoid(random_discrete_surjection(rng, rng.randint(1, 8)))
+        target = ca.block_decompose(rel, tw.TwoCocycle.trivial(rel, 1)).target.groupoid
+        assert target.layout is rel.layout
+        assert [t[:2] for t in target.morphisms] == list(rel.morphisms)
+
+
+def test_block_map_matches_the_label_image_bit_for_bit():
+    rng = random.Random(27)
+    for _ in range(20):
+        rel, sigma = random_relation(rng, 7, 6)
+        dec = ca.block_decompose(rel, sigma)
+        image = {
+            (y, z): ((y, z, k), zeta(sigma.n, dec.witness((y, z))) if dec.untwisted else 1.0)
+            for k, orbit in enumerate(dec.orbits)
+            for y in orbit
+            for z in orbit
+        }
+        got = ca.check_star_hom(ca.structure_constants(sigma), ca.structure_constants(dec.target),
+                                np.arange(len(rel.morphisms)), dec.coefficients)
+        want = reference_check_star_hom(ca.structure_constants(sigma), ca.structure_constants(dec.target), image)
+        assert repr(got) == repr(want)
+        f = ca.random_element(rng, rel, sigma)
+        assert dec.rho(f).vec.tobytes() == reference_linear_map(rel, dec.target, image)(f).vec.tobytes()
 
 
 def test_block_decompose_shapes():
@@ -641,6 +771,7 @@ def test_block_decompose_without_witness_flags_twisted(monkeypatch):
     monkeypatch.setattr(ca, "are_cohomologous", lambda *_: None)
     dec = ca.block_decompose(rel, sigma)
     assert not dec.untwisted
+    assert (dec.coefficients == 1).all()
 
 
 def test_block_dims_do_not_solve_for_a_witness(monkeypatch):
@@ -758,7 +889,7 @@ def test_cover_algebra_untwisted_blocks():
     alg = ca.CoverAlgebra(data.base_points, data.cover, data.n, data.value)
     # each of the 4 base points lies in exactly 3 cover sets
     assert all(len(alg.incidence[s]) == 3 for s in alg.base_points)
-    assert len(alg.spanning_keys()) == 4 * 9
+    assert len(alg.groupoid.morphisms) == 4 * 9
     assert alg.verify().ok
 
 
@@ -774,7 +905,7 @@ def test_cover_algebra_matches_its_formulas():
     def element():
         return {
             key: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for key in alg.spanning_keys()
+            for key in alg.groupoid.morphisms
             if rng.random() < 0.7
         }
 
@@ -786,7 +917,7 @@ def test_cover_algebra_matches_its_formulas():
             for i in alg.incidence[s]:
                 for l in alg.incidence[s]:
                     product[(i, l, s)] = sum(
-                        ca.zeta(3, -lam(i, j, l)) * f.get((i, j, s), 0) * g.get((j, l, s), 0)
+                        zeta(3, -lam(i, j, l)) * f.get((i, j, s), 0) * g.get((j, l, s), 0)
                         for j in alg.incidence[s]
                     )
         fg = ca.convolve(cover_element(alg, f), cover_element(alg, g)).coeffs
@@ -798,7 +929,7 @@ def test_cover_algebra_matches_its_formulas():
         for s in alg.base_points:
             idx = alg.incidence[s]
             for i in idx:
-                pi = [[ca.zeta(3, -lam(i, j, k)) * f.get((j, k, s), 0) for k in idx] for j in idx]
+                pi = [[zeta(3, -lam(i, j, k)) * f.get((j, k, s), 0) for k in idx] for j in idx]
                 assert np.array_equal(ca.induced_rep((i, i, s), cover_element(alg, f)).matrix, np.array(pi, dtype=complex))
 
 
@@ -858,7 +989,7 @@ def test_cover_model_character_kernel_dims():
     star = rep.doubled.star
     star_units = [m for m in rel.morphisms if m[0][0] == star]
     assert len(star_units) == 2
-    assert len(rep.kernel_algebra.spanning_keys()) == len(rel.morphisms) - 1
+    assert len(rep.kernel_algebra.groupoid.morphisms) == len(rel.morphisms) - 1
 
 
 def test_cover_model_rejects_invalid_cech():
@@ -920,9 +1051,10 @@ def test_equivariant_suite_matches_the_per_unit_loop_bit_for_bit(monkeypatch, is
     # deviation, which often exceeds what the dense element adds; isolated,
     # both sides read that deviation as 0, so the stacks decide the field.
     if isolated:
-        check = ca.check_star_hom
-        monkeypatch.setattr(ca, "check_star_hom",
-                            lambda *args: dataclasses.replace(check(*args), multiplicative_dev=0.0))
+        for module, name in ((ca, "check_star_hom"), (helpers, "reference_check_star_hom")):
+            check = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, check=check: dataclasses.replace(
+                check(*args), multiplicative_dev=0.0))
     rng = random.Random(1207)
     cases = [(mixed_orbits(sizes), n) for sizes in ((2, 1), (1, 3, 2), (2, 2, 1), (3, 1, 1, 2), (1,), (4, 2))
              for n in range(2, 9)]
