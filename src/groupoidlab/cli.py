@@ -18,7 +18,6 @@ import json
 import random
 import sys
 import time
-from collections import Counter
 
 from . import bundled, calgebra, finspace, graphfell, groupoid, serialize, twist
 from .corpus import (
@@ -89,7 +88,7 @@ def _cmd_build_relation(args) -> dict:
     psi = serialize.map_from_json(_load(args.input))
     relation = groupoid.build_relation_groupoid(psi)
     props = groupoid.groupoid_properties(relation)
-    orbit_sizes = sorted(Counter(relation.orbit_idx[relation.unit_mask].tolist()).values(), reverse=True)
+    orbit_sizes = sorted(map(len, relation.orbits()), reverse=True)
     report = groupoid.orbit_map_check(relation)
     if not report.all_verified:
         raise InternalCheckFailure("orbit-space identification failed")
@@ -173,7 +172,7 @@ def _cmd_algebra_verify(args) -> dict:
     results = []
     for g, sigma in instances:
         check = calgebra.axiom_battery(sigma, rng)
-        dims = calgebra.block_decompose(g, sigma).dims
+        dims = [len(orbit) for orbit in g.orbits()]
         dims_ok = sum(d * d for d in dims) == len(g.morphisms)
         results.append({
             "associativity_dev": check.associativity_dev,

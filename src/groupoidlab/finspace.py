@@ -19,7 +19,8 @@ Points are opaque hashables.  A space is built from one bitmask per
 point over the point indices, and a map keeps the codomain index of each
 domain point, which keeps the predicates cheap on spaces of up to a few
 dozen points.  Every builder here hands over masks; the labels of a
-``finspace/1`` document are numbered only in ``serialize``.
+``finspace/1`` document are numbered only in ``serialize``.  Coherence
+is decided once per mask tuple, in a cache of ``COHERENCE_CACHE`` tuples.
 
 This module is the one home of the bit algebra of a preorder, in four
 private helpers: ``_iter_bits`` lists the set bits of a mask,
@@ -34,11 +35,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InternalCheckFailure
 
 Point = Hashable
+
+# most mask tuples (keyed by value and type) whose coherence verdict ``_coherence_fault`` keeps
+COHERENCE_CACHE = 512
 
 
 class InvalidSpace(ValueError):
@@ -94,6 +99,22 @@ def _closure(rows: Sequence[int]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=COHERENCE_CACHE, typed=True)
+def _coherence_fault(*mo: int) -> tuple | None:
+    """The first fault of the minimal opens ``mo`` (x in U_x, no unknown
+    points, coherence, point by point) as a message template and the
+    point indices it names, or None."""
+    for i, m in enumerate(mo):
+        if not (m >> i) & 1:
+            return "point {0!r} missing from its own minimal open", i
+        if m >> len(mo):
+            return "minimal open of {0!r} mentions unknown points", i
+        if _union(mo, m) != m:
+            j = next(j for j in _iter_bits(m) if mo[j] & ~m)
+            return "minimal opens incoherent: {1!r} lies in U_{0!r} but U_{1!r} does not", i, j
+    return None
+
+
 class FinSpace:
     """A finite topological space.
 
@@ -111,7 +132,7 @@ class FinSpace:
 
     def __init__(self, points: Iterable[Point], masks: Sequence[int]):
         """The minimal opens are ``masks``, one bitmask over the point
-        indices per point, checked for coherence."""
+        indices per point; coherence is checked once per mask tuple."""
         if isinstance(masks, Mapping):
             raise TypeError("masks are one bitmask per point, not a mapping")
         self.points = tuple(points)
@@ -120,18 +141,10 @@ class FinSpace:
             raise InvalidSpace("duplicate points")
         if len(masks) != len(self.points):
             raise InvalidSpace("one mask is needed per point")
-        self._mo = mo = tuple(masks)
-        for i, m in enumerate(mo):
-            if not (m >> i) & 1:
-                raise InvalidSpace(f"point {self.points[i]!r} missing from its own minimal open")
-            if m >> len(mo):
-                raise InvalidSpace(f"minimal open of {self.points[i]!r} mentions unknown points")
-            if _union(mo, m) != m:
-                j = next(j for j in _iter_bits(m) if mo[j] & ~m)
-                raise InvalidSpace(
-                    f"minimal opens incoherent: {self.points[j]!r} lies in "
-                    f"U_{self.points[i]!r} but U_{self.points[j]!r} does not"
-                )
+        self._mo = tuple(masks)
+        fault = _coherence_fault(*self._mo)
+        if fault is not None:
+            raise InvalidSpace(fault[0].format(*(self.points[k] for k in fault[1:])))
 
     # -- basic structure ------------------------------------------------
 

@@ -97,14 +97,28 @@ class IndexLayout:
     factors and the composite of each composable pair in row-major order.
     What derives from these arrays alone is built on first use and kept:
     ``principal``, ``generating_mask``, ``orbit_idx``, ``fiber_cells`` and
-    ``inverse_pairs``, the arrays read-only.  Nothing here reads the
-    labels, the topology or ``pair_id``, so every pair-groupoid union
-    with the same block sizes attaches the one object that
-    ``pair_groupoid_index`` keeps for them."""
+    ``inverse_pairs``, the arrays read-only, and the int tuples of the
+    bitmask code: ``unit_numbers``, ``ranges``, ``sources`` and
+    ``end_masks``, the morphisms with range u and with source u at u.
+    Nothing here reads the labels, the topology or ``pair_id``, so every
+    pair-groupoid union with the same block sizes attaches the one object
+    that ``pair_groupoid_index`` keeps for them."""
 
     def __init__(self, range_idx, source_idx, inverse_idx, unit_mask, pairs):
         self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
         self.unit_mask, self.pairs = unit_mask, pairs
+
+    unit_numbers = cached_property(lambda self: tuple(np.flatnonzero(self.unit_mask).tolist()))
+    ranges = cached_property(lambda self: tuple(self.range_idx.tolist()))
+    sources = cached_property(lambda self: tuple(self.source_idx.tolist()))
+
+    @cached_property
+    def end_masks(self) -> tuple:
+        by_range, by_source = [0] * len(self.ranges), [0] * len(self.ranges)
+        for k, (a, b) in enumerate(zip(self.ranges, self.sources)):
+            by_range[a] |= 1 << k
+            by_source[b] |= 1 << k
+        return tuple(by_range), tuple(by_source)
 
     @cached_property
     def principal(self) -> bool:
@@ -261,7 +275,7 @@ class FinGroupoid:
 
     @cached_property
     def units(self) -> frozenset:
-        return frozenset(self.morphisms[u] for u in np.flatnonzero(self.unit_mask).tolist())
+        return frozenset(self.morphisms[u] for u in self.layout.unit_numbers)
 
     @cached_property
     def range_map(self) -> dict:
@@ -286,10 +300,9 @@ class FinGroupoid:
         """Orbits of the unit space, u ~ v when some morphism joins them,
         as tuples of units grouped by ``orbit_idx``.  Computed once."""
         if self._orbits is None:
-            units = np.flatnonzero(self.unit_mask)
-            groups: dict = {}
-            for u, label in zip(units.tolist(), self.orbit_idx[units].tolist()):
-                groups.setdefault(label, []).append(self.morphisms[u])
+            orbit, groups = self.orbit_idx.tolist(), {}
+            for u in self.layout.unit_numbers:
+                groups.setdefault(orbit[u], []).append(self.morphisms[u])
             self._orbits = tuple(tuple(g) for g in groups.values())
         return self._orbits
 
@@ -466,8 +479,7 @@ def relation_masks(sizes: tuple, base_masks: tuple) -> tuple:
     topology on a relation groupoid, computed once per pair of fiber
     sizes and topology of Y."""
     index = pair_groupoid_index(sizes)
-    units = np.flatnonzero(index.unit_mask).tolist()
-    return tuple(product_masks(dict(zip(units, base_masks)), index.range_idx, index.source_idx))
+    return tuple(product_masks(dict(zip(index.unit_numbers, base_masks)), index))
 
 
 class RelationGroupoid(FinGroupoid):
@@ -487,7 +499,7 @@ class RelationGroupoid(FinGroupoid):
     at each y carried to the unit numbers of the (y, y).  The default
     topology on the morphisms is the product topology of Y x Y restricted
     to them, whose masks ``relation_masks`` computes once per fiber sizes
-    and ``base_masks``; the space is built, and checked, per groupoid.
+    and ``base_masks``; the space is built per groupoid, checked per mask tuple.
     Orbit-space constructions read Y even when a caller installs another
     topology on the morphisms (the mismatch is what the openness test
     detects).
@@ -500,7 +512,7 @@ class RelationGroupoid(FinGroupoid):
         self.base, self.psi, self.fibers = y, psi, fibers
         self.base_labels = [p for f in fibers for p in f]
         # the units (y, y) come out fiber by fiber, as the base labels do
-        units = np.flatnonzero(index.unit_mask).tolist()
+        units = index.unit_numbers
         unit_of = {y._index[p]: 1 << u for p, u in zip(self.base_labels, units)}
         self.base_masks = {u: _union(unit_of, y._mo[y._index[p]]) for p, u in zip(self.base_labels, units)}
         if topology is None:
@@ -515,7 +527,7 @@ class RelationGroupoid(FinGroupoid):
         return RelationGroupoid(self.psi, self.fibers, discrete(self.morphisms))
 
 
-def product_masks(unit_mo: Mapping[int, int], range_idx: np.ndarray, source_idx: np.ndarray) -> list[int]:
+def product_masks(unit_mo: Mapping[int, int], layout: IndexLayout) -> list[int]:
     """The minimal opens of the morphisms in the topology that r x s
     pulls back from the product topology of a space on the units.
 
@@ -525,14 +537,10 @@ def product_masks(unit_mo: Mapping[int, int], range_idx: np.ndarray, source_idx:
     lies in U_u and cols[u] those whose source does: m' lies in the
     preimage of U_{r(m)} x U_{s(m)} exactly when both hold.
     """
-    rng, src = range_idx.tolist(), source_idx.tolist()
-    first, second = [0] * len(rng), [0] * len(rng)
-    for k, (a, b) in enumerate(zip(rng, src)):
-        first[a] |= 1 << k
-        second[b] |= 1 << k
-    rows = {u: _union(first, mask) for u, mask in unit_mo.items()}
-    cols = {u: _union(second, mask) for u, mask in unit_mo.items()}
-    return [rows[a] & cols[b] for a, b in zip(rng, src)]
+    by_range, by_source = layout.end_masks
+    rows = {u: _union(by_range, mask) for u, mask in unit_mo.items()}
+    cols = {u: _union(by_source, mask) for u, mask in unit_mo.items()}
+    return [rows[a] & cols[b] for a, b in zip(layout.ranges, layout.sources)]
 
 
 def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
@@ -549,7 +557,7 @@ def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
 def _subspace_masks(groupoid: FinGroupoid) -> dict:
     """The minimal opens U_u & units of the unit subspace, keyed and
     masked by unit number."""
-    units = np.flatnonzero(groupoid.unit_mask).tolist()
+    units = groupoid.layout.unit_numbers
     bits = sum(1 << u for u in units)
     return {u: groupoid.topology._mo[u] & bits for u in units}
 
@@ -606,7 +614,7 @@ def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
     """
     if groupoid._props_cache is not None:
         return groupoid._props_cache
-    scan = _scan_masks(groupoid.topology._mo, _subspace_masks(groupoid), groupoid.range_idx.tolist())
+    scan = _scan_masks(groupoid.topology._mo, _subspace_masks(groupoid), groupoid.layout.ranges)
     props = GroupoidProperties(groupoid.principal, all(scan))
     groupoid._props_cache = props
     return props
@@ -647,7 +655,7 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
     """
     if not groupoid.principal:
         raise NonPrincipalError("fell_check requires a principal groupoid")
-    rq = product_masks(_unit_base(groupoid)[1], groupoid.range_idx, groupoid.source_idx)
+    rq = product_masks(_unit_base(groupoid)[1], groupoid.layout)
     mo = groupoid.topology._mo
     continuous = not any(u & ~v for u, v in zip(mo, rq))
     first = next((m for m, u in enumerate(mo) if not _is_open(rq, u)), None)

@@ -13,12 +13,15 @@ identity map, the principal witness from a table by both ends, the
 equivariant slice with its per-unit loop, and the cover kernel's norm
 check on f - f(star) e_star; and the *-homomorphism checker and linear
 map as they read a label dictionary ``{a: (t, c)}`` before maps were
-index arrays, with the root-of-unity helper ``zeta``."""
+index arrays, with the root-of-unity helper ``zeta``; and the coherence
+loop that ``FinSpace`` ran on every construction and the per-call masks
+of ``product_masks``, before both were kept once per mask tuple and per
+``IndexLayout``."""
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -416,6 +419,37 @@ def reference_space_fault(points, masks):
     return None
 
 
+def reference_coherence_loop(points: tuple, mo: tuple) -> None:
+    """The coherence loop that ``FinSpace.__init__`` ran on every
+    construction before its verdict was kept per mask tuple, verbatim but
+    for ``self.points``, which is ``points`` here: raises the
+    ``InvalidSpace`` it raised, or returns."""
+    for i, m in enumerate(mo):
+        if not (m >> i) & 1:
+            raise fs.InvalidSpace(f"point {points[i]!r} missing from its own minimal open")
+        if m >> len(mo):
+            raise fs.InvalidSpace(f"minimal open of {points[i]!r} mentions unknown points")
+        if fs._union(mo, m) != m:
+            j = next(j for j in fs._iter_bits(m) if mo[j] & ~m)
+            raise fs.InvalidSpace(
+                f"minimal opens incoherent: {points[j]!r} lies in "
+                f"U_{points[i]!r} but U_{points[j]!r} does not"
+            )
+
+
+def reference_product_masks(unit_mo: Mapping[int, int], range_idx: np.ndarray, source_idx: np.ndarray) -> list[int]:
+    """``groupoid.product_masks`` as it built the masks by range and by
+    source with a loop on every call, verbatim."""
+    rng, src = range_idx.tolist(), source_idx.tolist()
+    first, second = [0] * len(rng), [0] * len(rng)
+    for k, (a, b) in enumerate(zip(rng, src)):
+        first[a] |= 1 << k
+        second[b] |= 1 << k
+    rows = {u: fs._union(first, mask) for u, mask in unit_mo.items()}
+    cols = {u: fs._union(second, mask) for u, mask in unit_mo.items()}
+    return [rows[a] & cols[b] for a, b in zip(rng, src)]
+
+
 def reference_base_masks(relation: gp.RelationGroupoid) -> dict:
     """``RelationGroupoid.base_masks``: Y's minimal opens carried to the
     unit numbers by ``_image``."""
@@ -669,7 +703,7 @@ def reference_fell_check(groupoid: gp.FinGroupoid) -> gp.FellCheck:
     morphisms from the groupoid's topology to R(q)'s."""
     if not gp.groupoid_properties(groupoid).principal:
         raise gp.NonPrincipalError("fell_check requires a principal groupoid")
-    rq = gp.product_masks(gp._unit_base(groupoid)[1], groupoid.range_idx, groupoid.source_idx)
+    rq = gp.product_masks(gp._unit_base(groupoid)[1], groupoid.layout)
     mo = groupoid.topology._mo
     continuous, open_map, _, first = reference_scan_masks(mo, rq, range(len(mo)))
     witness = None if first is None else groupoid.topology.unbits(mo[first])

@@ -13,7 +13,9 @@ import pytest
 from groupoidlab import bundled
 from groupoidlab import finspace as fs
 from groupoidlab import graphfell
+from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
+from groupoidlab import twist as tw
 from groupoidlab.cli import main
 from helpers import disjoint_union, label_space, random_dag
 
@@ -243,6 +245,21 @@ def test_algebra_verify_random(capsys, monkeypatch):
     assert code == 0
     assert report["result"]["instances"] == 3
     assert report["result"]["seed"] == 7
+
+
+def test_algebra_verify_reads_block_dims_from_orbits_over_a_non_discrete_base(capsys, tmp_path):
+    # chain3 onto the Sierpinski space: the block dims are the orbit
+    # sizes, which need no discrete base, so every command that reads
+    # this twisted relation groupoid exits 0
+    y = label_space(("0", "1", "2"), {"0": {"0", "1", "2"}, "1": {"1", "2"}, "2": {"2"}})
+    relation = gp.build_relation_groupoid(fs.SpaceMap(y, fs.sierpinski(), {"0": "b", "1": "a", "2": "a"}))
+    path = write(tmp_path, "tw.json", sz.twisted_groupoid_to_json(relation, tw.TwoCocycle.trivial(relation, 2)))
+    code, report = run_cli(capsys, "algebra-verify", path)
+    assert code == 0, report["result"]
+    (battery,) = report["result"]["batteries"]
+    assert battery["block_dims"] == [2, 1] and battery["block_dimension_identity"] and battery["ok"]
+    for command in ("cocycle-verify", "equivariant-check"):
+        assert run_cli(capsys, command, path)[0] == 0, command
 
 
 def test_model_doubled(capsys):

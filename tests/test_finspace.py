@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -15,6 +16,7 @@ from helpers import (
     open_sets,
     reference_cover_resolution,
     reference_classify_map,
+    reference_coherence_loop,
     reference_final_masks,
     reference_random_space,
     reference_space_fault,
@@ -472,6 +474,52 @@ def test_space_faults_match_the_inline_coherence_walk():
         assert _fault(points, masks) == (None if ref is None else str(ref)), (points, masks)
         seen.update(k for k in kinds if k in str(ref))
     assert seen == set(kinds)
+
+
+def test_coherence_verdicts_match_the_loop_on_every_construction():
+    """``FinSpace`` keeps one coherence verdict per mask tuple, and each
+    construction raises what the per-construction loop raised, named by
+    its own labels: every corpus topology of at most 4 points, and random
+    masks of at most 8 points with missing self bits, foreign bits and
+    incoherent pairs, each built twice under two labellings."""
+    rng = random.Random(24)
+    cases = [tuple(s._mo) for n in range(1, 5) for s in all_topologies(n)]
+    corpus_cases = len(cases)
+    for _ in range(1500):
+        masks = list(random_space(rng.randrange(10**6), 8)._mo)
+        n = len(masks)
+        for _ in range(rng.randint(0, 2)):
+            i, kind = rng.randrange(n), rng.choice(("self", "foreign", "incoherent"))
+            if kind == "self":
+                masks[i] &= ~(1 << i)
+            elif kind == "foreign":
+                masks[i] |= 1 << rng.randrange(n, n + 3)
+            else:
+                outside = [j for j in range(n) if masks[j] & ~(masks[i] | 1 << j)]
+                if outside:
+                    masks[i] |= 1 << rng.choice(outside)
+        cases.append(tuple(masks))
+    seen = collections.Counter()
+    for k, mo in enumerate(cases):
+        for points in (tuple(range(len(mo))), tuple(f"p{i}" for i in rng.sample(range(len(mo)), len(mo)))):
+            try:
+                reference_coherence_loop(points, mo)
+                want = None
+            except fs.InvalidSpace as err:
+                want = str(err)
+            assert k >= corpus_cases or want is None, mo
+            assert _fault(points, list(mo)) == want, (points, mo)
+            hits = fs._coherence_fault.cache_info().hits
+            assert _fault(points, mo) == want, (points, mo)
+            assert fs._coherence_fault.cache_info().hits == hits + 1
+            seen[next((w for w in ("missing", "unknown", "incoherent") if w in str(want)), want)] += 1
+    assert set(seen) == {None, "missing", "unknown", "incoherent"}, seen
+    assert fs._coherence_fault.cache_info().maxsize == fs.COHERENCE_CACHE == 512
+    # the verdicts are keyed by type too: a float mask equal to a cached
+    # int mask fails as the loop fails on it
+    fs.FinSpace(["a", "b"], [1, 2])
+    with pytest.raises(TypeError):
+        fs.FinSpace(["a", "b"], [1.0, 2])
 
 
 def test_cover_resolution_matches_the_walk_it_replaced():

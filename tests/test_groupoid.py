@@ -27,6 +27,7 @@ from helpers import (
     reference_fell_check,
     reference_final_masks,
     reference_orbit_base,
+    reference_product_masks,
     reference_scan_images,
     subspace,
 )
@@ -844,6 +845,10 @@ def test_relation_groupoids_share_the_index_and_its_layout():
     assert all(a is b for a, b in zip(one.pairs, two.pairs))
     for name in ("fiber_cells", "orbit_idx", "inverse_pairs"):
         assert getattr(one, name) is getattr(two, name), name
+    gp.fell_check(one)
+    gp.fell_check(two)
+    for name in ("unit_numbers", "ranges", "sources", "end_masks"):
+        assert getattr(one.layout, name) is getattr(two.layout, name), name
     assert one.topology is not two.topology and one.morphisms != two.morphisms
     assert one.pair_id is not two.pair_id and not np.shares_memory(one.pair_id, two.pair_id)
     assert np.array_equal(one.pair_id, two.pair_id) and one.pair_id.flags.writeable
@@ -886,6 +891,34 @@ def test_shared_layout_matches_a_fresh_groupoid():
                 a[:1] = 0
 
 
+def test_layout_bit_tables_match_the_per_call_values():
+    """The int tuples on ``IndexLayout`` equal what each call computed
+    before: the units, range and source from the arrays, and the masks by
+    range and by source inside ``product_masks``, on every fiber-size
+    tuple of at most 5 points and on ``fingroupoid/1`` groupoids, a
+    relation's plain copy and a group."""
+    rng = random.Random(24)
+    plain = sz.groupoid_from_json(sz.groupoid_to_json(gp.build_relation_groupoid(chain3_to_sierpinski())))
+    layouts = [gp.pair_groupoid_index(sizes) for n in range(6) for sizes in compositions(n)]
+    for layout in layouts + [plain.layout, product_group(2, 2).layout]:
+        tables = (layout.unit_numbers, layout.ranges, layout.sources, *layout.end_masks)
+        assert all(type(t) is tuple for t in (layout.end_masks, *tables))
+        assert layout.unit_numbers == tuple(np.flatnonzero(layout.unit_mask).tolist())
+        assert layout.ranges == tuple(layout.range_idx.tolist())
+        assert layout.sources == tuple(layout.source_idx.tolist())
+        # the loop that product_masks ran on every call
+        first, second = [0] * len(layout.ranges), [0] * len(layout.ranges)
+        for k, (a, b) in enumerate(zip(layout.range_idx.tolist(), layout.source_idx.tolist())):
+            first[a] |= 1 << k
+            second[b] |= 1 << k
+        assert layout.end_masks == (tuple(first), tuple(second))
+        units = sum(1 << u for u in layout.unit_numbers)
+        for _ in range(5):
+            unit_mo = {u: 1 << u | rng.getrandbits(len(layout.ranges)) & units for u in layout.unit_numbers}
+            want = reference_product_masks(unit_mo, layout.range_idx, layout.source_idx)
+            assert gp.product_masks(unit_mo, layout) == want
+
+
 def test_memoized_relation_masks_match_product_masks():
     # one tuple of fiber sizes under many topologies of Y: the memo must
     # tell them apart by Y's masks
@@ -897,7 +930,7 @@ def test_memoized_relation_masks_match_product_masks():
             bases.append(fs.quotient_space(space, random_partition(rng, space.points))[1])
     for psi in [psi for psi in quotient_corpus() if len(psi.dom) <= 4] + bases:
         g = gp.build_relation_groupoid(psi)
-        assert list(g.topology._mo) == gp.product_masks(g.base_masks, g.range_idx, g.source_idx), psi
+        assert list(g.topology._mo) == gp.product_masks(g.base_masks, g.layout), psi
 
 
 def test_reports_do_not_depend_on_the_pair_index_cache(tmp_path):
