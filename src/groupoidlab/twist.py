@@ -192,8 +192,10 @@ def verify_two_cocycle(sigma: TwoCocycle) -> CocycleReport:
     g, n, m = sigma.groupoid, sigma.n, sigma.groupoid.morphisms
     pa, pb, _ = g.pairs
     every = np.arange(len(m))
-    # the pairs (r(m), m) and (m, s(m)), in that order for each m
-    norm = np.stack([g.pair_id[g.range_idx, every], g.pair_id[every, g.source_idx]], axis=1).ravel()
+    # the pairs (r(m), m) and (m, s(m)), in that order for each m, but
+    # (u, u) once at a unit u, where the two are the same pair
+    norm = np.stack([g.pair_id[g.range_idx, every], g.pair_id[every, g.source_idx]], axis=1)
+    norm = norm.ravel()[np.stack([np.ones_like(g.unit_mask), ~g.unit_mask], axis=1).ravel()]
     norm = norm[sigma.on_pairs(norm) != 0]
     if g.principal or (sigma.values < 0).any() or _identity_violations(sigma, g.generating_mask):
         ident_bad = _identity_violations(sigma)
@@ -241,6 +243,69 @@ def _principal_witness(diff: TwoCocycle) -> OneCochain | None:
     return None  # pragma: no cover - the construction always satisfies db = d
 
 
+def _generator_forest(g: FinGroupoid, ends: tuple, d: list, n: int) -> tuple:
+    """The breadth-first forest of ``are_cohomologous``: kept row i is the
+    pair (x, s) = (pa[i], pb[i]), with xs = pc[i] and diff(x, s) = d[i],
+    for ends = (pa, pb, pc).  Returns (tree, forms): ``tree`` lists the
+    tree rows by position, in walk order, and forms[m] = [c_1, ...,
+    c_|S|, k] says that b(m) = c . b(S) + k (mod n) on every solution of
+    the tree rows."""
+    pa, pb, pc = ends
+    gen = (g.generating_mask & ~g.unit_mask).tolist()
+    queue = np.flatnonzero(g.generating_mask).tolist()
+    column = {s: j for j, s in enumerate(m for m in queue if gen[m])}
+    out = [[] for _ in gen]
+    for i, (x, s) in enumerate(zip(pa, pb)):
+        if gen[s]:
+            out[x].append(i)
+    forms = [None] * len(gen)
+    for m in queue:  # b(u) = 0 at a unit u, and b(s) is the unknown of s
+        forms[m] = [int(column.get(m) == j) for j in range(len(column) + 1)]
+    tree = []
+    for x in queue:
+        for i in out[x]:
+            y = pc[i]
+            if forms[y] is None:
+                # b(y) = b(x) + b(s) - diff(x, s)
+                forms[y] = forms[x].copy()
+                forms[y][column[pb[i]]] += 1
+                forms[y][-1] = (forms[y][-1] - d[i]) % n
+                tree.append(i)
+                queue.append(y)
+    if len(queue) < len(gen):
+        raise InternalCheckFailure("the generator forest misses a morphism")
+    return tree, forms
+
+
+def _lift_certificate(g: FinGroupoid, kept: np.ndarray, ends: tuple, d: list, tree: list, u: dict, n: int) -> dict:
+    """Lift weights ``u`` on non-tree kept rows (by position) to the kept
+    pairs: each tree row, in reverse walk order, gets the weight that
+    clears its new morphism's column.  The result must clear every
+    non-unit column of the kept rows b(x) + b(s) - b(xs) and give diff
+    (``d``) a nonzero sum, mod n, in Python integers, or
+    InternalCheckFailure is raised.  Returns {pair number: weight}, the
+    pair numbers read from ``kept``."""
+    pa, pb, pc = ends
+
+    def columns(weights):
+        out = [0] * len(g.morphisms)
+        for i, w in weights.items():
+            out[pa[i]] += w
+            out[pb[i]] += w
+            out[pc[i]] -= w
+        return out
+
+    u, acc = dict(u), columns(u)
+    for i in reversed(tree):
+        w = u[i] = acc[pc[i]] % n
+        acc[pa[i]] += w
+        acc[pb[i]] += w
+    cleared = not any(c % n for c, unit in zip(columns(u), g.unit_mask.tolist()) if not unit)
+    if not cleared or not sum(w * d[i] for i, w in u.items()) % n:
+        raise InternalCheckFailure("generator certificate fails to verify on the kept pairs")
+    return {int(kept[i]): w % n for i, w in u.items() if w % n}
+
+
 def are_cohomologous(sigma1: TwoCocycle, sigma2: TwoCocycle) -> OneCochain | None:
     """Return a 1-cochain b with sigma1 = sigma2 + db, or None.
 
@@ -260,9 +325,30 @@ def are_cohomologous(sigma1: TwoCocycle, sigma2: TwoCocycle) -> OneCochain | Non
     diff is a cocycle, a solution of the kept equations solves them all;
     and when the kept equations have none, neither has the full system.
 
+    The kept equations are solved in the |S| unknowns b(S).  A
+    breadth-first walk over the kept pairs (x, s) with s in S, from the
+    units and S, gives each newly reached y = xs one tree row,
+    b(y) = b(x) + b(s) - diff(x, s), so every b(m) is affine in b(S).
+    The walk reaches every morphism: each is a left-to-right word in S
+    and the units, and the walk reaches each prefix of the word in turn.
+    Written in b(S), each other kept row is a row of a reduced system mod
+    n; the rows that vanish (the tree rows among them) are dropped, a
+    repeated row is kept once, and ``solve_mod`` solves the rest (none:
+    b(S) = 0).  A solution gives b on every morphism.  A certificate u of
+    the reduced system, u.A = 0 and u.c != 0, goes back to the kept
+    rows: u's weights on the rows they came from, then one weight per
+    tree row, in reverse walk order, that clears its new morphism's
+    column.  That works because the tree rows are triangular: each has
+    -1 at its new morphism, which no earlier tree row holds and later
+    ones hold only as x.  The columns of the reached morphisms are then
+    clear, those of S because u.A = 0, and the sum on diff is u.c.  The
+    lifted certificate is checked on the kept rows in Python integers.
+
     Every witness is still checked on every pair.  A mismatch means that
     diff is not a cocycle, and then no b exists; a mismatch on a valid
-    cocycle raises InternalCheckFailure.
+    cocycle raises InternalCheckFailure, as does a certificate that fails
+    its check or a walk that misses a morphism.  Any b + h with h a
+    homomorphism to Z/n is a witness too; the walk picks one.
     """
     if not sigma1.same_footing(sigma2):
         raise CocycleError("cocycles live on different groupoids or orders")
@@ -274,18 +360,30 @@ def are_cohomologous(sigma1: TwoCocycle, sigma2: TwoCocycle) -> OneCochain | Non
         witness = _principal_witness(diff)
         if witness is not None:
             return witness
-    free = np.flatnonzero(~g.unit_mask)
-    if not free.size:
-        return None if diff.values.any() else OneCochain(g, n, {})
-    # one row b(x) + b(s) - b(xs) per kept pair, in the non-unit values
     kept = np.flatnonzero(g.generating_mask[g.pairs[1]])
-    rows = np.zeros((kept.size, len(g.morphisms)), dtype=np.int64)
-    for ends, c in zip(g.pairs, (1, 1, -1)):
-        np.add.at(rows, (np.arange(kept.size), ends[kept]), c)
-    res = solve_mod(rows[:, free], diff.values[kept], n)
-    if not res.solvable:
-        return None
-    b = OneCochain(g, n, dict(zip([g.morphisms[i] for i in free.tolist()], res.solution)))
+    ka, kb, kc = (e[kept] for e in g.pairs)
+    d = diff.values[kept]
+    ends, rhs = (ka.tolist(), kb.tolist(), kc.tolist()), d.tolist()
+    tree, forms = _generator_forest(g, ends, rhs, n)
+    # each kept row b(x) + b(s) - b(xs) = diff(x, s), written in b(S)
+    f = np.array(forms, dtype=d.dtype)
+    system = f[ka] + f[kb] - f[kc]
+    system[:, -1] = d - system[:, -1]
+    system %= n
+    first = {}
+    live = np.flatnonzero((system != 0).any(axis=1))
+    for i, row in zip(live.tolist(), system[live].tolist()):
+        first.setdefault(tuple(row), i)
+    beta = [0] * (system.shape[1] - 1)
+    if first:
+        reduced = system[list(first.values())]
+        res = solve_mod(reduced[:, :-1], reduced[:, -1], n)
+        if not res.solvable:
+            _lift_certificate(g, kept, ends, rhs, tree, dict(zip(first.values(), res.certificate)), n)
+            return None
+        beta = res.solution
+    values = [sum(c * x for c, x in zip(form, (*beta, 1))) % n for form in forms]
+    b = OneCochain(g, n, dict(zip(g.morphisms, values)))
     if coboundary_twist(b) != diff:
         if verify_two_cocycle(diff).valid:
             raise InternalCheckFailure("solver witness is not an untwisting cochain")

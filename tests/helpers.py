@@ -16,7 +16,8 @@ map as they read a label dictionary ``{a: (t, c)}`` before maps were
 index arrays, with the root-of-unity helper ``zeta``; and the coherence
 loop that ``FinSpace`` ran on every construction and the per-call masks
 of ``product_masks``, before both were kept once per mask tuple and per
-``IndexLayout``."""
+``IndexLayout``; and the moduli above int64 range that exact arithmetic
+is tested at."""
 
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
 from groupoidlab.labels import canonical_label
+
+
+# moduli at which int64 products or sums would overflow
+BIG_MODULI = (2**40 + 15, 2**63 - 25, 2**100 + 277)
 
 
 def label_space(points, min_open) -> fs.FinSpace:

@@ -17,7 +17,7 @@ from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
 from groupoidlab.cli import main
-from helpers import disjoint_union, label_space, random_dag
+from helpers import BIG_MODULI, disjoint_union, label_space, random_dag
 
 
 def run_cli(capsys, *argv):
@@ -438,9 +438,6 @@ def test_parser_state_does_not_leak_between_calls(capsys, tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["ok"]
     code, report = run_cli(capsys, "cocycle-verify", "bundled:trivial-cocycle")
     assert code == 0 and report["command"] == "cocycle-verify"
-
-
-BIG_MODULI = (2**40 + 15, 2**63 - 25, 2**100 + 277)
 
 
 def group_document(n, rng):

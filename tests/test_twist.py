@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -16,8 +17,10 @@ from groupoidlab import groupoid as gp
 from groupoidlab import serialize
 from groupoidlab import twist as tw
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
+from groupoidlab.errors import InternalCheckFailure
 from groupoidlab.modlin import solve_mod
 from helpers import (
+    BIG_MODULI,
     cocycle_entry,
     inverse_map,
     label_cocycle,
@@ -90,12 +93,27 @@ def test_missing_entry_error():
     assert err.value.code == "MISSING_ENTRY"
 
 
+def test_unit_pair_is_one_normalization_violation():
+    # (u, u) is both (r(u), u) and (u, s(u)), and is reported once
+    elems = range(3)
+    z3 = label_groupoid(
+        fs.discrete(elems), [0], dict.fromkeys(elems, 0), dict.fromkeys(elems, 0),
+        {(a, b): (a + b) % 3 for a in elems for b in elems}, {a: -a % 3 for a in elems},
+    )
+    report = tw.verify_two_cocycle(tw.TwoCocycle.trivial(z3, 3).shift((0, 0), 1))
+    assert report.normalization_violations == ((0, 0),)
+    g = pair_groupoid((1, 2))
+    sigma = tw.TwoCocycle.trivial(g, 4).shift(((2, 2), (2, 2)), 1).shift(((1, 1), (1, 2)), 3)
+    assert tw.verify_two_cocycle(sigma).normalization_violations == (((1, 1), (1, 2)), ((2, 2), (2, 2)))
+
+
 def loop_verify(sigma):
     """The cocycle check as the plain loop it used to be: the reference
     for the vectorized verify_two_cocycle, reading entries in its order."""
     g, n, m = sigma.groupoid, sigma.n, sigma.groupoid.morphisms
     value = partial(cocycle_entry, sigma)
-    norm = [p for a in m for p in ((g.range_map[a], a), (a, g.source_map[a])) if value(*p) % n]
+    # (u, u) is both (r(u), u) and (u, s(u)); it is listed once
+    norm = list(dict.fromkeys(p for a in m for p in ((g.range_map[a], a), (a, g.source_map[a])) if value(*p) % n))
     ident = [
         (a, b, c)
         for a in m for b in m if g.source_map[a] == g.range_map[b] for c in m if g.source_map[b] == g.range_map[c]
@@ -300,7 +318,60 @@ def oracle_cases():
         yield ext, n, {(x, y): (x[0] + y[0]) // n for x, y in ext.composable_pairs()}
 
 
-def test_generator_equations_agree_with_all_pairs():
+@pytest.fixture
+def forest_spy(monkeypatch):
+    """The column count of each system that ``are_cohomologous`` hands
+    ``solve_mod``, and each certificate it lifts onto the kept pairs."""
+    seen = {"columns": [], "certificates": []}
+    lift = tw._lift_certificate
+
+    def record(*args):
+        seen["certificates"].append(lift(*args))
+        return seen["certificates"][-1]
+
+    monkeypatch.setattr(tw, "solve_mod", lambda a, b, n: seen["columns"].append(a.shape[1]) or solve_mod(a, b, n))
+    monkeypatch.setattr(tw, "_lift_certificate", record)
+    return seen
+
+
+def certificate_holds(sigma, certificate):
+    """Whether weights on the numbered pairs, zero where ``certificate``
+    names none, clear every non-unit column of the equations
+    b(x) + b(y) - b(xy) = sigma(x, y) on all composable pairs and sum to
+    a nonzero value on sigma, mod n, in Python integers."""
+    g, n = sigma.groupoid, sigma.n
+    weights = [certificate.get(k, 0) for k in range(len(g.pairs[0]))]
+    column = [0] * len(g)
+    for w, x, y, xy in zip(weights, *(ends.tolist() for ends in g.pairs)):
+        column[x] += w
+        column[y] += w
+        column[xy] -= w
+    cleared = all(c % n == 0 for c, unit in zip(column, g.unit_mask.tolist()) if not unit)
+    return cleared and sum(w * v for w, v in zip(weights, sigma.values.tolist())) % n != 0
+
+
+def decide_against_all_pairs(sigma, seen):
+    """``are_cohomologous(sigma, 0)``, checked against the full system:
+    the verdict is that of every equation, a witness untwists sigma, each
+    lifted certificate holds on every pair, a valid class without a
+    witness has one, and ``solve_mod`` gets at most |S| columns.  Returns
+    the verdict and whether a certificate came with it."""
+    g = sigma.groupoid
+    seen["columns"].clear()
+    seen["certificates"].clear()
+    b = tw.are_cohomologous(sigma, tw.TwoCocycle.trivial(g, sigma.n))
+    assert (b is not None) == full_system_solvable(sigma)
+    if b is not None:
+        assert tw.coboundary_twist(b) == sigma
+    elif not g.principal and tw.verify_two_cocycle(sigma).valid:
+        assert len(seen["certificates"]) == 1
+    assert all(certificate_holds(sigma, c) for c in seen["certificates"])
+    generators = np.count_nonzero(g.generating_mask & ~g.unit_mask)
+    assert all(k <= generators for k in seen["columns"])
+    return b is not None, bool(seen["certificates"])
+
+
+def test_generator_equations_agree_with_all_pairs(forest_spy):
     rng = random.Random(1207)
     verdicts = set()
     non_loop_first = 0
@@ -316,13 +387,22 @@ def test_generator_equations_agree_with_all_pairs():
         cases.append(label_cocycle(g, n, {p: rng.randrange(n) for p in pairs}))
         cases.append(carried.shift(rng.choice(pairs), rng.randrange(1, n)))
         for sigma in cases:
-            b = tw.are_cohomologous(sigma, tw.TwoCocycle.trivial(g, n))
-            assert (b is not None) == full_system_solvable(sigma)
-            if b is not None:
-                assert tw.coboundary_twist(b) == sigma
-            verdicts.add((tw.verify_two_cocycle(sigma).valid, b is not None))
+            solvable, _ = decide_against_all_pairs(sigma, forest_spy)
+            verdicts.add((tw.verify_two_cocycle(sigma).valid, solvable))
     assert verdicts == {(True, True), (True, False), (False, False)}
     assert non_loop_first >= 4
+    # groups, extensions and matrix-unit groupoids at small and big moduli,
+    # a coboundary and one entry shifted (off the units where the groupoid
+    # is principal, since _principal_witness reads a normalized table)
+    outcomes = collections.Counter()
+    for g in generator_cases():
+        pairs = [p for p in g.composable_pairs() if not g.principal or not {*p} & g.units]
+        for n in (2, 3, 4, 6, 12) + BIG_MODULI:
+            cob = tw.coboundary_twist(random_cochain(rng, g, n))
+            shifted = [cob.shift(rng.choice(pairs), rng.randrange(1, n))] if pairs else []
+            for sigma in [cob, *shifted]:
+                outcomes[decide_against_all_pairs(sigma, forest_spy)] += 1
+    assert outcomes[True, False] >= 500 and outcomes[False, True] >= 250, outcomes
 
 
 def test_generator_equations_are_few():
@@ -339,6 +419,7 @@ def sweep_verify(sigma):
     every = np.arange(len(m))
     norm = np.stack([g.pair_id[g.range_idx, every], g.pair_id[every, g.source_idx]], axis=1).ravel()
     norm = norm[sigma.on_pairs(norm) != 0]
+    norm = norm[np.sort(np.unique(norm, return_index=True)[1])]  # each pair once
     v = sigma.values
     missing = (v < 0).any()
     ident_bad = []
@@ -414,10 +495,9 @@ def generator_cases():
         yield ca.matrix_unit_groupoid(blocks).groupoid
 
 
-def test_cached_generators_match_the_greedy_reference(monkeypatch):
-    rows = []
-    monkeypatch.setattr(tw, "solve_mod", lambda a, b, n: rows.append(np.array(a)) or solve_mod(a, b, n))
-    kinds = set()
+def test_cached_generators_match_the_greedy_reference(forest_spy):
+    rng = random.Random(417)
+    kinds, outcomes = set(), set()
     for g in generator_cases():
         kinds.add((len(g.units) > 1, gp.groupoid_properties(g).principal))
         want = reference_generator_pairs(g)
@@ -425,21 +505,36 @@ def test_cached_generators_match_the_greedy_reference(monkeypatch):
         assert g.generating_mask is g.generating_mask  # computed once
         if g.principal:
             continue
-        # a class off the coboundaries reaches the solver on the same rows
-        sigma = tw.TwoCocycle.trivial(g, 5).shift((g.morphisms[0], g.morphisms[0]), 1)
         free = ~g.unit_mask
         if not free.any():
             continue
-        rows.clear()
-        tw.are_cohomologous(sigma, tw.TwoCocycle.trivial(g, 5))
         expect = np.zeros((want.size, len(g)), dtype=np.int64)
         for ends, c in zip(g.pairs, (1, 1, -1)):
             np.add.at(expect, (np.arange(want.size), ends[want]), c)
-        assert len(rows) == 1 and np.array_equal(rows[0], expect[:, free])
+        # a class off the coboundaries and a coboundary are decided as on
+        # the kept rows, and the certificate or witness holds on them
+        shifted = tw.TwoCocycle.trivial(g, 5).shift((g.morphisms[0], g.morphisms[0]), 1)
+        for sigma in (shifted, tw.coboundary_twist(random_cochain(rng, g, 5))):
+            forest_spy["certificates"].clear()
+            b = tw.are_cohomologous(sigma, tw.TwoCocycle.trivial(g, 5))
+            a, rhs = expect[:, free], sigma.values[want]
+            assert (b is not None) == solve_mod(a, rhs, 5).solvable
+            if b is not None:
+                x = np.array([b.values[g.morphisms[m]] for m in np.flatnonzero(free).tolist()])
+                assert not ((a @ x - rhs) % 5).any()
+                outcomes.add("witness")
+            else:
+                (certificate,) = forest_spy["certificates"]
+                assert set(certificate) <= set(want.tolist())
+                u = np.array([certificate.get(k, 0) for k in want.tolist()])
+                assert not (u @ a % 5).any() and u @ rhs % 5
+                outcomes.add("certificate")
     assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+    assert outcomes == {"witness", "certificate"}
 
 
-MISMATCH = """
+# Z/6 as a one-unit groupoid, for the -O subprocess scripts
+Z6 = """
 from groupoidlab import finspace as fs, twist as tw
 from groupoidlab.errors import InternalCheckFailure
 from groupoidlab.modlin import ModSolveResult
@@ -450,26 +545,66 @@ g = label_groupoid(
     fs.discrete(elems), [0], dict.fromkeys(elems, 0), dict.fromkeys(elems, 0),
     {(a, b): (a + b) % 6 for a in elems for b in elems}, {a: -a % 6 for a in elems},
 )
-# a forced wrong witness: the zero cochain, checked against every pair
+"""
+
+MISMATCH = Z6 + """
+# a forced wrong witness: b(1) = 0, so b(k) is the constant of the tree
+# path 1, 2, ..., k, checked against every pair.  Mod 4 that is no
+# witness, as the kept row (5, 1) reads 6 b(1) = 2 b(1) = 2 (mod 4) for
+# the coboundary of b(1) = 1.
 tw.solve_mod = lambda a, b, n: ModSolveResult(n, (0,) * a.shape[1], None)
-coboundary = tw.coboundary_twist(tw.OneCochain(g, 6, {1: 1}))
-invalid = tw.TwoCocycle.trivial(g, 6).shift((1, 2), 1)
-print(tw.are_cohomologous(invalid, tw.TwoCocycle.trivial(g, 6)))
+coboundary = tw.coboundary_twist(tw.OneCochain(g, 4, {1: 1}))
+invalid = tw.TwoCocycle.trivial(g, 4).shift((1, 2), 1)
+print(tw.are_cohomologous(invalid, tw.TwoCocycle.trivial(g, 4)))
 try:
-    tw.are_cohomologous(coboundary, tw.TwoCocycle.trivial(g, 6))
+    tw.are_cohomologous(coboundary, tw.TwoCocycle.trivial(g, 4))
 except InternalCheckFailure:
     print("raised")
 """
 
 
+def run_under_python_O(script):
+    paths = (pathlib.Path(tw.__file__).parent.parent, pathlib.Path(__file__).parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_witness_mismatch_raises_under_python_O():
     # a mismatch on a table that is not a cocycle is a verdict (None);
     # on a valid cocycle it is an internal failure, also under -O
-    paths = (pathlib.Path(tw.__file__).parent.parent, pathlib.Path(__file__).parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
-    proc = subprocess.run([sys.executable, "-O", "-c", MISMATCH], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["None", "raised"]
+    assert run_under_python_O(MISMATCH) == ["None", "raised"]
+
+
+BAD_CERTIFICATE = Z6 + """
+# mod 4 the carry class leaves one reduced row, from the kept pair
+# (5, 1): 6 b(1) = 2 b(1) = 1.  Its certificate is weight 2; weight 1
+# leaves the column of b(1) uncleared, and weight 4 clears it but sums to
+# 0 on the cocycle
+carry = tw.TwoCocycle.from_values(g, 4, [(a + b) // 6 for a in elems for b in elems])
+for weight in (1, 4):
+    tw.solve_mod = lambda a, b, n: ModSolveResult(n, None, (weight,) * a.shape[0])
+    try:
+        tw.are_cohomologous(carry, tw.TwoCocycle.trivial(g, 4))
+    except InternalCheckFailure as err:
+        print("raised" if "kept pairs" in str(err) else err)
+"""
+
+
+def test_wrong_reduced_certificate_raises_under_python_O():
+    # a certificate of the reduced system is checked again on the kept
+    # rows once it is lifted, also under -O
+    assert run_under_python_O(BAD_CERTIFICATE) == ["raised", "raised"]
+
+
+def test_forest_that_misses_a_morphism_raises():
+    g = product_group(2, 3)
+    # a generating mask of the units alone reaches no other morphism
+    g.layout.__dict__["generating_mask"] = g.unit_mask.copy()
+    sigma = tw.TwoCocycle.trivial(g, 6)
+    with pytest.raises(InternalCheckFailure, match="misses a morphism"):
+        tw.are_cohomologous(sigma, sigma)
 
 
 # -- extension groupoid --------------------------------------------------------------
