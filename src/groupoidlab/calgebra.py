@@ -165,7 +165,7 @@ def structure_constants(sigma: TwoCocycle) -> tuple:
         g = sigma.groupoid
         roots = np.array(_roots(sigma.n))
         phases = roots[sigma.on_pairs(np.arange(len(g.pairs[0])))]
-        stars = roots[sigma.on_pairs(g.inverse_pairs)].conj()
+        stars = roots[sigma.on_pairs(g.pair_number(g.inverse_idx, np.arange(len(g.morphisms))))].conj()
         cached = sigma._structure_constants = (g, phases, stars)
     return cached
 
@@ -319,11 +319,11 @@ def check_star_hom(source: tuple, target: tuple, t_of: np.ndarray, c_of: np.ndar
     bas = np.arange(len(sg.morphisms)) if basis is None else basis
     t, c = t_of[bas], c_of[bas]
     # e_a e_b = phase e_ab maps to phase c_ab e_t(ab); pair id -1 reads the padding, zero
-    pid = sg.pair_id[np.ix_(bas, bas)]
+    pid = sg.pair_number(bas[:, None], bas[None, :])
     ab = np.append(sg.pairs[2], -1)[pid]
     lhs_key, lhs = t_of[ab], np.append(s_phase, 0)[pid] * c_of[ab]
-    # (c_a e_t(a)) (c_b e_t(b)) = phase c_a c_b e_t(a)t(b)
-    tid = np.pad(tg.pair_id, (0, 1), constant_values=-1)[np.ix_(t, t)]
+    # (c_a e_t(a)) (c_b e_t(b)) = phase c_a c_b e_t(a)t(b); pair id -1 where either image is 0
+    tid = np.where((t[:, None] < 0) | (t[None, :] < 0), -1, tg.pair_number(t[:, None], t[None, :]))
     rhs_key = np.append(tg.pairs[2], -1)[tid]
     rhs = np.append(t_phase, 0)[tid] * c[:, None] * c[None, :]
     dev = _deviation(lhs_key, lhs, rhs_key, rhs)
@@ -552,7 +552,7 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
     where = np.empty_like(t_cells)
     where[t_cells] = np.arange(len(t_cells))
     pa, pb, _ = relation.pairs
-    partner = where[target.groupoid.pair_id[t_of[pa[cells]], t_of[pb[cells]]]]
+    partner = where[target.groupoid.pair_number(t_of[pa[cells]], t_of[pb[cells]])]
     uni_dev = check.multiplicative_dev
     for _ in range(3):
         f = random_element(rng, relation, sigma)
@@ -921,7 +921,7 @@ def equivariant_suite(
     z_of, m_of = np.divmod(np.arange(len(ext.morphisms)), m_count)
     pa, pb, pc = ext.pairs
     products = np.zeros((len(groupoid.pairs[0]), n), dtype=complex)
-    cells = (groupoid.pair_id[m_of[pa], m_of[pb]], z_of[pc])
+    cells = (groupoid.pair_number(m_of[pa], m_of[pb]), z_of[pc])
     np.add.at(products, cells, roots[z_of[pa]] * roots[z_of[pb]])
     products *= 1.0 / n
     stars = np.zeros((len(groupoid.morphisms), n), dtype=complex)

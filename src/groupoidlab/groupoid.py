@@ -5,23 +5,22 @@ the morphisms, and as an integer index, one ``IndexLayout``: arrays for
 range, source and inverse, the unit mask, and the composable pairs with
 their composites in row-major order, beside what derives from these
 arrays alone (``principal``, ``generating_mask``, ``orbit_idx``,
-``fiber_cells``, ``inverse_pairs``), each built on first use.  The
-n x n table ``pair_id`` that numbers the pairs is built from them on
-first use, per groupoid.  The unit space always carries the subspace
-topology.  The one constructor takes index arrays, sorts the pairs
-row-major and runs ``verify_axioms``, which checks every axiom
-(composability, range and source of composites, unit and inverse laws,
-associativity) as array code, so a bad composition table or a cocycle
-fault in an extension surfaces immediately with a witness; ``_attach``
-puts an index that is already verified on a topology.  Associativity is
-decided without a triple for a principal groupoid, and otherwise on the
-triples whose last factor is a unit or lies in the greedy generating set
-of ``generating_mask``; when that reduced check fails, the full
-lexicographic sweep over all composable triples runs and reports the
-first failing one.  Labels are numbered only where ``serialize`` reads a
-``finspace/1`` or ``fingroupoid/1`` document.  Every later all-pairs
-computation reads the same index, and the induced representations read
-it in the cell order of ``fiber_cells``.
+``fiber_cells``, and the two length-n tables with which ``pair_number``
+numbers the pairs), each built on first use.  The unit space always
+carries the subspace topology.  The one constructor takes index arrays,
+sorts the pairs row-major and runs ``verify_axioms``, which checks every
+axiom (composability, range and source of composites, unit and inverse
+laws, associativity) as array code, so a bad composition table or a
+cocycle fault in an extension surfaces immediately with a witness;
+``_attach`` puts an index that is already verified on a topology.
+Associativity is decided without a triple for a principal groupoid, and
+otherwise on the triples whose last factor is a unit or lies in the
+greedy generating set of ``generating_mask``; when that reduced check
+fails, the full lexicographic sweep over all composable triples runs and
+reports the first failing one.  Labels are numbered only where
+``serialize`` reads a ``finspace/1`` or ``fingroupoid/1`` document.
+Every later all-pairs computation reads the same index, and the induced
+representations read it in the cell order of ``fiber_cells``.
 
 The central construction is the relation groupoid of a surjection
 psi: Y -> X, whose morphisms are the pairs (y, z) with psi(y) = psi(z)
@@ -32,7 +31,7 @@ sizes.  Per tuple of up to ``PAIR_INDEX_MORPHISMS`` morphisms, one
 read-only index object is built and verified on first use
 (``pair_groupoid_index``) and shared by every ``RelationGroupoid`` and
 matrix-unit groupoid with those sizes.  Each groupoid attaches it to its
-own topology and keeps its own ``pair_id``, orbits and property cache.
+own topology and keeps its own orbits and property cache.
 The topology of R(psi) comes from ``product_masks``, which pulls the
 product topology of a space on the units back along r x s on any
 groupoid's own numbering; ``relation_masks`` memoizes it on the fiber
@@ -73,8 +72,8 @@ TRIPLE_CHUNK = 1 << 16
 # to spare
 PAIR_INDEX_CACHE = 512
 
-# most morphisms in a pair-groupoid union: one 64-point fiber, twice the
-# largest target of the doubled model, and a 128 MiB n x n ``pair_id``
+# most morphisms in a pair-groupoid union: one 64-point fiber, and twice
+# the largest target of the doubled model
 PAIR_INDEX_MORPHISMS = 4096
 
 
@@ -97,12 +96,12 @@ class IndexLayout:
     factors and the composite of each composable pair in row-major order.
     What derives from these arrays alone is built on first use and kept:
     ``principal``, ``generating_mask``, ``orbit_idx``, ``fiber_cells`` and
-    ``inverse_pairs``, the arrays read-only, and the int tuples of the
+    ``pair_rows``, the arrays read-only, and the int tuples of the
     bitmask code: ``unit_numbers``, ``ranges``, ``sources`` and
     ``end_masks``, the morphisms with range u and with source u at u.
-    Nothing here reads the labels, the topology or ``pair_id``, so every
-    pair-groupoid union with the same block sizes attaches the one object
-    that ``pair_groupoid_index`` keeps for them."""
+    Nothing here reads the labels or the topology, so every pair-groupoid
+    union with the same block sizes attaches the one object that
+    ``pair_groupoid_index`` keeps for them."""
 
     def __init__(self, range_idx, source_idx, inverse_idx, unit_mask, pairs):
         self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
@@ -176,11 +175,7 @@ class IndexLayout:
         stack of representatives and ``rest`` for each stack of the
         others: a reduced norm reads ``blocks``, the model checks both."""
         n, src = len(self.range_idx), self.source_idx
-        size = np.bincount(src, minlength=n)
-        # each morphism's position in its source fiber, in morphism order
-        order = src.argsort(kind="stable")
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n) - (size.cumsum() - size)[src[order]]
+        size, pos = _fiber_ranks(src)
         units = np.flatnonzero(self.unit_mask)
         rep = self.orbit_idx[units] == units
         units = units[np.lexsort((units, size[units], ~rep))]
@@ -203,15 +198,30 @@ class IndexLayout:
         return (*arrays, *map(tuple, stacks))
 
     @cached_property
-    def inverse_pairs(self) -> np.ndarray:
-        """The number of the pair (m^-1, m) for each morphism m.  The
-        pairs are row-major, so their keys a n + b ascend and each is
-        found by bisection."""
-        pa, pb, _ = self.pairs
-        n = len(self.range_idx)
-        out = np.searchsorted(pa * n + pb, self.inverse_idx * n + np.arange(n))
-        out.flags.writeable = False
-        return out
+    def pair_rows(self) -> tuple:
+        """(row_start, rank): the running sum of |r^-1(s(a))| over a, the
+        pair count last, and each b's place among the morphisms with range r(b)."""
+        count, rank = _fiber_ranks(self.range_idx)
+        row_start = np.concatenate(([0], count[self.source_idx].cumsum()))
+        row_start.flags.writeable = rank.flags.writeable = False
+        return row_start, rank
+
+    def pair_number(self, a, b) -> np.ndarray:
+        """The number in ``pairs`` of each (a, b) of int arrays (broadcast),
+        -1 where s(a) != r(b): row a holds the b with r(b) = s(a) in
+        morphism order, so it is row_start[a] + rank[b] (``pair_rows``)."""
+        row_start, rank = self.pair_rows
+        return np.where(self.source_idx[a] == self.range_idx[b], row_start[a] + rank[b], -1)
+
+
+def _fiber_ranks(idx: np.ndarray) -> tuple:
+    """(size, pos): size[u] = |idx^-1(u)|, pos[m] is m's place in idx^-1(idx[m])."""
+    n = len(idx)
+    size = np.bincount(idx, minlength=n)
+    order = idx.argsort(kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n) - (size.cumsum() - size)[idx[order]]
+    return size, pos
 
 
 class FinGroupoid:
@@ -221,16 +231,14 @@ class FinGroupoid:
     ``source_idx`` and ``inverse_idx`` hold the structure maps on those
     numbers, ``unit_mask`` marks the units, ``pairs`` holds the factors
     and the composite of each composable pair in row-major order, and
-    ``pair_id[a, b]`` numbers them (-1 elsewhere), built from ``pairs``
-    on first use.  The arrays are those of ``layout``, the groupoid's
-    ``IndexLayout``.  The constructor sorts and verifies an index, and
-    ``_attach`` puts a verified one on a topology; a pair-groupoid union
-    attaches the read-only ``IndexLayout`` that ``pair_groupoid_index``
-    shares between every groupoid with the same block sizes.
-    ``principal``, ``generating_mask``, ``orbit_idx``, ``fiber_cells`` and
-    ``inverse_pairs`` are read from ``layout``; ``units`` and the label
-    tables ``range_map``, ``source_map`` and ``compose`` are derived from
-    the index on first use, per groupoid.
+    ``pair_number(a, b)`` numbers them (-1 elsewhere).  The arrays are
+    those of ``layout``, the groupoid's ``IndexLayout``.  The constructor
+    sorts and verifies an index, and ``_attach`` puts a verified one on a
+    topology; a pair-groupoid union attaches the read-only ``IndexLayout``
+    that ``pair_groupoid_index`` shares between every groupoid with the
+    same block sizes.  ``units`` and the label tables ``range_map``,
+    ``source_map`` and ``compose`` are derived from the index on first
+    use, per groupoid.
     """
 
     def __init__(self, topology: FinSpace, range_idx, source_idx, inverse_idx, unit_mask, pairs):
@@ -249,23 +257,12 @@ class FinGroupoid:
         """Put ``layout`` on the points of ``topology``, as it is (no copy
         and no check), with empty per-groupoid caches; its arrays are
         bound to the groupoid's own attributes for reading."""
-        self.topology = topology
-        self.morphisms = topology.points
-        self.index = topology._index
+        self.topology, self.morphisms, self.index = topology, topology.points, topology._index
         self.layout = layout
         self.range_idx, self.source_idx, self.inverse_idx = layout.range_idx, layout.source_idx, layout.inverse_idx
         self.unit_mask, self.pairs = layout.unit_mask, layout.pairs
         self._props_cache = None
         self._orbits = None
-
-    @cached_property
-    def pair_id(self) -> np.ndarray:
-        """The number of each composable pair (a, b) in ``pairs`` at
-        [a, b], -1 elsewhere; built on first use, per groupoid."""
-        n = len(self.morphisms)
-        pair_id = np.full((n, n), -1, dtype=np.int64)
-        pair_id[self.pairs[0], self.pairs[1]] = np.arange(len(self.pairs[0]))
-        return pair_id
 
     # -- label tables, derived from the index -------------------------------
 
@@ -294,7 +291,7 @@ class FinGroupoid:
     generating_mask = property(lambda self: self.layout.generating_mask)
     orbit_idx = property(lambda self: self.layout.orbit_idx)
     fiber_cells = property(lambda self: self.layout.fiber_cells)
-    inverse_pairs = property(lambda self: self.layout.inverse_pairs)
+    pair_number = property(lambda self: self.layout.pair_number)
 
     def orbits(self) -> tuple:
         """Orbits of the unit space, u ~ v when some morphism joins them,
@@ -340,7 +337,7 @@ class FinGroupoid:
         ranges and sources of composites are right."""
         pa, pb, pc = self.pairs
         for ab, bc in self.triple_join(last):
-            bad = pc[self.pair_id[pc[ab], pb[bc]]] != pc[self.pair_id[pa[ab], pc[bc]]]
+            bad = pc[self.pair_number(pc[ab], pb[bc])] != pc[self.pair_number(pa[ab], pc[bc])]
             if bad.any():
                 k = int(np.argmax(bad))
                 return int(pa[ab[k]]), int(pb[ab[k]]), int(pb[bc[k]])
@@ -367,6 +364,9 @@ class FinGroupoid:
         that check fails, the full sweep over all composable triples in
         lexicographic order names the first failing triple.
 
+        The pairs are the composable ones, each once, when all have s(a) = r(b),
+        their keys a n + b strictly increase and they number sum_u |s^-1(u)| |r^-1(u)|.
+
         Of the inverse laws only m inv(m) = r(m) is checked: once inv is
         an involution that swaps range and source, (inv m, m) is that
         law's pair at inv m, so inv(m) m = r(inv m) = s(m).  Of the swap
@@ -387,21 +387,23 @@ class FinGroupoid:
             m = morphs[int(np.argmax(bad))]
             raise GroupoidAxiomError(f"range or source of {m!r} is not a unit", m)
 
-        defined = self.pair_id >= 0
-        should = src[:, None] == rng[None, :]
-        if (defined != should).any():
-            a, b = (int(v) for v in np.argwhere(defined != should)[0])
-            raise GroupoidAxiomError(
-                f"composition defined on ({morphs[a]!r},{morphs[b]!r}) iff sources/ranges mismatch",
-                (morphs[a], morphs[b]),
-            )
         pa, pb, pc = self.pairs
-        if (rng[pc] != rng[pa]).any() or (src[pc] != src[pb]).any():
-            bad = int(np.argwhere((rng[pc] != rng[pa]) | (src[pc] != src[pb]))[0, 0])
-            raise GroupoidAxiomError(
-                "range/source of a composite disagree with the factors",
-                (morphs[int(pa[bad])], morphs[int(pb[bad])]),
-            )
+        key = pa * n + pb
+        if (src[pa] != rng[pb]).any() or (key[1:] <= key[:-1]).any() or len(key) != self.layout.pair_rows[0][-1]:
+            # name the first pair, row-major, wrongly listed or left out, else the repeat
+            defined = np.zeros((n, n), dtype=bool)
+            defined[pa, pb] = True
+            wrong = np.argwhere(defined != (src[:, None] == rng[None, :]))
+            if len(wrong):
+                a, b = (morphs[v] for v in wrong[0])
+                raise GroupoidAxiomError(f"composition defined on ({a!r},{b!r}) iff sources/ranges mismatch", (a, b))
+            k = 1 + int(np.argmax(key[1:] <= key[:-1]))
+            a, b = morphs[pa[k]], morphs[pb[k]]
+            raise GroupoidAxiomError(f"composable pair ({a!r},{b!r}) listed twice", (a, b))
+        bad = (rng[pc] != rng[pa]) | (src[pc] != src[pb])
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GroupoidAxiomError("range/source of a composite disagree with the factors", (morphs[pa[k]], morphs[pb[k]]))
 
         # unit laws: u b = b and a u = a on every composable pair
         bad = (is_unit[pa] & (pc != pb)) | (is_unit[pb] & (pc != pa))
@@ -422,7 +424,7 @@ class FinGroupoid:
         if len(bad):
             m = int(np.minimum(bad, inv[bad]).min())
             raise GroupoidAxiomError(f"inverse swaps range and source incorrectly at {morphs[m]!r}", morphs[m])
-        left = pc[self.pair_id[every, inv]]
+        left = pc[self.pair_number(every, inv)]
         if (left != rng).any():
             m = int(np.argwhere(left != rng)[0, 0])
             raise GroupoidAxiomError(f"m * inv(m) is not the unit at range({morphs[m]!r})", morphs[m])
@@ -446,12 +448,11 @@ def pair_groupoid_index(sizes: tuple) -> IndexLayout:
     range (i, i), source (j, j) and inverse (j, i), and (i, j)(j, l) =
     (i, l).  The pairs come out row-major.
 
-    The index is built and verified once per size tuple, on the
-    discrete space of its numbers, and returned with its arrays
-    read-only, so every groupoid that attaches it shares one verified
-    copy and what derives from it.  Each keeps its own ``pair_id``,
-    topology and caches.  Above ``PAIR_INDEX_MORPHISMS`` morphisms it
-    raises ``SizeCapError`` first.
+    The index is built and verified once per size tuple, on the discrete
+    space of its numbers, and returned with its arrays read-only, so every
+    groupoid that attaches it shares one verified copy and what derives
+    from it.  Above ``PAIR_INDEX_MORPHISMS`` morphisms it raises
+    ``SizeCapError`` first.
     """
     if sum(k * k for k in sizes) > PAIR_INDEX_MORPHISMS:
         raise SizeCapError(f"pair-groupoid unions capped at {PAIR_INDEX_MORPHISMS} morphisms")
@@ -491,9 +492,8 @@ class RelationGroupoid(FinGroupoid):
     pair groupoids on the fibers, so everything derived from the index
     depends only on the tuple of fiber sizes and is shared read-only
     between the groupoids with that tuple: the ``IndexLayout`` of
-    ``pair_groupoid_index``, verified once per tuple, with its
-    ``orbit_idx``, ``fiber_cells`` and ``inverse_pairs``.  ``pair_id``,
-    the topology, the orbits and the property cache stay per groupoid.
+    ``pair_groupoid_index``, verified once per tuple.  The topology, the
+    orbits and the property cache stay per groupoid.
 
     The base space Y is kept, as ``base_masks``: the minimal open of Y
     at each y carried to the unit numbers of the (y, y).  The default

@@ -342,7 +342,7 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
     except ValueError as err:
         raise SchemaError(str(err), path + "/table")
     ends = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-    pid = groupoid.pair_id[ends[:, 0], ends[:, 1]]
+    pid = groupoid.pair_number(ends[:, 0], ends[:, 1])
     if (pid < 0).any():
         a, b = (groupoid.morphisms[x] for x in ends[int(np.argmax(pid < 0))])
         raise SchemaError(f"table entry on non-composable pair ({a!r},{b!r})", path + "/table")

@@ -89,7 +89,7 @@ class TwoCocycle:
         """Copy with one entry perturbed, a missing one read as 0; used for
         fault injection."""
         g = self.groupoid
-        k = g.pair_id[g.index[pair[0]], g.index[pair[1]]]
+        k = int(g.pair_number(g.index[pair[0]], g.index[pair[1]]))
         if k < 0:
             raise CocycleError(f"table entry on non-composable pair ({pair[0]!r},{pair[1]!r})")
         values = self.values.copy()
@@ -158,7 +158,7 @@ def _identity_violations(sigma: TwoCocycle, last: np.ndarray | None = None) -> l
     out = []
     # (a,b), (ab,c), (b,c), (a,bc), block by block in triple order
     for ab, bc in g.triple_join(last):
-        terms = (ab, g.pair_id[pc[ab], pb[bc]], bc, g.pair_id[pa[ab], pc[bc]])
+        terms = (ab, g.pair_number(pc[ab], pb[bc]), bc, g.pair_number(pa[ab], pc[bc]))
         if missing:
             sigma.on_pairs(np.stack(terms, axis=1).ravel())
         bad = (v[terms[0]] + v[terms[1]] - v[terms[2]] - v[terms[3]]) % n != 0
@@ -194,7 +194,7 @@ def verify_two_cocycle(sigma: TwoCocycle) -> CocycleReport:
     every = np.arange(len(m))
     # the pairs (r(m), m) and (m, s(m)), in that order for each m, but
     # (u, u) once at a unit u, where the two are the same pair
-    norm = np.stack([g.pair_id[g.range_idx, every], g.pair_id[every, g.source_idx]], axis=1)
+    norm = np.stack([g.pair_number(g.range_idx, every), g.pair_number(every, g.source_idx)], axis=1)
     norm = norm.ravel()[np.stack([np.ones_like(g.unit_mask), ~g.unit_mask], axis=1).ravel()]
     norm = norm[sigma.on_pairs(norm) != 0]
     if g.principal or (sigma.values < 0).any() or _identity_violations(sigma, g.generating_mask):
@@ -236,11 +236,11 @@ def _principal_witness(diff: TwoCocycle) -> OneCochain | None:
     into = np.full(count, -1, dtype=np.int64)
     into[g.range_idx[sel]] = np.flatnonzero(sel)
     to_base = into[g.source_idx]
-    values = diff.on_pairs(g.pair_id[np.arange(count), to_base])
+    values = diff.on_pairs(g.pair_number(np.arange(count), to_base))
+    # b vanishes on units; a nonzero diff(u, beta(u)) is no coboundary, and db != diff below
+    values[g.unit_mask] = 0
     b = OneCochain(g, diff.n, dict(zip(g.morphisms, values.tolist())))
-    if coboundary_twist(b) == diff:
-        return b
-    return None  # pragma: no cover - the construction always satisfies db = d
+    return b if coboundary_twist(b) == diff else None
 
 
 def _generator_forest(g: FinGroupoid, ends: tuple, d: list, n: int) -> tuple:
@@ -408,7 +408,7 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
     if sigma.groupoid is not groupoid:
         raise CocycleError("cocycle is not defined on this groupoid")
     n, size = sigma.n, len(groupoid.morphisms)
-    twist_inv = sigma.on_pairs(groupoid.pair_id[np.arange(size), groupoid.inverse_idx])
+    twist_inv = sigma.on_pairs(groupoid.pair_number(np.arange(size), groupoid.inverse_idx))
     twist = sigma.on_pairs(np.arange(len(groupoid.pairs[0])))
     topology = FinSpace(
         [(z, m) for z in range(n) for m in groupoid.morphisms],

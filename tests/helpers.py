@@ -17,7 +17,8 @@ index arrays, with the root-of-unity helper ``zeta``; and the coherence
 loop that ``FinSpace`` ran on every construction and the per-call masks
 of ``product_masks``, before both were kept once per mask tuple and per
 ``IndexLayout``; and the moduli above int64 range that exact arithmetic
-is tested at."""
+is tested at; and the dense n x n pair table that each groupoid kept
+before ``IndexLayout.pair_number``, the oracle for the numbering."""
 
 from __future__ import annotations
 
@@ -37,6 +38,24 @@ from groupoidlab.labels import canonical_label
 
 # moduli at which int64 products or sums would overflow
 BIG_MODULI = (2**40 + 15, 2**63 - 25, 2**100 + 277)
+
+
+def dense_pair_id(g) -> np.ndarray:
+    """The number of each composable pair (a, b) of a ``FinGroupoid`` or
+    ``IndexLayout`` in ``pairs`` at [a, b], -1 elsewhere."""
+    n = len(g.range_idx)
+    pair_id = np.full((n, n), -1, dtype=np.int64)
+    pair_id[g.pairs[0], g.pairs[1]] = np.arange(len(g.pairs[0]))
+    return pair_id
+
+
+def compositions(n: int):
+    """Every tuple of positive sizes summing to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first, *rest)
 
 
 def label_space(points, min_open) -> fs.FinSpace:
@@ -649,11 +668,11 @@ def reference_check_star_hom(source: tuple, target: tuple, image, basis=None) ->
     bas = np.array([sg.index[a] for a in (sg.morphisms if basis is None else basis)], dtype=np.int64)
     t, c = t_of[bas], c_of[bas]
     # e_a e_b = phase e_ab maps to phase c_ab e_t(ab); pair id -1 reads the padding, zero
-    pid = sg.pair_id[np.ix_(bas, bas)]
+    pid = dense_pair_id(sg)[np.ix_(bas, bas)]
     ab = np.append(sg.pairs[2], -1)[pid]
     lhs_key, lhs = t_of[ab], np.append(s_phase, 0)[pid] * c_of[ab]
     # (c_a e_t(a)) (c_b e_t(b)) = phase c_a c_b e_t(a)t(b)
-    tid = np.pad(tg.pair_id, (0, 1), constant_values=-1)[np.ix_(t, t)]
+    tid = np.pad(dense_pair_id(tg), (0, 1), constant_values=-1)[np.ix_(t, t)]
     rhs_key = np.append(tg.pairs[2], -1)[tid]
     rhs = np.append(t_phase, 0)[tid] * c[:, None] * c[None, :]
     dev = ca._deviation(lhs_key, lhs, rhs_key, rhs)
@@ -723,7 +742,7 @@ def reference_principal_witness(diff: tw.TwoCocycle) -> tw.OneCochain | None:
     by_ends = np.full((count, count), -1, dtype=np.int64)
     by_ends[g.range_idx, g.source_idx] = np.arange(count)
     to_base = by_ends[g.source_idx, g.orbit_idx[g.source_idx]]
-    values = diff.on_pairs(g.pair_id[np.arange(count), to_base])
+    values = diff.on_pairs(dense_pair_id(g)[np.arange(count), to_base])
     b = tw.OneCochain(g, diff.n, dict(zip(g.morphisms, values.tolist())))
     if tw.coboundary_twist(b) == diff:
         return b
@@ -759,7 +778,7 @@ def reference_equivariant_suite(groupoid: gp.FinGroupoid, sigma: tw.TwoCocycle, 
     z_of, m_of = np.divmod(np.arange(len(ext.morphisms)), m_count)
     pa, pb, pc = ext.pairs
     products = np.zeros((len(groupoid.pairs[0]), n), dtype=complex)
-    cells = (groupoid.pair_id[m_of[pa], m_of[pb]], z_of[pc])
+    cells = (dense_pair_id(groupoid)[m_of[pa], m_of[pb]], z_of[pc])
     np.add.at(products, cells, roots[z_of[pa]] * roots[z_of[pb]])
     products *= 1.0 / n
     stars = np.zeros((len(groupoid.morphisms), n), dtype=complex)

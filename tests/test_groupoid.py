@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from groupoidlab import twist as tw
 from groupoidlab.cli import main
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from helpers import (
+    compositions,
+    dense_pair_id,
     inverse_map,
     label_groupoid,
     label_space,
@@ -386,8 +389,9 @@ def test_pair_topology_is_the_product_subspace(corpus_builds):
 def test_relation_index_matches_the_dict_built_groupoid(corpus_builds):
     for _, relation, discrete, *refs in corpus_builds:
         for g, ref in zip((relation, discrete), refs):
-            for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id"):
+            for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask"):
                 assert np.array_equal(getattr(g, name), getattr(ref, name)), name
+            assert np.array_equal(dense_pair_id(g), dense_pair_id(ref))
             assert all(np.array_equal(a, b) for a, b in zip(g.pairs, ref.pairs))
             assert g.units == ref.units
             assert composable_triples(g) == composable_triples(ref)
@@ -472,24 +476,63 @@ def test_fell_check_reads_the_same_on_a_plain_copy(corpus_builds):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda g: g.range_idx.__setitem__(1, 3),
-    lambda g: g.source_idx.__setitem__(1, 0),
-    lambda g: g.inverse_idx.__setitem__(1, 1),
-    lambda g: g.unit_mask.__setitem__(1, True),
-    lambda g: g.pairs[2].__setitem__(5, g.pairs[2][5] ^ 1),
-    lambda g: g.pair_id.__setitem__((0, 3), 0),
+    lambda x: x.range_idx.__setitem__(1, 3),
+    lambda x: x.source_idx.__setitem__(1, 0),
+    lambda x: x.inverse_idx.__setitem__(1, 1),
+    lambda x: x.unit_mask.__setitem__(1, True),
+    lambda x: x.pairs[2].__setitem__(5, x.pairs[2][5] ^ 1),
+    lambda x: setattr(x, "pairs", tuple(np.insert(p, 3, p[3]) for p in x.pairs)),
 ])
 def test_corrupted_relation_index_is_rejected(corrupt):
     g = gp.build_relation_groupoid(discrete_3_to_2())
     g.verify_axioms()
-    # the shared index is read-only; corrupt this groupoid's own copies
-    g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask = (
-        a.copy() for a in (g.range_idx, g.source_idx, g.inverse_idx, g.unit_mask)
+    # the shared index is read-only; corrupt a copy of it and attach that,
+    # so the checks and ``pair_number`` read the same arrays
+    x = g.layout
+    layout = gp.IndexLayout(
+        *(a.copy() for a in (x.range_idx, x.source_idx, x.inverse_idx, x.unit_mask)), tuple(p.copy() for p in x.pairs)
     )
-    g.pairs = tuple(p.copy() for p in g.pairs)
-    corrupt(g)
+    corrupt(layout)
+    g._attach(g.topology, layout)
     with pytest.raises(gp.GroupoidAxiomError):
         g.verify_axioms()
+
+
+def test_a_pair_listed_twice_is_rejected():
+    # Z/2 = {e, t} with (t, t) listed twice
+    with pytest.raises(gp.GroupoidAxiomError) as err:
+        gp.FinGroupoid(fs.discrete(("e", "t")), [0, 0], [0, 0], [0, 1], [True, False],
+                       ([0, 0, 1, 1, 1], [0, 1, 0, 1, 1], [0, 1, 1, 0, 0]))
+    assert str(err.value) == "composable pair ('t','t') listed twice" and err.value.witness == ("t", "t")
+
+
+def test_a_non_unit_idempotent_end_is_rejected():
+    # e is the only unit; t is its own range, source and inverse, t t = t
+    with pytest.raises(gp.GroupoidAxiomError) as err:
+        gp.FinGroupoid(fs.discrete(("e", "t")), [0, 1], [0, 1], [0, 1], [True, False], ([0, 1], [0, 1], [0, 1]))
+    assert str(err.value) == "range or source of 't' is not a unit" and err.value.witness == "t"
+
+
+def test_relation_groupoid_rejects_a_topology_of_the_wrong_size():
+    psi = discrete_3_to_2()
+    with pytest.raises(ValueError, match="not the pairs of the fibers"):
+        gp.RelationGroupoid(psi, [[1, 2], [3]], fs.discrete(range(4)))
+
+
+def test_relation_groupoid_at_the_cap_traces_under_64_mb():
+    # one 64-point fiber is the 4,096-morphism cap; the caches are cleared
+    # so the index is built and verified inside the trace
+    y = fs.discrete(range(64))
+    psi = fs.SpaceMap(y, fs.discrete(("*",)), dict.fromkeys(y.points, "*"))
+    gp.pair_groupoid_index.cache_clear()
+    gp.relation_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        assert gp.fell_check(gp.build_relation_groupoid(psi)).is_fell_model
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -532,7 +575,8 @@ def sweep_verify_axioms(g: gp.FinGroupoid) -> None:
     if bad.any():
         m = morphs[int(np.argmax(bad))]
         raise gp.GroupoidAxiomError(f"range or source of {m!r} is not a unit", m)
-    defined, should = g.pair_id >= 0, src[:, None] == rng[None, :]
+    pair_id = dense_pair_id(g)
+    defined, should = pair_id >= 0, src[:, None] == rng[None, :]
     if (defined != should).any():
         a, b = (int(v) for v in np.argwhere(defined != should)[0])
         raise gp.GroupoidAxiomError(
@@ -550,7 +594,7 @@ def sweep_verify_axioms(g: gp.FinGroupoid) -> None:
         k = int(np.argmax(bad))
         raise gp.GroupoidAxiomError(f"unit law fails at ({morphs[pa[k]]!r},{morphs[pb[k]]!r})")
     for ab, bc in g.triple_join():
-        lhs, rhs = pc[g.pair_id[pc[ab], pb[bc]]], pc[g.pair_id[pa[ab], pc[bc]]]
+        lhs, rhs = pc[pair_id[pc[ab], pb[bc]]], pc[pair_id[pa[ab], pc[bc]]]
         if (lhs != rhs).any():
             k = int(np.argmax(lhs != rhs))
             triple = (morphs[pa[ab[k]]], morphs[pb[ab[k]]], morphs[pb[bc[k]]])
@@ -561,11 +605,11 @@ def sweep_verify_axioms(g: gp.FinGroupoid) -> None:
     if (src[inv] != rng).any() or (rng[inv] != src).any():
         m = int(np.argwhere((src[inv] != rng) | (rng[inv] != src))[0, 0])
         raise gp.GroupoidAxiomError(f"inverse swaps range and source incorrectly at {morphs[m]!r}", morphs[m])
-    left = pc[g.pair_id[every, inv]]
+    left = pc[pair_id[every, inv]]
     if (left != rng).any():
         m = int(np.argwhere(left != rng)[0, 0])
         raise gp.GroupoidAxiomError(f"m * inv(m) is not the unit at range({morphs[m]!r})", morphs[m])
-    right = pc[g.pair_id[inv, every]]
+    right = pc[pair_id[inv, every]]
     if (right != src).any():
         m = int(np.argwhere(right != src)[0, 0])
         raise gp.GroupoidAxiomError(f"inv(m) * m is not the unit at source({morphs[m]!r})", morphs[m])
@@ -592,7 +636,7 @@ def tampered_tables():
             ext = tw.extension_groupoid(base, tw.TwoCocycle.trivial(base, 3))
             pa, pb, pc = ext.pairs
             # the composites of sigma's extension on the trivial one's pairs
-            k = base.pair_id[pa % len(base), pb % len(base)]
+            k = dense_pair_id(base)[pa % len(base), pb % len(base)]
             z = (pa // len(base) + pb // len(base) + sigma.values[k]) % 3
             yield ext, (pa, pb, z * len(base) + pc % len(base))
 
@@ -737,7 +781,7 @@ def test_from_index_sorts_shuffled_pairs_row_major():
         pa, pb, _ = h.pairs
         assert np.array_equal(pa * len(h) + pb, np.sort(pa * len(h) + pb))
         assert all(np.array_equal(a, b) for a, b in zip(h.pairs, g.pairs))
-        assert np.array_equal(h.pair_id, g.pair_id)
+        assert np.array_equal(dense_pair_id(h), dense_pair_id(g))
         assert composable_triples(h) == composable_triples(g)
         assert h.compose == g.compose and h.units == g.units
 
@@ -778,15 +822,6 @@ def test_label_constructor_keeps_its_error_order():
 
 
 # -- the shared pair-groupoid index ------------------------------------------------
-
-
-def compositions(n: int):
-    """Every tuple of positive sizes summing to n."""
-    if n == 0:
-        yield ()
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first, *rest)
 
 
 def loop_pair_index(sizes: tuple, rng: random.Random) -> tuple:
@@ -843,15 +878,13 @@ def test_relation_groupoids_share_the_index_and_its_layout():
     for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask"):
         assert getattr(one, name) is getattr(two, name), name
     assert all(a is b for a, b in zip(one.pairs, two.pairs))
-    for name in ("fiber_cells", "orbit_idx", "inverse_pairs"):
+    for name in ("fiber_cells", "orbit_idx"):
         assert getattr(one, name) is getattr(two, name), name
     gp.fell_check(one)
     gp.fell_check(two)
-    for name in ("unit_numbers", "ranges", "sources", "end_masks"):
+    for name in ("unit_numbers", "ranges", "sources", "end_masks", "pair_rows"):
         assert getattr(one.layout, name) is getattr(two.layout, name), name
     assert one.topology is not two.topology and one.morphisms != two.morphisms
-    assert one.pair_id is not two.pair_id and not np.shares_memory(one.pair_id, two.pair_id)
-    assert np.array_equal(one.pair_id, two.pair_id) and one.pair_id.flags.writeable
     gp.groupoid_properties(one)
     one.orbits()
     assert two._props_cache is None and two._orbits is None
@@ -884,9 +917,10 @@ def test_shared_layout_matches_a_fresh_groupoid():
         assert all(np.array_equal(a, b) for a, b in zip(cells, want)), sizes
         assert (blocks, rest) == (want_blocks, want_rest), sizes
         every = np.arange(len(fresh))
-        assert np.array_equal(g.inverse_pairs, fresh.pair_id[fresh.inverse_idx, every]), sizes
-        assert np.array_equal(g.inverse_pairs, fresh.inverse_pairs), sizes
-        for a in (g.orbit_idx, *cells, g.inverse_pairs):
+        inverse_pairs = g.pair_number(g.inverse_idx, every)
+        assert np.array_equal(inverse_pairs, dense_pair_id(fresh)[fresh.inverse_idx, every]), sizes
+        assert np.array_equal(inverse_pairs, fresh.pair_number(fresh.inverse_idx, every)), sizes
+        for a in (g.orbit_idx, *cells, *g.layout.pair_rows):
             with pytest.raises(ValueError):
                 a[:1] = 0
 

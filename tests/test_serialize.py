@@ -17,7 +17,7 @@ from groupoidlab import twist as tw
 from groupoidlab.cli import main
 from groupoidlab.corpus import random_partition, random_space
 from groupoidlab.labels import canonical_label
-from helpers import ReferenceSpace, inverse_map, label_groupoid, label_space, min_open, product_group
+from helpers import ReferenceSpace, dense_pair_id, inverse_map, label_groupoid, label_space, min_open, product_group
 
 
 def canon(doc):
@@ -290,7 +290,7 @@ def reference_cocycle_from_json(doc, groupoid, path="/"):
     try:
         dtype = tw._value_dtype(n)
         ends = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-        pid = groupoid.pair_id[ends[:, 0], ends[:, 1]]
+        pid = dense_pair_id(groupoid)[ends[:, 0], ends[:, 1]]
         if (pid < 0).any():
             a, b = (groupoid.morphisms[x] for x in ends[int(np.argmax(pid < 0))])
             raise tw.CocycleError(f"table entry on non-composable pair ({a!r},{b!r})")
@@ -338,8 +338,10 @@ def same_groupoid(got, want) -> bool:
     labels = lambda g: [sz.canonical_label(m) for m in g.morphisms]
     return labels(got) == labels(want) and all(
         np.array_equal(getattr(got, name), getattr(want, name))
-        for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id")
-    ) and all(np.array_equal(a, b) for a, b in zip(got.pairs, want.pairs))
+        for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask")
+    ) and all(np.array_equal(a, b) for a, b in zip(got.pairs, want.pairs)) and np.array_equal(
+        dense_pair_id(got), dense_pair_id(want)
+    )
 
 
 def fault_groupoid(doc, kind, rng):
@@ -514,7 +516,8 @@ def fault_cocycle(doc, kind, rng, groupoid):
     elif kind == "non-integer value":
         row[2] = copy.deepcopy(rng.choice((1.5, 2.0, "3", True, None, [1])))
     elif kind == "non-composable pair":
-        a, b = np.argwhere(groupoid.pair_id < 0)[rng.randrange(int((groupoid.pair_id < 0).sum()))]
+        free = np.argwhere(dense_pair_id(groupoid) < 0)
+        a, b = free[rng.randrange(len(free))]
         row[:2] = [labels[a], labels[b]]
     elif kind == "order below 1":
         doc["n"] = rng.choice((0, -1, -7))
@@ -532,7 +535,7 @@ def test_cocycle_parse_matches_the_label_path():
     for g, n in cases:
         pairs = g.pairs[0].size
         base = sz.cocycle_to_json(tw.TwoCocycle.from_values(g, n, [rng.randrange(n) for _ in range(pairs)]))
-        kinds = COCYCLE_FAULTS + (("non-composable pair",) if (g.pair_id < 0).any() else ())
+        kinds = COCYCLE_FAULTS + (("non-composable pair",) if (dense_pair_id(g) < 0).any() else ())
         for trial in range(200):
             doc = copy.deepcopy(base)
             if trial % 8 == 0:  # valid, with rows left out and in another order

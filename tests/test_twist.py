@@ -22,6 +22,8 @@ from groupoidlab.modlin import solve_mod
 from helpers import (
     BIG_MODULI,
     cocycle_entry,
+    compositions,
+    dense_pair_id,
     inverse_map,
     label_cocycle,
     label_groupoid,
@@ -81,6 +83,30 @@ def test_coboundary_example_value():
     assert db.table[((1, 2), (2, 1))] == (1 + 3 - 0) % 4 == 0
     zero = tw.coboundary_twist(tw.OneCochain(g, 4, {}))
     assert zero == tw.TwoCocycle.trivial(g, 4)
+
+
+def test_cochain_rejects_an_unknown_morphism_and_a_unit_value():
+    g = pair_groupoid((1, 2))
+    with pytest.raises(tw.CocycleError, match=r"cochain value on unknown morphism \(1, 3\)"):
+        tw.OneCochain(g, 4, {(1, 3): 1})
+    with pytest.raises(tw.CocycleError, match=r"cochain does not vanish on unit \(2, 2\)"):
+        tw.OneCochain(g, 4, {(2, 2): 1})
+    assert tw.OneCochain(g, 4, {(2, 2): 4})((2, 2)) == 0
+
+
+def test_principal_class_with_a_unit_value_is_not_a_coboundary():
+    # diff(u, u) != 0 at the unit u = (1, 1), which no db reaches
+    g = pair_groupoid((1, 2))
+    shifted = tw.TwoCocycle.trivial(g, 4).shift(((1, 1), (1, 1)), 1)
+    assert tw._principal_witness(shifted) is None
+    assert tw.are_cohomologous(shifted, tw.TwoCocycle.trivial(g, 4)) is None
+
+
+def test_shift_on_a_non_composable_pair_raises():
+    g = gp.build_relation_groupoid(fs.SpaceMap(fs.discrete((1, 2, 3)), fs.discrete(("*", "**")),
+                                               {1: "*", 2: "*", 3: "**"}))
+    with pytest.raises(tw.CocycleError, match=r"non-composable pair \(\(1, 2\),\(3, 3\)\)"):
+        tw.TwoCocycle.trivial(g, 3).shift(((1, 2), (3, 3)), 1)
 
 
 def test_missing_entry_error():
@@ -417,14 +443,15 @@ def sweep_verify(sigma):
     g, n, m = sigma.groupoid, sigma.n, sigma.groupoid.morphisms
     pa, pb, pc = g.pairs
     every = np.arange(len(m))
-    norm = np.stack([g.pair_id[g.range_idx, every], g.pair_id[every, g.source_idx]], axis=1).ravel()
+    pair_id = dense_pair_id(g)
+    norm = np.stack([pair_id[g.range_idx, every], pair_id[every, g.source_idx]], axis=1).ravel()
     norm = norm[sigma.on_pairs(norm) != 0]
     norm = norm[np.sort(np.unique(norm, return_index=True)[1])]  # each pair once
     v = sigma.values
     missing = (v < 0).any()
     ident_bad = []
     for ab, bc in g.triple_join():
-        terms = (ab, g.pair_id[pc[ab], pb[bc]], bc, g.pair_id[pa[ab], pc[bc]])
+        terms = (ab, pair_id[pc[ab], pb[bc]], bc, pair_id[pa[ab], pc[bc]])
         if missing:
             sigma.on_pairs(np.stack(terms, axis=1).ravel())
         bad = (v[terms[0]] + v[terms[1]] - v[terms[2]] - v[terms[3]]) % n != 0
@@ -493,6 +520,20 @@ def generator_cases():
             yield tw.extension_groupoid(g, sigma)
     for blocks in ({0: (1,)}, {0: (1, 2, 3)}, {0: (1, 2), 1: (1, 2, 3, 4)}, {k: range(k + 1) for k in range(4)}):
         yield ca.matrix_unit_groupoid(blocks).groupoid
+
+
+def test_pair_number_matches_the_dense_table():
+    """``pair_number`` on every (a, b), -1 included, against the n x n
+    table the pairs fill: on groups, extensions and matrix-unit
+    groupoids, on every pair-groupoid index of at most 8 points, and on
+    the extension of a pair groupoid by a cocycle."""
+    base = pair_groupoid((1, 2, 3))
+    cases = [*generator_cases(), *(gp.pair_groupoid_index(s) for n in range(9) for s in compositions(n))]
+    cases.append(tw.extension_groupoid(base, tw.coboundary_twist(tw.OneCochain(base, 3, {(1, 2): 1, (3, 1): 2}))))
+    for g in cases:
+        every = np.arange(len(g.range_idx))
+        got = g.pair_number(every[:, None], every[None, :])
+        assert np.array_equal(got, dense_pair_id(g))
 
 
 def test_cached_generators_match_the_greedy_reference(forest_spy):
@@ -717,8 +758,9 @@ def test_extension_index_matches_the_dict_construction():
         ext = tw.extension_groupoid(g, sigma)
         assert ext.morphisms == want.morphisms
         assert ext.topology._mo == want.topology._mo
-        for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask", "pair_id"):
+        for name in ("range_idx", "source_idx", "inverse_idx", "unit_mask"):
             assert np.array_equal(getattr(ext, name), getattr(want, name)), name
+        assert np.array_equal(dense_pair_id(ext), dense_pair_id(want))
         assert all(np.array_equal(a, b) for a, b in zip(ext.pairs, want.pairs))
         for name in ("units", "range_map", "source_map", "compose"):
             assert getattr(ext, name) == getattr(want, name), name
