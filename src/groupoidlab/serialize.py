@@ -9,7 +9,8 @@ key twice, which plain ``json`` would collapse to its last value.  The
 readers of ``finspace/1``, ``fingroupoid/1`` and ``two_cocycle/1`` are
 the only code that numbers labels: each reads its tables and rows once
 into the masks that ``FinSpace`` takes or the int arrays that
-``FinGroupoid`` and ``TwoCocycle`` take.
+``FinGroupoid`` and ``TwoCocycle`` take.  The last two read in bulk,
+and walk rows one by one only after a bulk test fails, to name a fault.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import InputError, SizeCapError
+from .errors import InputError, InternalCheckFailure, SizeCapError
 from .finspace import FinSpace, InvalidSpace, SpaceMap, _iter_bits
 from .labels import canonical_label
 from .graphfell import DirectedGraph, PeriodicGraph
@@ -100,6 +101,15 @@ def _reject_non_scalar(labels) -> None:
     for path, value in labels:
         if isinstance(value, (list, dict)):
             raise SchemaError(f"expected a scalar label, got {type(value).__name__}", path)
+
+
+def _rows_of(rows: list, width: int) -> bool:  # every row a list of width members, per type and length
+    return all(issubclass(t, list) for t in set(map(type, rows))) and set(map(len, rows)) <= {width}
+
+
+def _repeats(keys: np.ndarray) -> bool:
+    keys = np.sort(keys)
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def _expect_schema(doc: Mapping, names: tuple, path: str) -> str:
@@ -237,9 +247,10 @@ def groupoid_from_json(doc: Mapping, path: str = "/") -> FinGroupoid:
         _expect(doc.get("topology"), dict, path + "/topology"), path + "/topology"
     )
     rows = _expect(doc.get("compose"), list, path + "/compose")
-    for k, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError("compose rows are [a, b, ab]", f"{path}/compose/{k}")
+    if not _rows_of(rows, 3):
+        for k, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == 3):
+                raise SchemaError("compose rows are [a, b, ab]", f"{path}/compose/{k}")
     units = _expect(doc.get("units"), list, path + "/units")
     tables = {name: _expect(doc.get(name), dict, f"{path}/{name}") for name in ("range", "source", "inverse")}
     index = _number_tables(topology, units, tables, rows, path)
@@ -260,35 +271,47 @@ def _number_tables(topology: FinSpace, units: list, tables: Mapping, rows: list,
     ``FinGroupoid`` takes it: range, source and inverse, the unit mask
     and the compose rows (a, b, ab), numbered by ``topology``.
 
-    The first fault raises ``SchemaError``, in the order of
+    The tables, the units and the rows are numbered in bulk, by one
+    ``np.fromiter`` over ``index.__getitem__`` each, and a pair listed
+    twice is a repeat among the sorted keys a n + b.  Only when a lookup
+    fails or a key repeats are they walked one by one, and the first
+    fault raises ``SchemaError``, in the order of
     ``docs/schemas.md``: a pair listed twice (naming the later row);
     then, morphism by morphism, a range, source or inverse entry that is
     missing or names no morphism; then a unit, then a compose row, that
     names none.  A list or object label met on the way is named by
     ``_reject_non_scalar``, which looks at the units, the tables and the
-    rows in that order."""
-    index = topology._index
+    rows in that order.  A walk that finds no fault raises
+    ``InternalCheckFailure``."""
+    index, points = topology._index, topology.points
+    number = lambda labels, count: np.fromiter(map(index.__getitem__, labels), np.int64, count)
+    try:
+        structure = [number(map(table.__getitem__, points), len(points)) for table in tables.values()]
+        unit_numbers = number(units, len(units))
+        pairs = number(itertools.chain.from_iterable(rows), 3 * len(rows)).reshape(-1, 3).T
+    except (KeyError, TypeError):
+        pairs = None
+    if pairs is not None and not _repeats(pairs[0] * len(points) + pairs[1]):
+        unit_mask = np.zeros(len(topology), dtype=bool)
+        unit_mask[unit_numbers] = True
+        return (*structure, unit_mask, pairs)
     try:
         if len({(a, b) for a, b, _ in rows}) < len(rows):
             first: dict = {}
             k = next(k for k, (a, b, _) in enumerate(rows) if first.setdefault((a, b), k) != k)
             raise SchemaError("pair ({!r},{!r}) listed twice".format(*rows[k][:2]), f"{path}/compose/{k}")
-        structure: list = [[], [], []]
         for m in topology.points:
-            for (name, table), numbers in zip(tables.items(), structure):
+            for name, table in tables.items():
                 if m not in table:
                     raise SchemaError(f"{name} undefined on {m!r}", path)
                 if table[m] not in index:
                     raise SchemaError(f"{name}({m!r}) is not a morphism", path)
-                numbers.append(index[table[m]])
         for u in units:
             if u not in index:
                 raise SchemaError(f"unit {u!r} is not a morphism", path)
-        flat = []
         for a, b, ab in rows:
             if a not in index or b not in index or ab not in index:
                 raise SchemaError(f"composition entry ({a!r},{b!r})->{ab!r} off the morphism set", path)
-            flat += index[a], index[b], index[ab]
     except TypeError:
         _reject_non_scalar(_members(units, path + "/units"))
         for name, table in tables.items():
@@ -296,9 +319,7 @@ def _number_tables(topology: FinSpace, units: list, tables: Mapping, rows: list,
         for k, row in enumerate(rows):
             _reject_non_scalar(_members(row, f"{path}/compose/{k}"))
         raise
-    unit_mask = np.zeros(len(topology), dtype=bool)
-    unit_mask[[index[u] for u in units]] = True
-    return (*structure, unit_mask, np.array(flat, dtype=np.int64).reshape(-1, 3).T)
+    raise InternalCheckFailure("the bulk read of a fingroupoid/1 document failed, but no row has a fault")
 
 
 def cocycle_to_json(sigma: TwoCocycle) -> dict:
@@ -313,6 +334,10 @@ def cocycle_to_json(sigma: TwoCocycle) -> dict:
 
 
 def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> TwoCocycle:
+    """The cocycle of a ``two_cocycle/1`` document on ``groupoid``.  Its
+    rows are read in bulk, and walked one by one only to name the first
+    fault; a walk that finds none raises ``InternalCheckFailure``.
+    Values are reduced mod n in int64 when they fit, else in Python ints."""
     _expect_schema(doc, ("two_cocycle/1",), path)
     n = _expect_int(doc.get("n"), path, "n")
     labels = [canonical_label(m) for m in groupoid.morphisms]
@@ -321,33 +346,44 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
         lab = next(x for k, x in enumerate(labels) if x in labels[:k])
         raise SchemaError(f"morphism labels collide at {lab!r}")
     rows = _expect(doc.get("table"), list, path + "/table")
-    entries = {}
-    for k, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError("table rows are [a, b, value]", f"{path}/table/{k}")
-        a, b, v = row
+    ends = None
+    if _rows_of(rows, 3):
+        a, b, values = list(zip(*rows)) or [()] * 3
         try:
-            known = a in number and b in number
-        except TypeError:
-            _reject_non_scalar(_members(row, f"{path}/table/{k}"))
-            raise
-        if not known:
-            raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
-        key = number[a], number[b]
-        if key in entries:
-            raise SchemaError(f"pair ({a!r},{b!r}) listed twice", f"{path}/table/{k}")
-        entries[key] = _expect_int(v, path, "table", k, 2)
+            ends = [np.fromiter(map(number.__getitem__, col), np.int64, len(rows)) for col in (a, b)]
+        except (KeyError, TypeError):
+            pass  # an unknown or unhashable label, which the walk names
+    if ends is None or not set(map(type, values)) <= {int} or _repeats(ends[0] * len(labels) + ends[1]):
+        entries = {}
+        for k, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == 3):
+                raise SchemaError("table rows are [a, b, value]", f"{path}/table/{k}")
+            a, b, v = row
+            try:
+                known = a in number and b in number
+            except TypeError:
+                _reject_non_scalar(_members(row, f"{path}/table/{k}"))
+                raise
+            if not known:
+                raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
+            key = number[a], number[b]
+            if key in entries:
+                raise SchemaError(f"pair ({a!r},{b!r}) listed twice", f"{path}/table/{k}")
+            entries[key] = _expect_int(v, path, "table", k, 2)
+        raise InternalCheckFailure("the bulk read of a two_cocycle/1 table failed, but no row has a fault")
     try:
         dtype = _value_dtype(n)
     except ValueError as err:
         raise SchemaError(str(err), path + "/table")
-    ends = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-    pid = groupoid.pair_number(ends[:, 0], ends[:, 1])
+    pid = groupoid.pair_number(*ends)
     if (pid < 0).any():
-        a, b = (groupoid.morphisms[x] for x in ends[int(np.argmax(pid < 0))])
+        a, b = (groupoid.morphisms[x[int(np.argmax(pid < 0))]] for x in ends)
         raise SchemaError(f"table entry on non-composable pair ({a!r},{b!r})", path + "/table")
     out = np.full(len(groupoid.pairs[0]), -1, dtype=dtype)
-    out[pid] = [v % n for v in entries.values()]
+    try:
+        out[pid] = np.fromiter(values, dtype, len(values)) % n
+    except OverflowError:  # a value beyond int64
+        out[pid] = [v % n for v in values]
     return TwoCocycle(groupoid, n, out)
 
 

@@ -300,6 +300,14 @@ def test_cech_cert_names_a_nonzero_value_on_repeated_indices(capsys, tmp_path):
     assert report["result"] == plain["result"] and "coboundary" in report["result"]
 
 
+def test_cech_cert_rejects_a_cover_set_outside_the_base(capsys, tmp_path):
+    doc = bundled.bundled_document("tetrahedron-z3")
+    doc["cover"]["2"] = [*doc["cover"]["2"], "stray"]
+    code, report = run_cli(capsys, "cech-cert", write(tmp_path, "c.json", doc))
+    assert code == 1 and report["exit_code"] == 1
+    assert report["result"]["error"].startswith("SchemaError: cover set 2 is not a subset of the base")
+
+
 def test_equivariant_check(capsys):
     code, report = run_cli(capsys, "equivariant-check", "bundled:trivial-cocycle")
     assert code == 0

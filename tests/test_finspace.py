@@ -292,6 +292,18 @@ def test_quotient_rejects_bad_partitions():
         fs.quotient_space(y, [{0}])
 
 
+def test_quotient_names_an_empty_block():
+    # without this check the empty block reaches the sort by its least point
+    with pytest.raises(fs.InvalidSpace, match="empty partition block"):
+        fs.quotient_space(fs.discrete((0, 1, 2)), [{0, 1}, set(), {2}])
+
+
+def test_quotient_names_an_unknown_point():
+    # without this check the stray point reads as a cover fault
+    with pytest.raises(fs.InvalidSpace, match="partition mentions unknown point 7"):
+        fs.quotient_space(fs.discrete((0, 1, 2)), [{0, 1}, {2, 7}])
+
+
 def test_quotient_always_quotient_map_on_corpus():
     # every quotient of a space on at most 4 points; the final topology
     # is checked here against the open-set lattice
@@ -332,6 +344,12 @@ def test_resolution_rejects_non_hausdorff_element():
         fs.hausdorff_cover_resolution(x, [{"a"}, {"a", "b"}])
     with pytest.raises(fs.InvalidSpace):
         fs.hausdorff_cover_resolution(fs.discrete((0, 1)), [{0}])
+
+
+def test_resolution_names_a_cover_element_that_is_not_open():
+    # {b} is closed in the Sierpinski space and Hausdorff as a subspace
+    with pytest.raises(fs.InvalidSpace, match="cover element 0 is not open"):
+        fs.hausdorff_cover_resolution(fs.sierpinski(), [{"b"}, {"a"}])
 
 
 # -- closed_hausdorff_core -----------------------------------------------------

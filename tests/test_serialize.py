@@ -3,7 +3,11 @@ import contextlib
 import copy
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,6 +171,16 @@ def test_schema_errors_carry_paths():
     assert "/assignment" in str(err.value)
     with pytest.raises(sz.SchemaError):
         sz.cech_from_json({"schema": "cech/1", "n": 3, "base_points": [], "cover": {"one": []}, "lambda": []})
+
+
+def test_a_lambda_row_of_another_shape_is_named_at_its_path():
+    # without the shape check a short row of ints fails later, unpacked
+    doc = sz.cech_to_json(bundled.tetrahedron_cech())
+    for row in (doc["lambda"][1][:3], [*doc["lambda"][1], 0], "1230"):
+        bad = copy.deepcopy(doc)
+        bad["lambda"][1] = row
+        with pytest.raises(sz.SchemaError, match=r"^lambda rows are \[i, j, k, value\] \(at //lambda/1\)$"):
+            sz.cech_from_json(bad, "/")
 
 
 def test_seam_row_missing_field_carries_path():
@@ -557,3 +571,173 @@ def test_cocycle_parse_matches_the_label_path():
                      "SchemaError: cocycle order must be positive", "SchemaError: morphism labels collide at ",
                      "SchemaError: expected a scalar label, got list", "valid"):
         assert any(k.startswith(reported) for k in seen), (reported, seen)
+
+
+# -- the bulk readers against the row walk ---------------------------------------------
+
+
+def int_label_groupoid_doc():
+    """A fingroupoid/1 document on the int labels 1 and 2, two units, as a
+    caller may pass it without JSON: its keys are ints, not strings."""
+    return {"schema": "fingroupoid/1",
+            "topology": {"schema": "finspace/1", "points": [1, 2], "min_open": {1: [1], 2: [2]}},
+            "units": [1, 2], "range": {1: 1, 2: 2}, "source": {1: 1, 2: 2}, "inverse": {1: 1, 2: 2},
+            "compose": [[1, 1, 1], [2, 2, 2]]}
+
+
+def test_bulk_readers_match_the_walk_on_shuffled_valid_documents():
+    rng = random.Random(1209)
+    groupoids = [*oracle_groupoids(), product_group(1, 1), product_group(3, 4), collide_groupoid(),
+                 relation_plain_copy(fs.SpaceMap(fs.discrete((0, 1, 2)), fs.discrete(("*",)),
+                                                 {0: "*", 1: "*", 2: "*"}))]
+    moduli = (1, 2, 6, 2**61 - 1, 2**61, 2**63 - 25, 2**63 + 5, 2**100 + 277)
+    checked = collections.Counter()
+    for g in groupoids:
+        base = sz.groupoid_to_json(g)
+        for trial in range(12):
+            doc = copy.deepcopy(base)
+            rng.shuffle(doc["compose"])
+            rng.shuffle(doc["units"])
+            for name in TABLES:
+                doc[name] = dict(rng.sample(list(doc[name].items()), len(doc[name])))
+            got, want = outcome(sz.groupoid_from_json, doc), outcome(reference_groupoid_from_json, copy.deepcopy(doc))
+            if isinstance(want, str):  # the colliding labels
+                assert got == want == "SchemaError: duplicate points (at //topology)"
+            else:
+                assert same_groupoid(got, want) and same_groupoid(got, g)
+            n, labels = rng.choice(moduli), [sz.canonical_label(m) for m in g.morphisms]
+            table = [[labels[a], labels[b], rng.choice((rng.randrange(n), -rng.randrange(2**70), rng.randrange(2**70)))]
+                     for a, b in zip(g.pairs[0].tolist(), g.pairs[1].tolist())]
+            cocycle = {"schema": "two_cocycle/1", "n": n, "table": rng.sample(table, rng.randint(0, len(table)))}
+            got, want = outcome(sz.cocycle_from_json, cocycle, g), outcome(reference_cocycle_from_json, cocycle, g)
+            if isinstance(want, str):  # the colliding labels
+                assert got == want and want.startswith("SchemaError: morphism labels collide")
+                continue
+            assert got.n == want.n and got.values.dtype == want.values.dtype
+            assert np.array_equal(got.values, want.values)
+            # residues of an object array are Python ints, exact at any size
+            assert all(type(v) is int for v in got.values.tolist())
+            checked["object" if got.values.dtype == object else "int64"] += 1
+    assert checked["object"] and checked["int64"], checked
+
+
+def edit(doc, *steps):
+    """A copy of ``doc`` with the value at each path of keys set."""
+    doc = copy.deepcopy(doc)
+    for keys, value in steps:
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return doc
+
+
+def test_bulk_readers_name_each_fault_as_the_walk_does():
+    g = product_group(2, 3)
+    gdoc = sz.groupoid_to_json(g)
+    cdoc = sz.cocycle_to_json(tw.TwoCocycle.from_values(g, 6, list(range(36))))
+    first = cdoc["table"][0][:2]
+    cocycle_cases = [
+        edit(cdoc, (("table", 3, 2), True)),
+        edit(cdoc, (("table", 3, 2), 2.0)),
+        edit(cdoc, (("table", 3, 2), 2**70)),
+        edit(cdoc, (("table", 3, 2), -2**70 - 1), (("table", 4, 2), -5)),
+        edit(cdoc, (("table", 3, 2), 2**63 + 1), (("table", 4, 2), -1)),
+        edit(cdoc, (("table", 3, 2), 2**64 - 1)),
+        edit(cdoc, (("n",), 1)),
+        edit(cdoc, (("n",), 2**61)),
+        edit(cdoc, (("n",), 2**64 + 1), (("table", 0, 2), 2**64 + 7)),
+        edit(cdoc, (("n",), 0)),
+        edit(cdoc, (("n",), 0), (("table", 9, 2), "1")),
+        edit(cdoc, (("table", 5, 0), ["(0,1)"])),
+        edit(cdoc, (("table", 5, 1), {"k": 1})),
+        edit(cdoc, (("table", 5, 1), 1)),
+        edit(cdoc, (("table", 5), cdoc["table"][5][:2])),
+        edit(cdoc, (("table", 5), [*cdoc["table"][5], 0])),
+        edit(cdoc, (("table", 5), "abc")),
+        edit(cdoc, (("table", 5), None)),
+        edit(cdoc, (("table", 5), (*cdoc["table"][5],))),
+        edit(cdoc, (("table", 7), [*first, 1])),
+        edit(cdoc, (("table", 7), [*first, True]), (("table", 8, 2), 1.5)),
+        edit(cdoc, (("table", 9, 2), True), (("table", 10, 0), "zz")),
+        edit(cdoc, (("table",), [])),
+    ]
+    # the int label 1 against the morphism labelled "1", on two units
+    ints = sz.groupoid_from_json(int_label_groupoid_doc())
+    ones = {"schema": "two_cocycle/1", "n": 4, "table": [["1", "1", 3], ["2", "2", 5]]}
+    cocycle_cases += [(ones, ints), (edit(ones, (("table", 0, 0), 1)), ints),
+                      (edit(ones, (("table", 1, 1), "1")), ints), (edit(ones, (("table", 1), [1, 1, 0])), ints)]
+    kinds = collections.Counter()
+    for case in cocycle_cases:
+        doc, groupoid = case if isinstance(case, tuple) else (case, g)
+        want = outcome(reference_cocycle_from_json, copy.deepcopy(doc), groupoid)
+        got = outcome(sz.cocycle_from_json, doc, groupoid)
+        if isinstance(want, str):
+            assert got == want, doc
+        else:
+            assert got.values.dtype == want.values.dtype and np.array_equal(got.values, want.values), doc
+        kinds[want.split(" (at ")[0] if isinstance(want, str) else "valid"] += 1
+    assert len(kinds) >= 10, kinds
+
+    groupoid_cases = [
+        edit(gdoc, (("compose", 4), gdoc["compose"][4][:2])),
+        edit(gdoc, (("compose", 4), [*gdoc["compose"][4], "x"])),
+        edit(gdoc, (("compose", 4), "abc")),
+        edit(gdoc, (("compose", 4), {"a": 1, "b": 2, "c": 3})),
+        edit(gdoc, (("compose", 4, 1), ["(0,1)"])),
+        edit(gdoc, (("compose", 4, 2), 1)),
+        edit(gdoc, (("compose", 9), gdoc["compose"][3])),
+        edit(gdoc, (("compose", 9), gdoc["compose"][3]), (("range",), {})),
+        edit(gdoc, (("range",), {})),
+        edit(gdoc, (("inverse", "(1,2)"), "(5,5)")),
+        edit(gdoc, (("units",), ["(0,0)", "1"])),
+        edit(gdoc, (("units",), [["(0,0)"]])),
+        edit(gdoc, (("compose",), [])),
+        edit(gdoc, (("units",), [])),
+    ]
+    ints = int_label_groupoid_doc()
+    groupoid_cases += [
+        ints,
+        edit(ints, (("compose", 0), [True, True, 1])),
+        edit(ints, (("compose", 1), [2.0, 2, 2])),
+        edit(ints, (("compose", 0), ["1", 1, 1])),
+        edit(ints, (("range",), {"1": 1, "2": 2})),
+        edit(ints, (("units",), [1, [2]])),
+        edit(ints, (("compose",), [[1, 1, 1], [2, 2, 2], [True, 1, 1]])),
+    ]
+    kinds.clear()
+    for doc in groupoid_cases:
+        want = outcome(reference_groupoid_from_json, copy.deepcopy(doc))
+        got = outcome(sz.groupoid_from_json, doc)
+        if isinstance(want, str):
+            assert got == want, doc
+        else:
+            assert same_groupoid(got, want), doc
+        kinds[want.split(" (at ")[0] if isinstance(want, str) else "valid"] += 1
+    assert len(kinds) >= 10, kinds
+
+
+def test_a_bulk_fault_the_walk_cannot_name_raises_under_python_O():
+    # a bulk test that fails on a valid document must not drop it silently
+    script = (
+        "from groupoidlab import bundled, serialize as sz\n"
+        "from groupoidlab.errors import InternalCheckFailure\n"
+        "from groupoidlab.groupoid import FinGroupoid\n"
+        "doc = bundled.bundled_document('trivial-cocycle')\n"
+        "r, _ = sz.twisted_groupoid_from_json(doc)\n"
+        "g = FinGroupoid(r.topology, r.range_idx, r.source_idx, r.inverse_idx, r.unit_mask, r.pairs)\n"
+        "sz._repeats = lambda keys: True\n"
+        "for read in (lambda: sz.groupoid_from_json(sz.groupoid_to_json(g)),\n"
+        "             lambda: sz.cocycle_from_json(doc['cocycle'], g)):\n"
+        "    try:\n"
+        "        read()\n"
+        "    except InternalCheckFailure as err:\n"
+        "        print('raised', err)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(sz.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised the bulk read of a fingroupoid/1 document failed, but no row has a fault",
+        "raised the bulk read of a two_cocycle/1 table failed, but no row has a fault",
+    ]

@@ -864,6 +864,25 @@ def test_missing_triple_error():
     assert err.value.code == "MISSING_TRIPLE"
 
 
+def test_cech_data_rejects_a_cover_set_outside_the_base():
+    faces = [frozenset(t) for t in itertools.combinations((1, 2, 3, 4), 3)]
+    cover = {i: {f for f in faces if i in f} for i in (1, 2, 3, 4)}
+    cover[2] = cover[2] | {"stray"}
+    with pytest.raises(tw.CechError, match="cover set 2 is not a subset of the base"):
+        tw.CechData(3, faces, cover, [])
+
+
+def test_cech_is_coboundary_refuses_data_that_does_not_verify():
+    # missing triples: without the check the solver would decide a class
+    # on entries that are not there
+    faces = [frozenset(t) for t in itertools.combinations((1, 2, 3, 4), 3)]
+    cover = {i: {f for f in faces if i in f} for i in (1, 2, 3, 4)}
+    data = tw.CechData(3, faces, cover, [(1, 2, 3, 1)])
+    assert not tw.verify_cech(data).valid
+    with pytest.raises(tw.CechError, match="cech data does not verify"):
+        tw.cech_is_coboundary(data)
+
+
 def test_alternating_accessor_signs():
     data = tetrahedron_cover(n=3, value=1)
     assert data.value(1, 2, 3) == 1
