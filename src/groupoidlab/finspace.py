@@ -9,8 +9,13 @@ baked-in assumptions.
 
 Every map predicate reads the three flags of one pass over the images
 f(U_x) of the minimal opens (``_scan_masks``): f is continuous iff
-f(U_x) lies in U_{f(x)} for every x, open iff every f(U_x) is open, and
-a local homeomorphism iff also injective on every U_x.
+f(U_x) lies in U_{f(x)} for every x, open iff U_{f(x)} lies in f(U_x)
+for every x, and a local homeomorphism iff also injective on every U_x.
+The openness rule is a lemma: if x' in U_x implies U_{x'} in U_x
+(coherence), f is open iff U_{f(x)} lies in f(U_x) for every x.  Proof:
+(=>) f(U_x) is open and contains f(x).  (<=) each y = f(x') with x' in
+U_x has U_y in f(U_{x'}) in f(U_x), so f(U_x) is open, and so is every
+image of a union of U_x.  Continuity is the reverse inclusion.
 The quotient test compares the codomain with the final topology, whose
 minimal opens one routine computes for ``is_quotient_map`` and
 ``quotient_space`` alike.
@@ -22,11 +27,11 @@ dozen points.  Every builder here hands over masks; the labels of a
 ``finspace/1`` document are numbered only in ``serialize``.  Coherence
 is decided once per mask tuple, in a cache of ``COHERENCE_CACHE`` tuples.
 
-This module is the one home of the bit algebra of a preorder, in four
+This module is the one home of the bit algebra of a preorder, in three
 private helpers: ``_iter_bits`` lists the set bits of a mask,
-``_is_open`` decides whether a mask is a down-set, ``_union`` joins a
-value per set bit (a map's image is ``_union`` over ``1 << target``),
-and ``_closure`` closes one row mask per point reflexively and
+``_union`` joins a value per set bit (a map's image is ``_union`` over
+``1 << target``, and a mask S is open iff ``_union(mo, S) == S``), and
+``_closure`` closes one row mask per point reflexively and
 transitively.  ``groupoid``, ``corpus`` and ``serialize`` walk bits only
 through them.
 """
@@ -59,19 +64,6 @@ def _iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _is_open(mo: Sequence[int], mask: int) -> bool:
-    """Whether ``mask`` contains the minimal open of each of its points.
-    Once U_j is found inside, the points of U_j need no test of their
-    own (their minimal opens lie in U_j), so they are dropped."""
-    todo = mask
-    while todo:
-        u = mo[(todo & -todo).bit_length() - 1]
-        if u & ~mask:
-            return False
-        todo &= ~u
-    return True
 
 
 def _union(values, mask: int) -> int:
@@ -185,7 +177,8 @@ class FinSpace:
     # -- topology -------------------------------------------------------
 
     def is_open_bits(self, mask: int) -> bool:
-        return _is_open(self._mo, mask)
+        """Whether ``mask`` holds U_j for each j in it: whether their union is ``mask``."""
+        return _union(self._mo, mask) == mask
 
     def closure_bits(self, mask: int) -> int:
         return sum(1 << i for i in range(len(self.points)) if self._mo[i] & mask)
@@ -295,18 +288,20 @@ class MapProperties:
 def _scan_masks(dom_mo: Sequence[int], cod_mo: Sequence[int], targets: Sequence[int]) -> tuple:
     """(continuous, open_map, locally_injective) of the map with domain
     and codomain minimal opens ``dom_mo`` and ``cod_mo`` and a codomain
-    index per domain point: whether every f(U_x) lies in U_{f(x)}, is
-    open, and has as many points as U_x.  Images commute with unions, so
-    the minimal opens decide the first two."""
+    index per domain point: whether every f(U_x) lies in U_{f(x)},
+    whether every U_{f(x)} lies in f(U_x) (the module's openness lemma),
+    and whether every f(U_x) has as many points as U_x."""
     continuous = open_map = locally_injective = True
     bits = [1 << t for t in targets]
     for i, u in enumerate(dom_mo):
         img = _union(bits, u)
-        if img & ~cod_mo[targets[i]]:
+        cod = cod_mo[targets[i]]
+        if img & ~cod:
             continuous = False
+        if cod & ~img:
+            open_map = False
         if img.bit_count() != u.bit_count():
             locally_injective = False
-        open_map = open_map and _is_open(cod_mo, img)
     return continuous, open_map, locally_injective
 
 
@@ -331,7 +326,8 @@ def is_local_homeomorphism(f: SpaceMap) -> bool:
 
     Each U_x lies in every open V around x, so a homeomorphism of V onto
     an open set restricts to one of U_x.  Conversely a continuous open
-    bijection of U_x onto the open set f(U_x) is a homeomorphism.
+    bijection of U_x onto the open set f(U_x) is a homeomorphism.  By the
+    module's openness lemma, that is f(U_x) = U_{f(x)} and |f(U_x)| = |U_x| for all x.
     """
     return all(_scan_masks(f.dom._mo, f.cod._mo, f.targets))
 

@@ -53,7 +53,6 @@ from .finspace import (
     FinSpace,
     MapProperties,
     SpaceMap,
-    _is_open,
     _scan_masks,
     _union,
     classify_map,
@@ -650,17 +649,18 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
     opens from the base of the orbit space (Y for a relation groupoid),
     and the content is whether two topologies on one set agree: with
     minimal opens mo (the groupoid's) and rq (R(q)'s), r x s is
-    continuous iff every mo[m] lies in rq[m], and open iff every mo[m]
-    is open in R(q); the witness is the first mo[m] that is not.
+    continuous iff every mo[m] lies in rq[m], and open iff every rq[m]
+    lies in mo[m] (the openness lemma of ``finspace``), so a homeomorphism
+    iff mo == rq; if not open, the witness is the first mo[m] not open in R(q).
     """
     if not groupoid.principal:
         raise NonPrincipalError("fell_check requires a principal groupoid")
     rq = product_masks(_unit_base(groupoid)[1], groupoid.layout)
     mo = groupoid.topology._mo
     continuous = not any(u & ~v for u, v in zip(mo, rq))
-    first = next((m for m, u in enumerate(mo) if not _is_open(rq, u)), None)
-    witness = None if first is None else groupoid.topology.unbits(mo[first])
-    return FellCheck(continuous and first is None, first is None, continuous, witness)
+    is_open = not any(v & ~u for u, v in zip(mo, rq))
+    witness = None if is_open else groupoid.topology.unbits(next(u for u in mo if _union(rq, u) != u))
+    return FellCheck(continuous and is_open, is_open, continuous, witness)
 
 
 @dataclass(frozen=True)

@@ -173,10 +173,14 @@ def _transform_row(i: int, m: int, log: list, n: int, dtype) -> np.ndarray:
 
 
 def _residues(x, n: int, dtype) -> np.ndarray:
-    x = np.asarray(x)
-    if x.dtype.kind != "i" or n >= 2**63:
-        x = x.astype(object)
-    return (x % n).astype(dtype)
+    """``x`` mod n as an array of ``dtype``; read as Python ints unless numpy reads
+    it as signed ints (a list mixing values past int64 with small ones is not)."""
+    arr = np.asarray(x)
+    if arr.dtype.kind != "i":
+        arr = np.array(x, dtype=object)
+    elif n >= 2**63:
+        arr = arr.astype(object)
+    return (arr % n).astype(dtype)
 
 
 def solve_mod(a, b, n: int) -> ModSolveResult:
@@ -188,10 +192,9 @@ def solve_mod(a, b, n: int) -> ModSolveResult:
     """
     if n < 1:
         raise ValueError("modulus must be positive")
-    a = np.atleast_2d(np.asarray(a))
-    m, k = a.shape
+    m, k = np.atleast_2d(np.asarray(a)).shape
     dtype = np.int64 if max(m, k) * (n - 1) ** 2 < 2**63 else object
-    a = _residues(a, n, dtype)
+    a = _residues(a, n, dtype).reshape(m, k)
     b = _residues(b, n, dtype).reshape(m)
     if n == 1:
         return ModSolveResult(1, tuple([0] * k), None)

@@ -699,8 +699,22 @@ def reference_scan_images(f: fs.SpaceMap) -> tuple:
     return reference_scan_masks(f.dom._mo, f.cod._mo, f.targets)
 
 
+def reference_is_open(mo: Sequence[int], mask: int) -> bool:
+    """Whether ``mask`` contains the minimal open of each of its points.
+    Once U_j is found inside, the points of U_j need no test of their
+    own (their minimal opens lie in U_j), so they are dropped."""
+    todo = mask
+    while todo:
+        u = mo[(todo & -todo).bit_length() - 1]
+        if u & ~mask:
+            return False
+        todo &= ~u
+    return True
+
+
 def reference_scan_masks(dom_mo, cod_mo, targets) -> tuple:
-    """``finspace._scan_masks`` with its first-not-open channel."""
+    """``finspace._scan_masks`` with its first-not-open channel, each
+    image tested by the down-set walk ``reference_is_open``."""
     continuous = locally_injective = True
     first_not_open = None
     bits = [1 << t for t in targets]
@@ -710,7 +724,7 @@ def reference_scan_masks(dom_mo, cod_mo, targets) -> tuple:
             continuous = False
         if img.bit_count() != u.bit_count():
             locally_injective = False
-        if first_not_open is None and not fs._is_open(cod_mo, img):
+        if first_not_open is None and not reference_is_open(cod_mo, img):
             first_not_open = i
     return continuous, first_not_open is None, locally_injective, first_not_open
 

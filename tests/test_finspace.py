@@ -18,7 +18,9 @@ from helpers import (
     reference_classify_map,
     reference_coherence_loop,
     reference_final_masks,
+    reference_is_open,
     reference_random_space,
+    reference_scan_masks,
     reference_space_fault,
     reference_topology_relations,
     subspace,
@@ -456,6 +458,35 @@ def test_map_classes_match_the_scan_with_the_first_not_open_channel():
                     kinds.add((props.continuous, props.open_map, props.local_homeomorphism))
     assert {(c, o) for c, o, _ in kinds} == {(True, True), (True, False), (False, True), (False, False)}
     assert {h for *_, h in kinds} == {True, False}
+
+
+def _random_preorder(rng, n):
+    """The minimal opens of a random preorder on n points, closed with
+    ``_closure``; the density varies so that both verdicts occur."""
+    density = rng.random()
+    rows = [sum(1 << j for j in range(n) if j != i and rng.random() < density) for i in range(n)]
+    return fs._closure(rows)
+
+
+def test_openness_by_inclusion_matches_the_down_set_walk():
+    """The openness lemma against the walk it replaced, on 20,000 random
+    pairs of coherent families on up to 9 points: as a map (random
+    targets, every image walked) and as the identity map of
+    ``fell_check`` (every mask walked, the first not-open one included)."""
+    rng = random.Random(2540)
+    verdicts = collections.Counter()
+    for _ in range(20_000):
+        n = rng.randint(1, 9)
+        dom, cod = _random_preorder(rng, n), _random_preorder(rng, n)
+        targets = [rng.randrange(n) for _ in range(n)]
+        walked = reference_scan_masks(dom, cod, targets)
+        assert fs._scan_masks(dom, cod, targets) == walked[:3]
+        first = next((m for m, u in enumerate(dom) if not reference_is_open(cod, u)), None)
+        space = fs.FinSpace(range(n), cod)
+        assert next((m for m, u in enumerate(dom) if not space.is_open_bits(u)), None) == first
+        assert fs._scan_masks(dom, cod, range(n))[1] == (first is None)
+        verdicts[walked[1], first is None] += 1
+    assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _fault(points, masks):

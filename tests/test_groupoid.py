@@ -506,6 +506,14 @@ def test_a_pair_listed_twice_is_rejected():
     assert str(err.value) == "composable pair ('t','t') listed twice" and err.value.witness == ("t", "t")
 
 
+def test_a_unit_with_another_range_is_named():
+    # e and f are units, and e's range is f: the later laws reject this
+    # too, but the first check names the unit
+    with pytest.raises(gp.GroupoidAxiomError) as err:
+        gp.FinGroupoid(fs.discrete(("e", "f")), [1, 1], [0, 1], [0, 1], [True, True], ([1], [1], [1]))
+    assert str(err.value) == "unit 'e' is not its own range and source" and err.value.witness == "e"
+
+
 def test_a_non_unit_idempotent_end_is_rejected():
     # e is the only unit; t is its own range, source and inverse, t t = t
     with pytest.raises(gp.GroupoidAxiomError) as err:

@@ -146,13 +146,125 @@ else:
 """
 
 
+def run_under_python_O(script: str) -> str:
+    """The stripped output of ``script`` run by ``python -O``."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_solver_self_check_survives_python_O():
     # The system is solvable by construction.  At this modulus int64
     # products would overflow, so the solver must switch to exact
     # arithmetic and return a solution that verifies, also under -O.
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", SOLVE], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "solved"
+    assert run_under_python_O(SOLVE) == "solved"
+
+
+NON_OPEN_ORBIT_MAP = """
+from groupoidlab import finspace as fs
+from groupoidlab import groupoid as gp
+from groupoidlab.errors import InternalCheckFailure
+
+# b and c lie in U_a, and q glues a to c: the saturation {a, c} of the
+# open set {c} is not open, so q is not open and R(psi) is not etale
+y = fs.FinSpace("abc", [0b111, 0b010, 0b100])
+_, psi = fs.quotient_space(y, [{"a", "c"}, {"b"}])
+g = gp.build_relation_groupoid(psi)
+print(gp.groupoid_properties(g).etale, fs.classify_map(gp.orbit_space(g)[1]).open_map)
+# the theorem's hypothesis, forced: the groupoid claims to be etale
+g._props_cache = gp.GroupoidProperties(g.principal, True)
+try:
+    gp.orbit_space(g)
+except InternalCheckFailure as err:
+    print("raised" if "non-open orbit map" in str(err) else err)
+"""
+
+
+def test_orbit_space_open_map_check_survives_python_O():
+    # an etale groupoid has an open orbit map; a groupoid that claims the
+    # etale property without it trips the check, also under -O
+    assert run_under_python_O(NON_OPEN_ORBIT_MAP).split() == ["False", "False", "raised"]
+
+
+NON_CLOSED_CECH = """
+import itertools
+
+from groupoidlab import twist as tw
+from groupoidlab.calgebra import build_doubled_cover_space
+
+# four cover sets on one point: the nerve holds the 3-simplex, and
+# lambda(1,2,3) = 1 alone gives d(lambda)(1,2,3,4) = -1, not 0
+cover = {i: {"p"} for i in (1, 2, 3, 4)}
+entries = [(*t, int(t == (1, 2, 3))) for t in itertools.combinations((1, 2, 3, 4), 3)]
+data = tw.CechData(3, ["p"], cover, entries)
+print(tw.verify_cech(data).valid)
+try:
+    tw.cech_to_groupoid_cocycle(data, build_doubled_cover_space(data))
+except tw.CechError as err:
+    print("raised" if "transported cocycle fails verification" in str(err) else err)
+"""
+
+
+def test_transported_cocycle_check_survives_python_O():
+    # d(lambda) = 0 makes the transported table a cocycle; without it the
+    # re-verification rejects the table, also under -O
+    assert run_under_python_O(NON_CLOSED_CECH).split() == ["False", "raised"]
+
+
+WRONG_RESOLUTION = """
+from groupoidlab import finspace as fs
+from groupoidlab.errors import InternalCheckFailure
+
+x = fs.discrete("abc")
+
+
+class Indiscrete(fs.FinSpace):
+    # the construction's fact, forced: each copy of U_p is U_p itself
+    def __init__(self, points, masks):
+        super().__init__(points, [(1 << len(masks)) - 1] * len(masks))
+
+
+fs.FinSpace = Indiscrete
+try:
+    fs.hausdorff_cover_resolution(x, [{"a", "b"}, {"b", "c"}])
+except InternalCheckFailure as err:
+    print("raised" if "not a surjective local homeomorphism" in str(err) else err)
+"""
+
+
+def test_cover_resolution_check_survives_python_O():
+    # the resolution carries each U_p to its copy, so psi is a local
+    # homeomorphism; an indiscrete resolution is not, and is caught
+    assert run_under_python_O(WRONG_RESOLUTION) == "raised"
+
+
+WRONG_SOLVER_STEPS = """
+import numpy as np
+
+from groupoidlab import modlin
+from groupoidlab.errors import InternalCheckFailure
+
+# the replayed row of U, forced to zero: the certificate of 2 (x + y) = 1
+# mod 8 then sums to 0 on the right-hand side
+modlin._transform_row = lambda i, m, log, n, dtype: np.zeros(m, dtype=dtype)
+try:
+    modlin.solve_mod([[2, 2], [4, 4]], [1, 2], 8)
+except InternalCheckFailure as err:
+    print("raised" if "certificate fails to verify" in str(err) else err)
+# every modular inverse, forced to 1: back-substitution then solves
+# 3 x = 1 mod 7 with x = 1
+modlin.pow = lambda base, exp, mod: 1
+try:
+    modlin.solve_mod([[3]], [1], 7)
+except InternalCheckFailure as err:
+    print("raised" if "solution fails to verify" in str(err) else err)
+"""
+
+
+def test_solver_certificate_and_solution_checks_survive_python_O():
+    # a certificate is the replayed row of U times n / g, and a solution
+    # divides by units; with either fact broken the re-check raises
+    assert run_under_python_O(WRONG_SOLVER_STEPS).split() == ["raised", "raised"]

@@ -3,6 +3,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from groupoidlab import modlin
 from groupoidlab.modlin import _diagonalize, _transform_row, _unit_pivots, solve_mod
@@ -150,6 +151,28 @@ def test_big_moduli_use_exact_arithmetic():
         assert not res.solvable
         u = res.certificate
         assert (2 * u[0] + 4 * u[1]) % even == 0 and (u[0] + 2 * u[1]) % even != 0
+
+
+def test_modulus_must_be_positive():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            solve_mod([[1]], [1], n)
+
+
+def test_mixed_big_and_small_values_are_read_exactly():
+    # numpy reads [2**63 + 1, 5] as float64, which rounds 2**63 + 1 to 2**63
+    assert modlin._residues([2**63 + 1, 5], 7, np.int64).tolist() == [2, 5]
+    assert modlin._residues(np.array([2**63 + 1, 5], dtype=np.uint64), 7, np.int64).tolist() == [2, 5]
+    n = 2**63 + 25
+    a, b = [[1, 0], [0, 1], [1, 1]], [2**63 + 3, 5, 2**63 + 8]
+    res = solve_mod(a, b, n)
+    assert res.solution == (2**63 + 3, 5)
+    check_result(res, a, b, n)
+    # the same read for the matrix: (2**63 + 1) x = 2**63 + 1 has x = 1
+    a, b = [[2**63 + 1, 0], [0, 1]], [2**63 + 1, 5]
+    res = solve_mod(a, b, n)
+    assert res.solution == (1, 5)
+    check_result(res, a, b, n)
 
 
 def check_result(res, a, b, n):

@@ -813,6 +813,18 @@ def test_coboundary_is_exact_at_big_moduli():
             assert tw.are_cohomologous(db, tw.TwoCocycle.trivial(g, n)) is not None
 
 
+def test_cocycle_values_past_int64_stay_exact():
+    # numpy reads a list mixing a value past int64 with a small one as
+    # float64; the values must still be reduced as integers
+    g = pair_groupoid((1, 2))
+    n = 2**63 + 25
+    values = [2**63 + 1, 5, 2**63 + 7, 0, 1, -3, 2**64 - 1, n]
+    assert len(values) == len(g.pairs[0])
+    sigma = tw.TwoCocycle.from_values(g, n, values)
+    assert sigma.values.tolist() == [v % n for v in values]
+    assert all(type(v) is int for v in sigma.values.tolist())
+
+
 # -- Cech data -------------------------------------------------------------------
 
 
@@ -1109,6 +1121,16 @@ def test_transported_cocycles_cohomologous_for_shifted_lambda():
     db = tw.coboundary_twist(witness)
     for pair in doubled.relation.composable_pairs():
         assert (sigma1.table[pair] - sigma2.table[pair] - db.table[pair]) % n == 0
+
+
+def test_transport_refuses_a_doubled_model_of_other_data():
+    from groupoidlab.calgebra import build_doubled_cover_space
+
+    base = tetrahedron_cover(n=3, value=1)
+    doubled = build_doubled_cover_space(tetrahedron_cover(n=3, value=1))
+    with pytest.raises(tw.CechError, match="built from different cech data"):
+        tw.cech_to_groupoid_cocycle(base, doubled)
+    assert tw.cech_to_groupoid_cocycle(base, build_doubled_cover_space(base)).n == 3
 
 
 def test_orbit_space_of_plain_groupoid():
