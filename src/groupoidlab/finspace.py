@@ -11,11 +11,10 @@ Every map predicate reads the three flags of one pass over the images
 f(U_x) of the minimal opens (``_scan_masks``): f is continuous iff
 f(U_x) lies in U_{f(x)} for every x, open iff U_{f(x)} lies in f(U_x)
 for every x, and a local homeomorphism iff also injective on every U_x.
-The openness rule is a lemma: if x' in U_x implies U_{x'} in U_x
-(coherence), f is open iff U_{f(x)} lies in f(U_x) for every x.  Proof:
-(=>) f(U_x) is open and contains f(x).  (<=) each y = f(x') with x' in
-U_x has U_y in f(U_{x'}) in f(U_x), so f(U_x) is open, and so is every
-image of a union of U_x.  Continuity is the reverse inclusion.
+The openness rule is a lemma for coherent minimal opens (x' in U_x
+implies U_{x'} in U_x).  Proof: (=>) f(U_x) is open and contains f(x).
+(<=) each y = f(x') with x' in U_x has U_y in f(U_{x'}) in f(U_x), so
+f(U_x) is open, and so is every image of a union of U_x.
 The quotient test compares the codomain with the final topology, whose
 minimal opens one routine computes for ``is_quotient_map`` and
 ``quotient_space`` alike.
@@ -288,14 +287,12 @@ class MapProperties:
 def _scan_masks(dom_mo: Sequence[int], cod_mo: Sequence[int], targets: Sequence[int]) -> tuple:
     """(continuous, open_map, locally_injective) of the map with domain
     and codomain minimal opens ``dom_mo`` and ``cod_mo`` and a codomain
-    index per domain point: whether every f(U_x) lies in U_{f(x)},
-    whether every U_{f(x)} lies in f(U_x) (the module's openness lemma),
-    and whether every f(U_x) has as many points as U_x."""
+    index per domain point: whether every f(U_x) lies in U_{f(x)}, holds
+    U_{f(x)} (the module's openness lemma), and has as many points as U_x."""
     continuous = open_map = locally_injective = True
     bits = [1 << t for t in targets]
     for i, u in enumerate(dom_mo):
-        img = _union(bits, u)
-        cod = cod_mo[targets[i]]
+        img, cod = _union(bits, u), cod_mo[targets[i]]
         if img & ~cod:
             continuous = False
         if cod & ~img:
@@ -322,12 +319,12 @@ def is_quotient_map(f: SpaceMap) -> bool:
 
 
 def is_local_homeomorphism(f: SpaceMap) -> bool:
-    """Continuous, open and injective on every minimal open U_x.
+    """Continuous, open and injective on every minimal open U_x; by the
+    module's openness lemma, f(U_x) = U_{f(x)} with |U_x| points for all x.
 
     Each U_x lies in every open V around x, so a homeomorphism of V onto
     an open set restricts to one of U_x.  Conversely a continuous open
-    bijection of U_x onto the open set f(U_x) is a homeomorphism.  By the
-    module's openness lemma, that is f(U_x) = U_{f(x)} and |f(U_x)| = |U_x| for all x.
+    bijection of U_x onto the open set f(U_x) is a homeomorphism.
     """
     return all(_scan_masks(f.dom._mo, f.cod._mo, f.targets))
 

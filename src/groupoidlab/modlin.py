@@ -172,15 +172,17 @@ def _transform_row(i: int, m: int, log: list, n: int, dtype) -> np.ndarray:
     return u
 
 
-def _residues(x, n: int, dtype) -> np.ndarray:
-    """``x`` mod n as an array of ``dtype``; read as Python ints unless numpy reads
-    it as signed ints (a list mixing values past int64 with small ones is not)."""
+def _exact(x) -> np.ndarray:
+    """``x`` as an array of its exact values: Python ints where numpy reads floats or uint64."""
     arr = np.asarray(x)
-    if arr.dtype.kind != "i":
-        arr = np.array(x, dtype=object)
-    elif n >= 2**63:
-        arr = arr.astype(object)
-    return (arr % n).astype(dtype)
+    return arr if arr.dtype.kind in "iO" else np.array(x, dtype=object)
+
+
+def _residues(x, n: int, dtype) -> np.ndarray:
+    x = _exact(x)
+    if x.dtype.kind != "i" or n >= 2**63:
+        x = x.astype(object)
+    return (x % n).astype(dtype)
 
 
 def solve_mod(a, b, n: int) -> ModSolveResult:
@@ -192,9 +194,10 @@ def solve_mod(a, b, n: int) -> ModSolveResult:
     """
     if n < 1:
         raise ValueError("modulus must be positive")
-    m, k = np.atleast_2d(np.asarray(a)).shape
+    a = np.atleast_2d(_exact(a))
+    m, k = a.shape
     dtype = np.int64 if max(m, k) * (n - 1) ** 2 < 2**63 else object
-    a = _residues(a, n, dtype).reshape(m, k)
+    a = _residues(a, n, dtype)
     b = _residues(b, n, dtype).reshape(m)
     if n == 1:
         return ModSolveResult(1, tuple([0] * k), None)
