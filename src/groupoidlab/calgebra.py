@@ -164,8 +164,8 @@ def structure_constants(sigma: TwoCocycle) -> tuple:
     if cached is None:
         g = sigma.groupoid
         roots = np.array(_roots(sigma.n))
-        phases = roots[sigma.on_pairs(np.arange(len(g.pairs[0])))]
-        stars = roots[sigma.on_pairs(g.pair_number(g.inverse_idx, np.arange(len(g.morphisms))))].conj()
+        phases = roots[sigma.values]
+        stars = roots[sigma.values[g.pair_number(g.inverse_idx, np.arange(len(g.morphisms)))]].conj()
         cached = sigma._structure_constants = (g, phases, stars)
     return cached
 
@@ -440,13 +440,14 @@ def block_decompose(relation: RelationGroupoid, sigma: TwoCocycle) -> BlockDecom
     return BlockDecomposition(relation, sigma)
 
 
-def random_element(rng: random.Random, groupoid: FinGroupoid, sigma: TwoCocycle, density: float = 0.7) -> AlgebraElement:
+def random_element(rng: random.Random, groupoid: FinGroupoid, sigma: TwoCocycle) -> AlgebraElement:
     if sigma.groupoid is not groupoid:
         raise CocycleError("cocycle belongs to a different groupoid")
-    # per morphism: one draw for the support, two more for a value in it,
-    # each -1 + 2 x as ``rng.uniform(-1, 1)`` forms it
+    # per morphism: one draw for the support, which holds it with
+    # probability 0.7, and two more for a value in it, each -1 + 2 x as
+    # ``rng.uniform(-1, 1)`` forms it
     draw = rng.random
-    values = [complex(-1 + 2 * draw(), -1 + 2 * draw()) if draw() < density else 0j for _ in groupoid.morphisms]
+    values = [complex(-1 + 2 * draw(), -1 + 2 * draw()) if draw() < 0.7 else 0j for _ in groupoid.morphisms]
     return _element(sigma, np.array(values, dtype=complex))
 
 

@@ -20,10 +20,8 @@ SEED_ENV_VAR = "GROUPOIDLAB_SEED"
 PARTITION_CACHE = 16
 
 
-def env_seed(default: int = 0) -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return default
+def env_seed() -> int:
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:

@@ -27,7 +27,7 @@ from .finspace import FinSpace, InvalidSpace, SpaceMap, _iter_bits
 from .labels import canonical_label
 from .graphfell import DirectedGraph, PeriodicGraph
 from .groupoid import FinGroupoid, RelationGroupoid, build_relation_groupoid
-from .twist import CechData, TwoCocycle, _value_dtype
+from .twist import CechData, CocycleError, TwoCocycle, _value_dtype
 
 
 class SchemaError(InputError):
@@ -336,8 +336,10 @@ def cocycle_to_json(sigma: TwoCocycle) -> dict:
 def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> TwoCocycle:
     """The cocycle of a ``two_cocycle/1`` document on ``groupoid``.  Its
     rows are read in bulk, and walked one by one only to name the first
-    fault; a walk that finds none raises ``InternalCheckFailure``.
-    Values are reduced mod n in int64 when they fit, else in Python ints."""
+    fault; a walk that finds none raises ``InternalCheckFailure``.  The
+    table lists every composable pair: the first one it leaves out, in
+    pair order, raises ``CocycleError`` with code MISSING_ENTRY.  Values
+    are reduced mod n in int64 when they fit, else in Python ints."""
     _expect_schema(doc, ("two_cocycle/1",), path)
     n = _expect_int(doc.get("n"), path, "n")
     labels = [canonical_label(m) for m in groupoid.morphisms]
@@ -379,7 +381,12 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
     if (pid < 0).any():
         a, b = (groupoid.morphisms[x[int(np.argmax(pid < 0))]] for x in ends)
         raise SchemaError(f"table entry on non-composable pair ({a!r},{b!r})", path + "/table")
-    out = np.full(len(groupoid.pairs[0]), -1, dtype=dtype)
+    if len(pid) < len(groupoid.pairs[0]):  # the rows are distinct composable pairs
+        listed = np.zeros(len(groupoid.pairs[0]), dtype=bool)
+        listed[pid] = True
+        a, b = (groupoid.morphisms[x[int(np.argmin(listed))]] for x in groupoid.pairs[:2])
+        raise CocycleError(f"cocycle table missing composable pair ({a!r},{b!r})", code="MISSING_ENTRY")
+    out = np.empty(len(groupoid.pairs[0]), dtype=dtype)
     try:
         out[pid] = np.fromiter(values, dtype, len(values)) % n
     except OverflowError:  # a value beyond int64

@@ -39,16 +39,11 @@ class CechError(ValueError):
         self.code = code
 
 
-def _missing_entry(a, b) -> CocycleError:
-    return CocycleError(f"cocycle table missing composable pair ({a!r},{b!r})", code="MISSING_ENTRY")
-
-
 class TwoCocycle:
     """A normalized Z/n-valued 2-cocycle on the composable pairs of a
     finite groupoid, stored additively: ``values`` holds the values on
-    the groupoid's numbered pairs, in pair order and reduced mod n, with
-    -1 where there is no entry, and ``table`` is the same by pairs of
-    labels."""
+    all of the groupoid's numbered pairs, in pair order and reduced mod
+    n, and ``table`` is the same by pairs of labels."""
 
     def __init__(self, groupoid: FinGroupoid, n: int, values: np.ndarray):
         self.groupoid, self.n, self.values = groupoid, n, values
@@ -66,34 +61,20 @@ class TwoCocycle:
     @cached_property
     def table(self) -> dict:
         pa, pb, _ = self.groupoid.pairs
-        m, present = self.groupoid.morphisms, np.flatnonzero(self.values >= 0)
-        return {
-            (m[a], m[b]): v
-            for a, b, v in zip(pa[present].tolist(), pb[present].tolist(), self.values[present].tolist())
-        }
-
-    def on_pairs(self, ks: np.ndarray) -> np.ndarray:
-        """Values at the numbered pairs ``ks``; the first missing one raises."""
-        out = self.values[ks]
-        if (out < 0).any():
-            pa, pb, _ = self.groupoid.pairs
-            k = ks[np.argmax(out < 0)]
-            raise _missing_entry(self.groupoid.morphisms[pa[k]], self.groupoid.morphisms[pb[k]])
-        return out
+        m = self.groupoid.morphisms
+        return {(m[a], m[b]): v for a, b, v in zip(pa.tolist(), pb.tolist(), self.values.tolist())}
 
     def conjugate(self) -> "TwoCocycle":
-        v = self.values
-        return TwoCocycle(self.groupoid, self.n, np.where(v < 0, v, -v % self.n))
+        return TwoCocycle(self.groupoid, self.n, -self.values % self.n)
 
     def shift(self, pair: tuple, delta: int) -> "TwoCocycle":
-        """Copy with one entry perturbed, a missing one read as 0; used for
-        fault injection."""
+        """Copy with one entry perturbed; used for fault injection."""
         g = self.groupoid
         k = int(g.pair_number(g.index[pair[0]], g.index[pair[1]]))
         if k < 0:
             raise CocycleError(f"table entry on non-composable pair ({pair[0]!r},{pair[1]!r})")
         values = self.values.copy()
-        values[k] = (max(int(values[k]), 0) + delta) % self.n
+        values[k] = (int(values[k]) + delta) % self.n
         return TwoCocycle(g, self.n, values)
 
     def same_footing(self, other: "TwoCocycle") -> bool:
@@ -126,9 +107,9 @@ class OneCochain:
             if m not in self.values:
                 raise CocycleError(f"cochain value on unknown morphism {m!r}")
             self.values[m] = v % n
-        for u in groupoid.units:
-            if self.values[u] % n:
-                raise CocycleError(f"cochain does not vanish on unit {u!r}")
+        for k in np.flatnonzero(groupoid.unit_mask).tolist():  # the lowest-numbered unit first
+            if self.values[groupoid.morphisms[k]] % n:
+                raise CocycleError(f"cochain does not vanish on unit {groupoid.morphisms[k]!r}")
 
     def __call__(self, m) -> int:
         return self.values[m]
@@ -150,17 +131,13 @@ class CocycleReport:
 
 def _identity_violations(sigma: TwoCocycle, last: np.ndarray | None = None) -> list:
     """The triples (a, b, c) of ``triple_join(last)`` at which the cocycle
-    identity fails, as morphism numbers in triple order.  With an entry
-    missing, every pair is read and the first missing one raises."""
+    identity fails, as morphism numbers in triple order."""
     g, n, v = sigma.groupoid, sigma.n, sigma.values
     pa, pb, pc = g.pairs
-    missing = (v < 0).any()
     out = []
     # (a,b), (ab,c), (b,c), (a,bc), block by block in triple order
     for ab, bc in g.triple_join(last):
         terms = (ab, g.pair_number(pc[ab], pb[bc]), bc, g.pair_number(pa[ab], pc[bc]))
-        if missing:
-            sigma.on_pairs(np.stack(terms, axis=1).ravel())
         bad = (v[terms[0]] + v[terms[1]] - v[terms[2]] - v[terms[3]]) % n != 0
         out += zip(pa[ab[bad]].tolist(), pb[ab[bad]].tolist(), pb[bc[bad]].tolist())
     return out
@@ -171,21 +148,19 @@ def verify_two_cocycle(sigma: TwoCocycle) -> CocycleReport:
 
         D(a,b,c) = sigma(a,b) + sigma(ab,c) - sigma(b,c) - sigma(a,bc) = 0   (mod n)
 
-    on every composable triple.  Missing table entries raise with code
-    MISSING_ENTRY; violations are collected into the report.
+    on every composable triple; violations are collected into the report.
 
-    On a non-principal groupoid with every entry present, the identity is
-    first checked on the triples (a, b, c) whose c the groupoid's
-    ``generating_mask`` marks.  That suffices, because d^2 = 0 for
-    groupoid cochains (Renault, LNM 793) gives, for composable a, b, c, d,
+    On a non-principal groupoid the identity is first checked on the
+    triples (a, b, c) whose c the groupoid's ``generating_mask`` marks.
+    That suffices, because d^2 = 0 for groupoid cochains (Renault, LNM
+    793) gives, for composable a, b, c, d,
 
         D(b,c,d) - D(ab,c,d) + D(a,bc,d) - D(a,b,cd) + D(a,b,c) = 0,
 
     so the set of c with D(., ., c) = 0 is closed under composition, and
-    it holds the units and S.  When that check finds a violation, or an
-    entry is missing, the full sweep over all composable triples in
-    lexicographic order runs, so the report lists every violating triple
-    and the error names the first missing pair.  A principal groupoid
+    it holds the units and S.  When that check finds a violation, the
+    full sweep over all composable triples in lexicographic order runs,
+    so the report lists every violating triple.  A principal groupoid
     always takes the full sweep: its generating sets are large, and
     building one costs more than the triples it saves.
     """
@@ -196,8 +171,8 @@ def verify_two_cocycle(sigma: TwoCocycle) -> CocycleReport:
     # (u, u) once at a unit u, where the two are the same pair
     norm = np.stack([g.pair_number(g.range_idx, every), g.pair_number(every, g.source_idx)], axis=1)
     norm = norm.ravel()[np.stack([np.ones_like(g.unit_mask), ~g.unit_mask], axis=1).ravel()]
-    norm = norm[sigma.on_pairs(norm) != 0]
-    if g.principal or (sigma.values < 0).any() or _identity_violations(sigma, g.generating_mask):
+    norm = norm[sigma.values[norm] != 0]
+    if g.principal or _identity_violations(sigma, g.generating_mask):
         ident_bad = _identity_violations(sigma)
     else:
         ident_bad = []
@@ -236,7 +211,7 @@ def _principal_witness(diff: TwoCocycle) -> OneCochain | None:
     into = np.full(count, -1, dtype=np.int64)
     into[g.range_idx[sel]] = np.flatnonzero(sel)
     to_base = into[g.source_idx]
-    values = diff.on_pairs(g.pair_number(np.arange(count), to_base))
+    values = diff.values[g.pair_number(np.arange(count), to_base)]
     # b vanishes on units; a nonzero diff(u, beta(u)) is no coboundary, and db != diff below
     values[g.unit_mask] = 0
     b = OneCochain(g, diff.n, dict(zip(g.morphisms, values.tolist())))
@@ -354,8 +329,7 @@ def are_cohomologous(sigma1: TwoCocycle, sigma2: TwoCocycle) -> OneCochain | Non
         raise CocycleError("cocycles live on different groupoids or orders")
     g = sigma1.groupoid
     n = sigma1.n
-    every = np.arange(len(g.pairs[0]))
-    diff = TwoCocycle.from_values(g, n, sigma1.on_pairs(every) - sigma2.on_pairs(every))
+    diff = TwoCocycle.from_values(g, n, sigma1.values - sigma2.values)
     if g.principal:
         witness = _principal_witness(diff)
         if witness is not None:
@@ -399,17 +373,15 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
 
     The morphism topology is the product of discrete Z_n with the
     topology of G.  (z, m) is number z|G| + m, and the index is array
-    code on G's, with G's pairs broadcast over w and z.  sigma is read at
-    (m, m^{-1}) in morphism order, then at G's pairs in pair order; the
-    first missing entry raises.  Associativity of the result is
-    equivalent to the cocycle identity and is re-verified rather than
-    assumed, so an invalid sigma fails here with the violating triple.
+    code on G's, with G's pairs broadcast over w and z.  Associativity of
+    the result is equivalent to the cocycle identity and is re-verified
+    rather than assumed, so an invalid sigma fails here with the
+    violating triple.
     """
     if sigma.groupoid is not groupoid:
         raise CocycleError("cocycle is not defined on this groupoid")
     n, size = sigma.n, len(groupoid.morphisms)
-    twist_inv = sigma.on_pairs(groupoid.pair_number(np.arange(size), groupoid.inverse_idx))
-    twist = sigma.on_pairs(np.arange(len(groupoid.pairs[0])))
+    twist_inv = sigma.values[groupoid.pair_number(np.arange(size), groupoid.inverse_idx)]
     topology = FinSpace(
         [(z, m) for z in range(n) for m in groupoid.morphisms],
         [u << z * size for z in range(n) for u in groupoid.topology._mo],
@@ -422,7 +394,7 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
         np.tile(groupoid.source_idx, n),
         ((-w[:, 0] - twist_inv) % n * size + groupoid.inverse_idx).ravel(),
         np.concatenate([groupoid.unit_mask, np.zeros((n - 1) * size, dtype=bool)]),
-        np.broadcast_arrays(w * size + pa, z * size + pb, (w + z + twist) % n * size + pc),
+        np.broadcast_arrays(w * size + pa, z * size + pb, (w + z + sigma.values) % n * size + pc),
     )
 
 
@@ -628,11 +600,15 @@ def cech_to_groupoid_cocycle(data: CechData, doubled) -> TwoCocycle:
 
         sigma( ((s,i),(s,j)), ((s,j),(s,k)) ) = -lambda_ijk   (mod n),
 
-    the additive form of conjugation; d(lambda) = 0 makes it a cocycle,
-    which is re-verified.
+    the additive form of conjugation.  Data that fails ``verify_cech``
+    raises CechError before any transport; on the rest d(lambda) = 0
+    makes sigma a cocycle, which is re-verified, and a violation raises
+    InternalCheckFailure naming the first one.
     """
     if doubled.cech is not data:
         raise CechError("doubled model was built from different cech data")
+    if not verify_cech(data).valid:
+        raise CechError("cech data does not verify; run verify_cech for details")
     relation = doubled.relation
     m = relation.morphisms
     pa, pb, _ = relation.pairs
@@ -641,5 +617,6 @@ def cech_to_groupoid_cocycle(data: CechData, doubled) -> TwoCocycle:
     ])
     report = verify_two_cocycle(sigma)
     if not report.valid:
-        raise CechError(f"transported cocycle fails verification: {report}")
+        first = (*report.normalization_violations, *report.identity_violations)[0]
+        raise InternalCheckFailure(f"transported cocycle fails verification at {first}")
     return sigma

@@ -518,18 +518,10 @@ def label_groupoid(topology: fs.FinSpace, units, range_map, source_map, compose,
 
 def label_cocycle(groupoid: gp.FinGroupoid, n: int, table) -> tw.TwoCocycle:
     """The cocycle with ``table``'s values at its pairs of labels, read
-    as a ``two_cocycle/1`` document; pairs without an entry stay
-    missing."""
+    as a ``two_cocycle/1`` document; a table that leaves out a composable
+    pair raises the reader's ``CocycleError``."""
     rows = [[canonical_label(a), canonical_label(b), int(v)] for (a, b), v in table.items()]
     return sz.cocycle_from_json({"schema": "two_cocycle/1", "n": n, "table": rows}, groupoid)
-
-
-def cocycle_entry(sigma: tw.TwoCocycle, a, b) -> int:
-    """sigma at the pair of labels (a, b), read from its table; a missing
-    entry raises the ``CocycleError`` the library raises for it."""
-    if (a, b) not in sigma.table:
-        raise tw.CocycleError(f"cocycle table missing composable pair ({a!r},{b!r})", code="MISSING_ENTRY")
-    return sigma.table[(a, b)]
 
 
 def inverse_map(groupoid: gp.FinGroupoid) -> dict:
@@ -756,7 +748,7 @@ def reference_principal_witness(diff: tw.TwoCocycle) -> tw.OneCochain | None:
     by_ends = np.full((count, count), -1, dtype=np.int64)
     by_ends[g.range_idx, g.source_idx] = np.arange(count)
     to_base = by_ends[g.source_idx, g.orbit_idx[g.source_idx]]
-    values = diff.on_pairs(dense_pair_id(g)[np.arange(count), to_base])
+    values = diff.values[dense_pair_id(g)[np.arange(count), to_base]]
     b = tw.OneCochain(g, diff.n, dict(zip(g.morphisms, values.tolist())))
     if tw.coboundary_twist(b) == diff:
         return b

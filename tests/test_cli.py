@@ -175,6 +175,20 @@ def test_cocycle_verify_bundled(capsys):
     assert report["result"]["report"]["valid"]
 
 
+def test_every_command_names_the_same_missing_cocycle_entry(capsys, tmp_path):
+    # rows 2 and 7 are ('1','2'),('2','1') and ('2','2'),('2','2'); the
+    # first in pair order is named, where the table is read
+    doc = bundled.bundled_document("trivial-cocycle")
+    doc["cocycle"]["table"] = [row for k, row in enumerate(doc["cocycle"]["table"]) if k not in (2, 7)]
+    path = write(tmp_path, "partial.json", doc)
+    for command in ("cocycle-verify", "algebra-verify", "equivariant-check"):
+        code, report = run_cli(capsys, command, path)
+        assert code == 1, command
+        assert report["result"]["error"] == (
+            "CocycleError: cocycle table missing composable pair (('1', '2'),('2', '1'))"
+        ), command
+
+
 def test_cech_cert_bundled(capsys):
     code, report = run_cli(capsys, "cech-cert", "bundled:tetrahedron-z3")
     assert code == 0

@@ -194,6 +194,7 @@ import itertools
 
 from groupoidlab import twist as tw
 from groupoidlab.calgebra import build_doubled_cover_space
+from groupoidlab.errors import InternalCheckFailure
 
 # four cover sets on one point: the nerve holds the 3-simplex, and
 # lambda(1,2,3) = 1 alone gives d(lambda)(1,2,3,4) = -1, not 0
@@ -201,16 +202,18 @@ cover = {i: {"p"} for i in (1, 2, 3, 4)}
 entries = [(*t, int(t == (1, 2, 3))) for t in itertools.combinations((1, 2, 3, 4), 3)]
 data = tw.CechData(3, ["p"], cover, entries)
 print(tw.verify_cech(data).valid)
+# the theorem's hypothesis, forced: the data claims to be a cocycle
+tw.verify_cech = lambda data: tw.CechReport(True, (), (), (), ())
 try:
     tw.cech_to_groupoid_cocycle(data, build_doubled_cover_space(data))
-except tw.CechError as err:
-    print("raised" if "transported cocycle fails verification" in str(err) else err)
+except InternalCheckFailure as err:
+    print("raised" if "transported cocycle fails verification at (" in str(err) else err)
 """
 
 
 def test_transported_cocycle_check_survives_python_O():
-    # d(lambda) = 0 makes the transported table a cocycle; without it the
-    # re-verification rejects the table, also under -O
+    # d(lambda) = 0 makes the transported table a cocycle; data that only
+    # claims it is caught by the re-verification, also under -O
     assert run_under_python_O(NON_CLOSED_CECH).split() == ["False", "raised"]
 
 
