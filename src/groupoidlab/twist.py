@@ -107,9 +107,9 @@ class OneCochain:
             if m not in self.values:
                 raise CocycleError(f"cochain value on unknown morphism {m!r}")
             self.values[m] = v % n
-        for k in np.flatnonzero(groupoid.unit_mask).tolist():  # the lowest-numbered unit first
-            if self.values[groupoid.morphisms[k]] % n:
-                raise CocycleError(f"cochain does not vanish on unit {groupoid.morphisms[k]!r}")
+        for u in itertools.compress(groupoid.morphisms, groupoid.unit_mask.tolist()):  # lowest-numbered first
+            if self.values[u] % n:
+                raise CocycleError(f"cochain does not vanish on unit {u!r}")
 
     def __call__(self, m) -> int:
         return self.values[m]
