@@ -79,7 +79,6 @@ from .twist import (
     cech_is_coboundary,
     cech_to_groupoid_cocycle,
     extension_groupoid,
-    verify_cech,
     verify_two_cocycle,
 )
 
@@ -540,15 +539,14 @@ def build_doubled_model(levels: int, sheets: int, rng: random.Random | None = No
 
     # evaluation at level t (inducing rho(f) at (i, i, t)) is unitarily
     # equivalent to inducing f at the unit (t, i): the unitary relabels the
-    # fiber basis ((t,j),(t,i)) -> (j, i, t), one point at the unglued level.
-    # So the entry of the pair (b, c) sits at the pair (rho b, rho c), and
-    # each cell of the relation's ``fiber_cells`` has one partner cell in
-    # the target's.  On point masses the induced matrices hold the products
-    # compared above, so only dense elements add to the multiplicative
-    # deviation.
-    cells, _, _, size, _, _ = relation.fiber_cells
-    if (size[[relation.index[((levels - 1, i), (levels - 1, i))] for i in range(1, sheets + 1)]] != 1).any():
-        raise InternalCheckFailure("unglued level has a fiber of size > 1")
+    # fiber basis ((t,j),(t,i)) -> (j, i, t), one point at the unglued level:
+    # each of its points is a block of the partition on its own, so the
+    # source fiber of R(psi) at its unit is that unit alone.  So the entry
+    # of the pair (b, c) sits at the pair (rho b, rho c), and each cell of
+    # the relation's ``fiber_cells`` has one partner cell in the target's.
+    # On point masses the induced matrices hold the products compared
+    # above, so only dense elements add to the multiplicative deviation.
+    cells, *_ = relation.fiber_cells
     t_cells, *_ = target.groupoid.fiber_cells
     where = np.empty_like(t_cells)
     where[t_cells] = np.arange(len(t_cells))
@@ -757,6 +755,12 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
     """Realize the cover algebra of a verified alternating cocycle, then
     run the doubled-point construction on top of it.
 
+    The doubled cover space is built and lambda transported to it first,
+    before any random draw.  The transport's ``verify_cech`` is the one
+    gate on lambda, so a cover without index 1, with index 0 or with an
+    empty set 1 is named by the doubling's CechError before lambda is
+    verified.
+
     The doubled relation groupoid carries the transported cocycle; the
     unit over the fresh point in the added copy has a singleton source
     fiber, so inducing there is a character.  The character's kernel is
@@ -766,16 +770,13 @@ def build_cover_model(data: CechData, rng: random.Random | None = None) -> Cover
     """
     if len(data.base_points) > 32:
         raise SizeCapError("cover model capped at 32 base points")
-    report = verify_cech(data)
-    if not report.valid:
-        raise CechError("cech data does not verify; run verify_cech for details")
+    doubled = build_doubled_cover_space(data)
+    sigma = cech_to_groupoid_cocycle(doubled)
     rng = rng or random.Random(3)
 
     algebra = CoverAlgebra(data.base_points, data.cover, data.n, data.value)
     algebra_check = algebra.verify(rng)
 
-    doubled = build_doubled_cover_space(data)
-    sigma = cech_to_groupoid_cocycle(data, doubled)
     relation = doubled.relation
     star = doubled.star
     star_unit = ((star, 0), (star, 0))

@@ -198,15 +198,10 @@ def _cmd_model_doubled(args) -> dict:
 
 
 def _cmd_model_cover(args) -> dict:
-    data = serialize.cech_from_json(_load(args.input))
-    if args.order is not None:
-        data = twist.CechData(
-            args.order,
-            data.base_points,
-            data.cover,
-            [(i, j, k, v) for (i, j, k), v in data.table.items()],
-        )
-    report = calgebra.build_cover_model(data)
+    doc = _load(args.input)
+    if args.order is not None and isinstance(doc, dict):
+        doc = {**doc, "n": args.order}
+    report = calgebra.build_cover_model(serialize.cech_from_json(doc))
     if not report.ok:
         raise InternalCheckFailure("cover model verification failed")
     return report.as_dict()

@@ -10,11 +10,12 @@ class InternalCheckFailure(Exception):
 
 class InputError(ValueError):
     """An input error.  Given a ``path``, a JSON pointer into the
-    document, the message ends with where the fault is."""
+    document, the message ends with where the fault is; ``code``, if
+    given, names the kind of fault for callers that branch on it."""
 
-    def __init__(self, message: str, path: str | None = None):
+    def __init__(self, message: str, path: str | None = None, code: str | None = None):
         super().__init__(message if path is None else f"{message} (at {path})")
-        self.path = path
+        self.path, self.code = path, code
 
 
 class SizeCapError(InputError):

@@ -39,16 +39,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
-from .errors import InternalCheckFailure
+from .errors import InputError
 from .labels import canonical_label
 
 Vertex = Hashable
 
 
-class GraphError(ValueError):
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        self.code = code
+class GraphError(InputError):
+    """A graph that the input does not define, or one outside a criterion's scope."""
 
 
 class DirectedGraph:
@@ -534,11 +532,12 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
             note="every infinite path eventually passes through a single-threaded vertex",
             validation=validation,
         )
+    # the probe is block vertex range_pos[cycle[0]] of copy 0, which the
+    # quotient graph keeps only when it is not single-threaded: its row
+    # has a level 1, so some source has two paths into it, and
+    # ``two_parallel_paths`` returns two of them
     probe = unrolled.vertices[P + range_pos[cycle[0]]]
-    parallel = two_parallel_paths(unrolled, probe)
-    if parallel is None:  # pragma: no cover - non-ST vertices have two paths
-        raise InternalCheckFailure("non-single-threaded vertex lacks parallel paths")
-    _, path1, path2 = parallel
+    _, path1, path2 = two_parallel_paths(unrolled, probe)
     return FellVerdict(
         "NOT_FELL",
         witness_vertex=probe,

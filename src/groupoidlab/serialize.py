@@ -338,8 +338,9 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
     rows are read in bulk, and walked one by one only to name the first
     fault; a walk that finds none raises ``InternalCheckFailure``.  The
     table lists every composable pair: the first one it leaves out, in
-    pair order, raises ``CocycleError`` with code MISSING_ENTRY.  Values
-    are reduced mod n in int64 when they fit, else in Python ints."""
+    pair order, raises ``CocycleError`` with code MISSING_ENTRY at the
+    table's path.  Values are reduced mod n in int64 when they fit, else
+    in Python ints."""
     _expect_schema(doc, ("two_cocycle/1",), path)
     n = _expect_int(doc.get("n"), path, "n")
     labels = [canonical_label(m) for m in groupoid.morphisms]
@@ -385,7 +386,7 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
         listed = np.zeros(len(groupoid.pairs[0]), dtype=bool)
         listed[pid] = True
         a, b = (groupoid.morphisms[x[int(np.argmin(listed))]] for x in groupoid.pairs[:2])
-        raise CocycleError(f"cocycle table missing composable pair ({a!r},{b!r})", code="MISSING_ENTRY")
+        raise CocycleError(f"cocycle table missing composable pair ({a!r},{b!r})", path + "/table", code="MISSING_ENTRY")
     out = np.empty(len(groupoid.pairs[0]), dtype=dtype)
     try:
         out[pid] = np.fromiter(values, dtype, len(values)) % n

@@ -21,22 +21,18 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InternalCheckFailure
+from .errors import InputError, InternalCheckFailure
 from .finspace import FinSpace
 from .groupoid import FinGroupoid
 from .modlin import _residues, solve_mod
 
 
-class CocycleError(ValueError):
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        self.code = code
+class CocycleError(InputError):
+    """A cocycle or cochain that the input does not define."""
 
 
-class CechError(ValueError):
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        self.code = code
+class CechError(InputError):
+    """Cech data that the input does not define, or that fails a check."""
 
 
 class TwoCocycle:
@@ -433,11 +429,11 @@ class CechData:
             self.cover[int(idx)] = part
         self.indices = tuple(sorted(self.cover))
         self._nerves: dict = {}
-        self.raw_entries = tuple((int(i), int(j), int(k), int(v) % n) for (i, j, k, v) in entries)
+        raw_entries = tuple((int(i), int(j), int(k), int(v) % n) for (i, j, k, v) in entries)
         self.table = {}
         self.conflicts = []
         self.repeated_nonzero = []
-        for (i, j, k, v) in self.raw_entries:
+        for (i, j, k, v) in raw_entries:
             key, sign = _sort_with_sign((i, j, k))
             if sign == 0:
                 if v % n:
@@ -589,9 +585,9 @@ def cech_is_coboundary(data: CechData) -> CechCoboundaryResult:
     return CechCoboundaryResult(False, None, cert, note)
 
 
-def cech_to_groupoid_cocycle(data: CechData, doubled) -> TwoCocycle:
-    """Transport an alternating Cech cocycle to the relation groupoid of
-    the doubled cover space.
+def cech_to_groupoid_cocycle(doubled) -> TwoCocycle:
+    """Transport the alternating Cech cocycle ``doubled.cech`` to the
+    relation groupoid of the doubled cover space.
 
     ``doubled`` is the model produced by the cover-algebra constructor:
     its relation groupoid has morphisms ((s, i), (s, j)) and its
@@ -600,13 +596,13 @@ def cech_to_groupoid_cocycle(data: CechData, doubled) -> TwoCocycle:
 
         sigma( ((s,i),(s,j)), ((s,j),(s,k)) ) = -lambda_ijk   (mod n),
 
-    the additive form of conjugation.  Data that fails ``verify_cech``
-    raises CechError before any transport; on the rest d(lambda) = 0
-    makes sigma a cocycle, which is re-verified, and a violation raises
-    InternalCheckFailure naming the first one.
+    the additive form of conjugation.  This is the one ``verify_cech``
+    gate of the cover model: data that fails it raises CechError before
+    any transport.  On the rest d(lambda) = 0 makes sigma a cocycle,
+    which is re-verified, and a violation raises InternalCheckFailure
+    naming the first one.
     """
-    if doubled.cech is not data:
-        raise CechError("doubled model was built from different cech data")
+    data = doubled.cech
     if not verify_cech(data).valid:
         raise CechError("cech data does not verify; run verify_cech for details")
     relation = doubled.relation

@@ -1001,6 +1001,28 @@ def test_cover_model_rejects_invalid_cech():
         ca.build_cover_model(data)
 
 
+
+def test_elements_and_decompositions_refuse_a_cocycle_of_another_groupoid():
+    g, h = pair_groupoid((1, 2)), pair_groupoid((1, 2))
+    sigma, other = tw.TwoCocycle.trivial(g, 3), tw.TwoCocycle.trivial(h, 3)
+    with pytest.raises(tw.CocycleError, match="cocycle belongs to a different groupoid"):
+        ca.AlgebraElement(g, other, {})
+    with pytest.raises(tw.CocycleError, match="cocycle belongs to a different groupoid"):
+        ca.random_element(random.Random(0), g, other)
+    with pytest.raises(tw.CocycleError, match="cocycle is not defined on this groupoid"):
+        ca.BlockDecomposition(g, other)
+    with pytest.raises(ValueError, match="coefficient on unknown morphism 'nowhere'"):
+        ca.AlgebraElement(g, sigma, {"nowhere": 1})
+    assert ca.AlgebraElement(g, sigma, {(1, 2): 1}).coeffs == {(1, 2): 1}
+
+
+def test_block_decomposition_needs_a_relation_groupoid():
+    from groupoidlab import serialize as sz
+
+    g = sz.groupoid_from_json(sz.groupoid_to_json(helpers.product_group(2, 2)))
+    with pytest.raises(TypeError, match="block decomposition needs a relation groupoid"):
+        ca.BlockDecomposition(g, tw.TwoCocycle.trivial(g, 2))
+
 # -- equivariant slice suite ----------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ import time
 import pytest
 
 from groupoidlab import bundled
+from groupoidlab import calgebra as ca
 from groupoidlab import finspace as fs
 from groupoidlab import graphfell
 from groupoidlab import groupoid as gp
@@ -185,7 +187,7 @@ def test_every_command_names_the_same_missing_cocycle_entry(capsys, tmp_path):
         code, report = run_cli(capsys, command, path)
         assert code == 1, command
         assert report["result"]["error"] == (
-            "CocycleError: cocycle table missing composable pair (('1', '2'),('2', '1'))"
+            "CocycleError: cocycle table missing composable pair (('1', '2'),('2', '1')) (at //cocycle/table)"
         ), command
 
 
@@ -296,6 +298,146 @@ def test_model_cover_order_override_reads_as_the_rewritten_document(capsys, tmp_
     doc["n"] = 6
     code, rewritten = run_cli(capsys, "model-cover", write(tmp_path, "c.json", doc))
     assert code == 0 and rewritten["result"] == report["result"]
+
+
+
+@pytest.mark.parametrize("row", [[2, 1, 3, 1], [1, 1, 2, 1]])
+def test_model_cover_order_refuses_data_that_fails_verify_cech(capsys, tmp_path, row):
+    # a conflicting orientation, or a nonzero value on a repeated index,
+    # fails verify_cech with or without the override
+    doc = bundled.bundled_document("tetrahedron-z3")
+    doc["lambda"].append(row)
+    path = write(tmp_path, "c.json", doc)
+    code, cert = run_cli(capsys, "cech-cert", path)
+    assert code == 0 and cert["result"]["report"]["valid"] is False
+    error = "CechError: cech data does not verify; run verify_cech for details"
+    for extra in ([], ["--order", "3"], ["--order", "6"]):
+        code, report = run_cli(capsys, "model-cover", path, *extra)
+        assert code == 1 and report["result"]["error"] == error, extra
+
+
+def test_model_cover_order_reads_rows_out_of_canonical_form_as_the_document(capsys, tmp_path, monkeypatch):
+    # the only row on (1,2,3) is [2, 1, 3, 1], so lambda(1,2,3) = -1: 2 at
+    # n = 3 and 5 at n = 6, not the 2 of the document read at n = 3
+    doc = bundled.bundled_document("tetrahedron-z3")
+    doc["lambda"][0] = [2, 1, 3, 1]
+    modelled = []
+    build = ca.build_cover_model
+    monkeypatch.setattr(ca, "build_cover_model", lambda data: modelled.append(data) or build(data))
+    code, _ = run_cli(capsys, "model-cover", write(tmp_path, "c.json", doc), "--order", "6")
+    assert code == 0 and modelled[0].n == 6 and modelled[0].value(1, 2, 3) == 5
+
+
+def test_model_cover_order_is_read_as_the_document_n(capsys, tmp_path):
+    doc = bundled.bundled_document("tetrahedron-z3")
+    doc["n"] = 0
+    code, zero = run_cli(capsys, "model-cover", write(tmp_path, "c.json", doc))
+    assert code == 1 and zero["result"]["error"] == "SchemaError: coefficient order must be positive (at /)"
+    code, report = run_cli(capsys, "model-cover", "bundled:tetrahedron-z3", "--order", "0")
+    assert code == 1 and report["result"] == zero["result"]
+    # a document that is not an object is refused as it is without --order
+    path = write(tmp_path, "list.json", [doc])
+    code, plain = run_cli(capsys, "model-cover", path)
+    overridden_code, overridden = run_cli(capsys, "model-cover", path, "--order", "3")
+    assert code == overridden_code == 1 and overridden["result"] == plain["result"]
+
+
+def shifted_cover(doc, by):
+    """``doc`` with every cover index moved by ``by``."""
+    doc = {**doc, "cover": {str(int(i) + by): pts for i, pts in doc["cover"].items()}}
+    return {**doc, "lambda": [[i + by, j + by, k + by, v] for i, j, k, v in doc["lambda"]]}
+
+
+def test_model_cover_names_the_cover_faults_of_the_doubling(capsys, tmp_path):
+    doc = bundled.bundled_document("tetrahedron-z3")
+    indices = "CechError: doubling expects cover indices starting at 1"
+    empty = {**doc, "cover": {**doc["cover"], "1": []}}
+    # the doubling is built before lambda is verified, so it names its
+    # fault also on data that fails verify_cech
+    unverified = shifted_cover({**doc, "lambda": [*doc["lambda"], [2, 1, 3, 1]]}, 1)
+    for bad, error in (
+        (shifted_cover(doc, 1), indices),
+        (shifted_cover(doc, -1), indices),
+        (unverified, indices),
+        (empty, "CechError: cover set 1 is empty; nothing to double"),
+    ):
+        code, report = run_cli(capsys, "model-cover", write(tmp_path, "c.json", bad))
+        assert code == 1 and report["exit_code"] == 1 and report["schema"] == "report/1"
+        assert report["result"]["error"] == error
+
+
+def test_model_cover_is_capped_at_32_base_points(capsys, tmp_path):
+    points = [f"p{i}" for i in range(33)]
+    doc = {"schema": "cech/1", "n": 3, "base_points": points, "cover": {"1": points}, "lambda": []}
+    code, report = run_cli(capsys, "model-cover", write(tmp_path, "c.json", doc))
+    assert code == 1 and report["schema"] == "report/1"
+    assert report["result"]["error"] == "SizeCapError: cover model capped at 32 base points"
+    doc = {**doc, "base_points": points[:32], "cover": {"1": points[:32]}}
+    code, report = run_cli(capsys, "model-cover", write(tmp_path, "c.json", doc))
+    assert code == 0 and report["ok"]
+
+
+def test_model_doubled_needs_two_levels(capsys):
+    code, report = run_cli(capsys, "model-doubled", "--levels", "1", "--sheets", "2")
+    assert code == 1 and report["schema"] == "report/1"
+    assert report["result"]["error"] == "ValueError: need at least 2 levels and 1 sheet"
+
+
+def test_commands_that_need_a_relation_groupoid_refuse_a_fingroupoid(capsys, tmp_path):
+    doc = group_document(4, random.Random(30))
+    code, report = run_cli(capsys, "fell-check", write(tmp_path, "g.json", doc["groupoid"]), "--discrete-morphisms")
+    assert code == 1 and report["schema"] == "report/1"
+    assert report["result"]["error"] == "SchemaError: --discrete-morphisms needs a relation groupoid (at /)"
+    code, report = run_cli(capsys, "algebra-verify", write(tmp_path, "t.json", doc))
+    assert code == 1 and report["schema"] == "report/1"
+    assert report["result"]["error"] == "SchemaError: algebra-verify expects a relation groupoid (at /)"
+
+
+def test_algebra_verify_needs_an_input_or_random_instances(capsys):
+    code, report = run_cli(capsys, "algebra-verify")
+    assert code == 1 and report["schema"] == "report/1"
+    assert report["result"]["error"] == "SchemaError: provide an input file or --random N (at /)"
+
+
+# a failed verification in each command that gates on one: the library
+# function, the change to its result that fails the gate, the command
+# line and the error
+FAILED_VERIFICATIONS = {
+    "build-relation": (gp, "orbit_map_check", lambda r: dataclasses.replace(r, bijective=False),
+                       "orbit-space identification failed"),
+    "graph-fell": (graphfell, "periodic_fell_verdict",
+                   lambda v: dataclasses.replace(v, witness_paths=v.witness_paths[:1] * 2),
+                   "witness paths are not distinct"),
+    "algebra-verify": (ca, "axiom_battery", lambda c: dataclasses.replace(c, cocycle_valid=False),
+                       "algebra axiom battery failed"),
+    "model-doubled": (ca, "build_doubled_model", lambda r: dataclasses.replace(r, rho_bijective=False),
+                      "doubled model verification failed"),
+    "model-cover": (ca, "build_cover_model", lambda r: dataclasses.replace(r, kernel_iso_bijective=False),
+                    "cover model verification failed"),
+    "equivariant-check": (ca, "equivariant_suite", lambda r: dataclasses.replace(r, rho_bijective=False),
+                          "equivariant slice equivalence failed"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILED_VERIFICATIONS))
+def test_a_failed_verification_exits_2(capsys, tmp_path, monkeypatch, command):
+    module, name, fail, error = FAILED_VERIFICATIONS[command]
+    psi = fs.SpaceMap(fs.discrete((1, 2, 3)), fs.discrete(("a", "b")), {1: "a", 2: "a", 3: "b"})
+    argv = {
+        "build-relation": [write(tmp_path, "psi.json", sz.map_to_json(psi))],
+        "graph-fell": ["bundled:two-thread-ladder"],
+        "algebra-verify": ["bundled:trivial-cocycle"],
+        "model-doubled": ["--levels", "2", "--sheets", "2"],
+        "model-cover": ["bundled:tetrahedron-z3"],
+        "equivariant-check": ["bundled:trivial-cocycle"],
+    }[command]
+    code, report = run_cli(capsys, command, *argv)
+    assert code == 0 and report["ok"]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: fail(real(*args, **kwargs)))
+    code, report = run_cli(capsys, command, *argv)
+    assert code == 2 and report["exit_code"] == 2 and report["schema"] == "report/1"
+    assert report["ok"] is False and report["result"] == {"error": error}
 
 
 def test_cech_cert_names_a_nonzero_value_on_repeated_indices(capsys, tmp_path):

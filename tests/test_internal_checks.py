@@ -205,7 +205,7 @@ print(tw.verify_cech(data).valid)
 # the theorem's hypothesis, forced: the data claims to be a cocycle
 tw.verify_cech = lambda data: tw.CechReport(True, (), (), (), ())
 try:
-    tw.cech_to_groupoid_cocycle(data, build_doubled_cover_space(data))
+    tw.cech_to_groupoid_cocycle(build_doubled_cover_space(data))
 except InternalCheckFailure as err:
     print("raised" if "transported cocycle fails verification at (" in str(err) else err)
 """

@@ -314,7 +314,9 @@ def reference_cocycle_from_json(doc, groupoid, path="/"):
     for a, b in np.argwhere(dense_pair_id(groupoid) >= 0).tolist():
         if (a, b) not in entries:
             a, b = groupoid.morphisms[a], groupoid.morphisms[b]
-            raise tw.CocycleError(f"cocycle table missing composable pair ({a!r},{b!r})", code="MISSING_ENTRY")
+            raise tw.CocycleError(
+                f"cocycle table missing composable pair ({a!r},{b!r})", path + "/table", code="MISSING_ENTRY"
+            )
     values = np.empty(len(groupoid.pairs[0]), dtype=dtype)
     values[pid] = [value % n for value in entries.values()]
     return tw.TwoCocycle(groupoid, n, values)
