@@ -9,8 +9,8 @@ key twice, which plain ``json`` would collapse to its last value.  The
 readers of ``finspace/1``, ``fingroupoid/1`` and ``two_cocycle/1`` are
 the only code that numbers labels: each reads its tables and rows once
 into the masks that ``FinSpace`` takes or the int arrays that
-``FinGroupoid`` and ``TwoCocycle`` take.  The last two read in bulk,
-and walk rows one by one only after a bulk test fails, to name a fault.
+``FinGroupoid`` and ``TwoCocycle`` take.  The last two number in bulk,
+and again, with sentinels, only to name the first fault.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import InputError, InternalCheckFailure, SizeCapError
+from .errors import InputError, SizeCapError
 from .finspace import FinSpace, InvalidSpace, SpaceMap, _iter_bits
 from .labels import canonical_label
 from .graphfell import DirectedGraph, PeriodicGraph
@@ -103,13 +103,23 @@ def _reject_non_scalar(labels) -> None:
             raise SchemaError(f"expected a scalar label, got {type(value).__name__}", path)
 
 
-def _rows_of(rows: list, width: int) -> bool:  # every row a list of width members, per type and length
-    return all(issubclass(t, list) for t in set(map(type, rows))) and set(map(len, rows)) <= {width}
+def _shaped(rows: list, width: int) -> int:  # how many rows lead that are lists of width members
+    if all(issubclass(t, list) for t in set(map(type, rows))) and set(map(len, rows)) <= {width}:
+        return len(rows)
+    return next(k for k, row in enumerate(rows) if not (isinstance(row, list) and len(row) == width))
 
 
 def _repeats(keys: np.ndarray) -> bool:
     keys = np.sort(keys)
     return bool((keys[1:] == keys[:-1]).any())
+
+
+def _later(keys: np.ndarray) -> np.ndarray:  # whether each key equals an earlier one
+    return ~np.isin(np.arange(len(keys)), np.unique(keys, return_index=True)[1])
+
+
+def _number(index: Mapping, labels: list) -> np.ndarray:  # -1 for a label that names none, -2 if unhashable
+    return np.array([index.get(x, -1) if x.__hash__ else -2 for x in labels], dtype=np.int64)
 
 
 def _expect_schema(doc: Mapping, names: tuple, path: str) -> str:
@@ -247,10 +257,9 @@ def groupoid_from_json(doc: Mapping, path: str = "/") -> FinGroupoid:
         _expect(doc.get("topology"), dict, path + "/topology"), path + "/topology"
     )
     rows = _expect(doc.get("compose"), list, path + "/compose")
-    if not _rows_of(rows, 3):
-        for k, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == 3):
-                raise SchemaError("compose rows are [a, b, ab]", f"{path}/compose/{k}")
+    k = _shaped(rows, 3)
+    if k < len(rows):
+        raise SchemaError("compose rows are [a, b, ab]", f"{path}/compose/{k}")
     units = _expect(doc.get("units"), list, path + "/units")
     tables = {name: _expect(doc.get(name), dict, f"{path}/{name}") for name in ("range", "source", "inverse")}
     index = _number_tables(topology, units, tables, rows, path)
@@ -271,47 +280,43 @@ def _number_tables(topology: FinSpace, units: list, tables: Mapping, rows: list,
     ``FinGroupoid`` takes it: range, source and inverse, the unit mask
     and the compose rows (a, b, ab), numbered by ``topology``.
 
-    The tables, the units and the rows are numbered in bulk, by one
-    ``np.fromiter`` over ``index.__getitem__`` each, and a pair listed
-    twice is a repeat among the sorted keys a n + b.  Only when a lookup
-    fails or a key repeats are they walked one by one, and the first
-    fault raises ``SchemaError``, in the order of
-    ``docs/schemas.md``: a pair listed twice (naming the later row);
-    then, morphism by morphism, a range, source or inverse entry that is
-    missing or names no morphism; then a unit, then a compose row, that
-    names none.  A list or object label met on the way is named by
-    ``_reject_non_scalar``, which looks at the units, the tables and the
-    rows in that order.  A walk that finds no fault raises
-    ``InternalCheckFailure``."""
-    index, points = topology._index, topology.points
+    Each is numbered in bulk, by ``np.fromiter`` over
+    ``index.__getitem__``.  Only when a lookup fails or a pair repeats
+    among the keys a n + b are they numbered again, by ``_number``, to
+    read the first fault in the order of ``docs/schemas.md``."""
+    index, points, n = topology._index, topology.points, len(topology)
     number = lambda labels, count: np.fromiter(map(index.__getitem__, labels), np.int64, count)
     try:
-        structure = [number(map(table.__getitem__, points), len(points)) for table in tables.values()]
+        structure = [number(map(table.__getitem__, points), n) for table in tables.values()]
         unit_numbers = number(units, len(units))
         pairs = number(itertools.chain.from_iterable(rows), 3 * len(rows)).reshape(-1, 3).T
     except (KeyError, TypeError):
         pairs = None
-    if pairs is not None and not _repeats(pairs[0] * len(points) + pairs[1]):
-        unit_mask = np.zeros(len(topology), dtype=bool)
+    if pairs is not None and not _repeats(pairs[0] * n + pairs[1]):
+        unit_mask = np.zeros(n, dtype=bool)
         unit_mask[unit_numbers] = True
         return (*structure, unit_mask, pairs)
+    # the tables morphism by morphism, where a missing entry is an object() that names no morphism, the units, the rows
+    entries = zip(*(map(table.get, points, itertools.repeat(object())) for table in tables.values()))
+    labels = [*itertools.chain(*entries, units, *rows)]
+    numbers = _number(index, labels)
+    ends, unknown = numbers[3 * n + len(units):].reshape(-1, 3)[:, :2].copy(), {}
     try:
-        if len({(a, b) for a, b, _ in rows}) < len(rows):
-            first: dict = {}
-            k = next(k for k, (a, b, _) in enumerate(rows) if first.setdefault((a, b), k) != k)
+        for k, i in np.argwhere(ends < 0).tolist():  # each label that names no morphism, numbered past n
+            ends[k, i] = n + unknown.setdefault(rows[k][i], len(unknown))
+        later = _later(ends[:, 0] * (n + len(unknown)) + ends[:, 1])
+        if later.any():
+            k = int(np.argmax(later))
             raise SchemaError("pair ({!r},{!r}) listed twice".format(*rows[k][:2]), f"{path}/compose/{k}")
-        for m in topology.points:
-            for name, table in tables.items():
-                if m not in table:
-                    raise SchemaError(f"{name} undefined on {m!r}", path)
-                if table[m] not in index:
-                    raise SchemaError(f"{name}({m!r}) is not a morphism", path)
-        for u in units:
-            if u not in index:
-                raise SchemaError(f"unit {u!r} is not a morphism", path)
-        for a, b, ab in rows:
-            if a not in index or b not in index or ab not in index:
-                raise SchemaError(f"composition entry ({a!r},{b!r})->{ab!r} off the morphism set", path)
+        p = int(np.argmax(numbers < 0))
+        hash(labels[p])  # the TypeError of a first label that is unhashable
+        if p < 3 * n:
+            (name, table), m = list(tables.items())[p % 3], points[p // 3]
+            raise SchemaError(f"{name}({m!r}) is not a morphism" if m in table else f"{name} undefined on {m!r}", path)
+        if p < 3 * n + len(units):
+            raise SchemaError(f"unit {labels[p]!r} is not a morphism", path)
+        k = (p - 3 * n - len(units)) // 3
+        raise SchemaError("composition entry ({!r},{!r})->{!r} off the morphism set".format(*rows[k]), path)
     except TypeError:
         _reject_non_scalar(_members(units, path + "/units"))
         for name, table in tables.items():
@@ -319,7 +324,6 @@ def _number_tables(topology: FinSpace, units: list, tables: Mapping, rows: list,
         for k, row in enumerate(rows):
             _reject_non_scalar(_members(row, f"{path}/compose/{k}"))
         raise
-    raise InternalCheckFailure("the bulk read of a fingroupoid/1 document failed, but no row has a fault")
 
 
 def cocycle_to_json(sigma: TwoCocycle) -> dict:
@@ -335,12 +339,11 @@ def cocycle_to_json(sigma: TwoCocycle) -> dict:
 
 def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> TwoCocycle:
     """The cocycle of a ``two_cocycle/1`` document on ``groupoid``.  Its
-    rows are read in bulk, and walked one by one only to name the first
-    fault; a walk that finds none raises ``InternalCheckFailure``.  The
-    table lists every composable pair: the first one it leaves out, in
-    pair order, raises ``CocycleError`` with code MISSING_ENTRY at the
-    table's path.  Values are reduced mod n in int64 when they fit, else
-    in Python ints."""
+    rows are numbered in bulk, and again by ``_number`` only to name the
+    first fault, in the order of ``docs/schemas.md``.  The first
+    composable pair left out raises ``CocycleError`` with code
+    MISSING_ENTRY.  Values are reduced mod n in int64 when they fit,
+    else in Python ints."""
     _expect_schema(doc, ("two_cocycle/1",), path)
     n = _expect_int(doc.get("n"), path, "n")
     labels = [canonical_label(m) for m in groupoid.morphisms]
@@ -349,31 +352,30 @@ def cocycle_from_json(doc: Mapping, groupoid: FinGroupoid, path: str = "/") -> T
         lab = next(x for k, x in enumerate(labels) if x in labels[:k])
         raise SchemaError(f"morphism labels collide at {lab!r}")
     rows = _expect(doc.get("table"), list, path + "/table")
-    ends = None
-    if _rows_of(rows, 3):
-        a, b, values = list(zip(*rows)) or [()] * 3
-        try:
-            ends = [np.fromiter(map(number.__getitem__, col), np.int64, len(rows)) for col in (a, b)]
-        except (KeyError, TypeError):
-            pass  # an unknown or unhashable label, which the walk names
-    if ends is None or not set(map(type, values)) <= {int} or _repeats(ends[0] * len(labels) + ends[1]):
-        entries = {}
-        for k, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == 3):
-                raise SchemaError("table rows are [a, b, value]", f"{path}/table/{k}")
-            a, b, v = row
-            try:
-                known = a in number and b in number
-            except TypeError:
-                _reject_non_scalar(_members(row, f"{path}/table/{k}"))
-                raise
-            if not known:
-                raise SchemaError(f"unknown morphism in ({a!r},{b!r})", f"{path}/table/{k}")
-            key = number[a], number[b]
-            if key in entries:
-                raise SchemaError(f"pair ({a!r},{b!r}) listed twice", f"{path}/table/{k}")
-            entries[key] = _expect_int(v, path, "table", k, 2)
-        raise InternalCheckFailure("the bulk read of a two_cocycle/1 table failed, but no row has a fault")
+    shaped = _shaped(rows, 3)
+    a, b, values = list(zip(*rows[:shaped])) or [()] * 3
+    try:
+        ends = [np.fromiter(map(number.__getitem__, col), np.int64, shaped) for col in (a, b)]
+        valid = shaped == len(rows) and set(map(type, values)) <= {int}
+    except (KeyError, TypeError):
+        valid = False
+    if not valid or _repeats(ends[0] * len(labels) + ends[1]):
+        ends = _number(number, a + b).reshape(2, shaped)
+        later = _later(ends[0] * len(labels) + ends[1])
+        bad = (ends < 0).any(axis=0) | later | np.fromiter((type(v) is not int for v in values), bool, shaped)
+        k = int(np.argmax([*bad, True]))  # the first bad row, else the first of another shape
+        at = f"{path}/table/{k}"
+        if k == shaped:
+            raise SchemaError("table rows are [a, b, value]", at)
+        for end, label in zip(ends[:, k], rows[k]):
+            if end == -2:
+                _reject_non_scalar(_members(rows[k], at))
+                hash(label)  # the TypeError of an unhashable label that is no list or object
+            if end == -1:
+                raise SchemaError(f"unknown morphism in ({a[k]!r},{b[k]!r})", at)
+        if later[k]:
+            raise SchemaError(f"pair ({a[k]!r},{b[k]!r}) listed twice", at)
+        _expect_int(values[k], path, "table", k, 2)
     try:
         dtype = _value_dtype(n)
     except ValueError as err:
@@ -438,9 +440,9 @@ def cech_from_json(doc: Mapping, path: str = "/") -> CechData:
     entries = _expect(doc.get("lambda"), list, path + "/lambda")
     cover = {}
     for key, pts in cover_doc.items():
-        # canonical decimal, so that no two keys name the same index
-        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
-            raise SchemaError("cover indices must be integers in canonical decimal", f"{path}/cover/{key}")
+        # positive, in canonical decimal, so that no two keys name the same index
+        if not re.fullmatch(r"[1-9][0-9]*", key):
+            raise SchemaError("cover indices must be positive integers in canonical decimal", f"{path}/cover/{key}")
         try:
             index = int(key)
         except ValueError:  # more digits than int() converts
@@ -495,7 +497,8 @@ def _edge_labels(edges: list, path: str):
     return ((f"{path}/{k}/{f}", v) for k, e in enumerate(edges) for f, v in zip(("id", "range", "source"), e))
 
 
-def _digraph_body(doc: Mapping, path: str) -> DirectedGraph:
+def digraph_from_json(doc: Mapping, path: str = "/") -> DirectedGraph:
+    _expect_schema(doc, ("digraph/1",), path)
     vertices = _expect(doc.get("vertices"), list, path + "/vertices")
     edges = _edge_rows(doc.get("edges"), path + "/edges")
     try:
@@ -506,11 +509,6 @@ def _digraph_body(doc: Mapping, path: str) -> DirectedGraph:
         _reject_non_scalar(_members(vertices, path + "/vertices"))
         _reject_non_scalar(_edge_labels(edges, path + "/edges"))
         raise
-
-
-def digraph_from_json(doc: Mapping, path: str = "/") -> DirectedGraph:
-    _expect_schema(doc, ("digraph/1",), path)
-    return _digraph_body(doc, path)
 
 
 def periodic_to_json(pres: PeriodicGraph) -> dict:

@@ -824,6 +824,26 @@ def test_doubled_model_glues_at_unglued_point_only():
     assert ((1, 1), (1, 2)) not in morphs  # boundary level not glued
 
 
+def test_doubled_model_unglued_level_has_singleton_fibers(monkeypatch):
+    # build_doubled_model's unitary check relies on this instead of testing it
+    built = []
+
+    def capture(psi):
+        built.append(gp.build_relation_groupoid(psi))
+        return built[-1]
+
+    monkeypatch.setattr(ca, "build_relation_groupoid", capture)
+    for levels in (2, 3, 4):
+        for sheets in (1, 2, 3):
+            rep = ca.build_doubled_model(levels, sheets)
+            relation = built.pop()
+            assert relation is rep.relation and not built
+            units = [u for u in np.flatnonzero(relation.unit_mask) if relation.morphisms[u][0][0] == levels - 1]
+            assert len(units) == sheets
+            fiber = np.bincount(relation.source_idx, minlength=len(relation.morphisms))
+            assert fiber[units].tolist() == [1] * sheets, (levels, sheets)
+
+
 def test_doubled_model_size_cap():
     with pytest.raises(ca.SizeCapError):
         ca.build_doubled_model(9, 8)

@@ -105,6 +105,11 @@ def test_unreadable_input_path_is_an_input_error(capsys, tmp_path):
     code, report = run_cli(capsys, "space-check", str(tmp_path))
     assert code == 1 and report["exit_code"] == 1 and report["command"] == "space-check"
     assert report["result"]["error"].startswith("IsADirectoryError")
+    code, report = run_cli(capsys, "fell-check", "bundled:nope")
+    assert code == 1 and report["exit_code"] == 1 and report["command"] == "fell-check"
+    assert report["result"]["error"] == (
+        "KeyError: \"unknown bundled input 'nope'; choose from ('two-thread-ladder', 'trivial-cocycle', 'tetrahedron-z3')\""
+    )
 
 
 def ladder_document(rungs):
@@ -357,7 +362,8 @@ def test_model_cover_names_the_cover_faults_of_the_doubling(capsys, tmp_path):
     unverified = shifted_cover({**doc, "lambda": [*doc["lambda"], [2, 1, 3, 1]]}, 1)
     for bad, error in (
         (shifted_cover(doc, 1), indices),
-        (shifted_cover(doc, -1), indices),
+        # the reader refuses index 0 before the doubling sees it
+        (shifted_cover(doc, -1), "SchemaError: cover indices must be positive integers in canonical decimal (at //cover/0)"),
         (unverified, indices),
         (empty, "CechError: cover set 1 is empty; nothing to double"),
     ):
@@ -462,6 +468,14 @@ def test_cech_cert_rejects_a_cover_set_outside_the_base(capsys, tmp_path):
     code, report = run_cli(capsys, "cech-cert", write(tmp_path, "c.json", doc))
     assert code == 1 and report["exit_code"] == 1
     assert report["result"]["error"].startswith("SchemaError: cover set 2 is not a subset of the base")
+
+
+def test_cech_cert_rejects_a_cover_index_below_1(capsys, tmp_path):
+    # the indices 1..4 of the bundled cover moved to -1..2
+    doc = shifted_cover(bundled.bundled_document("tetrahedron-z3"), -2)
+    code, report = run_cli(capsys, "cech-cert", write(tmp_path, "c.json", doc))
+    assert code == 1 and report["exit_code"] == 1 and report["schema"] == "report/1"
+    assert report["result"]["error"] == "SchemaError: cover indices must be positive integers in canonical decimal (at //cover/-1)"
 
 
 def test_equivariant_check(capsys):
