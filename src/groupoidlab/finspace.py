@@ -25,6 +25,7 @@ domain point, which keeps the predicates cheap on spaces of up to a few
 dozen points.  Every builder here hands over masks; the labels of a
 ``finspace/1`` document are numbered only in ``serialize``.  Coherence
 is decided once per mask tuple, in a cache of ``COHERENCE_CACHE`` tuples.
+``quotient_space`` hands ``SpaceMap.numbered`` its targets unchecked.
 
 This module is the one home of the bit algebra of a preorder, in three
 private helpers: ``_iter_bits`` lists the set bits of a mask,
@@ -38,9 +39,9 @@ through them.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InternalCheckFailure
 
@@ -250,6 +251,15 @@ class SpaceMap:
         self.assignment = {p: assignment[p] for p in dom.points}
         self.targets = [cod._index[assignment[p]] for p in dom.points]
 
+    @classmethod
+    def numbered(cls, dom: FinSpace, cod: FinSpace, targets: list[int]) -> "SpaceMap":
+        """The map with codomain index ``targets[i]`` at point i, without label
+        checks: ``quotient_space`` gives each point exactly one block of X."""
+        f = cls.__new__(cls)
+        f.dom, f.cod, f.targets = dom, cod, targets
+        f.assignment = dict(zip(dom.points, map(cod.points.__getitem__, targets)))
+        return f
+
     def __call__(self, p: Point) -> Point:
         return self.assignment[p]
 
@@ -284,13 +294,12 @@ class MapProperties:
         return asdict(self)
 
 
-def _scan_masks(dom_mo: Sequence[int], cod_mo: Sequence[int], targets: Sequence[int]) -> tuple:
-    """(continuous, open_map, locally_injective) of the map with domain
-    and codomain minimal opens ``dom_mo`` and ``cod_mo`` and a codomain
-    index per domain point: whether every f(U_x) lies in U_{f(x)}, holds
-    U_{f(x)} (the module's openness lemma), and has as many points as U_x."""
+def _scan_masks(dom_mo: Sequence[int], cod_mo: Sequence[int], targets: Sequence[int], bits: Sequence[int]) -> tuple:
+    """(continuous, open_map, locally_injective) of the map with domain and
+    codomain minimal opens ``dom_mo`` and ``cod_mo``, a codomain index and
+    its ``1 << target`` per domain point: whether every f(U_x) lies in
+    U_{f(x)}, holds U_{f(x)} (the openness lemma), and has |U_x| points."""
     continuous = open_map = locally_injective = True
-    bits = [1 << t for t in targets]
     for i, u in enumerate(dom_mo):
         img, cod = _union(bits, u), cod_mo[targets[i]]
         if img & ~cod:
@@ -326,14 +335,14 @@ def is_local_homeomorphism(f: SpaceMap) -> bool:
     an open set restricts to one of U_x.  Conversely a continuous open
     bijection of U_x onto the open set f(U_x) is a homeomorphism.
     """
-    return all(_scan_masks(f.dom._mo, f.cod._mo, f.targets))
+    return all(_scan_masks(f.dom._mo, f.cod._mo, f.targets, [1 << t for t in f.targets]))
 
 
 def classify_map(f: SpaceMap) -> MapProperties:
     """Decide continuity, openness, surjectivity, the quotient property and
     local homeomorphy of a map between finite spaces, all from one pass
     over the images of the minimal opens and the final topology."""
-    continuous, open_map, locally_injective = _scan_masks(f.dom._mo, f.cod._mo, f.targets)
+    continuous, open_map, locally_injective = _scan_masks(f.dom._mo, f.cod._mo, f.targets, [1 << t for t in f.targets])
     local_homeomorphism = continuous and open_map and locally_injective
     return MapProperties(continuous, open_map, f.is_surjective(), is_quotient_map(f), local_homeomorphism)
 
@@ -373,30 +382,29 @@ def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
     """Quotient of a finite space by a partition, with the final topology.
 
     Returns (X, psi) where X has the partition blocks (as frozensets) for
-    points and psi is the projection.  X's minimal opens come from the
-    same final-topology routine that ``is_quotient_map`` uses, so psi is
-    a quotient map by construction; the tests check that against the
-    open-set lattice.
+    points, by least point, and psi is the projection.  X's minimal opens
+    come from the same final-topology routine that ``is_quotient_map``
+    uses, so psi is a quotient map by construction; the tests check that
+    against the open-set lattice.
     """
     blocks = [frozenset(b) for b in partition]
-    seen: set = set()
-    for b in blocks:
+    index, block_of = space._index, [-1] * len(space.points)
+    for k, b in enumerate(blocks):
         if not b:
             raise InvalidSpace("empty partition block")
         for p in b:
-            if p not in space:
+            i = index.get(p)
+            if i is None:
                 raise InvalidSpace(f"partition mentions unknown point {p!r}")
-            if p in seen:
+            if block_of[i] >= 0:
                 raise InvalidSpace(f"partition blocks overlap at {p!r}")
-            seen.add(p)
-    if len(seen) != len(space.points):
+            block_of[i] = k
+    if -1 in block_of:
         raise InvalidSpace("partition does not cover the space")
-    blocks.sort(key=lambda b: min(space.index(p) for p in b))
-    block_of = {p: b for b in blocks for p in b}
-    block_idx = {b: k for k, b in enumerate(blocks)}
-    masks = _final_masks(space, [block_idx[block_of[p]] for p in space.points], len(blocks))
-    quotient = FinSpace(blocks, masks)
-    return quotient, SpaceMap(space, quotient, block_of)
+    rank = {k: j for j, k in enumerate(dict.fromkeys(block_of))}
+    targets = [rank[k] for k in block_of]
+    quotient = FinSpace([blocks[k] for k in rank], _final_masks(space, targets, len(rank)))
+    return quotient, SpaceMap.numbered(space, quotient, targets)
 
 
 def hausdorff_cover_resolution(space: FinSpace, cover: Sequence[Iterable[Point]]):

@@ -43,9 +43,9 @@ as a space of its own.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -95,12 +95,12 @@ class IndexLayout:
     factors and the composite of each composable pair in row-major order.
     What derives from these arrays alone is built on first use and kept:
     ``principal``, ``generating_mask``, ``orbit_idx``, ``fiber_cells`` and
-    ``pair_rows``, the arrays read-only, and the int tuples of the
-    bitmask code: ``unit_numbers``, ``ranges``, ``sources`` and
-    ``end_masks``, the morphisms with range u and with source u at u.
-    Nothing here reads the labels or the topology, so every pair-groupoid
-    union with the same block sizes attaches the one object that
-    ``pair_groupoid_index`` keeps for them."""
+    ``pair_rows``, the arrays read-only, and the int tuples of the bitmask
+    code: ``unit_numbers``, ``ranges``, ``sources``, ``end_masks`` (the
+    morphisms with range u and with source u at u), ``range_bits`` (1 <<
+    r(m) per m) and the int ``unit_bits``.  Nothing here reads the labels
+    or the topology, so every pair-groupoid union with the same block
+    sizes attaches the one object that ``pair_groupoid_index`` keeps."""
 
     def __init__(self, range_idx, source_idx, inverse_idx, unit_mask, pairs):
         self.range_idx, self.source_idx, self.inverse_idx = range_idx, source_idx, inverse_idx
@@ -109,6 +109,8 @@ class IndexLayout:
     unit_numbers = cached_property(lambda self: tuple(np.flatnonzero(self.unit_mask).tolist()))
     ranges = cached_property(lambda self: tuple(self.range_idx.tolist()))
     sources = cached_property(lambda self: tuple(self.source_idx.tolist()))
+    range_bits = cached_property(lambda self: tuple(1 << r for r in self.ranges))
+    unit_bits = cached_property(lambda self: sum(1 << u for u in self.unit_numbers))
 
     @cached_property
     def end_masks(self) -> tuple:
@@ -486,13 +488,13 @@ class RelationGroupoid(FinGroupoid):
     """The groupoid of pairs identified by a surjection psi: Y -> X.
 
     Morphisms are pairs (y, z) with psi(y) = psi(z); r(y, z) = (y, y),
-    s(y, z) = (z, z), (x, y)(y, z) = (x, z).  ``fibers`` lists the fibers
-    of psi.  As an algebraic groupoid this is the disjoint union of the
-    pair groupoids on the fibers, so everything derived from the index
-    depends only on the tuple of fiber sizes and is shared read-only
-    between the groupoids with that tuple: the ``IndexLayout`` of
-    ``pair_groupoid_index``, verified once per tuple.  The topology, the
-    orbits and the property cache stay per groupoid.
+    s(y, z) = (z, z), (x, y)(y, z) = (x, z).  Its fibers are positions of Y
+    (``fiber_positions``), and the label ``fibers`` derive from them.  As an
+    algebraic groupoid this is the disjoint union of the pair groupoids on
+    the fibers, so everything derived from the index depends only on the
+    tuple of fiber sizes and is shared read-only between the groupoids with
+    that tuple: the ``IndexLayout`` of ``pair_groupoid_index``, verified
+    once per tuple.  The topology, orbits and property cache are per groupoid.
 
     The base space Y is kept, as ``base_masks``: the minimal open of Y
     at each y carried to the unit numbers of the (y, y).  The default
@@ -504,18 +506,18 @@ class RelationGroupoid(FinGroupoid):
     detects).
     """
 
-    def __init__(self, psi: SpaceMap, fibers: Sequence[Sequence], topology: FinSpace | None = None):
-        sizes = tuple(len(f) for f in fibers)
-        index = pair_groupoid_index(sizes)
-        y = psi.dom
-        self.base, self.psi, self.fibers = y, psi, fibers
-        self.base_labels = [p for f in fibers for p in f]
-        # the units (y, y) come out fiber by fiber, as the base labels do
-        units = index.unit_numbers
-        unit_of = {y._index[p]: 1 << u for p, u in zip(self.base_labels, units)}
-        self.base_masks = {u: _union(unit_of, y._mo[y._index[p]]) for p, u in zip(self.base_labels, units)}
+    def __init__(self, psi: SpaceMap, fibers: Sequence[Sequence[int]], topology: FinSpace | None = None):
+        sizes = tuple(map(len, fibers))
+        index, y, pts = pair_groupoid_index(sizes), psi.dom, psi.dom.points
+        self.base, self.psi, self.fiber_positions = y, psi, fibers
+        self.fibers = [[pts[p] for p in f] for f in fibers]
+        # the units (y, y) come out fiber by fiber, as the positions do
+        order, units = [p for f in fibers for p in f], index.unit_numbers
+        self.base_labels = [pts[p] for p in order]
+        unit_bit = {p: 1 << u for p, u in zip(order, units)}
+        self.base_masks = {u: _union(unit_bit, y._mo[p]) for p, u in zip(order, units)}
         if topology is None:
-            pairs = [(a, b) for f in fibers for a in f for b in f]
+            pairs = [(a, b) for f in self.fibers for a in f for b in f]
             topology = FinSpace(pairs, relation_masks(sizes, tuple(self.base_masks.values())))
         elif len(topology) != len(index.range_idx):
             raise ValueError("the topology's points are not the pairs of the fibers")
@@ -523,7 +525,7 @@ class RelationGroupoid(FinGroupoid):
 
     def with_discrete_topology(self) -> "RelationGroupoid":
         """Same algebraic groupoid with the discrete morphism topology."""
-        return RelationGroupoid(self.psi, self.fibers, discrete(self.morphisms))
+        return RelationGroupoid(self.psi, self.fiber_positions, discrete(self.morphisms))
 
 
 def product_masks(unit_mo: Mapping[int, int], layout: IndexLayout) -> list[int]:
@@ -545,20 +547,19 @@ def product_masks(unit_mo: Mapping[int, int], layout: IndexLayout) -> list[int]:
 def build_relation_groupoid(psi: SpaceMap) -> RelationGroupoid:
     """Build the relation groupoid of a surjection with the product-subspace
     topology, on the verified index of its fiber sizes."""
-    if not psi.is_surjective():
-        raise ValueError("psi must be surjective")
     fibers: dict = {}
-    for y, x in zip(psi.dom.points, psi.targets):
-        fibers.setdefault(x, []).append(y)
+    for p, x in enumerate(psi.targets):
+        fibers.setdefault(x, []).append(p)
+    if len(fibers) != len(psi.cod):
+        raise ValueError("psi must be surjective")
     return RelationGroupoid(psi, list(fibers.values()))
 
 
 def _subspace_masks(groupoid: FinGroupoid) -> dict:
     """The minimal opens U_u & units of the unit subspace, keyed and
     masked by unit number."""
-    units = groupoid.layout.unit_numbers
-    bits = sum(1 << u for u in units)
-    return {u: groupoid.topology._mo[u] & bits for u in units}
+    mo, bits = groupoid.topology._mo, groupoid.layout.unit_bits
+    return {u: mo[u] & bits for u in groupoid.layout.unit_numbers}
 
 
 def _unit_base(groupoid: FinGroupoid) -> tuple:
@@ -613,7 +614,7 @@ def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
     """
     if groupoid._props_cache is not None:
         return groupoid._props_cache
-    scan = _scan_masks(groupoid.topology._mo, _subspace_masks(groupoid), groupoid.layout.ranges)
+    scan = _scan_masks(groupoid.topology._mo, _subspace_masks(groupoid), groupoid.layout.ranges, groupoid.layout.range_bits)
     props = GroupoidProperties(groupoid.principal, all(scan))
     groupoid._props_cache = props
     return props
@@ -657,6 +658,8 @@ def fell_check(groupoid: FinGroupoid) -> FellCheck:
         raise NonPrincipalError("fell_check requires a principal groupoid")
     rq = product_masks(_unit_base(groupoid)[1], groupoid.layout)
     mo = groupoid.topology._mo
+    if mo == tuple(rq):
+        return FellCheck(True, True, True, None)
     continuous = not any(u & ~v for u, v in zip(mo, rq))
     is_open = not any(v & ~u for u, v in zip(mo, rq))
     witness = None if is_open else groupoid.topology.unbits(next(u for u in mo if _union(rq, u) != u))
@@ -703,9 +706,8 @@ def orbit_map_check(relation: RelationGroupoid) -> OrbitMapReport:
     psi = relation.psi
     space, q = orbit_space(relation)
     h = {psi(fiber[0]): frozenset(fiber) for fiber in relation.fibers}
-    bijective = set(h.values()) == set(space.points) and len(set(h.values())) == len(
-        psi.cod.points
-    )
+    blocks = set(h.values())
+    bijective = blocks == set(space.points) and len(blocks) == len(psi.cod.points)
     compatible = all(h[psi(y)] == q(y) for y in psi.dom.points)
     props = classify_map(psi)
     open_clause = None

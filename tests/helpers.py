@@ -367,6 +367,32 @@ def reference_final_masks(dom: fs.FinSpace, targets, size: int) -> list[int]:
     return masks
 
 
+def reference_quotient_space(space: fs.FinSpace, partition) -> tuple:
+    """``finspace.quotient_space`` as it checked a partition through a
+    set of seen points, sorted the blocks by their least point and built
+    the projection through the label-checking ``SpaceMap`` constructor,
+    verbatim."""
+    blocks = [frozenset(b) for b in partition]
+    seen: set = set()
+    for b in blocks:
+        if not b:
+            raise fs.InvalidSpace("empty partition block")
+        for p in b:
+            if p not in space:
+                raise fs.InvalidSpace(f"partition mentions unknown point {p!r}")
+            if p in seen:
+                raise fs.InvalidSpace(f"partition blocks overlap at {p!r}")
+            seen.add(p)
+    if len(seen) != len(space.points):
+        raise fs.InvalidSpace("partition does not cover the space")
+    blocks.sort(key=lambda b: min(space.index(p) for p in b))
+    block_of = {p: b for b in blocks for p in b}
+    block_idx = {b: k for k, b in enumerate(blocks)}
+    masks = fs._final_masks(space, [block_idx[block_of[p]] for p in space.points], len(blocks))
+    quotient = fs.FinSpace(blocks, masks)
+    return quotient, fs.SpaceMap(space, quotient, block_of)
+
+
 def reference_topology_relations(n: int) -> tuple:
     """``corpus._topology_relations`` with its own transitivity filter."""
     if n == 0:

@@ -6,6 +6,7 @@ import pytest
 
 from groupoidlab import corpus
 from groupoidlab import finspace as fs
+from groupoidlab import groupoid as gp
 from groupoidlab.corpus import all_partitions, all_topologies, random_space
 from helpers import (
     chain_space,
@@ -14,11 +15,13 @@ from helpers import (
     label_space,
     min_open,
     open_sets,
+    reference_base_masks,
     reference_cover_resolution,
     reference_classify_map,
     reference_coherence_loop,
     reference_final_masks,
     reference_is_open,
+    reference_quotient_space,
     reference_random_space,
     reference_scan_masks,
     reference_space_fault,
@@ -288,9 +291,9 @@ def test_quotient_chain3_gives_sierpinski():
 
 def test_quotient_rejects_bad_partitions():
     y = fs.discrete((0, 1, 2))
-    with pytest.raises(fs.InvalidSpace):
+    with pytest.raises(fs.InvalidSpace, match="^partition blocks overlap at 1$"):
         fs.quotient_space(y, [{0, 1}, {1, 2}])
-    with pytest.raises(fs.InvalidSpace):
+    with pytest.raises(fs.InvalidSpace, match="^partition does not cover the space$"):
         fs.quotient_space(y, [{0}])
 
 
@@ -318,6 +321,77 @@ def test_quotient_always_quotient_map_on_corpus():
                 assert props.quotient and fs.classify_map(psi) == props
                 cases += 1
     assert cases == 5479
+
+
+def numbered_corpus():
+    """Every quotient of every topology on at most 4 points (5,479), then
+    every partition of a discrete space of at most 6 points (203 on 6)."""
+    for n in range(1, 5):
+        for space in all_topologies(n):
+            for part in all_partitions(space.points):
+                yield fs.quotient_space(space, part)[1]
+    for n in range(1, 7):
+        space = fs.discrete(tuple(range(n)))
+        for part in all_partitions(space.points):
+            yield fs.quotient_space(space, part)[1]
+
+
+def test_numbered_quotients_pass_the_label_checks_they_skip():
+    """``quotient_space`` hands psi its targets through ``SpaceMap.numbered``
+    without the constructor's label checks: on the corpus the checking
+    constructor accepts psi's assignment and rebuilds the same map, the
+    blocks are numbered by their least point, and the relation groupoid
+    built on positions carries Y's masks and psi's fibers in first-point
+    order."""
+    cases = 0
+    for psi in numbered_corpus():
+        checked = fs.SpaceMap(psi.dom, psi.cod, psi.assignment)
+        assert psi == checked and psi.targets == checked.targets, psi
+        least = [min(map(psi.dom.index, block)) for block in psi.cod.points]
+        assert least == sorted(least) and all(p in psi(p) for p in psi.dom.points), psi
+        relation = gp.build_relation_groupoid(psi)
+        assert relation.base_masks == reference_base_masks(relation), psi
+        fibers: dict = {}
+        for p in psi.dom.points:
+            fibers.setdefault(psi(p), []).append(p)
+        assert relation.fibers == list(fibers.values()), psi
+        assert relation.base_labels == [p for f in fibers.values() for p in f], psi
+        assert relation.fiber_positions == [[psi.dom.index(p) for p in f] for f in fibers.values()], psi
+        cases += 1
+    assert cases == 5479 + 1 + 2 + 5 + 15 + 52 + 203
+
+
+def test_quotient_reads_every_block_before_it_names_a_fault():
+    # the second block's unhashable member raises before the first
+    # block's unknown point is looked up
+    with pytest.raises(TypeError):
+        fs.quotient_space(fs.discrete((0, 1)), [[7], [0, []]])
+
+
+def test_quotient_faults_and_results_match_the_seen_set_loop():
+    """Random partitions of a 5-point space with members drawn from 7
+    points, some blocks empty: the same quotient and projection as the
+    set-and-sort construction it replaced, or the same ``InvalidSpace``
+    text, in its order of precedence."""
+    rng = random.Random(3205)
+    space = fs.FinSpace(range(5), [0b00001, 0b00011, 0b00100, 0b01100, 0b11111])
+    outcomes = collections.Counter()
+    for _ in range(4000):
+        partition = [[rng.randrange(7) for _ in range(rng.choice((0, 1, 1, 2, 2, 3)))]
+                     for _ in range(rng.randint(1, 5))]
+        try:
+            want = reference_quotient_space(space, partition)
+        except fs.InvalidSpace as err:
+            with pytest.raises(fs.InvalidSpace) as got:
+                fs.quotient_space(space, partition)
+            assert str(got.value) == str(err), partition
+            outcomes[str(err).split(" at ")[0].split(" point ")[0]] += 1
+            continue
+        x, psi = fs.quotient_space(space, partition)
+        assert x == want[0] and psi == want[1] and psi.targets == want[1].targets, partition
+        outcomes["valid"] += 1
+    assert set(outcomes) == {"empty partition block", "partition mentions unknown", "partition blocks overlap",
+                             "partition does not cover the space", "valid"}, outcomes
 
 
 # -- hausdorff_cover_resolution ----------------------------------------------
@@ -480,11 +554,11 @@ def test_openness_by_inclusion_matches_the_down_set_walk():
         dom, cod = _random_preorder(rng, n), _random_preorder(rng, n)
         targets = [rng.randrange(n) for _ in range(n)]
         walked = reference_scan_masks(dom, cod, targets)
-        assert fs._scan_masks(dom, cod, targets) == walked[:3]
+        assert fs._scan_masks(dom, cod, targets, [1 << t for t in targets]) == walked[:3]
         first = next((m for m, u in enumerate(dom) if not reference_is_open(cod, u)), None)
         space = fs.FinSpace(range(n), cod)
         assert next((m for m, u in enumerate(dom) if not space.is_open_bits(u)), None) == first
-        assert fs._scan_masks(dom, cod, range(n))[1] == (first is None)
+        assert fs._scan_masks(dom, cod, range(n), [1 << m for m in range(n)])[1] == (first is None)
         verdicts[walked[1], first is None] += 1
     assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
 

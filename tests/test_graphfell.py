@@ -350,7 +350,10 @@ def test_undecided_distance_two_multiplicity():
     assert gf.periodic_fell_verdict(pres, unroll_bound=6).verdict == "UNDECIDED"
 
 
-def test_periodic_verdicts_match_the_label_dict_verdict():
+def verdict_presentations() -> list:
+    """Ladders with and without f2, the single tail, the seam
+    counterexample, a looped block, trees with tails and 40 seeded
+    random presentations."""
     rng = random.Random(18)
     presentations = [ladder(k, with_f2) for k in (1, 4, 10) for with_f2 in (True, False)]
     presentations += [gf.single_tail(), seam_counterexample()]
@@ -358,8 +361,12 @@ def test_periodic_verdicts_match_the_label_dict_verdict():
     presentations.append(gf.PeriodicGraph(loop, seam_block=[("chain", "v", "v")]))
     presentations += [gf.tree_with_tails(d) for d in range(3, 8)]
     presentations += [random_presentation(rng) for _ in range(40)]
+    return presentations
+
+
+def test_periodic_verdicts_match_the_label_dict_verdict():
     seen = set()
-    for pres in presentations:
+    for pres in verdict_presentations():
         for bound in (0, 1, 3, 10, 30):
             verdict, expected = gf.periodic_fell_verdict(pres, bound), reference_periodic_fell_verdict(pres, bound)
             assert verdict.as_dict() == expected.as_dict()
@@ -368,6 +375,31 @@ def test_periodic_verdicts_match_the_label_dict_verdict():
     assert seen == {"FELL", "NOT_FELL", "NOT_PRINCIPAL", "UNDECIDED"}
     # the known wrong answer of the truncated unrolling stays as it is
     assert gf.periodic_fell_verdict(seam_counterexample(), 0).verdict == "FELL"
+
+
+def test_every_row_with_a_level_1_has_two_parallel_paths():
+    """The premise of ``periodic_fell_verdict``'s witness, which it no
+    longer checks: on the acyclic unrollings of the presentations above
+    at bounds 0 to 3, every position whose ``path_rows`` entry has a
+    level 1 gets from ``two_parallel_paths`` two distinct edge-paths
+    with range that vertex and a common source."""
+    checked = 0
+    for pres in verdict_presentations():
+        for bound in range(4):
+            unrolled = pres.unroll(bound + 1)
+            if not gf.validate_graph(unrolled).acyclic:
+                continue
+            rel = label_relations(unrolled)
+            for v, levels in zip(unrolled.vertices, unrolled.path_rows):
+                if len(levels) < 2:
+                    continue
+                source, *paths = gf.two_parallel_paths(unrolled, v)
+                assert paths[0] != paths[1], (v, paths)
+                for path in paths:
+                    assert path and rel.range_of[path[0]] == v and rel.source_of[path[-1]] == source, (v, path)
+                    assert all(rel.source_of[a] == rel.range_of[b] for a, b in zip(path, path[1:])), (v, path)
+                checked += 1
+    assert checked == 383, checked
 
 
 # -- parity with the dict construction ----------------------------------------------

@@ -15,6 +15,7 @@ from groupoidlab import finspace as fs
 from groupoidlab import groupoid as gp
 from groupoidlab import serialize as sz
 from groupoidlab import twist as tw
+from groupoidlab.bundled import bundled_document
 from groupoidlab.cli import main
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
 from helpers import (
@@ -442,7 +443,7 @@ def random_pair_topologies(count: int, seed: int):
         y = rng.choice(spaces)
         pair = gp.build_relation_groupoid(fs.SpaceMap(y, fs.discrete(("*",)), dict.fromkeys(y.points, "*")))
         rows = [sum(1 << j for j in range(9) if rng.random() < 0.15) for _ in range(9)]
-        yield gp.RelationGroupoid(pair.psi, pair.fibers, fs.FinSpace(pair.morphisms, fs._closure(rows)))
+        yield gp.RelationGroupoid(pair.psi, pair.fiber_positions, fs.FinSpace(pair.morphisms, fs._closure(rows)))
 
 
 def test_fell_check_matches_the_identity_scan(corpus_builds):
@@ -524,7 +525,7 @@ def test_a_non_unit_idempotent_end_is_rejected():
 def test_relation_groupoid_rejects_a_topology_of_the_wrong_size():
     psi = discrete_3_to_2()
     with pytest.raises(ValueError, match="not the pairs of the fibers"):
-        gp.RelationGroupoid(psi, [[1, 2], [3]], fs.discrete(range(4)))
+        gp.RelationGroupoid(psi, [[0, 1], [2]], fs.discrete(range(4)))
 
 
 def test_relation_groupoid_at_the_cap_traces_under_64_mb():
@@ -752,6 +753,41 @@ def test_generator_triples_decide_associativity_as_the_full_sweep(monkeypatch):
     assert outcomes["associativity"] >= 1800 and outcomes["other"] > 0, outcomes
 
 
+def right_inverse_corpus():
+    """Relation groupoids of criterion 2 and of the chain, extensions by
+    trivial, coboundary and nontrivial cocycles, groups, matrix-unit
+    groupoids and the groupoids of the bundled inputs."""
+    rng = random.Random(2231)
+    relations = list(criterion_2_relations()) + [gp.build_relation_groupoid(chain3_to_sierpinski())]
+    yield from relations
+    groups = [product_group(a, b) for a, b in ((2, 1), (3, 1), (2, 2), (2, 3), (4, 2))]
+    yield from groups
+    for base in relations[:60:7] + groups:
+        for n in (2, 3):
+            yield tw.extension_groupoid(base, tw.TwoCocycle.trivial(base, n))
+            chain = tw.OneCochain(base, n, {m: rng.randrange(n) for m in base.morphisms if m not in base.units})
+            yield tw.extension_groupoid(base, tw.coboundary_twist(chain))
+    for blocks in ({"a": (0, 1)}, {"a": (0, 1), "e": (), "b": (2,)}, {"a": (0, 1, 2), "b": (3, 4)}):
+        yield ca.matrix_unit_groupoid(blocks, 3, lambda i, j, k: i + 2 * j + k).groupoid
+    yield sz.twisted_groupoid_from_json(bundled_document("trivial-cocycle"))[0]
+    doubled = ca.build_doubled_cover_space(sz.cech_from_json(bundled_document("tetrahedron-z3")))
+    yield doubled.relation
+    yield tw.extension_groupoid(doubled.relation, tw.cech_to_groupoid_cocycle(doubled))
+    yield ca.build_doubled_model(3, 2).relation
+
+
+def test_the_right_inverse_law_holds_on_the_corpus():
+    # ``verify_axioms`` checks only m inv(m) = r(m) and derives
+    # inv(m) m = s(m); here the derived law is asserted on the index
+    kinds = collections.Counter()
+    for g in right_inverse_corpus():
+        every = np.arange(len(g))
+        numbers = g.pair_number(g.inverse_idx, every)
+        assert (numbers >= 0).all() and np.array_equal(g.pairs[2][numbers], g.source_idx), g
+        kinds[type(g).__name__, g.principal] += 1
+    assert set(kinds) == {("RelationGroupoid", True), ("FinGroupoid", True), ("FinGroupoid", False)}, kinds
+
+
 @pytest.mark.parametrize("chunk", [1, 7, gp.TRIPLE_CHUNK])
 def test_masked_triple_join_is_the_full_join_filtered(monkeypatch, chunk):
     rng = random.Random(chunk)
@@ -913,6 +949,7 @@ def test_shared_layout_matches_a_fresh_groupoid():
         fibers = [points[sum(sizes[:k]):sum(sizes[:k + 1])] for k in range(len(sizes))]
         psi = fs.SpaceMap(fs.discrete(points), fs.discrete(range(len(sizes))),
                           {p: k for k, f in enumerate(fibers) for p in f})
+        # the points are their own positions
         cases.append((sizes, gp.RelationGroupoid(psi, fibers)))
     cases.append(((2, 0, 1), ca.matrix_unit_groupoid({"a": (0, 1), "e": (), "b": (2,)}, 3).groupoid))
     for sizes, g in cases:
