@@ -55,9 +55,9 @@ from __future__ import annotations
 
 import cmath
 import random
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Mapping
 
 import numpy as np
 

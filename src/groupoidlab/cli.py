@@ -156,6 +156,9 @@ def _random_coboundary(rng: random.Random, relation, n: int):
 
 
 def _cmd_algebra_verify(args) -> dict:
+    for flag, least in (("random", 0), ("max_points", 1), ("max_order", 1)):
+        if getattr(args, flag) < least:
+            raise UsageError(f"argument --{flag.replace('_', '-')}: must be at least {least}, got {getattr(args, flag)}")
     rng = random.Random(env_seed())
     instances = []
     if args.input is not None:

@@ -35,8 +35,6 @@ def _topology_relations(n: int) -> tuple:
     A finite topology is the same thing as such a relation via
     U_x = {y : rel[x] has bit y}.
     """
-    if n == 0:
-        return ((),)
     out = []
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for choice in range(1 << len(pairs)):
@@ -50,9 +48,9 @@ def _topology_relations(n: int) -> tuple:
 
 
 def all_topologies(n: int) -> list[FinSpace]:
-    """Every topology on the labelled point set 0..n-1."""
+    """Every topology on the points 0..n-1, coherent by ``_topology_relations``' filter."""
     pts = tuple(range(n))
-    return [FinSpace(pts, rows) for rows in _topology_relations(n)]
+    return [FinSpace.coherent(pts, rows) for rows in _topology_relations(n)]
 
 
 def all_partitions(points) -> tuple[tuple[frozenset, ...], ...]:
@@ -85,7 +83,7 @@ def _partitions(pts: tuple) -> tuple:
 
 
 def random_space(seed: int, max_points: int) -> FinSpace:
-    """A random finite space with 1..max_points points."""
+    """A random finite space with 1..max_points points, coherent by ``_closure``."""
     rng = random.Random(seed)
     n = rng.randint(1, max_points)
     # random preorder: close a random relation reflexively and transitively
@@ -94,7 +92,7 @@ def random_space(seed: int, max_points: int) -> FinSpace:
         for j in range(n):
             if i != j and rng.random() < 0.3:
                 rows[i] |= 1 << j
-    return FinSpace(range(n), _closure(rows))
+    return FinSpace.coherent(range(n), _closure(rows))
 
 
 def random_partition(rng: random.Random, points) -> list[set]:

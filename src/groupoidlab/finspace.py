@@ -23,8 +23,8 @@ Points are opaque hashables.  A space is built from one bitmask per
 point over the point indices, and a map keeps the codomain index of each
 domain point, which keeps the predicates cheap on spaces of up to a few
 dozen points.  Every builder here hands over masks; the labels of a
-``finspace/1`` document are numbered only in ``serialize``.  Coherence
-is decided once per mask tuple, in a cache of ``COHERENCE_CACHE`` tuples.
+``finspace/1`` document are numbered only in ``serialize``, whose masks
+``FinSpace`` checks; builders with coherent masks call ``FinSpace.coherent``.
 ``quotient_space`` hands ``SpaceMap.numbered`` its targets unchecked.
 
 This module is the one home of the bit algebra of a preorder, in three
@@ -41,14 +41,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 from .errors import InternalCheckFailure
 
 Point = Hashable
-
-# most mask tuples (keyed by value and type) whose coherence verdict ``_coherence_fault`` keeps
-COHERENCE_CACHE = 512
 
 
 class InvalidSpace(ValueError):
@@ -91,22 +87,6 @@ def _closure(rows: Sequence[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=COHERENCE_CACHE, typed=True)
-def _coherence_fault(*mo: int) -> tuple | None:
-    """The first fault of the minimal opens ``mo`` (x in U_x, no unknown
-    points, coherence, point by point) as a message template and the
-    point indices it names, or None."""
-    for i, m in enumerate(mo):
-        if not (m >> i) & 1:
-            return "point {0!r} missing from its own minimal open", i
-        if m >> len(mo):
-            return "minimal open of {0!r} mentions unknown points", i
-        if _union(mo, m) != m:
-            j = next(j for j in _iter_bits(m) if mo[j] & ~m)
-            return "minimal opens incoherent: {1!r} lies in U_{0!r} but U_{1!r} does not", i, j
-    return None
-
-
 class FinSpace:
     """A finite topological space.
 
@@ -123,8 +103,26 @@ class FinSpace:
     __slots__ = ("points", "_index", "_mo")
 
     def __init__(self, points: Iterable[Point], masks: Sequence[int]):
-        """The minimal opens are ``masks``, one bitmask over the point
-        indices per point; coherence is checked once per mask tuple."""
+        """``masks`` holds one minimal open per point; the first fault, point by point, raises."""
+        self._store(points, masks)
+        mo, pts = self._mo, self.points
+        for i, m in enumerate(mo):
+            if not (m >> i) & 1:
+                raise InvalidSpace(f"point {pts[i]!r} missing from its own minimal open")
+            if m >> len(mo):
+                raise InvalidSpace(f"minimal open of {pts[i]!r} mentions unknown points")
+            if _union(mo, m) != m:
+                j = next(j for j in _iter_bits(m) if mo[j] & ~m)
+                raise InvalidSpace(f"minimal opens incoherent: {pts[j]!r} lies in U_{pts[i]!r} but U_{pts[j]!r} does not")
+
+    @classmethod
+    def coherent(cls, points: Iterable[Point], masks: Sequence[int]) -> "FinSpace":
+        """``FinSpace(points, masks)`` without the coherence loop; the caller's docstring says why."""
+        space = cls.__new__(cls)
+        space._store(points, masks)
+        return space
+
+    def _store(self, points: Iterable[Point], masks: Sequence[int]) -> None:
         if isinstance(masks, Mapping):
             raise TypeError("masks are one bitmask per point, not a mapping")
         self.points = tuple(points)
@@ -134,9 +132,6 @@ class FinSpace:
         if len(masks) != len(self.points):
             raise InvalidSpace("one mask is needed per point")
         self._mo = tuple(masks)
-        fault = _coherence_fault(*self._mo)
-        if fault is not None:
-            raise InvalidSpace(fault[0].format(*(self.points[k] for k in fault[1:])))
 
     # -- basic structure ------------------------------------------------
 
@@ -222,8 +217,9 @@ class FinSpace:
 
 
 def discrete(points: Iterable[Point]) -> FinSpace:
+    """The discrete space; U_x = {x} is coherent."""
     pts = tuple(points)
-    return FinSpace(pts, [1 << i for i in range(len(pts))])
+    return FinSpace.coherent(pts, [1 << i for i in range(len(pts))])
 
 
 def sierpinski(open_point: Point = "a", closed_point: Point = "b") -> FinSpace:
@@ -385,7 +381,8 @@ def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
     points, by least point, and psi is the projection.  X's minimal opens
     come from the same final-topology routine that ``is_quotient_map``
     uses, so psi is a quotient map by construction; the tests check that
-    against the open-set lattice.
+    against the open-set lattice.  They are ``_closure`` rows, reflexive
+    and transitive, so X is coherent by construction.
     """
     blocks = [frozenset(b) for b in partition]
     index, block_of = space._index, [-1] * len(space.points)
@@ -403,7 +400,7 @@ def quotient_space(space: FinSpace, partition: Iterable[Iterable[Point]]):
         raise InvalidSpace("partition does not cover the space")
     rank = {k: j for j, k in enumerate(dict.fromkeys(block_of))}
     targets = [rank[k] for k in block_of]
-    quotient = FinSpace([blocks[k] for k in rank], _final_masks(space, targets, len(rank)))
+    quotient = FinSpace.coherent([blocks[k] for k in rank], _final_masks(space, targets, len(rank)))
     return quotient, SpaceMap.numbered(space, quotient, targets)
 
 

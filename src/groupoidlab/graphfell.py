@@ -34,10 +34,9 @@ to build witnesses and reports.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
 
 from .errors import InputError
 from .labels import canonical_label

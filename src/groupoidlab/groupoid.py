@@ -500,7 +500,7 @@ class RelationGroupoid(FinGroupoid):
     at each y carried to the unit numbers of the (y, y).  The default
     topology on the morphisms is the product topology of Y x Y restricted
     to them, whose masks ``relation_masks`` computes once per fiber sizes
-    and ``base_masks``; the space is built per groupoid, checked per mask tuple.
+    and ``base_masks``; each groupoid builds it unchecked (proof at ``product_masks``).
     Orbit-space constructions read Y even when a caller installs another
     topology on the morphisms (the mismatch is what the openness test
     detects).
@@ -518,7 +518,7 @@ class RelationGroupoid(FinGroupoid):
         self.base_masks = {u: _union(unit_bit, y._mo[p]) for p, u in zip(order, units)}
         if topology is None:
             pairs = [(a, b) for f in self.fibers for a in f for b in f]
-            topology = FinSpace(pairs, relation_masks(sizes, tuple(self.base_masks.values())))
+            topology = FinSpace.coherent(pairs, relation_masks(sizes, tuple(self.base_masks.values())))
         elif len(topology) != len(index.range_idx):
             raise ValueError("the topology's points are not the pairs of the fibers")
         self._attach(topology, index)
@@ -536,7 +536,9 @@ def product_masks(unit_mo: Mapping[int, int], layout: IndexLayout) -> list[int]:
     open U_u of that space at the unit u.  The minimal open at m is
     rows[r(m)] & cols[s(m)], where rows[u] masks the morphisms whose range
     lies in U_u and cols[u] those whose source does: m' lies in the
-    preimage of U_{r(m)} x U_{s(m)} exactly when both hold.
+    preimage of U_{r(m)} x U_{s(m)} exactly when both hold.  Coherent
+    ``unit_mo`` give coherent masks: m lies in its own, and if m' lies in
+    m's, then U_{r(m')} lies in U_{r(m)} and U_{s(m')} in U_{s(m)}.
     """
     by_range, by_source = layout.end_masks
     rows = {u: _union(by_range, mask) for u, mask in unit_mo.items()}
@@ -576,12 +578,12 @@ def _unit_base(groupoid: FinGroupoid) -> tuple:
 def orbit_space(groupoid: FinGroupoid):
     """Quotient of the unit space by the orbit relation.
 
-    Returns (X, q).  For an etale groupoid the quotient map is also open;
-    this is asserted whenever the etale property holds.
+    Returns (X, q); q's domain, Y or the unit subspace, is coherent as a
+    subspace.  For an etale groupoid q is open too, and this is asserted.
     """
     labels, masks = _unit_base(groupoid)
     position = {u: 1 << k for k, u in enumerate(masks)}
-    base = FinSpace(labels, [_union(position, m) for m in masks.values()])
+    base = FinSpace.coherent(labels, [_union(position, m) for m in masks.values()])
     orbit = groupoid.orbit_idx.tolist()
     blocks: dict = {}
     for u, label in zip(masks, labels):
@@ -604,13 +606,13 @@ class GroupoidProperties:
 def groupoid_properties(groupoid: FinGroupoid) -> GroupoidProperties:
     """Principality and the etale property, read off the compiled index.
 
-    principal means (r, s) is injective; the index computes it once.  etale means the range map is a local homeomorphism onto
-    the unit space; the scan runs r over the groupoid's own minimal
-    opens against the codomain masks U_u & units, which are the minimal
-    opens of the subspace topology, so the unit space is never built.  The literal Cartan condition
-    holds for every finite groupoid, because every subset of a finite
-    space is compact; its meaningful finite surrogate is the r x s
-    openness test of ``fell_check``.
+    principal means (r, s) is injective; the index computes it once.  etale
+    means the range map is a local homeomorphism onto the unit space; the scan
+    runs r over the groupoid's own minimal opens against the codomain masks
+    U_u & units, the minimal opens of the subspace topology, so the unit space
+    is never built.  The literal Cartan condition holds for every finite
+    groupoid, because every subset of a finite space is compact; its
+    meaningful finite surrogate is the r x s openness test of ``fell_check``.
     """
     if groupoid._props_cache is not None:
         return groupoid._props_cache

@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 import numpy as np
 

@@ -15,9 +15,9 @@ that returns either a witness or an unsolvability certificate.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -367,18 +367,18 @@ def extension_groupoid(groupoid: FinGroupoid, sigma: TwoCocycle) -> FinGroupoid:
         (w, a)(z, b) = (w + z + sigma(a, b), ab)
         (z, a)^{-1}  = (-z - sigma(a, a^{-1}), a^{-1})
 
-    The morphism topology is the product of discrete Z_n with the
-    topology of G.  (z, m) is number z|G| + m, and the index is array
-    code on G's, with G's pairs broadcast over w and z.  Associativity of
-    the result is equivalent to the cocycle identity and is re-verified
-    rather than assumed, so an invalid sigma fails here with the
-    violating triple.
+    The morphism topology is the product of discrete Z_n with the topology
+    of G: n disjoint shifted copies of G's masks, so coherent.  (z, m) is
+    number z|G| + m, and the index is array code on G's, with G's pairs
+    broadcast over w and z.  Associativity of the result is equivalent to
+    the cocycle identity and is re-verified rather than assumed, so an
+    invalid sigma fails here with the violating triple.
     """
     if sigma.groupoid is not groupoid:
         raise CocycleError("cocycle is not defined on this groupoid")
     n, size = sigma.n, len(groupoid.morphisms)
     twist_inv = sigma.values[groupoid.pair_number(np.arange(size), groupoid.inverse_idx)]
-    topology = FinSpace(
+    topology = FinSpace.coherent(
         [(z, m) for z in range(n) for m in groupoid.morphisms],
         [u << z * size for z in range(n) for u in groupoid.topology._mo],
     )

@@ -14,11 +14,12 @@ equivariant slice with its per-unit loop, and the cover kernel's norm
 check on f - f(star) e_star; and the *-homomorphism checker and linear
 map as they read a label dictionary ``{a: (t, c)}`` before maps were
 index arrays, with the root-of-unity helper ``zeta``; and the coherence
-loop that ``FinSpace`` ran on every construction and the per-call masks
-of ``product_masks``, before both were kept once per mask tuple and per
-``IndexLayout``; and the moduli above int64 range that exact arithmetic
-is tested at; and the dense n x n pair table that each groupoid kept
-before ``IndexLayout.pair_number``, the oracle for the numbering."""
+loop of ``FinSpace``, the proof obligation of every ``FinSpace.coherent``
+builder, and the per-call masks of ``product_masks`` before they were
+kept once per ``IndexLayout``; and the moduli above int64 range that
+exact arithmetic is tested at; and the dense n x n pair table that each
+groupoid kept before ``IndexLayout.pair_number``, the oracle for the
+numbering."""
 
 from __future__ import annotations
 
@@ -470,10 +471,9 @@ def reference_space_fault(points, masks):
 
 
 def reference_coherence_loop(points: tuple, mo: tuple) -> None:
-    """The coherence loop that ``FinSpace.__init__`` ran on every
-    construction before its verdict was kept per mask tuple, verbatim but
-    for ``self.points``, which is ``points`` here: raises the
-    ``InvalidSpace`` it raised, or returns."""
+    """The coherence loop of ``FinSpace.__init__`` as it first ran,
+    verbatim but for ``self.points``, which is ``points`` here: raises
+    the ``InvalidSpace`` it raised, or returns."""
     for i, m in enumerate(mo):
         if not (m >> i) & 1:
             raise fs.InvalidSpace(f"point {points[i]!r} missing from its own minimal open")

@@ -405,6 +405,22 @@ def test_algebra_verify_needs_an_input_or_random_instances(capsys):
     assert report["result"]["error"] == "SchemaError: provide an input file or --random N (at /)"
 
 
+
+def test_algebra_verify_names_a_flag_out_of_range(capsys):
+    # each refused before any instance is drawn, with or without an input
+    cases = (
+        (["--random", "1", "--max-points", "0"], "--max-points: must be at least 1, got 0"),
+        (["--random", "1", "--max-order", "0"], "--max-order: must be at least 1, got 0"),
+        (["--random", "-1", "bundled:trivial-cocycle"], "--random: must be at least 0, got -1"),
+        (["bundled:trivial-cocycle", "--max-points", "-3"], "--max-points: must be at least 1, got -3"),
+    )
+    for argv, error in cases:
+        code, report = run_cli(capsys, "algebra-verify", *argv)
+        assert code == 1 and report["exit_code"] == 1 and report["command"] == "algebra-verify"
+        assert report["result"]["error"] == f"UsageError: argument {error}", argv
+    code, report = run_cli(capsys, "algebra-verify", "--random", "1", "--max-points", "1", "--max-order", "1")
+    assert code == 0 and report["result"]["instances"] == 1
+
 # a failed verification in each command that gates on one: the library
 # function, the change to its result that fails the gate, the command
 # line and the error

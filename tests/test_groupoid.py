@@ -28,6 +28,7 @@ from helpers import (
     product,
     product_group,
     reference_base_masks,
+    reference_coherence_loop,
     reference_fell_check,
     reference_final_masks,
     reference_orbit_base,
@@ -474,6 +475,47 @@ def test_fell_check_reads_the_same_on_a_plain_copy(corpus_builds):
         copy = sz.groupoid_from_json(sz.groupoid_to_json(plain))
         assert type(copy) is gp.FinGroupoid
         assert gp.fell_check(copy).as_dict() == gp.fell_check(relation).as_dict()
+
+
+def test_unchecked_builders_are_coherent_on_the_corpus(corpus_builds):
+    """Every space built by ``FinSpace.coherent`` passes the checked
+    constructor: the topologies, quotients X and relation topologies of
+    criterion 1 and of random quotients, with discrete twins; relation
+    groupoids on discrete spaces of at most 6 points; the orbit-space
+    bases and quotients of all of these, of ``fingroupoid/1`` copies and
+    of extensions; extensions of groups and relations mod 2 and 3;
+    ``random_space`` at 1,000 seeds; and discrete spaces.  The relation
+    topologies are the outputs of ``product_masks`` that its docstring
+    proves coherent."""
+    rng = random.Random(33)
+    groupoids, spaces = [], [fs.discrete(()), fs.discrete("abc")]
+    spaces += [s for n in range(5) for s in all_topologies(n)]
+    spaces += [random_space(seed, 8) for seed in range(1000)]
+    # a discrete twin's orbit base is its relation's Y
+    for psi, relation, discrete, plain, _ in corpus_builds:
+        spaces += [psi.dom, psi.cod, relation.topology, discrete.topology]
+        groupoids += [relation, sz.groupoid_from_json(sz.groupoid_to_json(plain))]
+    small = [
+        gp.build_relation_groupoid(fs.quotient_space(space, part)[1])
+        for space in map(fs.discrete, map(range, range(1, 7)))
+        for part in all_partitions(space.points)
+    ]
+    groups = [product_group(a, b) for a, b in ((2, 1), (3, 1), (2, 2), (2, 3), (4, 2))]
+    for base in small[::9] + groups + [gp.build_relation_groupoid(chain3_to_sierpinski())]:
+        for n in (2, 3):
+            chain = tw.OneCochain(base, n, {m: rng.randrange(n) for m in base.morphisms if m not in base.units})
+            for sigma in (tw.TwoCocycle.trivial(base, n), tw.coboundary_twist(chain)):
+                groupoids.append(tw.extension_groupoid(base, sigma))
+    groupoids += small + groups
+    kinds = collections.Counter()
+    for g in groupoids:
+        x, q = gp.orbit_space(g)
+        spaces += [g.topology, q.dom, x]
+        kinds[type(g).__name__, g.principal] += 1
+    assert set(kinds) == {("RelationGroupoid", True), ("FinGroupoid", True), ("FinGroupoid", False)}, kinds
+    for space in spaces:
+        assert fs.FinSpace(space.points, space._mo) == space
+        reference_coherence_loop(space.points, space._mo)
 
 
 @pytest.mark.parametrize("corrupt", [
