@@ -21,20 +21,23 @@ Each graph is numbered once, in its constructor: vertex p is
 positions ``range_pos[e]`` and ``source_pos[e]``, and ``incoming[p]``
 lists the edges into vertex p in edge order.  An unrolled periodic graph
 is numbered by offsets instead of lookups: with P prefix and B block
-vertices, block vertex i of copy k is at position P + kB + i.  One
-depth-first walk per graph, kept on the graph, yields either the first
-cycle or a topological order of the positions.  Path multiplicities are
-level bitsets over the positions: bit p of ``levels[k]`` is set when
-vertex p is the source of at least k + 1 paths, so at the default cap 2
-a vertex's row is two ints; those rows are kept on the graph as well.
-The walk, the counts, the single-threaded sets, both witness searches
-and the periodic label chain run on these numbers; labels are read only
-to build witnesses and reports.
+vertices, block vertex i of copy k is at position P + kB + i, and its
+``vertices`` and ``edges`` are ``LabelView``s, which build the label at a
+position or edge number only when it is read.  One depth-first walk per
+graph, kept on the graph, yields either the first cycle or a topological
+order of the positions.  Path multiplicities are level bitsets over the
+positions: bit p of ``levels[k]`` is set when vertex p is the source of
+at least k + 1 paths, so at the default cap 2 a vertex's row is two
+ints; those rows are kept on the graph as well.  The walk, the counts,
+the single-threaded sets, both witness searches, the periodic label
+chain and its quotient walk graph run on these numbers; labels are read
+only to build witnesses and reports, so a periodic verdict labels its
+witness paths, its probe and its validation witnesses and nothing else.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,21 +66,20 @@ class DirectedGraph:
         self._number(edges, *_number_edges("edge", edges, self, self))
 
     @classmethod
-    def numbered(cls, vertices: Iterable[Vertex], edges: Iterable[tuple],
+    def numbered(cls, vertices: Sequence[Vertex], edges: Sequence[tuple],
                  range_pos: list, source_pos: list) -> "DirectedGraph":
         """The graph whose edges are already numbered, without the checks
         of the constructor: for unrollings and subgraphs of graphs and
-        seams that were checked."""
+        seams that were checked.  ``vertices`` and ``edges`` are kept as
+        given, so an unrolling keeps its label views."""
         graph = cls.__new__(cls)
-        graph.vertices = tuple(vertices)
-        graph._number(tuple(edges), range_pos, source_pos)
+        graph.vertices = vertices
+        graph._number(edges, range_pos, source_pos)
         return graph
 
-    def _number(self, edges: tuple, range_pos: list, source_pos: list) -> None:
+    def _number(self, edges: Sequence[tuple], range_pos: list, source_pos: list) -> None:
         self.edges, self.range_pos, self.source_pos = edges, range_pos, source_pos
-        self.incoming = [[] for _ in self.vertices]
-        for e, p in enumerate(range_pos):
-            self.incoming[p].append(e)
+        self.incoming = _incoming(len(self.vertices), range_pos)
 
     @cached_property
     def pos(self) -> dict:
@@ -88,7 +90,7 @@ class DirectedGraph:
     def delete_edge(self, eid) -> "DirectedGraph":
         keep = [e for e, edge in enumerate(self.edges) if edge[0] != eid]
         pick = lambda seq: [seq[e] for e in keep]
-        return DirectedGraph.numbered(self.vertices, pick(self.edges), pick(self.range_pos), pick(self.source_pos))
+        return DirectedGraph.numbered(self.vertices, tuple(pick(self.edges)), pick(self.range_pos), pick(self.source_pos))
 
     @cached_property
     def depth_first(self) -> tuple:
@@ -100,34 +102,7 @@ class DirectedGraph:
         every edge precedes its range.  The walk keeps its own stack, so no
         recursion limit applies.
         """
-        incoming, source_pos = self.incoming, self.source_pos
-        state = [0] * len(self.vertices)  # 1 on the stack, 2 finished
-        order = []
-        for start in range(len(state)):
-            if state[start]:
-                continue
-            state[start] = 1
-            stack, path = [(start, iter(incoming[start]))], []
-            while stack:
-                v, it = stack[-1]
-                for e in it:
-                    w = source_pos[e]
-                    if not state[w]:
-                        state[w] = 1
-                        path.append(e)
-                        stack.append((w, iter(incoming[w])))
-                        break
-                    if state[w] == 1:
-                        # path[k] leads from stack[k] to stack[k + 1]
-                        k = next(k for k, (x, _) in enumerate(stack) if x == w)
-                        return tuple(path[k:]) + (e,), None
-                else:
-                    state[v] = 2
-                    order.append(v)
-                    stack.pop()
-                    if path:
-                        path.pop()
-        return None, order
+        return _depth_first(self.incoming, self.source_pos)
 
     @cached_property
     def path_rows(self) -> list:
@@ -138,6 +113,46 @@ class DirectedGraph:
 
     def __repr__(self):
         return f"<DirectedGraph {len(self.vertices)} vertices, {len(self.edges)} edges>"
+
+
+def _incoming(n: int, range_pos: list) -> list:
+    """The edge numbers into each of n positions, in edge order."""
+    incoming = [[] for _ in range(n)]
+    for e, p in enumerate(range_pos):
+        incoming[p].append(e)
+    return incoming
+
+
+def _depth_first(incoming: list, source_pos: list) -> tuple:
+    """The walk of ``DirectedGraph.depth_first`` on the edges into each
+    position and the source position of each edge."""
+    state = [0] * len(incoming)  # 1 on the stack, 2 finished
+    order = []
+    for start in range(len(state)):
+        if state[start]:
+            continue
+        state[start] = 1
+        stack, path = [(start, iter(incoming[start]))], []
+        while stack:
+            v, it = stack[-1]
+            for e in it:
+                w = source_pos[e]
+                if not state[w]:
+                    state[w] = 1
+                    path.append(e)
+                    stack.append((w, iter(incoming[w])))
+                    break
+                if state[w] == 1:
+                    # path[k] leads from stack[k] to stack[k + 1]
+                    k = next(k for k, (x, _) in enumerate(stack) if x == w)
+                    return tuple(path[k:]) + (e,), None
+            else:
+                state[v] = 2
+                order.append(v)
+                stack.pop()
+                if path:
+                    path.pop()
+    return None, order
 
 
 def _number_edges(kind: str, edges: Iterable[tuple], ranges: DirectedGraph, sources: DirectedGraph) -> tuple:
@@ -295,18 +310,20 @@ def path_counts(graph: DirectedGraph, cap: int = 2) -> PathCounts:
 def single_threaded_vertices(graph: DirectedGraph) -> frozenset:
     """Vertices v with at most one path from v to any w: rows with no
     level 1."""
-    return frozenset(v for v, levels in zip(graph.vertices, graph.path_rows) if len(levels) == 1)
+    return frozenset(graph.vertices[p] for p, levels in enumerate(graph.path_rows) if len(levels) == 1)
 
 
-def two_parallel_paths(graph: DirectedGraph, v: Vertex):
-    """Two distinct edge-paths with range v and a common source, if any.
+def two_parallel_paths(graph: DirectedGraph, p: int):
+    """Two distinct edge-paths with range the vertex at position p and a
+    common source, if any: (source, ids of one path, ids of the other).
 
-    The source is the first vertex with two paths into v in depth-first
-    preorder from v along incoming edges; a second walk then collects
+    The source is the first vertex with two paths into p in depth-first
+    preorder from p along incoming edges; a second walk then collects
     the first two paths to it.  Both walks run on positions and edge
-    numbers and keep their own stacks, so no recursion limit applies."""
+    numbers and keep their own stacks, so no recursion limit applies.
+    Labels are read for the edges of the two paths only: the source is
+    the source of the first path's last edge."""
     rows, incoming, source_pos = graph.path_rows, graph.incoming, graph.source_pos
-    p = graph.pos[v]
     levels = rows[p]
     if len(levels) == 1:
         return None
@@ -339,8 +356,8 @@ def two_parallel_paths(graph: DirectedGraph, v: Vertex):
             stack.append(iter(incoming[w]))
     if len(found) < 2:  # pragma: no cover - count >= 2 guarantees two paths
         return None
-    ids = lambda path: tuple(graph.edges[e][0] for e in path)
-    return graph.vertices[target], ids(found[0]), ids(found[1])
+    first, second = ([graph.edges[e] for e in path] for path in found)
+    return first[-1][2], tuple(edge[0] for edge in first), tuple(edge[0] for edge in second)
 
 
 @dataclass(frozen=True)
@@ -399,6 +416,23 @@ def fell_verdict(graph: DirectedGraph) -> FellVerdict:
     )
 
 
+class LabelView(Sequence):
+    """A read-only sequence of ``length`` labels whose item at index i is
+    ``label(i)``, computed when it is read; a slice is a tuple."""
+
+    __slots__ = ("length", "label")
+
+    def __init__(self, length: int, label: Callable[[int], Hashable]):
+        self.length, self.label = length, label
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index):
+        index = range(self.length)[index]  # IndexError past either end
+        return tuple(map(self.label, index)) if isinstance(index, range) else self.label(index)
+
+
 class PeriodicGraph:
     """Presentation of an eventually periodic infinite graph: a finite
     prefix, a repeating block, and seam edges gluing the prefix to block
@@ -435,28 +469,49 @@ class PeriodicGraph:
         vertices, prefix vertex i is at position i and block vertex i of
         copy k at P + kB + i.  Edges come in the order prefix, block copy
         0 to copies - 1, prefix seam, then the block seam from copy k + 1
-        into copy k for each k.  Labels are built for witnesses and
-        reports only: vertices ("p", v) and ("b", k, v), edges ("p", e),
-        ("b", k, e), ("s0", e) and ("s", k, e).
+        into copy k for each k.  The labels are vertices ("p", v) and
+        ("b", k, v), edges ("p", e), ("b", k, e), ("s0", e) and ("s", k, e)
+        with their endpoints; ``vertices`` and ``edges`` are read-only
+        ``LabelView``s that build a label only when a position or edge
+        number is read, for a witness or a report.
         """
         prefix, block = self.prefix, self.block
         P, B = len(prefix.vertices), len(block.vertices)
-        vertices = [("p", v) for v in prefix.vertices]
-        vertices += [("b", k, v) for k in range(copies) for v in block.vertices]
-        edges = [(("p", eid), ("p", r), ("p", s)) for (eid, r, s) in prefix.edges]
+        EP, EB = len(prefix.edges), len(block.edges)
+        seams = EP + copies * EB  # the first seam edge
         range_pos, source_pos = prefix.range_pos[:], prefix.source_pos[:]
         for k in range(copies):
-            edges += [(("b", k, eid), ("b", k, r), ("b", k, s)) for (eid, r, s) in block.edges]
             range_pos += [P + k * B + i for i in block.range_pos]
             source_pos += [P + k * B + i for i in block.source_pos]
-        edges += [(("s0", eid), ("p", r), ("b", 0, s)) for (eid, r, s) in self.seam_prefix]
         range_pos += self.seam_prefix_pos[0]
         source_pos += [P + i for i in self.seam_prefix_pos[1]]
         for k in range(copies - 1):
-            edges += [(("s", k, eid), ("b", k, r), ("b", k + 1, s)) for (eid, r, s) in self.seam_block]
             range_pos += [P + k * B + i for i in self.seam_block_pos[0]]
             source_pos += [P + (k + 1) * B + i for i in self.seam_block_pos[1]]
-        return DirectedGraph.numbered(vertices, edges, range_pos, source_pos)
+
+        def vertex(p: int) -> tuple:
+            if p < P:
+                return ("p", prefix.vertices[p])
+            k, i = divmod(p - P, B)
+            return ("b", k, block.vertices[i])
+
+        def edge(e: int) -> tuple:
+            if e < EP:
+                eid, r, s = prefix.edges[e]
+                return ("p", eid), ("p", r), ("p", s)
+            if e < seams:
+                k, i = divmod(e - EP, EB)
+                eid, r, s = block.edges[i]
+                return ("b", k, eid), ("b", k, r), ("b", k, s)
+            if e < seams + len(self.seam_prefix):
+                eid, r, s = self.seam_prefix[e - seams]
+                return ("s0", eid), ("p", r), ("b", 0, s)
+            k, i = divmod(e - seams - len(self.seam_prefix), len(self.seam_block))
+            eid, r, s = self.seam_block[i]
+            return ("s", k, eid), ("b", k, r), ("b", k + 1, s)
+
+        return DirectedGraph.numbered(LabelView(P + copies * B, vertex), LabelView(len(range_pos), edge),
+                                      range_pos, source_pos)
 
 
 MAX_UNROLL_BOUND = 1000
@@ -473,8 +528,9 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
     single-threaded vertices exists exactly when the non-single-threaded
     quotient graph, seam edges included, has a cycle.  A NOT_FELL verdict
     carries a violating vertex and two parallel paths with that range and
-    a common source.  The label chain and the quotient graph run on the
-    positions of the unrolling.
+    a common source.  The label chain, the quotient graph and the search
+    for the two paths run on the positions of the unrolling, whose label
+    views are read only for the witnesses the verdict reports.
     """
     if not 0 <= unroll_bound <= MAX_UNROLL_BOUND:
         raise GraphError(f"unroll bound {unroll_bound} is outside 0..{MAX_UNROLL_BOUND}")
@@ -512,17 +568,13 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
     # edges between non-single-threaded vertices, in the presentation's
     # order so that the witness does not depend on hashing; a
     # single-threaded vertex keeps no edge and cannot change the walk
-    edges, range_pos, source_pos = [], [], []
-    for tag, triples, ranges, sources in (
-        ("b", block.edges, block.range_pos, block.source_pos),
-        ("s", presentation.seam_block, *presentation.seam_block_pos),
-    ):
-        for (e, r, s), p, q in zip(triples, ranges, sources):
+    range_pos, source_pos = [], []
+    for ranges, sources in ((block.range_pos, block.source_pos), presentation.seam_block_pos):
+        for p, q in zip(ranges, sources):
             if not (single[p] or single[q]):
-                edges.append(((tag, e), r, s))
                 range_pos.append(p)
                 source_pos.append(q)
-    cycle, _ = DirectedGraph.numbered(block.vertices, edges, range_pos, source_pos).depth_first
+    cycle, _ = _depth_first(_incoming(B, range_pos), source_pos)
     if cycle is None:
         return FellVerdict(
             "FELL",
@@ -535,11 +587,11 @@ def periodic_fell_verdict(presentation: PeriodicGraph, unroll_bound: int = 3) ->
     # quotient graph keeps only when it is not single-threaded: its row
     # has a level 1, so some source has two paths into it, and
     # ``two_parallel_paths`` returns two of them
-    probe = unrolled.vertices[P + range_pos[cycle[0]]]
+    probe = P + range_pos[cycle[0]]
     _, path1, path2 = two_parallel_paths(unrolled, probe)
     return FellVerdict(
         "NOT_FELL",
-        witness_vertex=probe,
+        witness_vertex=unrolled.vertices[probe],
         witness_paths=(path1, path2),
         single_threaded=stable,
         note="infinite path avoids single-threaded vertices forever",

@@ -575,22 +575,38 @@ def _unit_base(groupoid: FinGroupoid) -> tuple:
     return [groupoid.morphisms[u] for u in masks], masks
 
 
-def orbit_space(groupoid: FinGroupoid):
-    """Quotient of the unit space by the orbit relation.
-
-    Returns (X, q); q's domain, Y or the unit subspace, is coherent as a
-    subspace.  For an etale groupoid q is open too, and this is asserted.
-    """
-    labels, masks = _unit_base(groupoid)
+def _orbit_map(groupoid: FinGroupoid, labels: list, masks: Mapping[int, int]):
+    """(X, q): the quotient by the orbit relation of the space on the
+    units with point ``labels[k]`` and minimal open ``masks[u]`` (by
+    morphism number) at its k-th unit u; that space is coherent as a
+    subspace."""
     position = {u: 1 << k for k, u in enumerate(masks)}
     base = FinSpace.coherent(labels, [_union(position, m) for m in masks.values()])
     orbit = groupoid.orbit_idx.tolist()
     blocks: dict = {}
     for u, label in zip(masks, labels):
         blocks.setdefault(orbit[u], []).append(label)
-    space, q = quotient_space(base, blocks.values())
-    if groupoid_properties(groupoid).etale and not classify_map(q).open_map:
-        raise InternalCheckFailure("etale groupoid with non-open orbit map")
+    return quotient_space(base, blocks.values())
+
+
+def orbit_space(groupoid: FinGroupoid):
+    """Quotient of the unit space by the orbit relation.
+
+    Returns (X, q), where q's domain is ``_unit_base``: Y or the unit
+    subspace.  For an etale groupoid the orbit map of the unit subspace
+    is open, since the saturation of an open set U is r(s^-1(U)); this
+    is asserted.  Where the unit base is the unit subspace, as on every
+    groupoid that is not a relation groupoid and on every relation
+    groupoid whose morphism topology restricts to Y on the units, that
+    map is q.
+    """
+    labels, masks = _unit_base(groupoid)
+    space, q = _orbit_map(groupoid, labels, masks)
+    if groupoid_properties(groupoid).etale:
+        units = _subspace_masks(groupoid)
+        unit_map = q if units == masks else _orbit_map(groupoid, labels, units)[1]
+        if not classify_map(unit_map).open_map:
+            raise InternalCheckFailure("etale groupoid with non-open orbit map")
     return space, q
 
 

@@ -16,6 +16,7 @@ from helpers import (
     reference_path_counts,
     reference_periodic_fell_verdict,
     reference_two_parallel_paths,
+    reference_unroll,
     seam_counterexample,
 )
 
@@ -152,7 +153,7 @@ def test_edge_deletion_monotone():
 
 def test_two_parallel_paths_witness():
     g = gf.DirectedGraph(("v", "w"), [("e1", "v", "w"), ("e2", "v", "w")])
-    target, p1, p2 = gf.two_parallel_paths(g, "v")
+    target, p1, p2 = gf.two_parallel_paths(g, g.pos["v"])
     assert target == "w" and p1 != p2
     assert {p1, p2} == {("e1",), ("e2",)}
 
@@ -306,7 +307,11 @@ def test_unrolled_graphs_equal_their_checked_construction():
         for copies in (1, 2, 5):
             fast = pres.unroll(copies)
             checked = gf.DirectedGraph(fast.vertices, fast.edges)
-            for name in ("vertices", "pos", "edges", "range_pos", "source_pos", "incoming"):
+            # the unrolling's label views against the checked tuples, label by label
+            for name in ("vertices", "edges"):
+                view, labels = getattr(fast, name), getattr(checked, name)
+                assert len(view) == len(labels) and tuple(view) == labels, name
+            for name in ("pos", "range_pos", "source_pos", "incoming"):
                 assert getattr(fast, name) == getattr(checked, name), name
             fast_rel, checked_rel = label_relations(fast), label_relations(checked)
             for name in ("range_of", "source_of", "in_edges"):
@@ -316,6 +321,46 @@ def test_unrolled_graphs_equal_their_checked_construction():
             rebuilt = gf.DirectedGraph(fast.vertices, [e for e in fast.edges if e[0] != eid])
             assert (smaller.edges, smaller.incoming) == (rebuilt.edges, rebuilt.incoming)
             assert label_relations(smaller).in_edges == label_relations(rebuilt).in_edges
+
+
+def test_label_views_label_as_the_reference_unrolling():
+    """Every position and edge number of an unrolling, from either end,
+    labels as ``reference_unroll`` does; slices are tuples, and an index
+    past either end raises ``IndexError``."""
+    rng = random.Random(34)
+    presentations = [gf.two_thread_ladder(), gf.tree_with_tails(2), gf.single_tail(), seam_counterexample()]
+    presentations += [random_presentation(rng) for _ in range(20)]
+    for pres in presentations:
+        for bound in (0, 1, 5):
+            unrolled, expected = pres.unroll(bound + 1), reference_unroll(pres, bound + 1)
+            for view, labels in ((unrolled.vertices, expected.vertices), (unrolled.edges, expected.edges)):
+                n = len(labels)
+                assert len(view) == n
+                assert [view[i] for i in range(n)] == [view[i] for i in range(-n, 0)] == list(labels)
+                assert view[:] == labels and view[1::2] == labels[1::2]
+                for i in (n, -n - 1):
+                    with pytest.raises(IndexError):
+                        view[i]
+
+
+def test_periodic_verdict_labels_only_what_it_reports(monkeypatch):
+    """On the two-thread ladder at bound 300 (903 vertices, 1,203 edges)
+    the label views build the probe, the validation's source witness and
+    one edge label per witness edge, and nothing else."""
+    built = []
+    init = gf.LabelView.__init__
+
+    def counting(self, length, label):
+        init(self, length, lambda i: built.append(label(i)) or built[-1])
+
+    monkeypatch.setattr(gf.LabelView, "__init__", counting)
+    verdict = gf.periodic_fell_verdict(gf.two_thread_ladder(), 300)
+    assert verdict.verdict == "NOT_FELL" and verdict.validation.acyclic
+    p1, p2 = verdict.witness_paths
+    vertices = [label for label in built if isinstance(label[0], str)]
+    edges = [label for label in built if isinstance(label[0], tuple)]
+    assert sorted(vertices) == sorted([verdict.witness_vertex, verdict.validation.source_witness])
+    assert [edge[0] for edge in edges] == [*p1, *p2]
 
 
 def test_undecided_when_multiplicity_exceeds_horizon():
@@ -390,10 +435,11 @@ def test_every_row_with_a_level_1_has_two_parallel_paths():
             if not gf.validate_graph(unrolled).acyclic:
                 continue
             rel = label_relations(unrolled)
-            for v, levels in zip(unrolled.vertices, unrolled.path_rows):
+            for p, levels in enumerate(unrolled.path_rows):
                 if len(levels) < 2:
                     continue
-                source, *paths = gf.two_parallel_paths(unrolled, v)
+                v = unrolled.vertices[p]
+                source, *paths = gf.two_parallel_paths(unrolled, p)
                 assert paths[0] != paths[1], (v, paths)
                 for path in paths:
                     assert path and rel.range_of[path[0]] == v and rel.source_of[path[-1]] == source, (v, path)
@@ -512,7 +558,7 @@ def test_walk_rows_and_witnesses_match_the_dict_construction():
             v for v, row in expected.items() if max(row.values()) <= 1
         )
         for v in g.vertices:
-            assert gf.two_parallel_paths(g, v) == reference_two_parallel_paths(rel, v, expected)
+            assert gf.two_parallel_paths(g, g.pos[v]) == reference_two_parallel_paths(rel, v, expected)
     assert acyclic > 300 and wide == 6
 
 

@@ -18,6 +18,7 @@ from groupoidlab import twist as tw
 from groupoidlab.bundled import bundled_document
 from groupoidlab.cli import main
 from groupoidlab.corpus import all_partitions, all_topologies, random_partition, random_space
+from groupoidlab.errors import InternalCheckFailure
 from helpers import (
     compositions,
     dense_pair_id,
@@ -156,6 +157,35 @@ def test_orbit_space_chain_is_sierpinski():
     assert min_open(space, b0) == frozenset({b0, b12})
 
 
+def test_orbit_space_of_a_discrete_twin_asserts_on_the_unit_subspace():
+    """The discrete twin of R(psi) is etale whatever Y is, and its unit
+    subspace is discrete, so the orbit map that the etale assertion is
+    about is open; the orbit space is still read off Y, where q need not
+    be open.  The criterion 1 corpus runs the twins in
+    ``test_base_masks_and_orbit_spaces_match_the_walks_they_replaced``."""
+    y = fs.FinSpace((0, 1, 2), (0b011, 0b010, 0b100))
+    relation = gp.build_relation_groupoid(fs.quotient_space(y, [[0, 2], [1]])[1])
+    twin = relation.with_discrete_topology()
+    assert gp.groupoid_properties(twin).etale and not fs.classify_map(gp.orbit_space(relation)[1]).open_map
+    assert gp.orbit_space(twin) == gp.orbit_space(relation)
+
+
+def test_orbit_space_asserts_on_the_unit_subspace_where_it_is_not_y():
+    """R(psi) over a discrete Y, with the morphism topology of R(psi')
+    over a Y' with the same points and fibers whose orbit map is not
+    open: q on Y is open, but the unit subspace is Y', so a groupoid that
+    claims to be etale trips the assertion."""
+    y_prime = fs.FinSpace("abc", [0b111, 0b010, 0b100])
+    fibers = [{"a", "c"}, {"b"}]
+    other = gp.build_relation_groupoid(fs.quotient_space(y_prime, fibers)[1])
+    psi = fs.quotient_space(fs.discrete("abc"), fibers)[1]
+    g = gp.RelationGroupoid(psi, other.fiber_positions, other.topology)
+    assert fs.classify_map(gp.orbit_space(g)[1]).open_map
+    g._props_cache = gp.GroupoidProperties(g.principal, True)
+    with pytest.raises(InternalCheckFailure, match="non-open orbit map"):
+        gp.orbit_space(g)
+
+
 # -- orbit_map_check -----------------------------------------------------------
 
 
@@ -187,8 +217,9 @@ def test_orbit_map_check_over_corpus():
 
 def test_base_masks_and_orbit_spaces_match_the_walks_they_replaced():
     """On every quotient of every space of at most four points: Y's masks
-    carried to the units, and the orbit space of R(psi) and of the plain
-    groupoid on its index and topology, whose base is the unit subspace."""
+    carried to the units, and the orbit space of R(psi), of its discrete
+    twin, whose base is Y too, and of the plain groupoid on its index and
+    topology, whose base is the unit subspace."""
     cases = 0
     for n in range(1, 5):
         for space in all_topologies(n):
@@ -197,7 +228,7 @@ def test_base_masks_and_orbit_spaces_match_the_walks_they_replaced():
                 assert relation.base_masks == reference_base_masks(relation)
                 plain = gp.FinGroupoid(relation.topology, relation.range_idx, relation.source_idx,
                                        relation.inverse_idx, relation.unit_mask, relation.pairs)
-                for g in (relation, plain):
+                for g in (relation, relation.with_discrete_topology(), plain):
                     x, q = gp.orbit_space(g)
                     base = reference_orbit_base(g)
                     assert q.dom == base

@@ -11,8 +11,11 @@ the check's source; a mutant that the tests kill prints nothing.
     python tools/mutants.py finspace.py:391 twist.py:459 --tests tests/test_cli.py
 
 A target is a module of ``src/groupoidlab`` (every raising ``if`` in it)
-or ``module.py:LINE`` (the raising ``if`` on that line).  The probe
-uses only the standard library and is not collected by the test suite.
+or ``module.py:LINE`` (the raising ``if`` on that line).  A module
+without a raising ``if`` is skipped with a note on stderr; the probe
+stops with an error when a ``module.py:LINE`` names a line without one
+or when no target has one.  The probe uses only the standard library
+and is not collected by the test suite.
 """
 
 from __future__ import annotations
@@ -58,15 +61,22 @@ def run_tests(src: pathlib.Path, tests: list[str]) -> bool:
 
 
 def targets(specs: list[str]) -> list[tuple[str, str, ast.If]]:
-    """(module, its source, the raising ``if``) for each site named."""
+    """(module, its source, the raising ``if``) for each site named.  A
+    module with no raising ``if`` is skipped with a note; a
+    ``module.py:LINE`` with none, or a list in which no target has one,
+    stops the probe."""
     found = []
     for spec in specs:
         name, _, line = spec.partition(":")
         source = (PACKAGE / name).read_text()
         picked = [n for n in raising_ifs(source) if not line or n.lineno == int(line)]
         if not picked:
-            raise SystemExit(f"no raising if at {spec}")
+            if line:
+                raise SystemExit(f"no raising if at {spec}")
+            print(f"{name}: no raising if, skipped", file=sys.stderr)
         found += [(name, source, n) for n in picked]
+    if not found:
+        raise SystemExit(f"no raising if in {' '.join(specs)}")
     return found
 
 
